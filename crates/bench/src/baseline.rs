@@ -25,7 +25,7 @@ use std::fmt::Write as _;
 
 use crate::figures::FigureConfig;
 use httperf::RunReport;
-use simcore::probe::fnv1a;
+use simcore::fingerprint::Fnv;
 
 /// Schema version stamped into every report.
 ///
@@ -35,9 +35,8 @@ use simcore::probe::fnv1a;
 /// v3 added the memory lane: per-sweep `mem_bytes` (peak server-side
 /// heap across the sweep's points) and `eps_peak` (peak simultaneous
 /// kernel endpoints), from which the gate derives bytes-per-connection.
-/// Older documents still parse (the lane fields default to zero); the
-/// comparator turns the version skew into a baseline-refresh hint
-/// rather than a parse error.
+/// Only this version parses: a document of any other version is
+/// rejected with the refresh recipe.
 pub const BENCH_VERSION: u64 = 3;
 
 /// One benchmark point: the shape metrics of one simulated run.
@@ -97,17 +96,17 @@ pub struct SweepRecord {
     /// Summed per-run wall time of the sweep's points, milliseconds.
     /// Volatile: excluded from determinism comparisons.
     pub wall_ms: f64,
-    /// Summed simulation events dispatched across the sweep's points
-    /// (schema v2; zero when parsed from a v1 document). Deterministic.
+    /// Summed simulation events dispatched across the sweep's points.
+    /// Deterministic.
     pub events: u64,
     /// Summed simulated run time across the sweep's points,
-    /// milliseconds (schema v2; zero for v1 documents). Deterministic.
+    /// milliseconds. Deterministic.
     pub sim_ms: f64,
-    /// Peak end-of-run server-side heap bytes across the sweep's points
-    /// (schema v3; zero for older documents). Deterministic.
+    /// Peak end-of-run server-side heap bytes across the sweep's points.
+    /// Deterministic.
     pub mem_bytes: u64,
     /// Peak simultaneously-open kernel endpoints across the sweep's
-    /// points (schema v3; zero for older documents). Deterministic.
+    /// points. Deterministic.
     pub eps_peak: u64,
     /// Points in ascending rate order.
     pub points: Vec<PointRecord>,
@@ -162,7 +161,7 @@ pub fn config_fingerprint(config: &FigureConfig) -> String {
         let _ = write!(text, "{r},");
     }
     let _ = write!(text, "conns={};seed={}", config.conns, config.seed);
-    format!("{:016x}", fnv1a(text.as_bytes()))
+    format!("{:016x}", Fnv::digest(text.as_bytes()))
 }
 
 impl BenchReport {
@@ -218,9 +217,9 @@ impl BenchReport {
     pub fn from_json(text: &str) -> Result<BenchReport, String> {
         let value = Json::parse(text)?;
         let version = value.field_u64("bench_version")?;
-        if version > BENCH_VERSION {
+        if version != BENCH_VERSION {
             return Err(format!(
-                "bench_version {version} is newer than this gate understands ({BENCH_VERSION})"
+                "bench_version {version} is not the current schema v{BENCH_VERSION} — {REFRESH_HINT}"
             ));
         }
         let mut sweeps = Vec::new();
@@ -245,26 +244,10 @@ impl BenchReport {
                 server: sv.field_str("server")?.to_string(),
                 inactive: sv.field_u64("inactive")? as usize,
                 wall_ms: sv.field_f64("wall_ms")?,
-                // Throughput-lane fields arrived in schema v2; a v1
-                // document simply lacks them.
-                events: match sv.get("events") {
-                    Some(_) => sv.field_u64("events")?,
-                    None => 0,
-                },
-                sim_ms: match sv.get("sim_ms") {
-                    Some(_) => sv.field_f64("sim_ms")?,
-                    None => 0.0,
-                },
-                // Memory-lane fields arrived in schema v3; older
-                // documents simply lack them.
-                mem_bytes: match sv.get("mem_bytes") {
-                    Some(_) => sv.field_u64("mem_bytes")?,
-                    None => 0,
-                },
-                eps_peak: match sv.get("eps_peak") {
-                    Some(_) => sv.field_u64("eps_peak")?,
-                    None => 0,
-                },
+                events: sv.field_u64("events")?,
+                sim_ms: sv.field_f64("sim_ms")?,
+                mem_bytes: sv.field_u64("mem_bytes")?,
+                eps_peak: sv.field_u64("eps_peak")?,
                 points,
             });
         }
@@ -409,6 +392,9 @@ impl GateOutcome {
     }
 }
 
+/// How to fix an identity or schema mismatch against the baseline.
+const REFRESH_HINT: &str = "refresh BENCH_BASELINE.json intentionally (see EXPERIMENTS.md)";
+
 fn rel_diff(current: f64, base: f64) -> f64 {
     (current - base).abs() / base.abs().max(1.0)
 }
@@ -416,33 +402,24 @@ fn rel_diff(current: f64, base: f64) -> f64 {
 /// Compares a current report against the baseline.
 pub fn compare(baseline: &BenchReport, current: &BenchReport, tol: &GateTolerance) -> GateOutcome {
     let mut out = GateOutcome::default();
-    let refresh_hint = "refresh BENCH_BASELINE.json intentionally (see EXPERIMENTS.md)";
 
     if baseline.tool != current.tool {
         out.violations.push(format!(
-            "tool mismatch: baseline {:?} vs current {:?} — {refresh_hint}",
+            "tool mismatch: baseline {:?} vs current {:?} — {REFRESH_HINT}",
             baseline.tool, current.tool
         ));
     }
     if baseline.seed != current.seed {
         out.violations.push(format!(
-            "seed mismatch: baseline {} vs current {} — {refresh_hint}",
+            "seed mismatch: baseline {} vs current {} — {REFRESH_HINT}",
             baseline.seed, current.seed
         ));
     }
     if baseline.config != current.config {
         out.violations.push(format!(
             "config fingerprint mismatch: baseline {} vs current {} — the sweep \
-             grid changed; {refresh_hint}",
+             grid changed; {REFRESH_HINT}",
             baseline.config, current.config
-        ));
-    }
-    if baseline.version != current.version {
-        // An old-schema baseline still parses (missing lane fields are
-        // zero), so this is a refresh prompt, not a parse error.
-        out.violations.push(format!(
-            "schema version mismatch: baseline v{} vs current v{} — {refresh_hint}",
-            baseline.version, current.version
         ));
     }
     if !out.violations.is_empty() {
@@ -1047,55 +1024,14 @@ mod tests {
     }
 
     #[test]
-    fn v1_documents_parse_with_zero_lane_fields_and_hint_at_refresh() {
-        // A checked-in v1 baseline (no events/sim_ms) must keep
-        // parsing; the comparator then prompts a refresh instead of the
-        // gate erroring out.
-        let mut v1 = sample_report();
-        v1.version = 1;
-        let mut text = v1.to_json();
-        text = text
-            .lines()
-            .filter(|l| !l.contains("\"events\"") && !l.contains("\"sim_ms\""))
-            .collect::<Vec<_>>()
-            .join("\n");
-        let parsed = BenchReport::from_json(&text).expect("v1 document parses");
-        assert_eq!(parsed.version, 1);
-        assert_eq!(parsed.sweeps[0].events, 0);
-        assert_eq!(parsed.sweeps[0].sim_ms, 0.0);
-        assert_eq!(parsed.sweeps[0].events_per_wall_sec(), None);
-
-        let outcome = compare(&parsed, &sample_report(), &GateTolerance::default());
-        assert!(outcome
-            .violations
-            .iter()
-            .any(|v| v.contains("schema version mismatch") && v.contains("refresh")));
-    }
-
-    #[test]
-    fn v2_documents_parse_with_zero_mem_fields_and_hint_at_refresh() {
-        // A checked-in v2 baseline (no mem_bytes/eps_peak) must keep
-        // parsing; the comparator then prompts a refresh instead of the
-        // gate erroring out.
-        let mut v2 = sample_report();
-        v2.version = 2;
-        let mut text = v2.to_json();
-        text = text
-            .lines()
-            .filter(|l| !l.contains("\"mem_bytes\"") && !l.contains("\"eps_peak\""))
-            .collect::<Vec<_>>()
-            .join("\n");
-        let parsed = BenchReport::from_json(&text).expect("v2 document parses");
-        assert_eq!(parsed.version, 2);
-        assert_eq!(parsed.sweeps[0].mem_bytes, 0);
-        assert_eq!(parsed.sweeps[0].eps_peak, 0);
-        assert_eq!(parsed.sweeps[0].mem_bytes_per_conn(), None);
-
-        let outcome = compare(&parsed, &sample_report(), &GateTolerance::default());
-        assert!(outcome
-            .violations
-            .iter()
-            .any(|v| v.contains("schema version mismatch") && v.contains("refresh")));
+    fn v1_and_v2_documents_are_rejected_with_the_refresh_recipe() {
+        for old in [1, 2] {
+            let mut doc = sample_report();
+            doc.version = old;
+            let err = BenchReport::from_json(&doc.to_json()).expect_err("old schema rejected");
+            assert!(err.contains(&format!("bench_version {old}")), "{err}");
+            assert!(err.contains("refresh"), "{err}");
+        }
     }
 
     #[test]

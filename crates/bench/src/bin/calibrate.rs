@@ -9,23 +9,21 @@
 //! Points fan out over the sweep executor; rows print in grid order
 //! regardless of worker count.
 
-use bench::{effective_jobs, run_jobs};
+use bench::{effective_jobs, flag_value, run_jobs};
 use httperf::{run_one, RunParams, ServerKind};
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let conns: u64 = args
-        .iter()
-        .skip(1)
-        .find(|a| !a.starts_with("--"))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(4000);
-    let jobs = effective_jobs(
-        args.iter()
-            .position(|a| a == "--jobs")
-            .and_then(|i| args.get(i + 1))
-            .and_then(|v| v.parse().ok()),
-    );
+    let mut conns: u64 = 4000;
+    let mut jobs = None;
+    let mut args = std::env::args().skip(1);
+    while let Some(a) = args.next() {
+        if a == "--jobs" {
+            jobs = Some(flag_value("--jobs", args.next().as_deref()));
+        } else {
+            conns = flag_value("CONNS", Some(&a));
+        }
+    }
+    let jobs = effective_jobs(jobs);
     let kinds = [
         ServerKind::ThttpdPoll,
         ServerKind::ThttpdDevPoll,

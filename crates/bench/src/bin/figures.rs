@@ -40,7 +40,7 @@ use std::fs;
 use std::path::PathBuf;
 
 use bench::figures::{anatomy_grid, anatomy_kinds, extensions_grid, paper_grid};
-use bench::{effective_jobs, FigureConfig, FigureRunner, PAPER_FIGURES};
+use bench::{effective_jobs, flag_value, FigureConfig, FigureRunner, PAPER_FIGURES};
 use simcore::series::Figure;
 
 /// Milliseconds since the first call — the monotonic clock injected
@@ -65,18 +65,9 @@ fn main() {
     while let Some(a) = args.next() {
         match a.as_str() {
             "--quick" => config = FigureConfig::quick(),
-            "--conns" => {
-                let v = args.next().expect("--conns needs a value");
-                config.conns = v.parse().expect("--conns must be an integer");
-            }
-            "--seed" => {
-                let v = args.next().expect("--seed needs a value");
-                config.seed = v.parse().expect("--seed must be an integer");
-            }
-            "--jobs" => {
-                let v = args.next().expect("--jobs needs a value");
-                jobs_flag = Some(v.parse().expect("--jobs must be an integer"));
-            }
+            "--conns" => config.conns = flag_value("--conns", args.next().as_deref()),
+            "--seed" => config.seed = flag_value("--seed", args.next().as_deref()),
+            "--jobs" => jobs_flag = Some(flag_value("--jobs", args.next().as_deref())),
             "--out" => {
                 out_dir = PathBuf::from(args.next().expect("--out needs a value"));
             }

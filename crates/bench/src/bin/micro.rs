@@ -306,27 +306,12 @@ fn main() {
     wall_microbench();
 }
 
-/// Wall-clock microbenchmarks of the simulator's two hottest loops:
-/// engine event dispatch and the `DP_POLL` interest scan. Unlike the
-/// simulated cost tables above, these measure *this machine's* real
-/// time — the criterion-shim style numbers behind the BENCH.json
-/// throughput lane. (Binary drivers are exempt from the wallclock
-/// lint; library code never reads the clock.)
+/// Wall-clock microbenchmarks of the two interest scans: stock
+/// `poll()` and `DP_POLL`. Unlike the simulated cost tables above,
+/// these measure *this machine's* real time. (Binary drivers are exempt
+/// from the wallclock lint; library code never reads the clock.)
 fn wall_microbench() {
-    use simcore::engine::{BoxedEvent, Engine, Event};
     use std::time::Instant;
-
-    /// Typed payload: the arena dispatch path, no per-event allocation.
-    enum Tick {
-        Add,
-    }
-    impl Event<u64> for Tick {
-        fn fire(self, state: &mut u64, _e: &mut Engine<u64, Self>) {
-            match self {
-                Tick::Add => *state += 1,
-            }
-        }
-    }
 
     /// Median ns-per-unit over 5 samples; `f` runs the workload once
     /// and returns how many units it dispatched.
@@ -346,61 +331,28 @@ fn wall_microbench() {
     println!();
     println!("Wall-clock microbenchmarks (real time on this machine, median of 5)");
 
-    const N: u64 = 200_000;
-    let typed = per_unit_ns(|| {
-        let mut e: Engine<u64, Tick> = Engine::new();
-        let mut acc = 0u64;
-        for i in 0..N {
-            e.schedule_at(SimTime::from_nanos(i % 977), Tick::Add);
-        }
-        e.run(&mut acc);
-        acc
-    });
-    let boxed = per_unit_ns(|| {
-        let mut e: Engine<u64> = Engine::new();
-        let mut acc = 0u64;
-        for i in 0..N {
-            e.schedule_at(
-                SimTime::from_nanos(i % 977),
-                BoxedEvent::new(|s: &mut u64, _e| *s += 1),
-            );
-        }
-        e.run(&mut acc);
-        acc
-    });
-    println!("  engine dispatch, typed arena:  {typed:>7.1} ns/event");
-    println!("  engine dispatch, boxed:        {boxed:>7.1} ns/event");
-
-    /// Chain payload: each event schedules a same-instant follow-up,
-    /// exercising the batch-dispatch due-now lane (follow-ups at `now`
-    /// bypass the heap entirely).
-    enum Chain {
-        Hop(u32),
-    }
-    impl Event<u64> for Chain {
-        fn fire(self, state: &mut u64, e: &mut Engine<u64, Self>) {
-            let Chain::Hop(left) = self;
-            *state += 1;
-            if left > 0 {
-                e.schedule_at(e.now(), Chain::Hop(left - 1));
+    let calls = 2_000u64;
+    let now = SimTime::from_secs(100);
+    {
+        let mut w = world_with_conns(501);
+        let mut pollfds: Vec<PollFd> = w
+            .fds
+            .iter()
+            .map(|&fd| PollFd::new(fd, PollBits::POLLIN))
+            .collect();
+        let ns = per_unit_ns(|| {
+            for _ in 0..calls {
+                w.kernel.begin_batch(now, w.pid);
+                let _ = sys_poll(&mut w.kernel, now, w.pid, &mut pollfds, 0);
+                w.kernel.end_batch(now, w.pid);
             }
-        }
+            calls
+        });
+        println!("  stock poll() scan (501 fds):       {ns:>7.1} ns/call");
     }
-    let burst = per_unit_ns(|| {
-        let mut e: Engine<u64, Chain> = Engine::new();
-        let mut acc = 0u64;
-        // 2_000 roots, each chaining 99 same-instant follow-ups.
-        for i in 0..2_000u64 {
-            e.schedule_at(SimTime::from_nanos(i % 977), Chain::Hop(99));
-        }
-        e.run(&mut acc);
-        acc
-    });
-    println!("  engine dispatch, same-instant chain: {burst:>7.1} ns/event");
 
     for (label, hints) in [("hints", true), ("full scan", false)] {
         let mut w = world_with_conns(501);
-        let now = SimTime::from_secs(100);
         w.kernel.begin_batch(now, w.pid);
         let dpfd = w
             .registry
@@ -431,7 +383,6 @@ fn wall_microbench() {
             DvPoll::into_user_buffer(64, 0),
         );
         w.kernel.end_batch(now, w.pid);
-        let calls = 2_000u64;
         let ns = per_unit_ns(|| {
             for _ in 0..calls {
                 w.kernel.begin_batch(now, w.pid);

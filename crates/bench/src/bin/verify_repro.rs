@@ -16,9 +16,10 @@
 use std::fmt::Write as _;
 
 use bench::baseline::{group_runs, BenchReport, BENCH_VERSION};
-use bench::{effective_jobs, run_jobs};
+use bench::{effective_jobs, flag_value, run_jobs};
 use httperf::{run_one, LoadConfig, RunParams, RunReport, ServerKind};
-use simcore::probe::{fnv1a, Snapshot};
+use simcore::fingerprint::Fnv;
+use simcore::probe::Snapshot;
 use simkernel::AcceptWake;
 
 struct Checker {
@@ -66,16 +67,18 @@ fn now_ms() -> f64 {
 fn main() {
     let started = now_ms();
     let args: Vec<String> = std::env::args().collect();
+    // `Some(value)` when the flag is present; a present flag without a
+    // value yields `Some(None)`, which `flag_value` rejects.
     let flag = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
+        let i = args.iter().position(|a| a == name)?;
+        Some(args.get(i + 1).map(String::as_str))
     };
-    let conns: u64 = flag("--conns")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(6_000);
-    let jobs = effective_jobs(flag("--jobs").and_then(|v| v.parse().ok()));
-    let bench_out = flag("--bench-out").cloned().unwrap_or("BENCH.json".into());
+    let conns: u64 = flag("--conns").map_or(6_000, |v| flag_value("--conns", v));
+    let jobs = effective_jobs(flag("--jobs").map(|v| flag_value("--jobs", v)));
+    let bench_out = flag("--bench-out")
+        .flatten()
+        .unwrap_or("BENCH.json")
+        .to_string();
 
     let no_hints = ServerKind::ThttpdDevPollWith {
         config: devpoll::DevPollConfig {
@@ -261,7 +264,7 @@ fn main() {
             let _ = write!(text, "{}@{rate}/{inactive};", kind.label());
         }
         let _ = write!(text, "conns={conns}");
-        format!("{:016x}", fnv1a(text.as_bytes()))
+        format!("{:016x}", Fnv::digest(text.as_bytes()))
     };
     let report = BenchReport {
         version: BENCH_VERSION,

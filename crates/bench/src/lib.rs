@@ -14,9 +14,8 @@
 //!   `figures`/`verify_repro` invocation emits, and the comparator the
 //!   `bench_gate` binary runs against the checked-in
 //!   `BENCH_BASELINE.json`.
-//! * `benches/` — Criterion microbenchmarks of the event-notification
-//!   primitives (poll scaling, interest-table operations, hints, result
-//!   copying, RT-queue operations).
+//! * `src/bin/micro.rs` — simulated per-call cost tables, plus
+//!   wall-clock lanes for the stock `poll()` and `DP_POLL` scans.
 //! * `src/bin/figures.rs` — the CLI: `cargo run --release -p bench --bin
 //!   figures -- all`.
 //! * `src/bin/bench_gate.rs` — the CI gate: `cargo run --release -p
@@ -32,3 +31,17 @@ pub use baseline::{
 };
 pub use executor::{effective_jobs, run_jobs, JOBS_ENV};
 pub use figures::{FigureConfig, FigureRunner, SweepKey, PAPER_FIGURES};
+
+/// The value of a CLI flag for the bench binaries. A missing or
+/// unparsable value is a usage error: print the flag and the value, and
+/// exit 2, rather than run the default in its place.
+pub fn flag_value<T: std::str::FromStr>(flag: &str, value: Option<&str>) -> T {
+    let Some(value) = value else {
+        eprintln!("{flag} needs a value");
+        std::process::exit(2)
+    };
+    value.parse().unwrap_or_else(|_| {
+        eprintln!("{flag} expects a number, got {value:?}");
+        std::process::exit(2)
+    })
+}

@@ -272,18 +272,17 @@ impl DevPollRegistry {
     pub fn write(
         &mut self,
         kernel: &mut Kernel,
-        now: SimTime,
+        _now: SimTime,
         pid: Pid,
         dpfd: Fd,
         entries: &[PollFd],
     ) -> Result<usize, Errno> {
-        self.write_inner(kernel, now, pid, dpfd, entries, true)
+        self.write_inner(kernel, pid, dpfd, entries, true)
     }
 
     fn write_inner(
         &mut self,
         kernel: &mut Kernel,
-        now: SimTime,
         pid: Pid,
         dpfd: Fd,
         entries: &[PollFd],
@@ -348,14 +347,6 @@ impl DevPollRegistry {
         probe.gauge_set("devpoll.interest.len", len);
         probe.gauge_set("devpoll.interest.buckets", buckets);
         probe.gauge_set("devpoll.interest.max_bucket", max_bucket);
-        if kernel.trace().wants("devpoll") {
-            let (adds, removes) = (to_watch.len(), to_unwatch.len());
-            kernel.trace_mut().record(
-                now,
-                "devpoll",
-                format!("write: +{adds} -{removes} (len {len}, {buckets} buckets)"),
-            );
-        }
         #[cfg(feature = "simcheck")]
         {
             self.lockdep.release(LockClass::InterestTable);
@@ -404,14 +395,14 @@ impl DevPollRegistry {
     pub fn write_combined(
         &mut self,
         kernel: &mut Kernel,
-        now: SimTime,
+        _now: SimTime,
         pid: Pid,
         dpfd: Fd,
         entries: &[PollFd],
     ) -> Result<usize, Errno> {
         // Identical to `write` except the updates ride on the following
         // ioctl's syscall, so no separate entry/exit is charged.
-        self.write_inner(kernel, now, pid, dpfd, entries, false)
+        self.write_inner(kernel, pid, dpfd, entries, false)
     }
 
     /// `ioctl(dpfd, DP_ALLOC, n)` followed by `mmap()`: allocates and
@@ -460,7 +451,7 @@ impl DevPollRegistry {
     pub fn dp_poll(
         &mut self,
         kernel: &mut Kernel,
-        now: SimTime,
+        _now: SimTime,
         pid: Pid,
         dpfd: Fd,
         args: DvPoll,
@@ -642,17 +633,6 @@ impl DevPollRegistry {
         kernel
             .probe_mut()
             .add("devpoll.results", results.len() as u64);
-        if kernel.trace().wants("devpoll") {
-            let ready = results.len();
-            kernel.trace_mut().record(
-                now,
-                "devpoll",
-                format!(
-                    "DP_POLL: {total} interests, {polled} polled, {avoided} skipped, \
-                     {revalidated} revalidated, {ready} ready"
-                ),
-            );
-        }
 
         candidates.clear();
         self.scan_scratch = candidates;

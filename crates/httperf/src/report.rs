@@ -63,9 +63,6 @@ pub struct RunReport {
     /// Probe snapshot of the server kernel's metric registry at the end
     /// of the run (syscall, devpoll, rtsig, server and tcp counters).
     pub probe: Snapshot,
-    /// Rendered event trace (empty unless categories were enabled via
-    /// `RunParams::with_trace`).
-    pub trace: String,
     /// Chrome-trace JSON of retained latency spans (empty unless span
     /// tracing was enabled with record retention).
     pub span_chrome: String,
@@ -177,7 +174,6 @@ mod tests {
             server_metrics: servers::ServerMetrics::default(),
             kernel_wakeups: 0,
             probe: Snapshot::default(),
-            trace: String::new(),
             span_chrome: String::new(),
             span_folded: String::new(),
             mem_server_bytes: 0,

@@ -109,10 +109,6 @@ pub struct RunParams {
     /// Override the served document size (bytes); `None` keeps the
     /// paper's 6 KB CITI index.
     pub doc_bytes: Option<usize>,
-    /// Trace categories to enable on the server kernel (see
-    /// [`simcore::trace::CATEGORIES`]); the rendered trace lands in
-    /// [`RunReport::trace`].
-    pub trace: Vec<String>,
     /// Enable latency span tracing on the server kernel. Per-phase
     /// `span_ns.*` histograms land in [`RunReport::probe`]; retained
     /// span records render into [`RunReport::span_chrome`] /
@@ -141,7 +137,6 @@ impl RunParams {
             server: ServerConfig::default(),
             horizon: SimTime::from_secs(600),
             doc_bytes: None,
-            trace: Vec::new(),
             spans: false,
             span_retain: None,
         }
@@ -216,25 +211,11 @@ impl RunParams {
         self.span_retain = Some(retain);
         self
     }
-
-    /// Enables the given trace categories (`"devpoll"`, `"rtsig"`,
-    /// `"tcp"`, `"sched"`, or `"all"`) for this run.
-    pub fn with_trace<I, S>(mut self, categories: I) -> RunParams
-    where
-        I: IntoIterator<Item = S>,
-        S: Into<String>,
-    {
-        self.trace.extend(categories.into_iter().map(Into::into));
-        self
-    }
 }
 
 /// Executes one benchmark run and returns its report.
 pub fn run_one(params: RunParams) -> RunReport {
     let mut bed = Testbed::new(params.cost, params.tcp, params.link, params.load);
-    for cat in &params.trace {
-        bed.kernel.trace_mut().enable_by_name(cat);
-    }
     if params.spans {
         bed.kernel.spans_mut().set_enabled(true);
         if let Some(retain) = params.span_retain {

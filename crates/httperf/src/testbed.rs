@@ -246,7 +246,6 @@ impl Testbed {
             }
         }
         let probe = kernel.probe().snapshot();
-        let trace = kernel.trace().dump();
         let (span_chrome, span_folded) = if kernel.spans().is_empty() {
             (String::new(), String::new())
         } else {
@@ -282,7 +281,6 @@ impl Testbed {
             server_metrics: server.metrics(),
             kernel_wakeups,
             probe,
-            trace,
             span_chrome,
             span_folded,
             mem_server_bytes,

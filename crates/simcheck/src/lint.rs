@@ -15,8 +15,7 @@
 //!   or sort explicitly.
 //! * `wallclock` — `Instant::now` / `SystemTime` in simulation code.
 //!   Simulated time must come from [`simcore::time::SimTime`]; wall
-//!   clocks make runs irreproducible. (`criterion-shim` is exempt: its
-//!   entire purpose is wall-clock measurement of real benchmarks.)
+//!   clocks make runs irreproducible.
 //! * `alloc-in-hot-path` — `Box::new` or `.collect` inside a function
 //!   on the simulator's per-event hot path. Hot functions are the ones
 //!   annotated with a `#[hot_path]` comment marker directly above the
@@ -196,7 +195,6 @@ fn skip_file(rel: &str) -> bool {
 /// allowlist marks hot in this file (merged with in-source `#[hot_path]`
 /// markers).
 fn scan_file(rel: &str, text: &str, hot_fns: &[&str], out: &mut Vec<Finding>) {
-    let is_criterion_shim = rel.starts_with("crates/criterion-shim/");
     let is_span_module = rel == "crates/simcore/src/span.rs";
     let all_lines: Vec<&str> = text.lines().collect();
     // Everything from the test module on is test code. (Repo convention:
@@ -271,7 +269,7 @@ fn scan_file(rel: &str, text: &str, hot_fns: &[&str], out: &mut Vec<Finding>) {
 
         let wallclock =
             line.contains(concat!("Instant::", "now")) || line.contains(concat!("System", "Time"));
-        if !is_criterion_shim && wallclock {
+        if wallclock {
             hit("wallclock");
         }
 
@@ -910,7 +908,7 @@ mod tests {
     }
 
     #[test]
-    fn wallclock_is_flagged_outside_criterion_shim() {
+    fn wallclock_is_flagged() {
         let mut out = Vec::new();
         scan_file(
             "crates/x/src/lib.rs",
@@ -920,14 +918,6 @@ mod tests {
         );
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].rule, "wallclock");
-        let mut out = Vec::new();
-        scan_file(
-            "crates/criterion-shim/src/lib.rs",
-            "let t = Instant::now();\n",
-            &[],
-            &mut out,
-        );
-        assert!(out.is_empty());
     }
 
     #[test]

@@ -36,11 +36,23 @@ fn repo_root() -> PathBuf {
         .unwrap_or_else(|_| PathBuf::from("."))
 }
 
+/// The numeric value of `flag`, or `None` when the flag is absent. A
+/// present flag whose value is missing or not a number is a usage
+/// error: exit 2 naming the flag and the value, rather than run the
+/// default in its place.
 fn parse_flag(args: &[String], flag: &str) -> Option<u64> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
+    let i = args.iter().position(|a| a == flag)?;
+    let Some(value) = args.get(i + 1) else {
+        eprintln!("simcheck: {flag} needs a value");
+        std::process::exit(2);
+    };
+    match value.parse() {
+        Ok(n) => Some(n),
+        Err(_) => {
+            eprintln!("simcheck: {flag} expects a non-negative integer, got {value:?}");
+            std::process::exit(2);
+        }
+    }
 }
 
 fn parse_str_flag<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
@@ -194,6 +206,7 @@ fn explore_config(args: &[String]) -> Result<ExploreConfig, String> {
 }
 
 fn run_explore(args: &[String]) -> bool {
+    let min_schedules = parse_flag(args, "--min-schedules");
     let cfg = match explore_config(args) {
         Ok(cfg) => cfg,
         Err(msg) => {
@@ -246,7 +259,7 @@ fn run_explore(args: &[String]) -> bool {
                 stats.distinct_states,
                 stats.dedup_hits
             );
-            if let Some(min) = parse_flag(args, "--min-schedules") {
+            if let Some(min) = min_schedules {
                 if stats.schedules < min {
                     println!(
                         "explore: FAIL — only {} schedule(s), gate requires >= {min} \

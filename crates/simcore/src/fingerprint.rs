@@ -4,9 +4,11 @@
 //! serialization of every semantic component (kernel mirrors, network
 //! queues, interest tables, backend bookkeeping) into one 64-bit
 //! fingerprint. The hasher is deliberately tiny and dependency-free:
-//! the one-shot [`crate::probe::fnv1a`] with streaming `write_*`
-//! helpers layered on top, so each subsystem can fold itself in
-//! without materializing an intermediate byte buffer.
+//! streaming `write_*` helpers, so each subsystem can fold itself in
+//! without materializing an intermediate byte buffer, plus the one-shot
+//! [`Fnv::digest`] behind probe-snapshot and baseline digests. Not
+//! cryptographic; stable across platforms, which is what a checked-in
+//! digest needs.
 //!
 //! Determinism note: callers must feed fields in a fixed, documented
 //! order and length-prefix variable-size collections (see
@@ -24,6 +26,13 @@ impl Fnv {
     /// A hasher at the standard FNV offset basis.
     pub fn new() -> Fnv {
         Fnv(OFFSET)
+    }
+
+    /// FNV-1a of `bytes` in one call.
+    pub fn digest(bytes: &[u8]) -> u64 {
+        let mut h = Fnv::new();
+        h.write_bytes(bytes);
+        h.finish()
     }
 
     /// Folds one byte.
@@ -88,10 +97,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn matches_one_shot_fnv1a() {
+    fn matches_known_fnv1a_vectors() {
+        // Known FNV-1a vectors pin cross-platform stability.
+        assert_eq!(Fnv::digest(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(Fnv::digest(b"a"), 0xaf63_dc4c_8601_ec8c);
         let mut h = Fnv::new();
         h.write_bytes(b"hello");
-        assert_eq!(h.finish(), crate::probe::fnv1a(b"hello"));
+        assert_eq!(h.finish(), Fnv::digest(b"hello"));
     }
 
     #[test]

@@ -1,13 +1,12 @@
 #![warn(missing_docs)]
 
-//! `simcore` — deterministic discrete-event simulation engine.
+//! `simcore` — the deterministic simulation substrate.
 //!
 //! This crate is the foundation of the reproduction of *Scalable Network
 //! I/O in Linux* (Provos & Lever, USENIX 2000). It provides:
 //!
 //! * [`time`] — the simulated clock ([`time::SimTime`],
 //!   [`time::SimDuration`]);
-//! * [`engine`] — the event queue and scheduler ([`engine::Engine`]);
 //! * [`rng`] — seeded, fork-able randomness ([`rng::SimRng`]);
 //! * [`stats`] — measurement primitives (online moments, exact quantiles,
 //!   the per-window [`stats::RateSampler`] behind the paper's reply-rate
@@ -16,12 +15,18 @@
 //! * [`probe`] — the cross-crate metric registry (counters, gauges,
 //!   log2 histograms) behind every run's observability snapshot;
 //! * [`span`] — deterministic scoped span tracing, the latency-anatomy
-//!   layer ([`span::SpanTracer`]).
+//!   layer ([`span::SpanTracer`]);
+//! * [`fingerprint`] — the one FNV-1a hasher ([`fingerprint::Fnv`]),
+//!   behind state fingerprints and snapshot/baseline digests;
+//! * [`paged`] — paged sparse tables, the million-connection storage
+//!   layout.
 //!
-//! Everything is single-threaded and deterministic: a run is exactly
-//! reproducible from its RNG seed.
+//! There is no scheduler here: the one event loop is
+//! `httperf::Testbed::drain_at`, which merges the network's timer heap,
+//! the kernel's deadlines and the load generator's timers. Everything is
+//! single-threaded and deterministic: a run is exactly reproducible from
+//! its RNG seed.
 
-pub mod engine;
 pub mod fingerprint;
 pub mod paged;
 pub mod probe;
@@ -30,13 +35,10 @@ pub mod series;
 pub mod span;
 pub mod stats;
 pub mod time;
-pub mod trace;
 
-pub use engine::{BoxedEvent, Engine, Event, EventFn, EventId};
 pub use paged::{PagedBits, PagedSlots, PAGE_SLOTS};
 pub use probe::{Gauge, Histogram, MetricRegistry, Snapshot};
 pub use rng::SimRng;
 pub use span::{Phase, SpanGuard, SpanRecord, SpanTracer};
 pub use stats::{OnlineStats, Quantiles, RateSampler, RateSummary};
 pub use time::{SimDuration, SimTime};
-pub use trace::{Trace, TraceEntry};

@@ -32,6 +32,8 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use crate::fingerprint::Fnv;
+
 /// Highest log2 bucket index: values up to `u64::MAX` land in bucket 64.
 pub const HIST_MAX_BUCKET: usize = 64;
 
@@ -400,7 +402,7 @@ impl Snapshot {
     /// every platform, so baselines can compare whole probe snapshots as
     /// one number without shipping them.
     pub fn digest(&self) -> u64 {
-        fnv1a(self.to_json_lines().as_bytes())
+        Fnv::digest(self.to_json_lines().as_bytes())
     }
 
     /// [`Snapshot::digest`] rendered as fixed-width hex, the form stored
@@ -456,17 +458,6 @@ impl Snapshot {
         }
         out
     }
-}
-
-/// FNV-1a, 64-bit: tiny, dependency-free, and stable across platforms —
-/// exactly what a checked-in baseline digest needs. Not cryptographic.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
 }
 
 /// Minimal JSON string escaping (metric names and tags are plain ASCII,
@@ -639,9 +630,6 @@ mod tests {
 
     #[test]
     fn digest_is_stable_and_content_sensitive() {
-        // Known FNV-1a vectors pin cross-platform stability.
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
         let mut a = MetricRegistry::new();
         a.inc("x");
         a.observe("h", 9);

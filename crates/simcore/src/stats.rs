@@ -1,5 +1,5 @@
-//! Measurement primitives: online moments, exact quantiles, histograms,
-//! and the per-interval rate sampler used for the paper's reply-rate
+//! Measurement primitives: online moments, exact quantiles, and the
+//! per-interval rate sampler used for the paper's reply-rate
 //! figures (average, minimum and maximum rate over one-second windows).
 
 use crate::time::{SimDuration, SimTime};
@@ -178,81 +178,6 @@ impl Quantiles {
     }
 }
 
-/// A fixed-width histogram over `[0, width * buckets)` with an overflow
-/// bucket, used by benches to sanity-check latency distributions.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    width: f64,
-    counts: Vec<u64>,
-    overflow: u64,
-    total: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `buckets` buckets of `width` each.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width` is not strictly positive or `buckets` is zero.
-    pub fn new(width: f64, buckets: usize) -> Histogram {
-        assert!(width > 0.0, "bucket width must be positive");
-        assert!(buckets > 0, "need at least one bucket");
-        Histogram {
-            width,
-            counts: vec![0; buckets],
-            overflow: 0,
-            total: 0,
-        }
-    }
-
-    /// Records a sample. Negative samples land in bucket zero.
-    pub fn add(&mut self, x: f64) {
-        self.total += 1;
-        if x.is_nan() {
-            self.overflow += 1;
-            return;
-        }
-        let idx = (x.max(0.0) / self.width) as usize;
-        if idx < self.counts.len() {
-            self.counts[idx] += 1;
-        } else {
-            self.overflow += 1;
-        }
-    }
-
-    /// Returns the total number of samples recorded.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Returns the count in bucket `i`.
-    pub fn bucket(&self, i: usize) -> u64 {
-        self.counts.get(i).copied().unwrap_or(0)
-    }
-
-    /// Returns the overflow count.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Returns the smallest `x` such that at least `q` of all samples are
-    /// `< x` (bucket upper-bound approximation), or `None` if empty.
-    pub fn approx_quantile(&self, q: f64) -> Option<f64> {
-        if self.total == 0 {
-            return None;
-        }
-        let target = (q.clamp(0.0, 1.0) * self.total as f64).ceil() as u64;
-        let mut seen = 0;
-        for (i, c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return Some((i + 1) as f64 * self.width);
-            }
-        }
-        Some(self.counts.len() as f64 * self.width)
-    }
-}
-
 /// Counts events into fixed-length time windows and reports the
 /// per-window rate statistics the paper plots: average reply rate with
 /// standard deviation, plus per-run minimum and maximum window rates.
@@ -399,32 +324,6 @@ mod tests {
             q.add(x);
         }
         assert_eq!(q.quantile(0.25), Some(2.5));
-    }
-
-    #[test]
-    fn histogram_buckets_and_overflow() {
-        let mut h = Histogram::new(10.0, 3);
-        h.add(0.0);
-        h.add(9.99);
-        h.add(10.0);
-        h.add(25.0);
-        h.add(31.0);
-        h.add(-5.0);
-        assert_eq!(h.bucket(0), 3); // 0.0, 9.99, -5.0
-        assert_eq!(h.bucket(1), 1);
-        assert_eq!(h.bucket(2), 1);
-        assert_eq!(h.overflow(), 1);
-        assert_eq!(h.total(), 6);
-    }
-
-    #[test]
-    fn histogram_quantile_approx() {
-        let mut h = Histogram::new(1.0, 100);
-        for i in 0..100 {
-            h.add(i as f64);
-        }
-        let med = h.approx_quantile(0.5).unwrap();
-        assert!((49.0..=51.0).contains(&med), "median approx {med}");
     }
 
     #[test]

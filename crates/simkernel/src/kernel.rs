@@ -26,7 +26,6 @@ use simcore::paged::{PagedBits, PagedSlots};
 use simcore::probe::MetricRegistry;
 use simcore::span::{Phase, SpanGuard, SpanTracer};
 use simcore::time::{SimDuration, SimTime};
-use simcore::trace::Trace;
 use simnet::{EndpointId, ListenerId, NetNotify, Network, Port};
 
 use crate::cost::CostModel;
@@ -181,9 +180,6 @@ pub struct Kernel {
     /// here; `/dev/poll` scan and cache counters via [`Kernel::probe_mut`];
     /// server and TCP metrics folded in at report time).
     probe: MetricRegistry,
-    /// Event trace shared by the kernel (`rtsig`, `tcp`, `sched`) and the
-    /// `/dev/poll` device layer (`devpoll`).
-    trace: Trace,
     /// Latency-anatomy span tracer (disabled by default; when off every
     /// instrumentation site is a single branch and the probe snapshot is
     /// byte-identical to an uninstrumented build).
@@ -208,7 +204,6 @@ impl Kernel {
             events_out: Vec::new(),
             stats: KernelStats::default(),
             probe: MetricRegistry::new(),
-            trace: Trace::new(4096),
             spans: SpanTracer::new(),
         }
     }
@@ -338,17 +333,6 @@ impl Kernel {
     /// kernel such as the `/dev/poll` device and poll emulations).
     pub fn probe_mut(&mut self) -> &mut MetricRegistry {
         &mut self.probe
-    }
-
-    /// The event trace (read side).
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
-    /// The event trace (write side: enabling categories, recording from
-    /// subsystems layered on the kernel).
-    pub fn trace_mut(&mut self) -> &mut Trace {
-        &mut self.trace
     }
 
     /// The span tracer (read side: exporters, reports).
@@ -575,7 +559,7 @@ impl Kernel {
     }
 
     /// Wakes a sleeping process (readiness event, signal arrival).
-    pub fn wake(&mut self, now: SimTime, pid: Pid) {
+    pub fn wake(&mut self, pid: Pid) {
         let Some(p) = self.proc_get_mut(pid) else {
             return;
         };
@@ -586,10 +570,6 @@ impl Kernel {
                 self.stats.wakeups += 1;
                 self.probe.inc("kernel.wakeups");
                 self.events_out.push(KernelEvent::ProcRunnable { pid });
-                if self.trace.wants("sched") {
-                    self.trace
-                        .record(now, "sched", format!("wake pid {pid} (sleeping -> idle)"));
-                }
             }
             ProcState::Running {
                 then: AfterBatch::Sleep { .. },
@@ -600,10 +580,6 @@ impl Kernel {
                 p.pending_wake = true;
                 self.stats.wakeups += 1;
                 self.probe.inc("kernel.wakeups");
-                if self.trace.wants("sched") {
-                    self.trace
-                        .record(now, "sched", format!("wake pid {pid} (sleep cancelled)"));
-                }
             }
             _ => {}
         }
@@ -832,21 +808,6 @@ impl Kernel {
     /// Routes one network notification into the kernel.
     // #[hot_path] — simcheck bans per-call allocation in this function
     pub fn on_net(&mut self, now: SimTime, notify: &NetNotify) {
-        if self.trace.wants("tcp") {
-            match *notify {
-                NetNotify::PeerClosed { ep } => {
-                    self.trace.record(now, "tcp", format!("FIN {ep:?}"));
-                }
-                NetNotify::ConnReset { ep } => {
-                    self.trace.record(now, "tcp", format!("RST {ep:?}"));
-                }
-                NetNotify::AcceptReady { listener } => {
-                    self.trace
-                        .record(now, "tcp", format!("accept-ready {listener:?}"));
-                }
-                _ => {}
-            }
-        }
         match *notify {
             NetNotify::SegmentArrived { host, wire_bytes } => {
                 if host == self.host {
@@ -962,22 +923,14 @@ impl Kernel {
                 self.cpu.charge_softirq(now, sigio_cost);
             }
             self.probe.gauge_set("rtsig.queue_depth", depth);
-            if self.trace.wants("rtsig") {
-                let state = if ok { "queued" } else { "OVERFLOW -> SIGIO" };
-                self.trace.record(
-                    now,
-                    "rtsig",
-                    format!("sig {signo} fd {fd} {band} {state} (depth {depth})"),
-                );
-            }
             // A signal (RT or the overflow SIGIO) is deliverable: wake a
             // process blocked in sigwaitinfo.
-            self.wake(now, pid);
+            self.wake(pid);
         }
 
         // Wait-queue wakeup for poll-style sleepers.
         if self.is_watched(pid, fd) {
-            self.wake(now, pid);
+            self.wake(pid);
         }
     }
 
@@ -1688,7 +1641,7 @@ mod tests {
         kernel.charge(pid, SimDuration::from_micros(100));
         kernel.end_batch_sleep(SimTime::ZERO, pid, None);
         // Wake arrives while the batch is still on the CPU.
-        kernel.wake(SimTime::from_micros(10), pid);
+        kernel.wake(pid);
         let evs = kernel.advance(SimTime::from_micros(100));
         assert!(evs.contains(&KernelEvent::ProcRunnable { pid }));
         assert!(!kernel.process(pid).is_sleeping());

@@ -13,7 +13,6 @@ use scalable_net_io::bench::{effective_jobs, run_jobs};
 use scalable_net_io::httperf::{run_one, LoadShape, RunParams, ServerKind};
 use scalable_net_io::simcore::span::Phase;
 use scalable_net_io::simcore::time::SimDuration;
-use scalable_net_io::simcore::trace::CATEGORIES;
 use scalable_net_io::simkernel::AcceptWake;
 
 struct Opts {
@@ -26,7 +25,6 @@ struct Opts {
     doc_bytes: Option<usize>,
     bursty: bool,
     mem: bool,
-    trace: Vec<String>,
     json: bool,
     jobs: Option<usize>,
     trace_export: Option<String>,
@@ -44,7 +42,6 @@ impl Default for Opts {
             doc_bytes: None,
             bursty: false,
             mem: false,
-            trace: Vec::new(),
             json: false,
             jobs: None,
             trace_export: None,
@@ -77,9 +74,6 @@ fn usage() -> ! {
            --loss P          random segment loss probability (default 0)\n\
            --doc-bytes N     served document size (default 6144)\n\
            --bursty          on/off burst arrivals instead of constant\n\
-           --trace CATS      comma-separated event-trace categories:\n\
-                             devpoll,rtsig,tcp,sched or all (printed after\n\
-                             the run)\n\
            --mem             stats: include the mem.* gauge family\n\
                              (server/client footprint bytes, peak\n\
                              concurrent connections, EMFILE rejections)\n\
@@ -121,8 +115,7 @@ fn parse_kind(name: &str) -> Option<ServerKind> {
 fn params(kind: ServerKind, opts: &Opts, rate: f64) -> RunParams {
     let mut p = RunParams::paper(kind, rate, opts.inactive)
         .with_conns(opts.conns)
-        .with_seed(opts.seed)
-        .with_trace(opts.trace.iter().cloned());
+        .with_seed(opts.seed);
     if opts.loss > 0.0 {
         p = p.with_loss(opts.loss);
     }
@@ -181,29 +174,10 @@ fn main() {
             "--doc-bytes" => opts.doc_bytes = Some(val().parse().unwrap_or_else(|_| usage())),
             "--bursty" => opts.bursty = true,
             "--mem" => opts.mem = true,
-            "--trace" => {
-                let cats = val();
-                opts.trace.extend(cats.split(',').map(str::to_string));
-            }
             "--json" => opts.json = true,
             "--jobs" => opts.jobs = Some(val().parse().unwrap_or_else(|_| usage())),
             "--trace-export" => opts.trace_export = Some(val()),
-            other => {
-                if let Some(cats) = other.strip_prefix("--trace=") {
-                    opts.trace.extend(cats.split(',').map(str::to_string));
-                } else {
-                    usage()
-                }
-            }
-        }
-    }
-    for cat in &opts.trace {
-        if cat != "all" && !CATEGORIES.contains(&cat.as_str()) {
-            eprintln!(
-                "unknown trace category {cat:?} (expected one of: {}, all)",
-                CATEGORIES.join(", ")
-            );
-            std::process::exit(2);
+            _ => usage(),
         }
     }
 
@@ -215,9 +189,6 @@ fn main() {
             header();
             let mut r = run_one(params(kind, &opts, opts.rate));
             row(&mut r);
-            if !r.trace.is_empty() {
-                println!("\n{}", r.trace);
-            }
         }
         "stats" => {
             let Some(kind) = parse_kind(&opts.server) else {
@@ -243,9 +214,6 @@ fn main() {
                 if !quantiles.is_empty() {
                     println!("\n{quantiles}");
                 }
-            }
-            if !r.trace.is_empty() {
-                println!("\n{}", r.trace);
             }
         }
         "timeline" => {
