@@ -5,7 +5,8 @@
 //! execution detail, never an observable one.
 
 use bench::{FigureConfig, FigureRunner};
-use httperf::ServerKind;
+use httperf::{RunReport, ServerKind};
+use simkernel::AcceptWake;
 
 fn tiny_config() -> FigureConfig {
     FigureConfig {
@@ -112,6 +113,27 @@ fn fnv1a(s: &str) -> u64 {
     h
 }
 
+/// A sweep's probe JSON lines, tagged with server, rate and load, minus
+/// the `audit.*` lines that only the `devpoll/simcheck` feature adds.
+fn golden_probe_lines(kind: ServerKind, inactive: usize, reports: &[RunReport]) -> String {
+    let label = kind.label();
+    let load = format!("{inactive}");
+    let mut out = String::new();
+    for r in reports {
+        let rate = format!("{}", r.target_rate);
+        let lines = r.probe.to_json_lines_with(&[
+            ("server", label.as_str()),
+            ("rate", rate.as_str()),
+            ("inactive", load.as_str()),
+        ]);
+        for line in lines.lines().filter(|l| !l.contains("\"audit.")) {
+            out.push_str(line);
+            out.push('\n');
+        }
+    }
+    out
+}
+
 /// Byte-identity against the pre-overhaul golden digest. The hot-path
 /// rework (slab event arena, dense fd tables, pooled segments, scratch
 /// reuse) is purely mechanical: every figure CSV and probe JSON line
@@ -157,20 +179,7 @@ fn figures_and_probes_match_pre_overhaul_golden() {
     );
     out.push_str(&runner.latency_figure("t", 251).to_csv());
     for (&(kind, inactive), reports) in runner.cached_sweeps() {
-        let label = kind.label();
-        for r in reports {
-            let rate = format!("{}", r.target_rate);
-            let load = format!("{inactive}");
-            let lines = r.probe.to_json_lines_with(&[
-                ("server", label.as_str()),
-                ("rate", rate.as_str()),
-                ("inactive", load.as_str()),
-            ]);
-            for line in lines.lines().filter(|l| !l.contains("\"audit.")) {
-                out.push_str(line);
-                out.push('\n');
-            }
-        }
+        out.push_str(&golden_probe_lines(kind, inactive, reports));
     }
 
     assert_eq!(out.len(), GOLDEN_LEN, "golden output length changed");
@@ -178,6 +187,92 @@ fn figures_and_probes_match_pre_overhaul_golden() {
         fnv1a(&out),
         GOLDEN_FNV,
         "golden output digest changed — simulation behavior drifted"
+    );
+}
+
+/// Per-kind golden digests of the probe dump at load 251, for every
+/// server kind the figures run — including the lanes the digest above
+/// does not reach (select, sendfile, batch dequeue, the hybrid, prefork).
+/// The rates are high enough that phhttpd overflows its RT queue and the
+/// hybrid switches modes, so those paths are pinned too.
+///
+/// If one fails you changed that server's behaviour. Only refresh its
+/// constants for a change that intends new output.
+#[test]
+fn every_server_kind_matches_its_golden() {
+    const GOLDENS: [(ServerKind, u64, usize); 9] = [
+        (ServerKind::ThttpdPoll, 0x12d8ec481655c356, 12560),
+        (ServerKind::ThttpdSelect, 0x82fef564de881cdc, 12774),
+        (ServerKind::ThttpdDevPoll, 0x5d4b97f7d0bea737, 16491),
+        (ServerKind::ThttpdDevPollSendfile, 0xaa51a774ab251c5e, 17742),
+        (ServerKind::Phhttpd, 0x0b627d15a221a370, 15740),
+        (ServerKind::PhhttpdBatch(16), 0x96619a000ce5a4e6, 17349),
+        (ServerKind::Hybrid, 0x4006a8bcce7a9d63, 17750),
+        (
+            ServerKind::PreforkDevPoll {
+                workers: 4,
+                wake: AcceptWake::Herd,
+            },
+            0x2dce040854f93ac9,
+            18200,
+        ),
+        (
+            ServerKind::PreforkDevPoll {
+                workers: 4,
+                wake: AcceptWake::Exclusive,
+            },
+            0x540455cc44e10e3e,
+            18189,
+        ),
+    ];
+    const LOAD: usize = 251;
+
+    let mut runner = FigureRunner::new(FigureConfig {
+        rates: vec![600.0, 1000.0, 1400.0],
+        conns: 4000,
+        seed: 42,
+    })
+    .with_jobs(2);
+    runner.verbose = false;
+    let keys: Vec<_> = GOLDENS.iter().map(|&(kind, _, _)| (kind, LOAD)).collect();
+    runner.prefetch(&keys);
+
+    let mut drifted = Vec::new();
+    for &(kind, fnv, len) in &GOLDENS {
+        let reports = runner.sweep(kind, LOAD);
+        let out = golden_probe_lines(kind, LOAD, reports);
+        if (fnv1a(&out), out.len()) != (fnv, len) {
+            drifted.push(format!(
+                "{}: got ({:#018x}, {}), golden ({fnv:#018x}, {len})",
+                kind.label(),
+                fnv1a(&out),
+                out.len()
+            ));
+        }
+    }
+    assert!(
+        drifted.is_empty(),
+        "per-kind probe digests changed — server behaviour drifted:\n{}",
+        drifted.join("\n")
+    );
+
+    let mut total = |kind: ServerKind, pick: fn(&servers::ServerMetrics) -> u64| -> u64 {
+        runner
+            .sweep(kind, LOAD)
+            .iter()
+            .map(|r| pick(&r.server_metrics))
+            .sum()
+    };
+    for kind in [ServerKind::Phhttpd, ServerKind::PhhttpdBatch(16)] {
+        assert!(
+            total(kind, |m| m.overflows) >= 1,
+            "{}: the pin must cover the RT-queue overflow path",
+            kind.label()
+        );
+    }
+    assert!(
+        total(ServerKind::Hybrid, |m| m.mode_switches) >= 1,
+        "hybrid: the pin must cover mode switching"
     );
 }
 
