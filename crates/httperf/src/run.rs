@@ -9,8 +9,7 @@ use simkernel::CostModel;
 use simnet::{LinkConfig, TcpConfig};
 
 use servers::{
-    ContentStore, HybridConfig, HybridServer, PhConfig, Phhttpd, Prefork, Server, ServerConfig,
-    ServerCtx, Thttpd,
+    ContentStore, HybridServer, PhConfig, Phhttpd, Prefork, Server, ServerConfig, ServerCtx, Thttpd,
 };
 
 use crate::load::LoadConfig;
@@ -279,11 +278,7 @@ pub fn run_one(params: RunParams) -> RunReport {
                     batch_dequeue: Some(n),
                 },
             )),
-            ServerKind::Hybrid => Box::new(HybridServer::new(
-                &mut ctx,
-                server_cfg,
-                HybridConfig::default(),
-            )),
+            ServerKind::Hybrid => Box::new(HybridServer::new(&mut ctx, server_cfg)),
             ServerKind::PreforkDevPoll { workers, .. } => Box::new(Prefork::new(
                 &mut ctx,
                 DevPollBackend::new,

@@ -10,13 +10,19 @@
 
 use devpoll::{DevPollBackend, EventBackend, RtEvent, RtSignalApi, WaitResult};
 use simcore::span::Phase;
-use simcore::time::SimTime;
-use simkernel::{Errno, Fd, FdMap, PollBits};
+use simkernel::{Errno, Fd, PollBits};
 
-use crate::conn::{ConnPhase, ConnStatus, FinishKind, HttpConn};
-use crate::content::ContentStore;
 use crate::metrics::ServerMetrics;
 use crate::server::{Server, ServerConfig, ServerCtx};
+use crate::table::ConnTable;
+
+/// Switch to polling when the RT queue length exceeds this fraction of
+/// its maximum.
+const UP_FRACTION: f64 = 0.5;
+
+/// Switch back to signals when a poll scan returns fewer events than
+/// this.
+const DOWN_EVENTS: usize = 4;
 
 /// Current event engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,64 +33,22 @@ pub enum HybridMode {
     Polling,
 }
 
-/// Hybrid-specific tunables.
-#[derive(Debug, Clone, Copy)]
-pub struct HybridConfig {
-    /// Switch to polling when the RT queue length exceeds this fraction
-    /// of its maximum.
-    pub up_fraction: f64,
-    /// Switch back to signals when a poll scan returns fewer events than
-    /// this.
-    pub down_events: usize,
-}
-
-impl Default for HybridConfig {
-    fn default() -> HybridConfig {
-        HybridConfig {
-            up_fraction: 0.5,
-            down_events: 4,
-        }
-    }
-}
-
 /// The hybrid server.
 pub struct HybridServer {
-    pid: simkernel::Pid,
-    lfd: Fd,
+    table: ConnTable,
     rtapi: RtSignalApi,
     backend: DevPollBackend,
     mode: HybridMode,
-    conns: FdMap<HttpConn>,
-    content: ContentStore,
-    metrics: ServerMetrics,
-    config: ServerConfig,
-    hybrid: HybridConfig,
-    last_scan: SimTime,
-    /// Reused idle-sweep scratch (no per-scan allocation).
-    idle_scratch: Vec<Fd>,
 }
 
 impl HybridServer {
     /// Creates the server (spawning its process).
-    pub fn new(
-        ctx: &mut ServerCtx<'_>,
-        config: ServerConfig,
-        hybrid: HybridConfig,
-    ) -> HybridServer {
-        let pid = ctx.kernel.spawn(config.fd_limit, config.rt_queue_max);
+    pub fn new(ctx: &mut ServerCtx<'_>, config: ServerConfig) -> HybridServer {
         HybridServer {
-            pid,
-            lfd: -1,
+            table: ConnTable::new(ctx, config),
             rtapi: RtSignalApi::default(),
             backend: DevPollBackend::new(),
             mode: HybridMode::Signals,
-            conns: FdMap::new(),
-            content: ContentStore::citi_6k(),
-            metrics: ServerMetrics::default(),
-            config,
-            hybrid,
-            last_scan: SimTime::ZERO,
-            idle_scratch: Vec::new(),
         }
     }
 
@@ -94,164 +58,56 @@ impl HybridServer {
     }
 
     fn accept_all(&mut self, ctx: &mut ServerCtx<'_>) {
-        loop {
-            match ctx.kernel.sys_accept(ctx.net, ctx.now, self.pid, self.lfd) {
-                Ok(fd) => {
-                    let cost = *ctx.kernel.cost_model();
-                    ctx.kernel.charge_app(self.pid, cost.app_conn_setup);
-                    self.metrics.accepted += 1;
-                    // Register BOTH engines up front: the §6 proposal.
-                    let _ = self.rtapi.register(ctx.kernel, self.pid, fd);
-                    let _ = self.backend.set_interest(
-                        ctx.kernel,
-                        ctx.registry,
-                        ctx.now,
-                        self.pid,
-                        fd,
-                        PollBits::POLLIN,
-                    );
-                    let mut conn = if self.config.use_sendfile {
-                        HttpConn::new_sendfile(fd, ctx.now)
-                    } else {
-                        HttpConn::new(fd, ctx.now)
-                    };
-                    let status = conn.on_readable(
-                        ctx.kernel,
-                        ctx.net,
-                        ctx.now,
-                        self.pid,
-                        &self.content,
-                        &mut self.metrics.not_found,
-                    );
-                    self.conns.insert(fd, conn);
-                    self.apply_status(ctx, fd, status);
-                }
-                Err(Errno::EAGAIN) => break,
-                Err(_) => break,
-            }
-        }
-    }
-
-    fn apply_status(&mut self, ctx: &mut ServerCtx<'_>, fd: Fd, status: ConnStatus) {
-        match status {
-            ConnStatus::WantRead => {}
-            ConnStatus::WantWrite => {
-                let _ = self.backend.set_interest(
-                    ctx.kernel,
-                    ctx.registry,
-                    ctx.now,
-                    self.pid,
-                    fd,
-                    PollBits::POLLOUT,
-                );
-            }
-            ConnStatus::Finished(kind) => self.finish_conn(ctx, fd, kind),
-        }
-    }
-
-    fn finish_conn(&mut self, ctx: &mut ServerCtx<'_>, fd: Fd, kind: FinishKind) {
-        let _ = self
-            .backend
-            .remove_interest(ctx.kernel, ctx.registry, ctx.now, self.pid, fd);
-        match kind {
-            FinishKind::Replied => {
-                let _ = ctx.kernel.sys_close(ctx.net, ctx.now, self.pid, fd);
-                self.metrics.replies += 1;
-            }
-            FinishKind::ClientClosedEarly => {
-                let _ = ctx.kernel.sys_close(ctx.net, ctx.now, self.pid, fd);
-                self.metrics.client_closed_early += 1;
-            }
-            FinishKind::Error => {
-                let _ = ctx.kernel.sys_abort(ctx.net, ctx.now, self.pid, fd);
-                self.metrics.read_errors += 1;
-            }
-        }
-        self.conns.remove(fd);
-    }
-
-    fn dispatch(&mut self, ctx: &mut ServerCtx<'_>, fd: Fd, band: PollBits) {
-        if fd == self.lfd {
-            self.accept_all(ctx);
-            return;
-        }
-        let Some(conn) = self.conns.get_mut(fd) else {
-            self.metrics.stale_events += 1;
-            return;
-        };
-        if band.contains(PollBits::POLLERR) || band.contains(PollBits::POLLNVAL) {
-            self.finish_conn(ctx, fd, FinishKind::Error);
-            return;
-        }
-        let status = if conn.phase == ConnPhase::Writing && band.contains(PollBits::POLLOUT) {
-            conn.on_writable(ctx.kernel, ctx.net, ctx.now, self.pid)
-        } else if band.intersects(PollBits::POLLIN | PollBits::POLLHUP) {
-            conn.on_readable(
+        let pid = self.table.pid;
+        while let Ok(fd) = ctx.kernel.sys_accept(ctx.net, ctx.now, pid, self.table.lfd) {
+            self.table.admit(ctx, fd);
+            // Register BOTH engines up front: the §6 proposal.
+            let _ = self.rtapi.register(ctx.kernel, pid, fd);
+            let _ = self.backend.set_interest(
                 ctx.kernel,
-                ctx.net,
+                ctx.registry,
                 ctx.now,
-                self.pid,
-                &self.content,
-                &mut self.metrics.not_found,
-            )
-        } else {
-            return;
-        };
-        self.apply_status(ctx, fd, status);
+                pid,
+                fd,
+                PollBits::POLLIN,
+            );
+            self.table
+                .serve(ctx, Some(&mut self.backend), fd, PollBits::POLLIN);
+        }
     }
 
-    fn maybe_scan_idle(&mut self, ctx: &mut ServerCtx<'_>) {
-        if ctx.now.saturating_duration_since(self.last_scan) < self.config.scan_interval {
-            return;
+    fn dispatch(&mut self, ctx: &mut ServerCtx<'_>, fd: Fd, bits: PollBits) {
+        if fd == self.table.lfd {
+            self.accept_all(ctx);
+        } else if !self.table.serve(ctx, Some(&mut self.backend), fd, bits) {
+            self.table.metrics.stale_events += 1;
         }
-        self.last_scan = ctx.now;
-        let cost = *ctx.kernel.cost_model();
-        ctx.kernel
-            .charge_app(self.pid, cost.app_timer_scan * self.conns.len() as u64);
-        if ctx.now.as_nanos() < self.config.idle_timeout.as_nanos() {
-            return;
-        }
-        let cutoff = SimTime::from_nanos(ctx.now.as_nanos() - self.config.idle_timeout.as_nanos());
-        let mut idle = std::mem::take(&mut self.idle_scratch);
-        idle.clear();
-        idle.extend(
-            self.conns
-                .iter()
-                .filter(|(_, c)| c.idle_since(cutoff))
-                .map(|(fd, _)| fd),
-        );
-        for &fd in &idle {
-            self.finish_conn(ctx, fd, FinishKind::ClientClosedEarly);
-            // Reclassify: that was an idle close, not a client close.
-            self.metrics.client_closed_early -= 1;
-            self.metrics.idle_closed += 1;
-        }
-        self.idle_scratch = idle;
     }
 
     fn queue_pressure(&self, ctx: &ServerCtx<'_>) -> f64 {
-        let p = ctx.kernel.process(self.pid);
+        let p = ctx.kernel.process(self.table.pid);
         p.signals.queue_len() as f64 / p.signals.queue_max() as f64
     }
 
     fn run_signals(&mut self, ctx: &mut ServerCtx<'_>) {
+        let pid = self.table.pid;
         let mut processed = 0usize;
-        while processed < self.config.max_events {
-            match self.rtapi.next_event(ctx.kernel, self.pid) {
+        while processed < self.table.config.max_events {
+            match self.rtapi.next_event(ctx.kernel, pid) {
                 Ok(RtEvent::Io { fd, band }) => {
                     processed += 1;
-                    let span = ctx.kernel.span_open(self.pid, Phase::Dispatch);
+                    let span = ctx.kernel.span_open(pid, Phase::Dispatch);
                     self.dispatch(ctx, fd, band);
-                    ctx.kernel.span_close(self.pid, span);
+                    ctx.kernel.span_close(pid, span);
                 }
                 Ok(RtEvent::Overflow) => {
                     // Threshold logic should prevent this, but handle it:
                     // flush and switch; the devpoll interest set has the
                     // full state, so nothing is lost.
-                    self.metrics.overflows += 1;
-                    let _ = self.rtapi.flush(ctx.kernel, self.pid);
-                    self.switch_to(ctx, HybridMode::Polling);
-                    ctx.kernel.end_batch(ctx.now, self.pid);
+                    self.table.metrics.overflows += 1;
+                    let _ = self.rtapi.flush(ctx.kernel, pid);
+                    self.switch_to(HybridMode::Polling);
+                    ctx.kernel.end_batch(ctx.now, pid);
                     return;
                 }
                 Err(_) => break,
@@ -259,71 +115,53 @@ impl HybridServer {
         }
         // Load-triggered switch: the paper's crossover signal is the RT
         // queue length (§4).
-        if self.queue_pressure(ctx) > self.hybrid.up_fraction {
-            let _ = self.rtapi.flush(ctx.kernel, self.pid);
-            self.switch_to(ctx, HybridMode::Polling);
-            ctx.kernel.end_batch(ctx.now, self.pid);
+        if self.queue_pressure(ctx) > UP_FRACTION {
+            let _ = self.rtapi.flush(ctx.kernel, pid);
+            self.switch_to(HybridMode::Polling);
+            ctx.kernel.end_batch(ctx.now, pid);
             return;
         }
-        if processed == 0 {
-            ctx.kernel
-                .end_batch_sleep(ctx.now, self.pid, Some(self.config.scan_interval));
-        } else {
-            self.metrics.busy_batches += 1;
-            ctx.kernel
-                .probe_mut()
-                .observe("server.batch_events", processed as u64);
-            ctx.kernel.end_batch(ctx.now, self.pid);
-        }
+        self.table.end_batch(ctx, processed);
     }
 
     fn run_polling(&mut self, ctx: &mut ServerCtx<'_>) {
+        let pid = self.table.pid;
         // Signals keep arriving while polling; discard them — the
         // devpoll hints carry the same information.
-        let _ = self.rtapi.flush(ctx.kernel, self.pid);
-        match self.backend.wait(
+        let _ = self.rtapi.flush(ctx.kernel, pid);
+        let events = match self.backend.wait(
             ctx.kernel,
             ctx.registry,
             ctx.now,
-            self.pid,
-            self.config.max_events,
+            pid,
+            self.table.config.max_events,
             -1,
         ) {
-            Ok(WaitResult::WouldBlock) | Err(_) => {
-                self.switch_to(ctx, HybridMode::Signals);
-                ctx.kernel
-                    .end_batch_sleep(ctx.now, self.pid, Some(self.config.scan_interval));
-            }
-            Ok(WaitResult::Events(evs)) => {
-                self.metrics.busy_batches += 1;
-                let n = evs.len();
-                ctx.kernel
-                    .probe_mut()
-                    .observe("server.batch_events", n as u64);
-                for ev in evs {
-                    let span = ctx.kernel.span_open(self.pid, Phase::Dispatch);
-                    self.dispatch(ctx, ev.fd, ev.revents);
-                    ctx.kernel.span_close(self.pid, span);
-                }
-                if n < self.hybrid.down_events {
-                    self.switch_to(ctx, HybridMode::Signals);
-                }
-                ctx.kernel.end_batch(ctx.now, self.pid);
-            }
+            Ok(WaitResult::Events(evs)) => evs,
+            Ok(WaitResult::WouldBlock) | Err(_) => Vec::new(),
+        };
+        for ev in &events {
+            let span = ctx.kernel.span_open(pid, Phase::Dispatch);
+            self.dispatch(ctx, ev.fd, ev.revents);
+            ctx.kernel.span_close(pid, span);
         }
+        if events.len() < DOWN_EVENTS {
+            self.switch_to(HybridMode::Signals);
+        }
+        self.table.end_batch(ctx, events.len());
     }
 
-    fn switch_to(&mut self, _ctx: &mut ServerCtx<'_>, mode: HybridMode) {
+    fn switch_to(&mut self, mode: HybridMode) {
         if self.mode != mode {
             self.mode = mode;
-            self.metrics.mode_switches += 1;
+            self.table.metrics.mode_switches += 1;
         }
     }
 }
 
 impl Server for HybridServer {
     fn pid(&self) -> simkernel::Pid {
-        self.pid
+        self.table.pid
     }
 
     fn name(&self) -> String {
@@ -331,33 +169,25 @@ impl Server for HybridServer {
     }
 
     fn start(&mut self, ctx: &mut ServerCtx<'_>) -> Result<(), Errno> {
-        ctx.kernel.begin_batch(ctx.now, self.pid);
-        self.lfd = ctx.kernel.sys_listen(
-            ctx.net,
-            ctx.now,
-            self.pid,
-            self.config.port,
-            self.config.backlog,
-        )?;
-        self.backend
-            .init(ctx.kernel, ctx.registry, ctx.now, self.pid)?;
+        let pid = self.table.pid;
+        ctx.kernel.begin_batch(ctx.now, pid);
+        let lfd = self.table.listen(ctx, None)?;
+        self.backend.init(ctx.kernel, ctx.registry, ctx.now, pid)?;
         self.backend.set_interest(
             ctx.kernel,
             ctx.registry,
             ctx.now,
-            self.pid,
-            self.lfd,
+            pid,
+            lfd,
             PollBits::POLLIN,
         )?;
-        self.rtapi.register(ctx.kernel, self.pid, self.lfd)?;
-        ctx.kernel.end_batch(ctx.now, self.pid);
-        self.last_scan = ctx.now;
+        self.rtapi.register(ctx.kernel, pid, lfd)?;
+        ctx.kernel.end_batch(ctx.now, pid);
         Ok(())
     }
 
     fn run_batch(&mut self, ctx: &mut ServerCtx<'_>) {
-        ctx.kernel.begin_batch(ctx.now, self.pid);
-        self.maybe_scan_idle(ctx);
+        self.table.begin_batch(ctx, Some(&mut self.backend));
         match self.mode {
             HybridMode::Signals => self.run_signals(ctx),
             HybridMode::Polling => self.run_polling(ctx),
@@ -365,10 +195,10 @@ impl Server for HybridServer {
     }
 
     fn metrics(&self) -> ServerMetrics {
-        self.metrics
+        self.table.metrics
     }
 
     fn open_conns(&self) -> usize {
-        self.conns.len()
+        self.table.conns.len()
     }
 }

@@ -12,9 +12,13 @@
 //! * [`hybrid::HybridServer`] — the hybrid the paper proposes in §4/§6
 //!   but could not build without re-architecting phhttpd.
 //!
-//! Plus the shared substrate: HTTP parsing ([`http`]), the 6 KB CITI
-//! document store ([`content`]), the per-connection state machine
-//! ([`conn`]) and metrics ([`metrics`]).
+//! All three share one connection table (the crate-private `table`
+//! module): admitting a connection, serving a readiness event, closing,
+//! the idle sweep and batch close-out are written once, so the servers
+//! differ only in their event engines — how they register a descriptor,
+//! wait or dequeue, and switch modes. Under the table sit HTTP parsing
+//! ([`http`]), the 6 KB CITI document store ([`content`]), the
+//! per-connection state machine ([`conn`]) and metrics ([`metrics`]).
 
 pub mod conn;
 pub mod content;
@@ -24,11 +28,12 @@ pub mod metrics;
 pub mod phhttpd;
 pub mod prefork;
 pub mod server;
+mod table;
 pub mod thttpd;
 
 pub use conn::{ConnPhase, ConnStatus, FinishKind, HttpConn};
 pub use content::{ContentStore, DEFAULT_DOC_BYTES, DEFAULT_DOC_PATH};
-pub use hybrid::{HybridConfig, HybridMode, HybridServer};
+pub use hybrid::{HybridMode, HybridServer};
 pub use metrics::ServerMetrics;
 pub use phhttpd::{PhConfig, PhMode, Phhttpd};
 pub use prefork::Prefork;

@@ -51,6 +51,24 @@ impl ServerMetrics {
     }
 }
 
+/// Field-wise totals (a prefork server reports its workers' sum).
+impl std::iter::Sum for ServerMetrics {
+    fn sum<I: Iterator<Item = ServerMetrics>>(iter: I) -> ServerMetrics {
+        iter.fold(ServerMetrics::default(), |a, m| ServerMetrics {
+            accepted: a.accepted + m.accepted,
+            replies: a.replies + m.replies,
+            read_errors: a.read_errors + m.read_errors,
+            idle_closed: a.idle_closed + m.idle_closed,
+            client_closed_early: a.client_closed_early + m.client_closed_early,
+            not_found: a.not_found + m.not_found,
+            stale_events: a.stale_events + m.stale_events,
+            overflows: a.overflows + m.overflows,
+            mode_switches: a.mode_switches + m.mode_switches,
+            busy_batches: a.busy_batches + m.busy_batches,
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -14,13 +14,12 @@
 
 use devpoll::{EventBackend, RtEvent, RtSignalApi, StockPollBackend, WaitResult};
 use simcore::span::Phase;
-use simcore::time::SimTime;
-use simkernel::{Errno, Fd, FdMap, PollBits};
+use simkernel::{Errno, Fd, PollBits};
 
-use crate::conn::{ConnPhase, ConnStatus, FinishKind, HttpConn};
-use crate::content::ContentStore;
+use crate::conn::ConnPhase;
 use crate::metrics::ServerMetrics;
 use crate::server::{Server, ServerConfig, ServerCtx};
+use crate::table::ConnTable;
 
 /// Which event engine the server is currently running on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,38 +42,22 @@ pub struct PhConfig {
 
 /// The RT-signal server.
 pub struct Phhttpd {
-    pid: simkernel::Pid,
-    lfd: Fd,
+    table: ConnTable,
     rtapi: RtSignalApi,
     mode: PhMode,
     poll_backend: StockPollBackend,
-    conns: FdMap<HttpConn>,
-    content: ContentStore,
-    metrics: ServerMetrics,
-    config: ServerConfig,
     ph: PhConfig,
-    last_scan: SimTime,
-    /// Reused idle-sweep scratch (no per-scan allocation).
-    idle_scratch: Vec<Fd>,
 }
 
 impl Phhttpd {
     /// Creates the server (spawning its process).
     pub fn new(ctx: &mut ServerCtx<'_>, config: ServerConfig, ph: PhConfig) -> Phhttpd {
-        let pid = ctx.kernel.spawn(config.fd_limit, config.rt_queue_max);
         Phhttpd {
-            pid,
-            lfd: -1,
+            table: ConnTable::new(ctx, config),
             rtapi: RtSignalApi::default(),
             mode: PhMode::Signals,
             poll_backend: StockPollBackend::new(),
-            conns: FdMap::new(),
-            content: ContentStore::citi_6k(),
-            metrics: ServerMetrics::default(),
-            config,
             ph,
-            last_scan: SimTime::ZERO,
-            idle_scratch: Vec::new(),
         }
     }
 
@@ -83,143 +66,69 @@ impl Phhttpd {
         self.mode
     }
 
-    fn accept_all(&mut self, ctx: &mut ServerCtx<'_>) {
-        loop {
-            match ctx.kernel.sys_accept(ctx.net, ctx.now, self.pid, self.lfd) {
-                Ok(fd) => {
-                    let cost = *ctx.kernel.cost_model();
-                    ctx.kernel.charge_app(self.pid, cost.app_conn_setup);
-                    // Inserting into (and probing) the experimental
-                    // server's linear connection table costs time
-                    // proportional to its size — the same weakness the
-                    // per-event dispatch pays.
-                    ctx.kernel
-                        .charge_app(self.pid, cost.app_event_lookup * self.conns.len() as u64);
-                    self.metrics.accepted += 1;
-                    match self.mode {
-                        PhMode::Signals => {
-                            // O_NONBLOCK + F_SETSIG + F_SETOWN: the
-                            // per-connection syscall tax of the RT model.
-                            let _ = self.rtapi.register(ctx.kernel, self.pid, fd);
-                        }
-                        PhMode::Polling => {
-                            let _ = ctx.kernel.sys_set_nonblock(self.pid, fd);
-                            let _ = self.poll_backend.set_interest(
-                                ctx.kernel,
-                                ctx.registry,
-                                ctx.now,
-                                self.pid,
-                                fd,
-                                PollBits::POLLIN,
-                            );
-                        }
-                    }
-                    let mut conn = if self.config.use_sendfile {
-                        HttpConn::new_sendfile(fd, ctx.now)
-                    } else {
-                        HttpConn::new(fd, ctx.now)
-                    };
-                    // Data may have arrived before registration; a fresh
-                    // read avoids a lost-edge deadlock.
-                    let status = conn.on_readable(
-                        ctx.kernel,
-                        ctx.net,
-                        ctx.now,
-                        self.pid,
-                        &self.content,
-                        &mut self.metrics.not_found,
-                    );
-                    self.conns.insert(fd, conn);
-                    self.apply_status(ctx, fd, status);
-                }
-                Err(Errno::EAGAIN) => break,
-                Err(_) => break,
-            }
-        }
+    /// The interest set the table must keep up: the poll sibling's once
+    /// polling, none while the RT queue carries the events.
+    fn interest(mode: PhMode, poll: &mut StockPollBackend) -> Option<&mut StockPollBackend> {
+        (mode == PhMode::Polling).then_some(poll)
     }
 
-    fn apply_status(&mut self, ctx: &mut ServerCtx<'_>, fd: Fd, status: ConnStatus) {
-        match status {
-            ConnStatus::WantRead | ConnStatus::WantWrite => {
-                if self.mode == PhMode::Polling {
-                    let ev = if status == ConnStatus::WantWrite {
-                        PollBits::POLLOUT
-                    } else {
-                        PollBits::POLLIN
-                    };
+    /// The experimental server's connection lookup walks a linear
+    /// structure: its cost grows with the open-connection count.
+    fn charge_lookup(&self, ctx: &mut ServerCtx<'_>) {
+        let cost = *ctx.kernel.cost_model();
+        ctx.kernel.charge_app(
+            self.table.pid,
+            cost.app_event_lookup * self.table.conns.len() as u64,
+        );
+    }
+
+    fn accept_all(&mut self, ctx: &mut ServerCtx<'_>) {
+        let pid = self.table.pid;
+        while let Ok(fd) = ctx.kernel.sys_accept(ctx.net, ctx.now, pid, self.table.lfd) {
+            // Inserting into (and probing) the linear connection table
+            // costs the same as the per-event lookup.
+            self.charge_lookup(ctx);
+            self.table.admit(ctx, fd);
+            match self.mode {
+                PhMode::Signals => {
+                    // O_NONBLOCK + F_SETSIG + F_SETOWN: the
+                    // per-connection syscall tax of the RT model.
+                    let _ = self.rtapi.register(ctx.kernel, pid, fd);
+                }
+                PhMode::Polling => {
+                    let _ = ctx.kernel.sys_set_nonblock(pid, fd);
                     let _ = self.poll_backend.set_interest(
                         ctx.kernel,
                         ctx.registry,
                         ctx.now,
-                        self.pid,
+                        pid,
                         fd,
-                        ev,
+                        PollBits::POLLIN,
                     );
                 }
-                // In signal mode the next state change queues a signal.
             }
-            ConnStatus::Finished(kind) => self.finish_conn(ctx, fd, kind),
+            // Data may have arrived before registration; a fresh read
+            // avoids a lost-edge deadlock.
+            let interest = Self::interest(self.mode, &mut self.poll_backend);
+            self.table.serve(ctx, interest, fd, PollBits::POLLIN);
         }
     }
 
-    fn finish_conn(&mut self, ctx: &mut ServerCtx<'_>, fd: Fd, kind: FinishKind) {
-        if self.mode == PhMode::Polling {
-            let _ =
-                self.poll_backend
-                    .remove_interest(ctx.kernel, ctx.registry, ctx.now, self.pid, fd);
+    fn dispatch(&mut self, ctx: &mut ServerCtx<'_>, fd: Fd, bits: PollBits) {
+        let signals = self.mode == PhMode::Signals;
+        if signals {
+            self.charge_lookup(ctx);
         }
-        match kind {
-            FinishKind::Replied => {
-                let _ = ctx.kernel.sys_close(ctx.net, ctx.now, self.pid, fd);
-                self.metrics.replies += 1;
-            }
-            FinishKind::ClientClosedEarly => {
-                let _ = ctx.kernel.sys_close(ctx.net, ctx.now, self.pid, fd);
-                self.metrics.client_closed_early += 1;
-            }
-            FinishKind::Error => {
-                let _ = ctx.kernel.sys_abort(ctx.net, ctx.now, self.pid, fd);
-                self.metrics.read_errors += 1;
-            }
-        }
-        self.conns.remove(fd);
-        // Events already queued for this fd remain on the RT queue and
-        // will surface as stale events (§2).
-    }
-
-    fn dispatch(&mut self, ctx: &mut ServerCtx<'_>, fd: Fd, band: PollBits) {
-        // The experimental server's per-event connection lookup walks a
-        // linear structure: cost grows with the open-connection count.
-        let cost = *ctx.kernel.cost_model();
-        ctx.kernel
-            .charge_app(self.pid, cost.app_event_lookup * self.conns.len() as u64);
-        if fd == self.lfd {
+        if fd == self.table.lfd {
             self.accept_all(ctx);
             return;
         }
-        let Some(conn) = self.conns.get_mut(fd) else {
-            self.metrics.stale_events += 1;
-            return;
-        };
-        if band.contains(PollBits::POLLERR) {
-            self.finish_conn(ctx, fd, FinishKind::Error);
-            return;
+        let interest = Self::interest(self.mode, &mut self.poll_backend);
+        // A signal for a closed fd is a stale event (§2); a poll result
+        // for one was closed earlier in this batch.
+        if !self.table.serve(ctx, interest, fd, bits) && signals {
+            self.table.metrics.stale_events += 1;
         }
-        let status = if conn.phase == ConnPhase::Writing && band.contains(PollBits::POLLOUT) {
-            conn.on_writable(ctx.kernel, ctx.net, ctx.now, self.pid)
-        } else if band.intersects(PollBits::POLLIN | PollBits::POLLHUP) {
-            conn.on_readable(
-                ctx.kernel,
-                ctx.net,
-                ctx.now,
-                self.pid,
-                &self.content,
-                &mut self.metrics.not_found,
-            )
-        } else {
-            return;
-        };
-        self.apply_status(ctx, fd, status);
     }
 
     /// RT queue overflow (§2, §6): flush the queue, hand every
@@ -227,88 +136,52 @@ impl Phhttpd {
     /// socket, and rebuild the `pollfd` array from scratch. The server
     /// stays in polling mode for good.
     fn handle_overflow(&mut self, ctx: &mut ServerCtx<'_>) {
-        self.metrics.overflows += 1;
-        self.metrics.mode_switches += 1;
-        let _ = self.rtapi.flush(ctx.kernel, self.pid);
+        let pid = self.table.pid;
+        self.table.metrics.overflows += 1;
+        self.table.metrics.mode_switches += 1;
+        let _ = self.rtapi.flush(ctx.kernel, pid);
         let cost = *ctx.kernel.cost_model();
         // Transfer: sendmsg + recvmsg per descriptor (including the
         // listener), plus re-registration bookkeeping.
         let per_conn = cost.syscall * 2 + cost.app_conn_setup;
         ctx.kernel
-            .charge_app(self.pid, per_conn * (self.conns.len() as u64 + 1));
+            .charge_app(pid, per_conn * (self.table.conns.len() as u64 + 1));
         self.mode = PhMode::Polling;
         // Rebuild the interest set from scratch.
         let _ = self.poll_backend.set_interest(
             ctx.kernel,
             ctx.registry,
             ctx.now,
-            self.pid,
-            self.lfd,
+            pid,
+            self.table.lfd,
             PollBits::POLLIN,
         );
-        // Field-level split borrow: walking `conns` while poking the
-        // sibling's interest set needs no intermediate fd list.
-        for (fd, c) in self.conns.iter() {
+        for (fd, c) in self.table.conns.iter() {
             let ev = if c.phase == ConnPhase::Writing {
                 PollBits::POLLOUT
             } else {
                 PollBits::POLLIN
             };
-            let _ =
-                self.poll_backend
-                    .set_interest(ctx.kernel, ctx.registry, ctx.now, self.pid, fd, ev);
+            let _ = self
+                .poll_backend
+                .set_interest(ctx.kernel, ctx.registry, ctx.now, pid, fd, ev);
         }
-    }
-
-    fn maybe_scan_idle(&mut self, ctx: &mut ServerCtx<'_>) {
-        if ctx.now.saturating_duration_since(self.last_scan) < self.config.scan_interval {
-            return;
-        }
-        self.last_scan = ctx.now;
-        let cost = *ctx.kernel.cost_model();
-        ctx.kernel
-            .charge_app(self.pid, cost.app_timer_scan * self.conns.len() as u64);
-        if ctx.now.as_nanos() < self.config.idle_timeout.as_nanos() {
-            return;
-        }
-        let cutoff = SimTime::from_nanos(ctx.now.as_nanos() - self.config.idle_timeout.as_nanos());
-        let mut idle = std::mem::take(&mut self.idle_scratch);
-        idle.clear();
-        idle.extend(
-            self.conns
-                .iter()
-                .filter(|(_, c)| c.idle_since(cutoff))
-                .map(|(fd, _)| fd),
-        );
-        for &fd in &idle {
-            if self.mode == PhMode::Polling {
-                let _ = self.poll_backend.remove_interest(
-                    ctx.kernel,
-                    ctx.registry,
-                    ctx.now,
-                    self.pid,
-                    fd,
-                );
-            }
-            let _ = ctx.kernel.sys_close(ctx.net, ctx.now, self.pid, fd);
-            self.conns.remove(fd);
-            self.metrics.idle_closed += 1;
-        }
-        self.idle_scratch = idle;
     }
 
     fn run_signals_batch(&mut self, ctx: &mut ServerCtx<'_>) {
+        let pid = self.table.pid;
+        let max_events = self.table.config.max_events;
         let mut processed = 0usize;
-        while processed < self.config.max_events {
+        while processed < max_events {
             let events: Vec<RtEvent> = match self.ph.batch_dequeue {
                 Some(batch) => {
-                    let want = batch.min(self.config.max_events - processed);
-                    match self.rtapi.next_events(ctx.kernel, self.pid, want) {
+                    let want = batch.min(max_events - processed);
+                    match self.rtapi.next_events(ctx.kernel, pid, want) {
                         Ok(evs) => evs,
                         Err(_) => break,
                     }
                 }
-                None => match self.rtapi.next_event(ctx.kernel, self.pid) {
+                None => match self.rtapi.next_event(ctx.kernel, pid) {
                     Ok(ev) => vec![ev],
                     Err(_) => break,
                 },
@@ -317,90 +190,47 @@ impl Phhttpd {
                 processed += 1;
                 match ev {
                     RtEvent::Io { fd, band } => {
-                        let span = ctx.kernel.span_open(self.pid, Phase::Dispatch);
+                        let span = ctx.kernel.span_open(pid, Phase::Dispatch);
                         self.dispatch(ctx, fd, band);
-                        ctx.kernel.span_close(self.pid, span);
+                        ctx.kernel.span_close(pid, span);
                     }
                     RtEvent::Overflow => {
                         self.handle_overflow(ctx);
-                        return; // `run_batch` closes the batch out.
+                        // Close the batch out without counting it.
+                        ctx.kernel.end_batch(ctx.now, pid);
+                        return;
                     }
                 }
             }
         }
-        if processed == 0 {
-            ctx.kernel
-                .end_batch_sleep(ctx.now, self.pid, Some(self.config.scan_interval));
-        } else {
-            self.metrics.busy_batches += 1;
-            ctx.kernel
-                .probe_mut()
-                .observe("server.batch_events", processed as u64);
-            ctx.kernel.end_batch(ctx.now, self.pid);
-        }
+        self.table.end_batch(ctx, processed);
     }
 
     fn run_polling_batch(&mut self, ctx: &mut ServerCtx<'_>) {
-        match self.poll_backend.wait(
+        let pid = self.table.pid;
+        let events = match self.poll_backend.wait(
             ctx.kernel,
             ctx.registry,
             ctx.now,
-            self.pid,
-            self.config.max_events,
+            pid,
+            self.table.config.max_events,
             -1,
         ) {
-            Ok(WaitResult::WouldBlock) | Err(_) => {
-                ctx.kernel
-                    .end_batch_sleep(ctx.now, self.pid, Some(self.config.scan_interval));
-            }
-            Ok(WaitResult::Events(evs)) => {
-                self.metrics.busy_batches += 1;
-                ctx.kernel
-                    .probe_mut()
-                    .observe("server.batch_events", evs.len() as u64);
-                for ev in evs {
-                    let span = ctx.kernel.span_open(self.pid, Phase::Dispatch);
-                    if ev.fd == self.lfd {
-                        self.accept_all(ctx);
-                    } else {
-                        self.dispatch_poll(ctx, ev.fd, ev.revents);
-                    }
-                    ctx.kernel.span_close(self.pid, span);
-                }
-                ctx.kernel.end_batch(ctx.now, self.pid);
-            }
-        }
-    }
-
-    fn dispatch_poll(&mut self, ctx: &mut ServerCtx<'_>, fd: Fd, revents: PollBits) {
-        let Some(conn) = self.conns.get_mut(fd) else {
-            return;
+            Ok(WaitResult::Events(evs)) => evs,
+            Ok(WaitResult::WouldBlock) | Err(_) => Vec::new(),
         };
-        if revents.contains(PollBits::POLLERR) || revents.contains(PollBits::POLLNVAL) {
-            self.finish_conn(ctx, fd, FinishKind::Error);
-            return;
+        for ev in &events {
+            let span = ctx.kernel.span_open(pid, Phase::Dispatch);
+            self.dispatch(ctx, ev.fd, ev.revents);
+            ctx.kernel.span_close(pid, span);
         }
-        let status = if conn.phase == ConnPhase::Writing && revents.contains(PollBits::POLLOUT) {
-            conn.on_writable(ctx.kernel, ctx.net, ctx.now, self.pid)
-        } else if revents.intersects(PollBits::POLLIN | PollBits::POLLHUP) {
-            conn.on_readable(
-                ctx.kernel,
-                ctx.net,
-                ctx.now,
-                self.pid,
-                &self.content,
-                &mut self.metrics.not_found,
-            )
-        } else {
-            return;
-        };
-        self.apply_status(ctx, fd, status);
+        self.table.end_batch(ctx, events.len());
     }
 }
 
 impl Server for Phhttpd {
     fn pid(&self) -> simkernel::Pid {
-        self.pid
+        self.table.pid
     }
 
     fn name(&self) -> String {
@@ -411,40 +241,28 @@ impl Server for Phhttpd {
     }
 
     fn start(&mut self, ctx: &mut ServerCtx<'_>) -> Result<(), Errno> {
-        ctx.kernel.begin_batch(ctx.now, self.pid);
-        self.lfd = ctx.kernel.sys_listen(
-            ctx.net,
-            ctx.now,
-            self.pid,
-            self.config.port,
-            self.config.backlog,
-        )?;
-        self.rtapi.register(ctx.kernel, self.pid, self.lfd)?;
-        ctx.kernel.end_batch(ctx.now, self.pid);
-        self.last_scan = ctx.now;
+        let pid = self.table.pid;
+        ctx.kernel.begin_batch(ctx.now, pid);
+        let lfd = self.table.listen(ctx, None)?;
+        self.rtapi.register(ctx.kernel, pid, lfd)?;
+        ctx.kernel.end_batch(ctx.now, pid);
         Ok(())
     }
 
     fn run_batch(&mut self, ctx: &mut ServerCtx<'_>) {
-        ctx.kernel.begin_batch(ctx.now, self.pid);
-        self.maybe_scan_idle(ctx);
+        let interest = Self::interest(self.mode, &mut self.poll_backend);
+        self.table.begin_batch(ctx, interest);
         match self.mode {
-            PhMode::Signals => {
-                self.run_signals_batch(ctx);
-                if self.mode == PhMode::Polling {
-                    // Overflow happened mid-batch; close the batch out.
-                    ctx.kernel.end_batch(ctx.now, self.pid);
-                }
-            }
+            PhMode::Signals => self.run_signals_batch(ctx),
             PhMode::Polling => self.run_polling_batch(ctx),
         }
     }
 
     fn metrics(&self) -> ServerMetrics {
-        self.metrics
+        self.table.metrics
     }
 
     fn open_conns(&self) -> usize {
-        self.conns.len()
+        self.table.conns.len()
     }
 }

@@ -84,21 +84,7 @@ impl<B: EventBackend> Server for Prefork<B> {
     }
 
     fn metrics(&self) -> ServerMetrics {
-        let mut total = ServerMetrics::default();
-        for w in &self.workers {
-            let m = w.metrics();
-            total.accepted += m.accepted;
-            total.replies += m.replies;
-            total.read_errors += m.read_errors;
-            total.idle_closed += m.idle_closed;
-            total.client_closed_early += m.client_closed_early;
-            total.not_found += m.not_found;
-            total.stale_events += m.stale_events;
-            total.overflows += m.overflows;
-            total.mode_switches += m.mode_switches;
-            total.busy_batches += m.busy_batches;
-        }
-        total
+        self.workers.iter().map(|w| w.metrics()).sum()
     }
 
     fn open_conns(&self) -> usize {

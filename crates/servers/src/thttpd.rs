@@ -4,50 +4,34 @@
 
 use devpoll::{EventBackend, WaitResult};
 use simcore::span::Phase;
-use simcore::time::SimTime;
-use simkernel::{Errno, Fd, FdMap, PollBits};
+use simkernel::{Errno, Fd, PollBits};
+use simnet::ListenerId;
 
-use crate::conn::{ConnPhase, ConnStatus, FinishKind, HttpConn};
 use crate::content::ContentStore;
 use crate::metrics::ServerMetrics;
 use crate::server::{Server, ServerConfig, ServerCtx};
+use crate::table::ConnTable;
 
 /// The thttpd-style server.
 pub struct Thttpd<B: EventBackend> {
-    pid: simkernel::Pid,
-    lfd: Fd,
+    table: ConnTable,
     backend: B,
-    conns: FdMap<HttpConn>,
-    content: ContentStore,
-    metrics: ServerMetrics,
-    config: ServerConfig,
-    last_scan: SimTime,
     started: bool,
-    /// Reused idle-sweep scratch (no per-scan allocation).
-    idle_scratch: Vec<Fd>,
 }
 
 impl<B: EventBackend> Thttpd<B> {
     /// Creates the server (spawning its process) with the given backend.
     pub fn new(ctx: &mut ServerCtx<'_>, backend: B, config: ServerConfig) -> Thttpd<B> {
-        let pid = ctx.kernel.spawn(config.fd_limit, config.rt_queue_max);
         Thttpd {
-            pid,
-            lfd: -1,
+            table: ConnTable::new(ctx, config),
             backend,
-            conns: FdMap::new(),
-            content: ContentStore::citi_6k(),
-            metrics: ServerMetrics::default(),
-            config,
-            last_scan: SimTime::ZERO,
             started: false,
-            idle_scratch: Vec::new(),
         }
     }
 
     /// Replaces the content store (for non-default documents).
     pub fn set_content(&mut self, content: ContentStore) {
-        self.content = content;
+        self.table.content = content;
     }
 
     /// Backend access (diagnostics).
@@ -56,8 +40,8 @@ impl<B: EventBackend> Thttpd<B> {
     }
 
     /// The listener id once started (for prefork sharing).
-    pub fn listener(&self, ctx: &ServerCtx<'_>) -> Option<simnet::ListenerId> {
-        ctx.kernel.listener_of(self.pid, self.lfd).ok()
+    pub fn listener(&self, ctx: &ServerCtx<'_>) -> Option<ListenerId> {
+        ctx.kernel.listener_of(self.table.pid, self.table.lfd).ok()
     }
 
     /// Starts this instance as a prefork *worker*: instead of listening
@@ -65,154 +49,60 @@ impl<B: EventBackend> Thttpd<B> {
     pub fn start_attached(
         &mut self,
         ctx: &mut ServerCtx<'_>,
-        listener: simnet::ListenerId,
+        listener: ListenerId,
     ) -> Result<(), Errno> {
+        self.open(ctx, Some(listener))
+    }
+
+    fn open(&mut self, ctx: &mut ServerCtx<'_>, shared: Option<ListenerId>) -> Result<(), Errno> {
         assert!(!self.started, "start called twice");
-        ctx.kernel.begin_batch(ctx.now, self.pid);
-        self.lfd = ctx.kernel.sys_share_listener(ctx.now, self.pid, listener)?;
-        self.backend
-            .init(ctx.kernel, ctx.registry, ctx.now, self.pid)?;
+        let pid = self.table.pid;
+        ctx.kernel.begin_batch(ctx.now, pid);
+        let lfd = self.table.listen(ctx, shared)?;
+        self.backend.init(ctx.kernel, ctx.registry, ctx.now, pid)?;
         self.backend.set_interest(
             ctx.kernel,
             ctx.registry,
             ctx.now,
-            self.pid,
-            self.lfd,
+            pid,
+            lfd,
             PollBits::POLLIN,
         )?;
-        ctx.kernel.end_batch(ctx.now, self.pid);
+        ctx.kernel.end_batch(ctx.now, pid);
         self.started = true;
-        self.last_scan = ctx.now;
         Ok(())
     }
 
     fn accept_all(&mut self, ctx: &mut ServerCtx<'_>) {
-        loop {
-            match ctx.kernel.sys_accept(ctx.net, ctx.now, self.pid, self.lfd) {
-                Ok(fd) => {
-                    let _ = ctx.kernel.sys_set_nonblock(self.pid, fd);
-                    let cost = *ctx.kernel.cost_model();
-                    ctx.kernel.charge_app(self.pid, cost.app_conn_setup);
-                    let _ = self.backend.set_interest(
-                        ctx.kernel,
-                        ctx.registry,
-                        ctx.now,
-                        self.pid,
-                        fd,
-                        PollBits::POLLIN,
-                    );
-                    let conn = if self.config.use_sendfile {
-                        HttpConn::new_sendfile(fd, ctx.now)
-                    } else {
-                        HttpConn::new(fd, ctx.now)
-                    };
-                    self.conns.insert(fd, conn);
-                    self.metrics.accepted += 1;
-                }
-                Err(Errno::EAGAIN) => break,
-                Err(_) => break, // EMFILE and friends: stop accepting.
-            }
+        let pid = self.table.pid;
+        // EAGAIN, EMFILE and friends: stop accepting.
+        while let Ok(fd) = ctx.kernel.sys_accept(ctx.net, ctx.now, pid, self.table.lfd) {
+            let _ = ctx.kernel.sys_set_nonblock(pid, fd);
+            self.table.admit(ctx, fd);
+            let _ = self.backend.set_interest(
+                ctx.kernel,
+                ctx.registry,
+                ctx.now,
+                pid,
+                fd,
+                PollBits::POLLIN,
+            );
         }
-    }
-
-    fn finish_conn(&mut self, ctx: &mut ServerCtx<'_>, fd: Fd, kind: FinishKind) {
-        let _ = self
-            .backend
-            .remove_interest(ctx.kernel, ctx.registry, ctx.now, self.pid, fd);
-        match kind {
-            FinishKind::Replied => {
-                let _ = ctx.kernel.sys_close(ctx.net, ctx.now, self.pid, fd);
-                self.metrics.replies += 1;
-            }
-            FinishKind::ClientClosedEarly => {
-                let _ = ctx.kernel.sys_close(ctx.net, ctx.now, self.pid, fd);
-                self.metrics.client_closed_early += 1;
-            }
-            FinishKind::Error => {
-                let _ = ctx.kernel.sys_abort(ctx.net, ctx.now, self.pid, fd);
-                self.metrics.read_errors += 1;
-            }
-        }
-        self.conns.remove(fd);
     }
 
     fn dispatch(&mut self, ctx: &mut ServerCtx<'_>, fd: Fd, revents: PollBits) {
-        if fd == self.lfd {
+        if fd == self.table.lfd {
             self.accept_all(ctx);
-            return;
-        }
-        let Some(conn) = self.conns.get_mut(fd) else {
-            return; // Already closed this batch.
-        };
-        if revents.contains(PollBits::POLLERR) || revents.contains(PollBits::POLLNVAL) {
-            self.finish_conn(ctx, fd, FinishKind::Error);
-            return;
-        }
-        let status = if conn.phase == ConnPhase::Writing && revents.contains(PollBits::POLLOUT) {
-            conn.on_writable(ctx.kernel, ctx.net, ctx.now, self.pid)
-        } else if revents.intersects(PollBits::POLLIN | PollBits::POLLHUP) {
-            conn.on_readable(
-                ctx.kernel,
-                ctx.net,
-                ctx.now,
-                self.pid,
-                &self.content,
-                &mut self.metrics.not_found,
-            )
         } else {
-            return;
-        };
-        match status {
-            ConnStatus::WantRead => {}
-            ConnStatus::WantWrite => {
-                let _ = self.backend.set_interest(
-                    ctx.kernel,
-                    ctx.registry,
-                    ctx.now,
-                    self.pid,
-                    fd,
-                    PollBits::POLLOUT,
-                );
-            }
-            ConnStatus::Finished(kind) => self.finish_conn(ctx, fd, kind),
+            // A miss was closed earlier in this batch.
+            self.table.serve(ctx, Some(&mut self.backend), fd, revents);
         }
-    }
-
-    fn maybe_scan_idle(&mut self, ctx: &mut ServerCtx<'_>) {
-        if ctx.now.saturating_duration_since(self.last_scan) < self.config.scan_interval {
-            return;
-        }
-        self.last_scan = ctx.now;
-        let cost = *ctx.kernel.cost_model();
-        ctx.kernel
-            .charge_app(self.pid, cost.app_timer_scan * self.conns.len() as u64);
-        if ctx.now.as_nanos() < self.config.idle_timeout.as_nanos() {
-            return; // Nothing can be idle-expired yet.
-        }
-        let cutoff = SimTime::from_nanos(ctx.now.as_nanos() - self.config.idle_timeout.as_nanos());
-        let mut idle = std::mem::take(&mut self.idle_scratch);
-        idle.clear();
-        idle.extend(
-            self.conns
-                .iter()
-                .filter(|(_, c)| c.idle_since(cutoff))
-                .map(|(fd, _)| fd),
-        );
-        for &fd in &idle {
-            let _ = self
-                .backend
-                .remove_interest(ctx.kernel, ctx.registry, ctx.now, self.pid, fd);
-            let _ = ctx.kernel.sys_close(ctx.net, ctx.now, self.pid, fd);
-            self.conns.remove(fd);
-            self.metrics.idle_closed += 1;
-        }
-        self.idle_scratch = idle;
     }
 }
 
 impl<B: EventBackend> Server for Thttpd<B> {
     fn pid(&self) -> simkernel::Pid {
-        self.pid
+        self.table.pid
     }
 
     fn name(&self) -> String {
@@ -220,66 +110,36 @@ impl<B: EventBackend> Server for Thttpd<B> {
     }
 
     fn start(&mut self, ctx: &mut ServerCtx<'_>) -> Result<(), Errno> {
-        assert!(!self.started, "start called twice");
-        ctx.kernel.begin_batch(ctx.now, self.pid);
-        self.lfd = ctx.kernel.sys_listen(
-            ctx.net,
-            ctx.now,
-            self.pid,
-            self.config.port,
-            self.config.backlog,
-        )?;
-        self.backend
-            .init(ctx.kernel, ctx.registry, ctx.now, self.pid)?;
-        self.backend.set_interest(
-            ctx.kernel,
-            ctx.registry,
-            ctx.now,
-            self.pid,
-            self.lfd,
-            PollBits::POLLIN,
-        )?;
-        ctx.kernel.end_batch(ctx.now, self.pid);
-        self.started = true;
-        self.last_scan = ctx.now;
-        Ok(())
+        self.open(ctx, None)
     }
 
     fn run_batch(&mut self, ctx: &mut ServerCtx<'_>) {
-        ctx.kernel.begin_batch(ctx.now, self.pid);
-        self.maybe_scan_idle(ctx);
-        match self.backend.wait(
+        let pid = self.table.pid;
+        self.table.begin_batch(ctx, Some(&mut self.backend));
+        let events = match self.backend.wait(
             ctx.kernel,
             ctx.registry,
             ctx.now,
-            self.pid,
-            self.config.max_events,
+            pid,
+            self.table.config.max_events,
             -1,
         ) {
-            Ok(WaitResult::WouldBlock) | Err(_) => {
-                ctx.kernel
-                    .end_batch_sleep(ctx.now, self.pid, Some(self.config.scan_interval));
-            }
-            Ok(WaitResult::Events(evs)) => {
-                self.metrics.busy_batches += 1;
-                ctx.kernel
-                    .probe_mut()
-                    .observe("server.batch_events", evs.len() as u64);
-                for ev in evs {
-                    let span = ctx.kernel.span_open(self.pid, Phase::Dispatch);
-                    self.dispatch(ctx, ev.fd, ev.revents);
-                    ctx.kernel.span_close(self.pid, span);
-                }
-                ctx.kernel.end_batch(ctx.now, self.pid);
-            }
+            Ok(WaitResult::Events(evs)) => evs,
+            Ok(WaitResult::WouldBlock) | Err(_) => Vec::new(),
+        };
+        for ev in &events {
+            let span = ctx.kernel.span_open(pid, Phase::Dispatch);
+            self.dispatch(ctx, ev.fd, ev.revents);
+            ctx.kernel.span_close(pid, span);
         }
+        self.table.end_batch(ctx, events.len());
     }
 
     fn metrics(&self) -> ServerMetrics {
-        self.metrics
+        self.table.metrics
     }
 
     fn open_conns(&self) -> usize {
-        self.conns.len()
+        self.table.conns.len()
     }
 }

@@ -3,7 +3,7 @@
 //! drains.
 
 use devpoll::DevPollRegistry;
-use servers::{HybridConfig, HybridMode, HybridServer, Server, ServerConfig, ServerCtx};
+use servers::{HybridMode, HybridServer, Server, ServerConfig, ServerCtx};
 use simcore::time::{SimDuration, SimTime};
 use simkernel::{CostModel, Kernel, KernelEvent};
 use simnet::{ConnId, EndpointId, HostId, LinkConfig, Network, Side, SockAddr, TcpConfig};
@@ -89,7 +89,7 @@ impl Rig {
     }
 }
 
-fn hybrid(rig: &mut Rig, queue_max: usize, up_fraction: f64) -> HybridServer {
+fn hybrid(rig: &mut Rig, queue_max: usize) -> HybridServer {
     let config = ServerConfig {
         rt_queue_max: queue_max,
         ..ServerConfig::default()
@@ -101,14 +101,7 @@ fn hybrid(rig: &mut Rig, queue_max: usize, up_fraction: f64) -> HybridServer {
             registry: &mut rig.registry,
             now: rig.now,
         };
-        HybridServer::new(
-            &mut ctx,
-            config,
-            HybridConfig {
-                up_fraction,
-                down_events: 4,
-            },
-        )
+        HybridServer::new(&mut ctx, config)
     };
     let mut ctx = ServerCtx {
         kernel: &mut rig.kernel,
@@ -123,7 +116,7 @@ fn hybrid(rig: &mut Rig, queue_max: usize, up_fraction: f64) -> HybridServer {
 #[test]
 fn stays_in_signal_mode_at_light_load() {
     let mut rig = Rig::new();
-    let mut server = hybrid(&mut rig, 1024, 0.5);
+    let mut server = hybrid(&mut rig, 1024);
     for _ in 0..5 {
         rig.connect_and_request(&mut server);
         rig.run(&mut server, rig.now + SimDuration::from_millis(50));
@@ -136,9 +129,9 @@ fn stays_in_signal_mode_at_light_load() {
 #[test]
 fn burst_flips_to_polling_and_back() {
     let mut rig = Rig::new();
-    // Tiny queue + low threshold: a burst of concurrent clients trips
-    // the crossover.
-    let mut server = hybrid(&mut rig, 8, 0.25);
+    // Tiny queue: a burst of concurrent clients trips the crossover
+    // (more than half of 4 slots, i.e. 3 queued signals).
+    let mut server = hybrid(&mut rig, 4);
     let mut conns = Vec::new();
     for _ in 0..20 {
         let conn = rig
@@ -176,7 +169,9 @@ fn hybrid_never_counts_rt_losses_as_failures() {
     // Even if the RT queue overflows during the flip, the devpoll
     // interest set recovers every event: all clients get answers.
     let mut rig = Rig::new();
-    let mut server = hybrid(&mut rig, 4, 0.9);
+    // Two slots, and the crossover needs more than one queued signal:
+    // the queue fills during the flip.
+    let mut server = hybrid(&mut rig, 2);
     let mut conns = Vec::new();
     for _ in 0..30 {
         conns.push(
@@ -199,4 +194,9 @@ fn hybrid_never_counts_rt_losses_as_failures() {
     }
     rig.run(&mut server, rig.now + SimDuration::from_millis(800));
     assert_eq!(server.metrics().replies, 30, "{:?}", server.metrics());
+    assert!(
+        server.metrics().overflows >= 1,
+        "the RT queue must actually overflow: {:?}",
+        server.metrics()
+    );
 }

@@ -1,8 +1,11 @@
 //! Behavioural tests of the server event loops, driven by a miniature
 //! orchestrator with hand-rolled clients.
 
-use devpoll::{DevPollBackend, DevPollRegistry, StockPollBackend};
-use servers::{PhConfig, PhMode, Phhttpd, Prefork, Server, ServerConfig, ServerCtx, Thttpd};
+use devpoll::{DevPollBackend, DevPollRegistry, SelectBackend, StockPollBackend};
+use servers::{
+    HybridServer, PhConfig, PhMode, Phhttpd, Prefork, Server, ServerConfig, ServerCtx,
+    ServerMetrics, Thttpd,
+};
 use simcore::time::{SimDuration, SimTime};
 use simkernel::{AcceptWake, CostModel, Kernel, KernelEvent};
 use simnet::{ConnId, EndpointId, HostId, LinkConfig, Network, Side, SockAddr, TcpConfig};
@@ -104,10 +107,18 @@ impl Rig {
 }
 
 fn request_response(rig: &mut Rig, server: &mut dyn Server, path: &str) -> (ConnId, Vec<u8>) {
+    exchange(
+        rig,
+        server,
+        format!("GET {path} HTTP/1.0\r\n\r\n").as_bytes(),
+    )
+}
+
+fn exchange(rig: &mut Rig, server: &mut dyn Server, request: &[u8]) -> (ConnId, Vec<u8>) {
     let conn = rig.connect(0);
     let t0 = rig.now;
     rig.run(server, t0 + SimDuration::from_millis(10));
-    rig.client_send(conn, format!("GET {path} HTTP/1.0\r\n\r\n").as_bytes());
+    rig.client_send(conn, request);
     rig.run(server, t0 + SimDuration::from_millis(150));
     let body = rig.client_recv(conn);
     (conn, body)
@@ -369,4 +380,90 @@ fn sendfile_server_serves_identically() {
     let text = String::from_utf8_lossy(&body);
     assert!(text.starts_with("HTTP/1.0 200 OK"));
     assert!(text.contains("Content-Length: 6144"));
+}
+
+type MakeServer = fn(&mut ServerCtx<'_>, ServerConfig) -> Box<dyn Server>;
+
+/// Every server architecture, built the way the run harness builds it.
+const EVERY_SERVER: [(&str, MakeServer); 7] = [
+    ("thttpd/poll", |ctx, c| {
+        Box::new(Thttpd::new(ctx, StockPollBackend::new(), c))
+    }),
+    ("thttpd/select", |ctx, c| {
+        Box::new(Thttpd::new(ctx, SelectBackend::new(), c))
+    }),
+    ("thttpd/devpoll", |ctx, c| {
+        Box::new(Thttpd::new(ctx, DevPollBackend::new(), c))
+    }),
+    ("phhttpd", |ctx, c| {
+        Box::new(Phhttpd::new(ctx, c, PhConfig::default()))
+    }),
+    ("phhttpd/batch4", |ctx, c| {
+        Box::new(Phhttpd::new(
+            ctx,
+            c,
+            PhConfig {
+                batch_dequeue: Some(4),
+            },
+        ))
+    }),
+    ("hybrid", |ctx, c| Box::new(HybridServer::new(ctx, c))),
+    ("prefork2/devpoll", |ctx, c| {
+        Box::new(Prefork::new(ctx, DevPollBackend::new, c, 2))
+    }),
+];
+
+#[test]
+fn every_server_accounts_for_every_accepted_connection() {
+    // One connection of each fate: a 200, a 404, a 400, a client abort,
+    // one left idle past the timeout, and one still open at the end.
+    // Every accepted fd must be closed exactly once under the right
+    // counter, or still held.
+    for (name, make) in EVERY_SERVER {
+        let mut rig = Rig::new();
+        let config = ServerConfig {
+            idle_timeout: SimDuration::from_secs(2),
+            ..ServerConfig::default()
+        };
+        let mut server = make(&mut rig.ctx(), config);
+        server.start(&mut rig.ctx()).unwrap();
+        let server = server.as_mut();
+
+        let idle = rig.connect(0);
+        let (_, ok) = request_response(&mut rig, server, "/index.html");
+        let (_, missing) = request_response(&mut rig, server, "/nope.html");
+        let (_, bad) = exchange(&mut rig, server, b"BOGUS nonsense\r\n\r\n");
+        let aborted = rig.connect(0);
+        rig.run(server, rig.now + SimDuration::from_millis(10));
+        let now = rig.now;
+        let _ = rig.net.abort(now, EndpointId::new(aborted, Side::Client));
+        rig.run(server, SimTime::from_secs(4));
+        let _open = rig.connect(0);
+        rig.run(server, rig.now + SimDuration::from_millis(100));
+
+        assert!(ok.starts_with(b"HTTP/1.0 200"), "{name}");
+        assert!(missing.starts_with(b"HTTP/1.0 404"), "{name}");
+        assert!(bad.starts_with(b"HTTP/1.0 400"), "{name}");
+        assert!(
+            rig.net.peer_closed(EndpointId::new(idle, Side::Client)) || !rig.net.exists(idle),
+            "{name}: the idle connection was not closed"
+        );
+        let m = server.metrics();
+        assert_eq!(
+            m.accepted,
+            m.closed_total() + server.open_conns() as u64,
+            "{name}: an accepted fd was neither closed nor held: {m:?}"
+        );
+        let expected = ServerMetrics {
+            accepted: 6,
+            replies: 3,
+            read_errors: 1,
+            idle_closed: 1,
+            not_found: 1,
+            ..m
+        };
+        assert_eq!(m, expected, "{name}");
+        assert_eq!(m.client_closed_early, 0, "{name}: {m:?}");
+        assert_eq!(server.open_conns(), 1, "{name}: {m:?}");
+    }
 }
