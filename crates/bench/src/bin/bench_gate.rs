@@ -26,7 +26,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use bench::{compare, lane_diff_markdown, BenchReport, GateTolerance};
+use bench::{compare, flag_value, lane_diff_markdown, BenchReport, GateTolerance};
 
 fn main() -> ExitCode {
     let mut baseline_path = PathBuf::from("BENCH_BASELINE.json");
@@ -35,27 +35,23 @@ fn main() -> ExitCode {
 
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
-        let mut val = |flag: &str| {
-            args.next()
-                .unwrap_or_else(|| panic!("{flag} needs a value"))
-        };
         match a.as_str() {
-            "--baseline" => baseline_path = PathBuf::from(val("--baseline")),
-            "--current" => current_path = PathBuf::from(val("--current")),
-            "--rate-tol" => tol.rate_rel = parse_f64("--rate-tol", &val("--rate-tol")),
-            "--err-tol" => tol.err_abs = parse_f64("--err-tol", &val("--err-tol")),
-            "--latency-tol" => tol.latency_rel = parse_f64("--latency-tol", &val("--latency-tol")),
+            "--baseline" => baseline_path = flag_value("--baseline", args.next().as_deref()),
+            "--current" => current_path = flag_value("--current", args.next().as_deref()),
+            "--rate-tol" => tol.rate_rel = flag_value("--rate-tol", args.next().as_deref()),
+            "--err-tol" => tol.err_abs = flag_value("--err-tol", args.next().as_deref()),
+            "--latency-tol" => {
+                tol.latency_rel = flag_value("--latency-tol", args.next().as_deref())
+            }
             "--wall-factor" => {
-                tol.wall_factor = Some(parse_f64("--wall-factor", &val("--wall-factor")))
+                tol.wall_factor = Some(flag_value("--wall-factor", args.next().as_deref()))
             }
             "--throughput-factor" => {
-                tol.throughput_factor = Some(parse_f64(
-                    "--throughput-factor",
-                    &val("--throughput-factor"),
-                ))
+                tol.throughput_factor =
+                    Some(flag_value("--throughput-factor", args.next().as_deref()))
             }
             "--mem-factor" => {
-                tol.mem_factor = Some(parse_f64("--mem-factor", &val("--mem-factor")))
+                tol.mem_factor = Some(flag_value("--mem-factor", args.next().as_deref()))
             }
             "--strict-digest" => tol.strict_digest = true,
             other => {
@@ -150,10 +146,4 @@ fn main() -> ExitCode {
 fn load(path: &std::path::Path) -> Result<BenchReport, String> {
     let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
     BenchReport::from_json(&text)
-}
-
-fn parse_f64(flag: &str, value: &str) -> f64 {
-    value
-        .parse()
-        .unwrap_or_else(|_| panic!("{flag} must be a number, got {value:?}"))
 }

@@ -17,7 +17,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use bench::BenchReport;
+use bench::{flag_value, BenchReport};
 
 fn main() -> ExitCode {
     let mut report_path = PathBuf::from("BENCH.json");
@@ -25,19 +25,9 @@ fn main() -> ExitCode {
 
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
-        let mut val = |flag: &str| {
-            args.next()
-                .unwrap_or_else(|| panic!("{flag} needs a value"))
-        };
         match a.as_str() {
-            "--report" => report_path = PathBuf::from(val("--report")),
-            "--budget-ms" => {
-                budget_ms = Some(
-                    val("--budget-ms")
-                        .parse()
-                        .expect("--budget-ms must be a number"),
-                )
-            }
+            "--report" => report_path = flag_value("--report", args.next().as_deref()),
+            "--budget-ms" => budget_ms = Some(flag_value("--budget-ms", args.next().as_deref())),
             other => {
                 eprintln!("unknown flag {other:?}; see src/bin/wall_budget.rs docs");
                 return ExitCode::from(2);

@@ -1,0 +1,26 @@
+//! The gate binaries treat a missing or unparsable flag value as a usage
+//! error — exit 2, naming the flag — like the other bench binaries,
+//! rather than panicking (exit 101) where CI reads a crash.
+
+use std::process::Command;
+
+fn usage_error(bin: &str, args: &[&str], flag: &str) {
+    let out = Command::new(bin).args(args).output().expect("run gate");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{bin} {args:?}: {stderr}");
+    assert!(stderr.contains(flag), "{bin} must name {flag}: {stderr}");
+}
+
+#[test]
+fn bench_gate_rejects_bad_flag_values() {
+    let bin = env!("CARGO_BIN_EXE_bench_gate");
+    usage_error(bin, &["--rate-tol", "x"], "--rate-tol");
+    usage_error(bin, &["--mem-factor"], "--mem-factor");
+}
+
+#[test]
+fn wall_budget_rejects_bad_flag_values() {
+    let bin = env!("CARGO_BIN_EXE_wall_budget");
+    usage_error(bin, &["--budget-ms", "10k"], "--budget-ms");
+    usage_error(bin, &["--report"], "--report");
+}
