@@ -12,8 +12,9 @@
 //!   mismatch means the baseline needs an intentional refresh, not a
 //!   tolerance;
 //! * shape metrics must sit within tolerances ([`GateTolerance`]);
-//! * wall-clock may only regress within a factor (opt-in, because
-//!   absolute wall time is machine-dependent);
+//! * per-sweep throughput may only drop within a factor (opt-in,
+//!   because wall time is machine-dependent); whole-process wall time
+//!   is recorded but never gated;
 //! * probe digests are compared strictly only with
 //!   [`GateTolerance::strict_digest`] — any intentional behaviour
 //!   change alters digests, so by default a mismatch is a note.
@@ -336,14 +337,11 @@ pub struct GateTolerance {
     /// Latency floor, milliseconds: differences where both sides sit
     /// under this are never violations.
     pub latency_floor_ms: f64,
-    /// Fail when `current.total_wall_ms > factor * baseline`. `None`
-    /// disables the wall gate (wall time is machine-dependent).
-    pub wall_factor: Option<f64>,
     /// Throughput lane: fail when a sweep's events-per-wall-second
     /// drops below `baseline / factor`. `None` keeps the lane advisory
     /// (regressions beyond the same soft 1.5x slack surface as notes) —
     /// wall-clock throughput is machine-dependent, so the hard gate is
-    /// opt-in like `wall_factor`.
+    /// opt-in.
     pub throughput_factor: Option<f64>,
     /// Memory lane: fail when a sweep's bytes-per-connection exceeds
     /// `factor * baseline`. `None` keeps the lane advisory (growth
@@ -367,7 +365,6 @@ impl Default for GateTolerance {
             err_abs: 5.0,
             latency_rel: 0.50,
             latency_floor_ms: 1.0,
-            wall_factor: None,
             throughput_factor: None,
             mem_factor: None,
             strict_digest: false,
@@ -450,15 +447,6 @@ pub fn compare(baseline: &BenchReport, current: &BenchReport, tol: &GateToleranc
             out.notes.push(format!(
                 "sweep {}/load {} is new (absent from baseline)",
                 cur_sweep.server, cur_sweep.inactive
-            ));
-        }
-    }
-
-    if let Some(factor) = tol.wall_factor {
-        if baseline.total_wall_ms > 0.0 && current.total_wall_ms > factor * baseline.total_wall_ms {
-            out.violations.push(format!(
-                "wall-clock regression: {:.0} ms vs baseline {:.0} ms (limit {factor}x)",
-                current.total_wall_ms, baseline.total_wall_ms
             ));
         }
     }
@@ -979,10 +967,11 @@ mod tests {
     }
 
     #[test]
-    fn gate_digest_strictness_and_wall_factor() {
+    fn gate_digest_strictness() {
         let base = sample_report();
         let mut cur = base.clone();
         cur.sweeps[0].points[0].probe_digest = "ffffffffffffffff".into();
+        // Whole-process wall time is another machine's number: never gated.
         cur.total_wall_ms = base.total_wall_ms * 20.0;
 
         let default_tol = GateTolerance::default();
@@ -992,11 +981,10 @@ mod tests {
 
         let strict = GateTolerance {
             strict_digest: true,
-            wall_factor: Some(10.0),
             ..GateTolerance::default()
         };
         let outcome = compare(&base, &cur, &strict);
-        assert_eq!(outcome.violations.len(), 2);
+        assert_eq!(outcome.violations.len(), 1);
     }
 
     #[test]

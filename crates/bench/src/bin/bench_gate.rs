@@ -4,16 +4,16 @@
 //!
 //! ```text
 //! bench_gate [--baseline FILE] [--current FILE] [--rate-tol F]
-//!            [--err-tol F] [--latency-tol F] [--wall-factor F]
-//!            [--throughput-factor F] [--mem-factor F] [--strict-digest]
+//!            [--err-tol F] [--latency-tol F] [--throughput-factor F]
+//!            [--mem-factor F] [--strict-digest]
 //! ```
 //!
 //! Defaults: baseline `BENCH_BASELINE.json`, current `BENCH.json`,
 //! tolerances from `bench::GateTolerance::default()` (10% reply rate,
-//! 5 error points, 50% latency above a 1 ms floor), no wall gate, and
-//! the throughput lane advisory (`--throughput-factor F` turns a
-//! per-sweep events-per-second drop below `baseline / F` into a
-//! failure; without it large drops are notes). `--mem-factor F` gates
+//! 5 error points, 50% latency above a 1 ms floor), and the throughput
+//! lane advisory (`--throughput-factor F` turns a per-sweep
+//! events-per-second drop below `baseline / F` into a failure; without
+//! it large drops are notes). `--mem-factor F` gates
 //! the memory lane the same way: a sweep whose server bytes/connection
 //! grow beyond `baseline * F` fails instead of noting.
 //! Intentional perf/behaviour changes are shipped by refreshing the
@@ -42,9 +42,6 @@ fn main() -> ExitCode {
             "--err-tol" => tol.err_abs = flag_value("--err-tol", args.next().as_deref()),
             "--latency-tol" => {
                 tol.latency_rel = flag_value("--latency-tol", args.next().as_deref())
-            }
-            "--wall-factor" => {
-                tol.wall_factor = Some(flag_value("--wall-factor", args.next().as_deref()))
             }
             "--throughput-factor" => {
                 tol.throughput_factor =

@@ -68,17 +68,11 @@ fn main() {
             "--conns" => config.conns = flag_value("--conns", args.next().as_deref()),
             "--seed" => config.seed = flag_value("--seed", args.next().as_deref()),
             "--jobs" => jobs_flag = Some(flag_value("--jobs", args.next().as_deref())),
-            "--out" => {
-                out_dir = PathBuf::from(args.next().expect("--out needs a value"));
-            }
-            "--bench-out" => {
-                bench_out = PathBuf::from(args.next().expect("--bench-out needs a value"));
-            }
+            "--out" => out_dir = flag_value("--out", args.next().as_deref()),
+            "--bench-out" => bench_out = flag_value("--bench-out", args.next().as_deref()),
             "--profile" => profile = true,
             "--trace-export" => {
-                trace_export = Some(PathBuf::from(
-                    args.next().expect("--trace-export needs a value"),
-                ));
+                trace_export = Some(flag_value("--trace-export", args.next().as_deref()))
             }
             other => targets.push(other.to_string()),
         }

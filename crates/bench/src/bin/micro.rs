@@ -93,13 +93,7 @@ fn main() {
             .map(|&fd| PollFd::new(fd, PollBits::POLLIN))
             .collect();
         let stock = charged(&mut w, |w| {
-            let _ = sys_poll(
-                &mut w.kernel,
-                SimTime::from_secs(100),
-                w.pid,
-                &mut pollfds,
-                0,
-            );
+            let _ = sys_poll(&mut w.kernel, w.pid, &mut pollfds, 0);
         });
 
         // /dev/poll with hints: steady state, nothing hinted.
@@ -284,13 +278,7 @@ fn main() {
             );
         });
         let combined = charged(&mut w, |w| {
-            let _ = w.registry.write_combined(
-                &mut w.kernel,
-                SimTime::from_secs(100),
-                w.pid,
-                dpfd,
-                &upd,
-            );
+            let _ = w.registry.write_combined(&mut w.kernel, w.pid, dpfd, &upd);
             let _ = w.registry.dp_poll(
                 &mut w.kernel,
                 SimTime::from_secs(100),
@@ -343,7 +331,7 @@ fn wall_microbench() {
         let ns = per_unit_ns(|| {
             for _ in 0..calls {
                 w.kernel.begin_batch(now, w.pid);
-                let _ = sys_poll(&mut w.kernel, now, w.pid, &mut pollfds, 0);
+                let _ = sys_poll(&mut w.kernel, w.pid, &mut pollfds, 0);
                 w.kernel.end_batch(now, w.pid);
             }
             calls

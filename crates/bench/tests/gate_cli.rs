@@ -1,11 +1,11 @@
-//! The gate binaries treat a missing or unparsable flag value as a usage
-//! error — exit 2, naming the flag — like the other bench binaries,
-//! rather than panicking (exit 101) where CI reads a crash.
+//! The bench binaries treat a missing or unparsable flag value as a
+//! usage error — exit 2, naming the flag — rather than panicking (exit
+//! 101) where CI reads a crash.
 
 use std::process::Command;
 
 fn usage_error(bin: &str, args: &[&str], flag: &str) {
-    let out = Command::new(bin).args(args).output().expect("run gate");
+    let out = Command::new(bin).args(args).output().expect("run binary");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "{bin} {args:?}: {stderr}");
     assert!(stderr.contains(flag), "{bin} must name {flag}: {stderr}");
@@ -23,4 +23,12 @@ fn wall_budget_rejects_bad_flag_values() {
     let bin = env!("CARGO_BIN_EXE_wall_budget");
     usage_error(bin, &["--budget-ms", "10k"], "--budget-ms");
     usage_error(bin, &["--report"], "--report");
+}
+
+#[test]
+fn figures_rejects_missing_path_values() {
+    let bin = env!("CARGO_BIN_EXE_figures");
+    usage_error(bin, &["--out"], "--out");
+    usage_error(bin, &["--bench-out"], "--bench-out");
+    usage_error(bin, &["--trace-export"], "--trace-export");
 }

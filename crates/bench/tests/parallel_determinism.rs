@@ -113,8 +113,9 @@ fn fnv1a(s: &str) -> u64 {
     h
 }
 
-/// A sweep's probe JSON lines, tagged with server, rate and load, minus
-/// the `audit.*` lines that only the `devpoll/simcheck` feature adds.
+/// A sweep's probe JSON lines, tagged with server, rate and load. Test
+/// builds run the `/dev/poll` invariant auditor, which must leave no
+/// trace in the probes: a digest may not depend on whether it ran.
 fn golden_probe_lines(kind: ServerKind, inactive: usize, reports: &[RunReport]) -> String {
     let label = kind.label();
     let load = format!("{inactive}");
@@ -126,10 +127,11 @@ fn golden_probe_lines(kind: ServerKind, inactive: usize, reports: &[RunReport]) 
             ("rate", rate.as_str()),
             ("inactive", load.as_str()),
         ]);
-        for line in lines.lines().filter(|l| !l.contains("\"audit.")) {
-            out.push_str(line);
-            out.push('\n');
-        }
+        assert!(
+            !lines.contains("\"audit."),
+            "{label}/load {load}: the auditor leaked an `audit.` metric into the probes"
+        );
+        out.push_str(&lines);
     }
     out
 }
@@ -150,10 +152,8 @@ fn golden_probe_lines(kind: ServerKind, inactive: usize, reports: &[RunReport]) 
 /// If this fails you changed simulation *behavior*, not just its speed.
 /// Only refresh the constants for a change that intends new output.
 ///
-/// Workspace-level test runs unify features and switch on
-/// `devpoll/simcheck`, whose runtime auditor adds an `audit.checks`
-/// probe counter; those lines are filtered out below so the digest is
-/// identical with and without the auditor.
+/// Debug test builds run the `/dev/poll` invariant auditor, so this
+/// also proves the auditor changes no observable byte.
 #[test]
 fn figures_and_probes_match_pre_overhaul_golden() {
     const GOLDEN_FNV: u64 = 0x16bf8231f958586c;

@@ -1,5 +1,5 @@
 //! The runtime invariant auditor: a checked mode for the `/dev/poll`
-//! core (enable with `--features simcheck`).
+//! core, on in debug builds and in simcheck, never in release figures.
 //!
 //! Every operation on a device revalidates the paper's stated
 //! invariants instead of trusting the fast path:
@@ -16,10 +16,11 @@
 //!   a power of two, and never shrinks (§3.1).
 //!
 //! Violations panic with a `simcheck audit:` message; check counts
-//! accumulate in the kernel probe under `audit.checks` so a run can
-//! prove the auditor was live. The functions are compiled
-//! unconditionally (they have their own tests); [`crate::device`] calls
-//! them only under the `simcheck` feature.
+//! accumulate in [`crate::DevPollRegistry::audit_checks`] so a run can
+//! prove the auditor was live, while the probes — and every digest over
+//! them — stay the same whether it ran or not. [`crate::device`] calls
+//! these functions on checked registries: every registry of a debug
+//! build, and those built with [`crate::DevPollRegistry::audited`].
 
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;

@@ -11,15 +11,6 @@ use crate::pollfd::{DvPoll, PollFd};
 use crate::select::{sys_select, FdSet, FD_SETSIZE};
 use crate::stock::{sys_poll, PollOutcome};
 
-/// Result of waiting for events.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WaitResult {
-    /// Ready descriptors (possibly empty for a zero timeout).
-    Events(Vec<PollFd>),
-    /// Nothing ready; the process should sleep and retry on wakeup.
-    WouldBlock,
-}
-
 /// An event-notification backend.
 pub trait EventBackend {
     /// Human-readable name for reports ("poll", "devpoll", …).
@@ -55,19 +46,20 @@ pub trait EventBackend {
         fd: Fd,
     ) -> Result<(), Errno>;
 
-    /// Collects ready descriptors, up to `max`.
+    /// Appends up to `max` ready descriptors, in ascending fd order, to
+    /// `out` — a buffer the caller owns, clears and reuses; an error
+    /// appends nothing. When nothing is ready and `timeout_ms` is
+    /// nonzero the process should sleep and retry on wakeup. No wait
+    /// reads the clock, so none takes `now`.
     fn wait(
         &mut self,
         kernel: &mut Kernel,
         registry: &mut DevPollRegistry,
-        now: SimTime,
         pid: Pid,
         max: usize,
         timeout_ms: i32,
-    ) -> Result<WaitResult, Errno>;
-
-    /// Current interest-set size (diagnostics).
-    fn interest_len(&self) -> usize;
+        out: &mut Vec<PollFd>,
+    ) -> Result<(), Errno>;
 
     /// Clones this backend into a fresh box. World snapshotting in
     /// `simcheck explore` forks whole lanes, and the backend's
@@ -88,29 +80,64 @@ impl Clone for Box<dyn EventBackend> {
     }
 }
 
-/// Folds a dense fd-indexed interest array (the user-space bookkeeping
-/// shared by the poll and select backends) in ascending-fd order.
-fn fingerprint_interest(h: &mut Fnv, interest: &[Option<PollBits>]) {
-    h.write_len(interest.iter().filter(|s| s.is_some()).count());
-    for (ix, ev) in interest.iter().enumerate() {
-        if let Some(ev) = ev {
-            h.write_usize(ix);
+/// The user-space interest set of the poll and select backends: stored
+/// densely, indexed by fd, so walking it yields ascending fds — a
+/// deterministic pollfd array and result order without a per-call sort.
+#[derive(Debug, Default, Clone)]
+struct UserInterest {
+    slots: Vec<Option<PollBits>>,
+}
+
+impl UserInterest {
+    /// Pure user-space bookkeeping: free.
+    fn set(&mut self, fd: Fd, events: PollBits) -> Result<(), Errno> {
+        let ix = usize::try_from(fd).map_err(|_| Errno::EINVAL)?;
+        if ix >= self.slots.len() {
+            self.slots.resize(ix + 1, None);
+        }
+        self.slots[ix] = Some(events);
+        Ok(())
+    }
+
+    fn remove(&mut self, fd: Fd) {
+        if let Some(slot) = usize::try_from(fd)
+            .ok()
+            .and_then(|ix| self.slots.get_mut(ix))
+        {
+            *slot = None;
+        }
+    }
+
+    fn get(&self, fd: Fd) -> PollBits {
+        usize::try_from(fd)
+            .ok()
+            .and_then(|ix| self.slots.get(ix).copied().flatten())
+            .unwrap_or(PollBits::EMPTY)
+    }
+
+    /// `(fd, events)` in ascending fd order.
+    fn iter(&self) -> impl Iterator<Item = (Fd, PollBits)> + '_ {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter_map(|(ix, ev)| ev.map(|ev| (ix as Fd, ev)))
+    }
+
+    fn fingerprint_into(&self, h: &mut Fnv) {
+        h.write_len(self.iter().count());
+        for (fd, ev) in self.iter() {
+            h.write_usize(fd as usize);
             h.write_u32(u32::from(ev.0));
         }
     }
 }
 
 /// Stock `poll()`: the interest set lives in user space and the whole
-/// array crosses into the kernel on every call.
-///
-/// Interest is stored densely, indexed by fd, so the rebuilt pollfd
-/// array — and therefore every result — is deterministic (ascending fd)
-/// without a per-call sort, and the rebuild reuses one scratch buffer
-/// instead of allocating per wait.
+/// array crosses into the kernel on every call. The rebuild reuses one
+/// scratch buffer instead of allocating per wait.
 #[derive(Debug, Default, Clone)]
 pub struct StockPollBackend {
-    interest: Vec<Option<PollBits>>,
-    len: usize,
+    interest: UserInterest,
     scratch: Vec<PollFd>,
 }
 
@@ -145,15 +172,7 @@ impl EventBackend for StockPollBackend {
         fd: Fd,
         events: PollBits,
     ) -> Result<(), Errno> {
-        // Pure user-space bookkeeping: free.
-        let ix = usize::try_from(fd).map_err(|_| Errno::EINVAL)?;
-        if ix >= self.interest.len() {
-            self.interest.resize(ix + 1, None);
-        }
-        if self.interest[ix].replace(events).is_none() {
-            self.len += 1;
-        }
-        Ok(())
+        self.interest.set(fd, events)
     }
 
     fn remove_interest(
@@ -164,14 +183,7 @@ impl EventBackend for StockPollBackend {
         _pid: Pid,
         fd: Fd,
     ) -> Result<(), Errno> {
-        if let Some(slot) = usize::try_from(fd)
-            .ok()
-            .and_then(|ix| self.interest.get_mut(ix))
-        {
-            if slot.take().is_some() {
-                self.len -= 1;
-            }
-        }
+        self.interest.remove(fd);
         Ok(())
     }
 
@@ -179,41 +191,23 @@ impl EventBackend for StockPollBackend {
         &mut self,
         kernel: &mut Kernel,
         _registry: &mut DevPollRegistry,
-        now: SimTime,
         pid: Pid,
         max: usize,
         timeout_ms: i32,
-    ) -> Result<WaitResult, Errno> {
+        out: &mut Vec<PollFd>,
+    ) -> Result<(), Errno> {
         // The application rebuilds its pollfd array each call (§6: "
         // Applications of this type often entirely rebuild their pollfd
         // array each time they invoke poll()") — into a reused scratch
         // buffer, in ascending fd order, so the array is deterministic.
         let mut fds = std::mem::take(&mut self.scratch);
         fds.clear();
-        for (ix, ev) in self.interest.iter().enumerate() {
-            if let Some(&ev) = ev.as_ref() {
-                fds.push(PollFd::new(ix as Fd, ev));
-            }
+        fds.extend(self.interest.iter().map(|(fd, ev)| PollFd::new(fd, ev)));
+        if let PollOutcome::Ready(_) = sys_poll(kernel, pid, &mut fds, timeout_ms) {
+            out.extend(fds.iter().filter(|f| !f.revents.is_empty()).take(max));
         }
-        let outcome = sys_poll(kernel, now, pid, &mut fds, timeout_ms);
-        let result = match outcome {
-            PollOutcome::WouldBlock => WaitResult::WouldBlock,
-            PollOutcome::Ready(_) => {
-                let mut out: Vec<PollFd> = Vec::new();
-                for f in &fds {
-                    if !f.revents.is_empty() && out.len() < max {
-                        out.push(*f);
-                    }
-                }
-                WaitResult::Events(out)
-            }
-        };
         self.scratch = fds;
-        Ok(result)
-    }
-
-    fn interest_len(&self) -> usize {
-        self.len
+        Ok(())
     }
 
     fn clone_box(&self) -> Box<dyn EventBackend> {
@@ -221,7 +215,7 @@ impl EventBackend for StockPollBackend {
     }
 
     fn fingerprint_into(&self, h: &mut Fnv) {
-        fingerprint_interest(h, &self.interest);
+        self.interest.fingerprint_into(h);
     }
 }
 
@@ -231,21 +225,13 @@ impl EventBackend for StockPollBackend {
 /// nothing past [`FD_SETSIZE`] can be watched at all.
 #[derive(Debug, Default, Clone)]
 pub struct SelectBackend {
-    interest: Vec<Option<PollBits>>,
-    len: usize,
+    interest: UserInterest,
 }
 
 impl SelectBackend {
     /// Creates an empty backend.
     pub fn new() -> SelectBackend {
         SelectBackend::default()
-    }
-
-    fn interest_of(&self, fd: Fd) -> PollBits {
-        usize::try_from(fd)
-            .ok()
-            .and_then(|ix| self.interest.get(ix).copied().flatten())
-            .unwrap_or(PollBits::EMPTY)
     }
 }
 
@@ -276,14 +262,7 @@ impl EventBackend for SelectBackend {
         if fd < 0 || fd as usize >= FD_SETSIZE {
             return Err(Errno::EINVAL); // Beyond the bitmap: unwatchable.
         }
-        let ix = fd as usize;
-        if ix >= self.interest.len() {
-            self.interest.resize(ix + 1, None);
-        }
-        if self.interest[ix].replace(events).is_none() {
-            self.len += 1;
-        }
-        Ok(())
+        self.interest.set(fd, events)
     }
 
     fn remove_interest(
@@ -294,14 +273,7 @@ impl EventBackend for SelectBackend {
         _pid: Pid,
         fd: Fd,
     ) -> Result<(), Errno> {
-        if let Some(slot) = usize::try_from(fd)
-            .ok()
-            .and_then(|ix| self.interest.get_mut(ix))
-        {
-            if slot.take().is_some() {
-                self.len -= 1;
-            }
-        }
+        self.interest.remove(fd);
         Ok(())
     }
 
@@ -309,56 +281,44 @@ impl EventBackend for SelectBackend {
         &mut self,
         kernel: &mut Kernel,
         _registry: &mut DevPollRegistry,
-        now: SimTime,
         pid: Pid,
         max: usize,
         timeout_ms: i32,
-    ) -> Result<WaitResult, Errno> {
+        out: &mut Vec<PollFd>,
+    ) -> Result<(), Errno> {
         // Rebuild both bitmaps — select's API overwrote last call's.
         let mut read_set = FdSet::new();
         let mut write_set = FdSet::new();
-        for (ix, ev) in self.interest.iter().enumerate() {
-            let Some(ev) = ev else { continue };
+        for (fd, ev) in self.interest.iter() {
             if ev.intersects(PollBits::POLLIN) {
-                read_set.set(ix as Fd);
+                read_set.set(fd);
             }
             if ev.intersects(PollBits::POLLOUT) {
-                write_set.set(ix as Fd);
+                write_set.set(fd);
             }
         }
-        match sys_select(kernel, now, pid, &mut read_set, &mut write_set, timeout_ms) {
-            PollOutcome::WouldBlock => Ok(WaitResult::WouldBlock),
-            PollOutcome::Ready(_) => {
-                let mut out = Vec::new();
-                for fd in read_set.iter() {
-                    let mut revents = PollBits::POLLIN;
-                    if write_set.is_set(fd) {
-                        revents |= PollBits::POLLOUT;
-                    }
-                    out.push(PollFd {
-                        fd,
-                        events: self.interest_of(fd),
-                        revents,
-                    });
-                }
-                for fd in write_set.iter() {
-                    if !read_set.is_set(fd) {
-                        out.push(PollFd {
-                            fd,
-                            events: self.interest_of(fd),
-                            revents: PollBits::POLLOUT,
-                        });
-                    }
-                }
-                out.sort_by_key(|p| p.fd); // Read-then-write walk order.
-                out.truncate(max);
-                Ok(WaitResult::Events(out))
-            }
+        if sys_select(kernel, pid, &mut read_set, &mut write_set, timeout_ms)
+            == PollOutcome::WouldBlock
+        {
+            return Ok(());
         }
-    }
-
-    fn interest_len(&self) -> usize {
-        self.len
+        // One ascending walk over both result bitmaps.
+        let ready = (0..FD_SETSIZE as Fd).filter_map(|fd| {
+            let mut revents = PollBits::EMPTY;
+            if read_set.is_set(fd) {
+                revents |= PollBits::POLLIN;
+            }
+            if write_set.is_set(fd) {
+                revents |= PollBits::POLLOUT;
+            }
+            (!revents.is_empty()).then(|| PollFd {
+                fd,
+                events: self.interest.get(fd),
+                revents,
+            })
+        });
+        out.extend(ready.take(max));
+        Ok(())
     }
 
     fn clone_box(&self) -> Box<dyn EventBackend> {
@@ -366,49 +326,46 @@ impl EventBackend for SelectBackend {
     }
 
     fn fingerprint_into(&self, h: &mut Fnv) {
-        fingerprint_interest(h, &self.interest);
+        self.interest.fingerprint_into(h);
     }
 }
+
+/// Result-area slots a [`DevPollBackend`] maps when mmap is on.
+const MMAP_SLOTS: usize = 512;
 
 /// `/dev/poll`: the interest set lives in the kernel; updates are
 /// incremental writes and waiting is `ioctl(DP_POLL)`.
 #[derive(Debug, Clone)]
 pub struct DevPollBackend {
     config: DevPollConfig,
-    /// Use the shared mmap result area (§3.3).
+    /// Use the shared mmap result area (§3.3) of `MMAP_SLOTS` slots.
     use_mmap: bool,
-    /// Result-area slots to allocate when mmap is on.
-    mmap_slots: usize,
     /// Buffer interest updates in user space and apply them inside the
     /// next wait using the combined write+ioctl operation (§6 future
     /// work).
     combined_updates: bool,
     pending: Vec<PollFd>,
     dpfd: Option<Fd>,
-    len: usize,
 }
 
 impl DevPollBackend {
     /// A backend with the paper's full feature set (hints + mmap).
     pub fn new() -> DevPollBackend {
-        DevPollBackend::with_config(DevPollConfig::default(), true, 512, false)
+        DevPollBackend::with_config(DevPollConfig::default(), true, false)
     }
 
     /// Full control over the feature switches (for ablations).
     pub fn with_config(
         config: DevPollConfig,
         use_mmap: bool,
-        mmap_slots: usize,
         combined_updates: bool,
     ) -> DevPollBackend {
         DevPollBackend {
             config,
             use_mmap,
-            mmap_slots,
             combined_updates,
             pending: Vec::new(),
             dpfd: None,
-            len: 0,
         }
     }
 
@@ -446,7 +403,7 @@ impl EventBackend for DevPollBackend {
     ) -> Result<(), Errno> {
         let dpfd = registry.open(kernel, now, pid, self.config)?;
         if self.use_mmap {
-            registry.dp_alloc_mmap(kernel, now, pid, dpfd, self.mmap_slots)?;
+            registry.dp_alloc_mmap(kernel, now, pid, dpfd, MMAP_SLOTS)?;
         }
         self.dpfd = Some(dpfd);
         Ok(())
@@ -462,15 +419,11 @@ impl EventBackend for DevPollBackend {
         events: PollBits,
     ) -> Result<(), Errno> {
         let dpfd = self.dpfd()?;
-        self.len += 1; // Adjusted below if it was an update.
         if self.combined_updates {
             self.pending.push(PollFd::new(fd, events));
             return Ok(());
         }
-        let before = registry.device(kernel, pid, dpfd)?.interest().len();
         registry.write(kernel, now, pid, dpfd, &[PollFd::new(fd, events)])?;
-        let after = registry.device(kernel, pid, dpfd)?.interest().len();
-        self.len = after.max(before);
         Ok(())
     }
 
@@ -488,7 +441,6 @@ impl EventBackend for DevPollBackend {
             return Ok(());
         }
         registry.write(kernel, now, pid, dpfd, &[PollFd::remove(fd)])?;
-        self.len = registry.device(kernel, pid, dpfd)?.interest().len();
         Ok(())
     }
 
@@ -496,31 +448,23 @@ impl EventBackend for DevPollBackend {
         &mut self,
         kernel: &mut Kernel,
         registry: &mut DevPollRegistry,
-        now: SimTime,
         pid: Pid,
         max: usize,
         timeout_ms: i32,
-    ) -> Result<WaitResult, Errno> {
+        out: &mut Vec<PollFd>,
+    ) -> Result<(), Errno> {
         let dpfd = self.dpfd()?;
         if self.combined_updates && !self.pending.is_empty() {
             let updates = std::mem::take(&mut self.pending);
-            registry.write_combined(kernel, now, pid, dpfd, &updates)?;
+            registry.write_combined(kernel, pid, dpfd, &updates)?;
         }
         let args = if self.use_mmap {
             DvPoll::into_mmap(max, timeout_ms)
         } else {
             DvPoll::into_user_buffer(max, timeout_ms)
         };
-        let (outcome, results) = registry.dp_poll(kernel, now, pid, dpfd, args)?;
-        self.len = registry.device(kernel, pid, dpfd)?.interest().len();
-        match outcome {
-            PollOutcome::WouldBlock => Ok(WaitResult::WouldBlock),
-            PollOutcome::Ready(_) => Ok(WaitResult::Events(results)),
-        }
-    }
-
-    fn interest_len(&self) -> usize {
-        self.len
+        registry.dp_poll_into(kernel, pid, dpfd, args, out)?;
+        Ok(())
     }
 
     fn clone_box(&self) -> Box<dyn EventBackend> {

@@ -8,8 +8,8 @@ use simcore::span::Phase;
 use simcore::time::{SimDuration, SimTime};
 use simkernel::{Errno, Fd, FileKind, Kernel, Pid, PollBits};
 
+use crate::audit;
 use crate::interest::InterestTable;
-#[cfg(feature = "simcheck")]
 use crate::lockdep::{LockClass, LockGraph};
 use crate::pollfd::{DvPoll, PollFd};
 use crate::stock::PollOutcome;
@@ -94,7 +94,7 @@ impl DevPollDevice {
 ///
 /// "A process may open /dev/poll more than once to build multiple
 /// independent interest sets" — each `open` yields a distinct device.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Clone)]
 pub struct DevPollRegistry {
     /// Ordered by handle so multi-device walks ([`Self::on_fd_event`])
     /// are deterministic.
@@ -115,9 +115,14 @@ pub struct DevPollRegistry {
     /// dual-purge bug. Test-only.
     #[doc(hidden)]
     testhook_skip_backmap_purge: bool,
+    /// Checked mode: every operation runs the invariant auditor
+    /// ([`crate::audit`]) and records its lock acquisitions. On in debug
+    /// builds and in simcheck, never in release figures.
+    audit: bool,
+    /// Invariant checks the auditor has performed.
+    audit_checks: u64,
     /// Lock-order recorder (checked mode): every simulated rwlock /
     /// per-socket acquisition lands here so inverted orders are caught.
-    #[cfg(feature = "simcheck")]
     lockdep: LockGraph,
     /// Scan scratch (reused across `dp_poll` calls; no per-scan allocation).
     scan_scratch: Vec<(Fd, PollBits)>,
@@ -126,10 +131,38 @@ pub struct DevPollRegistry {
     unwatch_scratch: Vec<Fd>,
 }
 
+impl Default for DevPollRegistry {
+    fn default() -> DevPollRegistry {
+        DevPollRegistry::new()
+    }
+}
+
 impl DevPollRegistry {
-    /// Creates an empty registry.
+    /// Creates an empty registry, checked in debug builds only.
     pub fn new() -> DevPollRegistry {
-        DevPollRegistry::default()
+        DevPollRegistry::with_audit(cfg!(debug_assertions))
+    }
+
+    /// Creates an empty registry that is checked in every build profile
+    /// (the simcheck lanes).
+    pub fn audited() -> DevPollRegistry {
+        DevPollRegistry::with_audit(true)
+    }
+
+    fn with_audit(audit: bool) -> DevPollRegistry {
+        DevPollRegistry {
+            devices: BTreeMap::new(),
+            next: 0,
+            testhook_skip_revalidation: false,
+            testhook_or_semantics: false,
+            testhook_skip_backmap_purge: false,
+            audit,
+            audit_checks: 0,
+            lockdep: LockGraph::new(),
+            scan_scratch: Vec::new(),
+            watch_scratch: Vec::new(),
+            unwatch_scratch: Vec::new(),
+        }
     }
 
     /// `open("/dev/poll")`: creates an instance and a descriptor for it.
@@ -227,10 +260,29 @@ impl DevPollRegistry {
             + scratch
     }
 
-    /// The lock-order graph recorded so far (checked mode).
-    #[cfg(feature = "simcheck")]
+    /// The lock-order graph recorded so far (empty unless checked).
     pub fn lockdep(&self) -> &LockGraph {
         &self.lockdep
+    }
+
+    /// Invariant checks the auditor has performed (0 unless checked) —
+    /// the proof that a checked run's auditor was live.
+    pub fn audit_checks(&self) -> u64 {
+        self.audit_checks
+    }
+
+    /// Records the nested acquisition of `order`, then its release
+    /// innermost first, in the lock-order graph (checked mode only).
+    fn record_locks(&mut self, order: &[LockClass]) {
+        if !self.audit {
+            return;
+        }
+        for &class in order {
+            self.lockdep.acquire(class);
+        }
+        for &class in order.iter().rev() {
+            self.lockdep.release(class);
+        }
     }
 
     /// The device handle behind a descriptor (no ownership check).
@@ -302,11 +354,7 @@ impl DevPollRegistry {
         let t_backmap = kernel.batch_acc(pid);
         kernel.charge_app(pid, cost.backmap_wlock);
         let t_table = kernel.batch_acc(pid);
-        #[cfg(feature = "simcheck")]
-        {
-            self.lockdep.acquire(LockClass::Backmap);
-            self.lockdep.acquire(LockClass::InterestTable);
-        }
+        self.record_locks(&[LockClass::Backmap, LockClass::InterestTable]);
 
         let mut to_watch = std::mem::take(&mut self.watch_scratch);
         to_watch.clear();
@@ -316,7 +364,6 @@ impl DevPollRegistry {
         let force_or = self.testhook_or_semantics;
         let dev = self.resolve(kernel, pid, dpfd)?;
         let or_semantics = dev.config.or_semantics || force_or;
-        #[cfg(feature = "simcheck")]
         let prev_buckets = dev.interest.bucket_count();
         let grows_before = dev.interest.grow_count();
         for e in entries {
@@ -347,11 +394,6 @@ impl DevPollRegistry {
         probe.gauge_set("devpoll.interest.len", len);
         probe.gauge_set("devpoll.interest.buckets", buckets);
         probe.gauge_set("devpoll.interest.max_bucket", max_bucket);
-        #[cfg(feature = "simcheck")]
-        {
-            self.lockdep.release(LockClass::InterestTable);
-            self.lockdep.release(LockClass::Backmap);
-        }
         if spans_on {
             // Hold spans for the locked region above (charges between the
             // acquisition snapshots and here), Backmap enclosing
@@ -365,10 +407,9 @@ impl DevPollRegistry {
         for &fd in &to_unwatch {
             kernel.unwatch(pid, fd);
         }
-        #[cfg(feature = "simcheck")]
-        {
+        if self.audit {
             let dev = self.resolve(kernel, pid, dpfd)?;
-            let checks = crate::audit::check_write(
+            let checks = audit::check_write(
                 kernel,
                 pid,
                 dev,
@@ -377,7 +418,7 @@ impl DevPollRegistry {
                 or_semantics,
                 prev_buckets,
             );
-            kernel.probe_mut().add("audit.checks", checks);
+            self.audit_checks += checks;
         }
         self.watch_scratch = to_watch;
         self.unwatch_scratch = to_unwatch;
@@ -395,7 +436,6 @@ impl DevPollRegistry {
     pub fn write_combined(
         &mut self,
         kernel: &mut Kernel,
-        _now: SimTime,
         pid: Pid,
         dpfd: Fd,
         entries: &[PollFd],
@@ -441,13 +481,8 @@ impl DevPollRegistry {
         Ok(())
     }
 
-    /// `ioctl(dpfd, DP_POLL, dvpoll)`: scans the interest set (§3.1-3.3).
-    ///
-    /// With hints enabled only descriptors whose status may have changed
-    /// — hinted ones, plus cached-ready ones which "\[have\] to be
-    /// reevaluated each time" — pay a driver poll callback. Results are
-    /// written to the mmap area when `dvpoll.null_dp_fds` is set.
-    // #[hot_path] — simcheck bans per-call allocation in this function
+    /// `ioctl(dpfd, DP_POLL, dvpoll)`: scans the interest set (§3.1-3.3)
+    /// and returns the outcome with the ready descriptors.
     pub fn dp_poll(
         &mut self,
         kernel: &mut Kernel,
@@ -456,6 +491,27 @@ impl DevPollRegistry {
         dpfd: Fd,
         args: DvPoll,
     ) -> Result<(PollOutcome, Vec<PollFd>), Errno> {
+        let mut results = Vec::new();
+        let outcome = self.dp_poll_into(kernel, pid, dpfd, args, &mut results)?;
+        Ok((outcome, results))
+    }
+
+    /// [`Self::dp_poll`] appending the ready descriptors to `out`, a
+    /// buffer the caller owns and reuses.
+    ///
+    /// With hints enabled only descriptors whose status may have changed
+    /// — hinted ones, plus cached-ready ones which "\[have\] to be
+    /// reevaluated each time" — pay a driver poll callback. Results are
+    /// written to the mmap area when `dvpoll.null_dp_fds` is set.
+    // #[hot_path] — simcheck bans per-call allocation in this function
+    pub fn dp_poll_into(
+        &mut self,
+        kernel: &mut Kernel,
+        pid: Pid,
+        dpfd: Fd,
+        args: DvPoll,
+        out: &mut Vec<PollFd>,
+    ) -> Result<PollOutcome, Errno> {
         let cost = *kernel.cost_model();
         let spans_on = kernel.spans().enabled();
         let t_scan = kernel.batch_acc(pid);
@@ -464,18 +520,15 @@ impl DevPollRegistry {
             return Err(Errno::EINVAL);
         }
         let skip_reval = self.testhook_skip_revalidation;
+        let checked = self.audit;
         // The scan holds the backmap read lock, consults the interest
         // table and invokes driver (socket) poll callbacks — in that
         // order, which the checked mode's lockdep graph records.
-        #[cfg(feature = "simcheck")]
-        {
-            self.lockdep.acquire(LockClass::Backmap);
-            self.lockdep.acquire(LockClass::InterestTable);
-            self.lockdep.acquire(LockClass::Socket);
-            self.lockdep.release(LockClass::Socket);
-            self.lockdep.release(LockClass::InterestTable);
-            self.lockdep.release(LockClass::Backmap);
-        }
+        self.record_locks(&[
+            LockClass::Backmap,
+            LockClass::InterestTable,
+            LockClass::Socket,
+        ]);
 
         // Gather readiness into the reused scan scratch buffer — the
         // kernel is the "driver" here, a disjoint borrow, so the device
@@ -485,7 +538,7 @@ impl DevPollRegistry {
         self.resolve(kernel, pid, dpfd)?;
         let mut candidates = std::mem::take(&mut self.scan_scratch);
         candidates.clear();
-        let mut results: Vec<PollFd> = Vec::new();
+        let base = out.len();
         let dev = self
             .devices
             .get_mut(&handle)
@@ -511,7 +564,7 @@ impl DevPollRegistry {
                     // Under the fault-injection hook, cached-ready
                     // entries bypass the scan and their stale cached
                     // result is served as-is.
-                    results.push(PollFd {
+                    out.push(PollFd {
                         fd: e.fd,
                         events: e.events,
                         revents: e.cached,
@@ -523,10 +576,8 @@ impl DevPollRegistry {
                 candidates.push((e.fd, e.events));
             }
         }
-        #[cfg(feature = "simcheck")]
-        if hints && !skip_reval {
-            let checks = crate::audit::check_scan_candidates(dev, &candidates);
-            kernel.probe_mut().add("audit.checks", checks);
+        if checked && hints && !skip_reval {
+            self.audit_checks += audit::check_scan_candidates(dev, &candidates);
         }
         let polled = candidates.len();
         let avoided = dev.interest.len() - polled;
@@ -563,7 +614,7 @@ impl DevPollRegistry {
             let revents = state & (events | PollBits::always_reported());
             dev.interest.set_scan_result(fd, revents);
             if !revents.is_empty() {
-                results.push(PollFd {
+                out.push(PollFd {
                     fd,
                     events,
                     revents,
@@ -587,15 +638,14 @@ impl DevPollRegistry {
         // (modelled) hash table's internal layout — determinism the
         // simcheck differential oracle (and any consumer diffing runs)
         // relies on.
-        results.sort_by_key(|r| r.fd);
-        #[cfg(feature = "simcheck")]
-        if !skip_reval {
+        out[base..].sort_by_key(|r| r.fd);
+        if checked && !skip_reval {
             let dev = self
                 .devices
                 .get(&handle)
                 .expect("invariant: resolved above");
-            let checks = crate::audit::check_scan_results(kernel, pid, dev, &candidates, &results);
-            kernel.probe_mut().add("audit.checks", checks);
+            self.audit_checks +=
+                audit::check_scan_results(kernel, pid, dev, &candidates, &out[base..]);
         }
 
         let dev = self
@@ -606,21 +656,21 @@ impl DevPollRegistry {
             (true, Some(slots)) => args.dp_nfds.min(slots),
             _ => args.dp_nfds,
         };
-        results.truncate(cap);
-        dev.stats.results += results.len() as u64;
-        let result_bytes = (results.len() * PollFd::BYTES) as u64;
+        out.truncate(base + cap);
+        let n = out.len() - base;
+        dev.stats.results += n as u64;
+        let result_bytes = (n * PollFd::BYTES) as u64;
         let t_out = kernel.batch_acc(pid);
         if args.null_dp_fds {
-            dev.stats.mmap_results += results.len() as u64;
-            kernel.charge_app(pid, cost.mmap_result_write * results.len() as u64);
+            dev.stats.mmap_results += n as u64;
+            kernel.charge_app(pid, cost.mmap_result_write * n as u64);
             kernel
                 .probe_mut()
                 .add("devpoll.mmap_result_bytes", result_bytes);
         } else {
             kernel.charge_app(
                 pid,
-                (cost.pollfd_copyout + cost.copy_per_byte * PollFd::BYTES as u64)
-                    * results.len() as u64,
+                (cost.pollfd_copyout + cost.copy_per_byte * PollFd::BYTES as u64) * n as u64,
             );
             kernel
                 .probe_mut()
@@ -630,21 +680,16 @@ impl DevPollRegistry {
             // Event delivery: mmap result write or pollfd copy-out.
             kernel.span_leaf(pid, Phase::Delivery, t_out);
         }
-        kernel
-            .probe_mut()
-            .add("devpoll.results", results.len() as u64);
+        kernel.probe_mut().add("devpoll.results", n as u64);
 
         candidates.clear();
         self.scan_scratch = candidates;
-        if !results.is_empty() {
-            return Ok((PollOutcome::Ready(results.len()), results));
-        }
-        if args.dp_timeout == 0 {
-            return Ok((PollOutcome::Ready(0), results));
+        if n > 0 || args.dp_timeout == 0 {
+            return Ok(PollOutcome::Ready(n));
         }
         // Watchers were registered when interests were written; sleeping
         // costs no per-descriptor wait-queue traffic — the key §3.1 win.
-        Ok((PollOutcome::WouldBlock, results))
+        Ok(PollOutcome::WouldBlock)
     }
 
     /// Routes a descriptor event into every interested device: the
@@ -657,13 +702,7 @@ impl DevPollRegistry {
         // The driver's hint path takes the backmap read lock, then
         // touches the interest table — the same order as the scan path,
         // so the lockdep graph stays acyclic.
-        #[cfg(feature = "simcheck")]
-        {
-            self.lockdep.acquire(LockClass::Backmap);
-            self.lockdep.acquire(LockClass::InterestTable);
-            self.lockdep.release(LockClass::InterestTable);
-            self.lockdep.release(LockClass::Backmap);
-        }
+        self.record_locks(&[LockClass::Backmap, LockClass::InterestTable]);
         for dev in self.devices.values_mut() {
             if dev.owner != pid {
                 continue;

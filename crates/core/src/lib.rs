@@ -32,7 +32,7 @@ pub mod rtsig;
 pub mod select;
 pub mod stock;
 
-pub use backend::{DevPollBackend, EventBackend, SelectBackend, StockPollBackend, WaitResult};
+pub use backend::{DevPollBackend, EventBackend, SelectBackend, StockPollBackend};
 pub use device::{DevPollConfig, DevPollDevice, DevPollRegistry, DevPollStats};
 pub use interest::{Interest, InterestTable, SetOutcome};
 pub use lockdep::{LockClass, LockGraph, OrderViolation};

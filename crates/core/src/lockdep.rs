@@ -11,9 +11,9 @@
 //! per-socket-lock refinement can land with a deadlock detector already
 //! watching it.
 //!
-//! Recording is wired into [`crate::device`] under the `simcheck`
-//! feature; the graph itself is always compiled so tools and tests can
-//! use it directly.
+//! Recording is wired into [`crate::device`] for checked registries
+//! (see [`crate::audit`]); tools and tests can also use the graph
+//! directly.
 
 use std::collections::{BTreeMap, BTreeSet};
 

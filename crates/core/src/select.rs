@@ -9,7 +9,6 @@
 //! alludes to ("httperf assumes that the maximum is 1024").
 
 use simcore::span::Phase;
-use simcore::time::SimTime;
 use simkernel::{Fd, Kernel, Pid, PollBits};
 
 use crate::stock::PollOutcome;
@@ -92,7 +91,6 @@ impl FdSet {
 /// [`PollOutcome::WouldBlock`] the caller sleeps and retries.
 pub fn sys_select(
     kernel: &mut Kernel,
-    _now: SimTime,
     pid: Pid,
     read_set: &mut FdSet,
     write_set: &mut FdSet,

@@ -7,7 +7,6 @@
 //! costs that §3 attributes the baseline's poor scalability to.
 
 use simcore::span::Phase;
-use simcore::time::SimTime;
 use simkernel::{Kernel, Pid, PollBits};
 
 use crate::pollfd::PollFd;
@@ -35,13 +34,7 @@ pub enum PollOutcome {
 ///
 /// See the `thttpd` server in the `servers` crate for the canonical
 /// event loop built on this call.
-pub fn sys_poll(
-    kernel: &mut Kernel,
-    _now: SimTime,
-    pid: Pid,
-    fds: &mut [PollFd],
-    timeout_ms: i32,
-) -> PollOutcome {
+pub fn sys_poll(kernel: &mut Kernel, pid: Pid, fds: &mut [PollFd], timeout_ms: i32) -> PollOutcome {
     let cost = *kernel.cost_model();
     kernel.charge_app(pid, cost.syscall);
     let probe = kernel.probe_mut();
@@ -110,7 +103,7 @@ pub fn sys_poll(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simcore::time::SimDuration;
+    use simcore::time::{SimDuration, SimTime};
     use simkernel::CostModel;
     use simnet::{HostId, LinkConfig, Network, SockAddr, TcpConfig};
 
@@ -175,7 +168,7 @@ mod tests {
         let t = SimTime::from_millis(30);
         kernel.begin_batch(t, pid);
         let mut fds = [PollFd::new(fd, PollBits::POLLIN)];
-        let out = sys_poll(&mut kernel, t, pid, &mut fds, -1);
+        let out = sys_poll(&mut kernel, pid, &mut fds, -1);
         kernel.end_batch(t, pid);
         assert_eq!(out, PollOutcome::Ready(1));
         assert!(fds[0].revents.contains(PollBits::POLLIN));
@@ -187,7 +180,7 @@ mod tests {
         let t = SimTime::from_millis(20);
         kernel.begin_batch(t, pid);
         let mut fds = [PollFd::new(fd, PollBits::POLLIN)];
-        let out = sys_poll(&mut kernel, t, pid, &mut fds, -1);
+        let out = sys_poll(&mut kernel, pid, &mut fds, -1);
         assert_eq!(out, PollOutcome::WouldBlock);
         assert_eq!(kernel.watch_count(pid), 1);
         kernel.end_batch_sleep(t, pid, None);
@@ -199,7 +192,7 @@ mod tests {
         let t = SimTime::from_millis(20);
         kernel.begin_batch(t, pid);
         let mut fds = [PollFd::new(fd, PollBits::POLLIN)];
-        let out = sys_poll(&mut kernel, t, pid, &mut fds, 0);
+        let out = sys_poll(&mut kernel, pid, &mut fds, 0);
         kernel.end_batch(t, pid);
         assert_eq!(out, PollOutcome::Ready(0));
         assert_eq!(kernel.watch_count(pid), 0);
@@ -216,7 +209,7 @@ mod tests {
             kernel.begin_batch(t, pid);
             // Use the same (valid) fd n times: cost model does not care.
             let mut fds = vec![PollFd::new(fd, PollBits::POLLIN); n];
-            let _ = sys_poll(kernel, t, pid, &mut fds, 0);
+            let _ = sys_poll(kernel, pid, &mut fds, 0);
             let start = t;
             let done = kernel.end_batch(start, pid);
             done.saturating_duration_since(start)
@@ -253,7 +246,7 @@ mod tests {
         kernel.begin_batch(t, pid);
         // Ask only for POLLOUT; HUP must still be reported.
         let mut fds = [PollFd::new(fd, PollBits::POLLOUT)];
-        let out = sys_poll(&mut kernel, t, pid, &mut fds, -1);
+        let out = sys_poll(&mut kernel, pid, &mut fds, -1);
         kernel.end_batch(t, pid);
         assert_eq!(out, PollOutcome::Ready(1));
         assert!(fds[0].revents.contains(PollBits::POLLHUP));

@@ -210,7 +210,7 @@ fn combined_update_poll_charges_one_syscall_less() {
         let upd = [PollFd::new(fd, PollBits::POLLIN)];
         if combined {
             w.registry
-                .write_combined(&mut w.kernel, t, w.pid, dpfd, &upd)
+                .write_combined(&mut w.kernel, w.pid, dpfd, &upd)
                 .unwrap();
         } else {
             w.registry

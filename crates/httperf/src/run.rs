@@ -262,7 +262,7 @@ pub fn run_one(params: RunParams) -> RunReport {
             } => {
                 let mut s = Thttpd::new(
                     &mut ctx,
-                    DevPollBackend::with_config(config, mmap, 512, combined),
+                    DevPollBackend::with_config(config, mmap, combined),
                     server_cfg,
                 );
                 s.set_content(content);

@@ -8,7 +8,7 @@
 //! activity. This would allow switching between polling and signal queue
 //! mode with very little overhead.").
 
-use devpoll::{DevPollBackend, EventBackend, RtEvent, RtSignalApi, WaitResult};
+use devpoll::{DevPollBackend, EventBackend, RtEvent, RtSignalApi};
 use simcore::span::Phase;
 use simkernel::{Errno, Fd, PollBits};
 
@@ -129,17 +129,7 @@ impl HybridServer {
         // Signals keep arriving while polling; discard them — the
         // devpoll hints carry the same information.
         let _ = self.rtapi.flush(ctx.kernel, pid);
-        let events = match self.backend.wait(
-            ctx.kernel,
-            ctx.registry,
-            ctx.now,
-            pid,
-            self.table.config.max_events,
-            -1,
-        ) {
-            Ok(WaitResult::Events(evs)) => evs,
-            Ok(WaitResult::WouldBlock) | Err(_) => Vec::new(),
-        };
+        let events = self.table.wait(ctx, &mut self.backend);
         for ev in &events {
             let span = ctx.kernel.span_open(pid, Phase::Dispatch);
             self.dispatch(ctx, ev.fd, ev.revents);
@@ -148,7 +138,7 @@ impl HybridServer {
         if events.len() < DOWN_EVENTS {
             self.switch_to(HybridMode::Signals);
         }
-        self.table.end_batch(ctx, events.len());
+        self.table.end_wait_batch(ctx, events);
     }
 
     fn switch_to(&mut self, mode: HybridMode) {

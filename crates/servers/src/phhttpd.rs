@@ -12,7 +12,7 @@
 //!   from scratch — and the server *never switches back* to signal mode
 //!   ("Brown never implemented this logic", §6).
 
-use devpoll::{EventBackend, RtEvent, RtSignalApi, StockPollBackend, WaitResult};
+use devpoll::{EventBackend, RtEvent, RtSignalApi, StockPollBackend};
 use simcore::span::Phase;
 use simkernel::{Errno, Fd, PollBits};
 
@@ -208,23 +208,13 @@ impl Phhttpd {
 
     fn run_polling_batch(&mut self, ctx: &mut ServerCtx<'_>) {
         let pid = self.table.pid;
-        let events = match self.poll_backend.wait(
-            ctx.kernel,
-            ctx.registry,
-            ctx.now,
-            pid,
-            self.table.config.max_events,
-            -1,
-        ) {
-            Ok(WaitResult::Events(evs)) => evs,
-            Ok(WaitResult::WouldBlock) | Err(_) => Vec::new(),
-        };
+        let events = self.table.wait(ctx, &mut self.poll_backend);
         for ev in &events {
             let span = ctx.kernel.span_open(pid, Phase::Dispatch);
             self.dispatch(ctx, ev.fd, ev.revents);
             ctx.kernel.span_close(pid, span);
         }
-        self.table.end_batch(ctx, events.len());
+        self.table.end_wait_batch(ctx, events);
     }
 }
 

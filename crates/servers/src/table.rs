@@ -8,7 +8,7 @@
 //! `Option<&mut B>`; `None` is phhttpd in signal mode, where the RT
 //! queue needs no interest upkeep.
 
-use devpoll::EventBackend;
+use devpoll::{EventBackend, PollFd};
 use simcore::time::SimTime;
 use simkernel::{Errno, Fd, FdMap, Pid, PollBits};
 use simnet::ListenerId;
@@ -29,6 +29,10 @@ pub(crate) struct ConnTable {
     last_scan: SimTime,
     /// Reused idle-sweep scratch (no per-scan allocation).
     idle_scratch: Vec<Fd>,
+    /// Reused ready-event buffer of the poll-shaped engines (no per-wait
+    /// allocation); lent out by [`Self::wait`], returned by
+    /// [`Self::end_wait_batch`].
+    ready: Vec<PollFd>,
 }
 
 impl ConnTable {
@@ -43,6 +47,7 @@ impl ConnTable {
             config,
             last_scan: SimTime::ZERO,
             idle_scratch: Vec::new(),
+            ready: Vec::new(),
         }
     }
 
@@ -191,6 +196,28 @@ impl ConnTable {
             self.metrics.idle_closed += 1;
         }
         self.idle_scratch = idle;
+    }
+
+    /// Blocks on `backend` for up to `max_events` ready descriptors,
+    /// collected in the table's reused buffer. A failed wait reads as
+    /// nothing ready.
+    pub(crate) fn wait<B: EventBackend>(
+        &mut self,
+        ctx: &mut ServerCtx<'_>,
+        backend: &mut B,
+    ) -> Vec<PollFd> {
+        let mut ready = std::mem::take(&mut self.ready);
+        ready.clear();
+        let max = self.config.max_events;
+        let _ = backend.wait(ctx.kernel, ctx.registry, self.pid, max, -1, &mut ready);
+        ready
+    }
+
+    /// Closes a batch that handled the `ready` events [`Self::wait`]
+    /// returned, and takes the buffer back for the next wait.
+    pub(crate) fn end_wait_batch(&mut self, ctx: &mut ServerCtx<'_>, ready: Vec<PollFd>) {
+        self.end_batch(ctx, ready.len());
+        self.ready = ready;
     }
 
     /// Closes a batch that handled `events` events: with none the process

@@ -2,7 +2,7 @@
 //! event backend so the same code runs on stock `poll()` and on
 //! `/dev/poll`, like the paper's stock vs. modified thttpd pair (§5.1).
 
-use devpoll::{EventBackend, WaitResult};
+use devpoll::EventBackend;
 use simcore::span::Phase;
 use simkernel::{Errno, Fd, PollBits};
 use simnet::ListenerId;
@@ -116,23 +116,13 @@ impl<B: EventBackend> Server for Thttpd<B> {
     fn run_batch(&mut self, ctx: &mut ServerCtx<'_>) {
         let pid = self.table.pid;
         self.table.begin_batch(ctx, Some(&mut self.backend));
-        let events = match self.backend.wait(
-            ctx.kernel,
-            ctx.registry,
-            ctx.now,
-            pid,
-            self.table.config.max_events,
-            -1,
-        ) {
-            Ok(WaitResult::Events(evs)) => evs,
-            Ok(WaitResult::WouldBlock) | Err(_) => Vec::new(),
-        };
+        let events = self.table.wait(ctx, &mut self.backend);
         for ev in &events {
             let span = ctx.kernel.span_open(pid, Phase::Dispatch);
             self.dispatch(ctx, ev.fd, ev.revents);
             ctx.kernel.span_close(pid, span);
         }
-        self.table.end_batch(ctx, events.len());
+        self.table.end_wait_batch(ctx, events);
     }
 
     fn metrics(&self) -> ServerMetrics {

@@ -14,8 +14,8 @@
 //!   library code, hash-ordered iteration, wall-clock usage, and mixed
 //!   time-unit arithmetic;
 //! * the runtime invariant auditor and lockdep graph themselves live in
-//!   the `devpoll` crate behind its `simcheck` feature, which this
-//!   crate's dependency switches on.
+//!   the `devpoll` crate; the oracle's lanes switch them on through
+//!   `DevPollRegistry::audited()` (debug builds run them everywhere).
 //!
 //! The `simcheck` binary wires all three into CI; see `README.md`.
 

@@ -36,16 +36,23 @@ fn repo_root() -> PathBuf {
         .unwrap_or_else(|_| PathBuf::from("."))
 }
 
-/// The numeric value of `flag`, or `None` when the flag is absent. A
-/// present flag whose value is missing or not a number is a usage
-/// error: exit 2 naming the flag and the value, rather than run the
-/// default in its place.
-fn parse_flag(args: &[String], flag: &str) -> Option<u64> {
+/// The value following `flag`, or `None` when the flag is absent. A
+/// present flag with no value is a usage error: exit 2 naming the flag,
+/// rather than run the default in its place.
+fn parse_str_flag<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
     let i = args.iter().position(|a| a == flag)?;
     let Some(value) = args.get(i + 1) else {
         eprintln!("simcheck: {flag} needs a value");
         std::process::exit(2);
     };
+    Some(value)
+}
+
+/// The numeric value of `flag`, or `None` when the flag is absent. A
+/// value that is missing or not a number is a usage error: exit 2
+/// naming the flag and the value.
+fn parse_flag(args: &[String], flag: &str) -> Option<u64> {
+    let value = parse_str_flag(args, flag)?;
     match value.parse() {
         Ok(n) => Some(n),
         Err(_) => {
@@ -53,13 +60,6 @@ fn parse_flag(args: &[String], flag: &str) -> Option<u64> {
             std::process::exit(2);
         }
     }
-}
-
-fn parse_str_flag<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
 }
 
 fn script_config(args: &[String]) -> ScriptConfig {

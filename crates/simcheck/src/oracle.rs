@@ -18,7 +18,7 @@ use std::collections::BTreeMap;
 
 use devpoll::{
     DevPollBackend, DevPollConfig, DevPollRegistry, EventBackend, PollFd, RtSignalApi,
-    SelectBackend, StockPollBackend, WaitResult,
+    SelectBackend, StockPollBackend,
 };
 use proptest::shrink_sequence;
 use simcore::time::{SimDuration, SimTime};
@@ -236,7 +236,7 @@ impl Lane {
     ) -> Lane {
         let mut net = Network::new(TcpConfig::default(), LinkConfig::default(), 2);
         let mut kernel = Kernel::new(SERVER, CostModel::k6_2_400mhz());
-        let mut registry = DevPollRegistry::new();
+        let mut registry = DevPollRegistry::audited();
         mutant.arm(&mut registry);
         // The limit counts open descriptors (not the highest index), so
         // the default 1024 holds at any base.
@@ -269,7 +269,6 @@ impl Lane {
                     ..DevPollConfig::default()
                 },
                 true,
-                512,
                 false,
             )),
         };
@@ -509,24 +508,20 @@ impl Lane {
                 }
             }
         }
-        let result = self
-            .backend
+        let mut events = Vec::new();
+        self.backend
             .wait(
                 &mut self.kernel,
                 &mut self.registry,
-                self.now,
                 self.pid,
                 max,
                 0,
+                &mut events,
             )
             .expect("invariant: a zero-timeout wait cannot fail");
         self.now = self.now.max(self.kernel.end_batch(self.now, self.pid));
         self.pump();
-
-        match result {
-            WaitResult::WouldBlock => Vec::new(),
-            WaitResult::Events(v) => v,
-        }
+        events
     }
 }
 
@@ -621,7 +616,7 @@ pub fn run_script_at(
                 detail,
             });
         }
-        stats.audit_checks += lane.kernel.probe().counter("audit.checks");
+        stats.audit_checks += lane.registry.audit_checks();
     }
     Ok(stats)
 }

@@ -8,8 +8,12 @@
 //! a doc-hidden hook that bypasses the runtime auditor too, so only the
 //! differential comparison can catch it — which is the point.
 
+use devpoll::{DevPollConfig, DevPollRegistry, DvPoll, PollFd};
 use simcheck::oracle::{self, Failure, Mutant};
 use simcheck::script::{Op, ScriptConfig};
+use simcore::time::SimTime;
+use simkernel::{CostModel, Kernel, PollBits};
+use simnet::HostId;
 
 const CFG: ScriptConfig = ScriptConfig { conns: 4, ops: 30 };
 const SEEDS: u64 = 40;
@@ -23,7 +27,43 @@ fn clean_build_passes_the_sweep() {
         )
     });
     assert!(stats.boundaries > 0, "sweep must compare real boundaries");
+    // Summed from each lane's `DevPollRegistry::audit_checks`.
     assert!(stats.audit_checks > 0, "invariant auditor must be live");
+    assert!(stats.lock_acquisitions > 0, "lockdep graph must be live");
+}
+
+#[test]
+fn audit_checks_are_counted_by_the_registry_not_the_probes() {
+    let t = SimTime::ZERO;
+    let mut kernel = Kernel::new(HostId(1), CostModel::k6_2_400mhz());
+    let pid = kernel.spawn_default();
+    let mut registry = DevPollRegistry::audited();
+    kernel.begin_batch(t, pid);
+    let dpfd = registry
+        .open(&mut kernel, t, pid, DevPollConfig::default())
+        .expect("open /dev/poll");
+    registry
+        .write(
+            &mut kernel,
+            t,
+            pid,
+            dpfd,
+            &[PollFd::new(7, PollBits::POLLIN)],
+        )
+        .expect("write interest");
+    registry
+        .dp_poll(&mut kernel, t, pid, dpfd, DvPoll::into_user_buffer(8, 0))
+        .expect("DP_POLL");
+    assert!(registry.audit_checks() > 0, "audited registry must check");
+    assert!(
+        registry.lockdep().acquisitions() > 0,
+        "and record lock order"
+    );
+    let probes = kernel.probe().snapshot().to_json_lines();
+    assert!(
+        !probes.contains("\"audit."),
+        "the auditor must leave the probes untouched:\n{probes}"
+    );
 }
 
 #[test]

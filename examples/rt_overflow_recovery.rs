@@ -86,7 +86,7 @@ fn main() {
     // is actually pending (§2: "to recover, it uses poll() to discover
     // any remaining pending activity").
     let mut fds = [PollFd::new(fd, PollBits::POLLIN)];
-    let out = sys_poll(&mut kernel, t, pid, &mut fds, 0);
+    let out = sys_poll(&mut kernel, pid, &mut fds, 0);
     println!("recovery poll(): {out:?}, revents {}", fds[0].revents);
     assert_eq!(out, PollOutcome::Ready(1));
     assert!(fds[0].revents.contains(PollBits::POLLIN));
