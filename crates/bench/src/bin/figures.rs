@@ -39,12 +39,13 @@
 use std::fs;
 use std::path::PathBuf;
 
-use bench::figures::{anatomy_grid, anatomy_kinds, extensions_grid, paper_grid};
+use bench::figures::{anatomy_grid, anatomy_kinds, extensions_grid, paper_grid, sweep_label};
 use bench::{effective_jobs, flag_value, FigureConfig, FigureRunner, PAPER_FIGURES};
 use simcore::series::Figure;
 
 /// Milliseconds since the first call — the monotonic clock injected
 /// into the (wall-clock-free) library for `BENCH.json` wall fields.
+#[allow(clippy::disallowed_methods)] // the one clock read; injected via `with_clock`
 fn now_ms() -> f64 {
     use std::sync::OnceLock;
     use std::time::Instant;
@@ -182,18 +183,8 @@ fn main() {
     // CSVs. These carry the mechanism counters (devpoll.driver_polls_
     // avoided, devpoll.cache_revalidations, rtsig.overflows, ...) that
     // explain the curves.
-    let plain = runner.cached_sweeps();
-    let spanned = runner.span_cached_sweeps();
-    let dumps = plain
-        .iter()
-        .map(|&(k, r)| (k, r, false))
-        .chain(spanned.iter().map(|&(k, r)| (k, r, true)));
-    for (&(kind, inactive), reports, spans) in dumps {
-        let label = if spans {
-            format!("{}+spans", kind.label())
-        } else {
-            kind.label()
-        };
+    for (&(spans, kind, inactive), reports) in runner.cached_sweeps() {
+        let label = sweep_label(spans, kind);
         let base = format!("{}_load{}", sanitize(&label), inactive);
         let mut text = String::new();
         let mut jsonl = String::new();

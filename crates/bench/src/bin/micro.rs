@@ -296,8 +296,9 @@ fn main() {
 
 /// Wall-clock microbenchmarks of the two interest scans: stock
 /// `poll()` and `DP_POLL`. Unlike the simulated cost tables above,
-/// these measure *this machine's* real time. (Binary drivers are exempt
-/// from the wallclock lint; library code never reads the clock.)
+/// these measure *this machine's* real time, so they read the wall clock
+/// (library code never does).
+#[allow(clippy::disallowed_methods)]
 fn wall_microbench() {
     use std::time::Instant;
 

@@ -57,6 +57,7 @@ impl Checker {
 
 /// Milliseconds since the first call (monotonic, bin-only — library
 /// code stays wall-clock-free).
+#[allow(clippy::disallowed_methods)] // the one clock read; injected via `with_clock`
 fn now_ms() -> f64 {
     use std::sync::OnceLock;
     use std::time::Instant;

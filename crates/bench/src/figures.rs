@@ -54,7 +54,32 @@ impl FigureConfig {
 /// hash job identity without string formatting.
 pub type SweepKey = (ServerKind, usize);
 
-/// Runs sweeps lazily and caches them per (server kind, inactive load).
+/// A cached sweep's identity: whether span tracing was on, then the
+/// sweep. Span-enabled sweeps are a different measurement (their
+/// `BENCH.json` labels get a `+spans` suffix), so the flag keeps them
+/// from aliasing the plain ones; `false` sorts first, so every
+/// key-ordered walk lists the plain sweeps before the span-enabled ones.
+pub type CacheKey = (bool, ServerKind, usize);
+
+/// One completed sweep: its reports in rate order and their summed
+/// per-run wall time in ms (zero without a clock).
+struct CachedSweep {
+    reports: Vec<RunReport>,
+    wall_ms: f64,
+}
+
+/// A sweep's `BENCH.json` and probe-dump label: the kind's label, plus
+/// `+spans` for a span-enabled sweep.
+pub fn sweep_label(spans: bool, kind: ServerKind) -> String {
+    if spans {
+        format!("{}+spans", kind.label())
+    } else {
+        kind.label()
+    }
+}
+
+/// Runs sweeps lazily and caches them per (span tracing, server kind,
+/// inactive load).
 ///
 /// With `jobs > 1` (see [`FigureRunner::with_jobs`]) the run points of
 /// a sweep — and, via [`FigureRunner::prefetch`], of many sweeps — fan
@@ -64,16 +89,7 @@ pub type SweepKey = (ServerKind, usize);
 /// the `jobs = 1` serial path.
 pub struct FigureRunner {
     config: FigureConfig,
-    cache: BTreeMap<SweepKey, Vec<RunReport>>,
-    /// Span-enabled sweeps, cached separately: enabling span tracing
-    /// perturbs nothing but is a different measurement, so these never
-    /// alias the plain cache (their `BENCH.json` labels get a `+spans`
-    /// suffix).
-    span_cache: BTreeMap<SweepKey, Vec<RunReport>>,
-    /// Summed per-run wall time per sweep, ms (zeros without a clock).
-    wall_ms: BTreeMap<SweepKey, f64>,
-    /// Wall time of span-enabled sweeps, ms.
-    span_wall_ms: BTreeMap<SweepKey, f64>,
+    cache: BTreeMap<CacheKey, CachedSweep>,
     /// Worker threads for sweep execution.
     jobs: usize,
     /// Monotonic millisecond clock injected by the CLI driver; library
@@ -90,9 +106,6 @@ impl FigureRunner {
         FigureRunner {
             config,
             cache: BTreeMap::new(),
-            span_cache: BTreeMap::new(),
-            wall_ms: BTreeMap::new(),
-            span_wall_ms: BTreeMap::new(),
             jobs: 1,
             clock: None,
             verbose: true,
@@ -119,16 +132,11 @@ impl FigureRunner {
         self.jobs
     }
 
-    /// Every cached sweep in deterministic key order — used by the CLI
-    /// to dump one probe-snapshot file per sweep after the figures are
-    /// built. `BTreeMap` iteration is already key-ordered.
-    pub fn cached_sweeps(&self) -> Vec<(&SweepKey, &Vec<RunReport>)> {
-        self.cache.iter().collect()
-    }
-
-    /// Every cached span-enabled sweep in deterministic key order.
-    pub fn span_cached_sweeps(&self) -> Vec<(&SweepKey, &Vec<RunReport>)> {
-        self.span_cache.iter().collect()
+    /// Every cached sweep in deterministic key order (plain sweeps
+    /// first) — used by the CLI to dump one probe-snapshot file per
+    /// sweep after the figures are built.
+    pub fn cached_sweeps(&self) -> impl Iterator<Item = (&CacheKey, &[RunReport])> {
+        self.cache.iter().map(|(k, s)| (k, s.reports.as_slice()))
     }
 
     /// Runs every not-yet-cached sweep in `keys` as one parallel batch:
@@ -137,38 +145,23 @@ impl FigureRunner {
     /// worker busy across sweep boundaries instead of paying a join
     /// barrier per sweep.
     pub fn prefetch(&mut self, keys: &[SweepKey]) {
-        let missing: Vec<SweepKey> = keys
-            .iter()
-            .copied()
-            .collect::<BTreeSet<_>>()
-            .into_iter()
-            .filter(|k| !self.cache.contains_key(k))
-            .collect();
-        if missing.is_empty() {
-            return;
-        }
-        let mut points: Vec<(ServerKind, usize, f64)> = Vec::new();
-        for &(kind, inactive) in &missing {
-            for &rate in &self.config.rates {
-                points.push((kind, inactive, rate));
-            }
-        }
-        let results = self.run_points(&points, false);
-        let per_key = self.config.rates.len();
-        for (i, &key) in missing.iter().enumerate() {
-            let batch = &results[i * per_key..(i + 1) * per_key];
-            self.absorb_sweep(key, batch.to_vec());
-        }
+        self.fetch(false, keys);
     }
 
-    /// Like [`FigureRunner::prefetch`], for span-enabled sweeps.
+    /// Like [`FigureRunner::prefetch`], for span-enabled sweeps. Their
+    /// reports carry `span_ns.*` histograms in their probe snapshots
+    /// (records are not retained — histograms only).
     pub fn span_prefetch(&mut self, keys: &[SweepKey]) {
+        self.fetch(true, keys);
+    }
+
+    fn fetch(&mut self, spans: bool, keys: &[SweepKey]) {
         let missing: Vec<SweepKey> = keys
             .iter()
             .copied()
             .collect::<BTreeSet<_>>()
             .into_iter()
-            .filter(|k| !self.span_cache.contains_key(k))
+            .filter(|&(kind, inactive)| !self.cache.contains_key(&(spans, kind, inactive)))
             .collect();
         if missing.is_empty() {
             return;
@@ -179,11 +172,11 @@ impl FigureRunner {
                 points.push((kind, inactive, rate));
             }
         }
-        let results = self.run_points(&points, true);
+        let mut results = self.run_points(&points, spans).into_iter();
         let per_key = self.config.rates.len();
-        for (i, &key) in missing.iter().enumerate() {
-            let batch = &results[i * per_key..(i + 1) * per_key];
-            self.absorb_span_sweep(key, batch.to_vec());
+        for key in missing {
+            let batch = results.by_ref().take(per_key).collect();
+            self.absorb(spans, key, batch);
         }
     }
 
@@ -197,7 +190,7 @@ impl FigureRunner {
     pub fn million_prefetch(&mut self, cap: usize) {
         let missing: Vec<SweepKey> = million_grid(cap)
             .into_iter()
-            .filter(|k| !self.cache.contains_key(k))
+            .filter(|&(kind, inactive)| !self.cache.contains_key(&(false, kind, inactive)))
             .collect();
         if missing.is_empty() {
             return;
@@ -213,7 +206,7 @@ impl FigureRunner {
             (report, wall, line)
         });
         for (&key, result) in missing.iter().zip(results) {
-            self.absorb_sweep(key, vec![result]);
+            self.absorb(false, key, vec![result]);
         }
     }
 
@@ -246,7 +239,7 @@ impl FigureRunner {
             let mut lat = Series::new(&label);
             let mut mem = Series::new(&label);
             for inactive in million_loads(cap) {
-                let mut report = self.cache[&(kind, inactive)][0].clone();
+                let mut report = self.cache[&(false, kind, inactive)].reports[0].clone();
                 let x = inactive as f64;
                 rate.push_err(x, report.rate.avg, report.rate.stddev);
                 lat.push(x, report.median_latency_ms());
@@ -264,38 +257,14 @@ impl FigureRunner {
         vec![rate_fig, lat_fig, mem_fig]
     }
 
-    /// The span-enabled sweep for `kind` at `inactive`, cached. The
-    /// reports carry `span_ns.*` histograms in their probe snapshots
-    /// (records are not retained — histograms only).
-    pub fn span_sweep(&mut self, kind: ServerKind, inactive: usize) -> &[RunReport] {
-        let key = (kind, inactive);
-        if !self.span_cache.contains_key(&key) {
-            let points: Vec<(ServerKind, usize, f64)> = self
-                .config
-                .rates
-                .iter()
-                .map(|&rate| (kind, inactive, rate))
-                .collect();
-            let results = self.run_points(&points, true);
-            self.absorb_span_sweep(key, results);
-        }
-        &self.span_cache[&key]
-    }
-
     /// The sweep for `kind` at `inactive`, cached.
     pub fn sweep(&mut self, kind: ServerKind, inactive: usize) -> &[RunReport] {
-        let key = (kind, inactive);
-        if !self.cache.contains_key(&key) {
-            let points: Vec<(ServerKind, usize, f64)> = self
-                .config
-                .rates
-                .iter()
-                .map(|&rate| (kind, inactive, rate))
-                .collect();
-            let results = self.run_points(&points, false);
-            self.absorb_sweep(key, results);
-        }
-        &self.cache[&key]
+        self.cached(false, kind, inactive)
+    }
+
+    fn cached(&mut self, spans: bool, kind: ServerKind, inactive: usize) -> &[RunReport] {
+        self.fetch(spans, &[(kind, inactive)]);
+        &self.cache[&(spans, kind, inactive)].reports
     }
 
     /// Executes run points on the worker pool, returning
@@ -327,42 +296,33 @@ impl FigureRunner {
     /// Inserts one completed sweep, logging its (already rate-ordered)
     /// summary lines. Buffered-then-printed so stderr is identical at
     /// every worker count.
-    fn absorb_sweep(&mut self, key: SweepKey, results: Vec<(RunReport, f64, String)>) {
+    fn absorb(&mut self, spans: bool, key: SweepKey, results: Vec<(RunReport, f64, String)>) {
+        let suffix = if spans { " [spans]" } else { "" };
         let mut reports = Vec::with_capacity(results.len());
-        let mut wall = 0.0;
+        let mut wall_ms = 0.0;
         for (report, run_wall, line) in results {
             if self.verbose {
-                eprintln!("{line}");
+                eprintln!("{line}{suffix}");
             }
-            wall += run_wall;
+            wall_ms += run_wall;
             reports.push(report);
         }
-        self.wall_ms.insert(key, wall);
-        self.cache.insert(key, reports);
-    }
-
-    /// [`FigureRunner::absorb_sweep`] for the span-enabled cache.
-    fn absorb_span_sweep(&mut self, key: SweepKey, results: Vec<(RunReport, f64, String)>) {
-        let mut reports = Vec::with_capacity(results.len());
-        let mut wall = 0.0;
-        for (report, run_wall, line) in results {
-            if self.verbose {
-                eprintln!("{line} [spans]");
-            }
-            wall += run_wall;
-            reports.push(report);
-        }
-        self.span_wall_ms.insert(key, wall);
-        self.span_cache.insert(key, reports);
+        let (kind, inactive) = key;
+        self.cache
+            .insert((spans, kind, inactive), CachedSweep { reports, wall_ms });
     }
 
     /// Folds every cached sweep into a [`BenchReport`] (see
     /// `bench::baseline`). `total_wall_ms` is the caller-measured
     /// end-to-end harness time; per-sweep wall fields are the summed
-    /// per-run times recorded during execution.
+    /// per-run times recorded during execution. Span-enabled sweeps
+    /// ride along under a `+spans` label suffix: distinct sweeps, so an
+    /// anatomy run can never shadow (or be gated against) the plain-run
+    /// baselines.
     pub fn bench_report(&mut self, tool: &str, total_wall_ms: f64) -> BenchReport {
         let mut sweeps = Vec::new();
-        for (&(kind, inactive), reports) in &mut self.cache {
+        for (&(spans, kind, inactive), sweep) in &mut self.cache {
+            let reports = &mut sweep.reports;
             let events = reports.iter().map(|r| r.events).sum();
             let sim_ms = reports.iter().map(|r| r.sim_secs * 1e3).sum();
             let mem_bytes = reports
@@ -373,37 +333,9 @@ impl FigureRunner {
             let eps_peak = reports.iter().map(|r| r.mem_eps_peak).max().unwrap_or(0);
             let points = reports.iter_mut().map(PointRecord::from_report).collect();
             sweeps.push(SweepRecord {
-                server: kind.label(),
+                server: sweep_label(spans, kind),
                 inactive,
-                wall_ms: self.wall_ms.get(&(kind, inactive)).copied().unwrap_or(0.0),
-                events,
-                sim_ms,
-                mem_bytes,
-                eps_peak,
-                points,
-            });
-        }
-        // Span-enabled sweeps ride along under a `+spans` label suffix:
-        // distinct sweeps, so an anatomy run can never shadow (or be
-        // gated against) the plain-run baselines.
-        for (&(kind, inactive), reports) in &mut self.span_cache {
-            let events = reports.iter().map(|r| r.events).sum();
-            let sim_ms = reports.iter().map(|r| r.sim_secs * 1e3).sum();
-            let mem_bytes = reports
-                .iter()
-                .map(|r| r.mem_server_bytes)
-                .max()
-                .unwrap_or(0);
-            let eps_peak = reports.iter().map(|r| r.mem_eps_peak).max().unwrap_or(0);
-            let points = reports.iter_mut().map(PointRecord::from_report).collect();
-            sweeps.push(SweepRecord {
-                server: format!("{}+spans", kind.label()),
-                inactive,
-                wall_ms: self
-                    .span_wall_ms
-                    .get(&(kind, inactive))
-                    .copied()
-                    .unwrap_or(0.0),
+                wall_ms: sweep.wall_ms,
                 events,
                 sim_ms,
                 mem_bytes,
@@ -509,7 +441,7 @@ impl FigureRunner {
     /// as lines reads as a stacked area chart; the top series is the
     /// total attributed ns per reply.
     pub fn latency_anatomy_figure(&mut self, kind: ServerKind, inactive: usize) -> Figure {
-        let reports = self.span_sweep(kind, inactive).to_vec();
+        let reports = self.cached(true, kind, inactive).to_vec();
         let mut fig = Figure::new(
             format!(
                 "ANATOMY. Per-phase latency breakdown, {}, load {inactive} (stacked ns/reply)",
@@ -537,15 +469,6 @@ impl FigureRunner {
             fig.add(s);
         }
         fig
-    }
-
-    /// The full anatomy grid: one stacked figure per mechanism.
-    pub fn latency_anatomy_figures(&mut self, inactive: usize) -> Vec<Figure> {
-        self.span_prefetch(&anatomy_grid(inactive));
-        anatomy_kinds()
-            .iter()
-            .map(|&kind| self.latency_anatomy_figure(kind, inactive))
-            .collect()
     }
 
     /// Builds one paper figure by id (`"fig4"` … `"fig14"`).

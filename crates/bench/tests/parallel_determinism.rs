@@ -37,7 +37,7 @@ fn observable_output(runner: &mut FigureRunner) -> String {
             .to_csv(),
     );
     out.push_str(&runner.latency_figure("t", 251).to_csv());
-    for (&(kind, inactive), reports) in runner.cached_sweeps() {
+    for (&(_, kind, inactive), reports) in runner.cached_sweeps() {
         let label = kind.label();
         for r in reports {
             let rate = format!("{}", r.target_rate);
@@ -178,7 +178,7 @@ fn figures_and_probes_match_pre_overhaul_golden() {
             .to_csv(),
     );
     out.push_str(&runner.latency_figure("t", 251).to_csv());
-    for (&(kind, inactive), reports) in runner.cached_sweeps() {
+    for (&(_, kind, inactive), reports) in runner.cached_sweeps() {
         out.push_str(&golden_probe_lines(kind, inactive, reports));
     }
 

@@ -335,7 +335,7 @@ fn cached_ready_results_are_revalidated_each_scan() {
 
     // Drain the data: the next scan revalidates once more, finds the fd
     // idle, and then stops paying for it.
-    let _ = w.kernel.sys_read(&mut w.net, t, w.pid, fd, 4096).unwrap();
+    let _ = w.kernel.sys_read(&mut w.net, w.pid, fd, 4096).unwrap();
     let (_, res) = w
         .registry
         .dp_poll(

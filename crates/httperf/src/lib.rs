@@ -9,7 +9,7 @@
 //! them out. [`testbed::Testbed`] wires the network, the server kernel,
 //! the `/dev/poll` registry, a server under test and the load generator
 //! into one deterministic simulation; [`run::run_one`] executes a single
-//! benchmark point and [`run::sweep`] a whole figure.
+//! benchmark point.
 
 pub mod load;
 pub mod report;
@@ -18,5 +18,5 @@ pub mod testbed;
 
 pub use load::{LoadConfig, LoadGen, LoadShape, LoadTimer};
 pub use report::{ErrorCounts, RunReport};
-pub use run::{run_one, sweep, RunParams, ServerKind};
+pub use run::{run_one, RunParams, ServerKind};
 pub use testbed::{default_testbed, Testbed, CLIENT_HOST, SERVER_HOST};

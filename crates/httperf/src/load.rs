@@ -102,35 +102,69 @@ impl Default for LoadConfig {
     }
 }
 
-/// What kind of connection a client socket is.
+/// Where one tracked client socket is in its exchange. Active
+/// connections walk `Connecting → Turnaround → AwaitingReply` and leave
+/// the table through [`LoadGen::resolve`]; inactive ones stay `Held`
+/// until the server closes them, then reopen.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ConnKind {
-    Active,
-    Inactive,
+enum State {
+    /// Active: SYN sent, handshake not yet complete.
+    Connecting,
+    /// Active: connected; the request goes out after the client's think
+    /// time.
+    Turnaround,
+    /// Active: request sent; reply bytes are counted as they arrive.
+    AwaitingReply {
+        /// Bytes of response received so far.
+        got: usize,
+        /// Whether the first full read looked like a 200 response.
+        ok_prefix: Option<bool>,
+    },
+    /// Inactive: held open (connecting or established), never requests.
+    Held,
 }
 
 // #[hot_struct]: one per client socket, a million strong
 #[derive(Debug)]
 struct ClientConn {
-    kind: ConnKind,
     started: SimTime,
-    /// Bytes of response received so far (active only).
-    got: usize,
-    /// First bytes look like a 200 response.
-    ok_prefix: Option<bool>,
-    /// Request sent yet?
-    sent_request: bool,
-    /// Deadline for the whole exchange (active only).
-    deadline: SimTime,
-    done: bool,
+    state: State,
 }
+
+/// How one active connection attempt ended: its single entry in the
+/// ledger (a reply or one Fig. 10 error class).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Outcome {
+    Reply,
+    Timeout,
+    Refused,
+    PortsExhausted,
+    FdShortage,
+    Reset,
+}
+
+impl From<ConnectError> for Outcome {
+    fn from(e: ConnectError) -> Outcome {
+        match e {
+            ConnectError::Refused => Outcome::Refused,
+            ConnectError::Timeout => Outcome::Timeout,
+            ConnectError::PortsExhausted => Outcome::PortsExhausted,
+        }
+    }
+}
+
+/// Delay before replacing an inactive connection that failed or was
+/// reset.
+const RETRY_DELAY: SimDuration = SimDuration::from_millis(100);
+/// Delay before replacing an inactive connection the server closed.
+const REOPEN_DELAY: SimDuration = SimDuration::from_millis(50);
 
 /// Timer kinds the load generator schedules.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum LoadTimer {
     /// Launch the next active connection.
     NextArrival,
-    /// Check an active connection's deadline.
+    /// Give up on an active connection that has not resolved.
     Timeout(ConnId),
     /// Re-open one inactive connection.
     ReopenInactive,
@@ -145,14 +179,16 @@ pub struct LoadGen {
     host: HostId,
     server: SockAddr,
     rng: SimRng,
+    /// The `GET` for `cfg.doc_path`, rendered once.
+    request: String,
     /// Paged per-connection table indexed by `ConnId`: sequential ids
     /// keep pages dense, and a million-connection population costs only
-    /// the pages its live id range touches.
+    /// the pages its live id range touches. Ids are never reused, so a
+    /// tracked id is always the same attempt.
     conns: PagedSlots<ClientConn>,
     /// Round-robin cursor over the client hosts for inactive connects.
     inactive_rr: usize,
     launched: u64,
-    resolved: u64,
     /// Successful replies.
     pub replies: u64,
     /// Error tallies.
@@ -161,6 +197,7 @@ pub struct LoadGen {
     pub sampler: RateSampler,
     /// Connection times in milliseconds.
     pub latencies_ms: Quantiles,
+    /// `Held` connections in `conns`.
     inactive_open: usize,
     /// When the last active connection resolved.
     pub last_resolution: SimTime,
@@ -175,15 +212,19 @@ impl LoadGen {
     pub fn new(cfg: LoadConfig, host: HostId, server: SockAddr) -> LoadGen {
         let rng = SimRng::new(cfg.seed);
         let sampler = RateSampler::new(SimTime::ZERO + cfg.warmup, cfg.window);
+        let request = format!(
+            "GET {} HTTP/1.0\r\nUser-Agent: simhttperf\r\n\r\n",
+            cfg.doc_path
+        );
         LoadGen {
             cfg,
             host,
             server,
             rng,
+            request,
             conns: PagedSlots::new(),
             inactive_rr: 0,
             launched: 0,
-            resolved: 0,
             replies: 0,
             errors: ErrorCounts::default(),
             sampler,
@@ -205,9 +246,15 @@ impl LoadGen {
         self.launched
     }
 
+    /// Active connections launched but not yet resolved. Every attempt
+    /// is in exactly one place: `attempted = replies + errors + in_flight`.
+    pub fn in_flight(&self) -> u64 {
+        (self.conns.len() - self.inactive_open) as u64
+    }
+
     /// Whether every active connection has resolved.
     pub fn done(&self) -> bool {
-        self.finished_arrivals && self.resolved >= self.launched
+        self.finished_arrivals && self.in_flight() == 0
     }
 
     /// Timers to schedule at startup: the first arrival plus one reopen
@@ -318,77 +365,59 @@ impl LoadGen {
         timer: LoadTimer,
     ) -> Vec<(SimTime, LoadTimer)> {
         match timer {
-            LoadTimer::NextArrival => self.launch_active(net, now),
+            LoadTimer::NextArrival => return self.launch_active(net, now),
+            LoadTimer::ReopenInactive => return self.launch_inactive(net, now),
             LoadTimer::Timeout(conn) => {
-                self.check_timeout(net, now, conn);
-                Vec::new()
+                // Still tracked and active means still unresolved.
+                if self.conn_get(conn).is_some_and(|c| c.state != State::Held) {
+                    let _ = net.abort(now, EndpointId::new(conn, Side::Client));
+                    self.resolve(now, Some(conn), Outcome::Timeout);
+                }
             }
-            LoadTimer::ReopenInactive => self.launch_inactive(net, now),
             LoadTimer::SendRequest(conn) => {
-                self.send_request(net, now, conn);
-                Vec::new()
+                let Some(c) = self.conn_get_mut(conn) else {
+                    return Vec::new();
+                };
+                if c.state == State::Turnaround {
+                    c.state = State::AwaitingReply {
+                        got: 0,
+                        ok_prefix: None,
+                    };
+                    let ep = EndpointId::new(conn, Side::Client);
+                    let _ = net.send(now, ep, self.request.as_bytes());
+                }
             }
         }
-    }
-
-    fn send_request(&mut self, net: &mut Network, now: SimTime, conn: ConnId) {
-        let Some(c) = self.conn_get_mut(conn) else {
-            return;
-        };
-        if c.kind != ConnKind::Active || c.sent_request || c.done {
-            return;
-        }
-        c.sent_request = true;
-        let req = format!(
-            "GET {} HTTP/1.0\r\nUser-Agent: simhttperf\r\n\r\n",
-            self.cfg.doc_path
-        );
-        let ep = EndpointId::new(conn, Side::Client);
-        let _ = net.send(now, ep, req.as_bytes());
+        Vec::new()
     }
 
     fn launch_active(&mut self, net: &mut Network, now: SimTime) -> Vec<(SimTime, LoadTimer)> {
         let mut timers = Vec::new();
-        if self.launched < self.cfg.total_conns {
-            self.launched += 1;
-            self.last_arrival = now;
-            if self.launched == self.cfg.total_conns {
-                self.finished_arrivals = true;
-            } else {
-                let at = self.next_arrival_at(now);
-                timers.push((at, LoadTimer::NextArrival));
+        if self.launched >= self.cfg.total_conns {
+            return timers;
+        }
+        self.launched += 1;
+        self.last_arrival = now;
+        if self.launched == self.cfg.total_conns {
+            self.finished_arrivals = true;
+        } else {
+            let at = self.next_arrival_at(now);
+            timers.push((at, LoadTimer::NextArrival));
+        }
+        if self.open_sockets() >= self.cfg.client_fd_limit {
+            self.resolve(now, None, Outcome::FdShortage);
+            return timers;
+        }
+        match net.connect(now, self.host, self.server, self.cfg.active_extra_delay) {
+            Ok(conn) => {
+                let c = ClientConn {
+                    started: now,
+                    state: State::Connecting,
+                };
+                self.conn_insert(conn, c);
+                timers.push((now + self.cfg.client_timeout, LoadTimer::Timeout(conn)));
             }
-            if self.open_sockets() >= self.cfg.client_fd_limit {
-                self.errors.fd_shortage += 1;
-                self.resolve(now);
-            } else {
-                match net.connect(now, self.host, self.server, self.cfg.active_extra_delay) {
-                    Ok(conn) => {
-                        let deadline = now + self.cfg.client_timeout;
-                        self.conn_insert(
-                            conn,
-                            ClientConn {
-                                kind: ConnKind::Active,
-                                started: now,
-                                got: 0,
-                                ok_prefix: None,
-                                sent_request: false,
-                                deadline,
-                                done: false,
-                            },
-                        );
-                        timers.push((deadline, LoadTimer::Timeout(conn)));
-                    }
-                    Err(ConnectError::PortsExhausted) => {
-                        self.errors.ports_exhausted += 1;
-                        self.resolve(now);
-                    }
-                    Err(_) => {
-                        self.errors.refused += 1;
-                        self.resolve(now);
-                    }
-                }
-            }
+            Err(e) => self.resolve(now, None, e.into()),
         }
         timers
     }
@@ -401,51 +430,48 @@ impl LoadGen {
         match net.connect(now, host, self.server, self.cfg.inactive_extra_delay) {
             Ok(conn) => {
                 self.inactive_open += 1;
-                self.conn_insert(
-                    conn,
-                    ClientConn {
-                        kind: ConnKind::Inactive,
-                        started: now,
-                        got: 0,
-                        ok_prefix: None,
-                        sent_request: false,
-                        deadline: SimTime::MAX,
-                        done: false,
-                    },
-                );
+                let c = ClientConn {
+                    started: now,
+                    state: State::Held,
+                };
+                self.conn_insert(conn, c);
                 Vec::new()
             }
-            Err(_) => {
-                // Retry shortly; the population must stay constant.
-                vec![(
-                    now + SimDuration::from_millis(100),
-                    LoadTimer::ReopenInactive,
-                )]
+            // Retry shortly; the population must stay constant.
+            Err(_) => vec![(now + RETRY_DELAY, LoadTimer::ReopenInactive)],
+        }
+    }
+
+    /// Settles one active attempt: the only place `replies`, `errors`
+    /// and `last_resolution` move. `conn` is the tracked connection, if
+    /// the attempt got one; it leaves the table here, so no later event
+    /// can resolve the same attempt again.
+    fn resolve(&mut self, now: SimTime, conn: Option<ConnId>, outcome: Outcome) {
+        let removed = conn.and_then(|id| self.conn_remove(id));
+        match outcome {
+            Outcome::Reply => {
+                let c = removed.expect("invariant: a reply arrives on a tracked connection");
+                self.replies += 1;
+                self.sampler.record(now);
+                let ms = now.saturating_duration_since(c.started).as_nanos() as f64 / 1e6;
+                self.latencies_ms.add(ms);
             }
+            Outcome::Timeout => self.errors.timeouts += 1,
+            Outcome::Refused => self.errors.refused += 1,
+            Outcome::PortsExhausted => self.errors.ports_exhausted += 1,
+            Outcome::FdShortage => self.errors.fd_shortage += 1,
+            Outcome::Reset => self.errors.resets += 1,
         }
-    }
-
-    fn check_timeout(&mut self, net: &mut Network, now: SimTime, conn: ConnId) {
-        let Some(c) = self.conn_get(conn) else {
-            return; // Already resolved.
-        };
-        if c.done || c.kind != ConnKind::Active {
-            return;
-        }
-        if now < c.deadline {
-            return; // Stale timer.
-        }
-        // Give up: abort and count a timeout.
-        let ep = EndpointId::new(conn, Side::Client);
-        let _ = net.abort(now, ep);
-        self.conn_remove(conn);
-        self.errors.timeouts += 1;
-        self.resolve(now);
-    }
-
-    fn resolve(&mut self, now: SimTime) {
-        self.resolved += 1;
         self.last_resolution = now;
+    }
+
+    /// Drops a `Held` connection and schedules its replacement at `at`,
+    /// keeping the inactive population constant (§5). Resolves
+    /// nothing: inactive connections are not attempts.
+    fn reopen(&mut self, conn: ConnId, at: SimTime) -> Vec<(SimTime, LoadTimer)> {
+        self.conn_remove(conn);
+        self.inactive_open -= 1;
+        vec![(at, LoadTimer::ReopenInactive)]
     }
 
     /// Routes a network notification; returns follow-up timers.
@@ -456,107 +482,71 @@ impl LoadGen {
         notify: &NetNotify,
     ) -> Vec<(SimTime, LoadTimer)> {
         match *notify {
-            NetNotify::ConnectDone { ep } if ep.side == Side::Client => {
-                self.on_connected(net, now, ep)
-            }
-            NetNotify::ConnectFailed { conn, reason, .. } => {
-                if let Some(c) = self.conn_remove(conn) {
-                    match c.kind {
-                        ConnKind::Active => {
-                            match reason {
-                                ConnectError::Refused => self.errors.refused += 1,
-                                ConnectError::Timeout => self.errors.timeouts += 1,
-                                ConnectError::PortsExhausted => {
-                                    self.errors.ports_exhausted += 1;
-                                }
-                            }
-                            self.resolve(now);
-                            Vec::new()
-                        }
-                        ConnKind::Inactive => {
-                            self.inactive_open -= 1;
-                            vec![(
-                                now + SimDuration::from_millis(100),
-                                LoadTimer::ReopenInactive,
-                            )]
-                        }
-                    }
-                } else {
-                    Vec::new()
-                }
-            }
+            NetNotify::ConnectDone { ep } if ep.side == Side::Client => self.on_connected(now, ep),
+            NetNotify::ConnectFailed { conn, reason, .. } => self.on_lost(now, conn, reason.into()),
             NetNotify::Readable { ep } if ep.side == Side::Client => {
-                self.drain(net, now, ep);
+                self.drain(net, ep);
                 Vec::new()
             }
-            NetNotify::PeerClosed { ep } if ep.side == Side::Client => {
-                self.on_peer_closed(net, now, ep)
-            }
             NetNotify::ConnReset { ep } if ep.side == Side::Client => {
-                if let Some(c) = self.conn_remove(ep.conn) {
-                    match c.kind {
-                        ConnKind::Active => {
-                            self.errors.resets += 1;
-                            self.resolve(now);
-                            Vec::new()
-                        }
-                        ConnKind::Inactive => {
-                            self.inactive_open -= 1;
-                            vec![(
-                                now + SimDuration::from_millis(100),
-                                LoadTimer::ReopenInactive,
-                            )]
-                        }
-                    }
-                } else {
-                    Vec::new()
-                }
+                self.on_lost(now, ep.conn, Outcome::Reset)
             }
-            NetNotify::ConnClosed { ep } if ep.side == Side::Client => {
-                // Fully closed; if still tracked (e.g. inactive closed by
-                // the server cleanly) treat like a peer-close.
-                if self.conn_get(ep.conn).is_some() {
-                    self.on_peer_closed(net, now, ep)
-                } else {
-                    Vec::new()
-                }
+            // A full close of a still-tracked connection (e.g. an
+            // inactive one closed cleanly) is handled like a peer close.
+            NetNotify::PeerClosed { ep } | NetNotify::ConnClosed { ep }
+                if ep.side == Side::Client =>
+            {
+                self.on_peer_closed(net, now, ep)
             }
             _ => Vec::new(),
         }
     }
 
-    fn on_connected(
-        &mut self,
-        _net: &mut Network,
-        now: SimTime,
-        ep: EndpointId,
-    ) -> Vec<(SimTime, LoadTimer)> {
+    fn on_connected(&mut self, now: SimTime, ep: EndpointId) -> Vec<(SimTime, LoadTimer)> {
         let Some(c) = self.conn_get_mut(ep.conn) else {
             return Vec::new();
         };
-        if c.kind == ConnKind::Active && !c.sent_request {
-            // Real clients take a scheduling quantum to issue the write.
-            return vec![(now + self.cfg.client_think, LoadTimer::SendRequest(ep.conn))];
+        if c.state != State::Connecting {
+            return Vec::new();
+        }
+        // Real clients take a scheduling quantum to issue the write.
+        c.state = State::Turnaround;
+        vec![(now + self.cfg.client_think, LoadTimer::SendRequest(ep.conn))]
+    }
+
+    /// The connection failed or was reset under us: an active attempt
+    /// resolves as `outcome`, a held one is replaced.
+    fn on_lost(
+        &mut self,
+        now: SimTime,
+        conn: ConnId,
+        outcome: Outcome,
+    ) -> Vec<(SimTime, LoadTimer)> {
+        match self.conn_get(conn).map(|c| c.state) {
+            Some(State::Held) => return self.reopen(conn, now + RETRY_DELAY),
+            Some(_) => self.resolve(now, Some(conn), outcome),
+            None => {}
         }
         Vec::new()
     }
 
-    fn drain(&mut self, net: &mut Network, now: SimTime, ep: EndpointId) {
+    fn drain(&mut self, net: &mut Network, ep: EndpointId) {
         let Some(c) = self.conn_get_mut(ep.conn) else {
             return;
         };
         // Discarding read: the client only ever inspects the status-line
-        // prefix, so the payload is never materialised.
-        let Ok(sum) = net.recv_discard(now, ep, usize::MAX) else {
+        // prefix, so the payload is never materialised. Every tracked
+        // socket is drained, whatever its state: the receive queues are
+        // network state, and network state feeds every probe digest.
+        let Ok(sum) = net.recv_discard(ep, usize::MAX) else {
             return;
         };
-        if sum.len == 0 {
-            return;
+        if let State::AwaitingReply { got, ok_prefix } = &mut c.state {
+            if ok_prefix.is_none() && sum.len >= 12 {
+                *ok_prefix = Some(sum.prefix() == b"HTTP/1.0 200");
+            }
+            *got += sum.len;
         }
-        if c.ok_prefix.is_none() && sum.len >= 12 {
-            c.ok_prefix = Some(sum.prefix() == b"HTTP/1.0 200");
-        }
-        c.got += sum.len;
     }
 
     fn on_peer_closed(
@@ -566,49 +556,252 @@ impl LoadGen {
         ep: EndpointId,
     ) -> Vec<(SimTime, LoadTimer)> {
         // Drain whatever arrived with the FIN.
-        self.drain(net, now, ep);
-        let Some(c) = self.conn_get_mut(ep.conn) else {
+        self.drain(net, ep);
+        let Some(state) = self.conn_get(ep.conn).map(|c| c.state) else {
             return Vec::new();
         };
-        match c.kind {
-            ConnKind::Active => {
-                let started = c.started;
-                let ok = c.got > 0 && c.ok_prefix == Some(true);
-                c.done = true;
-                let _ = net.close(now, ep);
-                self.conn_remove(ep.conn);
-                if ok {
-                    self.replies += 1;
-                    self.sampler.record(now);
-                    let ms = now.saturating_duration_since(started).as_nanos() as f64 / 1e6;
-                    self.latencies_ms.add(ms);
-                } else {
-                    // Closed without a usable response (e.g. idle-closed
-                    // by an overloaded server): counts as a timeout-class
-                    // error immediately.
-                    self.errors.timeouts += 1;
-                }
-                self.resolve(now);
-                Vec::new()
-            }
-            ConnKind::Inactive => {
-                // Server timed us out: close our side and reopen to keep
-                // the population constant (§5).
-                let _ = net.close(now, ep);
-                self.conn_remove(ep.conn);
-                self.inactive_open -= 1;
-                vec![(
-                    now + SimDuration::from_millis(50),
-                    LoadTimer::ReopenInactive,
-                )]
-            }
-        }
+        let _ = net.close(now, ep);
+        let outcome = match state {
+            // Server timed us out: reopen to keep the population
+            // constant (§5).
+            State::Held => return self.reopen(ep.conn, now + REOPEN_DELAY),
+            State::AwaitingReply {
+                got,
+                ok_prefix: Some(true),
+            } if got > 0 => Outcome::Reply,
+            // Closed without a usable response (e.g. idle-closed by an
+            // overloaded server): a timeout-class error.
+            _ => Outcome::Timeout,
+        };
+        self.resolve(now, Some(ep.conn), outcome);
+        Vec::new()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A generator on host 0 against port 80 on host 1, driven by hand:
+    /// the test plays the server through the network API directly.
+    struct World {
+        net: Network,
+        lg: LoadGen,
+        timers: Vec<(SimTime, LoadTimer)>,
+    }
+
+    impl World {
+        fn new(cfg: LoadConfig, listen: bool) -> World {
+            let mut net = Network::new(
+                simnet::TcpConfig::default(),
+                simnet::LinkConfig::default(),
+                2,
+            );
+            if listen {
+                net.listen(HostId(1), 80, 8).unwrap();
+            }
+            let mut lg = LoadGen::new(cfg, HostId(0), SockAddr::new(HostId(1), 80));
+            let timers = lg.bootstrap(SimTime::ZERO);
+            World { net, lg, timers }
+        }
+
+        /// One active attempt, no inactive load, requests from t = 0.
+        fn one_request(listen: bool) -> World {
+            let cfg = LoadConfig {
+                total_conns: 1,
+                rate: 1000.0,
+                warmup: SimDuration::ZERO,
+                ..LoadConfig::default()
+            };
+            World::new(cfg, listen)
+        }
+
+        /// Delivers segments and fires timers, in time order, up to `until`.
+        fn run_until(&mut self, until: SimTime) {
+            loop {
+                let timer = self.timers.iter().map(|&(at, _)| at).min();
+                let next = match (self.net.next_deadline(), timer) {
+                    (Some(a), Some(b)) => a.min(b),
+                    (a, b) => match a.or(b) {
+                        Some(t) => t,
+                        None => return,
+                    },
+                };
+                if next > until {
+                    return;
+                }
+                for n in self.net.advance(next) {
+                    let follow = self.lg.on_net(&mut self.net, next, &n);
+                    self.timers.extend(follow);
+                }
+                while let Some(i) = self.timers.iter().position(|&(at, _)| at <= next) {
+                    let (_, t) = self.timers.remove(i);
+                    let follow = self.lg.on_timer(&mut self.net, next, t);
+                    self.timers.extend(follow);
+                }
+            }
+        }
+
+        fn server(conn: ConnId) -> EndpointId {
+            EndpointId::new(conn, Side::Server)
+        }
+
+        /// `(replies, errors, in_flight)`, after checking that they
+        /// account for every attempt.
+        fn ledger(&self) -> (u64, u64, u64) {
+            let lg = &self.lg;
+            let row = (lg.replies, lg.errors.total(), lg.in_flight());
+            assert_eq!(lg.attempted(), row.0 + row.1 + row.2, "ledger: {row:?}");
+            row
+        }
+    }
+
+    /// The first connection a fresh network hands out.
+    const FIRST: ConnId = ConnId(0);
+
+    #[test]
+    fn client_conn_is_24_bytes() {
+        assert_eq!(std::mem::size_of::<Option<ClientConn>>(), 24);
+    }
+
+    #[test]
+    fn refused_connect_resolves_once_as_refused() {
+        let mut w = World::one_request(false);
+        w.run_until(SimTime::from_secs(1));
+        assert_eq!(w.ledger(), (0, 1, 0));
+        assert_eq!(w.lg.errors.refused, 1);
+        assert!(w.lg.done());
+    }
+
+    #[test]
+    fn silent_server_resolves_once_as_timeout() {
+        let mut w = World::one_request(true);
+        w.run_until(SimTime::from_millis(100));
+        assert_eq!(w.ledger(), (0, 0, 1), "request sent, reply pending");
+        assert!(!w.lg.done(), "arrivals finished, one attempt unresolved");
+        w.run_until(SimTime::from_secs(5));
+        assert_eq!(w.ledger(), (0, 1, 0));
+        assert_eq!(w.lg.errors.timeouts, 1);
+        assert!(w.lg.done());
+    }
+
+    #[test]
+    fn request_waits_for_the_think_time() {
+        let cfg = LoadConfig {
+            total_conns: 1,
+            rate: 1000.0,
+            warmup: SimDuration::ZERO,
+            client_think: SimDuration::from_millis(500),
+            ..LoadConfig::default()
+        };
+        let mut w = World::new(cfg, true);
+        let state = |w: &World| w.lg.conn_get(FIRST).map(|c| c.state);
+        w.run_until(SimTime::from_millis(400));
+        assert_eq!(state(&w), Some(State::Turnaround));
+        assert_eq!(w.net.readable_bytes(World::server(FIRST)), 0);
+        w.run_until(SimTime::from_millis(600));
+        assert!(matches!(
+            state(&w),
+            Some(State::AwaitingReply { got: 0, .. })
+        ));
+        assert!(
+            w.net.readable_bytes(World::server(FIRST)) > 0,
+            "request arrived"
+        );
+    }
+
+    #[test]
+    fn fd_limit_counts_as_fd_shortage() {
+        let cfg = LoadConfig {
+            total_conns: 3,
+            rate: 1000.0,
+            client_fd_limit: 1,
+            warmup: SimDuration::ZERO,
+            ..LoadConfig::default()
+        };
+        // The first launch occupies the single fd; the next two fail.
+        let mut w = World::new(cfg, true);
+        w.run_until(SimTime::from_millis(10));
+        assert_eq!(w.ledger(), (0, 2, 1));
+        assert_eq!(w.lg.errors.fd_shortage, 2);
+    }
+
+    #[test]
+    fn reset_mid_transfer_resolves_once_as_reset() {
+        let mut w = World::one_request(true);
+        w.run_until(SimTime::from_millis(100));
+        let now = SimTime::from_millis(100);
+        w.net
+            .send(now, World::server(FIRST), b"HTTP/1.0 200 OK\r\n")
+            .unwrap();
+        w.run_until(SimTime::from_millis(150));
+        w.net
+            .abort(SimTime::from_millis(150), World::server(FIRST))
+            .unwrap();
+        w.run_until(SimTime::from_secs(5));
+        assert_eq!(w.ledger(), (0, 1, 0));
+        assert_eq!(w.lg.errors.resets, 1);
+    }
+
+    #[test]
+    fn close_before_reply_resolves_once_as_timeout() {
+        let mut w = World::one_request(true);
+        w.run_until(SimTime::from_millis(100));
+        w.net
+            .close(SimTime::from_millis(100), World::server(FIRST))
+            .unwrap();
+        w.run_until(SimTime::from_secs(5));
+        assert_eq!(w.ledger(), (0, 1, 0));
+        assert_eq!(w.lg.errors.timeouts, 1);
+    }
+
+    #[test]
+    fn events_after_resolution_change_nothing() {
+        let mut w = World::one_request(true);
+        w.run_until(SimTime::from_millis(100));
+        let now = SimTime::from_millis(100);
+        let reply = b"HTTP/1.0 200 OK\r\nContent-Length: 2\r\n\r\nhi";
+        w.net.send(now, World::server(FIRST), reply).unwrap();
+        w.net.close(now, World::server(FIRST)).unwrap();
+        w.run_until(SimTime::from_millis(500));
+        assert_eq!(w.ledger(), (1, 0, 0));
+        let resolved_at = w.lg.last_resolution;
+        // A second close, a late reset and the pending timeout all find
+        // the connection gone.
+        let later = SimTime::from_secs(3);
+        let ep = EndpointId::new(FIRST, Side::Client);
+        for n in [NetNotify::PeerClosed { ep }, NetNotify::ConnReset { ep }] {
+            assert!(w.lg.on_net(&mut w.net, later, &n).is_empty());
+        }
+        w.run_until(SimTime::from_secs(5));
+        assert_eq!(w.ledger(), (1, 0, 0));
+        assert_eq!(w.lg.errors, ErrorCounts::default());
+        assert_eq!(w.lg.last_resolution, resolved_at);
+    }
+
+    #[test]
+    fn inactive_close_reopens_without_resolving() {
+        let cfg = LoadConfig {
+            total_conns: 0,
+            inactive: 3,
+            warmup: SimDuration::ZERO,
+            ..LoadConfig::default()
+        };
+        let mut w = World::new(cfg, true);
+        w.run_until(SimTime::from_secs(1));
+        assert_eq!(w.lg.conns.len(), 3);
+        // The server idles one of them out.
+        w.net
+            .close(SimTime::from_secs(1), World::server(FIRST))
+            .unwrap();
+        w.run_until(SimTime::from_secs(2));
+        assert_eq!(w.ledger(), (0, 0, 0));
+        assert_eq!(w.lg.conns.len(), 3, "population restored");
+        assert!(
+            w.lg.conn_get(FIRST).is_none(),
+            "replaced by a new connection"
+        );
+    }
 
     #[test]
     fn bootstrap_schedules_arrival_and_inactive() {
@@ -649,86 +842,6 @@ mod tests {
     }
 
     #[test]
-    fn send_request_fires_after_think_time() {
-        let cfg = LoadConfig {
-            total_conns: 1,
-            rate: 1000.0,
-            warmup: SimDuration::ZERO,
-            ..LoadConfig::default()
-        };
-        let mut net = Network::new(
-            simnet::TcpConfig::default(),
-            simnet::LinkConfig::default(),
-            2,
-        );
-        let _listener = net.listen(HostId(1), 80, 8).unwrap();
-        let mut lg = LoadGen::new(cfg, HostId(0), SockAddr::new(HostId(1), 80));
-        let timers = lg.on_timer(&mut net, SimTime::from_millis(1), LoadTimer::NextArrival);
-        let conn = match timers.iter().find_map(|(_, t)| match t {
-            LoadTimer::Timeout(c) => Some(*c),
-            _ => None,
-        }) {
-            Some(c) => c,
-            None => panic!("timeout timer expected"),
-        };
-        // Drive the handshake to completion.
-        let mut follow = Vec::new();
-        while let Some(t) = net.next_deadline() {
-            if t > SimTime::from_millis(20) {
-                break;
-            }
-            for n in net.advance(t) {
-                follow.extend(lg.on_net(&mut net, t, &n));
-            }
-        }
-        // ConnectDone scheduled a SendRequest after client_think.
-        assert!(
-            follow
-                .iter()
-                .any(|(_, t)| matches!(t, LoadTimer::SendRequest(c) if *c == conn)),
-            "{follow:?}"
-        );
-        // Firing it puts the request on the wire.
-        let at = SimTime::from_millis(30);
-        let _ = lg.on_timer(&mut net, at, LoadTimer::SendRequest(conn));
-        while let Some(t) = net.next_deadline() {
-            if t > SimTime::from_millis(40) {
-                break;
-            }
-            let _ = net.advance(t);
-        }
-        let server_ep = EndpointId::new(conn, Side::Server);
-        assert!(net.readable_bytes(server_ep) > 0, "request bytes arrived");
-    }
-
-    #[test]
-    fn fd_limit_counts_as_fd_shortage() {
-        let cfg = LoadConfig {
-            total_conns: 3,
-            rate: 1000.0,
-            client_fd_limit: 1,
-            warmup: SimDuration::ZERO,
-            ..LoadConfig::default()
-        };
-        let mut net = Network::new(
-            simnet::TcpConfig::default(),
-            simnet::LinkConfig::default(),
-            2,
-        );
-        let _listener = net.listen(HostId(1), 80, 8).unwrap();
-        let mut lg = LoadGen::new(cfg, HostId(0), SockAddr::new(HostId(1), 80));
-        // First launch occupies the single fd; the next two fail.
-        let mut timers = vec![(SimTime::from_millis(1), LoadTimer::NextArrival)];
-        while let Some((at, timer)) = timers.pop() {
-            if matches!(timer, LoadTimer::NextArrival) {
-                timers.extend(lg.on_timer(&mut net, at, timer));
-            }
-        }
-        assert_eq!(lg.attempted(), 3);
-        assert_eq!(lg.errors.fd_shortage, 2);
-    }
-
-    #[test]
     fn bursty_gap_lands_inside_bursts() {
         let cfg = LoadConfig {
             rate: 1000.0,
@@ -752,30 +865,5 @@ mod tests {
             }
         }
         assert_eq!(in_burst, n, "every arrival falls inside the duty window");
-    }
-
-    #[test]
-    fn done_requires_all_resolved() {
-        let cfg = LoadConfig {
-            total_conns: 1,
-            rate: 1000.0,
-            ..LoadConfig::default()
-        };
-        let mut net = Network::new(
-            simnet::TcpConfig::default(),
-            simnet::LinkConfig::default(),
-            2,
-        );
-        // No listener: the connect will eventually fail, but not yet.
-        let mut lg = LoadGen::new(cfg, HostId(0), SockAddr::new(HostId(1), 80));
-        assert!(!lg.done());
-        let timers = lg.on_timer(&mut net, SimTime::from_millis(1), LoadTimer::NextArrival);
-        // Single conn launched; arrivals finished but unresolved.
-        assert!(!lg.done());
-        assert_eq!(lg.attempted(), 1);
-        // Timeout timer scheduled.
-        assert!(timers
-            .iter()
-            .any(|(_, t)| matches!(t, LoadTimer::Timeout(_))));
     }
 }

@@ -44,6 +44,10 @@ pub struct RunReport {
     pub replies: u64,
     /// Error breakdown.
     pub errors: ErrorCounts,
+    /// Attempts still unresolved when the run stopped (non-zero only if
+    /// the horizon cut it short): `attempted = replies + errors.total()
+    /// + in_flight`.
+    pub in_flight: u64,
     /// Reply-rate summary over one-second windows (avg/stddev/min/max —
     /// the panels of Figs. 4–9 and 11–13).
     pub rate: RateSummary,
@@ -105,31 +109,6 @@ impl RunReport {
         self.probe.digest_hex()
     }
 
-    /// This run as one `BENCH.json` point object (no trailing newline).
-    /// The schema is consumed by `bench::baseline`; every field except
-    /// the digest is a plain shape metric so a comparator can apply
-    /// numeric tolerances.
-    pub fn bench_point_json(&mut self) -> String {
-        let median = self.median_latency_ms();
-        let p90 = self.latency_quantile_ms(0.9);
-        format!(
-            "{{\"rate\":{},\"avg\":{},\"stddev\":{},\"min\":{},\"max\":{},\
-             \"error_percent\":{},\"median_ms\":{},\"p90_ms\":{},\
-             \"replies\":{},\"attempted\":{},\"probe_digest\":\"{}\"}}",
-            self.target_rate,
-            self.rate.avg,
-            self.rate.stddev,
-            self.rate.min,
-            self.rate.max,
-            self.error_percent(),
-            median,
-            p90,
-            self.replies,
-            self.attempted,
-            self.probe_digest_hex(),
-        )
-    }
-
     /// One summary line for terminal output.
     pub fn summary_line(&mut self) -> String {
         let median = self.median_latency_ms();
@@ -167,6 +146,7 @@ mod tests {
                 ports_exhausted: 2,
                 resets: 5,
             },
+            in_flight: 0,
             rate: RateSummary::of(&[]),
             latencies_ms: Quantiles::new(),
             sim_secs: 1.0,

@@ -3,7 +3,7 @@
 //! integration tests are thin loops over [`run_one`].
 
 use devpoll::{DevPollBackend, DevPollConfig, SelectBackend, StockPollBackend};
-use simcore::time::{SimDuration, SimTime};
+use simcore::time::SimTime;
 use simkernel::AcceptWake;
 use simkernel::CostModel;
 use simnet::{LinkConfig, TcpConfig};
@@ -290,33 +290,4 @@ pub fn run_one(params: RunParams) -> RunReport {
     bed.start(server.as_mut());
     bed.run(server.as_mut(), params.horizon);
     bed.report(server.as_ref())
-}
-
-/// Runs a rate sweep (one run per rate) and returns the reports in rate
-/// order — one paper figure's worth of data.
-pub fn sweep(
-    kind: ServerKind,
-    rates: &[f64],
-    inactive: usize,
-    conns_per_run: u64,
-) -> Vec<RunReport> {
-    rates
-        .iter()
-        .map(|&rate| {
-            let params = RunParams::paper(kind, rate, inactive).with_conns(conns_per_run);
-            run_one(params)
-        })
-        .collect()
-}
-
-/// Extends the run with the paper's inter-run procedure: after a run,
-/// wait for every socket to leave TIME_WAIT ("we must avoid reaching the
-/// port number limitation", §5). Returns the drain time needed.
-pub fn time_wait_drain(bed: &Testbed) -> SimDuration {
-    if bed.net.time_wait_count(crate::testbed::CLIENT_HOST) == 0 {
-        SimDuration::ZERO
-    } else {
-        // Worst case: a socket entered TIME_WAIT at the very end.
-        bed.net.config().time_wait
-    }
 }

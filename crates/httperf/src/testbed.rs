@@ -257,6 +257,7 @@ impl Testbed {
         let end = load.last_arrival.max(SimTime::ZERO + load.config().warmup);
         let sim_end = load.last_resolution.max(now);
         let attempted = load.attempted();
+        let in_flight = load.in_flight();
         let target_rate = load.config().rate;
         let inactive = load.config().inactive;
         let LoadGen {
@@ -274,6 +275,7 @@ impl Testbed {
             attempted,
             replies,
             errors,
+            in_flight,
             rate: RateSummary::of(&rates),
             latencies_ms,
             sim_secs: sim_end.as_secs_f64(),

@@ -65,3 +65,46 @@ fn deterministic_given_seed() {
     assert_eq!(a.errors, b.errors);
     assert_eq!(a.rate, b.rate);
 }
+
+/// Every server architecture, overloaded at the stock-poll collapse
+/// point (800 req/s over 501 idle connections, Figs. 8 and 10b): each
+/// attempt ends as exactly one reply or one error class, or is still in
+/// flight when the run stops.
+#[test]
+fn every_attempt_resolves_exactly_once_under_overload() {
+    let kinds = [
+        ServerKind::ThttpdPoll,
+        ServerKind::ThttpdSelect,
+        ServerKind::ThttpdDevPoll,
+        ServerKind::ThttpdDevPollWith {
+            config: devpoll::DevPollConfig::default(),
+            mmap: false,
+            combined: true,
+        },
+        ServerKind::Phhttpd,
+        ServerKind::PhhttpdBatch(16),
+        ServerKind::Hybrid,
+        ServerKind::ThttpdDevPollSendfile,
+        ServerKind::PreforkDevPoll {
+            workers: 4,
+            wake: simkernel::AcceptWake::Herd,
+        },
+        ServerKind::PreforkDevPoll {
+            workers: 4,
+            wake: simkernel::AcceptWake::Exclusive,
+        },
+    ];
+    for kind in kinds {
+        let r = run_one(RunParams::paper(kind, 800.0, 501).with_conns(1_500));
+        assert_eq!(r.attempted, 1_500, "{}", r.server);
+        assert_eq!(
+            r.attempted,
+            r.replies + r.errors.total() + r.in_flight,
+            "{}: replies {} errors {:?} in flight {}",
+            r.server,
+            r.replies,
+            r.errors,
+            r.in_flight
+        );
+    }
+}

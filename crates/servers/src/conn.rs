@@ -113,7 +113,7 @@ impl HttpConn {
         loop {
             // Bytes land straight in `in_buf` and the parsed request
             // borrows from it — no per-read or per-parse allocation.
-            match kernel.sys_read_into(net, now, pid, self.fd, 4096, &mut self.in_buf) {
+            match kernel.sys_read_into(net, pid, self.fd, 4096, &mut self.in_buf) {
                 Ok(0) => {
                     return ConnStatus::Finished(FinishKind::ClientClosedEarly);
                 }
@@ -249,9 +249,7 @@ mod tests {
         assert_eq!(nf, 0);
 
         pump(&mut net, &mut kernel, SimTime::from_millis(120));
-        let body = net
-            .recv(SimTime::from_millis(120), client_ep, usize::MAX)
-            .unwrap();
+        let body = net.recv(client_ep, usize::MAX).unwrap();
         let text = String::from_utf8_lossy(&body);
         assert!(text.starts_with("HTTP/1.0 200 OK"));
         assert!(text.contains("Content-Length: 6144"));

@@ -41,11 +41,6 @@ impl<B: EventBackend> Prefork<B> {
         Prefork { workers }
     }
 
-    /// Number of workers.
-    pub fn worker_count(&self) -> usize {
-        self.workers.len()
-    }
-
     /// Per-worker metrics (diagnostics: how evenly did accepts spread?).
     pub fn worker_metrics(&self) -> Vec<ServerMetrics> {
         self.workers.iter().map(|w| w.metrics()).collect()

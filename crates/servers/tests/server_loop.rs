@@ -102,7 +102,7 @@ impl Rig {
 
     fn client_recv(&mut self, conn: ConnId) -> Vec<u8> {
         let ep = EndpointId::new(conn, Side::Client);
-        self.net.recv(self.now, ep, usize::MAX).unwrap_or_default()
+        self.net.recv(ep, usize::MAX).unwrap_or_default()
     }
 }
 

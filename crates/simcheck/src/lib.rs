@@ -11,8 +11,9 @@
 //!   lanes checked against the executable reference [`model`] at every
 //!   wait boundary, with fingerprint dedup and DPOR-style pruning;
 //! * [`lint`] — a dependency-free source scanner for panicking calls in
-//!   library code, hash-ordered iteration, wall-clock usage, and mixed
-//!   time-unit arithmetic;
+//!   library code, hash-ordered iteration, hot-path allocation, span
+//!   pairing, mixed time-unit arithmetic and wide handles (wall-clock
+//!   reads are clippy's, via the workspace `clippy.toml`);
 //! * the runtime invariant auditor and lockdep graph themselves live in
 //!   the `devpoll` crate; the oracle's lanes switch them on through
 //!   `DevPollRegistry::audited()` (debug builds run them everywhere).

@@ -205,6 +205,7 @@ fn explore_config(args: &[String]) -> Result<ExploreConfig, String> {
     Ok(cfg)
 }
 
+#[allow(clippy::disallowed_methods)] // reports the exploration's own wall time
 fn run_explore(args: &[String]) -> bool {
     let min_schedules = parse_flag(args, "--min-schedules");
     let cfg = match explore_config(args) {

@@ -449,9 +449,7 @@ impl Lane {
                     return;
                 };
                 self.kernel.begin_batch(self.now, self.pid);
-                let _ = self
-                    .kernel
-                    .sys_read(&mut self.net, self.now, self.pid, fd, max);
+                let _ = self.kernel.sys_read(&mut self.net, self.pid, fd, max);
                 self.now = self.now.max(self.kernel.end_batch(self.now, self.pid));
             }
             Op::ServerSend { conn, bytes } => {

@@ -371,12 +371,6 @@ impl SpanTracer {
         self.dropped
     }
 
-    /// Spans currently open (non-zero at a report boundary means an
-    /// instrumentation site leaked a guard).
-    pub fn open_depth(&self) -> usize {
-        self.stack.len()
-    }
-
     /// The retained completed spans, in completion order.
     pub fn records(&self) -> &[SpanRecord] {
         &self.done

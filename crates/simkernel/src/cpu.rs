@@ -74,17 +74,6 @@ impl Cpu {
     pub fn process_total(&self) -> SimDuration {
         self.process_total
     }
-
-    /// Utilization over a wall-clock window ending at `now`: busy time as
-    /// a fraction of `window`.
-    pub fn utilization(&self, now: SimTime, window: SimDuration) -> f64 {
-        if window.is_zero() {
-            return 0.0;
-        }
-        let busy = (self.softirq_total + self.process_total).as_nanos() as f64;
-        let _ = now;
-        (busy / window.as_nanos() as f64).min(1.0)
-    }
 }
 
 #[cfg(test)]

@@ -1086,13 +1086,12 @@ impl Kernel {
     pub fn sys_read(
         &mut self,
         net: &mut Network,
-        now: SimTime,
         pid: Pid,
         fd: Fd,
         max: usize,
     ) -> Result<Vec<u8>, Errno> {
         let mut buf = Vec::new();
-        self.sys_read_into(net, now, pid, fd, max, &mut buf)?;
+        self.sys_read_into(net, pid, fd, max, &mut buf)?;
         Ok(buf)
     }
 
@@ -1105,7 +1104,6 @@ impl Kernel {
     pub fn sys_read_into(
         &mut self,
         net: &mut Network,
-        now: SimTime,
         pid: Pid,
         fd: Fd,
         max: usize,
@@ -1116,8 +1114,7 @@ impl Kernel {
         if self.ep_slot(ep).is_some_and(|s| s.mirror.err) {
             return Err(Errno::ECONNRESET);
         }
-        let vnow = self.vnow(now, pid);
-        let n = net.recv_into(vnow, ep, max, buf).unwrap_or(0);
+        let n = net.recv_into(ep, max, buf).unwrap_or(0);
         if n > 0 {
             self.charge(pid, self.cost.copy(n));
         }
@@ -1468,7 +1465,7 @@ mod tests {
 
         let t = SimTime::from_millis(30);
         kernel.begin_batch(t, pid);
-        let data = kernel.sys_read(&mut net, t, pid, fd, 4096).unwrap();
+        let data = kernel.sys_read(&mut net, pid, fd, 4096).unwrap();
         assert_eq!(&data, b"GET / HTTP/1.0\r\n\r\n");
         // Drained: no longer readable.
         assert!(!kernel.readiness(pid, fd).contains(PollBits::POLLIN));
@@ -1480,9 +1477,7 @@ mod tests {
         kernel.end_batch(t, pid);
 
         pump(&mut net, &mut kernel, SimTime::from_millis(100));
-        let got = net
-            .recv(SimTime::from_millis(100), client_ep, 10_000)
-            .unwrap();
+        let got = net.recv(client_ep, 10_000).unwrap();
         assert_eq!(got.len(), 6144);
         assert!(net.peer_closed(client_ep));
     }
@@ -1536,7 +1531,7 @@ mod tests {
         let t = SimTime::from_millis(50);
         kernel.begin_batch(t, pid);
         assert_eq!(
-            kernel.sys_read(&mut net, t, pid, fd2, 4096),
+            kernel.sys_read(&mut net, pid, fd2, 4096),
             Err(Errno::EAGAIN),
             "recycled slot leaked the previous connection's buffered data"
         );
@@ -1556,10 +1551,7 @@ mod tests {
 
         let t = SimTime::from_millis(20);
         kernel.begin_batch(t, pid);
-        assert_eq!(
-            kernel.sys_read(&mut net, t, pid, fd, 4096),
-            Err(Errno::EAGAIN)
-        );
+        assert_eq!(kernel.sys_read(&mut net, pid, fd, 4096), Err(Errno::EAGAIN));
         kernel.end_batch(t, pid);
 
         net.close(t, client_ep).unwrap();
@@ -1567,7 +1559,7 @@ mod tests {
         assert!(kernel.readiness(pid, fd).contains(PollBits::POLLHUP));
         let t = SimTime::from_millis(40);
         kernel.begin_batch(t, pid);
-        let data = kernel.sys_read(&mut net, t, pid, fd, 4096).unwrap();
+        let data = kernel.sys_read(&mut net, pid, fd, 4096).unwrap();
         assert!(data.is_empty(), "EOF reads as empty");
         kernel.end_batch(t, pid);
     }

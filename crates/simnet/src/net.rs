@@ -672,9 +672,9 @@ impl Network {
     }
 
     /// Reads up to `max` bytes of in-order data.
-    pub fn recv(&mut self, now: SimTime, ep: EndpointId, max: usize) -> Result<Vec<u8>, NetError> {
+    pub fn recv(&mut self, ep: EndpointId, max: usize) -> Result<Vec<u8>, NetError> {
         let mut buf = Vec::new();
-        self.recv_into(now, ep, max, &mut buf)?;
+        self.recv_into(ep, max, &mut buf)?;
         Ok(buf)
     }
 
@@ -685,7 +685,6 @@ impl Network {
     /// routing every chunk through a fresh `Vec`.
     pub fn recv_into(
         &mut self,
-        _now: SimTime,
         ep: EndpointId,
         max: usize,
         buf: &mut Vec<u8>,
@@ -702,12 +701,7 @@ impl Network {
     /// only a summary — the byte count and the first bytes of the chunk.
     /// This is the hot-path sibling of [`Network::recv`] for callers
     /// (e.g. load generators) that never look past a response prefix.
-    pub fn recv_discard(
-        &mut self,
-        _now: SimTime,
-        ep: EndpointId,
-        max: usize,
-    ) -> Result<RecvSummary, NetError> {
+    pub fn recv_discard(&mut self, ep: EndpointId, max: usize) -> Result<RecvSummary, NetError> {
         let conn = self.conn_mut(ep.conn).ok_or(NetError::Gone)?;
         let e = conn.ep_mut(ep.side);
         let n = e.inbox.len().min(max);

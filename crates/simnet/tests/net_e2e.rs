@@ -75,14 +75,14 @@ fn data_flows_both_directions() {
     let (events, t) = run(&mut net, now + SimDuration::from_millis(50));
     now = t;
     assert!(events.contains(&NetNotify::Readable { ep: server_ep }));
-    let got = net.recv(now, server_ep, 4096).unwrap();
+    let got = net.recv(server_ep, 4096).unwrap();
     assert_eq!(got, req);
 
     // Server responds with 6 KB (the paper's document size).
     let resp = vec![0xAB; 6 * 1024];
     assert_eq!(net.send(now, server_ep, &resp).unwrap(), resp.len());
-    let (_, t2) = run(&mut net, now + SimDuration::from_millis(100));
-    let got = net.recv(t2, client_ep, 10_000).unwrap();
+    run(&mut net, now + SimDuration::from_millis(100));
+    let got = net.recv(client_ep, 10_000).unwrap();
     assert_eq!(got.len(), resp.len());
     assert!(got.iter().all(|&b| b == 0xAB));
 }
@@ -363,7 +363,7 @@ fn large_transfer_respects_bandwidth_ceiling() {
             Some(next) => {
                 t = next;
                 let _ = net.advance(t);
-                received += net.recv(t, client_ep, usize::MAX).unwrap().len();
+                received += net.recv(client_ep, usize::MAX).unwrap().len();
                 if received >= total && finished_at.is_none() {
                     finished_at = Some(t);
                     break;
@@ -419,7 +419,7 @@ fn lossy_overload_recovers_via_retransmission() {
             Some(next) if next <= deadline => {
                 t = next;
                 let _ = net.advance(t);
-                received.extend(net.recv(t, client_ep, usize::MAX).unwrap());
+                received.extend(net.recv(client_ep, usize::MAX).unwrap());
             }
             _ => break,
         }
@@ -506,7 +506,7 @@ fn conn_ids_near_u32_max_work_end_to_end() {
         let (events, t) = run(&mut net, now + SimDuration::from_millis(50));
         now = t;
         assert!(events.contains(&NetNotify::Readable { ep: server_ep }));
-        assert_eq!(net.recv(now, server_ep, 4096).unwrap(), req);
+        assert_eq!(net.recv(server_ep, 4096).unwrap(), req);
     }
 
     // Sparse top-of-range ids must not cost top-of-range memory. The

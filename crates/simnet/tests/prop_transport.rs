@@ -43,7 +43,7 @@ fn run_transfer(
             sent += net.send(t, client_ep, &pending[sent..]).unwrap_or(0);
         }
         if let Some(ep) = server_ep {
-            received.extend(net.recv(t, ep, usize::MAX).unwrap_or_default());
+            received.extend(net.recv(ep, usize::MAX).unwrap_or_default());
         }
         if received.len() >= pending.len() {
             break;

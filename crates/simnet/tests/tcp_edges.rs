@@ -63,7 +63,7 @@ fn close_flushes_buffered_data_before_fin() {
     assert_eq!(net.send(t, server, &payload).unwrap(), payload.len());
     net.close(t, server).unwrap(); // FIN must trail the data.
     let events = run(&mut net, SimTime::from_millis(200));
-    let got = net.recv(SimTime::from_millis(200), client, usize::MAX);
+    let got = net.recv(client, usize::MAX);
     // The connection fully closed, so the endpoint may already be gone —
     // but the data must have been readable before: count Readable
     // events and verify the client's inbox was filled at some point.
@@ -94,12 +94,10 @@ fn unread_data_is_available_until_consumed() {
     run(&mut net, SimTime::from_millis(50));
     assert_eq!(net.readable_bytes(client), 14);
     // Partial reads drain incrementally.
-    let part = net.recv(SimTime::from_millis(50), client, 4).unwrap();
+    let part = net.recv(client, 4).unwrap();
     assert_eq!(part, b"take");
     assert_eq!(net.readable_bytes(client), 10);
-    let rest = net
-        .recv(SimTime::from_millis(50), client, usize::MAX)
-        .unwrap();
+    let rest = net.recv(client, usize::MAX).unwrap();
     assert_eq!(rest, b" your time");
 }
 
@@ -155,9 +153,7 @@ fn half_close_allows_server_to_keep_sending() {
     net.close(t, client).unwrap();
     run(&mut net, SimTime::from_millis(50));
     assert!(net.peer_closed(server), "server sees the half-close");
-    let req = net
-        .recv(SimTime::from_millis(50), server, usize::MAX)
-        .unwrap();
+    let req = net.recv(server, usize::MAX).unwrap();
     assert_eq!(req, b"request");
     // Server responds on its still-open direction.
     assert_eq!(
@@ -166,9 +162,7 @@ fn half_close_allows_server_to_keep_sending() {
         8
     );
     run(&mut net, SimTime::from_millis(100));
-    let resp = net
-        .recv(SimTime::from_millis(100), client, usize::MAX)
-        .unwrap();
+    let resp = net.recv(client, usize::MAX).unwrap();
     assert_eq!(resp, b"response");
     net.close(SimTime::from_millis(100), server).unwrap();
     run(&mut net, SimTime::from_millis(200));
@@ -227,10 +221,7 @@ fn window_limits_inflight_bytes() {
     net.send(t, server_ep, &vec![0u8; 14_600]).unwrap(); // 10 segments.
                                                          // One RTT later only ~2 segments have arrived.
     run(&mut net, t + SimDuration::from_millis(140));
-    let got_after_1rtt = net
-        .recv(t + SimDuration::from_millis(140), client_ep, usize::MAX)
-        .unwrap()
-        .len();
+    let got_after_1rtt = net.recv(client_ep, usize::MAX).unwrap().len();
     assert!(
         got_after_1rtt <= 2 * 1460,
         "window must cap the first flight: got {got_after_1rtt}"
@@ -239,14 +230,7 @@ fn window_limits_inflight_bytes() {
     let mut total = got_after_1rtt;
     for step in 0..40u64 {
         run(&mut net, t + SimDuration::from_millis(200 + step * 100));
-        total += net
-            .recv(
-                t + SimDuration::from_millis(200 + step * 100),
-                client_ep,
-                usize::MAX,
-            )
-            .unwrap()
-            .len();
+        total += net.recv(client_ep, usize::MAX).unwrap().len();
         if total >= 14_600 {
             break;
         }
@@ -318,7 +302,7 @@ fn moderate_loss_still_completes_requests() {
             Some(next) => {
                 t = next;
                 let _ = net.advance(t);
-                got.extend(net.recv(t, client, usize::MAX).unwrap_or_default());
+                got.extend(net.recv(client, usize::MAX).unwrap_or_default());
             }
             None => break,
         }

@@ -120,7 +120,7 @@ fn main() {
         .dp_poll(&mut kernel, t, pid, dpfd, DvPoll::into_user_buffer(16, 0))
         .expect("DP_POLL");
     println!("DP_POLL results: {results:?}");
-    let request = kernel.sys_read(&mut net, t, pid, fd, 4096).expect("read");
+    let request = kernel.sys_read(&mut net, pid, fd, 4096).expect("read");
     println!("server: got {:?}", String::from_utf8_lossy(&request));
     let body = b"<html>hello from the simulated K6-2</html>";
     let response = format!("HTTP/1.0 200 OK\r\nContent-Length: {}\r\n\r\n", body.len());
@@ -143,9 +143,7 @@ fn main() {
         &mut registry,
         SimTime::from_millis(120),
     );
-    let reply = net
-        .recv(SimTime::from_millis(120), client_ep, usize::MAX)
-        .expect("recv");
+    let reply = net.recv(client_ep, usize::MAX).expect("recv");
     println!("client: received {} bytes:", reply.len());
     println!("{}", String::from_utf8_lossy(&reply));
     assert!(reply.starts_with(b"HTTP/1.0 200 OK"));

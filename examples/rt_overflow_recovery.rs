@@ -92,7 +92,7 @@ fn main() {
     assert!(fds[0].revents.contains(PollBits::POLLIN));
 
     // Drain the socket; twelve writes of one byte arrived.
-    let data = kernel.sys_read(&mut net, t, pid, fd, 4096).expect("read");
+    let data = kernel.sys_read(&mut net, pid, fd, 4096).expect("read");
     println!("drained {} bytes after recovery", data.len());
     assert_eq!(data.len(), 12);
     kernel.end_batch(t, pid);
