@@ -623,6 +623,43 @@ mod tests {
     }
 
     #[test]
+    fn export_format_is_pinned() {
+        // A zero add still exports; an untouched metric never does.
+        let mut p = MetricRegistry::new();
+        p.add("tcp.conns_reset", 0);
+        p.inc("devpoll.scans");
+        p.inc("devpoll.scans");
+        p.gauge_set("rtsig.queue_depth", 9);
+        p.gauge_set("rtsig.queue_depth", 2);
+        p.observe("syscall_ns.read", 0);
+        p.observe("syscall_ns.read", 5);
+        p.observe("syscall_ns.read", 2300);
+        let snap = p.snapshot();
+        assert_eq!(snap.counter("tcp.ports_exhausted"), 0);
+        assert!(!snap.to_json_lines().contains("tcp.ports_exhausted"));
+        assert_eq!(
+            snap.to_text(),
+            "counters:\n\
+             \x20 devpoll.scans      2\n\
+             \x20 tcp.conns_reset    0\n\
+             gauges:\n\
+             \x20 rtsig.queue_depth  2 (high 9)\n\
+             histograms:\n\
+             \x20 syscall_ns.read    n=3 mean=768.3 min=0 max=2300\n\
+             \x20                    [0+]:1 [4+]:1 [2048+]:1\n"
+        );
+        assert_eq!(
+            snap.to_json_lines(),
+            "{\"type\":\"counter\",\"name\":\"devpoll.scans\",\"value\":2}\n\
+             {\"type\":\"counter\",\"name\":\"tcp.conns_reset\",\"value\":0}\n\
+             {\"type\":\"gauge\",\"name\":\"rtsig.queue_depth\",\"value\":2,\"high_water\":9}\n\
+             {\"type\":\"histogram\",\"name\":\"syscall_ns.read\",\"count\":3,\"sum\":2305,\
+             \"min\":0,\"max\":2300,\"buckets\":[[0,1],[4,1],[2048,1]]}\n"
+        );
+        assert_eq!(snap.digest_hex(), "6e1a9a57d1cb7e3d");
+    }
+
+    #[test]
     fn escape_handles_specials() {
         assert_eq!(escape("a\"b\\c"), "a\\\"b\\\\c");
         assert_eq!(escape("x\ny"), "x\\ny");
