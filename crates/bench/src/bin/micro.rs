@@ -101,13 +101,12 @@ fn main() {
         w.kernel.begin_batch(now, w.pid);
         let dp_hints = w
             .registry
-            .open(&mut w.kernel, now, w.pid, DevPollConfig::default())
+            .open(&mut w.kernel, w.pid, DevPollConfig::default())
             .unwrap();
         let dp_none = w
             .registry
             .open(
                 &mut w.kernel,
-                now,
                 w.pid,
                 DevPollConfig {
                     hints: false,
@@ -121,15 +120,14 @@ fn main() {
             .map(|&fd| PollFd::new(fd, PollBits::POLLIN))
             .collect();
         w.registry
-            .write(&mut w.kernel, now, w.pid, dp_hints, &entries)
+            .write(&mut w.kernel, w.pid, dp_hints, &entries)
             .unwrap();
         w.registry
-            .write(&mut w.kernel, now, w.pid, dp_none, &entries)
+            .write(&mut w.kernel, w.pid, dp_none, &entries)
             .unwrap();
         // Settle fresh-interest hints.
         let _ = w.registry.dp_poll(
             &mut w.kernel,
-            now,
             w.pid,
             dp_hints,
             DvPoll::into_user_buffer(64, 0),
@@ -139,7 +137,6 @@ fn main() {
         let hints = charged(&mut w, |w| {
             let _ = w.registry.dp_poll(
                 &mut w.kernel,
-                SimTime::from_secs(100),
                 w.pid,
                 dp_hints,
                 DvPoll::into_user_buffer(64, 0),
@@ -148,7 +145,6 @@ fn main() {
         let none = charged(&mut w, |w| {
             let _ = w.registry.dp_poll(
                 &mut w.kernel,
-                SimTime::from_secs(100),
                 w.pid,
                 dp_none,
                 DvPoll::into_user_buffer(64, 0),
@@ -162,7 +158,6 @@ fn main() {
                 .on_fd_event(&mut w.kernel, SimTime::from_secs(100), w.pid, fd0);
             let _ = w.registry.dp_poll(
                 &mut w.kernel,
-                SimTime::from_secs(100),
                 w.pid,
                 dp_hints,
                 DvPoll::into_user_buffer(64, 0),
@@ -188,7 +183,7 @@ fn main() {
         w.kernel.begin_batch(now, w.pid);
         let dpfd = w
             .registry
-            .open(&mut w.kernel, now, w.pid, DevPollConfig::default())
+            .open(&mut w.kernel, w.pid, DevPollConfig::default())
             .unwrap();
         let entries: Vec<PollFd> = w
             .fds
@@ -196,10 +191,10 @@ fn main() {
             .map(|&fd| PollFd::new(fd, PollBits::POLLIN))
             .collect();
         w.registry
-            .write(&mut w.kernel, now, w.pid, dpfd, &entries)
+            .write(&mut w.kernel, w.pid, dpfd, &entries)
             .unwrap();
         w.registry
-            .dp_alloc_mmap(&mut w.kernel, now, w.pid, dpfd, 512)
+            .dp_alloc_mmap(&mut w.kernel, w.pid, dpfd, 512)
             .unwrap();
         w.kernel.end_batch(now, w.pid);
         // Make 64 fds ready by feeding data.
@@ -223,24 +218,16 @@ fn main() {
             }
         }
         let copyout = charged(&mut w, |w| {
-            let _ = w.registry.dp_poll(
-                &mut w.kernel,
-                SimTime::from_secs(100),
-                w.pid,
-                dpfd,
-                DvPoll::into_user_buffer(64, 0),
-            );
+            let _ = w
+                .registry
+                .dp_poll(&mut w.kernel, w.pid, dpfd, DvPoll::into_user_buffer(64, 0));
         });
         // All 64 are cached-ready now, so a second scan revalidates them;
         // compare mmap delivery.
         let mmap = charged(&mut w, |w| {
-            let _ = w.registry.dp_poll(
-                &mut w.kernel,
-                SimTime::from_secs(100),
-                w.pid,
-                dpfd,
-                DvPoll::into_mmap(64, 0),
-            );
+            let _ = w
+                .registry
+                .dp_poll(&mut w.kernel, w.pid, dpfd, DvPoll::into_mmap(64, 0));
         });
         println!(
             "  user-buffer copy-out: {:>8.1}us",
@@ -261,31 +248,21 @@ fn main() {
         w.kernel.begin_batch(now, w.pid);
         let dpfd = w
             .registry
-            .open(&mut w.kernel, now, w.pid, DevPollConfig::default())
+            .open(&mut w.kernel, w.pid, DevPollConfig::default())
             .unwrap();
         w.kernel.end_batch(now, w.pid);
         let upd = [PollFd::new(w.fds[0], PollBits::POLLIN)];
         let separate = charged(&mut w, |w| {
+            let _ = w.registry.write(&mut w.kernel, w.pid, dpfd, &upd);
             let _ = w
                 .registry
-                .write(&mut w.kernel, SimTime::from_secs(100), w.pid, dpfd, &upd);
-            let _ = w.registry.dp_poll(
-                &mut w.kernel,
-                SimTime::from_secs(100),
-                w.pid,
-                dpfd,
-                DvPoll::into_user_buffer(8, 0),
-            );
+                .dp_poll(&mut w.kernel, w.pid, dpfd, DvPoll::into_user_buffer(8, 0));
         });
         let combined = charged(&mut w, |w| {
             let _ = w.registry.write_combined(&mut w.kernel, w.pid, dpfd, &upd);
-            let _ = w.registry.dp_poll(
-                &mut w.kernel,
-                SimTime::from_secs(100),
-                w.pid,
-                dpfd,
-                DvPoll::into_user_buffer(8, 0),
-            );
+            let _ = w
+                .registry
+                .dp_poll(&mut w.kernel, w.pid, dpfd, DvPoll::into_user_buffer(8, 0));
         });
         println!("  separate: {:>8.1}us", separate.as_nanos() as f64 / 1e3);
         println!("  combined: {:>8.1}us", combined.as_nanos() as f64 / 1e3);
@@ -347,7 +324,6 @@ fn wall_microbench() {
             .registry
             .open(
                 &mut w.kernel,
-                now,
                 w.pid,
                 DevPollConfig {
                     hints,
@@ -361,27 +337,19 @@ fn wall_microbench() {
             .map(|&fd| PollFd::new(fd, PollBits::POLLIN))
             .collect();
         w.registry
-            .write(&mut w.kernel, now, w.pid, dpfd, &entries)
+            .write(&mut w.kernel, w.pid, dpfd, &entries)
             .unwrap();
         // Settle fresh-interest hints.
-        let _ = w.registry.dp_poll(
-            &mut w.kernel,
-            now,
-            w.pid,
-            dpfd,
-            DvPoll::into_user_buffer(64, 0),
-        );
+        let _ = w
+            .registry
+            .dp_poll(&mut w.kernel, w.pid, dpfd, DvPoll::into_user_buffer(64, 0));
         w.kernel.end_batch(now, w.pid);
         let ns = per_unit_ns(|| {
             for _ in 0..calls {
                 w.kernel.begin_batch(now, w.pid);
-                let _ = w.registry.dp_poll(
-                    &mut w.kernel,
-                    now,
-                    w.pid,
-                    dpfd,
-                    DvPoll::into_user_buffer(64, 0),
-                );
+                let _ =
+                    w.registry
+                        .dp_poll(&mut w.kernel, w.pid, dpfd, DvPoll::into_user_buffer(64, 0));
                 w.kernel.end_batch(now, w.pid);
             }
             calls

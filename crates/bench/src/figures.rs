@@ -456,7 +456,7 @@ impl FigureRunner {
             for (i, r) in reports.iter().enumerate() {
                 let total_ns = r
                     .probe
-                    .histogram(phase.metric())
+                    .histogram(phase.metric().name())
                     .map_or(0.0, |h| h.sum() as f64);
                 let per_reply = if r.replies > 0 {
                     total_ns / r.replies as f64

@@ -3,7 +3,6 @@
 //! like the paper's stock vs. modified thttpd pair (§5.1).
 
 use simcore::fingerprint::Fnv;
-use simcore::time::SimTime;
 use simkernel::{Errno, Fd, Kernel, Pid, PollBits};
 
 use crate::device::{DevPollConfig, DevPollRegistry};
@@ -21,7 +20,6 @@ pub trait EventBackend {
         &mut self,
         kernel: &mut Kernel,
         registry: &mut DevPollRegistry,
-        now: SimTime,
         pid: Pid,
     ) -> Result<(), Errno>;
 
@@ -30,7 +28,6 @@ pub trait EventBackend {
         &mut self,
         kernel: &mut Kernel,
         registry: &mut DevPollRegistry,
-        now: SimTime,
         pid: Pid,
         fd: Fd,
         events: PollBits,
@@ -41,7 +38,6 @@ pub trait EventBackend {
         &mut self,
         kernel: &mut Kernel,
         registry: &mut DevPollRegistry,
-        now: SimTime,
         pid: Pid,
         fd: Fd,
     ) -> Result<(), Errno>;
@@ -157,7 +153,6 @@ impl EventBackend for StockPollBackend {
         &mut self,
         _kernel: &mut Kernel,
         _registry: &mut DevPollRegistry,
-        _now: SimTime,
         _pid: Pid,
     ) -> Result<(), Errno> {
         Ok(())
@@ -167,7 +162,6 @@ impl EventBackend for StockPollBackend {
         &mut self,
         _kernel: &mut Kernel,
         _registry: &mut DevPollRegistry,
-        _now: SimTime,
         _pid: Pid,
         fd: Fd,
         events: PollBits,
@@ -179,7 +173,6 @@ impl EventBackend for StockPollBackend {
         &mut self,
         _kernel: &mut Kernel,
         _registry: &mut DevPollRegistry,
-        _now: SimTime,
         _pid: Pid,
         fd: Fd,
     ) -> Result<(), Errno> {
@@ -244,7 +237,6 @@ impl EventBackend for SelectBackend {
         &mut self,
         _kernel: &mut Kernel,
         _registry: &mut DevPollRegistry,
-        _now: SimTime,
         _pid: Pid,
     ) -> Result<(), Errno> {
         Ok(())
@@ -254,7 +246,6 @@ impl EventBackend for SelectBackend {
         &mut self,
         _kernel: &mut Kernel,
         _registry: &mut DevPollRegistry,
-        _now: SimTime,
         _pid: Pid,
         fd: Fd,
         events: PollBits,
@@ -269,7 +260,6 @@ impl EventBackend for SelectBackend {
         &mut self,
         _kernel: &mut Kernel,
         _registry: &mut DevPollRegistry,
-        _now: SimTime,
         _pid: Pid,
         fd: Fd,
     ) -> Result<(), Errno> {
@@ -398,12 +388,11 @@ impl EventBackend for DevPollBackend {
         &mut self,
         kernel: &mut Kernel,
         registry: &mut DevPollRegistry,
-        now: SimTime,
         pid: Pid,
     ) -> Result<(), Errno> {
-        let dpfd = registry.open(kernel, now, pid, self.config)?;
+        let dpfd = registry.open(kernel, pid, self.config)?;
         if self.use_mmap {
-            registry.dp_alloc_mmap(kernel, now, pid, dpfd, MMAP_SLOTS)?;
+            registry.dp_alloc_mmap(kernel, pid, dpfd, MMAP_SLOTS)?;
         }
         self.dpfd = Some(dpfd);
         Ok(())
@@ -413,7 +402,6 @@ impl EventBackend for DevPollBackend {
         &mut self,
         kernel: &mut Kernel,
         registry: &mut DevPollRegistry,
-        now: SimTime,
         pid: Pid,
         fd: Fd,
         events: PollBits,
@@ -423,7 +411,7 @@ impl EventBackend for DevPollBackend {
             self.pending.push(PollFd::new(fd, events));
             return Ok(());
         }
-        registry.write(kernel, now, pid, dpfd, &[PollFd::new(fd, events)])?;
+        registry.write(kernel, pid, dpfd, &[PollFd::new(fd, events)])?;
         Ok(())
     }
 
@@ -431,7 +419,6 @@ impl EventBackend for DevPollBackend {
         &mut self,
         kernel: &mut Kernel,
         registry: &mut DevPollRegistry,
-        now: SimTime,
         pid: Pid,
         fd: Fd,
     ) -> Result<(), Errno> {
@@ -440,7 +427,7 @@ impl EventBackend for DevPollBackend {
             self.pending.push(PollFd::remove(fd));
             return Ok(());
         }
-        registry.write(kernel, now, pid, dpfd, &[PollFd::remove(fd)])?;
+        registry.write(kernel, pid, dpfd, &[PollFd::remove(fd)])?;
         Ok(())
     }
 

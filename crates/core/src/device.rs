@@ -4,6 +4,7 @@
 
 use std::collections::BTreeMap;
 
+use simcore::probe::Metric;
 use simcore::span::Phase;
 use simcore::time::{SimDuration, SimTime};
 use simkernel::{Errno, Fd, FileKind, Kernel, Pid, PollBits};
@@ -169,7 +170,6 @@ impl DevPollRegistry {
     pub fn open(
         &mut self,
         kernel: &mut Kernel,
-        _now: SimTime,
         pid: Pid,
         config: DevPollConfig,
     ) -> Result<Fd, Errno> {
@@ -324,7 +324,6 @@ impl DevPollRegistry {
     pub fn write(
         &mut self,
         kernel: &mut Kernel,
-        _now: SimTime,
         pid: Pid,
         dpfd: Fd,
         entries: &[PollFd],
@@ -388,12 +387,12 @@ impl DevPollRegistry {
         );
         kernel.charge_app(pid, cost.devpoll_hash_op * entries.len() as u64);
         let probe = kernel.probe_mut();
-        probe.add("devpoll.interest.ops", entries.len() as u64);
-        probe.add("devpoll.interest.lookups", entries.len() as u64);
-        probe.add("devpoll.interest.resizes", u64::from(grows));
-        probe.gauge_set("devpoll.interest.len", len);
-        probe.gauge_set("devpoll.interest.buckets", buckets);
-        probe.gauge_set("devpoll.interest.max_bucket", max_bucket);
+        probe.add(Metric::DevpollInterestOps, entries.len() as u64);
+        probe.add(Metric::DevpollInterestLookups, entries.len() as u64);
+        probe.add(Metric::DevpollInterestResizes, u64::from(grows));
+        probe.gauge_set(Metric::DevpollInterestLen, len);
+        probe.gauge_set(Metric::DevpollInterestBuckets, buckets);
+        probe.gauge_set(Metric::DevpollInterestMaxBucket, max_bucket);
         if spans_on {
             // Hold spans for the locked region above (charges between the
             // acquisition snapshots and here), Backmap enclosing
@@ -450,7 +449,6 @@ impl DevPollRegistry {
     pub fn dp_alloc_mmap(
         &mut self,
         kernel: &mut Kernel,
-        _now: SimTime,
         pid: Pid,
         dpfd: Fd,
         slots: usize,
@@ -467,13 +465,7 @@ impl DevPollRegistry {
     }
 
     /// `munmap()`: tears the result mapping down.
-    pub fn munmap(
-        &mut self,
-        kernel: &mut Kernel,
-        _now: SimTime,
-        pid: Pid,
-        dpfd: Fd,
-    ) -> Result<(), Errno> {
+    pub fn munmap(&mut self, kernel: &mut Kernel, pid: Pid, dpfd: Fd) -> Result<(), Errno> {
         let cost = *kernel.cost_model();
         kernel.charge_app(pid, cost.syscall);
         let dev = self.resolve(kernel, pid, dpfd)?;
@@ -486,7 +478,6 @@ impl DevPollRegistry {
     pub fn dp_poll(
         &mut self,
         kernel: &mut Kernel,
-        _now: SimTime,
         pid: Pid,
         dpfd: Fd,
         args: DvPoll,
@@ -586,11 +577,11 @@ impl DevPollRegistry {
         dev.stats.driver_polls += polled as u64;
         dev.stats.driver_polls_avoided += avoided as u64;
         let probe = kernel.probe_mut();
-        probe.inc("devpoll.scans");
-        probe.add("devpoll.driver_polls", polled as u64);
-        probe.add("devpoll.driver_polls_avoided", avoided as u64);
-        probe.add("devpoll.cache_revalidations", revalidated);
-        probe.add("devpoll.interest.lookups", polled as u64);
+        probe.inc(Metric::DevpollScans);
+        probe.add(Metric::DevpollDriverPolls, polled as u64);
+        probe.add(Metric::DevpollDriverPollsAvoided, avoided as u64);
+        probe.add(Metric::DevpollCacheRevalidations, revalidated);
+        probe.add(Metric::DevpollInterestLookups, polled as u64);
 
         // Charge the scan: hint-flag walk per candidate plus one driver
         // poll callback each; a read-lock acquisition covers the
@@ -666,7 +657,7 @@ impl DevPollRegistry {
             kernel.charge_app(pid, cost.mmap_result_write * n as u64);
             kernel
                 .probe_mut()
-                .add("devpoll.mmap_result_bytes", result_bytes);
+                .add(Metric::DevpollMmapResultBytes, result_bytes);
         } else {
             kernel.charge_app(
                 pid,
@@ -674,13 +665,13 @@ impl DevPollRegistry {
             );
             kernel
                 .probe_mut()
-                .add("devpoll.copyout_bytes", result_bytes);
+                .add(Metric::DevpollCopyoutBytes, result_bytes);
         }
         if spans_on {
             // Event delivery: mmap result write or pollfd copy-out.
             kernel.span_leaf(pid, Phase::Delivery, t_out);
         }
-        kernel.probe_mut().add("devpoll.results", n as u64);
+        kernel.probe_mut().add(Metric::DevpollResults, n as u64);
 
         candidates.clear();
         self.scan_scratch = candidates;
@@ -712,7 +703,7 @@ impl DevPollRegistry {
             }
             if dev.interest.mark_hint(fd) {
                 dev.stats.hints_marked += 1;
-                kernel.probe_mut().inc("devpoll.hints_marked");
+                kernel.probe_mut().inc(Metric::DevpollHintsMarked);
                 let lock = if dev.config.per_socket_locks {
                     cost.backmap_rlock / 2
                 } else {
@@ -731,13 +722,7 @@ impl DevPollRegistry {
 
     /// `close(dpfd)`: releases the device, its interest set and its
     /// watcher registrations.
-    pub fn close(
-        &mut self,
-        kernel: &mut Kernel,
-        now: SimTime,
-        pid: Pid,
-        dpfd: Fd,
-    ) -> Result<(), Errno> {
+    pub fn close(&mut self, kernel: &mut Kernel, pid: Pid, dpfd: Fd) -> Result<(), Errno> {
         let handle = match kernel.process(pid).fds.get(dpfd)?.kind {
             FileKind::DevPoll(h) => h,
             _ => return Err(Errno::EINVAL),
@@ -749,7 +734,6 @@ impl DevPollRegistry {
         let cost = *kernel.cost_model();
         kernel.charge_app(pid, cost.syscall + cost.close);
         kernel_close_fd(kernel, pid, dpfd)?;
-        let _ = now;
         Ok(())
     }
 }

@@ -8,6 +8,7 @@
 //! 1024-slot `FD_SETSIZE` is the hard limit the paper's httperf note
 //! alludes to ("httperf assumes that the maximum is 1024").
 
+use simcore::probe::Metric;
 use simcore::span::Phase;
 use simkernel::{Fd, Kernel, Pid, PollBits};
 
@@ -107,8 +108,8 @@ pub fn sys_select(
 
     let nfds = read_set.nfds().max(write_set.nfds());
     let probe = kernel.probe_mut();
-    probe.inc("select.calls");
-    probe.add("select.bit_walk", nfds as u64);
+    probe.inc(Metric::SelectCalls);
+    probe.add(Metric::SelectBitWalk, nfds as u64);
     // Three bitmaps in (readfds, writefds, exceptfds) — the per-call
     // interest-declaration tax, like poll()'s copy-in; the three result
     // bitmaps out are charged with the scan below (same 6× total).

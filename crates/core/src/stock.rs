@@ -6,6 +6,7 @@
 //! queue before sleeping, and deregistered on wakeup — the per-descriptor
 //! costs that §3 attributes the baseline's poor scalability to.
 
+use simcore::probe::Metric;
 use simcore::span::Phase;
 use simkernel::{Kernel, Pid, PollBits};
 
@@ -38,11 +39,11 @@ pub fn sys_poll(kernel: &mut Kernel, pid: Pid, fds: &mut [PollFd], timeout_ms: i
     let cost = *kernel.cost_model();
     kernel.charge_app(pid, cost.syscall);
     let probe = kernel.probe_mut();
-    probe.inc("poll.calls");
+    probe.inc(Metric::PollCalls);
     // Stock poll() pays one driver callback per descriptor per call —
     // the baseline the devpoll.driver_polls_avoided counter is judged
     // against.
-    probe.add("poll.driver_polls", fds.len() as u64);
+    probe.add(Metric::PollDriverPolls, fds.len() as u64);
 
     let spans_on = kernel.spans().enabled();
 

@@ -79,7 +79,7 @@ fn connect_one(w: &mut World, at: SimTime) -> (Fd, EndpointId) {
 fn open_dp(w: &mut World, config: DevPollConfig) -> Fd {
     let t = SimTime::ZERO;
     w.kernel.begin_batch(t, w.pid);
-    let dpfd = w.registry.open(&mut w.kernel, t, w.pid, config).unwrap();
+    let dpfd = w.registry.open(&mut w.kernel, w.pid, config).unwrap();
     w.kernel.end_batch(t, w.pid);
     dpfd
 }
@@ -95,7 +95,6 @@ fn interest_add_scan_and_remove() {
     w.registry
         .write(
             &mut w.kernel,
-            t,
             w.pid,
             dpfd,
             &[PollFd::new(fd, PollBits::POLLIN)],
@@ -104,13 +103,7 @@ fn interest_add_scan_and_remove() {
     // Nothing ready yet.
     let (out, res) = w
         .registry
-        .dp_poll(
-            &mut w.kernel,
-            t,
-            w.pid,
-            dpfd,
-            DvPoll::into_user_buffer(64, 0),
-        )
+        .dp_poll(&mut w.kernel, w.pid, dpfd, DvPoll::into_user_buffer(64, 0))
         .unwrap();
     assert_eq!(out, PollOutcome::Ready(0));
     assert!(res.is_empty());
@@ -124,13 +117,7 @@ fn interest_add_scan_and_remove() {
     w.kernel.begin_batch(t, w.pid);
     let (out, res) = w
         .registry
-        .dp_poll(
-            &mut w.kernel,
-            t,
-            w.pid,
-            dpfd,
-            DvPoll::into_user_buffer(64, 0),
-        )
+        .dp_poll(&mut w.kernel, w.pid, dpfd, DvPoll::into_user_buffer(64, 0))
         .unwrap();
     assert_eq!(out, PollOutcome::Ready(1));
     assert_eq!(res.len(), 1);
@@ -139,17 +126,11 @@ fn interest_add_scan_and_remove() {
 
     // POLLREMOVE drops the interest: later scans report nothing.
     w.registry
-        .write(&mut w.kernel, t, w.pid, dpfd, &[PollFd::remove(fd)])
+        .write(&mut w.kernel, w.pid, dpfd, &[PollFd::remove(fd)])
         .unwrap();
     let (out, res) = w
         .registry
-        .dp_poll(
-            &mut w.kernel,
-            t,
-            w.pid,
-            dpfd,
-            DvPoll::into_user_buffer(64, 0),
-        )
+        .dp_poll(&mut w.kernel, w.pid, dpfd, DvPoll::into_user_buffer(64, 0))
         .unwrap();
     assert_eq!(out, PollOutcome::Ready(0));
     assert!(res.is_empty());
@@ -174,19 +155,13 @@ fn hints_avoid_driver_polls_for_idle_descriptors() {
         .map(|&fd| PollFd::new(fd, PollBits::POLLIN))
         .collect();
     w.registry
-        .write(&mut w.kernel, t, w.pid, dpfd, &entries)
+        .write(&mut w.kernel, w.pid, dpfd, &entries)
         .unwrap();
 
     // First scan: every (fresh) interest is hinted, all pay a callback.
     let _ = w
         .registry
-        .dp_poll(
-            &mut w.kernel,
-            t,
-            w.pid,
-            dpfd,
-            DvPoll::into_user_buffer(64, 0),
-        )
+        .dp_poll(&mut w.kernel, w.pid, dpfd, DvPoll::into_user_buffer(64, 0))
         .unwrap();
     let s1 = w.registry.device(&w.kernel, w.pid, dpfd).unwrap().stats();
     assert_eq!(s1.driver_polls, 50);
@@ -194,13 +169,7 @@ fn hints_avoid_driver_polls_for_idle_descriptors() {
     // Second scan: nothing changed, nothing hinted, all avoided.
     let _ = w
         .registry
-        .dp_poll(
-            &mut w.kernel,
-            t,
-            w.pid,
-            dpfd,
-            DvPoll::into_user_buffer(64, 0),
-        )
+        .dp_poll(&mut w.kernel, w.pid, dpfd, DvPoll::into_user_buffer(64, 0))
         .unwrap();
     let s2 = w.registry.device(&w.kernel, w.pid, dpfd).unwrap().stats();
     assert_eq!(s2.driver_polls, 50, "no further callbacks");
@@ -220,7 +189,6 @@ fn hint_marks_trigger_revalidation_of_exactly_the_active_fd() {
     w.registry
         .write(
             &mut w.kernel,
-            t,
             w.pid,
             dpfd,
             &[
@@ -231,13 +199,7 @@ fn hint_marks_trigger_revalidation_of_exactly_the_active_fd() {
         .unwrap();
     let _ = w
         .registry
-        .dp_poll(
-            &mut w.kernel,
-            t,
-            w.pid,
-            dpfd,
-            DvPoll::into_user_buffer(64, 0),
-        )
+        .dp_poll(&mut w.kernel, w.pid, dpfd, DvPoll::into_user_buffer(64, 0))
         .unwrap();
     w.kernel.end_batch(t, w.pid);
     let base = w.registry.device(&w.kernel, w.pid, dpfd).unwrap().stats();
@@ -258,13 +220,7 @@ fn hint_marks_trigger_revalidation_of_exactly_the_active_fd() {
     w.kernel.begin_batch(t, w.pid);
     let (out, res) = w
         .registry
-        .dp_poll(
-            &mut w.kernel,
-            t,
-            w.pid,
-            dpfd,
-            DvPoll::into_user_buffer(64, 0),
-        )
+        .dp_poll(&mut w.kernel, w.pid, dpfd, DvPoll::into_user_buffer(64, 0))
         .unwrap();
     w.kernel.end_batch(t, w.pid);
     assert_eq!(out, PollOutcome::Ready(1));
@@ -288,7 +244,6 @@ fn cached_ready_results_are_revalidated_each_scan() {
     w.registry
         .write(
             &mut w.kernel,
-            t,
             w.pid,
             dpfd,
             &[PollFd::new(fd, PollBits::POLLIN)],
@@ -296,13 +251,7 @@ fn cached_ready_results_are_revalidated_each_scan() {
         .unwrap();
     let (_, res) = w
         .registry
-        .dp_poll(
-            &mut w.kernel,
-            t,
-            w.pid,
-            dpfd,
-            DvPoll::into_user_buffer(64, 0),
-        )
+        .dp_poll(&mut w.kernel, w.pid, dpfd, DvPoll::into_user_buffer(64, 0))
         .unwrap();
     assert_eq!(res.len(), 1);
     let polls_after_first = w
@@ -316,13 +265,7 @@ fn cached_ready_results_are_revalidated_each_scan() {
     // revalidated (one more driver poll) and still reported.
     let (_, res) = w
         .registry
-        .dp_poll(
-            &mut w.kernel,
-            t,
-            w.pid,
-            dpfd,
-            DvPoll::into_user_buffer(64, 0),
-        )
+        .dp_poll(&mut w.kernel, w.pid, dpfd, DvPoll::into_user_buffer(64, 0))
         .unwrap();
     assert_eq!(res.len(), 1, "still readable, still reported");
     let polls_after_second = w
@@ -338,24 +281,12 @@ fn cached_ready_results_are_revalidated_each_scan() {
     let _ = w.kernel.sys_read(&mut w.net, w.pid, fd, 4096).unwrap();
     let (_, res) = w
         .registry
-        .dp_poll(
-            &mut w.kernel,
-            t,
-            w.pid,
-            dpfd,
-            DvPoll::into_user_buffer(64, 0),
-        )
+        .dp_poll(&mut w.kernel, w.pid, dpfd, DvPoll::into_user_buffer(64, 0))
         .unwrap();
     assert!(res.is_empty());
     let (_, res) = w
         .registry
-        .dp_poll(
-            &mut w.kernel,
-            t,
-            w.pid,
-            dpfd,
-            DvPoll::into_user_buffer(64, 0),
-        )
+        .dp_poll(&mut w.kernel, w.pid, dpfd, DvPoll::into_user_buffer(64, 0))
         .unwrap();
     assert!(res.is_empty());
     let polls_final = w
@@ -383,12 +314,12 @@ fn mmap_results_require_alloc_and_are_cheaper() {
     // NULL dp_fds without a mapping is EINVAL.
     assert_eq!(
         w.registry
-            .dp_poll(&mut w.kernel, t, w.pid, dpfd, DvPoll::into_mmap(64, 0))
+            .dp_poll(&mut w.kernel, w.pid, dpfd, DvPoll::into_mmap(64, 0))
             .unwrap_err(),
         Errno::EINVAL
     );
     w.registry
-        .dp_alloc_mmap(&mut w.kernel, t, w.pid, dpfd, 64)
+        .dp_alloc_mmap(&mut w.kernel, w.pid, dpfd, 64)
         .unwrap();
     assert!(w
         .registry
@@ -398,7 +329,6 @@ fn mmap_results_require_alloc_and_are_cheaper() {
     w.registry
         .write(
             &mut w.kernel,
-            t,
             w.pid,
             dpfd,
             &[PollFd::new(fd, PollBits::POLLIN)],
@@ -413,17 +343,17 @@ fn mmap_results_require_alloc_and_are_cheaper() {
     w.kernel.begin_batch(t, w.pid);
     let (out, res) = w
         .registry
-        .dp_poll(&mut w.kernel, t, w.pid, dpfd, DvPoll::into_mmap(64, 0))
+        .dp_poll(&mut w.kernel, w.pid, dpfd, DvPoll::into_mmap(64, 0))
         .unwrap();
     assert_eq!(out, PollOutcome::Ready(1));
     assert_eq!(res.len(), 1);
     let s = w.registry.device(&w.kernel, w.pid, dpfd).unwrap().stats();
     assert_eq!(s.mmap_results, 1);
     // munmap: back to user-buffer mode only.
-    w.registry.munmap(&mut w.kernel, t, w.pid, dpfd).unwrap();
+    w.registry.munmap(&mut w.kernel, w.pid, dpfd).unwrap();
     assert_eq!(
         w.registry
-            .dp_poll(&mut w.kernel, t, w.pid, dpfd, DvPoll::into_mmap(64, 0))
+            .dp_poll(&mut w.kernel, w.pid, dpfd, DvPoll::into_mmap(64, 0))
             .unwrap_err(),
         Errno::EINVAL
     );
@@ -445,7 +375,6 @@ fn multiple_independent_interest_sets() {
     w.registry
         .write(
             &mut w.kernel,
-            t,
             w.pid,
             dp1,
             &[PollFd::new(fd_a, PollBits::POLLIN)],
@@ -454,7 +383,6 @@ fn multiple_independent_interest_sets() {
     w.registry
         .write(
             &mut w.kernel,
-            t,
             w.pid,
             dp2,
             &[PollFd::new(fd_b, PollBits::POLLIN)],
@@ -470,23 +398,11 @@ fn multiple_independent_interest_sets() {
     w.kernel.begin_batch(t, w.pid);
     let (_, r1) = w
         .registry
-        .dp_poll(
-            &mut w.kernel,
-            t,
-            w.pid,
-            dp1,
-            DvPoll::into_user_buffer(64, 0),
-        )
+        .dp_poll(&mut w.kernel, w.pid, dp1, DvPoll::into_user_buffer(64, 0))
         .unwrap();
     let (_, r2) = w
         .registry
-        .dp_poll(
-            &mut w.kernel,
-            t,
-            w.pid,
-            dp2,
-            DvPoll::into_user_buffer(64, 0),
-        )
+        .dp_poll(&mut w.kernel, w.pid, dp2, DvPoll::into_user_buffer(64, 0))
         .unwrap();
     w.kernel.end_batch(t, w.pid);
     assert_eq!(r1.iter().map(|p| p.fd).collect::<Vec<_>>(), vec![fd_a]);
@@ -502,14 +418,12 @@ fn devpoll_fd_on_wrong_calls_is_einval() {
     // Stream fd is not a devpoll fd.
     assert_eq!(
         w.registry
-            .dp_poll(&mut w.kernel, t, w.pid, fd, DvPoll::into_user_buffer(4, 0))
+            .dp_poll(&mut w.kernel, w.pid, fd, DvPoll::into_user_buffer(4, 0))
             .unwrap_err(),
         Errno::EINVAL
     );
     assert_eq!(
-        w.registry
-            .write(&mut w.kernel, t, w.pid, fd, &[])
-            .unwrap_err(),
+        w.registry.write(&mut w.kernel, w.pid, fd, &[]).unwrap_err(),
         Errno::EINVAL
     );
     w.kernel.end_batch(t, w.pid);
@@ -521,23 +435,17 @@ fn close_releases_device_and_fd() {
     let dpfd = open_dp(&mut w, DevPollConfig::default());
     let t = SimTime::from_millis(1);
     w.kernel.begin_batch(t, w.pid);
-    w.registry.close(&mut w.kernel, t, w.pid, dpfd).unwrap();
+    w.registry.close(&mut w.kernel, w.pid, dpfd).unwrap();
     assert_eq!(
         w.registry
-            .dp_poll(
-                &mut w.kernel,
-                t,
-                w.pid,
-                dpfd,
-                DvPoll::into_user_buffer(4, 0)
-            )
+            .dp_poll(&mut w.kernel, w.pid, dpfd, DvPoll::into_user_buffer(4, 0))
             .unwrap_err(),
         Errno::EBADF
     );
     // The fd slot is reusable.
     let dp2 = w
         .registry
-        .open(&mut w.kernel, t, w.pid, DevPollConfig::default())
+        .open(&mut w.kernel, w.pid, DevPollConfig::default())
         .unwrap();
     assert_eq!(dp2, dpfd);
     w.kernel.end_batch(t, w.pid);
@@ -559,7 +467,7 @@ fn result_cap_respects_dp_nfds() {
         .map(|&(fd, _)| PollFd::new(fd, PollBits::POLLIN))
         .collect();
     w.registry
-        .write(&mut w.kernel, t, w.pid, dpfd, &entries)
+        .write(&mut w.kernel, w.pid, dpfd, &entries)
         .unwrap();
     w.kernel.end_batch(t, w.pid);
     for &(_, ep) in &eps {
@@ -571,13 +479,7 @@ fn result_cap_respects_dp_nfds() {
     w.kernel.begin_batch(t, w.pid);
     let (out, res) = w
         .registry
-        .dp_poll(
-            &mut w.kernel,
-            t,
-            w.pid,
-            dpfd,
-            DvPoll::into_user_buffer(4, 0),
-        )
+        .dp_poll(&mut w.kernel, w.pid, dpfd, DvPoll::into_user_buffer(4, 0))
         .unwrap();
     w.kernel.end_batch(t, w.pid);
     assert_eq!(out, PollOutcome::Ready(4));
@@ -602,18 +504,12 @@ fn no_hints_config_scans_everything() {
     let t = SimTime::from_millis(80);
     w.kernel.begin_batch(t, w.pid);
     w.registry
-        .write(&mut w.kernel, t, w.pid, dpfd, &entries)
+        .write(&mut w.kernel, w.pid, dpfd, &entries)
         .unwrap();
     for _ in 0..3 {
         let _ = w
             .registry
-            .dp_poll(
-                &mut w.kernel,
-                t,
-                w.pid,
-                dpfd,
-                DvPoll::into_user_buffer(64, 0),
-            )
+            .dp_poll(&mut w.kernel, w.pid, dpfd, DvPoll::into_user_buffer(64, 0))
             .unwrap();
     }
     w.kernel.end_batch(t, w.pid);

@@ -74,7 +74,6 @@ fn solaris_or_semantics_accumulate_interest() {
         .registry
         .open(
             &mut w.kernel,
-            t,
             w.pid,
             DevPollConfig {
                 or_semantics: true,
@@ -86,7 +85,6 @@ fn solaris_or_semantics_accumulate_interest() {
     w.registry
         .write(
             &mut w.kernel,
-            t,
             w.pid,
             dpfd,
             &[PollFd::new(fd, PollBits::POLLIN)],
@@ -95,7 +93,6 @@ fn solaris_or_semantics_accumulate_interest() {
     w.registry
         .write(
             &mut w.kernel,
-            t,
             w.pid,
             dpfd,
             &[PollFd::new(fd, PollBits::POLLOUT)],
@@ -106,13 +103,7 @@ fn solaris_or_semantics_accumulate_interest() {
     // arrives POLLIN reports too, proving the OR.
     let (_, res) = w
         .registry
-        .dp_poll(
-            &mut w.kernel,
-            t,
-            w.pid,
-            dpfd,
-            DvPoll::into_user_buffer(8, 0),
-        )
+        .dp_poll(&mut w.kernel, w.pid, dpfd, DvPoll::into_user_buffer(8, 0))
         .unwrap();
     assert!(res[0].revents.contains(PollBits::POLLOUT));
     w.kernel.end_batch(t, w.pid);
@@ -123,13 +114,7 @@ fn solaris_or_semantics_accumulate_interest() {
     w.kernel.begin_batch(t, w.pid);
     let (_, res) = w
         .registry
-        .dp_poll(
-            &mut w.kernel,
-            t,
-            w.pid,
-            dpfd,
-            DvPoll::into_user_buffer(8, 0),
-        )
+        .dp_poll(&mut w.kernel, w.pid, dpfd, DvPoll::into_user_buffer(8, 0))
         .unwrap();
     w.kernel.end_batch(t, w.pid);
     assert!(res[0].revents.contains(PollBits::POLLIN));
@@ -144,12 +129,11 @@ fn linux_replace_semantics_drop_old_interest() {
     w.kernel.begin_batch(t, w.pid);
     let dpfd = w
         .registry
-        .open(&mut w.kernel, t, w.pid, DevPollConfig::default())
+        .open(&mut w.kernel, w.pid, DevPollConfig::default())
         .unwrap();
     w.registry
         .write(
             &mut w.kernel,
-            t,
             w.pid,
             dpfd,
             &[PollFd::new(fd, PollBits::POLLIN)],
@@ -159,7 +143,6 @@ fn linux_replace_semantics_drop_old_interest() {
     w.registry
         .write(
             &mut w.kernel,
-            t,
             w.pid,
             dpfd,
             &[PollFd::new(fd, PollBits::POLLOUT)],
@@ -173,13 +156,7 @@ fn linux_replace_semantics_drop_old_interest() {
     w.kernel.begin_batch(t, w.pid);
     let (_, res) = w
         .registry
-        .dp_poll(
-            &mut w.kernel,
-            t,
-            w.pid,
-            dpfd,
-            DvPoll::into_user_buffer(8, 0),
-        )
+        .dp_poll(&mut w.kernel, w.pid, dpfd, DvPoll::into_user_buffer(8, 0))
         .unwrap();
     w.kernel.end_batch(t, w.pid);
     // POLLIN was replaced away: only POLLOUT may report.
@@ -201,7 +178,7 @@ fn combined_update_poll_charges_one_syscall_less() {
     w.kernel.begin_batch(t, w.pid);
     let dpfd = w
         .registry
-        .open(&mut w.kernel, t, w.pid, DevPollConfig::default())
+        .open(&mut w.kernel, w.pid, DevPollConfig::default())
         .unwrap();
     w.kernel.end_batch(t, w.pid);
 
@@ -213,19 +190,11 @@ fn combined_update_poll_charges_one_syscall_less() {
                 .write_combined(&mut w.kernel, w.pid, dpfd, &upd)
                 .unwrap();
         } else {
-            w.registry
-                .write(&mut w.kernel, t, w.pid, dpfd, &upd)
-                .unwrap();
+            w.registry.write(&mut w.kernel, w.pid, dpfd, &upd).unwrap();
         }
         let _ = w
             .registry
-            .dp_poll(
-                &mut w.kernel,
-                t,
-                w.pid,
-                dpfd,
-                DvPoll::into_user_buffer(8, 0),
-            )
+            .dp_poll(&mut w.kernel, w.pid, dpfd, DvPoll::into_user_buffer(8, 0))
             .unwrap();
         let acc = w.kernel.process(w.pid).batch_acc.unwrap().as_nanos();
         w.kernel.end_batch(t, w.pid);
@@ -244,13 +213,12 @@ fn per_socket_locks_halve_lock_cost() {
     w.kernel.begin_batch(t, w.pid);
     let global = w
         .registry
-        .open(&mut w.kernel, t, w.pid, DevPollConfig::default())
+        .open(&mut w.kernel, w.pid, DevPollConfig::default())
         .unwrap();
     let per_sock = w
         .registry
         .open(
             &mut w.kernel,
-            t,
             w.pid,
             DevPollConfig {
                 per_socket_locks: true,
@@ -262,7 +230,6 @@ fn per_socket_locks_halve_lock_cost() {
         w.registry
             .write(
                 &mut w.kernel,
-                t,
                 w.pid,
                 dpfd,
                 &[PollFd::new(fd, PollBits::POLLIN)],
@@ -273,13 +240,7 @@ fn per_socket_locks_halve_lock_cost() {
         let before = w.kernel.process(w.pid).batch_acc.unwrap().as_nanos();
         let _ = w
             .registry
-            .dp_poll(
-                &mut w.kernel,
-                t,
-                w.pid,
-                dpfd,
-                DvPoll::into_user_buffer(8, 0),
-            )
+            .dp_poll(&mut w.kernel, w.pid, dpfd, DvPoll::into_user_buffer(8, 0))
             .unwrap();
         w.kernel.process(w.pid).batch_acc.unwrap().as_nanos() - before
     };
@@ -298,12 +259,11 @@ fn zero_dp_nfds_returns_no_results() {
     w.kernel.begin_batch(t, w.pid);
     let dpfd = w
         .registry
-        .open(&mut w.kernel, t, w.pid, DevPollConfig::default())
+        .open(&mut w.kernel, w.pid, DevPollConfig::default())
         .unwrap();
     w.registry
         .write(
             &mut w.kernel,
-            t,
             w.pid,
             dpfd,
             &[PollFd::new(fd, PollBits::POLLIN)],
@@ -316,13 +276,7 @@ fn zero_dp_nfds_returns_no_results() {
     w.kernel.begin_batch(t, w.pid);
     let (out, res) = w
         .registry
-        .dp_poll(
-            &mut w.kernel,
-            t,
-            w.pid,
-            dpfd,
-            DvPoll::into_user_buffer(0, 0),
-        )
+        .dp_poll(&mut w.kernel, w.pid, dpfd, DvPoll::into_user_buffer(0, 0))
         .unwrap();
     w.kernel.end_batch(t, w.pid);
     assert_eq!(out, PollOutcome::Ready(0));
@@ -336,11 +290,11 @@ fn pollremove_of_unknown_fd_is_harmless() {
     w.kernel.begin_batch(t, w.pid);
     let dpfd = w
         .registry
-        .open(&mut w.kernel, t, w.pid, DevPollConfig::default())
+        .open(&mut w.kernel, w.pid, DevPollConfig::default())
         .unwrap();
     let n = w
         .registry
-        .write(&mut w.kernel, t, w.pid, dpfd, &[PollFd::remove(99)])
+        .write(&mut w.kernel, w.pid, dpfd, &[PollFd::remove(99)])
         .unwrap();
     assert_eq!(n, 1, "entry processed even though nothing matched");
     assert_eq!(
@@ -366,7 +320,7 @@ fn open_fails_cleanly_when_fd_table_full() {
         .unwrap();
     assert_eq!(
         registry
-            .open(&mut kernel, SimTime::ZERO, pid, DevPollConfig::default())
+            .open(&mut kernel, pid, DevPollConfig::default())
             .unwrap_err(),
         Errno::EMFILE
     );
@@ -380,7 +334,7 @@ fn devpoll_fd_itself_reports_no_readiness() {
     w.kernel.begin_batch(t, w.pid);
     let dpfd = w
         .registry
-        .open(&mut w.kernel, t, w.pid, DevPollConfig::default())
+        .open(&mut w.kernel, w.pid, DevPollConfig::default())
         .unwrap();
     w.kernel.end_batch(t, w.pid);
     assert!(w.kernel.readiness(w.pid, dpfd).is_empty());

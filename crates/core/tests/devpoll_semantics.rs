@@ -10,6 +10,7 @@
 //!   exercised alongside the mechanism.
 
 use devpoll::{DevPollConfig, DevPollRegistry, PollFd};
+use simcore::probe::Metric;
 use simcore::time::SimTime;
 use simkernel::{CostModel, Kernel, Pid, PollBits};
 use simnet::HostId;
@@ -20,7 +21,7 @@ fn setup(config: DevPollConfig) -> (Kernel, DevPollRegistry, Pid, simkernel::Fd)
     let mut registry = DevPollRegistry::new();
     kernel.begin_batch(SimTime::ZERO, pid);
     let dpfd = registry
-        .open(&mut kernel, SimTime::ZERO, pid, config)
+        .open(&mut kernel, pid, config)
         .expect("open /dev/poll");
     (kernel, registry, pid, dpfd)
 }
@@ -33,7 +34,7 @@ fn write_one(
     entry: PollFd,
 ) {
     registry
-        .write(kernel, SimTime::ZERO, pid, dpfd, &[entry])
+        .write(kernel, pid, dpfd, &[entry])
         .expect("write interest");
 }
 
@@ -108,7 +109,7 @@ fn pollremove_of_absent_fd_is_a_harmless_noop() {
     // Removing an fd that was never added must succeed and change
     // nothing.
     let n = registry
-        .write(&mut kernel, SimTime::ZERO, pid, dpfd, &[PollFd::remove(99)])
+        .write(&mut kernel, pid, dpfd, &[PollFd::remove(99)])
         .expect("POLLREMOVE of absent fd must not error");
     assert_eq!(n, 1, "the entry is still counted as processed");
     let dev = registry.device(&kernel, pid, dpfd).unwrap();
@@ -118,7 +119,7 @@ fn pollremove_of_absent_fd_is_a_harmless_noop() {
 
     // And doing it twice in a row is equally harmless.
     registry
-        .write(&mut kernel, SimTime::ZERO, pid, dpfd, &[PollFd::remove(99)])
+        .write(&mut kernel, pid, dpfd, &[PollFd::remove(99)])
         .expect("repeated POLLREMOVE of absent fd");
     kernel.end_batch(SimTime::ZERO, pid);
 }
@@ -136,7 +137,7 @@ fn table_doubles_at_average_bucket_size_two_and_never_shrinks() {
             dpfd,
             PollFd::new(fd, PollBits::POLLIN),
         );
-        let buckets = kernel.probe().gauge("devpoll.interest.buckets").value;
+        let buckets = kernel.probe().gauge(Metric::DevpollInterestBuckets).value;
         if fd < 15 {
             assert_eq!(
                 buckets,
@@ -157,10 +158,13 @@ fn table_doubles_at_average_bucket_size_two_and_never_shrinks() {
             PollFd::new(fd, PollBits::POLLIN),
         );
     }
-    assert_eq!(kernel.probe().gauge("devpoll.interest.buckets").value, 32);
-    assert_eq!(kernel.probe().gauge("devpoll.interest.len").value, 32);
     assert_eq!(
-        kernel.probe().counter("devpoll.interest.resizes"),
+        kernel.probe().gauge(Metric::DevpollInterestBuckets).value,
+        32
+    );
+    assert_eq!(kernel.probe().gauge(Metric::DevpollInterestLen).value, 32);
+    assert_eq!(
+        kernel.probe().counter(Metric::DevpollInterestResizes),
         2,
         "exactly two doublings for 32 entries from 8 initial buckets"
     );
@@ -168,16 +172,19 @@ fn table_doubles_at_average_bucket_size_two_and_never_shrinks() {
     // Mass POLLREMOVE: the table is never shrunk.
     let removes: Vec<PollFd> = (0..32).map(PollFd::remove).collect();
     registry
-        .write(&mut kernel, SimTime::ZERO, pid, dpfd, &removes)
+        .write(&mut kernel, pid, dpfd, &removes)
         .expect("mass POLLREMOVE");
-    assert_eq!(kernel.probe().gauge("devpoll.interest.len").value, 0);
+    assert_eq!(kernel.probe().gauge(Metric::DevpollInterestLen).value, 0);
     assert_eq!(
-        kernel.probe().gauge("devpoll.interest.buckets").value,
+        kernel.probe().gauge(Metric::DevpollInterestBuckets).value,
         32,
         "the hash table is never shrunk (§3.1)"
     );
-    assert_eq!(kernel.probe().counter("devpoll.interest.resizes"), 2);
+    assert_eq!(kernel.probe().counter(Metric::DevpollInterestResizes), 2);
     // The high-water marks remember the peak.
-    assert_eq!(kernel.probe().gauge("devpoll.interest.len").high_water, 32);
+    assert_eq!(
+        kernel.probe().gauge(Metric::DevpollInterestLen).high_water,
+        32
+    );
     kernel.end_batch(SimTime::ZERO, pid);
 }

@@ -16,7 +16,7 @@ pub mod report;
 pub mod run;
 pub mod testbed;
 
-pub use load::{LoadConfig, LoadGen, LoadShape, LoadTimer};
+pub use load::{FollowUps, LoadConfig, LoadGen, LoadShape, LoadTimer};
 pub use report::{ErrorCounts, RunReport};
 pub use run::{run_one, RunParams, ServerKind};
 pub use testbed::{default_testbed, Testbed, CLIENT_HOST, SERVER_HOST};

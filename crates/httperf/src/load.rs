@@ -173,6 +173,32 @@ pub enum LoadTimer {
     SendRequest(ConnId),
 }
 
+/// The follow-up timers of one load-generator event: at most two (an
+/// active launch schedules the next arrival and the attempt's timeout),
+/// held inline so the per-event path never allocates.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct FollowUps([Option<(SimTime, LoadTimer)>; 2]);
+
+impl FollowUps {
+    fn one(at: SimTime, timer: LoadTimer) -> FollowUps {
+        FollowUps([Some((at, timer)), None])
+    }
+
+    fn push(&mut self, at: SimTime, timer: LoadTimer) {
+        let slot = self.0.iter_mut().find(|s| s.is_none());
+        *slot.expect("invariant: a load event schedules at most two timers") = Some((at, timer));
+    }
+}
+
+impl IntoIterator for FollowUps {
+    type Item = (SimTime, LoadTimer);
+    type IntoIter = std::iter::Flatten<std::array::IntoIter<Option<(SimTime, LoadTimer)>, 2>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.into_iter().flatten()
+    }
+}
+
 /// The load generator state machine.
 pub struct LoadGen {
     cfg: LoadConfig,
@@ -358,12 +384,7 @@ impl LoadGen {
     }
 
     /// Fires one timer; returns follow-up timers to schedule.
-    pub fn on_timer(
-        &mut self,
-        net: &mut Network,
-        now: SimTime,
-        timer: LoadTimer,
-    ) -> Vec<(SimTime, LoadTimer)> {
+    pub fn on_timer(&mut self, net: &mut Network, now: SimTime, timer: LoadTimer) -> FollowUps {
         match timer {
             LoadTimer::NextArrival => return self.launch_active(net, now),
             LoadTimer::ReopenInactive => return self.launch_inactive(net, now),
@@ -376,7 +397,7 @@ impl LoadGen {
             }
             LoadTimer::SendRequest(conn) => {
                 let Some(c) = self.conn_get_mut(conn) else {
-                    return Vec::new();
+                    return FollowUps::default();
                 };
                 if c.state == State::Turnaround {
                     c.state = State::AwaitingReply {
@@ -388,11 +409,11 @@ impl LoadGen {
                 }
             }
         }
-        Vec::new()
+        FollowUps::default()
     }
 
-    fn launch_active(&mut self, net: &mut Network, now: SimTime) -> Vec<(SimTime, LoadTimer)> {
-        let mut timers = Vec::new();
+    fn launch_active(&mut self, net: &mut Network, now: SimTime) -> FollowUps {
+        let mut timers = FollowUps::default();
         if self.launched >= self.cfg.total_conns {
             return timers;
         }
@@ -402,7 +423,7 @@ impl LoadGen {
             self.finished_arrivals = true;
         } else {
             let at = self.next_arrival_at(now);
-            timers.push((at, LoadTimer::NextArrival));
+            timers.push(at, LoadTimer::NextArrival);
         }
         if self.open_sockets() >= self.cfg.client_fd_limit {
             self.resolve(now, None, Outcome::FdShortage);
@@ -415,16 +436,16 @@ impl LoadGen {
                     state: State::Connecting,
                 };
                 self.conn_insert(conn, c);
-                timers.push((now + self.cfg.client_timeout, LoadTimer::Timeout(conn)));
+                timers.push(now + self.cfg.client_timeout, LoadTimer::Timeout(conn));
             }
             Err(e) => self.resolve(now, None, e.into()),
         }
         timers
     }
 
-    fn launch_inactive(&mut self, net: &mut Network, now: SimTime) -> Vec<(SimTime, LoadTimer)> {
+    fn launch_inactive(&mut self, net: &mut Network, now: SimTime) -> FollowUps {
         if self.inactive_open >= self.cfg.inactive {
-            return Vec::new();
+            return FollowUps::default();
         }
         let host = self.next_inactive_host();
         match net.connect(now, host, self.server, self.cfg.inactive_extra_delay) {
@@ -435,10 +456,10 @@ impl LoadGen {
                     state: State::Held,
                 };
                 self.conn_insert(conn, c);
-                Vec::new()
+                FollowUps::default()
             }
             // Retry shortly; the population must stay constant.
-            Err(_) => vec![(now + RETRY_DELAY, LoadTimer::ReopenInactive)],
+            Err(_) => FollowUps::one(now + RETRY_DELAY, LoadTimer::ReopenInactive),
         }
     }
 
@@ -468,25 +489,20 @@ impl LoadGen {
     /// Drops a `Held` connection and schedules its replacement at `at`,
     /// keeping the inactive population constant (§5). Resolves
     /// nothing: inactive connections are not attempts.
-    fn reopen(&mut self, conn: ConnId, at: SimTime) -> Vec<(SimTime, LoadTimer)> {
+    fn reopen(&mut self, conn: ConnId, at: SimTime) -> FollowUps {
         self.conn_remove(conn);
         self.inactive_open -= 1;
-        vec![(at, LoadTimer::ReopenInactive)]
+        FollowUps::one(at, LoadTimer::ReopenInactive)
     }
 
     /// Routes a network notification; returns follow-up timers.
-    pub fn on_net(
-        &mut self,
-        net: &mut Network,
-        now: SimTime,
-        notify: &NetNotify,
-    ) -> Vec<(SimTime, LoadTimer)> {
+    pub fn on_net(&mut self, net: &mut Network, now: SimTime, notify: &NetNotify) -> FollowUps {
         match *notify {
             NetNotify::ConnectDone { ep } if ep.side == Side::Client => self.on_connected(now, ep),
             NetNotify::ConnectFailed { conn, reason, .. } => self.on_lost(now, conn, reason.into()),
             NetNotify::Readable { ep } if ep.side == Side::Client => {
                 self.drain(net, ep);
-                Vec::new()
+                FollowUps::default()
             }
             NetNotify::ConnReset { ep } if ep.side == Side::Client => {
                 self.on_lost(now, ep.conn, Outcome::Reset)
@@ -498,36 +514,31 @@ impl LoadGen {
             {
                 self.on_peer_closed(net, now, ep)
             }
-            _ => Vec::new(),
+            _ => FollowUps::default(),
         }
     }
 
-    fn on_connected(&mut self, now: SimTime, ep: EndpointId) -> Vec<(SimTime, LoadTimer)> {
+    fn on_connected(&mut self, now: SimTime, ep: EndpointId) -> FollowUps {
         let Some(c) = self.conn_get_mut(ep.conn) else {
-            return Vec::new();
+            return FollowUps::default();
         };
         if c.state != State::Connecting {
-            return Vec::new();
+            return FollowUps::default();
         }
         // Real clients take a scheduling quantum to issue the write.
         c.state = State::Turnaround;
-        vec![(now + self.cfg.client_think, LoadTimer::SendRequest(ep.conn))]
+        FollowUps::one(now + self.cfg.client_think, LoadTimer::SendRequest(ep.conn))
     }
 
     /// The connection failed or was reset under us: an active attempt
     /// resolves as `outcome`, a held one is replaced.
-    fn on_lost(
-        &mut self,
-        now: SimTime,
-        conn: ConnId,
-        outcome: Outcome,
-    ) -> Vec<(SimTime, LoadTimer)> {
+    fn on_lost(&mut self, now: SimTime, conn: ConnId, outcome: Outcome) -> FollowUps {
         match self.conn_get(conn).map(|c| c.state) {
             Some(State::Held) => return self.reopen(conn, now + RETRY_DELAY),
             Some(_) => self.resolve(now, Some(conn), outcome),
             None => {}
         }
-        Vec::new()
+        FollowUps::default()
     }
 
     fn drain(&mut self, net: &mut Network, ep: EndpointId) {
@@ -549,16 +560,11 @@ impl LoadGen {
         }
     }
 
-    fn on_peer_closed(
-        &mut self,
-        net: &mut Network,
-        now: SimTime,
-        ep: EndpointId,
-    ) -> Vec<(SimTime, LoadTimer)> {
+    fn on_peer_closed(&mut self, net: &mut Network, now: SimTime, ep: EndpointId) -> FollowUps {
         // Drain whatever arrived with the FIN.
         self.drain(net, ep);
         let Some(state) = self.conn_get(ep.conn).map(|c| c.state) else {
-            return Vec::new();
+            return FollowUps::default();
         };
         let _ = net.close(now, ep);
         let outcome = match state {
@@ -574,7 +580,7 @@ impl LoadGen {
             _ => Outcome::Timeout,
         };
         self.resolve(now, Some(ep.conn), outcome);
-        Vec::new()
+        FollowUps::default()
     }
 }
 
@@ -771,7 +777,7 @@ mod tests {
         let later = SimTime::from_secs(3);
         let ep = EndpointId::new(FIRST, Side::Client);
         for n in [NetNotify::PeerClosed { ep }, NetNotify::ConnReset { ep }] {
-            assert!(w.lg.on_net(&mut w.net, later, &n).is_empty());
+            assert_eq!(w.lg.on_net(&mut w.net, later, &n).into_iter().count(), 0);
         }
         w.run_until(SimTime::from_secs(5));
         assert_eq!(w.ledger(), (1, 0, 0));

@@ -6,6 +6,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use devpoll::DevPollRegistry;
+use simcore::probe::Metric;
 use simcore::stats::RateSummary;
 use simcore::time::SimTime;
 use simkernel::{CostModel, Kernel, KernelEvent};
@@ -226,7 +227,7 @@ impl Testbed {
         net.stats().fold_into(kernel.probe_mut());
         kernel
             .probe_mut()
-            .gauge_set("tcp.time_wait", net.time_wait_count(SERVER_HOST) as u64);
+            .gauge_set(Metric::TcpTimeWait, net.time_wait_count(SERVER_HOST) as u64);
         // Memory lane: server-side heap high-water (paged stores never
         // free pages) over the peak endpoint population.
         let mem_server_bytes = (kernel.mem_bytes() + registry.mem_bytes()) as u64;
@@ -234,15 +235,15 @@ impl Testbed {
         if load.config().mem_probes {
             let emfile = kernel.stats().emfile;
             let probe = kernel.probe_mut();
-            probe.gauge_set("mem.server.bytes", mem_server_bytes);
-            probe.gauge_set("mem.server.eps_peak", mem_eps_peak);
-            probe.gauge_set("mem.server.devpoll_bytes", registry.mem_bytes() as u64);
+            probe.gauge_set(Metric::MemServerBytes, mem_server_bytes);
+            probe.gauge_set(Metric::MemServerEpsPeak, mem_eps_peak);
+            probe.gauge_set(Metric::MemServerDevpollBytes, registry.mem_bytes() as u64);
             probe.gauge_set(
-                "mem.client.bytes",
+                Metric::MemClientBytes,
                 (load.mem_bytes() + net.conn_mem_bytes()) as u64,
             );
             if emfile > 0 {
-                probe.add("kernel.emfile", emfile);
+                probe.add(Metric::KernelEmfile, emfile);
             }
         }
         let probe = kernel.probe().snapshot();

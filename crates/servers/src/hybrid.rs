@@ -63,14 +63,9 @@ impl HybridServer {
             self.table.admit(ctx, fd);
             // Register BOTH engines up front: the §6 proposal.
             let _ = self.rtapi.register(ctx.kernel, pid, fd);
-            let _ = self.backend.set_interest(
-                ctx.kernel,
-                ctx.registry,
-                ctx.now,
-                pid,
-                fd,
-                PollBits::POLLIN,
-            );
+            let _ = self
+                .backend
+                .set_interest(ctx.kernel, ctx.registry, pid, fd, PollBits::POLLIN);
             self.table
                 .serve(ctx, Some(&mut self.backend), fd, PollBits::POLLIN);
         }
@@ -162,15 +157,9 @@ impl Server for HybridServer {
         let pid = self.table.pid;
         ctx.kernel.begin_batch(ctx.now, pid);
         let lfd = self.table.listen(ctx, None)?;
-        self.backend.init(ctx.kernel, ctx.registry, ctx.now, pid)?;
-        self.backend.set_interest(
-            ctx.kernel,
-            ctx.registry,
-            ctx.now,
-            pid,
-            lfd,
-            PollBits::POLLIN,
-        )?;
+        self.backend.init(ctx.kernel, ctx.registry, pid)?;
+        self.backend
+            .set_interest(ctx.kernel, ctx.registry, pid, lfd, PollBits::POLLIN)?;
         self.rtapi.register(ctx.kernel, pid, lfd)?;
         ctx.kernel.end_batch(ctx.now, pid);
         Ok(())

@@ -1,6 +1,6 @@
 //! Server-side counters used by the benchmark reports and tests.
 
-use simcore::probe::MetricRegistry;
+use simcore::probe::{Metric, MetricRegistry};
 
 /// Counters one server accumulates over a run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -38,16 +38,16 @@ impl ServerMetrics {
     /// names (called once at report time; `add` keeps it idempotent-ish
     /// for registries that fold exactly once, which the testbed does).
     pub fn fold_into(&self, probe: &mut MetricRegistry) {
-        probe.add("server.accepted", self.accepted);
-        probe.add("server.replies", self.replies);
-        probe.add("server.read_errors", self.read_errors);
-        probe.add("server.idle_closed", self.idle_closed);
-        probe.add("server.client_closed_early", self.client_closed_early);
-        probe.add("server.not_found", self.not_found);
-        probe.add("server.stale_events", self.stale_events);
-        probe.add("server.overflows", self.overflows);
-        probe.add("server.mode_switches", self.mode_switches);
-        probe.add("server.busy_batches", self.busy_batches);
+        probe.add(Metric::ServerAccepted, self.accepted);
+        probe.add(Metric::ServerReplies, self.replies);
+        probe.add(Metric::ServerReadErrors, self.read_errors);
+        probe.add(Metric::ServerIdleClosed, self.idle_closed);
+        probe.add(Metric::ServerClientClosedEarly, self.client_closed_early);
+        probe.add(Metric::ServerNotFound, self.not_found);
+        probe.add(Metric::ServerStaleEvents, self.stale_events);
+        probe.add(Metric::ServerOverflows, self.overflows);
+        probe.add(Metric::ServerModeSwitches, self.mode_switches);
+        probe.add(Metric::ServerBusyBatches, self.busy_batches);
     }
 }
 

@@ -100,7 +100,6 @@ impl Phhttpd {
                     let _ = self.poll_backend.set_interest(
                         ctx.kernel,
                         ctx.registry,
-                        ctx.now,
                         pid,
                         fd,
                         PollBits::POLLIN,
@@ -151,7 +150,6 @@ impl Phhttpd {
         let _ = self.poll_backend.set_interest(
             ctx.kernel,
             ctx.registry,
-            ctx.now,
             pid,
             self.table.lfd,
             PollBits::POLLIN,
@@ -164,7 +162,7 @@ impl Phhttpd {
             };
             let _ = self
                 .poll_backend
-                .set_interest(ctx.kernel, ctx.registry, ctx.now, pid, fd, ev);
+                .set_interest(ctx.kernel, ctx.registry, pid, fd, ev);
         }
     }
 

@@ -9,6 +9,7 @@
 //! queue needs no interest upkeep.
 
 use devpoll::{EventBackend, PollFd};
+use simcore::probe::Metric;
 use simcore::time::SimTime;
 use simkernel::{Errno, Fd, FdMap, Pid, PollBits};
 use simnet::ListenerId;
@@ -123,7 +124,6 @@ impl ConnTable {
                     let _ = backend.set_interest(
                         ctx.kernel,
                         ctx.registry,
-                        ctx.now,
                         self.pid,
                         fd,
                         PollBits::POLLOUT,
@@ -153,7 +153,7 @@ impl ConnTable {
         abort: bool,
     ) {
         if let Some(backend) = interest {
-            let _ = backend.remove_interest(ctx.kernel, ctx.registry, ctx.now, self.pid, fd);
+            let _ = backend.remove_interest(ctx.kernel, ctx.registry, self.pid, fd);
         }
         let _ = if abort {
             ctx.kernel.sys_abort(ctx.net, ctx.now, self.pid, fd)
@@ -231,7 +231,7 @@ impl ConnTable {
             self.metrics.busy_batches += 1;
             ctx.kernel
                 .probe_mut()
-                .observe("server.batch_events", events as u64);
+                .observe(Metric::ServerBatchEvents, events as u64);
             ctx.kernel.end_batch(ctx.now, self.pid);
         }
     }

@@ -59,15 +59,9 @@ impl<B: EventBackend> Thttpd<B> {
         let pid = self.table.pid;
         ctx.kernel.begin_batch(ctx.now, pid);
         let lfd = self.table.listen(ctx, shared)?;
-        self.backend.init(ctx.kernel, ctx.registry, ctx.now, pid)?;
-        self.backend.set_interest(
-            ctx.kernel,
-            ctx.registry,
-            ctx.now,
-            pid,
-            lfd,
-            PollBits::POLLIN,
-        )?;
+        self.backend.init(ctx.kernel, ctx.registry, pid)?;
+        self.backend
+            .set_interest(ctx.kernel, ctx.registry, pid, lfd, PollBits::POLLIN)?;
         ctx.kernel.end_batch(ctx.now, pid);
         self.started = true;
         Ok(())
@@ -79,14 +73,9 @@ impl<B: EventBackend> Thttpd<B> {
         while let Ok(fd) = ctx.kernel.sys_accept(ctx.net, ctx.now, pid, self.table.lfd) {
             let _ = ctx.kernel.sys_set_nonblock(pid, fd);
             self.table.admit(ctx, fd);
-            let _ = self.backend.set_interest(
-                ctx.kernel,
-                ctx.registry,
-                ctx.now,
-                pid,
-                fd,
-                PollBits::POLLIN,
-            );
+            let _ = self
+                .backend
+                .set_interest(ctx.kernel, ctx.registry, pid, fd, PollBits::POLLIN);
         }
     }
 

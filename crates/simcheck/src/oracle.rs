@@ -297,7 +297,7 @@ impl Lane {
         lane.pump();
         lane.kernel.begin_batch(lane.now, lane.pid);
         lane.backend
-            .init(&mut lane.kernel, &mut lane.registry, lane.now, lane.pid)
+            .init(&mut lane.kernel, &mut lane.registry, lane.pid)
             .expect("invariant: backend init on a fresh world cannot fail");
         lane.now = lane.now.max(lane.kernel.end_batch(lane.now, lane.pid));
         lane.pump();
@@ -402,14 +402,7 @@ impl Lane {
                 };
                 self.kernel.begin_batch(self.now, self.pid);
                 self.backend
-                    .set_interest(
-                        &mut self.kernel,
-                        &mut self.registry,
-                        self.now,
-                        self.pid,
-                        fd,
-                        events,
-                    )
+                    .set_interest(&mut self.kernel, &mut self.registry, self.pid, fd, events)
                     .expect("invariant: interest update on a live fd cannot fail");
                 if self.kind == LaneKind::RtSig {
                     let _ = self.rtapi.register(&mut self.kernel, self.pid, fd);
@@ -423,7 +416,7 @@ impl Lane {
                 };
                 self.kernel.begin_batch(self.now, self.pid);
                 self.backend
-                    .remove_interest(&mut self.kernel, &mut self.registry, self.now, self.pid, fd)
+                    .remove_interest(&mut self.kernel, &mut self.registry, self.pid, fd)
                     .expect("invariant: interest removal cannot fail");
                 if self.kind == LaneKind::RtSig {
                     let _ = self.rtapi.unregister(&mut self.kernel, self.pid, fd);

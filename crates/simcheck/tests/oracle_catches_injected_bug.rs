@@ -40,19 +40,13 @@ fn audit_checks_are_counted_by_the_registry_not_the_probes() {
     let mut registry = DevPollRegistry::audited();
     kernel.begin_batch(t, pid);
     let dpfd = registry
-        .open(&mut kernel, t, pid, DevPollConfig::default())
+        .open(&mut kernel, pid, DevPollConfig::default())
         .expect("open /dev/poll");
     registry
-        .write(
-            &mut kernel,
-            t,
-            pid,
-            dpfd,
-            &[PollFd::new(7, PollBits::POLLIN)],
-        )
+        .write(&mut kernel, pid, dpfd, &[PollFd::new(7, PollBits::POLLIN)])
         .expect("write interest");
     registry
-        .dp_poll(&mut kernel, t, pid, dpfd, DvPoll::into_user_buffer(8, 0))
+        .dp_poll(&mut kernel, pid, dpfd, DvPoll::into_user_buffer(8, 0))
         .expect("DP_POLL");
     assert!(registry.audit_checks() > 0, "audited registry must check");
     assert!(

@@ -10,29 +10,173 @@
 //! * **histograms** — log2-bucketed value distributions (per-syscall
 //!   simulated latency, event batch sizes).
 //!
-//! Metrics are keyed by `&'static str` so a record is one branch-free
-//! map update, and stored in `BTreeMap`s so iteration — and therefore
-//! every rendered snapshot — is deterministic. Two identical seeded runs
-//! produce byte-identical snapshots.
+//! Every metric is a [`Metric`] id from one name table, so a misspelt
+//! metric is a compile error. The registry keeps each kind in a flat
+//! array indexed by the id, and a record is one array update: no lookup,
+//! no allocation. Names appear only at export: a snapshot lists the
+//! metrics written so far, each kind sorted by name, so two identical
+//! seeded runs produce byte-identical snapshots.
 //!
 //! # Examples
 //!
 //! ```
-//! use simcore::probe::MetricRegistry;
+//! use simcore::probe::{Metric, MetricRegistry};
 //!
 //! let mut probe = MetricRegistry::new();
-//! probe.inc("devpoll.scans");
-//! probe.gauge_set("rtsig.queue_depth", 7);
-//! probe.observe("syscall_ns.read", 2_300);
+//! probe.inc(Metric::DevpollScans);
+//! probe.gauge_set(Metric::RtsigQueueDepth, 7);
+//! probe.observe(Metric::SyscallNsRead, 2_300);
 //! let snap = probe.snapshot();
 //! assert_eq!(snap.counter("devpoll.scans"), 1);
 //! assert!(snap.to_text().contains("rtsig.queue_depth"));
 //! ```
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use crate::fingerprint::Fnv;
+
+/// Declares [`Metric`] from the name table below.
+macro_rules! metric_table {
+    (
+        counters { $($c:ident = $cn:literal,)* }
+        gauges { $($g:ident = $gn:literal,)* }
+        histograms { $($h:ident = $hn:literal,)* }
+    ) => {
+        /// A metric id: the key every probe records under. Counters come
+        /// first, then gauges, then histograms; within each kind the ids
+        /// are in byte-wise name order, the order snapshots export.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+        pub enum Metric {
+            $(#[doc = $cn] $c,)*
+            $(#[doc = $gn] $g,)*
+            $(#[doc = $hn] $h,)*
+        }
+
+        const COUNTERS: usize = [$($cn),*].len();
+        const GAUGES: usize = [$($gn),*].len();
+        const METRICS: usize = COUNTERS + GAUGES + [$($hn),*].len();
+
+        impl Metric {
+            /// Every id, in table order.
+            const ALL: [Metric; METRICS] =
+                [$(Metric::$c,)* $(Metric::$g,)* $(Metric::$h,)*];
+            const NAMES: [&'static str; METRICS] = [$($cn,)* $($gn,)* $($hn,)*];
+        }
+    };
+}
+
+metric_table! {
+    counters {
+        DevpollCacheRevalidations = "devpoll.cache_revalidations",
+        DevpollCopyoutBytes = "devpoll.copyout_bytes",
+        DevpollDriverPolls = "devpoll.driver_polls",
+        DevpollDriverPollsAvoided = "devpoll.driver_polls_avoided",
+        DevpollHintsMarked = "devpoll.hints_marked",
+        DevpollInterestLookups = "devpoll.interest.lookups",
+        DevpollInterestOps = "devpoll.interest.ops",
+        DevpollInterestResizes = "devpoll.interest.resizes",
+        DevpollMmapResultBytes = "devpoll.mmap_result_bytes",
+        DevpollResults = "devpoll.results",
+        DevpollScans = "devpoll.scans",
+        KernelEmfile = "kernel.emfile",
+        KernelWakeups = "kernel.wakeups",
+        PollCalls = "poll.calls",
+        PollDriverPolls = "poll.driver_polls",
+        RtsigDequeued = "rtsig.dequeued",
+        RtsigEnqueued = "rtsig.enqueued",
+        RtsigFlushed = "rtsig.flushed",
+        RtsigOverflows = "rtsig.overflows",
+        SelectBitWalk = "select.bit_walk",
+        SelectCalls = "select.calls",
+        ServerAccepted = "server.accepted",
+        ServerBusyBatches = "server.busy_batches",
+        ServerClientClosedEarly = "server.client_closed_early",
+        ServerIdleClosed = "server.idle_closed",
+        ServerModeSwitches = "server.mode_switches",
+        ServerNotFound = "server.not_found",
+        ServerOverflows = "server.overflows",
+        ServerReadErrors = "server.read_errors",
+        ServerReplies = "server.replies",
+        ServerStaleEvents = "server.stale_events",
+        SyscallAbort = "syscall.abort",
+        SyscallAccept = "syscall.accept",
+        SyscallClose = "syscall.close",
+        SyscallFlushRt = "syscall.flush_rt",
+        SyscallListen = "syscall.listen",
+        SyscallRead = "syscall.read",
+        SyscallSendfile = "syscall.sendfile",
+        SyscallSetNonblock = "syscall.set_nonblock",
+        SyscallSetSig = "syscall.set_sig",
+        SyscallShareListener = "syscall.share_listener",
+        SyscallSigtimedwait4 = "syscall.sigtimedwait4",
+        SyscallSigwaitinfo = "syscall.sigwaitinfo",
+        SyscallWrite = "syscall.write",
+        TcpConnsClosed = "tcp.conns_closed",
+        TcpConnsEstablished = "tcp.conns_established",
+        TcpConnsReset = "tcp.conns_reset",
+        TcpConnsStarted = "tcp.conns_started",
+        TcpInjectedLosses = "tcp.injected_losses",
+        TcpPortsExhausted = "tcp.ports_exhausted",
+        TcpRetransmits = "tcp.retransmits",
+        TcpSynDrops = "tcp.syn_drops",
+    }
+    gauges {
+        DevpollInterestBuckets = "devpoll.interest.buckets",
+        DevpollInterestLen = "devpoll.interest.len",
+        DevpollInterestMaxBucket = "devpoll.interest.max_bucket",
+        MemClientBytes = "mem.client.bytes",
+        MemServerBytes = "mem.server.bytes",
+        MemServerDevpollBytes = "mem.server.devpoll_bytes",
+        MemServerEpsPeak = "mem.server.eps_peak",
+        RtsigQueueDepth = "rtsig.queue_depth",
+        TcpTimeWait = "tcp.time_wait",
+    }
+    histograms {
+        RtsigBatchSize = "rtsig.batch_size",
+        ServerBatchEvents = "server.batch_events",
+        SpanNsAcceptWait = "span_ns.accept_wait",
+        SpanNsDelivery = "span_ns.delivery",
+        SpanNsDispatch = "span_ns.dispatch",
+        SpanNsInterestReg = "span_ns.interest_reg",
+        SpanNsLockBackmap = "span_ns.lock_backmap",
+        SpanNsLockInterestTable = "span_ns.lock_interest_table",
+        SpanNsLockSocket = "span_ns.lock_socket",
+        SpanNsRead = "span_ns.read",
+        SpanNsReadyScan = "span_ns.ready_scan",
+        SpanNsWrite = "span_ns.write",
+        SyscallNsAbort = "syscall_ns.abort",
+        SyscallNsAccept = "syscall_ns.accept",
+        SyscallNsClose = "syscall_ns.close",
+        SyscallNsFlushRt = "syscall_ns.flush_rt",
+        SyscallNsListen = "syscall_ns.listen",
+        SyscallNsRead = "syscall_ns.read",
+        SyscallNsSendfile = "syscall_ns.sendfile",
+        SyscallNsSetNonblock = "syscall_ns.set_nonblock",
+        SyscallNsSetSig = "syscall_ns.set_sig",
+        SyscallNsShareListener = "syscall_ns.share_listener",
+        SyscallNsSigtimedwait4 = "syscall_ns.sigtimedwait4",
+        SyscallNsSigwaitinfo = "syscall_ns.sigwaitinfo",
+        SyscallNsWrite = "syscall_ns.write",
+    }
+}
+
+impl std::fmt::Display for Metric {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.pad(self.name())
+    }
+}
+
+impl Metric {
+    /// The exported name, e.g. `"devpoll.scans"`.
+    pub fn name(self) -> &'static str {
+        Metric::NAMES[self as usize]
+    }
+
+    /// The id with this exported name, if any.
+    pub fn from_name(name: &str) -> Option<Metric> {
+        Metric::ALL.into_iter().find(|m| m.name() == name)
+    }
+}
 
 /// Highest log2 bucket index: values up to `u64::MAX` land in bucket 64.
 pub const HIST_MAX_BUCKET: usize = 64;
@@ -187,12 +331,34 @@ impl Histogram {
 ///
 /// Owned by the simulated kernel and reachable from every syscall and
 /// device path; end-of-run folding merges counters kept elsewhere (the
-/// network stack, server metrics) before a snapshot is taken.
-#[derive(Debug, Clone, Default)]
+/// network stack, server metrics) before a snapshot is taken. Each kind
+/// lives in a flat array sized by the name table, so recording never
+/// allocates; recording a metric into the wrong kind's array panics.
+#[derive(Debug, Clone)]
 pub struct MetricRegistry {
-    counters: BTreeMap<&'static str, u64>,
-    gauges: BTreeMap<&'static str, Gauge>,
-    hists: BTreeMap<&'static str, Histogram>,
+    /// Bit `m as usize` is set once metric `m` is written, so a counter
+    /// recorded with `add(_, 0)` still exports and an untouched one
+    /// never does.
+    touched: u128,
+    counters: [u64; COUNTERS],
+    gauges: [Gauge; GAUGES],
+    /// Boxed: inline, these ~14 KiB grow every `Kernel`, and the model
+    /// checker's per-branch world clones then churn the allocator (its
+    /// quick explore ran 1.5x slower).
+    hists: Box<[Histogram; METRICS - COUNTERS - GAUGES]>,
+}
+
+const _: () = assert!(METRICS <= u128::BITS as usize);
+
+impl Default for MetricRegistry {
+    fn default() -> Self {
+        MetricRegistry {
+            touched: 0,
+            counters: [0; COUNTERS],
+            gauges: [Gauge::default(); GAUGES],
+            hists: Box::new(std::array::from_fn(|_| Histogram::default())),
+        }
+    }
 }
 
 impl MetricRegistry {
@@ -201,105 +367,101 @@ impl MetricRegistry {
         MetricRegistry::default()
     }
 
+    fn touch(&mut self, m: Metric) {
+        self.touched |= 1 << m as u32;
+    }
+
+    fn is_touched(&self, m: Metric) -> bool {
+        self.touched >> m as u32 & 1 == 1
+    }
+
     /// Increments a counter by one.
-    pub fn inc(&mut self, name: &'static str) {
-        self.add(name, 1);
+    pub fn inc(&mut self, m: Metric) {
+        self.add(m, 1);
     }
 
     /// Adds `n` to a counter.
-    pub fn add(&mut self, name: &'static str, n: u64) {
-        *self.counters.entry(name).or_insert(0) += n;
+    pub fn add(&mut self, m: Metric, n: u64) {
+        self.touch(m);
+        self.counters[m as usize] += n;
     }
 
     /// Current counter value (0 if never touched).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
+    pub fn counter(&self, m: Metric) -> u64 {
+        self.counters[m as usize]
     }
 
     /// Sets a gauge, updating its high-water mark.
-    pub fn gauge_set(&mut self, name: &'static str, value: u64) {
-        let g = self.gauges.entry(name).or_default();
+    pub fn gauge_set(&mut self, m: Metric, value: u64) {
+        self.touch(m);
+        let g = &mut self.gauges[m as usize - COUNTERS];
         g.value = value;
         g.high_water = g.high_water.max(value);
     }
 
     /// Current gauge state.
-    pub fn gauge(&self, name: &str) -> Gauge {
-        self.gauges.get(name).copied().unwrap_or_default()
+    pub fn gauge(&self, m: Metric) -> Gauge {
+        self.gauges[m as usize - COUNTERS]
     }
 
     /// Records a histogram sample.
-    pub fn observe(&mut self, name: &'static str, value: u64) {
-        self.hists.entry(name).or_default().observe(value);
+    pub fn observe(&mut self, m: Metric, value: u64) {
+        self.touch(m);
+        self.hists[m as usize - COUNTERS - GAUGES].observe(value);
     }
 
     /// Histogram access (None if never touched).
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.hists.get(name)
+    pub fn histogram(&self, m: Metric) -> Option<&Histogram> {
+        let h = &self.hists[m as usize - COUNTERS - GAUGES];
+        self.is_touched(m).then_some(h)
     }
 
     /// Whether nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.hists.is_empty()
+        self.touched == 0
     }
 
-    /// Clears every metric.
-    pub fn clear(&mut self) {
-        self.counters.clear();
-        self.gauges.clear();
-        self.hists.clear();
-    }
-
-    /// Takes an immutable, ordered snapshot for rendering and reports.
+    /// Takes an immutable, ordered snapshot for rendering and reports:
+    /// the written metrics of each kind, in table (name) order.
     pub fn snapshot(&self) -> Snapshot {
-        Snapshot {
-            counters: self
-                .counters
-                .iter()
-                .map(|(&k, &v)| (k.to_string(), v))
-                .collect(),
-            gauges: self
-                .gauges
-                .iter()
-                .map(|(&k, &g)| (k.to_string(), g))
-                .collect(),
-            hists: self
-                .hists
-                .iter()
-                .map(|(&k, h)| (k.to_string(), h.clone()))
-                .collect(),
+        let mut snap = Snapshot::default();
+        for m in Metric::ALL.into_iter().filter(|&m| self.is_touched(m)) {
+            let i = m as usize;
+            if i < COUNTERS {
+                snap.counters.push((m, self.counters[i]));
+            } else if i < COUNTERS + GAUGES {
+                snap.gauges.push((m, self.gauges[i - COUNTERS]));
+            } else {
+                snap.hists
+                    .push((m, self.hists[i - COUNTERS - GAUGES].clone()));
+            }
         }
+        snap
     }
 }
 
 /// An ordered, owned copy of the registry at one instant.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Snapshot {
-    counters: Vec<(String, u64)>,
-    gauges: Vec<(String, Gauge)>,
-    hists: Vec<(String, Histogram)>,
+    counters: Vec<(Metric, u64)>,
+    gauges: Vec<(Metric, Gauge)>,
+    hists: Vec<(Metric, Histogram)>,
 }
 
 impl Snapshot {
     /// Counter value by name (0 if absent).
     pub fn counter(&self, name: &str) -> u64 {
-        self.counters
-            .iter()
-            .find(|(k, _)| k == name)
-            .map_or(0, |&(_, v)| v)
+        by_name(&self.counters, name).copied().unwrap_or(0)
     }
 
     /// Gauge by name (zeros if absent).
     pub fn gauge(&self, name: &str) -> Gauge {
-        self.gauges
-            .iter()
-            .find(|(k, _)| k == name)
-            .map_or(Gauge::default(), |&(_, g)| g)
+        by_name(&self.gauges, name).copied().unwrap_or_default()
     }
 
     /// Histogram by name.
     pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.hists.iter().find(|(k, _)| k == name).map(|(_, h)| h)
+        by_name(&self.hists, name)
     }
 
     /// Whether the snapshot holds no metrics.
@@ -313,9 +475,9 @@ impl Snapshot {
         let width = self
             .counters
             .iter()
-            .map(|(k, _)| k.len())
-            .chain(self.gauges.iter().map(|(k, _)| k.len()))
-            .chain(self.hists.iter().map(|(k, _)| k.len()))
+            .map(|(k, _)| k.name().len())
+            .chain(self.gauges.iter().map(|(k, _)| k.name().len()))
+            .chain(self.hists.iter().map(|(k, _)| k.name().len()))
             .max()
             .unwrap_or(0);
         if !self.counters.is_empty() {
@@ -370,7 +532,7 @@ impl Snapshot {
         let width = self
             .hists
             .iter()
-            .map(|(k, _)| k.len())
+            .map(|(k, _)| k.name().len())
             .max()
             .unwrap_or(0)
             .max("histogram".len());
@@ -425,17 +587,14 @@ impl Snapshot {
         for (k, v) in &self.counters {
             let _ = writeln!(
                 out,
-                "{{{prefix}\"type\":\"counter\",\"name\":\"{}\",\"value\":{v}}}",
-                escape(k)
+                "{{{prefix}\"type\":\"counter\",\"name\":\"{k}\",\"value\":{v}}}",
             );
         }
         for (k, g) in &self.gauges {
             let _ = writeln!(
                 out,
-                "{{{prefix}\"type\":\"gauge\",\"name\":\"{}\",\"value\":{},\"high_water\":{}}}",
-                escape(k),
-                g.value,
-                g.high_water
+                "{{{prefix}\"type\":\"gauge\",\"name\":\"{k}\",\"value\":{},\"high_water\":{}}}",
+                g.value, g.high_water
             );
         }
         for (k, h) in &self.hists {
@@ -448,8 +607,7 @@ impl Snapshot {
             }
             let _ = writeln!(
                 out,
-                "{{{prefix}\"type\":\"histogram\",\"name\":\"{}\",\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"buckets\":[{buckets}]}}",
-                escape(k),
+                "{{{prefix}\"type\":\"histogram\",\"name\":\"{k}\",\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"buckets\":[{buckets}]}}",
                 h.count(),
                 h.sum(),
                 h.min(),
@@ -460,8 +618,15 @@ impl Snapshot {
     }
 }
 
-/// Minimal JSON string escaping (metric names and tags are plain ASCII,
-/// but be safe).
+/// One snapshot row by metric name. An unknown name panics, so a
+/// misspelt read fails loudly instead of reading an absent metric.
+fn by_name<'a, T>(rows: &'a [(Metric, T)], name: &str) -> Option<&'a T> {
+    let m = Metric::from_name(name).unwrap_or_else(|| panic!("unknown metric {name:?}"));
+    rows.iter().find(|(k, _)| *k == m).map(|(_, v)| v)
+}
+
+/// Minimal JSON string escaping for tags (metric names are plain ASCII
+/// by construction).
 fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for ch in s.chars() {
@@ -558,24 +723,24 @@ mod tests {
     #[test]
     fn quantiles_text_lists_histograms_only() {
         let mut p = MetricRegistry::new();
-        p.inc("counter.only");
+        p.inc(Metric::PollCalls);
         assert!(p.snapshot().quantiles_text().is_empty());
         for v in 1..=100u64 {
-            p.observe("span_ns.read", v);
+            p.observe(Metric::SpanNsRead, v);
         }
         let text = p.snapshot().quantiles_text();
         assert!(text.contains("span_ns.read"));
         assert!(text.contains("p99"));
-        assert!(!text.contains("counter.only"));
+        assert!(!text.contains("poll.calls"));
     }
 
     #[test]
     fn gauge_tracks_high_water() {
         let mut p = MetricRegistry::new();
-        p.gauge_set("q", 3);
-        p.gauge_set("q", 9);
-        p.gauge_set("q", 2);
-        let g = p.gauge("q");
+        p.gauge_set(Metric::RtsigQueueDepth, 3);
+        p.gauge_set(Metric::RtsigQueueDepth, 9);
+        p.gauge_set(Metric::RtsigQueueDepth, 2);
+        let g = p.gauge(Metric::RtsigQueueDepth);
         assert_eq!(g.value, 2);
         assert_eq!(g.high_water, 9);
     }
@@ -583,37 +748,43 @@ mod tests {
     #[test]
     fn counters_accumulate() {
         let mut p = MetricRegistry::new();
-        p.inc("a");
-        p.add("a", 4);
-        assert_eq!(p.counter("a"), 5);
-        assert_eq!(p.counter("missing"), 0);
+        p.inc(Metric::PollCalls);
+        p.add(Metric::PollCalls, 4);
+        assert_eq!(p.counter(Metric::PollCalls), 5);
+        assert_eq!(p.counter(Metric::SelectCalls), 0);
+    }
+
+    #[test]
+    #[should_panic]
+    fn recording_into_the_wrong_kind_panics() {
+        MetricRegistry::new().observe(Metric::PollCalls, 1);
     }
 
     #[test]
     fn snapshot_is_deterministically_ordered() {
         // Insertion order differs; rendered order must not.
         let mut a = MetricRegistry::new();
-        a.inc("z.last");
-        a.inc("a.first");
-        a.gauge_set("m.mid", 1);
+        a.inc(Metric::TcpSynDrops);
+        a.inc(Metric::DevpollScans);
+        a.gauge_set(Metric::MemServerBytes, 1);
         let mut b = MetricRegistry::new();
-        b.gauge_set("m.mid", 1);
-        b.inc("a.first");
-        b.inc("z.last");
+        b.gauge_set(Metric::MemServerBytes, 1);
+        b.inc(Metric::DevpollScans);
+        b.inc(Metric::TcpSynDrops);
         assert_eq!(a.snapshot().to_text(), b.snapshot().to_text());
         assert_eq!(a.snapshot().to_json_lines(), b.snapshot().to_json_lines());
         let text = a.snapshot().to_text();
-        let first = text.find("a.first").unwrap();
-        let last = text.find("z.last").unwrap();
+        let first = text.find("devpoll.scans").unwrap();
+        let last = text.find("tcp.syn_drops").unwrap();
         assert!(first < last);
     }
 
     #[test]
     fn json_lines_schema() {
         let mut p = MetricRegistry::new();
-        p.inc("c");
-        p.gauge_set("g", 2);
-        p.observe("h", 5);
+        p.inc(Metric::PollCalls);
+        p.gauge_set(Metric::RtsigQueueDepth, 2);
+        p.observe(Metric::RtsigBatchSize, 5);
         let json = p.snapshot().to_json_lines_with(&[("server", "devpoll")]);
         let lines: Vec<&str> = json.lines().collect();
         assert_eq!(lines.len(), 3);
@@ -623,17 +794,66 @@ mod tests {
     }
 
     #[test]
+    fn name_table_is_unique_sorted_and_round_trips() {
+        let kinds = [
+            &Metric::ALL[..COUNTERS],
+            &Metric::ALL[COUNTERS..COUNTERS + GAUGES],
+            &Metric::ALL[COUNTERS + GAUGES..],
+        ];
+        for ids in kinds {
+            // Strictly ascending byte-wise: unique, and export order is
+            // name order.
+            for pair in ids.windows(2) {
+                assert!(pair[0].name() < pair[1].name(), "{pair:?}");
+            }
+        }
+        let mut names: Vec<&str> = Metric::ALL.iter().map(|m| m.name()).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), METRICS);
+        for m in Metric::ALL {
+            assert_eq!(Metric::from_name(m.name()), Some(m));
+            assert!(m
+                .name()
+                .bytes()
+                .all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'.' || b == b'_'));
+        }
+        assert_eq!(Metric::from_name("devpoll.scan"), None);
+    }
+
+    #[test]
+    fn names_read_by_string_resolve() {
+        // The benchmark's per-run probe counters, read by name from a
+        // snapshot.
+        for name in [
+            "kernel.wakeups",
+            "devpoll.scans",
+            "devpoll.driver_polls",
+            "tcp.syn_drops",
+            "tcp.retransmits",
+        ] {
+            assert!(Metric::from_name(name).is_some(), "{name}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown metric")]
+    fn reading_an_unknown_name_panics() {
+        MetricRegistry::new().snapshot().counter("devpoll.scan");
+    }
+
+    #[test]
     fn export_format_is_pinned() {
         // A zero add still exports; an untouched metric never does.
         let mut p = MetricRegistry::new();
-        p.add("tcp.conns_reset", 0);
-        p.inc("devpoll.scans");
-        p.inc("devpoll.scans");
-        p.gauge_set("rtsig.queue_depth", 9);
-        p.gauge_set("rtsig.queue_depth", 2);
-        p.observe("syscall_ns.read", 0);
-        p.observe("syscall_ns.read", 5);
-        p.observe("syscall_ns.read", 2300);
+        p.add(Metric::TcpConnsReset, 0);
+        p.inc(Metric::DevpollScans);
+        p.inc(Metric::DevpollScans);
+        p.gauge_set(Metric::RtsigQueueDepth, 9);
+        p.gauge_set(Metric::RtsigQueueDepth, 2);
+        p.observe(Metric::SyscallNsRead, 0);
+        p.observe(Metric::SyscallNsRead, 5);
+        p.observe(Metric::SyscallNsRead, 2300);
         let snap = p.snapshot();
         assert_eq!(snap.counter("tcp.ports_exhausted"), 0);
         assert!(!snap.to_json_lines().contains("tcp.ports_exhausted"));
@@ -668,12 +888,12 @@ mod tests {
     #[test]
     fn digest_is_stable_and_content_sensitive() {
         let mut a = MetricRegistry::new();
-        a.inc("x");
-        a.observe("h", 9);
+        a.inc(Metric::PollCalls);
+        a.observe(Metric::RtsigBatchSize, 9);
         let mut b = a.clone();
         assert_eq!(a.snapshot().digest(), b.snapshot().digest());
         assert_eq!(a.snapshot().digest_hex().len(), 16);
-        b.inc("x");
+        b.inc(Metric::PollCalls);
         assert_ne!(a.snapshot().digest(), b.snapshot().digest());
     }
 }

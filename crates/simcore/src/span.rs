@@ -46,13 +46,13 @@
 //!     spans.close(g, SimTime::from_nanos(300), &mut probe);
 //! }
 //! // Read charged 50 ns; Dispatch charged 200 - 50 = 150 ns exclusive.
-//! let h = probe.histogram("span_ns.dispatch").unwrap();
+//! let h = probe.histogram(Phase::Dispatch.metric()).unwrap();
 //! assert_eq!(h.sum(), 150);
 //! ```
 
 use std::fmt::Write as _;
 
-use crate::probe::MetricRegistry;
+use crate::probe::{Metric, MetricRegistry};
 use crate::time::SimTime;
 
 /// Default number of completed spans retained for the exporters.
@@ -123,36 +123,25 @@ impl Phase {
         Phase::Write,
     ];
 
-    /// Short snake_case name, used in exports and figure series.
+    /// Short snake_case name, used in exports and figure series: the
+    /// phase's metric name without its `span_ns.` prefix.
     pub fn name(self) -> &'static str {
-        match self {
-            Phase::AcceptWait => "accept_wait",
-            Phase::InterestReg => "interest_reg",
-            Phase::ReadyScan => "ready_scan",
-            Phase::Delivery => "delivery",
-            Phase::Dispatch => "dispatch",
-            Phase::Read => "read",
-            Phase::Write => "write",
-            Phase::LockBackmap => "lock_backmap",
-            Phase::LockInterestTable => "lock_interest_table",
-            Phase::LockSocket => "lock_socket",
-        }
+        &self.metric().name()["span_ns.".len()..]
     }
 
-    /// The `MetricRegistry` histogram key this phase charges
-    /// (exclusive nanoseconds per span).
-    pub fn metric(self) -> &'static str {
+    /// The histogram this phase charges (exclusive nanoseconds per span).
+    pub fn metric(self) -> Metric {
         match self {
-            Phase::AcceptWait => "span_ns.accept_wait",
-            Phase::InterestReg => "span_ns.interest_reg",
-            Phase::ReadyScan => "span_ns.ready_scan",
-            Phase::Delivery => "span_ns.delivery",
-            Phase::Dispatch => "span_ns.dispatch",
-            Phase::Read => "span_ns.read",
-            Phase::Write => "span_ns.write",
-            Phase::LockBackmap => "span_ns.lock_backmap",
-            Phase::LockInterestTable => "span_ns.lock_interest_table",
-            Phase::LockSocket => "span_ns.lock_socket",
+            Phase::AcceptWait => Metric::SpanNsAcceptWait,
+            Phase::InterestReg => Metric::SpanNsInterestReg,
+            Phase::ReadyScan => Metric::SpanNsReadyScan,
+            Phase::Delivery => Metric::SpanNsDelivery,
+            Phase::Dispatch => Metric::SpanNsDispatch,
+            Phase::Read => Metric::SpanNsRead,
+            Phase::Write => Metric::SpanNsWrite,
+            Phase::LockBackmap => Metric::SpanNsLockBackmap,
+            Phase::LockInterestTable => Metric::SpanNsLockInterestTable,
+            Phase::LockSocket => Metric::SpanNsLockSocket,
         }
     }
 }
@@ -521,9 +510,9 @@ mod tests {
 
         // Children: read 50 ns, write 60 ns; dispatch inclusive 200,
         // exclusive 200 - 110 = 90.
-        assert_eq!(probe.histogram("span_ns.read").unwrap().sum(), 50);
-        assert_eq!(probe.histogram("span_ns.write").unwrap().sum(), 60);
-        assert_eq!(probe.histogram("span_ns.dispatch").unwrap().sum(), 90);
+        assert_eq!(probe.histogram(Metric::SpanNsRead).unwrap().sum(), 50);
+        assert_eq!(probe.histogram(Metric::SpanNsWrite).unwrap().sum(), 60);
+        assert_eq!(probe.histogram(Metric::SpanNsDispatch).unwrap().sum(), 90);
 
         let recs = spans.records();
         assert_eq!(recs.len(), 3);
@@ -549,9 +538,9 @@ mod tests {
         spans.close(a, ns(100), &mut probe);
         // lock 10; read inclusive 40, exclusive 30; dispatch inclusive
         // 100, exclusive 100 - 40 = 60 (grandchild counted only via b).
-        assert_eq!(probe.histogram("span_ns.lock_socket").unwrap().sum(), 10);
-        assert_eq!(probe.histogram("span_ns.read").unwrap().sum(), 30);
-        assert_eq!(probe.histogram("span_ns.dispatch").unwrap().sum(), 60);
+        assert_eq!(probe.histogram(Metric::SpanNsLockSocket).unwrap().sum(), 10);
+        assert_eq!(probe.histogram(Metric::SpanNsRead).unwrap().sum(), 30);
+        assert_eq!(probe.histogram(Metric::SpanNsDispatch).unwrap().sum(), 60);
     }
 
     #[test]
@@ -574,8 +563,8 @@ mod tests {
         spans.leaf(Phase::Read, 1, ns(10), ns(40), &mut probe);
         spans.close(g, ns(100), &mut probe);
         // Leaf read 30; dispatch exclusive 100 - 30 = 70.
-        assert_eq!(probe.histogram("span_ns.read").unwrap().sum(), 30);
-        assert_eq!(probe.histogram("span_ns.dispatch").unwrap().sum(), 70);
+        assert_eq!(probe.histogram(Metric::SpanNsRead).unwrap().sum(), 30);
+        assert_eq!(probe.histogram(Metric::SpanNsDispatch).unwrap().sum(), 70);
         let read = spans
             .records()
             .iter()
@@ -594,8 +583,11 @@ mod tests {
         spans.record_complete(Phase::AcceptWait, 2, ns(0), ns(500), &mut probe);
         spans.close(g, ns(100), &mut probe);
         // The completed record does not become the dispatch span's child.
-        assert_eq!(probe.histogram("span_ns.accept_wait").unwrap().sum(), 500);
-        assert_eq!(probe.histogram("span_ns.dispatch").unwrap().sum(), 100);
+        assert_eq!(
+            probe.histogram(Metric::SpanNsAcceptWait).unwrap().sum(),
+            500
+        );
+        assert_eq!(probe.histogram(Metric::SpanNsDispatch).unwrap().sum(), 100);
     }
 
     #[test]
@@ -609,7 +601,7 @@ mod tests {
         }
         assert_eq!(spans.len(), 2);
         assert_eq!(spans.dropped(), 3);
-        assert_eq!(probe.histogram("span_ns.read").unwrap().count(), 5);
+        assert_eq!(probe.histogram(Metric::SpanNsRead).unwrap().count(), 5);
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! curve in the paper.
 
 use simcore::paged::{PagedBits, PagedSlots};
-use simcore::probe::MetricRegistry;
+use simcore::probe::{Metric, MetricRegistry};
 use simcore::span::{Phase, SpanGuard, SpanTracer};
 use simcore::time::{SimDuration, SimTime};
 use simnet::{EndpointId, ListenerId, NetNotify, Network, Port};
@@ -34,6 +34,47 @@ use crate::fd::{Errno, Fd, FileKind};
 use crate::poll_bits::PollBits;
 use crate::process::{AfterBatch, Pid, ProcState, Process};
 use crate::signal::{Siginfo, DEFAULT_RT_QUEUE_MAX, SIGRTMAX, SIGRTMIN};
+
+/// A probed syscall: each maps to its `syscall.*` entry counter and its
+/// `syscall_ns.*` latency histogram.
+#[derive(Debug, Clone, Copy)]
+enum Syscall {
+    Abort,
+    Accept,
+    Close,
+    FlushRt,
+    Listen,
+    Read,
+    Sendfile,
+    SetNonblock,
+    SetSig,
+    ShareListener,
+    Sigtimedwait4,
+    Sigwaitinfo,
+    Write,
+}
+
+impl Syscall {
+    /// `(counter, histogram)`.
+    fn probes(self) -> (Metric, Metric) {
+        use Metric::*;
+        match self {
+            Syscall::Abort => (SyscallAbort, SyscallNsAbort),
+            Syscall::Accept => (SyscallAccept, SyscallNsAccept),
+            Syscall::Close => (SyscallClose, SyscallNsClose),
+            Syscall::FlushRt => (SyscallFlushRt, SyscallNsFlushRt),
+            Syscall::Listen => (SyscallListen, SyscallNsListen),
+            Syscall::Read => (SyscallRead, SyscallNsRead),
+            Syscall::Sendfile => (SyscallSendfile, SyscallNsSendfile),
+            Syscall::SetNonblock => (SyscallSetNonblock, SyscallNsSetNonblock),
+            Syscall::SetSig => (SyscallSetSig, SyscallNsSetSig),
+            Syscall::ShareListener => (SyscallShareListener, SyscallNsShareListener),
+            Syscall::Sigtimedwait4 => (SyscallSigtimedwait4, SyscallNsSigtimedwait4),
+            Syscall::Sigwaitinfo => (SyscallSigwaitinfo, SyscallNsSigwaitinfo),
+            Syscall::Write => (SyscallWrite, SyscallNsWrite),
+        }
+    }
+}
 
 /// How an accept-ready event wakes processes sharing a listener.
 ///
@@ -568,7 +609,7 @@ impl Kernel {
                 p.state = ProcState::Idle;
                 p.pending_wake = false;
                 self.stats.wakeups += 1;
-                self.probe.inc("kernel.wakeups");
+                self.probe.inc(Metric::KernelWakeups);
                 self.events_out.push(KernelEvent::ProcRunnable { pid });
             }
             ProcState::Running {
@@ -579,7 +620,7 @@ impl Kernel {
                 // cancel the sleep.
                 p.pending_wake = true;
                 self.stats.wakeups += 1;
-                self.probe.inc("kernel.wakeups");
+                self.probe.inc(Metric::KernelWakeups);
             }
             _ => {}
         }
@@ -916,13 +957,13 @@ impl Kernel {
             self.cpu.charge_softirq(now, rt_cost);
             if ok {
                 self.stats.rt_signals += 1;
-                self.probe.inc("rtsig.enqueued");
+                self.probe.inc(Metric::RtsigEnqueued);
             } else {
                 self.stats.rt_overflows += 1;
-                self.probe.inc("rtsig.overflows");
+                self.probe.inc(Metric::RtsigOverflows);
                 self.cpu.charge_softirq(now, sigio_cost);
             }
-            self.probe.gauge_set("rtsig.queue_depth", depth);
+            self.probe.gauge_set(Metric::RtsigQueueDepth, depth);
             // A signal (RT or the overflow SIGIO) is deliverable: wake a
             // process blocked in sigwaitinfo.
             self.wake(pid);
@@ -950,8 +991,8 @@ impl Kernel {
     /// batch accumulator at entry so [`Kernel::syscall_exit`] can observe
     /// the syscall's full simulated latency (base plus any per-byte or
     /// per-item charges added before the exit).
-    fn syscall_enter(&mut self, pid: Pid, counter: &'static str, extra: u64) -> SimDuration {
-        self.probe.inc(counter);
+    fn syscall_enter(&mut self, pid: Pid, call: Syscall, extra: u64) -> SimDuration {
+        self.probe.inc(call.probes().0);
         let entry = self
             .proc_get(pid)
             .and_then(|p| p.batch_acc)
@@ -961,14 +1002,15 @@ impl Kernel {
     }
 
     /// Observes the simulated latency accumulated since `entry` into the
-    /// named histogram (happy-path exits only; error paths still count
-    /// the entry).
-    fn syscall_exit(&mut self, pid: Pid, entry: SimDuration, hist: &'static str) {
+    /// syscall's histogram (happy-path exits only; error paths still
+    /// count the entry).
+    fn syscall_exit(&mut self, pid: Pid, entry: SimDuration, call: Syscall) {
         let acc = self
             .proc_get(pid)
             .and_then(|p| p.batch_acc)
             .unwrap_or(entry);
-        self.probe.observe(hist, (acc - entry).as_nanos());
+        self.probe
+            .observe(call.probes().1, (acc - entry).as_nanos());
     }
 
     /// `socket` + `bind` + `listen` in one step: opens a listening
@@ -981,7 +1023,7 @@ impl Kernel {
         port: Port,
         backlog: usize,
     ) -> Result<Fd, Errno> {
-        let t0 = self.syscall_enter(pid, "syscall.listen", self.cost.accept);
+        let t0 = self.syscall_enter(pid, Syscall::Listen, self.cost.accept);
         let listener = net
             .listen(self.host, port, backlog)
             .map_err(|_| Errno::EADDRINUSE)?;
@@ -989,7 +1031,7 @@ impl Kernel {
         let slot = self.listener_slot_or_default(listener);
         slot.owners.push((pid, fd));
         slot.ready = false;
-        self.syscall_exit(pid, t0, "syscall_ns.listen");
+        self.syscall_exit(pid, t0, Syscall::Listen);
         Ok(fd)
     }
 
@@ -1002,7 +1044,7 @@ impl Kernel {
         pid: Pid,
         listener: ListenerId,
     ) -> Result<Fd, Errno> {
-        let t0 = self.syscall_enter(pid, "syscall.share_listener", self.cost.fcntl);
+        let t0 = self.syscall_enter(pid, Syscall::ShareListener, self.cost.fcntl);
         if self.listener_slot(listener).is_none() {
             return Err(Errno::EBADF);
         }
@@ -1010,7 +1052,7 @@ impl Kernel {
         self.listener_slot_or_default(listener)
             .owners
             .push((pid, fd));
-        self.syscall_exit(pid, t0, "syscall_ns.share_listener");
+        self.syscall_exit(pid, t0, Syscall::ShareListener);
         Ok(fd)
     }
 
@@ -1031,7 +1073,7 @@ impl Kernel {
         pid: Pid,
         listen_fd: Fd,
     ) -> Result<Fd, Errno> {
-        let t0 = self.syscall_enter(pid, "syscall.accept", self.cost.accept);
+        let t0 = self.syscall_enter(pid, Syscall::Accept, self.cost.accept);
         let listener = match self.process(pid).fds.get(listen_fd)?.kind {
             FileKind::Listener(l) => l,
             _ => return Err(Errno::EINVAL),
@@ -1075,7 +1117,7 @@ impl Kernel {
                 self.span_complete(Phase::AcceptWait, pid as u64, queued, end);
             }
         }
-        self.syscall_exit(pid, t0, "syscall_ns.accept");
+        self.syscall_exit(pid, t0, Syscall::Accept);
         Ok(fd)
     }
 
@@ -1109,7 +1151,7 @@ impl Kernel {
         max: usize,
         buf: &mut Vec<u8>,
     ) -> Result<usize, Errno> {
-        let t0 = self.syscall_enter(pid, "syscall.read", self.cost.read_base);
+        let t0 = self.syscall_enter(pid, Syscall::Read, self.cost.read_base);
         let ep = self.endpoint_of(pid, fd)?;
         if self.ep_slot(ep).is_some_and(|s| s.mirror.err) {
             return Err(Errno::ECONNRESET);
@@ -1131,12 +1173,12 @@ impl Kernel {
         self.span_leaf(pid, Phase::Read, t0);
         if n == 0 {
             if eof {
-                self.syscall_exit(pid, t0, "syscall_ns.read");
+                self.syscall_exit(pid, t0, Syscall::Read);
                 return Ok(0); // EOF.
             }
             return Err(Errno::EAGAIN);
         }
-        self.syscall_exit(pid, t0, "syscall_ns.read");
+        self.syscall_exit(pid, t0, Syscall::Read);
         Ok(n)
     }
 
@@ -1151,7 +1193,7 @@ impl Kernel {
         fd: Fd,
         data: &[u8],
     ) -> Result<usize, Errno> {
-        let t0 = self.syscall_enter(pid, "syscall.write", self.cost.write_base);
+        let t0 = self.syscall_enter(pid, Syscall::Write, self.cost.write_base);
         let ep = self.endpoint_of(pid, fd)?;
         if self.ep_slot(ep).is_some_and(|s| s.mirror.err) {
             return Err(Errno::ECONNRESET);
@@ -1177,7 +1219,7 @@ impl Kernel {
         if n == 0 {
             return Err(Errno::EAGAIN);
         }
-        self.syscall_exit(pid, t0, "syscall_ns.write");
+        self.syscall_exit(pid, t0, Syscall::Write);
         Ok(n)
     }
 
@@ -1196,7 +1238,7 @@ impl Kernel {
         fd: Fd,
         data: &[u8],
     ) -> Result<usize, Errno> {
-        let t0 = self.syscall_enter(pid, "syscall.sendfile", self.cost.write_base);
+        let t0 = self.syscall_enter(pid, Syscall::Sendfile, self.cost.write_base);
         let ep = self.endpoint_of(pid, fd)?;
         if self.ep_slot(ep).is_some_and(|s| s.mirror.err) {
             return Err(Errno::ECONNRESET);
@@ -1225,7 +1267,7 @@ impl Kernel {
         if n == 0 {
             return Err(Errno::EAGAIN);
         }
-        self.syscall_exit(pid, t0, "syscall_ns.sendfile");
+        self.syscall_exit(pid, t0, Syscall::Sendfile);
         Ok(n)
     }
 
@@ -1240,7 +1282,7 @@ impl Kernel {
         pid: Pid,
         fd: Fd,
     ) -> Result<(), Errno> {
-        let t0 = self.syscall_enter(pid, "syscall.close", self.cost.close);
+        let t0 = self.syscall_enter(pid, Syscall::Close, self.cost.close);
         let vnow = self.vnow(now, pid);
         let file = self.proc_mut(pid).fds.close(fd)?;
         match file.kind {
@@ -1262,7 +1304,7 @@ impl Kernel {
             FileKind::DevPoll(_) => {}
         }
         self.unwatch(pid, fd);
-        self.syscall_exit(pid, t0, "syscall_ns.close");
+        self.syscall_exit(pid, t0, Syscall::Close);
         Ok(())
     }
 
@@ -1274,7 +1316,7 @@ impl Kernel {
         pid: Pid,
         fd: Fd,
     ) -> Result<(), Errno> {
-        let t0 = self.syscall_enter(pid, "syscall.abort", self.cost.close);
+        let t0 = self.syscall_enter(pid, Syscall::Abort, self.cost.close);
         let vnow = self.vnow(now, pid);
         let file = self.proc_mut(pid).fds.close(fd)?;
         if let FileKind::Stream(ep) = file.kind {
@@ -1282,15 +1324,15 @@ impl Kernel {
             let _ = net.abort(vnow, ep);
         }
         self.unwatch(pid, fd);
-        self.syscall_exit(pid, t0, "syscall_ns.abort");
+        self.syscall_exit(pid, t0, Syscall::Abort);
         Ok(())
     }
 
     /// `fcntl(fd, F_SETFL, O_NONBLOCK)`.
     pub fn sys_set_nonblock(&mut self, pid: Pid, fd: Fd) -> Result<(), Errno> {
-        let t0 = self.syscall_enter(pid, "syscall.set_nonblock", self.cost.fcntl);
+        let t0 = self.syscall_enter(pid, Syscall::SetNonblock, self.cost.fcntl);
         self.proc_mut(pid).fds.get_mut(fd)?.nonblock = true;
-        self.syscall_exit(pid, t0, "syscall_ns.set_nonblock");
+        self.syscall_exit(pid, t0, Syscall::SetNonblock);
         Ok(())
     }
 
@@ -1300,7 +1342,7 @@ impl Kernel {
     /// Pass `None` to clear. The signal number must be in the RT range.
     pub fn sys_set_sig(&mut self, pid: Pid, fd: Fd, signo: Option<u8>) -> Result<(), Errno> {
         // F_SETSIG and F_SETOWN are two fcntl calls in the real API.
-        let t0 = self.syscall_enter(pid, "syscall.set_sig", self.cost.fcntl);
+        let t0 = self.syscall_enter(pid, Syscall::SetSig, self.cost.fcntl);
         self.charge_syscall(pid, self.cost.fcntl);
         if let Some(s) = signo {
             if !(SIGRTMIN..=SIGRTMAX).contains(&s) {
@@ -1309,22 +1351,22 @@ impl Kernel {
         }
         self.proc_mut(pid).fds.get_mut(fd)?.sig = signo;
         self.span_leaf(pid, Phase::InterestReg, t0);
-        self.syscall_exit(pid, t0, "syscall_ns.set_sig");
+        self.syscall_exit(pid, t0, Syscall::SetSig);
         Ok(())
     }
 
     /// `sigwaitinfo()`: dequeues the next pending signal, or `EAGAIN` if
     /// none (caller decides to sleep).
     pub fn sys_sigwaitinfo(&mut self, pid: Pid) -> Result<Siginfo, Errno> {
-        let t0 = self.syscall_enter(pid, "syscall.sigwaitinfo", self.cost.rt_dequeue);
+        let t0 = self.syscall_enter(pid, Syscall::Sigwaitinfo, self.cost.rt_dequeue);
         let out = self.proc_mut(pid).signals.dequeue();
         let depth = self.process(pid).signals.queue_len() as u64;
-        self.probe.gauge_set("rtsig.queue_depth", depth);
+        self.probe.gauge_set(Metric::RtsigQueueDepth, depth);
         match out {
             Some(info) => {
-                self.probe.inc("rtsig.dequeued");
+                self.probe.inc(Metric::RtsigDequeued);
                 self.span_leaf(pid, Phase::Delivery, t0);
-                self.syscall_exit(pid, t0, "syscall_ns.sigwaitinfo");
+                self.syscall_exit(pid, t0, Syscall::Sigwaitinfo);
                 Ok(info)
             }
             None => Err(Errno::EAGAIN),
@@ -1335,30 +1377,31 @@ impl Kernel {
     /// signals in one syscall (§6).
     pub fn sys_sigtimedwait4(&mut self, pid: Pid, max: usize) -> Result<Vec<Siginfo>, Errno> {
         // One syscall; per-signal dequeue work still applies.
-        let t0 = self.syscall_enter(pid, "syscall.sigtimedwait4", 0);
+        let t0 = self.syscall_enter(pid, Syscall::Sigtimedwait4, 0);
         let batch = self.proc_mut(pid).signals.dequeue_batch(max);
         let c = SimDuration::from_nanos(self.cost.rt_dequeue * batch.len() as u64);
         self.charge(pid, c);
         let depth = self.process(pid).signals.queue_len() as u64;
-        self.probe.gauge_set("rtsig.queue_depth", depth);
+        self.probe.gauge_set(Metric::RtsigQueueDepth, depth);
         if batch.is_empty() {
             return Err(Errno::EAGAIN);
         }
-        self.probe.add("rtsig.dequeued", batch.len() as u64);
-        self.probe.observe("rtsig.batch_size", batch.len() as u64);
+        self.probe.add(Metric::RtsigDequeued, batch.len() as u64);
+        self.probe
+            .observe(Metric::RtsigBatchSize, batch.len() as u64);
         self.span_leaf(pid, Phase::Delivery, t0);
-        self.syscall_exit(pid, t0, "syscall_ns.sigtimedwait4");
+        self.syscall_exit(pid, t0, Syscall::Sigtimedwait4);
         Ok(batch)
     }
 
     /// Flushes the RT queue (overflow recovery: handlers reset to
     /// `SIG_DFL`). Returns how many signals were discarded.
     pub fn sys_flush_rt(&mut self, pid: Pid) -> usize {
-        let t0 = self.syscall_enter(pid, "syscall.flush_rt", 0);
+        let t0 = self.syscall_enter(pid, Syscall::FlushRt, 0);
         let n = self.proc_mut(pid).signals.flush_rt();
-        self.probe.add("rtsig.flushed", n as u64);
-        self.probe.gauge_set("rtsig.queue_depth", 0);
-        self.syscall_exit(pid, t0, "syscall_ns.flush_rt");
+        self.probe.add(Metric::RtsigFlushed, n as u64);
+        self.probe.gauge_set(Metric::RtsigQueueDepth, 0);
+        self.syscall_exit(pid, t0, Syscall::FlushRt);
         n
     }
 

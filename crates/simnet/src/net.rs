@@ -18,6 +18,7 @@ use std::collections::HashMap;
 use std::collections::VecDeque;
 
 use simcore::paged::PagedSlots;
+use simcore::probe::Metric;
 use simcore::rng::SimRng;
 use simcore::time::{SimDuration, SimTime};
 
@@ -153,17 +154,17 @@ impl NetStats {
     /// Folds these counters into a probe registry under `tcp.*` names
     /// (called once at report time).
     pub fn fold_into(&self, probe: &mut simcore::probe::MetricRegistry) {
-        probe.add("tcp.conns_started", self.conns_started);
-        probe.add("tcp.conns_established", self.conns_established);
-        probe.add("tcp.conns_reset", self.conns_reset);
-        probe.add("tcp.conns_closed", self.conns_closed);
-        probe.add("tcp.retransmits", self.retransmits);
-        probe.add("tcp.syn_drops", self.syn_drops);
-        probe.add("tcp.injected_losses", self.injected_losses);
+        probe.add(Metric::TcpConnsStarted, self.conns_started);
+        probe.add(Metric::TcpConnsEstablished, self.conns_established);
+        probe.add(Metric::TcpConnsReset, self.conns_reset);
+        probe.add(Metric::TcpConnsClosed, self.conns_closed);
+        probe.add(Metric::TcpRetransmits, self.retransmits);
+        probe.add(Metric::TcpSynDrops, self.syn_drops);
+        probe.add(Metric::TcpInjectedLosses, self.injected_losses);
         // Gated: absent from runs that never hit the port ceiling, so the
         // probe snapshot of pre-existing configurations is unchanged.
         if self.ports_exhausted > 0 {
-            probe.add("tcp.ports_exhausted", self.ports_exhausted);
+            probe.add(Metric::TcpPortsExhausted, self.ports_exhausted);
         }
     }
 }

@@ -45,13 +45,12 @@ fn main() {
         .sys_listen(&mut net, t0, pid, 80, 128)
         .expect("listen");
     let dpfd = registry
-        .open(&mut kernel, t0, pid, DevPollConfig::default())
+        .open(&mut kernel, pid, DevPollConfig::default())
         .expect("open /dev/poll");
     // Declare interest in the listener.
     registry
         .write(
             &mut kernel,
-            t0,
             pid,
             dpfd,
             &[PollFd::new(lfd, PollBits::POLLIN)],
@@ -89,20 +88,14 @@ fn main() {
     let t = SimTime::from_millis(10);
     kernel.begin_batch(t, pid);
     let (outcome, results) = registry
-        .dp_poll(&mut kernel, t, pid, dpfd, DvPoll::into_user_buffer(16, 0))
+        .dp_poll(&mut kernel, pid, dpfd, DvPoll::into_user_buffer(16, 0))
         .expect("DP_POLL");
     println!("DP_POLL -> {outcome:?}, results {results:?}");
     assert!(matches!(outcome, PollOutcome::Ready(n) if n >= 1));
     let fd = kernel.sys_accept(&mut net, t, pid, lfd).expect("accept");
     kernel.sys_set_nonblock(pid, fd).expect("nonblock");
     registry
-        .write(
-            &mut kernel,
-            t,
-            pid,
-            dpfd,
-            &[PollFd::new(fd, PollBits::POLLIN)],
-        )
+        .write(&mut kernel, pid, dpfd, &[PollFd::new(fd, PollBits::POLLIN)])
         .expect("add interest");
     kernel.end_batch(t, pid);
     println!("server: accepted connection as fd {fd}");
@@ -117,7 +110,7 @@ fn main() {
     let t = SimTime::from_millis(15);
     kernel.begin_batch(t, pid);
     let (_, results) = registry
-        .dp_poll(&mut kernel, t, pid, dpfd, DvPoll::into_user_buffer(16, 0))
+        .dp_poll(&mut kernel, pid, dpfd, DvPoll::into_user_buffer(16, 0))
         .expect("DP_POLL");
     println!("DP_POLL results: {results:?}");
     let request = kernel.sys_read(&mut net, pid, fd, 4096).expect("read");
@@ -131,7 +124,7 @@ fn main() {
         .sys_write(&mut net, t, pid, fd, body)
         .expect("write body");
     registry
-        .write(&mut kernel, t, pid, dpfd, &[PollFd::remove(fd)])
+        .write(&mut kernel, pid, dpfd, &[PollFd::remove(fd)])
         .expect("remove interest");
     kernel.sys_close(&mut net, t, pid, fd).expect("close");
     kernel.end_batch(t, pid);

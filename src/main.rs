@@ -229,7 +229,7 @@ fn main() {
                 "phase", "spans", "total_us", "p50_ns", "p90_ns", "p99_ns", "ns/reply"
             );
             for phase in Phase::ALL {
-                let Some(h) = r.probe.histogram(phase.metric()) else {
+                let Some(h) = r.probe.histogram(phase.metric().name()) else {
                     continue;
                 };
                 let per_reply = if r.replies > 0 {

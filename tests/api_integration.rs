@@ -19,12 +19,11 @@ fn raw_devpoll_roundtrip_through_the_facade() {
         .sys_listen(&mut net, SimTime::ZERO, pid, 80, 16)
         .unwrap();
     let dpfd = registry
-        .open(&mut kernel, SimTime::ZERO, pid, DevPollConfig::default())
+        .open(&mut kernel, pid, DevPollConfig::default())
         .unwrap();
     registry
         .write(
             &mut kernel,
-            SimTime::ZERO,
             pid,
             dpfd,
             &[PollFd::new(lfd, PollBits::POLLIN)],
@@ -57,7 +56,7 @@ fn raw_devpoll_roundtrip_through_the_facade() {
     let t = SimTime::from_millis(10);
     kernel.begin_batch(t, pid);
     let (out, res) = registry
-        .dp_poll(&mut kernel, t, pid, dpfd, DvPoll::into_user_buffer(8, 0))
+        .dp_poll(&mut kernel, pid, dpfd, DvPoll::into_user_buffer(8, 0))
         .unwrap();
     assert_eq!(out, PollOutcome::Ready(1));
     assert_eq!(res[0].fd, lfd);

@@ -3,7 +3,7 @@
 //! (hinted skips, result-cache revalidation, the RT-signal queue).
 
 use scalable_net_io::httperf::{run_one, RunParams, ServerKind};
-use scalable_net_io::simcore::probe::MetricRegistry;
+use scalable_net_io::simcore::probe::{Metric, MetricRegistry};
 
 const CONNS: u64 = 2_000;
 
@@ -73,17 +73,17 @@ fn registry_is_cheap_and_deterministic_in_isolation() {
     // Unit-level sanity at the integration boundary: bucket edges and
     // high-water semantics (satellite 3).
     let mut p = MetricRegistry::new();
-    p.observe("h", 0);
-    p.observe("h", 1);
-    p.observe("h", u64::MAX);
+    p.observe(Metric::RtsigBatchSize, 0);
+    p.observe(Metric::RtsigBatchSize, 1);
+    p.observe(Metric::RtsigBatchSize, u64::MAX);
     let s = p.snapshot();
-    let h = s.histogram("h").expect("histogram present");
+    let h = s.histogram("rtsig.batch_size").expect("histogram present");
     assert_eq!(h.count(), 3);
     assert_eq!(h.min(), 0);
     assert_eq!(h.max(), u64::MAX);
-    p.gauge_set("g", 7);
-    p.gauge_set("g", 3);
+    p.gauge_set(Metric::RtsigQueueDepth, 7);
+    p.gauge_set(Metric::RtsigQueueDepth, 3);
     let s = p.snapshot();
-    assert_eq!(s.gauge("g").value, 3);
-    assert_eq!(s.gauge("g").high_water, 7);
+    assert_eq!(s.gauge("rtsig.queue_depth").value, 3);
+    assert_eq!(s.gauge("rtsig.queue_depth").high_water, 7);
 }

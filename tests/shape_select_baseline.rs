@@ -53,7 +53,6 @@ fn fd_setsize_is_a_hard_wall() {
     // A descriptor at FD_SETSIZE cannot be watched; the backend reports
     // EINVAL rather than corrupting a bitmap.
     use scalable_net_io::devpoll::{DevPollRegistry, EventBackend, SelectBackend};
-    use scalable_net_io::simcore::time::SimTime;
     use scalable_net_io::simkernel::{CostModel, Kernel, PollBits};
     use scalable_net_io::simnet::HostId;
 
@@ -65,7 +64,6 @@ fn fd_setsize_is_a_hard_wall() {
         .set_interest(
             &mut kernel,
             &mut registry,
-            SimTime::ZERO,
             pid,
             (FD_SETSIZE - 1) as i32,
             PollBits::POLLIN,
@@ -75,7 +73,6 @@ fn fd_setsize_is_a_hard_wall() {
         .set_interest(
             &mut kernel,
             &mut registry,
-            SimTime::ZERO,
             pid,
             FD_SETSIZE as i32,
             PollBits::POLLIN,

@@ -269,7 +269,7 @@ fn chrome_trace_is_valid_json_and_reconciles_with_latency() {
     // (which additionally includes network flight time and queueing).
     let attributed_ns: f64 = Phase::REQUEST_PATH
         .iter()
-        .filter_map(|p| r.probe.histogram(p.metric()))
+        .filter_map(|p| r.probe.histogram(p.metric().name()))
         .map(|h| h.sum() as f64)
         .sum();
     let per_reply_ns = attributed_ns / r.replies as f64;
@@ -309,7 +309,7 @@ fn nested_spans_partition_dispatch_time() {
         .map(|p| {
             let h = r
                 .probe
-                .histogram(p.metric())
+                .histogram(p.metric().name())
                 .unwrap_or_else(|| panic!("{} histogram missing", p.name()));
             assert!(h.count() > 0, "{} never recorded", p.name());
             (h.sum(), p.name())
@@ -326,7 +326,7 @@ fn nested_spans_partition_dispatch_time() {
         Phase::LockInterestTable,
         Phase::LockSocket,
     ] {
-        let h = r.probe.histogram(p.metric());
+        let h = r.probe.histogram(p.metric().name());
         assert!(
             h.is_some_and(|h| h.count() > 0),
             "{} never recorded",
