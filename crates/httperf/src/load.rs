@@ -176,7 +176,7 @@ pub enum LoadTimer {
 /// The follow-up timers of one load-generator event: at most two (an
 /// active launch schedules the next arrival and the attempt's timeout),
 /// held inline so the per-event path never allocates.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Default)]
 pub struct FollowUps([Option<(SimTime, LoadTimer)>; 2]);
 
 impl FollowUps {

@@ -45,7 +45,7 @@ macro_rules! metric_table {
         /// A metric id: the key every probe records under. Counters come
         /// first, then gauges, then histograms; within each kind the ids
         /// are in byte-wise name order, the order snapshots export.
-        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
         pub enum Metric {
             $(#[doc = $cn] $c,)*
             $(#[doc = $gn] $g,)*

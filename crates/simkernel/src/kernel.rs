@@ -37,7 +37,7 @@ use crate::signal::{Siginfo, DEFAULT_RT_QUEUE_MAX, SIGRTMAX, SIGRTMIN};
 
 /// A probed syscall: each maps to its `syscall.*` entry counter and its
 /// `syscall_ns.*` latency histogram.
-#[derive(Debug, Clone, Copy)]
+#[derive(Clone, Copy)]
 enum Syscall {
     Abort,
     Accept,
