@@ -21,9 +21,7 @@ fn world_with_conns(n: usize) -> World {
     let mut kernel = Kernel::new(HostId(1), CostModel::k6_2_400mhz());
     let pid = kernel.spawn(n + 16, 1024);
     kernel.begin_batch(SimTime::ZERO, pid);
-    let lfd = kernel
-        .sys_listen(&mut net, SimTime::ZERO, pid, 80, 8192)
-        .unwrap();
+    let lfd = kernel.sys_listen(&mut net, pid, 80, 8192).unwrap();
     kernel.end_batch(SimTime::ZERO, pid);
     let mut fds = Vec::new();
     let mut now = SimTime::ZERO;

@@ -116,9 +116,7 @@ mod tests {
         let mut kernel = Kernel::new(SERVER, CostModel::k6_2_400mhz());
         let pid = kernel.spawn_default();
         kernel.begin_batch(SimTime::ZERO, pid);
-        let lfd = kernel
-            .sys_listen(&mut net, SimTime::ZERO, pid, 80, 128)
-            .unwrap();
+        let lfd = kernel.sys_listen(&mut net, pid, 80, 128).unwrap();
         kernel.end_batch(SimTime::ZERO, pid);
         let conn = net
             .connect(

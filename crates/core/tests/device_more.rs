@@ -38,9 +38,7 @@ fn world() -> World {
     let mut kernel = Kernel::new(SERVER, CostModel::k6_2_400mhz());
     let pid = kernel.spawn_default();
     kernel.begin_batch(SimTime::ZERO, pid);
-    let lfd = kernel
-        .sys_listen(&mut net, SimTime::ZERO, pid, 80, 128)
-        .unwrap();
+    let lfd = kernel.sys_listen(&mut net, pid, 80, 128).unwrap();
     kernel.end_batch(SimTime::ZERO, pid);
     World {
         net,
@@ -315,9 +313,7 @@ fn open_fails_cleanly_when_fd_table_full() {
     let mut registry = DevPollRegistry::new();
     let pid = kernel.spawn(1, 16);
     kernel.begin_batch(SimTime::ZERO, pid);
-    let _lfd = kernel
-        .sys_listen(&mut net, SimTime::ZERO, pid, 80, 8)
-        .unwrap();
+    let _lfd = kernel.sys_listen(&mut net, pid, 80, 8).unwrap();
     assert_eq!(
         registry
             .open(&mut kernel, pid, DevPollConfig::default())

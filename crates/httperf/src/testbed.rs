@@ -2,13 +2,11 @@
 //! one, the load generator on the other — the paper's experimental
 //! set-up (§5) as one deterministic co-simulation loop.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
 use devpoll::DevPollRegistry;
 use simcore::probe::Metric;
 use simcore::stats::RateSummary;
 use simcore::time::SimTime;
+use simcore::timer::{Lane, TimerQueue};
 use simkernel::{CostModel, Kernel, KernelEvent};
 use simnet::{HostId, LinkConfig, NetNotify, Network, SockAddr, TcpConfig};
 
@@ -32,8 +30,10 @@ pub struct Testbed {
     pub registry: DevPollRegistry,
     /// The load generator.
     pub load: LoadGen,
-    timers: BinaryHeap<Reverse<(SimTime, u64, LoadTimer)>>,
-    timer_seq: u64,
+    /// Load-generator timers. Client timeouts are parked for the whole
+    /// client timeout and wait in the far lane; arrivals, sends and
+    /// reopens fall due within milliseconds and wait in the near lane.
+    timers: TimerQueue<LoadTimer>,
     now: SimTime,
     /// Simulation events dispatched so far: network notifies, kernel
     /// events and load-generator timer firings. The numerator of the
@@ -60,8 +60,7 @@ impl Testbed {
             kernel,
             registry: DevPollRegistry::new(),
             load,
-            timers: BinaryHeap::new(),
-            timer_seq: 0,
+            timers: TimerQueue::new(),
             now: SimTime::ZERO,
             events: 0,
             notify_scratch: Vec::new(),
@@ -81,9 +80,13 @@ impl Testbed {
     }
 
     fn schedule(&mut self, at: SimTime, t: LoadTimer) {
-        let seq = self.timer_seq;
-        self.timer_seq += 1;
-        self.timers.push(Reverse((at, seq, t)));
+        let lane = match t {
+            LoadTimer::Timeout(_) => Lane::Far,
+            LoadTimer::NextArrival | LoadTimer::SendRequest(_) | LoadTimer::ReopenInactive => {
+                Lane::Near
+            }
+        };
+        self.timers.push(lane, at, t);
     }
 
     /// Starts the server and arms the load generator.
@@ -149,14 +152,7 @@ impl Testbed {
             self.kevent_scratch = kevents;
 
             // Load-generator timers due now.
-            while let Some(&Reverse((at, _, _))) = self.timers.peek() {
-                if at > now {
-                    break;
-                }
-                let Reverse((_, _, t)) = self
-                    .timers
-                    .pop()
-                    .expect("invariant: peeked timer still queued");
+            while let Some((_, t)) = self.timers.pop(now) {
                 self.events += 1;
                 let follow = self.load.on_timer(&mut self.net, now, t);
                 for (at, t) in follow {
@@ -171,22 +167,19 @@ impl Testbed {
             // and usually empty — extra pass through every phase.
             let more = self.net.has_work_at(now)
                 || self.kernel.has_work_at(now)
-                || self
-                    .timers
-                    .peek()
-                    .is_some_and(|&Reverse((at, _, _))| at <= now);
+                || self.timers.next_at().is_some_and(|at| at <= now);
             if !more {
                 break;
             }
         }
     }
 
-    fn next_deadline(&mut self) -> Option<SimTime> {
+    fn next_deadline(&self) -> Option<SimTime> {
         let mut next = self.net.next_deadline();
         if let Some(k) = self.kernel.next_deadline() {
             next = Some(next.map_or(k, |n| n.min(k)));
         }
-        if let Some(&Reverse((t, _, _))) = self.timers.peek() {
+        if let Some(t) = self.timers.next_at() {
             next = Some(next.map_or(t, |n| n.min(t)));
         }
         next

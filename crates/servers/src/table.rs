@@ -60,14 +60,11 @@ impl ConnTable {
         shared: Option<ListenerId>,
     ) -> Result<Fd, Errno> {
         self.lfd = match shared {
-            Some(listener) => ctx.kernel.sys_share_listener(ctx.now, self.pid, listener)?,
-            None => ctx.kernel.sys_listen(
-                ctx.net,
-                ctx.now,
-                self.pid,
-                self.config.port,
-                self.config.backlog,
-            )?,
+            Some(listener) => ctx.kernel.sys_share_listener(self.pid, listener)?,
+            None => {
+                ctx.kernel
+                    .sys_listen(ctx.net, self.pid, self.config.port, self.config.backlog)?
+            }
         };
         self.last_scan = ctx.now;
         Ok(self.lfd)

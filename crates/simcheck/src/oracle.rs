@@ -245,7 +245,7 @@ impl Lane {
 
         kernel.begin_batch(now, pid);
         let lfd = kernel
-            .sys_listen(&mut net, now, pid, 80, 128)
+            .sys_listen(&mut net, pid, 80, 128)
             .expect("invariant: listen on a fresh world cannot fail");
         now = now.max(kernel.end_batch(now, pid));
 

@@ -19,11 +19,13 @@
 //! * [`fingerprint`] — the one FNV-1a hasher ([`fingerprint::Fnv`]),
 //!   behind state fingerprints and snapshot/baseline digests;
 //! * [`paged`] — paged sparse tables, the million-connection storage
-//!   layout.
+//!   layout;
+//! * [`timer`] — the two-lane timer queue ([`timer::TimerQueue`]) that
+//!   keeps short-lived timers off the heap of long-parked ones.
 //!
 //! There is no scheduler here: the one event loop is
-//! `httperf::Testbed::drain_at`, which merges the network's timer heap,
-//! the kernel's deadlines and the load generator's timers. Everything is
+//! `httperf::Testbed::drain_at`, which merges the network's timer queue,
+//! the kernel's deadlines and the load generator's timer queue. Everything is
 //! single-threaded and deterministic: a run is exactly reproducible from
 //! its RNG seed.
 
@@ -35,6 +37,7 @@ pub mod series;
 pub mod span;
 pub mod stats;
 pub mod time;
+pub mod timer;
 
 pub use paged::{PagedBits, PagedSlots, PAGE_SLOTS};
 pub use probe::{Gauge, Histogram, MetricRegistry, Snapshot};
@@ -42,3 +45,4 @@ pub use rng::SimRng;
 pub use span::{Phase, SpanGuard, SpanRecord, SpanTracer};
 pub use stats::{OnlineStats, Quantiles, RateSampler, RateSummary};
 pub use time::{SimDuration, SimTime};
+pub use timer::{Lane, TimerQueue};

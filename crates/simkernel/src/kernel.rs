@@ -1018,7 +1018,6 @@ impl Kernel {
     pub fn sys_listen(
         &mut self,
         net: &mut Network,
-        _now: SimTime,
         pid: Pid,
         port: Port,
         backlog: usize,
@@ -1038,12 +1037,7 @@ impl Kernel {
     /// Attaches an existing listening socket to another process — the
     /// prefork pattern: one parent `listen()`s, the children inherit the
     /// descriptor and all `accept()` from it.
-    pub fn sys_share_listener(
-        &mut self,
-        _now: SimTime,
-        pid: Pid,
-        listener: ListenerId,
-    ) -> Result<Fd, Errno> {
+    pub fn sys_share_listener(&mut self, pid: Pid, listener: ListenerId) -> Result<Fd, Errno> {
         let t0 = self.syscall_enter(pid, Syscall::ShareListener, self.cost.fcntl);
         if self.listener_slot(listener).is_none() {
             return Err(Errno::EBADF);
@@ -1492,9 +1486,7 @@ mod tests {
     fn listen_accept_read_write_close_lifecycle() {
         let (mut net, mut kernel, pid) = setup();
         kernel.begin_batch(SimTime::ZERO, pid);
-        let lfd = kernel
-            .sys_listen(&mut net, SimTime::ZERO, pid, 80, 128)
-            .unwrap();
+        let lfd = kernel.sys_listen(&mut net, pid, 80, 128).unwrap();
         kernel.end_batch(SimTime::ZERO, pid);
 
         let (fd, conn) = connect_one(&mut net, &mut kernel, pid, lfd);
@@ -1534,9 +1526,7 @@ mod tests {
         // from the previous occupant).
         let (mut net, mut kernel, pid) = setup();
         kernel.begin_batch(SimTime::ZERO, pid);
-        let lfd = kernel
-            .sys_listen(&mut net, SimTime::ZERO, pid, 80, 128)
-            .unwrap();
+        let lfd = kernel.sys_listen(&mut net, pid, 80, 128).unwrap();
         kernel.end_batch(SimTime::ZERO, pid);
 
         let (fd, conn) = connect_one(&mut net, &mut kernel, pid, lfd);
@@ -1585,9 +1575,7 @@ mod tests {
     fn read_empty_is_eagain_then_eof_after_fin() {
         let (mut net, mut kernel, pid) = setup();
         kernel.begin_batch(SimTime::ZERO, pid);
-        let lfd = kernel
-            .sys_listen(&mut net, SimTime::ZERO, pid, 80, 128)
-            .unwrap();
+        let lfd = kernel.sys_listen(&mut net, pid, 80, 128).unwrap();
         kernel.end_batch(SimTime::ZERO, pid);
         let (fd, conn) = connect_one(&mut net, &mut kernel, pid, lfd);
         let client_ep = EndpointId::new(conn, simnet::Side::Client);
@@ -1611,9 +1599,7 @@ mod tests {
     fn batch_costs_delay_completion_and_count_syscalls() {
         let (mut net, mut kernel, pid) = setup();
         kernel.begin_batch(SimTime::ZERO, pid);
-        let _ = kernel
-            .sys_listen(&mut net, SimTime::ZERO, pid, 80, 128)
-            .unwrap();
+        let _ = kernel.sys_listen(&mut net, pid, 80, 128).unwrap();
         let done = kernel.end_batch(SimTime::ZERO, pid);
         assert!(done > SimTime::ZERO, "syscall work takes CPU time");
         assert_eq!(kernel.process(pid).syscall_count, 1);
@@ -1627,9 +1613,7 @@ mod tests {
     fn sleeping_process_wakes_on_readiness() {
         let (mut net, mut kernel, pid) = setup();
         kernel.begin_batch(SimTime::ZERO, pid);
-        let lfd = kernel
-            .sys_listen(&mut net, SimTime::ZERO, pid, 80, 128)
-            .unwrap();
+        let lfd = kernel.sys_listen(&mut net, pid, 80, 128).unwrap();
         kernel.end_batch(SimTime::ZERO, pid);
         let _ = kernel.advance(SimTime::from_millis(1));
 
@@ -1686,9 +1670,7 @@ mod tests {
     fn f_setsig_queues_rt_signals_on_events() {
         let (mut net, mut kernel, pid) = setup();
         kernel.begin_batch(SimTime::ZERO, pid);
-        let lfd = kernel
-            .sys_listen(&mut net, SimTime::ZERO, pid, 80, 128)
-            .unwrap();
+        let lfd = kernel.sys_listen(&mut net, pid, 80, 128).unwrap();
         kernel.end_batch(SimTime::ZERO, pid);
         let (fd, conn) = connect_one(&mut net, &mut kernel, pid, lfd);
         let t = SimTime::from_millis(20);
@@ -1715,9 +1697,7 @@ mod tests {
     fn set_sig_rejects_non_rt_numbers() {
         let (mut net, mut kernel, pid) = setup();
         kernel.begin_batch(SimTime::ZERO, pid);
-        let lfd = kernel
-            .sys_listen(&mut net, SimTime::ZERO, pid, 80, 128)
-            .unwrap();
+        let lfd = kernel.sys_listen(&mut net, pid, 80, 128).unwrap();
         assert_eq!(kernel.sys_set_sig(pid, lfd, Some(5)), Err(Errno::EINVAL));
         kernel.end_batch(SimTime::ZERO, pid);
     }
@@ -1736,7 +1716,7 @@ mod tests {
             );
         }
         kernel.begin_batch(SimTime::ZERO, pid);
-        let _ = kernel.sys_listen(&mut net, SimTime::ZERO, pid, 80, 128);
+        let _ = kernel.sys_listen(&mut net, pid, 80, 128);
         let done = kernel.end_batch(SimTime::ZERO, pid);
         // 100 segments at ~36us each queue ahead of the batch.
         assert!(
@@ -1758,9 +1738,7 @@ mod tests {
         // Tiny queue to overflow quickly.
         let pid = kernel.spawn(1024, 2);
         kernel.begin_batch(SimTime::ZERO, pid);
-        let lfd = kernel
-            .sys_listen(&mut net, SimTime::ZERO, pid, 80, 128)
-            .unwrap();
+        let lfd = kernel.sys_listen(&mut net, pid, 80, 128).unwrap();
         kernel.end_batch(SimTime::ZERO, pid);
         let conn = net
             .connect(
@@ -1803,9 +1781,7 @@ mod tests {
     fn sigtimedwait4_dequeues_in_one_syscall() {
         let (mut net, mut kernel, pid) = setup();
         kernel.begin_batch(SimTime::ZERO, pid);
-        let lfd = kernel
-            .sys_listen(&mut net, SimTime::ZERO, pid, 80, 128)
-            .unwrap();
+        let lfd = kernel.sys_listen(&mut net, pid, 80, 128).unwrap();
         kernel.end_batch(SimTime::ZERO, pid);
         let (fd, conn) = connect_one(&mut net, &mut kernel, pid, lfd);
         let t = SimTime::from_millis(20);
@@ -1837,12 +1813,10 @@ mod tests {
         let (mut net, mut kernel, _pid) = setup();
         let pid = kernel.spawn(1, 16);
         kernel.begin_batch(SimTime::ZERO, pid);
-        let _l = kernel
-            .sys_listen(&mut net, SimTime::ZERO, pid, 80, 128)
-            .unwrap();
+        let _l = kernel.sys_listen(&mut net, pid, 80, 128).unwrap();
         // Table full (limit 1): next allocation fails.
         assert_eq!(
-            kernel.sys_listen(&mut net, SimTime::ZERO, pid, 81, 128),
+            kernel.sys_listen(&mut net, pid, 81, 128),
             Err(Errno::EMFILE)
         );
         kernel.end_batch(SimTime::ZERO, pid);

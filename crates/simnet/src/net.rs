@@ -1,5 +1,5 @@
 //! The network: hosts, links, listeners and connections, driven by an
-//! internal timer heap.
+//! internal two-lane timer queue.
 //!
 //! # Driving the network
 //!
@@ -11,9 +11,7 @@
 //! calls (connect/send/close/…) may also produce notifications; they are
 //! buffered and returned by the next `advance`.
 
-use std::cmp::Reverse;
 use std::collections::BTreeSet;
-use std::collections::BinaryHeap;
 use std::collections::HashMap;
 use std::collections::VecDeque;
 
@@ -21,6 +19,7 @@ use simcore::paged::PagedSlots;
 use simcore::probe::Metric;
 use simcore::rng::SimRng;
 use simcore::time::{SimDuration, SimTime};
+use simcore::timer::{Lane, TimerQueue};
 
 use crate::addr::{ConnId, EndpointId, HostId, ListenerId, Port, Side, SockAddr};
 use crate::link::{LinkConfig, Tx, TxOutcome};
@@ -190,14 +189,15 @@ pub struct Network {
     /// Dense, id-indexed (listeners are never removed).
     listeners: Vec<Listener>,
     listen_by_addr: HashMap<SockAddr, ListenerId>,
-    /// `(at, seq, slot)`: `seq` is the monotonic arming order (FIFO tie
-    /// break at equal times), `slot` indexes the timer arena.
-    timers: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
+    /// Timer-arena slots in firing order. Deliveries wait in the near
+    /// lane; retransmission timers, parked 200 ms to seconds ahead,
+    /// wait in the far lane, so a delivery's heap work does not grow
+    /// with the number of connections holding one.
+    timers: TimerQueue<u32>,
     /// Timer payload arena with free-list reuse: segments in flight are
     /// pooled here instead of being allocated per packet.
     timer_arena: Vec<Option<Timer>>,
     timer_free: Vec<u32>,
-    timer_seq: u64,
     out: Vec<NetNotify>,
     /// Scratch for `pump` (reused, no per-call allocation).
     pump_scratch: Vec<Segment>,
@@ -227,10 +227,9 @@ impl Network {
             next_conn: 0,
             listeners: Vec::new(),
             listen_by_addr: HashMap::new(),
-            timers: BinaryHeap::new(),
+            timers: TimerQueue::new(),
             timer_arena: Vec::new(),
             timer_free: Vec::new(),
-            timer_seq: 0,
             out: Vec::new(),
             pump_scratch: Vec::new(),
             stats: NetStats::default(),
@@ -343,12 +342,10 @@ impl Network {
             }
         }
         h.write_len(self.timers.len());
-        let mut armed: Vec<&Reverse<(SimTime, u64, u32)>> = self.timers.iter().collect();
-        armed.sort();
-        for Reverse((at, seq, slot)) in armed.into_iter().rev() {
+        for (at, seq, &slot) in self.timers.in_order() {
             h.write_u64(at.as_nanos());
-            h.write_u64(*seq);
-            match &self.timer_arena[*slot as usize] {
+            h.write_u64(seq);
+            match &self.timer_arena[slot as usize] {
                 None => h.write_u8(0),
                 Some(Timer::Deliver(s)) => {
                     h.write_u8(1);
@@ -431,8 +428,10 @@ impl Network {
     // ------------------------------------------------------------------
 
     fn arm(&mut self, at: SimTime, t: Timer) {
-        let seq = self.timer_seq;
-        self.timer_seq += 1;
+        let lane = match t {
+            Timer::Deliver(_) => Lane::Near,
+            Timer::Rto { .. } => Lane::Far,
+        };
         let slot = match self.timer_free.pop() {
             Some(s) => {
                 self.timer_arena[s as usize] = Some(t);
@@ -443,12 +442,12 @@ impl Network {
                 (self.timer_arena.len() - 1) as u32
             }
         };
-        self.timers.push(Reverse((at, seq, slot)));
+        self.timers.push(lane, at, slot);
     }
 
     /// Earliest pending work, if any.
     pub fn next_deadline(&self) -> Option<SimTime> {
-        let timer = self.timers.peek().map(|Reverse((t, _, _))| *t);
+        let timer = self.timers.next_at();
         let ports = self
             .hosts
             .iter()
@@ -466,10 +465,7 @@ impl Network {
     /// advance pass.
     pub fn has_work_at(&self, now: SimTime) -> bool {
         !self.out.is_empty()
-            || self
-                .timers
-                .peek()
-                .is_some_and(|Reverse((t, _, _))| *t <= now)
+            || self.timers.next_at().is_some_and(|t| t <= now)
             || self
                 .hosts
                 .iter()
@@ -492,11 +488,7 @@ impl Network {
     /// notifications accumulated since the previous call to `out` (which
     /// is *not* cleared — the caller owns the buffer).
     pub fn advance_into(&mut self, now: SimTime, out: &mut Vec<NetNotify>) {
-        while let Some(&Reverse((t, _, slot))) = self.timers.peek() {
-            if t > now {
-                break;
-            }
-            self.timers.pop();
+        while let Some((t, slot)) = self.timers.pop(now) {
             let body = self.timer_arena[slot as usize]
                 .take()
                 .expect("invariant: armed timers keep their bodies");
@@ -747,12 +739,6 @@ impl Network {
         self.conn(conn).is_some_and(|c| c.state != ConnState::Reset)
     }
 
-    /// One-way base delay of the switch fabric.
-    fn link_base_delay(&self) -> SimDuration {
-        // All hosts share one link configuration; asking host 0 is fine.
-        self.base_delay
-    }
-
     /// Half-closes the endpoint: all buffered data is sent, then a FIN.
     pub fn close(&mut self, now: SimTime, ep: EndpointId) -> Result<(), NetError> {
         {
@@ -791,8 +777,7 @@ impl Network {
         // RSTs bypass the drop-tail queue: modelling their loss would only
         // leak tombstones without adding any behaviour the paper measures.
         let delay = self.hosts[from_host.0].tx.tx_time(seg.wire_bytes());
-        let base = self.link_base_delay();
-        self.arm(now + delay + base + extra, Timer::Deliver(seg));
+        self.arm(now + delay + self.base_delay + extra, Timer::Deliver(seg));
         self.free_conn_ports(ep.conn, None);
         self.detach_listener(ep.conn);
         // The tombstone is reaped when the RST delivers (`on_rst`).
@@ -843,7 +828,7 @@ impl Network {
             SegKind::Ack { ack } => self.on_ack(now, seg.conn, to_side, ack),
             SegKind::Data { seq, len } => self.on_data(now, seg.conn, to_side, seq, len),
             SegKind::Fin { seq } => self.on_fin(now, seg.conn, to_side, seq),
-            SegKind::Rst => self.on_rst(now, seg.conn, to_side),
+            SegKind::Rst => self.on_rst(seg.conn, to_side),
         }
     }
 
@@ -1090,7 +1075,7 @@ impl Network {
         }
     }
 
-    fn on_rst(&mut self, now: SimTime, conn_id: ConnId, to_side: Side) {
+    fn on_rst(&mut self, conn_id: ConnId, to_side: Side) {
         let Some(conn) = self.conn_mut(conn_id) else {
             return;
         };
@@ -1112,7 +1097,6 @@ impl Network {
                 ep: EndpointId::new(conn_id, to_side),
             });
         }
-        let _ = now;
         self.free_conn_ports(conn_id, None);
         self.detach_listener(conn_id);
         self.conn_remove(conn_id);
@@ -1299,7 +1283,8 @@ impl Network {
             }
             Action::Retransmit { rearm } => {
                 self.stats.retransmits += 1;
-                self.pump_retransmit(now, conn_id, side);
+                // Go-back-N: `pump` resends from the rewound `snd_nxt`.
+                self.pump(now, conn_id, side);
                 self.arm(
                     now + rearm,
                     Timer::Rto {
@@ -1318,12 +1303,6 @@ impl Network {
                 );
             }
         }
-    }
-
-    /// Re-sends everything from `snd_una` (go-back-N restart).
-    fn pump_retransmit(&mut self, now: SimTime, conn_id: ConnId, side: Side) {
-        // `pump` resends from `snd_nxt`, which the RTO handler rewound.
-        self.pump(now, conn_id, side);
     }
 
     fn check_full_close(&mut self, now: SimTime, conn_id: ConnId) {

@@ -8,7 +8,6 @@
 //! leave the TIMEWAIT state" (§5). This module reproduces that limit.
 
 use std::collections::BTreeMap;
-use std::collections::VecDeque;
 
 use simcore::time::SimTime;
 
@@ -32,8 +31,6 @@ pub struct PortAllocator {
     time_wait: BTreeMap<SimTime, Vec<Port>>,
     /// Reverse index so we know a port is waiting.
     waiting: std::collections::HashSet<Port>,
-    /// Ports released outright (closed without TIME_WAIT) for quick reuse.
-    free_list: VecDeque<Port>,
 }
 
 impl PortAllocator {
@@ -51,7 +48,6 @@ impl PortAllocator {
             in_use: Default::default(),
             time_wait: BTreeMap::new(),
             waiting: Default::default(),
-            free_list: VecDeque::new(),
         }
     }
 
@@ -77,7 +73,6 @@ impl PortAllocator {
         for (_t, ports) in std::mem::replace(&mut self.time_wait, still_waiting) {
             for p in ports {
                 self.waiting.remove(&p);
-                self.free_list.push_back(p);
             }
         }
     }
@@ -168,10 +163,6 @@ impl PortAllocator {
                 h.write_u64(u64::from(p));
             }
         }
-        h.write_len(self.free_list.len());
-        for &p in &self.free_list {
-            h.write_u64(u64::from(p));
-        }
     }
 }
 
@@ -217,6 +208,26 @@ mod tests {
         assert_eq!(a.alloc(SimTime::from_secs(59)), None);
         assert_eq!(a.alloc(expiry), Some(p));
         assert_eq!(a.in_time_wait(), 0);
+    }
+
+    #[test]
+    fn expired_time_wait_leaves_no_state_behind() {
+        // Once its TIME_WAIT is over, a port is indistinguishable from
+        // one released outright: nothing accumulates per expired port.
+        let digest = |a: &PortAllocator| {
+            let mut h = simcore::fingerprint::Fnv::new();
+            a.fingerprint_into(&mut h);
+            h.finish()
+        };
+        let t0 = SimTime::ZERO;
+        let mut waited = PortAllocator::new(10, 20);
+        let p = waited.alloc(t0).unwrap();
+        waited.release_time_wait(p, SimTime::from_secs(60));
+        waited.expire(SimTime::from_secs(60));
+        let mut released = PortAllocator::new(10, 20);
+        let q = released.alloc(t0).unwrap();
+        released.release(q);
+        assert_eq!(digest(&waited), digest(&released));
     }
 
     #[test]

@@ -2,7 +2,9 @@
 //! racing data, exact backlog boundaries, and half-close semantics.
 
 use simcore::time::{SimDuration, SimTime};
-use simnet::{EndpointId, HostId, LinkConfig, NetNotify, Network, Side, SockAddr, TcpConfig};
+use simnet::{
+    ConnId, EndpointId, HostId, LinkConfig, NetNotify, Network, Side, SockAddr, TcpConfig,
+};
 
 const CLIENT: HostId = HostId(0);
 const SERVER: HostId = HostId(1);
@@ -309,4 +311,78 @@ fn moderate_loss_still_completes_requests() {
     }
     assert!(sent, "handshake must survive 10% loss");
     assert_eq!(got.len(), 6144, "reliable despite loss");
+}
+
+/// Arms a segment delivery (client B's SYN) and a retransmission
+/// timeout (connection A's server-side data RTO) for the same instant
+/// and returns the notifications fired there. The delivery is armed
+/// `syn_flight` before it is due, the RTO `rto_initial` (10 ms) before.
+fn same_instant_delivery_and_rto(syn_flight: SimDuration) -> (ConnId, Vec<NetNotify>) {
+    let cfg = TcpConfig {
+        rto_initial: SimDuration::from_millis(10),
+        data_retries: 0, // The first RTO firing resets the connection.
+        ..TcpConfig::default()
+    };
+    let mut net = Network::new(cfg, LinkConfig::default(), 2);
+    net.listen(SERVER, 80, 16).unwrap();
+    let server_addr = SockAddr::new(SERVER, 80);
+    // A's 20 ms extra one-way delay keeps its data unacked when its RTO
+    // fires; its SYN's arrival time gives the zero-extra SYN flight time.
+    let slow = SimDuration::from_millis(20);
+    let a = net
+        .connect(SimTime::ZERO, CLIENT, server_addr, slow)
+        .unwrap();
+    let syn_base = net.next_deadline().unwrap() - SimTime::ZERO - slow;
+    run(&mut net, SimTime::from_millis(200));
+    assert!(net.is_established(a));
+
+    let due = SimTime::from_millis(300);
+    let send_at = due - cfg.rto_initial;
+    let connect_at = due - syn_base - syn_flight;
+    let connect_b = |net: &mut Network| {
+        run(net, connect_at);
+        net.connect(connect_at, CLIENT, server_addr, syn_flight)
+            .unwrap();
+    };
+    let send_a = |net: &mut Network| {
+        run(net, send_at);
+        let a_server = EndpointId::new(a, Side::Server);
+        assert_eq!(net.send(send_at, a_server, b"x").unwrap(), 1);
+    };
+    if connect_at < send_at {
+        connect_b(&mut net);
+        send_a(&mut net);
+    } else {
+        send_a(&mut net);
+        connect_b(&mut net);
+    }
+    assert_eq!(net.next_deadline(), Some(due));
+    (a, net.advance(due))
+}
+
+#[test]
+fn same_instant_delivery_and_rto_fire_in_arming_order() {
+    let position = |events: &[NetNotify], a: ConnId| {
+        let delivery = events
+            .iter()
+            .position(|e| matches!(e, NetNotify::SegmentArrived { host, .. } if *host == SERVER))
+            .expect("B's SYN arrives at the server");
+        let reset = events
+            .iter()
+            .position(|e| matches!(e, NetNotify::ConnReset { ep } if ep.conn == a))
+            .expect("A's RTO resets it");
+        (delivery, reset)
+    };
+    // Delivery armed first (50 ms flight vs the 10 ms RTO): it fires
+    // first.
+    let (a, events) = same_instant_delivery_and_rto(SimDuration::from_millis(50));
+    let (delivery, reset) = position(&events, a);
+    assert!(
+        delivery < reset,
+        "delivery armed first fires first: {events:?}"
+    );
+    // RTO armed first (the SYN leaves 10 ms later): it fires first.
+    let (a, events) = same_instant_delivery_and_rto(SimDuration::ZERO);
+    let (delivery, reset) = position(&events, a);
+    assert!(reset < delivery, "RTO armed first fires first: {events:?}");
 }

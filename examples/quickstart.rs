@@ -41,9 +41,7 @@ fn main() {
     // listen(80) and open /dev/poll.
     let t0 = SimTime::ZERO;
     kernel.begin_batch(t0, pid);
-    let lfd = kernel
-        .sys_listen(&mut net, t0, pid, 80, 128)
-        .expect("listen");
+    let lfd = kernel.sys_listen(&mut net, pid, 80, 128).expect("listen");
     let dpfd = registry
         .open(&mut kernel, pid, DevPollConfig::default())
         .expect("open /dev/poll");

@@ -35,9 +35,7 @@ fn main() {
 
     let t0 = SimTime::ZERO;
     kernel.begin_batch(t0, pid);
-    let lfd = kernel
-        .sys_listen(&mut net, t0, pid, 80, 128)
-        .expect("listen");
+    let lfd = kernel.sys_listen(&mut net, pid, 80, 128).expect("listen");
     kernel.end_batch(t0, pid);
 
     // Connect a client and register the accepted socket for

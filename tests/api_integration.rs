@@ -15,9 +15,7 @@ fn raw_devpoll_roundtrip_through_the_facade() {
     let pid = kernel.spawn_default();
 
     kernel.begin_batch(SimTime::ZERO, pid);
-    let lfd = kernel
-        .sys_listen(&mut net, SimTime::ZERO, pid, 80, 16)
-        .unwrap();
+    let lfd = kernel.sys_listen(&mut net, pid, 80, 16).unwrap();
     let dpfd = registry
         .open(&mut kernel, pid, DevPollConfig::default())
         .unwrap();
