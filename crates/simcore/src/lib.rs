@@ -45,4 +45,3 @@ pub use rng::SimRng;
 pub use span::{Phase, SpanGuard, SpanRecord, SpanTracer};
 pub use stats::{OnlineStats, Quantiles, RateSampler, RateSummary};
 pub use time::{SimDuration, SimTime};
-pub use timer::{Lane, TimerQueue};

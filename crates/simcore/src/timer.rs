@@ -1,13 +1,14 @@
 //! The two-lane timer queue behind every time-ordered work source.
 //!
-//! A simulation keeps two kinds of timers. Segment deliveries and the
-//! load generator's next steps fall due within microseconds to
-//! milliseconds. Retransmission and client timeouts are parked hundreds
-//! of milliseconds to seconds ahead, and many never come due before the
-//! run ends. In one binary heap the parked timers outnumber the
-//! short-lived ones by two orders of magnitude, so every delivery pays
-//! heap levels for timers that are idle — the cost the paper removes
-//! from `poll()` by not rescanning inactive descriptors on every call.
+//! The network keeps two kinds of timers. Segment deliveries fall due
+//! within microseconds to milliseconds. Retransmission timeouts are
+//! parked hundreds of milliseconds to seconds ahead, and many never come
+//! due before the run ends. In one binary heap the parked timers
+//! outnumber the short-lived ones by two orders of magnitude, so every
+//! delivery pays heap levels for timers that are idle — the cost the
+//! paper removes from `poll()` by not rescanning inactive descriptors on
+//! every call. A queue whose mix has not been measured keeps every timer
+//! in one lane.
 //!
 //! [`TimerQueue`] keeps one heap per [`Lane`] and one sequence counter
 //! shared by both. Timers are ordered by `(at, seq)`: `seq` is the
@@ -24,11 +25,11 @@ use crate::time::SimTime;
 /// Which heap a timer waits in. Only the cost depends on the choice.
 #[derive(Debug, Clone, Copy)]
 pub enum Lane {
-    /// Short-lived timers (segment deliveries, the load generator's
-    /// next step).
+    /// Short-lived timers (segment deliveries), or every timer of a
+    /// queue that uses one lane.
     Near,
     /// Long-parked timers, many of which never come due (retransmission
-    /// and client timeouts).
+    /// timeouts).
     Far,
 }
 
