@@ -11,13 +11,14 @@
 //! * identity fields (tool, seed, config fingerprint) must match — a
 //!   mismatch means the baseline needs an intentional refresh, not a
 //!   tolerance;
-//! * shape metrics must sit within tolerances ([`GateTolerance`]);
-//! * per-sweep throughput may only drop within a factor (opt-in,
-//!   because wall time is machine-dependent); whole-process wall time
-//!   is recorded but never gated;
-//! * probe digests are compared strictly only with
-//!   [`GateTolerance::strict_digest`] — any intentional behaviour
-//!   change alters digests, so by default a mismatch is a note.
+//! * shape metrics must sit within fixed tolerances: 10% on reply
+//!   rate, 5 points on error rate, 50% on latency above a 1 ms floor;
+//! * per-sweep throughput may only drop, and bytes per connection only
+//!   grow, within a factor of 1.25; whole-process wall time is recorded
+//!   but never gated;
+//! * probe digests are compared strictly only when `compare`'s
+//!   `strict_digest` is set — any intentional behaviour change alters
+//!   digests, so by default a mismatch is a note.
 //!
 //! No serde: the schema is small and closed, so emission is `format!`
 //! and parsing is the minimal recursive-descent parser below.
@@ -324,61 +325,31 @@ pub fn group_runs(mut runs: Vec<(RunReport, f64)>) -> Vec<SweepRecord> {
 // Gate comparison
 // ---------------------------------------------------------------------
 
-/// Drift tolerances for the benchmark gate.
-#[derive(Debug, Clone)]
-pub struct GateTolerance {
-    /// Relative tolerance on average reply rate.
-    pub rate_rel: f64,
-    /// Absolute tolerance on error percentage (points).
-    pub err_abs: f64,
-    /// Relative tolerance on median/p90 latency (with a floor, below
-    /// which sub-millisecond jitter is ignored).
-    pub latency_rel: f64,
-    /// Latency floor, milliseconds: differences where both sides sit
-    /// under this are never violations.
-    pub latency_floor_ms: f64,
-    /// Throughput lane: fail when a sweep's events-per-wall-second
-    /// drops below `baseline / factor`. `None` keeps the lane advisory
-    /// (regressions beyond the same soft 1.5x slack surface as notes) —
-    /// wall-clock throughput is machine-dependent, so the hard gate is
-    /// opt-in.
-    pub throughput_factor: Option<f64>,
-    /// Memory lane: fail when a sweep's bytes-per-connection exceeds
-    /// `factor * baseline`. `None` keeps the lane advisory (growth
-    /// beyond the same soft 1.5x slack surfaces as a note). Unlike the
-    /// wall lanes this number is deterministic, but per-connection cost
-    /// legitimately moves with intentional state additions, so the hard
-    /// gate is still opt-in.
-    pub mem_factor: Option<f64>,
-    /// Treat probe-digest mismatches as violations instead of notes.
-    pub strict_digest: bool,
-}
-
-/// Slack applied to the advisory (no `throughput_factor`) lane before a
-/// regression is worth a note.
-const THROUGHPUT_NOTE_SLACK: f64 = 1.5;
-
-impl Default for GateTolerance {
-    fn default() -> GateTolerance {
-        GateTolerance {
-            rate_rel: 0.10,
-            err_abs: 5.0,
-            latency_rel: 0.50,
-            latency_floor_ms: 1.0,
-            throughput_factor: None,
-            mem_factor: None,
-            strict_digest: false,
-        }
-    }
-}
+/// Relative tolerance on average reply rate.
+const RATE_REL: f64 = 0.10;
+/// Absolute tolerance on error percentage (points).
+const ERR_ABS: f64 = 5.0;
+/// Relative tolerance on median/p90 latency, above [`LATENCY_FLOOR_MS`].
+const LATENCY_REL: f64 = 0.50;
+/// Latency floor, milliseconds: differences where both sides sit under
+/// this are sub-millisecond jitter, never violations.
+const LATENCY_FLOOR_MS: f64 = 1.0;
+/// Throughput lane: a sweep whose events-per-wall-second drops below
+/// `baseline / factor` fails. The margin covers shared-runner
+/// wall-clock noise.
+const THROUGHPUT_FACTOR: f64 = 1.25;
+/// Memory lane: a sweep whose server bytes per peak connection grow
+/// beyond `factor * baseline` fails. The margin covers allocator
+/// rounding.
+const MEM_FACTOR: f64 = 1.25;
 
 /// The comparator's verdict.
 #[derive(Debug, Clone, Default)]
 pub struct GateOutcome {
     /// Failures: any entry makes the gate red.
     pub violations: Vec<String>,
-    /// Informational drift (e.g. digest changes under the default
-    /// tolerance).
+    /// Informational drift: digest changes without `strict_digest`,
+    /// sweeps absent from the baseline.
     pub notes: Vec<String>,
 }
 
@@ -396,8 +367,9 @@ fn rel_diff(current: f64, base: f64) -> f64 {
     (current - base).abs() / base.abs().max(1.0)
 }
 
-/// Compares a current report against the baseline.
-pub fn compare(baseline: &BenchReport, current: &BenchReport, tol: &GateTolerance) -> GateOutcome {
+/// Compares a current report against the baseline. With `strict_digest`
+/// a probe-digest mismatch is a violation instead of a note.
+pub fn compare(baseline: &BenchReport, current: &BenchReport, strict_digest: bool) -> GateOutcome {
     let mut out = GateOutcome::default();
 
     if baseline.tool != current.tool {
@@ -436,7 +408,7 @@ pub fn compare(baseline: &BenchReport, current: &BenchReport, tol: &GateToleranc
             ));
             continue;
         };
-        compare_sweep(base_sweep, cur_sweep, tol, &mut out);
+        compare_sweep(base_sweep, cur_sweep, strict_digest, &mut out);
     }
     for cur_sweep in &current.sweeps {
         if !baseline
@@ -456,7 +428,7 @@ pub fn compare(baseline: &BenchReport, current: &BenchReport, tol: &GateToleranc
 fn compare_sweep(
     base: &SweepRecord,
     cur: &SweepRecord,
-    tol: &GateTolerance,
+    strict_digest: bool,
     out: &mut GateOutcome,
 ) {
     let ctx = format!("{}/load {}", base.server, base.inactive);
@@ -464,36 +436,21 @@ fn compare_sweep(
     // dependent, so only comparable when both sides carry wall data.
     if let (Some(base_eps), Some(cur_eps)) = (base.events_per_wall_sec(), cur.events_per_wall_sec())
     {
-        let lane = format!(
-            "{ctx}: throughput {:.0} events/s vs baseline {:.0} events/s",
-            cur_eps, base_eps
-        );
-        match tol.throughput_factor {
-            Some(factor) if cur_eps * factor < base_eps => {
-                out.violations
-                    .push(format!("{lane} (limit {factor}x slowdown)"));
-            }
-            None if cur_eps * THROUGHPUT_NOTE_SLACK < base_eps => {
-                out.notes.push(lane);
-            }
-            _ => {}
+        if cur_eps * THROUGHPUT_FACTOR < base_eps {
+            out.violations.push(format!(
+                "{ctx}: throughput {cur_eps:.0} events/s vs baseline {base_eps:.0} events/s \
+                 (limit {THROUGHPUT_FACTOR}x slowdown)"
+            ));
         }
     }
     // Memory lane: server-side bytes per peak connection. Deterministic,
     // so comparable whenever both sides carry endpoint data.
     if let (Some(base_bpc), Some(cur_bpc)) = (base.mem_bytes_per_conn(), cur.mem_bytes_per_conn()) {
-        let lane = format!(
-            "{ctx}: memory {:.1} bytes/conn vs baseline {:.1} bytes/conn",
-            cur_bpc, base_bpc
-        );
-        match tol.mem_factor {
-            Some(factor) if cur_bpc > factor * base_bpc => {
-                out.violations.push(format!("{lane} (limit {factor}x)"));
-            }
-            None if cur_bpc > THROUGHPUT_NOTE_SLACK * base_bpc => {
-                out.notes.push(lane);
-            }
-            _ => {}
+        if cur_bpc > MEM_FACTOR * base_bpc {
+            out.violations.push(format!(
+                "{ctx}: memory {cur_bpc:.1} bytes/conn vs baseline {base_bpc:.1} bytes/conn \
+                 (limit {MEM_FACTOR}x)"
+            ));
         }
     }
     if base.points.len() != cur.points.len() {
@@ -513,29 +470,29 @@ fn compare_sweep(
             continue;
         }
         let at = format!("{ctx} rate {}", bp.rate);
-        if rel_diff(cp.avg, bp.avg) > tol.rate_rel {
+        if rel_diff(cp.avg, bp.avg) > RATE_REL {
             out.violations.push(format!(
                 "{at}: avg reply rate {:.1} drifted from baseline {:.1} (> {:.0}%)",
                 cp.avg,
                 bp.avg,
-                tol.rate_rel * 100.0
+                RATE_REL * 100.0
             ));
         }
-        if (cp.error_percent - bp.error_percent).abs() > tol.err_abs {
+        if (cp.error_percent - bp.error_percent).abs() > ERR_ABS {
             out.violations.push(format!(
-                "{at}: error rate {:.1}% drifted from baseline {:.1}% (> {} points)",
-                cp.error_percent, bp.error_percent, tol.err_abs
+                "{at}: error rate {:.1}% drifted from baseline {:.1}% (> {ERR_ABS} points)",
+                cp.error_percent, bp.error_percent
             ));
         }
         for (name, c, b) in [
             ("median latency", cp.median_ms, bp.median_ms),
             ("p90 latency", cp.p90_ms, bp.p90_ms),
         ] {
-            let floored = c.max(b) >= tol.latency_floor_ms;
-            if floored && rel_diff(c, b) > tol.latency_rel {
+            let floored = c.max(b) >= LATENCY_FLOOR_MS;
+            if floored && rel_diff(c, b) > LATENCY_REL {
                 out.violations.push(format!(
                     "{at}: {name} {c:.2} ms drifted from baseline {b:.2} ms (> {:.0}%)",
-                    tol.latency_rel * 100.0
+                    LATENCY_REL * 100.0
                 ));
             }
         }
@@ -544,7 +501,7 @@ fn compare_sweep(
                 "{at}: probe digest {} differs from baseline {}",
                 cp.probe_digest, bp.probe_digest
             );
-            if tol.strict_digest {
+            if strict_digest {
                 out.violations.push(msg);
             } else {
                 out.notes.push(msg);
@@ -932,7 +889,7 @@ mod tests {
     #[test]
     fn gate_green_on_identical_reports() {
         let report = sample_report();
-        let outcome = compare(&report, &report, &GateTolerance::default());
+        let outcome = compare(&report, &report, false);
         assert!(outcome.ok(), "{:?}", outcome.violations);
         assert!(outcome.notes.is_empty());
     }
@@ -942,13 +899,13 @@ mod tests {
         let base = sample_report();
         let mut cur = base.clone();
         cur.sweeps[0].points[0].avg *= 0.8; // 20% > 10% tolerance
-        let outcome = compare(&base, &cur, &GateTolerance::default());
+        let outcome = compare(&base, &cur, false);
         assert_eq!(outcome.violations.len(), 1);
         assert!(outcome.violations[0].contains("avg reply rate"));
 
         let mut empty = base.clone();
         empty.sweeps.clear();
-        let outcome = compare(&base, &empty, &GateTolerance::default());
+        let outcome = compare(&base, &empty, false);
         assert!(outcome
             .violations
             .iter()
@@ -961,7 +918,7 @@ mod tests {
         let mut cur = base.clone();
         cur.seed = 7;
         cur.sweeps[0].points[0].avg = 0.0; // would violate, but identity wins
-        let outcome = compare(&base, &cur, &GateTolerance::default());
+        let outcome = compare(&base, &cur, false);
         assert_eq!(outcome.violations.len(), 1);
         assert!(outcome.violations[0].contains("seed mismatch"));
     }
@@ -974,16 +931,11 @@ mod tests {
         // Whole-process wall time is another machine's number: never gated.
         cur.total_wall_ms = base.total_wall_ms * 20.0;
 
-        let default_tol = GateTolerance::default();
-        let outcome = compare(&base, &cur, &default_tol);
+        let outcome = compare(&base, &cur, false);
         assert!(outcome.ok());
         assert_eq!(outcome.notes.len(), 1);
 
-        let strict = GateTolerance {
-            strict_digest: true,
-            ..GateTolerance::default()
-        };
-        let outcome = compare(&base, &cur, &strict);
+        let outcome = compare(&base, &cur, true);
         assert_eq!(outcome.violations.len(), 1);
     }
 
@@ -997,7 +949,7 @@ mod tests {
         b2.sweeps[0].points[0].p90_ms = 0.3;
         cur.sweeps[0].points[0].median_ms = 0.6;
         cur.sweeps[0].points[0].p90_ms = 0.9;
-        assert!(compare(&b2, &cur, &GateTolerance::default()).ok());
+        assert!(compare(&b2, &cur, false).ok());
     }
 
     #[test]
@@ -1023,61 +975,40 @@ mod tests {
     }
 
     #[test]
-    fn mem_lane_notes_by_default_and_gates_on_opt_in() {
+    fn mem_lane_gates_beyond_the_factor() {
         let base = sample_report();
         let mut cur = base.clone();
         // Same peak connections, twice the bytes: a per-connection
         // memory regression.
         cur.sweeps[0].mem_bytes = base.sweeps[0].mem_bytes * 2;
-
-        let outcome = compare(&base, &cur, &GateTolerance::default());
-        assert!(outcome.ok());
-        assert!(outcome.notes.iter().any(|n| n.contains("bytes/conn")));
-
-        let gated = GateTolerance {
-            mem_factor: Some(1.25),
-            ..GateTolerance::default()
-        };
-        let outcome = compare(&base, &cur, &gated);
+        let outcome = compare(&base, &cur, false);
         assert_eq!(outcome.violations.len(), 1);
         assert!(outcome.violations[0].contains("bytes/conn"));
 
-        // Mild growth: green under the gate, quiet under the slack.
+        // Growth within the 1.25x factor: green, and no note either.
         let mut mild = base.clone();
         mild.sweeps[0].mem_bytes = base.sweeps[0].mem_bytes + base.sweeps[0].mem_bytes / 10;
-        assert!(compare(&base, &mild, &gated).ok());
-        assert!(compare(&base, &mild, &GateTolerance::default())
-            .notes
-            .is_empty());
+        let outcome = compare(&base, &mild, false);
+        assert!(outcome.ok());
+        assert!(outcome.notes.is_empty());
     }
 
     #[test]
-    fn throughput_lane_notes_by_default_and_gates_on_opt_in() {
+    fn throughput_lane_gates_beyond_the_factor() {
         let base = sample_report();
         let mut cur = base.clone();
-        // Same work, 4x the wall time: a real throughput regression.
-        cur.sweeps[0].wall_ms = base.sweeps[0].wall_ms * 4.0;
-
-        let outcome = compare(&base, &cur, &GateTolerance::default());
-        assert!(outcome.ok());
-        assert!(outcome.notes.iter().any(|n| n.contains("throughput")));
-
-        let gated = GateTolerance {
-            throughput_factor: Some(2.0),
-            ..GateTolerance::default()
-        };
-        let outcome = compare(&base, &cur, &gated);
+        // Same work, twice the wall time: a real throughput regression.
+        cur.sweeps[0].wall_ms = base.sweeps[0].wall_ms * 2.0;
+        let outcome = compare(&base, &cur, false);
         assert_eq!(outcome.violations.len(), 1);
         assert!(outcome.violations[0].contains("throughput"));
 
-        // Within the opt-in factor: green, and quiet under the 1.5x
-        // advisory slack too.
+        // A slowdown within the 1.25x factor: green, and no note either.
         let mut mild = base.clone();
         mild.sweeps[0].wall_ms = base.sweeps[0].wall_ms * 1.2;
-        assert!(compare(&base, &mild, &gated).ok());
-        assert!(compare(&base, &mild, &GateTolerance::default())
-            .notes
-            .is_empty());
+        let outcome = compare(&base, &mild, false);
+        assert!(outcome.ok());
+        assert!(outcome.notes.is_empty());
     }
 
     #[test]
@@ -1096,11 +1027,7 @@ mod tests {
             eps_peak: 0,
             points: vec![],
         });
-        let tol = GateTolerance {
-            throughput_factor: Some(2.0),
-            ..GateTolerance::default()
-        };
-        let outcome = compare(&base, &cur, &tol);
+        let outcome = compare(&base, &cur, false);
         assert!(!outcome.ok());
         let md = lane_diff_markdown(&base, &cur, &outcome);
         // One table row per baseline sweep, lanes rendered base → cur.
@@ -1116,7 +1043,7 @@ mod tests {
             sweeps: vec![],
             ..base.clone()
         };
-        let outcome = compare(&base, &empty, &GateTolerance::default());
+        let outcome = compare(&base, &empty, false);
         let md = lane_diff_markdown(&base, &empty, &outcome);
         assert!(md.contains("→ missing"));
     }

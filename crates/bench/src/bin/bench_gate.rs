@@ -3,19 +3,17 @@
 //! drift.
 //!
 //! ```text
-//! bench_gate [--baseline FILE] [--current FILE] [--rate-tol F]
-//!            [--err-tol F] [--latency-tol F] [--throughput-factor F]
-//!            [--mem-factor F] [--strict-digest]
+//! bench_gate [--baseline FILE] [--current FILE] [--strict-digest]
 //! ```
 //!
-//! Defaults: baseline `BENCH_BASELINE.json`, current `BENCH.json`,
-//! tolerances from `bench::GateTolerance::default()` (10% reply rate,
-//! 5 error points, 50% latency above a 1 ms floor), and the throughput
-//! lane advisory (`--throughput-factor F` turns a per-sweep
-//! events-per-second drop below `baseline / F` into a failure; without
-//! it large drops are notes). `--mem-factor F` gates
-//! the memory lane the same way: a sweep whose server bytes/connection
-//! grow beyond `baseline * F` fails instead of noting.
+//! Defaults: baseline `BENCH_BASELINE.json`, current `BENCH.json`. The
+//! tolerances are fixed (see `bench::baseline`): 10% reply rate, 5
+//! error points, 50% latency above a 1 ms floor, and per sweep a
+//! throughput drop below `baseline / 1.25` events per wall-second or a
+//! growth beyond `1.25 * baseline` server bytes per connection.
+//! `--strict-digest` also fails on any probe-digest change (by default
+//! a changed digest is a note): use it to check that a change leaves
+//! every digest as it was.
 //! Intentional perf/behaviour changes are shipped by refreshing the
 //! baseline in the same commit — see EXPERIMENTS.md "Benchmark gate".
 //!
@@ -26,31 +24,19 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use bench::{compare, flag_value, lane_diff_markdown, BenchReport, GateTolerance};
+use bench::{compare, flag_value, lane_diff_markdown, BenchReport};
 
 fn main() -> ExitCode {
     let mut baseline_path = PathBuf::from("BENCH_BASELINE.json");
     let mut current_path = PathBuf::from("BENCH.json");
-    let mut tol = GateTolerance::default();
+    let mut strict_digest = false;
 
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--baseline" => baseline_path = flag_value("--baseline", args.next().as_deref()),
             "--current" => current_path = flag_value("--current", args.next().as_deref()),
-            "--rate-tol" => tol.rate_rel = flag_value("--rate-tol", args.next().as_deref()),
-            "--err-tol" => tol.err_abs = flag_value("--err-tol", args.next().as_deref()),
-            "--latency-tol" => {
-                tol.latency_rel = flag_value("--latency-tol", args.next().as_deref())
-            }
-            "--throughput-factor" => {
-                tol.throughput_factor =
-                    Some(flag_value("--throughput-factor", args.next().as_deref()))
-            }
-            "--mem-factor" => {
-                tol.mem_factor = Some(flag_value("--mem-factor", args.next().as_deref()))
-            }
-            "--strict-digest" => tol.strict_digest = true,
+            "--strict-digest" => strict_digest = true,
             other => {
                 eprintln!("unknown flag {other:?}; see src/bin/bench_gate.rs docs");
                 return ExitCode::from(2);
@@ -100,7 +86,7 @@ fn main() -> ExitCode {
             );
         }
     }
-    let outcome = compare(&baseline, &current, &tol);
+    let outcome = compare(&baseline, &current, strict_digest);
     for note in &outcome.notes {
         println!("NOTE  {note}");
     }

@@ -21,13 +21,15 @@
 //! * `src/bin/bench_gate.rs` — the CI gate: `cargo run --release -p
 //!   bench --bin bench_gate`.
 
+#![deny(clippy::unwrap_used)]
+
 pub mod baseline;
 pub mod executor;
 pub mod figures;
 
 pub use baseline::{
     compare, config_fingerprint, group_runs, lane_diff_markdown, BenchReport, GateOutcome,
-    GateTolerance, PointRecord, SweepRecord, BENCH_VERSION,
+    PointRecord, SweepRecord, BENCH_VERSION,
 };
 pub use executor::{effective_jobs, run_jobs, JOBS_ENV};
 pub use figures::{FigureConfig, FigureRunner, SweepKey, PAPER_FIGURES};

@@ -14,8 +14,8 @@ fn usage_error(bin: &str, args: &[&str], flag: &str) {
 #[test]
 fn bench_gate_rejects_bad_flag_values() {
     let bin = env!("CARGO_BIN_EXE_bench_gate");
-    usage_error(bin, &["--rate-tol", "x"], "--rate-tol");
-    usage_error(bin, &["--mem-factor"], "--mem-factor");
+    usage_error(bin, &["--baseline"], "--baseline");
+    usage_error(bin, &["--current"], "--current");
 }
 
 #[test]

@@ -3,7 +3,7 @@
 //! regresses — here injected by scaling the cost model down (every
 //! syscall and copy gets ~3x more expensive).
 
-use bench::{compare, group_runs, BenchReport, GateTolerance, BENCH_VERSION};
+use bench::{compare, group_runs, BenchReport, BENCH_VERSION};
 use httperf::{run_one, RunParams, ServerKind};
 
 fn one_point_report(slow_factor: Option<f64>) -> BenchReport {
@@ -26,9 +26,8 @@ fn one_point_report(slow_factor: Option<f64>) -> BenchReport {
 #[test]
 fn gate_is_green_against_itself_and_red_on_slowed_cpu() {
     let baseline = one_point_report(None);
-    let tol = GateTolerance::default();
 
-    let self_check = compare(&baseline, &baseline, &tol);
+    let self_check = compare(&baseline, &baseline, false);
     assert!(
         self_check.ok(),
         "self-comparison must be green, got: {:?}",
@@ -38,7 +37,7 @@ fn gate_is_green_against_itself_and_red_on_slowed_cpu() {
     // CPU three times slower: poll()'s O(interest set) scan dominates
     // and the reply rate collapses well past the 10% tolerance.
     let regressed = one_point_report(Some(0.3));
-    let gate = compare(&baseline, &regressed, &tol);
+    let gate = compare(&baseline, &regressed, false);
     assert!(
         !gate.ok(),
         "slowed cost model must trip the gate; baseline avg {:.1}, regressed avg {:.1}",

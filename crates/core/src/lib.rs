@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used)]
 
 //! `devpoll` — the primary contribution of *Scalable Network I/O in
 //! Linux* (Provos & Lever, USENIX 2000), reimplemented against the

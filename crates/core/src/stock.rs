@@ -35,6 +35,7 @@ pub enum PollOutcome {
 ///
 /// See the `thttpd` server in the `servers` crate for the canonical
 /// event loop built on this call.
+// #[hot_path] — simcheck bans per-call allocation in this function
 pub fn sys_poll(kernel: &mut Kernel, pid: Pid, fds: &mut [PollFd], timeout_ms: i32) -> PollOutcome {
     let cost = *kernel.cost_model();
     kernel.charge_app(pid, cost.syscall);

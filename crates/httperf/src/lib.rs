@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used)]
 
 //! `httperf` — the benchmark client and testbed of *Scalable Network I/O
 //! in Linux* (Provos & Lever, USENIX 2000).

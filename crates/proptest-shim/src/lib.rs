@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used)]
 
 //! A minimal, dependency-free stand-in for the `proptest` property
 //! testing crate, so the workspace's property tests run in a fully

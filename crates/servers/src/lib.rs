@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used)]
 
 //! `servers` — the web servers under test in *Scalable Network I/O in
 //! Linux* (Provos & Lever, USENIX 2000):

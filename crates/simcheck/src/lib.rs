@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used)]
 
 //! Offline correctness tooling for the simulation (DESIGN.md §7):
 //!
@@ -10,10 +11,11 @@
 //!   schedule of a small event alphabet to a depth bound, all five
 //!   lanes checked against the executable reference [`model`] at every
 //!   wait boundary, with fingerprint dedup and DPOR-style pruning;
-//! * [`lint`] — a dependency-free source scanner for panicking calls in
-//!   library code, hash-ordered iteration, hot-path allocation, span
-//!   pairing, mixed time-unit arithmetic and wide handles (wall-clock
-//!   reads are clippy's, via the workspace `clippy.toml`);
+//! * [`lint`] — a dependency-free source scanner for what rustc and
+//!   clippy cannot check: `expect(` without an `invariant:` message in
+//!   library code, hash-ordered iteration, hot-path allocation, mixed
+//!   time-unit arithmetic and wide handles (unwraps and wall-clock
+//!   reads are clippy's, via the crate roots and `clippy.toml`);
 //! * the runtime invariant auditor and lockdep graph themselves live in
 //!   the `devpoll` crate; the oracle's lanes switch them on through
 //!   `DevPollRegistry::audited()` (debug builds run them everywhere).

@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! simcheck all                  # lint + oracle sweep + audit + quick explore (CI entry)
-//! simcheck lint                 # source lint pass against simcheck.allow
-//! simcheck lint --print-budgets # emit current counts in allowlist format
+//! simcheck lint                 # source lint pass; any finding fails
 //! simcheck oracle [--seeds N] [--conns N] [--ops N]
 //! simcheck audit  [--seed N]    # one audited run; prints live check counts
 //! simcheck explore [--depth quick|full|N] [--conns N] [--max-sends N]
@@ -73,38 +72,24 @@ fn script_config(args: &[String]) -> ScriptConfig {
     cfg
 }
 
-fn run_lint(root: &Path, print_budgets: bool) -> bool {
-    let allow_path = root.join("simcheck.allow");
-    let allow_text = std::fs::read_to_string(&allow_path).unwrap_or_default();
-    let hot = lint::parse_hot_list(&allow_text);
-    let findings = lint::scan(root, &hot);
-    if print_budgets {
-        print!("{}", lint::render_budgets(&findings));
-        return true;
-    }
-    let budgets = lint::parse_allowlist(&allow_text);
-    let verdict = lint::check(&findings, &budgets);
-    println!(
-        "lint: {} finding(s) across {} budget line(s)",
-        verdict.total,
-        budgets.len()
-    );
-    if !verdict.ok() {
-        println!("lint: FAIL — findings beyond the simcheck.allow budget:");
-        for v in &verdict.over_budget {
-            println!("  {v}");
+fn run_lint(root: &Path) -> bool {
+    let findings = match lint::scan(root) {
+        Ok(findings) => findings,
+        Err(msg) => {
+            println!("lint: FAIL — {msg}");
+            return false;
         }
-        // Per-site detail so the offending lines are actionable.
-        for f in &findings {
-            println!("  {f}");
-        }
-        return false;
+    };
+    for f in &findings {
+        println!("  {f}");
     }
-    for s in &verdict.slack {
-        println!("lint: note — {s}");
+    if findings.is_empty() {
+        println!("lint: OK (no findings)");
+        true
+    } else {
+        println!("lint: FAIL — {} finding(s)", findings.len());
+        false
     }
-    println!("lint: OK (no findings outside the allowlist)");
-    true
 }
 
 fn run_oracle(args: &[String]) -> bool {
@@ -391,7 +376,7 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cmd = args.first().map(String::as_str).unwrap_or("all");
     let ok = match cmd {
-        "lint" => run_lint(&repo_root(), args.iter().any(|a| a == "--print-budgets")),
+        "lint" => run_lint(&repo_root()),
         "oracle" => run_oracle(&args),
         "audit" => run_audit(&args),
         "explore" => run_explore(&args),
@@ -404,7 +389,7 @@ fn main() -> ExitCode {
             }
         },
         "all" => {
-            let lint_ok = run_lint(&repo_root(), false);
+            let lint_ok = run_lint(&repo_root());
             let oracle_ok = run_oracle(&args);
             let audit_ok = run_audit(&args);
             let explore_ok = run_explore(&["--depth".into(), "quick".into()]);

@@ -235,6 +235,7 @@ pub fn bucket_lo(index: usize) -> u64 {
 
 impl Histogram {
     /// Records one sample.
+    // #[hot_path] — simcheck bans per-call allocation in this function
     pub fn observe(&mut self, value: u64) {
         self.count += 1;
         self.sum += value as u128;
@@ -376,11 +377,13 @@ impl MetricRegistry {
     }
 
     /// Increments a counter by one.
+    // #[hot_path] — simcheck bans per-call allocation in this function
     pub fn inc(&mut self, m: Metric) {
         self.add(m, 1);
     }
 
     /// Adds `n` to a counter.
+    // #[hot_path] — simcheck bans per-call allocation in this function
     pub fn add(&mut self, m: Metric, n: u64) {
         self.touch(m);
         self.counters[m as usize] += n;
@@ -392,6 +395,7 @@ impl MetricRegistry {
     }
 
     /// Sets a gauge, updating its high-water mark.
+    // #[hot_path] — simcheck bans per-call allocation in this function
     pub fn gauge_set(&mut self, m: Metric, value: u64) {
         self.touch(m);
         let g = &mut self.gauges[m as usize - COUNTERS];
@@ -405,6 +409,7 @@ impl MetricRegistry {
     }
 
     /// Records a histogram sample.
+    // #[hot_path] — simcheck bans per-call allocation in this function
     pub fn observe(&mut self, m: Metric, value: u64) {
         self.touch(m);
         self.hists[m as usize - COUNTERS - GAUGES].observe(value);

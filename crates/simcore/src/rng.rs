@@ -95,7 +95,10 @@ impl SimRng {
     /// Draws from an exponential distribution with the given mean.
     ///
     /// Used for Poisson inter-arrival times in open-loop load generation.
-    /// A non-positive or NaN mean yields `0.0`.
+    /// A non-positive or NaN mean yields `0.0`. The result depends on the
+    /// platform libm's `ln`, so it is bit-reproducible only across hosts
+    /// whose `ln` rounds alike; `tests/rng_pin.rs` pins the first draws
+    /// and fails on a host where they differ.
     pub fn exp(&mut self, mean: f64) -> f64 {
         if mean.is_nan() || mean <= 0.0 {
             return 0.0;

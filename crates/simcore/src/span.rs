@@ -17,8 +17,8 @@
 //!    are byte-identical to an uninstrumented build.
 //! 3. **Scoped, nestable spans.** The only way to open a span is the
 //!    guard API; the private `span_enter`/`span_exit` stack operations
-//!    never escape this file (enforced by the simcheck `span-pairing`
-//!    lint, budget 0). Close pops strictly LIFO, so exclusive-time
+//!    never escape this file (Rust privacy: a call from outside fails
+//!    to compile). Close pops strictly LIFO, so exclusive-time
 //!    attribution is always well-formed.
 //!
 //! A closed span charges its **exclusive** time (inclusive minus time
@@ -423,7 +423,7 @@ impl SpanTracer {
         out
     }
 
-    // -- the only enter/exit pair in the tree (simcheck span-pairing) --
+    // -- the only enter/exit pair in the tree (private to this module) --
 
     fn span_enter(&mut self, phase: Phase, tid: u64, at: SimTime) -> SpanGuard {
         let id = self.next_id;

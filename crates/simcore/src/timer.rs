@@ -111,6 +111,7 @@ impl<T> TimerQueue<T> {
 
     /// Arms `item` to fire at `at`, after every timer already armed for
     /// the same instant.
+    // #[hot_path] — simcheck bans per-call allocation in this function
     pub fn push(&mut self, lane: Lane, at: SimTime, item: T) {
         let seq = self.seq;
         self.seq += 1;
@@ -123,6 +124,7 @@ impl<T> TimerQueue<T> {
 
     /// Removes and returns the earliest timer if it is due at or before
     /// `now`.
+    // #[hot_path] — simcheck bans per-call allocation in this function
     pub fn pop(&mut self, now: SimTime) -> Option<(SimTime, T)> {
         let near_first = match (self.near.peek(), self.far.peek()) {
             (Some(n), Some(f)) => n.key() < f.key(),

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used)]
 
 //! `simkernel` — a discrete-event model of the Linux 2.2 kernel
 //! machinery that *Scalable Network I/O in Linux* (Provos & Lever,

@@ -487,6 +487,7 @@ impl Network {
     /// Fires all timers due at or before `now` and appends the
     /// notifications accumulated since the previous call to `out` (which
     /// is *not* cleared — the caller owns the buffer).
+    // #[hot_path] — simcheck bans per-call allocation in this function
     pub fn advance_into(&mut self, now: SimTime, out: &mut Vec<NetNotify>) {
         while let Some((t, slot)) = self.timers.pop(now) {
             let body = self.timer_arena[slot as usize]
