@@ -1,6 +1,6 @@
 //! The perf baseline: a versioned, machine-readable `BENCH.json`
-//! emitted by every `figures` / `verify_repro` invocation, plus the
-//! comparator behind the `bench_gate` binary.
+//! emitted by every `figures` invocation, plus the comparator behind
+//! the `bench_gate` binary.
 //!
 //! A report records, per sweep, the shape metrics the paper plots
 //! (reply-rate summary, error percentage, latency quantiles) and a
@@ -115,6 +115,30 @@ pub struct SweepRecord {
 }
 
 impl SweepRecord {
+    /// Folds the finished runs of one sweep, in rate order, into its
+    /// record under `server`. `wall_ms` is the summed per-run wall time.
+    pub fn from_runs(
+        server: String,
+        inactive: usize,
+        wall_ms: f64,
+        reports: &mut [RunReport],
+    ) -> SweepRecord {
+        SweepRecord {
+            server,
+            inactive,
+            wall_ms,
+            events: reports.iter().map(|r| r.events).sum(),
+            sim_ms: reports.iter().map(|r| r.sim_secs * 1e3).sum(),
+            mem_bytes: reports
+                .iter()
+                .map(|r| r.mem_server_bytes)
+                .max()
+                .unwrap_or(0),
+            eps_peak: reports.iter().map(|r| r.mem_eps_peak).max().unwrap_or(0),
+            points: reports.iter_mut().map(PointRecord::from_report).collect(),
+        }
+    }
+
     /// Server-side heap bytes per peak connection — the memory lane's
     /// headline number. `None` without endpoint data.
     pub fn mem_bytes_per_conn(&self) -> Option<f64> {
@@ -140,7 +164,7 @@ impl SweepRecord {
 pub struct BenchReport {
     /// Schema version ([`BENCH_VERSION`]).
     pub version: u64,
-    /// Producing tool (`"figures"`, `"verify_repro"`).
+    /// Producing tool (`"figures"`).
     pub tool: String,
     /// RNG seed of every run in the report.
     pub seed: u64,
@@ -282,43 +306,6 @@ fn point_json(p: &PointRecord) -> String {
         p.attempted,
         p.probe_digest,
     )
-}
-
-/// Groups finished runs (with their per-run wall times) into
-/// [`SweepRecord`]s in canonical (server, inactive) order, points
-/// sorted by rate — the folding `verify_repro` uses, where the run grid
-/// is scattered rather than a clean rate sweep.
-pub fn group_runs(mut runs: Vec<(RunReport, f64)>) -> Vec<SweepRecord> {
-    runs.sort_by(|(a, _), (b, _)| {
-        (a.server.as_str(), a.inactive)
-            .cmp(&(b.server.as_str(), b.inactive))
-            .then(a.target_rate.total_cmp(&b.target_rate))
-    });
-    let mut sweeps: Vec<SweepRecord> = Vec::new();
-    for (mut report, wall) in runs {
-        let point = PointRecord::from_report(&mut report);
-        match sweeps.last_mut() {
-            Some(s) if s.server == report.server && s.inactive == report.inactive => {
-                s.wall_ms += wall;
-                s.events += report.events;
-                s.sim_ms += report.sim_secs * 1e3;
-                s.mem_bytes = s.mem_bytes.max(report.mem_server_bytes);
-                s.eps_peak = s.eps_peak.max(report.mem_eps_peak);
-                s.points.push(point);
-            }
-            _ => sweeps.push(SweepRecord {
-                server: report.server.clone(),
-                inactive: report.inactive,
-                wall_ms: wall,
-                events: report.events,
-                sim_ms: report.sim_secs * 1e3,
-                mem_bytes: report.mem_server_bytes,
-                eps_peak: report.mem_eps_peak,
-                points: vec![point],
-            }),
-        }
-    }
-    sweeps
 }
 
 // ---------------------------------------------------------------------

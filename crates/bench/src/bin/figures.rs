@@ -53,6 +53,25 @@ fn now_ms() -> f64 {
     START.get_or_init(Instant::now).elapsed().as_secs_f64() * 1e3
 }
 
+/// An extension figure, built from the runner's cached or direct runs.
+type ExtensionFigure = fn(&mut FigureRunner) -> Vec<Figure>;
+
+/// The extension figures in `extensions` order, by target name. Each
+/// is also a target on its own; its CSV stem is the name with `-`
+/// spelt `_`.
+const EXTENSIONS: [(&str, ExtensionFigure); 10] = [
+    ("hybrid", |r| r.hybrid_figure(251)),
+    ("ablate-hints", |r| r.ablate_hints(501)),
+    ("ablate-mmap", |r| r.ablate_mmap(501)),
+    ("ablate-combined", |r| r.ablate_combined(501)),
+    ("ablate-batch", |r| r.ablate_batch(251)),
+    ("herd", |r| r.herd_figure(251)),
+    ("docsize", |r| r.docsize_figure(500.0, 251)),
+    ("sendfile", |r| r.sendfile_figure(1)),
+    ("loss", |r| r.loss_figure(500.0, 251)),
+    ("select", |r| r.select_figure(251)),
+];
+
 fn main() {
     let started = now_ms();
     let mut config = FigureConfig::default();
@@ -118,33 +137,11 @@ fn main() {
             }
             "extensions" => {
                 runner.prefetch(&extensions_grid());
-                eprintln!("== hybrid ==");
-                emit("hybrid", runner.hybrid_figure(251));
-                eprintln!("== ablate-hints ==");
-                emit("ablate_hints", runner.ablate_hints(501));
-                eprintln!("== ablate-mmap ==");
-                emit("ablate_mmap", runner.ablate_mmap(501));
-                eprintln!("== ablate-combined ==");
-                emit("ablate_combined", runner.ablate_combined(501));
-                eprintln!("== ablate-batch ==");
-                emit("ablate_batch", runner.ablate_batch(251));
-                eprintln!("== herd ==");
-                emit("herd", runner.herd_figure(251));
-                eprintln!("== docsize ==");
-                emit("docsize", runner.docsize_figure(500.0, 251));
-                eprintln!("== sendfile ==");
-                emit("sendfile", runner.sendfile_figure(1));
-                eprintln!("== loss ==");
-                emit("loss", runner.loss_figure(500.0, 251));
-                eprintln!("== select ==");
-                emit("select", runner.select_figure(251));
+                for (name, figure) in EXTENSIONS {
+                    eprintln!("== {name} ==");
+                    emit(&name.replace('-', "_"), figure(&mut runner));
+                }
             }
-            "hybrid" => emit("hybrid", runner.hybrid_figure(251)),
-            "herd" => emit("herd", runner.herd_figure(251)),
-            "docsize" => emit("docsize", runner.docsize_figure(500.0, 251)),
-            "sendfile" => emit("sendfile", runner.sendfile_figure(1)),
-            "loss" => emit("loss", runner.loss_figure(500.0, 251)),
-            "select" => emit("select", runner.select_figure(251)),
             "cpu-scaling" => emit("cpu_scaling", runner.cpu_scaling_figure(501)),
             "latency-anatomy" => {
                 runner.span_prefetch(&anatomy_grid(251));
@@ -162,18 +159,17 @@ fn main() {
                 eprintln!("== million-smoke ==");
                 emit("million", runner.million_figures(100_000));
             }
-            "ablate-hints" => emit("ablate_hints", runner.ablate_hints(501)),
-            "ablate-mmap" => emit("ablate_mmap", runner.ablate_mmap(501)),
-            "ablate-combined" => emit("ablate_combined", runner.ablate_combined(501)),
-            "ablate-batch" => emit("ablate_batch", runner.ablate_batch(251)),
             id if PAPER_FIGURES.contains(&id) => {
                 eprintln!("== {id} ==");
                 let figs = runner.paper_figure(id);
                 emit(id, figs);
             }
             other => {
-                eprintln!("unknown target {other:?}");
-                std::process::exit(2);
+                let Some((name, figure)) = EXTENSIONS.iter().find(|(n, _)| *n == other) else {
+                    eprintln!("unknown target {other:?}");
+                    std::process::exit(2);
+                };
+                emit(&name.replace('-', "_"), figure(&mut runner));
             }
         }
     }

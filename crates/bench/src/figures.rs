@@ -13,7 +13,7 @@ use simcore::series::{Figure, Series};
 use simcore::span::Phase;
 use simcore::time::SimDuration;
 
-use crate::baseline::{config_fingerprint, BenchReport, PointRecord, SweepRecord, BENCH_VERSION};
+use crate::baseline::{config_fingerprint, BenchReport, SweepRecord, BENCH_VERSION};
 use crate::executor::run_jobs;
 
 /// Sweep settings shared by every figure.
@@ -320,29 +320,18 @@ impl FigureRunner {
     /// anatomy run can never shadow (or be gated against) the plain-run
     /// baselines.
     pub fn bench_report(&mut self, tool: &str, total_wall_ms: f64) -> BenchReport {
-        let mut sweeps = Vec::new();
-        for (&(spans, kind, inactive), sweep) in &mut self.cache {
-            let reports = &mut sweep.reports;
-            let events = reports.iter().map(|r| r.events).sum();
-            let sim_ms = reports.iter().map(|r| r.sim_secs * 1e3).sum();
-            let mem_bytes = reports
-                .iter()
-                .map(|r| r.mem_server_bytes)
-                .max()
-                .unwrap_or(0);
-            let eps_peak = reports.iter().map(|r| r.mem_eps_peak).max().unwrap_or(0);
-            let points = reports.iter_mut().map(PointRecord::from_report).collect();
-            sweeps.push(SweepRecord {
-                server: sweep_label(spans, kind),
-                inactive,
-                wall_ms: sweep.wall_ms,
-                events,
-                sim_ms,
-                mem_bytes,
-                eps_peak,
-                points,
-            });
-        }
+        let sweeps = self
+            .cache
+            .iter_mut()
+            .map(|(&(spans, kind, inactive), sweep)| {
+                SweepRecord::from_runs(
+                    sweep_label(spans, kind),
+                    inactive,
+                    sweep.wall_ms,
+                    &mut sweep.reports,
+                )
+            })
+            .collect();
         BenchReport {
             version: BENCH_VERSION,
             tool: tool.to_string(),

@@ -11,9 +11,8 @@
 //!   merged in canonical order so output is byte-identical to `--jobs
 //!   1`.
 //! * [`baseline`] — the versioned `BENCH.json` perf record every
-//!   `figures`/`verify_repro` invocation emits, and the comparator the
-//!   `bench_gate` binary runs against the checked-in
-//!   `BENCH_BASELINE.json`.
+//!   `figures` invocation emits, and the comparator the `bench_gate`
+//!   binary runs against the checked-in `BENCH_BASELINE.json`.
 //! * `src/bin/micro.rs` — simulated per-call cost tables, plus
 //!   wall-clock lanes for the stock `poll()` and `DP_POLL` scans.
 //! * `src/bin/figures.rs` — the CLI: `cargo run --release -p bench --bin
@@ -28,8 +27,8 @@ pub mod executor;
 pub mod figures;
 
 pub use baseline::{
-    compare, config_fingerprint, group_runs, lane_diff_markdown, BenchReport, GateOutcome,
-    PointRecord, SweepRecord, BENCH_VERSION,
+    compare, config_fingerprint, lane_diff_markdown, BenchReport, GateOutcome, PointRecord,
+    SweepRecord, BENCH_VERSION,
 };
 pub use executor::{effective_jobs, run_jobs, JOBS_ENV};
 pub use figures::{FigureConfig, FigureRunner, SweepKey, PAPER_FIGURES};

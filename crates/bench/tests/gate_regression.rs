@@ -3,7 +3,7 @@
 //! regresses — here injected by scaling the cost model down (every
 //! syscall and copy gets ~3x more expensive).
 
-use bench::{compare, group_runs, BenchReport, BENCH_VERSION};
+use bench::{compare, BenchReport, SweepRecord, BENCH_VERSION};
 use httperf::{run_one, RunParams, ServerKind};
 
 fn one_point_report(slow_factor: Option<f64>) -> BenchReport {
@@ -11,7 +11,7 @@ fn one_point_report(slow_factor: Option<f64>) -> BenchReport {
     if let Some(factor) = slow_factor {
         params.cost = params.cost.scaled(factor);
     }
-    let report = run_one(params);
+    let mut report = run_one(params);
     BenchReport {
         version: BENCH_VERSION,
         tool: "figures".to_string(),
@@ -19,7 +19,12 @@ fn one_point_report(slow_factor: Option<f64>) -> BenchReport {
         config: "test".to_string(),
         jobs: 1,
         total_wall_ms: 0.0,
-        sweeps: group_runs(vec![(report, 0.0)]),
+        sweeps: vec![SweepRecord::from_runs(
+            report.server.clone(),
+            report.inactive,
+            0.0,
+            std::slice::from_mut(&mut report),
+        )],
     }
 }
 

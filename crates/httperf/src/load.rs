@@ -34,6 +34,13 @@ pub enum LoadShape {
     },
 }
 
+/// Client-side timeout for a full response.
+pub const CLIENT_TIMEOUT: SimDuration = SimDuration::from_secs(2);
+/// Extra one-way latency on inactive (modem-class) connections.
+pub const INACTIVE_EXTRA_DELAY: SimDuration = SimDuration::from_millis(150);
+/// Extra one-way latency on active (LAN) connections.
+pub const ACTIVE_EXTRA_DELAY: SimDuration = SimDuration::ZERO;
+
 /// Load parameters for one benchmark run.
 #[derive(Debug, Clone)]
 pub struct LoadConfig {
@@ -43,12 +50,6 @@ pub struct LoadConfig {
     pub total_conns: u64,
     /// Constant inactive-connection population.
     pub inactive: usize,
-    /// Client-side timeout for a full response.
-    pub client_timeout: SimDuration,
-    /// Extra one-way latency on inactive (modem-class) connections.
-    pub inactive_extra_delay: SimDuration,
-    /// Extra one-way latency on active (LAN) connections.
-    pub active_extra_delay: SimDuration,
     /// Uniform jitter fraction applied to inter-arrival gaps.
     pub jitter: f64,
     /// Maximum simultaneously open client sockets (fd limit).
@@ -85,9 +86,6 @@ impl Default for LoadConfig {
             rate: 500.0,
             total_conns: 35_000,
             inactive: 0,
-            client_timeout: SimDuration::from_secs(2),
-            inactive_extra_delay: SimDuration::from_millis(150),
-            active_extra_delay: SimDuration::ZERO,
             jitter: 0.05,
             client_fd_limit: 60_000,
             seed: 1,
@@ -429,14 +427,14 @@ impl LoadGen {
             self.resolve(now, None, Outcome::FdShortage);
             return timers;
         }
-        match net.connect(now, self.host, self.server, self.cfg.active_extra_delay) {
+        match net.connect(now, self.host, self.server, ACTIVE_EXTRA_DELAY) {
             Ok(conn) => {
                 let c = ClientConn {
                     started: now,
                     state: State::Connecting,
                 };
                 self.conn_insert(conn, c);
-                timers.push(now + self.cfg.client_timeout, LoadTimer::Timeout(conn));
+                timers.push(now + CLIENT_TIMEOUT, LoadTimer::Timeout(conn));
             }
             Err(e) => self.resolve(now, None, e.into()),
         }
@@ -448,7 +446,7 @@ impl LoadGen {
             return FollowUps::default();
         }
         let host = self.next_inactive_host();
-        match net.connect(now, host, self.server, self.cfg.inactive_extra_delay) {
+        match net.connect(now, host, self.server, INACTIVE_EXTRA_DELAY) {
             Ok(conn) => {
                 self.inactive_open += 1;
                 let c = ClientConn {

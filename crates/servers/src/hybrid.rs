@@ -13,7 +13,7 @@ use simcore::span::Phase;
 use simkernel::{Errno, Fd, PollBits};
 
 use crate::metrics::ServerMetrics;
-use crate::server::{Server, ServerConfig, ServerCtx};
+use crate::server::{Server, ServerConfig, ServerCtx, MAX_EVENTS};
 use crate::table::ConnTable;
 
 /// Switch to polling when the RT queue length exceeds this fraction of
@@ -87,7 +87,7 @@ impl HybridServer {
     fn run_signals(&mut self, ctx: &mut ServerCtx<'_>) {
         let pid = self.table.pid;
         let mut processed = 0usize;
-        while processed < self.table.config.max_events {
+        while processed < MAX_EVENTS {
             match self.rtapi.next_event(ctx.kernel, pid) {
                 Ok(RtEvent::Io { fd, band }) => {
                     processed += 1;

@@ -18,7 +18,7 @@ use simkernel::{Errno, Fd, PollBits};
 
 use crate::conn::ConnPhase;
 use crate::metrics::ServerMetrics;
-use crate::server::{Server, ServerConfig, ServerCtx};
+use crate::server::{Server, ServerConfig, ServerCtx, MAX_EVENTS};
 use crate::table::ConnTable;
 
 /// Which event engine the server is currently running on.
@@ -168,12 +168,11 @@ impl Phhttpd {
 
     fn run_signals_batch(&mut self, ctx: &mut ServerCtx<'_>) {
         let pid = self.table.pid;
-        let max_events = self.table.config.max_events;
         let mut processed = 0usize;
-        while processed < max_events {
+        while processed < MAX_EVENTS {
             let events: Vec<RtEvent> = match self.ph.batch_dequeue {
                 Some(batch) => {
-                    let want = batch.min(max_events - processed);
+                    let want = batch.min(MAX_EVENTS - processed);
                     match self.rtapi.next_events(ctx.kernel, pid, want) {
                         Ok(evs) => evs,
                         Err(_) => break,

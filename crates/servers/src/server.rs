@@ -19,6 +19,11 @@ pub struct ServerCtx<'a> {
     pub now: SimTime,
 }
 
+/// Events processed per wait call.
+pub const MAX_EVENTS: usize = 8;
+/// Cadence of the idle scan.
+pub const SCAN_INTERVAL: SimDuration = SimDuration::from_secs(1);
+
 /// Tunables shared by all server architectures.
 #[derive(Debug, Clone, Copy)]
 pub struct ServerConfig {
@@ -26,12 +31,8 @@ pub struct ServerConfig {
     pub port: Port,
     /// Listen backlog.
     pub backlog: usize,
-    /// Events processed per wait call.
-    pub max_events: usize,
     /// Connections idle longer than this are closed.
     pub idle_timeout: SimDuration,
-    /// Cadence of the idle scan.
-    pub scan_interval: SimDuration,
     /// `RLIMIT_NOFILE` for the server process.
     pub fd_limit: usize,
     /// RT signal queue bound (paper default 1024).
@@ -45,9 +46,7 @@ impl Default for ServerConfig {
         ServerConfig {
             port: 80,
             backlog: 128,
-            max_events: 8,
             idle_timeout: SimDuration::from_secs(60),
-            scan_interval: SimDuration::from_secs(1),
             fd_limit: 1024,
             rt_queue_max: simkernel::DEFAULT_RT_QUEUE_MAX,
             use_sendfile: false,

@@ -17,7 +17,7 @@ use simnet::ListenerId;
 use crate::conn::{ConnPhase, ConnStatus, FinishKind, HttpConn};
 use crate::content::ContentStore;
 use crate::metrics::ServerMetrics;
-use crate::server::{ServerConfig, ServerCtx};
+use crate::server::{ServerConfig, ServerCtx, MAX_EVENTS, SCAN_INTERVAL};
 
 /// One server process's connections and the state their lifecycle needs.
 pub(crate) struct ConnTable {
@@ -169,7 +169,7 @@ impl ConnTable {
         mut interest: Option<&mut B>,
     ) {
         ctx.kernel.begin_batch(ctx.now, self.pid);
-        if ctx.now.saturating_duration_since(self.last_scan) < self.config.scan_interval {
+        if ctx.now.saturating_duration_since(self.last_scan) < SCAN_INTERVAL {
             return;
         }
         self.last_scan = ctx.now;
@@ -195,7 +195,7 @@ impl ConnTable {
         self.idle_scratch = idle;
     }
 
-    /// Blocks on `backend` for up to `max_events` ready descriptors,
+    /// Blocks on `backend` for up to [`MAX_EVENTS`] ready descriptors,
     /// collected in the table's reused buffer. A failed wait reads as
     /// nothing ready.
     pub(crate) fn wait<B: EventBackend>(
@@ -205,7 +205,7 @@ impl ConnTable {
     ) -> Vec<PollFd> {
         let mut ready = std::mem::take(&mut self.ready);
         ready.clear();
-        let max = self.config.max_events;
+        let max = MAX_EVENTS;
         let _ = backend.wait(ctx.kernel, ctx.registry, self.pid, max, -1, &mut ready);
         ready
     }
@@ -223,7 +223,7 @@ impl ConnTable {
     pub(crate) fn end_batch(&mut self, ctx: &mut ServerCtx<'_>, events: usize) {
         if events == 0 {
             ctx.kernel
-                .end_batch_sleep(ctx.now, self.pid, Some(self.config.scan_interval));
+                .end_batch_sleep(ctx.now, self.pid, Some(SCAN_INTERVAL));
         } else {
             self.metrics.busy_batches += 1;
             ctx.kernel

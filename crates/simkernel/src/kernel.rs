@@ -1198,7 +1198,7 @@ impl Kernel {
             Err(_) => return Err(Errno::EPIPE),
         };
         if n > 0 {
-            let mss = net.config().mss as usize;
+            let mss = simnet::DEFAULT_MSS as usize;
             let segs = n.div_ceil(mss) as u64;
             self.charge(pid, self.cost.copy(n));
             self.charge(
@@ -1243,7 +1243,7 @@ impl Kernel {
             Err(_) => return Err(Errno::EPIPE),
         };
         if n > 0 {
-            let mss = net.config().mss as usize;
+            let mss = simnet::DEFAULT_MSS as usize;
             let segs = n.div_ceil(mss) as u64;
             self.charge(
                 pid,

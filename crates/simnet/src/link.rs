@@ -11,11 +11,12 @@ use simcore::time::{SimDuration, SimTime};
 
 use crate::seg::Segment;
 
+/// Link rate in bits per second (the paper's switch: 100 Mbit/s).
+pub const BITS_PER_SEC: u64 = 100_000_000;
+
 /// Configuration of one egress link direction.
 #[derive(Debug, Clone, Copy)]
 pub struct LinkConfig {
-    /// Link rate in bits per second (the paper's switch: 100 Mbit/s).
-    pub bits_per_sec: u64,
     /// One-way propagation + switch forwarding delay.
     pub base_delay: SimDuration,
     /// Maximum segments queued awaiting transmission before tail drop.
@@ -29,7 +30,6 @@ pub struct LinkConfig {
 impl Default for LinkConfig {
     fn default() -> LinkConfig {
         LinkConfig {
-            bits_per_sec: 100_000_000,
             base_delay: SimDuration::from_micros(100),
             queue_cap: 256,
             loss_prob: 0.0,
@@ -95,7 +95,7 @@ impl Tx {
     /// Time to clock `bytes` onto the wire.
     pub fn tx_time(&self, bytes: u32) -> SimDuration {
         let bits = bytes as u64 * 8;
-        SimDuration::from_nanos(bits * 1_000_000_000 / self.config.bits_per_sec)
+        SimDuration::from_nanos(bits * 1_000_000_000 / BITS_PER_SEC)
     }
 
     fn reap(&mut self, now: SimTime) {
@@ -161,7 +161,6 @@ mod tests {
 
     fn cfg() -> LinkConfig {
         LinkConfig {
-            bits_per_sec: 100_000_000,
             base_delay: SimDuration::from_micros(100),
             queue_cap: 2,
             loss_prob: 0.0,

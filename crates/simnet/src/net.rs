@@ -24,8 +24,8 @@ use simcore::timer::{Lane, TimerQueue};
 use crate::addr::{ConnId, EndpointId, HostId, ListenerId, Port, Side, SockAddr};
 use crate::link::{LinkConfig, Tx, TxOutcome};
 use crate::ports::PortAllocator;
-use crate::seg::{SegKind, Segment};
-use crate::tcp::{Conn, ConnState, ConnectError, TcpConfig};
+use crate::seg::{SegKind, Segment, DEFAULT_MSS};
+use crate::tcp::{Conn, ConnState, ConnectError, TcpConfig, RTO_MAX, SYN_RETRIES, SYN_RTO};
 
 /// Notifications surfaced to the layer above (socket layers, clients).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -616,7 +616,7 @@ impl Network {
             c.ep_mut(Side::Client).set_rto_armed(true);
         }
         self.arm(
-            now + self.cfg.syn_rto,
+            now + SYN_RTO,
             Timer::Rto {
                 conn: id,
                 side: Side::Client,
@@ -1118,10 +1118,10 @@ impl Network {
                 self.pump_scratch = to_send;
                 return; // Data flows only once established.
             }
-            let window = cfg.window_segments as u64 * cfg.mss as u64;
+            let window = cfg.window_segments as u64 * DEFAULT_MSS as u64;
             let e = conn.ep_mut(side);
             while e.snd_nxt < e.wrote && e.in_flight() < window {
-                let len = (e.wrote - e.snd_nxt).min(cfg.mss as u64) as u32;
+                let len = (e.wrote - e.snd_nxt).min(DEFAULT_MSS as u64) as u32;
                 to_send.push(Segment {
                     conn: conn_id,
                     from: side,
@@ -1180,13 +1180,13 @@ impl Network {
             };
             match conn.state {
                 ConnState::SynSent if side == Side::Client => {
-                    if u32::from(conn.syn_sent) > cfg.syn_retries {
+                    if u32::from(conn.syn_sent) > SYN_RETRIES {
                         action = Action::ConnectTimeout;
                     } else {
                         conn.syn_sent += 1;
-                        let backoff = cfg.syn_rto * (1 << (conn.syn_sent - 1).min(4)) as u64;
+                        let backoff = SYN_RTO * (1 << (conn.syn_sent - 1).min(4)) as u64;
                         action = Action::ResendSyn {
-                            rearm: backoff.min(cfg.rto_max),
+                            rearm: backoff.min(RTO_MAX),
                         };
                     }
                 }
@@ -1199,7 +1199,7 @@ impl Network {
                         let rto = cfg
                             .rto_initial
                             .mul_f64((1u64 << e.retries.min(6)) as f64)
-                            .min(cfg.rto_max);
+                            .min(RTO_MAX);
                         let age = now.saturating_duration_since(e.last_progress);
                         if age >= rto {
                             if u32::from(e.retries) >= cfg.data_retries {
@@ -1215,7 +1215,7 @@ impl Network {
                                 let next = cfg
                                     .rto_initial
                                     .mul_f64((1u64 << e.retries.min(6)) as f64)
-                                    .min(cfg.rto_max);
+                                    .min(RTO_MAX);
                                 action = Action::Retransmit { rearm: next };
                             }
                         } else {

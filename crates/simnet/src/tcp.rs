@@ -18,23 +18,23 @@ use simcore::time::{SimDuration, SimTime};
 use crate::addr::{HostId, ListenerId, Port, Side};
 use crate::bytes::ByteQueue;
 
+/// Upper bound on the (exponentially backed-off) RTO.
+pub const RTO_MAX: SimDuration = SimDuration::from_secs(30);
+/// Retransmission timeout for SYN.
+pub const SYN_RTO: SimDuration = SimDuration::from_secs(3);
+/// SYN retransmissions before the connect fails.
+pub const SYN_RETRIES: u32 = 4;
+
 /// Transport configuration shared by every connection.
 #[derive(Debug, Clone, Copy)]
 pub struct TcpConfig {
-    /// Maximum segment size for data segments.
-    pub mss: u32,
-    /// Maximum unacknowledged bytes in flight, in segments of `mss`.
+    /// Maximum unacknowledged bytes in flight, in segments of
+    /// [`DEFAULT_MSS`](crate::seg::DEFAULT_MSS).
     pub window_segments: u32,
     /// Application send-buffer size in bytes.
     pub send_buf: usize,
     /// Initial retransmission timeout for data and FIN.
     pub rto_initial: SimDuration,
-    /// Upper bound on the (exponentially backed-off) RTO.
-    pub rto_max: SimDuration,
-    /// Retransmission timeout for SYN.
-    pub syn_rto: SimDuration,
-    /// SYN retransmissions before the connect fails.
-    pub syn_retries: u32,
     /// Data/FIN retransmissions before the connection is reset.
     pub data_retries: u32,
     /// TIME_WAIT duration (60 s on the paper's Linux 2.2.14).
@@ -48,13 +48,9 @@ pub struct TcpConfig {
 impl Default for TcpConfig {
     fn default() -> TcpConfig {
         TcpConfig {
-            mss: crate::seg::DEFAULT_MSS,
             window_segments: 8,
             send_buf: 16 * 1024,
             rto_initial: SimDuration::from_millis(200),
-            rto_max: SimDuration::from_secs(30),
-            syn_rto: SimDuration::from_secs(3),
-            syn_retries: 4,
             data_retries: 8,
             time_wait: SimDuration::from_secs(60),
             rst_on_backlog_full: false,
@@ -254,7 +250,7 @@ pub struct Conn {
     /// Lifecycle phase.
     pub(crate) state: ConnState,
     /// SYN (re)transmissions so far (bounded by
-    /// [`TcpConfig::syn_retries`], single digits).
+    /// [`SYN_RETRIES`], single digits).
     pub(crate) syn_sent: u8,
     /// Packed lifecycle booleans (`CONN_*` bits).
     flags: u8,
@@ -410,7 +406,7 @@ mod tests {
     fn default_config_matches_paper_environment() {
         let cfg = TcpConfig::default();
         assert_eq!(cfg.time_wait, SimDuration::from_secs(60));
-        assert_eq!(cfg.mss, 1460);
+        assert_eq!(crate::seg::DEFAULT_MSS, 1460);
         assert!(!cfg.rst_on_backlog_full, "Linux 2.2 drops SYNs");
     }
 }

@@ -67,11 +67,14 @@ fn usage() -> ! {
          options:\n\
            --server KIND     select|poll|devpoll|devpoll-sendfile|phhttpd|\n\
                              phhttpd-batch|hybrid|prefork-herd|prefork-excl\n\
-           --rate R          targeted requests per second (default 700)\n\
+           --rate R          targeted requests per second, above 0\n\
+                             (default 700)\n\
            --inactive N      inactive connection population (default 251)\n\
-           --conns N         connections per run (default 8000)\n\
+           --conns N         connections per run, at least 1\n\
+                             (default 8000)\n\
            --seed S          RNG seed (default 42)\n\
-           --loss P          random segment loss probability (default 0)\n\
+           --loss P          random segment loss probability in\n\
+                             [0, 1] (default 0)\n\
            --doc-bytes N     served document size (default 6144)\n\
            --bursty          on/off burst arrivals instead of constant\n\
            --mem             stats: include the mem.* gauge family\n\
@@ -86,9 +89,26 @@ fn usage() -> ! {
                              rows always print in grid order\n\
          \n\
          figures: cargo run --release -p bench --bin figures -- all\n\
-         checks:  cargo run --release -p bench --bin verify_repro"
+         checks:  cargo test -q (the shape tests in tests/shape_*.rs)"
     );
     std::process::exit(2);
+}
+
+/// Parses the value of `flag`. A value that does not parse, or that
+/// `ok` rejects, exits 2 with a message naming the flag.
+fn parse_flag<T: std::str::FromStr>(
+    flag: &str,
+    value: String,
+    expects: &str,
+    ok: impl Fn(&T) -> bool,
+) -> T {
+    match value.parse() {
+        Ok(v) if ok(&v) => v,
+        _ => {
+            eprintln!("{flag} expects {expects}, got {value:?}");
+            std::process::exit(2)
+        }
+    }
 }
 
 fn parse_kind(name: &str) -> Option<ServerKind> {
@@ -166,11 +186,19 @@ fn main() {
         let mut val = || args.next().unwrap_or_else(|| usage());
         match a.as_str() {
             "--server" => opts.server = val(),
-            "--rate" => opts.rate = val().parse().unwrap_or_else(|_| usage()),
+            "--rate" => {
+                opts.rate = parse_flag("--rate", val(), "a finite rate above 0", |r: &f64| {
+                    r.is_finite() && *r > 0.0
+                })
+            }
             "--inactive" => opts.inactive = val().parse().unwrap_or_else(|_| usage()),
-            "--conns" => opts.conns = val().parse().unwrap_or_else(|_| usage()),
+            "--conns" => opts.conns = parse_flag("--conns", val(), "at least 1", |&n| n > 0),
             "--seed" => opts.seed = val().parse().unwrap_or_else(|_| usage()),
-            "--loss" => opts.loss = val().parse().unwrap_or_else(|_| usage()),
+            "--loss" => {
+                opts.loss = parse_flag("--loss", val(), "a probability in [0, 1]", |p| {
+                    (0.0..=1.0).contains(p)
+                })
+            }
             "--doc-bytes" => opts.doc_bytes = Some(val().parse().unwrap_or_else(|_| usage())),
             "--bursty" => opts.bursty = true,
             "--mem" => opts.mem = true,

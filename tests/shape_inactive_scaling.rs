@@ -3,83 +3,134 @@
 //! `poll()` collapses. These assert *orderings and knees*, not absolute
 //! numbers — the calibration contract recorded in DESIGN.md §6.
 
-use scalable_net_io::httperf::{run_one, RunParams, ServerKind};
+mod common;
 
-const CONNS: u64 = 3_000;
-
-fn point(kind: ServerKind, rate: f64, inactive: usize) -> scalable_net_io::httperf::RunReport {
-    run_one(RunParams::paper(kind, rate, inactive).with_conns(CONNS))
-}
+use common::{claim, point};
+use scalable_net_io::devpoll::DevPollConfig;
+use scalable_net_io::httperf::ServerKind;
 
 #[test]
 fn both_servers_clean_at_light_load() {
-    // Fig. 4/5 low end: everyone tracks the target at 500 req/s, load 1.
+    // Figs. 4/5 at load 1: everyone tracks the target, from the low end
+    // of the sweep up to 900 req/s.
     for kind in [ServerKind::ThttpdPoll, ServerKind::ThttpdDevPoll] {
-        let r = point(kind, 500.0, 1);
-        assert!(
-            r.rate.avg > 0.97 * 500.0,
-            "{kind:?} avg {} at light load",
-            r.rate.avg
-        );
-        assert!(
-            r.error_percent() < 1.0,
-            "{kind:?} errors {}",
-            r.error_percent()
-        );
+        for rate in [500.0, 900.0] {
+            let r = point(kind, rate, 1);
+            claim(
+                r.rate.avg > 0.97 * rate && r.error_percent() < 1.0,
+                &format!(
+                    "{kind:?} clean at {rate}/1: avg {} > {}, err {}% < 1%",
+                    r.rate.avg,
+                    0.97 * rate,
+                    r.error_percent()
+                ),
+                &r,
+            );
+        }
     }
 }
 
 #[test]
 fn stock_poll_collapses_under_inactive_load() {
-    // Fig. 8: 501 inactive connections break stock poll() at moderate
-    // rates.
-    let r = point(ServerKind::ThttpdPoll, 900.0, 501);
-    assert!(
-        r.rate.avg < 0.75 * 900.0,
-        "stock poll should collapse: avg {}",
-        r.rate.avg
-    );
-    assert!(
-        r.error_percent() > 15.0,
-        "collapse must produce errors: {}%",
-        r.error_percent()
-    );
+    // Figs. 6/8: 251 or 501 inactive connections break stock poll() at
+    // moderate rates, and the collapse produces errors.
+    for (rate, inactive, avg_frac, min_err) in [(900.0, 501, 0.75, 15.0), (1000.0, 251, 0.7, 20.0)]
+    {
+        let r = point(ServerKind::ThttpdPoll, rate, inactive);
+        claim(
+            r.rate.avg < avg_frac * rate && r.error_percent() > min_err,
+            &format!(
+                "stock poll collapses at {rate}/{inactive}: avg {} < {}, err {}% > {min_err}%",
+                r.rate.avg,
+                avg_frac * rate,
+                r.error_percent()
+            ),
+            &r,
+        );
+    }
 }
 
 #[test]
 fn devpoll_unaffected_by_inactive_load() {
-    // Fig. 9: the same workload leaves /dev/poll untouched.
-    let r = point(ServerKind::ThttpdDevPoll, 900.0, 501);
-    assert!(
-        r.rate.avg > 0.97 * 900.0,
-        "devpoll should keep up: avg {}",
-        r.rate.avg
+    // Figs. 7/9: the same workloads leave /dev/poll untouched.
+    for (rate, inactive) in [(900.0, 501), (1000.0, 251), (1000.0, 501)] {
+        let r = point(ServerKind::ThttpdDevPoll, rate, inactive);
+        claim(
+            r.rate.avg > 0.97 * rate && r.error_percent() < 1.0,
+            &format!(
+                "devpoll keeps up at {rate}/{inactive}: avg {} > {}, err {}% < 1%",
+                r.rate.avg,
+                0.97 * rate,
+                r.error_percent()
+            ),
+            &r,
+        );
+    }
+}
+
+#[test]
+fn devpoll_without_hints_collapses() {
+    // Ablation: without the driver hints every DP_POLL revalidates the
+    // whole interest set, and /dev/poll falls back to poll()'s O(N) cost.
+    let no_hints = ServerKind::ThttpdDevPollWith {
+        config: DevPollConfig {
+            hints: false,
+            ..DevPollConfig::default()
+        },
+        mmap: true,
+        combined: false,
+    };
+    let r = point(no_hints, 1000.0, 501);
+    claim(
+        r.rate.avg < 0.7 * 1000.0,
+        &format!(
+            "devpoll without hints collapses at 1000/501: avg {} < 700",
+            r.rate.avg
+        ),
+        &r,
     );
-    assert!(r.error_percent() < 1.0, "errors {}%", r.error_percent());
 }
 
 #[test]
 fn error_rates_match_figure_10_shape() {
-    // Fig. 10: stock errors grow toward ~60 % with rate at load 501;
-    // devpoll shows none at 251.
+    // Figs. 8/10: stock poll has collapsed at 800 req/s on load 501, and
+    // its errors grow toward ~60 % with rate; devpoll shows none at 251.
     let stock_mid = point(ServerKind::ThttpdPoll, 800.0, 501);
     let stock_high = point(ServerKind::ThttpdPoll, 1100.0, 501);
-    assert!(
-        stock_high.error_percent() > stock_mid.error_percent(),
-        "errors must grow with rate: {} vs {}",
-        stock_mid.error_percent(),
-        stock_high.error_percent()
+    claim(
+        stock_mid.rate.avg < 0.75 * 800.0 && stock_mid.error_percent() > 20.0,
+        &format!(
+            "stock poll collapses at 800/501: avg {} < 600, err {}% > 20%",
+            stock_mid.rate.avg,
+            stock_mid.error_percent()
+        ),
+        &stock_mid,
     );
-    assert!(
+    claim(
+        stock_high.error_percent() > stock_mid.error_percent(),
+        &format!(
+            "errors must grow with rate: {}% at 800 vs {}% at 1100",
+            stock_mid.error_percent(),
+            stock_high.error_percent()
+        ),
+        &stock_high,
+    );
+    claim(
         stock_high.error_percent() > 40.0,
-        "errors should approach the paper's 60%: {}",
-        stock_high.error_percent()
+        &format!(
+            "errors should approach the paper's 60%: {}% > 40%",
+            stock_high.error_percent()
+        ),
+        &stock_high,
     );
     let dev = point(ServerKind::ThttpdDevPoll, 1100.0, 251);
-    assert!(
+    claim(
         dev.error_percent() < 1.0,
-        "devpoll at 251: no errors whatsoever (paper), got {}%",
-        dev.error_percent()
+        &format!(
+            "devpoll at 251: no errors whatsoever (paper), got {}%",
+            dev.error_percent()
+        ),
+        &dev,
     );
 }
 
@@ -89,9 +140,10 @@ fn latency_ordering_devpoll_beats_stock_poll() {
     let mut stock = point(ServerKind::ThttpdPoll, 700.0, 251);
     let mut dev = point(ServerKind::ThttpdDevPoll, 700.0, 251);
     let (s, d) = (stock.median_latency_ms(), dev.median_latency_ms());
-    assert!(
+    claim(
         s > 2.0 * d,
-        "stock median {s} ms should be well above devpoll {d} ms"
+        &format!("stock median {s} ms should be well above devpoll {d} ms"),
+        &stock,
     );
 }
 
@@ -107,5 +159,9 @@ fn stock_latency_grows_with_inactive_load() {
         mid.median_latency_ms(),
         hi.median_latency_ms(),
     );
-    assert!(a < b && b < c, "medians must grow with load: {a}, {b}, {c}");
+    claim(
+        a < b && b < c,
+        &format!("medians must grow with load: {a}, {b}, {c}"),
+        &hi,
+    );
 }

@@ -2,20 +2,24 @@
 //! generation before the paper's `poll()` baseline, it must do at least
 //! as badly under inactive load — and fail outright past `FD_SETSIZE`.
 
+mod common;
+
+use common::{claim, point};
 use scalable_net_io::devpoll::FD_SETSIZE;
-use scalable_net_io::httperf::{run_one, RunParams, ServerKind};
-
-const CONNS: u64 = 3_000;
-
-fn point(kind: ServerKind, rate: f64, inactive: usize) -> scalable_net_io::httperf::RunReport {
-    run_one(RunParams::paper(kind, rate, inactive).with_conns(CONNS))
-}
+use scalable_net_io::httperf::ServerKind;
 
 #[test]
 fn select_serves_light_load() {
     let r = point(ServerKind::ThttpdSelect, 500.0, 1);
-    assert!(r.rate.avg > 0.97 * 500.0, "avg {}", r.rate.avg);
-    assert!(r.error_percent() < 1.0);
+    claim(
+        r.rate.avg > 0.97 * 500.0 && r.error_percent() < 1.0,
+        &format!(
+            "select clean at 500/1: avg {} > 485, err {}% < 1%",
+            r.rate.avg,
+            r.error_percent()
+        ),
+        &r,
+    );
 }
 
 #[test]
@@ -23,29 +27,41 @@ fn select_is_no_better_than_poll_under_inactive_load() {
     let mut sel = point(ServerKind::ThttpdSelect, 500.0, 501);
     let mut poll = point(ServerKind::ThttpdPoll, 500.0, 501);
     let (s, p) = (sel.median_latency_ms(), poll.median_latency_ms());
-    assert!(
+    claim(
         s >= p,
-        "select median {s} ms must be at least poll's {p} ms (extra bitmap walk)"
+        &format!("select median {s} ms must be at least poll's {p} ms (extra bitmap walk)"),
+        &sel,
     );
 }
 
 #[test]
 fn select_collapses_under_inactive_load_like_poll() {
     let r = point(ServerKind::ThttpdSelect, 900.0, 501);
-    assert!(
-        r.rate.avg < 0.75 * 900.0,
-        "select should collapse: avg {}",
-        r.rate.avg
+    claim(
+        r.rate.avg < 0.75 * 900.0 && r.error_percent() > 15.0,
+        &format!(
+            "select should collapse at 900/501: avg {} < 675, err {}% > 15%",
+            r.rate.avg,
+            r.error_percent()
+        ),
+        &r,
     );
-    assert!(r.error_percent() > 15.0, "err {}", r.error_percent());
 }
 
 #[test]
 fn devpoll_beats_select_everywhere_it_matters() {
     let dev = point(ServerKind::ThttpdDevPoll, 900.0, 501);
     let sel = point(ServerKind::ThttpdSelect, 900.0, 501);
-    assert!(dev.rate.avg > 1.2 * sel.rate.avg);
-    assert!(dev.error_percent() < 1.0);
+    claim(
+        dev.rate.avg > 1.2 * sel.rate.avg && dev.error_percent() < 1.0,
+        &format!(
+            "devpoll {} vs select {} req/s at 900/501, devpoll err {}% < 1%",
+            dev.rate.avg,
+            sel.rate.avg,
+            dev.error_percent()
+        ),
+        &dev,
+    );
 }
 
 #[test]
