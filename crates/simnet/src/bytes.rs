@@ -72,6 +72,44 @@ impl ByteQueue {
     }
 }
 
+/// Cleared queues whose storage outlived their connection.
+///
+/// Every active connection grows up to four queues from empty; without
+/// reuse each one is a fresh allocation, regrown and freed again when
+/// the connection dies. The network hands dead connections' storage to
+/// the next endpoint that needs a buffer instead. Held-open idle
+/// connections never ask, so they stay allocation-free.
+#[derive(Debug, Default)]
+pub(crate) struct QueuePool(Vec<ByteQueue>);
+
+impl QueuePool {
+    /// Gives `q` pooled storage if it has none yet.
+    pub(crate) fn fill(&mut self, q: &mut ByteQueue) {
+        if q.buf.capacity() == 0 {
+            if let Some(pooled) = self.0.pop() {
+                *q = pooled;
+            }
+        }
+    }
+
+    /// Takes `q`'s storage back, cleared; queues that never allocated
+    /// are dropped.
+    pub(crate) fn put(&mut self, mut q: ByteQueue) {
+        if q.buf.capacity() > 0 {
+            q.clear();
+            self.0.push(q);
+        }
+    }
+}
+
+impl Clone for QueuePool {
+    /// A copy starts cold: cloning a cleared `Vec` would not copy its
+    /// capacity anyway, so cloned entries would be storage-less.
+    fn clone(&self) -> QueuePool {
+        QueuePool::default()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -118,5 +156,29 @@ mod tests {
             q.consume(8);
         }
         assert!(q.buf.capacity() < 1024, "capacity {}", q.buf.capacity());
+    }
+
+    #[test]
+    fn pool_recycles_storage_cleared() {
+        let mut pool = QueuePool::default();
+        let mut used = ByteQueue::new();
+        used.extend_from_slice(&[7u8; 100]);
+        used.consume(10);
+        pool.put(used);
+        pool.put(ByteQueue::new()); // Never allocated: not pooled.
+        assert_eq!(pool.0.len(), 1);
+        let mut q = ByteQueue::new();
+        pool.fill(&mut q);
+        assert!(q.is_empty());
+        assert!(q.buf.capacity() >= 100);
+        assert_eq!(q.head, 0);
+        // A queue that already has storage keeps it.
+        let mut other = ByteQueue::new();
+        other.extend_from_slice(&[1]);
+        pool.put(other);
+        let cap = q.buf.capacity();
+        pool.fill(&mut q);
+        assert_eq!(q.buf.capacity(), cap);
+        assert_eq!(pool.0.len(), 1);
     }
 }

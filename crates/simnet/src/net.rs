@@ -12,7 +12,6 @@
 //! buffered and returned by the next `advance`.
 
 use std::collections::BTreeSet;
-use std::collections::HashMap;
 use std::collections::VecDeque;
 
 use simcore::paged::PagedSlots;
@@ -22,6 +21,7 @@ use simcore::time::{SimDuration, SimTime};
 use simcore::timer::{Lane, TimerQueue};
 
 use crate::addr::{ConnId, EndpointId, HostId, ListenerId, Port, Side, SockAddr};
+use crate::bytes::QueuePool;
 use crate::link::{LinkConfig, Tx, TxOutcome};
 use crate::ports::PortAllocator;
 use crate::seg::{SegKind, Segment, DEFAULT_MSS};
@@ -117,6 +117,8 @@ struct Host {
 
 #[derive(Debug, Clone)]
 struct Listener {
+    /// The bound address (listeners are few, so lookup is a scan).
+    addr: SockAddr,
     backlog: usize,
     /// Handshakes in progress.
     syn_rcvd: BTreeSet<ConnId>,
@@ -188,7 +190,10 @@ pub struct Network {
     next_conn: u32,
     /// Dense, id-indexed (listeners are never removed).
     listeners: Vec<Listener>,
-    listen_by_addr: HashMap<SockAddr, ListenerId>,
+    /// Stream buffers of dead connections, cleared, for the next
+    /// endpoint that needs one. Not semantic state: capacity never
+    /// changes what a queue holds.
+    buf_pool: QueuePool,
     /// Timer-arena slots in firing order. Deliveries wait in the near
     /// lane; retransmission timers, parked 200 ms to seconds ahead,
     /// wait in the far lane, so a delivery's heap work does not grow
@@ -226,7 +231,7 @@ impl Network {
             conn_free: Vec::new(),
             next_conn: 0,
             listeners: Vec::new(),
-            listen_by_addr: HashMap::new(),
+            buf_pool: QueuePool::default(),
             timers: TimerQueue::new(),
             timer_arena: Vec::new(),
             timer_free: Vec::new(),
@@ -253,10 +258,10 @@ impl Network {
     /// connection (lifecycle state, both endpoint halves including
     /// buffered bytes and FIN/ack positions), listeners, armed timers,
     /// and undelivered notifications. Excluded: aggregate counters
-    /// ([`NetStats`], per-host rx tallies) and the loss RNG (never
-    /// advanced at `loss_prob == 0`, the only configuration explored),
-    /// so semantically equal worlds that differ only in diagnostics
-    /// hash alike.
+    /// ([`NetStats`], per-host rx tallies), the loss RNG (never
+    /// advanced at `loss_prob == 0`, the only configuration explored)
+    /// and the recycled-buffer pool, so semantically equal worlds that
+    /// differ only in diagnostics or warm storage hash alike.
     pub fn state_fingerprint(&self) -> u64 {
         use simcore::fingerprint::Fnv;
         let mut h = Fnv::new();
@@ -406,17 +411,33 @@ impl Network {
         self.conn_slot.insert(id.0 as usize, slot);
     }
 
+    /// A live connection together with the buffer pool, for paths that
+    /// may give an endpoint its first stream buffer.
+    fn conn_and_pool(&mut self, id: ConnId) -> Option<(&mut Conn, &mut QueuePool)> {
+        let &slot = self.conn_slot.get(id.0 as usize)?;
+        let conn = self.conn_arena[slot as usize].as_mut()?;
+        Some((conn, &mut self.buf_pool))
+    }
+
+    /// Frees the connection's slot and returns its stream buffers to the
+    /// pool.
     fn conn_remove(&mut self, id: ConnId) {
         if let Some(slot) = self.conn_slot.take(id.0 as usize) {
-            self.conn_arena[slot as usize] = None;
+            if let Some(conn) = self.conn_arena[slot as usize].take() {
+                for ep in conn.eps {
+                    self.buf_pool.put(ep.out);
+                    self.buf_pool.put(ep.inbox);
+                }
+            }
             self.conn_free.push(slot);
         }
     }
 
     /// Heap bytes held by the connection machinery (id map pages, the
     /// slab arena, free lists) — the network side of the
-    /// bytes-per-connection lane. Buffered stream bytes inside endpoints
-    /// are excluded: inactive connections hold none.
+    /// bytes-per-connection lane. Stream buffers are excluded, live and
+    /// pooled alike: inactive connections hold none, and the pool holds
+    /// only storage that dead active connections left behind.
     pub fn conn_mem_bytes(&self) -> usize {
         self.conn_slot.heap_bytes()
             + self.conn_arena.capacity() * std::mem::size_of::<Option<Conn>>()
@@ -516,22 +537,26 @@ impl Network {
         port: Port,
         backlog: usize,
     ) -> Result<ListenerId, NetError> {
-        let addr = SockAddr::new(host, port);
-        if self.listen_by_addr.contains_key(&addr) {
-            return Err(NetError::AddrInUse);
-        }
+        // A listener's port stays bound in its host's allocator for
+        // good, so this also refuses a second listener on `addr`.
         if !self.hosts[host.0].ports.bind(port) {
             return Err(NetError::AddrInUse);
         }
         let id = ListenerId(self.listeners.len() as u32);
         self.listeners.push(Listener {
+            addr: SockAddr::new(host, port),
             backlog,
             syn_rcvd: BTreeSet::new(),
             accept_q: VecDeque::new(),
             refused: 0,
         });
-        self.listen_by_addr.insert(addr, id);
         Ok(id)
+    }
+
+    /// The listener bound to `addr`, if any.
+    fn listener_at(&self, addr: SockAddr) -> Option<ListenerId> {
+        let ix = self.listeners.iter().position(|l| l.addr == addr)?;
+        Some(ListenerId(ix as u32))
     }
 
     /// Pops one established connection off the accept queue.
@@ -642,7 +667,7 @@ impl Network {
     pub fn send(&mut self, now: SimTime, ep: EndpointId, data: &[u8]) -> Result<usize, NetError> {
         let accepted = {
             let cfg = self.cfg;
-            let conn = self.conn_mut(ep.conn).ok_or(NetError::Gone)?;
+            let (conn, pool) = self.conn_and_pool(ep.conn).ok_or(NetError::Gone)?;
             if conn.state == ConnState::Reset || conn.state == ConnState::Closed {
                 return Err(NetError::BadState);
             }
@@ -652,6 +677,9 @@ impl Network {
             }
             let space = e.send_space(&cfg);
             let n = space.min(data.len());
+            if n > 0 {
+                pool.fill(&mut e.out);
+            }
             e.out.extend_from_slice(&data[..n]);
             e.wrote += n as u64;
             if n < data.len() {
@@ -850,7 +878,7 @@ impl Network {
             return;
         }
         let addr = SockAddr::new(conn.host(Side::Server), conn.port(Side::Server));
-        let Some(&lid) = self.listen_by_addr.get(&addr) else {
+        let Some(lid) = self.listener_at(addr) else {
             // No listener: refuse.
             let seg = Segment {
                 conn: conn_id,
@@ -1006,7 +1034,7 @@ impl Network {
         let mut readable = false;
         let ack;
         {
-            let Some(conn) = self.conn_mut(conn_id) else {
+            let Some((conn, pool)) = self.conn_and_pool(conn_id) else {
                 return;
             };
             if conn.state != ConnState::Established {
@@ -1023,6 +1051,7 @@ impl Network {
                 };
                 let start = (seq - tx.out_base) as usize;
                 let payload = &tx.out.as_slice()[start..start + len as usize];
+                pool.fill(&mut rx.inbox);
                 rx.inbox.extend_from_slice(payload);
                 rx.rcv_nxt = seq + len as u64;
                 readable = true;
@@ -1346,9 +1375,7 @@ impl Network {
         for (side, (host, port)) in [Side::Client, Side::Server].into_iter().zip(sides) {
             // A listener's well-known port is shared by many connections;
             // only ephemeral (client-allocated) ports are released.
-            let is_listener_port = self.listen_by_addr.contains_key(&SockAddr::new(host, port));
-
-            if is_listener_port {
+            if self.listener_at(SockAddr::new(host, port)).is_some() {
                 continue;
             }
             match time_wait {

@@ -7,8 +7,9 @@
 //! benchmark for 35,000 connections, and then wait for all sockets to
 //! leave the TIMEWAIT state" (§5). This module reproduces that limit.
 
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 
+use simcore::paged::PagedBits;
 use simcore::time::SimTime;
 
 use crate::addr::Port;
@@ -19,18 +20,25 @@ pub const EPHEMERAL_LO: Port = 1024;
 pub const EPHEMERAL_HI: Port = 61024;
 
 /// Allocates ephemeral ports and tracks TIME_WAIT occupancy.
+///
+/// Port membership lives in bitmaps indexed by port number, and
+/// TIME_WAIT is one deque in expiry order, so nothing hashes, walks a
+/// tree or allocates per release. The TIME_WAIT interval is a constant,
+/// so a release almost always appends; an earlier expiry (tests use
+/// them) is inserted in place. Expiry checks only the deque's front.
 #[derive(Debug, Clone)]
 pub struct PortAllocator {
     lo: Port,
     hi: Port,
     next: Port,
-    /// Ports currently bound to a live endpoint.
-    in_use: std::collections::HashSet<Port>,
-    /// Ports in TIME_WAIT, keyed by expiry time (multiple ports may share
-    /// an expiry).
-    time_wait: BTreeMap<SimTime, Vec<Port>>,
-    /// Reverse index so we know a port is waiting.
-    waiting: std::collections::HashSet<Port>,
+    /// Ports currently bound to a live endpoint — ephemeral and
+    /// well-known (`bind`) alike, so the bitmap grows to cover both.
+    in_use: PagedBits,
+    /// Ports in TIME_WAIT.
+    waiting: PagedBits,
+    /// TIME_WAIT entries in `(expiry, release)` order; several ports
+    /// may share an expiry.
+    time_wait: VecDeque<(SimTime, Port)>,
 }
 
 impl PortAllocator {
@@ -45,9 +53,9 @@ impl PortAllocator {
             lo,
             hi,
             next: lo,
-            in_use: Default::default(),
-            time_wait: BTreeMap::new(),
-            waiting: Default::default(),
+            in_use: PagedBits::new(),
+            waiting: PagedBits::new(),
+            time_wait: VecDeque::new(),
         }
     }
 
@@ -58,22 +66,12 @@ impl PortAllocator {
 
     /// Expires TIME_WAIT entries due at or before `now`.
     pub fn expire(&mut self, now: SimTime) {
-        // Called on every `Network::advance_into`, so the common case —
-        // nothing due yet — must not touch the tree: `split_off` +
-        // replace rebuilds nodes even when every entry stays.
-        match self.time_wait.first_key_value() {
-            Some((&t, _)) if t <= now => {}
-            _ => return,
-        }
-        // `split_off` keeps entries strictly greater than `now` in the
-        // map; everything at or before `now` expires.
-        let still_waiting = self
-            .time_wait
-            .split_off(&SimTime::from_nanos(now.as_nanos() + 1));
-        for (_t, ports) in std::mem::replace(&mut self.time_wait, still_waiting) {
-            for p in ports {
-                self.waiting.remove(&p);
+        while let Some(&(at, port)) = self.time_wait.front() {
+            if at > now {
+                break;
             }
+            self.time_wait.pop_front();
+            self.waiting.remove(usize::from(port));
         }
     }
 
@@ -90,8 +88,9 @@ impl PortAllocator {
             } else {
                 self.next + 1
             };
-            if !self.in_use.contains(&p) && !self.waiting.contains(&p) {
-                self.in_use.insert(p);
+            let ix = usize::from(p);
+            if !self.in_use.contains(ix) && !self.waiting.contains(ix) {
+                self.in_use.insert(ix);
                 return Some(p);
             }
         }
@@ -102,66 +101,85 @@ impl PortAllocator {
     ///
     /// Returns `false` if the port is already taken.
     pub fn bind(&mut self, port: Port) -> bool {
-        if self.in_use.contains(&port) {
-            return false;
-        }
-        self.in_use.insert(port);
-        true
+        self.in_use.insert(usize::from(port))
     }
 
     /// Releases a port into TIME_WAIT until `until`.
     pub fn release_time_wait(&mut self, port: Port, until: SimTime) {
-        if self.in_use.remove(&port) {
-            self.time_wait.entry(until).or_default().push(port);
-            self.waiting.insert(port);
+        if !self.in_use.remove(usize::from(port)) {
+            return;
         }
+        // After every entry expiring at or before `until`: equal
+        // expiries stay in release order.
+        if self.time_wait.back().is_none_or(|&(at, _)| at <= until) {
+            self.time_wait.push_back((until, port));
+        } else {
+            let at = self.time_wait.partition_point(|&(t, _)| t <= until);
+            self.time_wait.insert(at, (until, port));
+        }
+        self.waiting.insert(usize::from(port));
     }
 
     /// Releases a port immediately (abortive close — no TIME_WAIT).
     pub fn release(&mut self, port: Port) {
-        self.in_use.remove(&port);
+        self.in_use.remove(usize::from(port));
     }
 
     /// Number of ports currently bound.
     pub fn in_use(&self) -> usize {
-        self.in_use.len()
+        self.in_use.count()
     }
 
     /// Number of ports sitting in TIME_WAIT.
     pub fn in_time_wait(&self) -> usize {
-        self.waiting.len()
+        self.waiting.count()
     }
 
     /// Earliest TIME_WAIT expiry, if any.
     pub fn next_expiry(&self) -> Option<SimTime> {
-        self.time_wait.keys().next().copied()
+        self.time_wait.front().map(|&(at, _)| at)
     }
 
-    /// Folds the allocator's semantic state into `h`. The unordered
-    /// sets are folded as an order-independent XOR so the digest does
-    /// not depend on hash-map iteration order.
+    /// Folds the allocator's semantic state into `h`. The port sets are
+    /// folded as an order-independent XOR of per-port digests, and
+    /// TIME_WAIT as one record per distinct expiry (its ports in release
+    /// order).
     pub fn fingerprint_into(&self, h: &mut simcore::fingerprint::Fnv) {
         h.write_u64(u64::from(self.lo));
         h.write_u64(u64::from(self.hi));
         h.write_u64(u64::from(self.next));
-        let xor_of = |set: &std::collections::HashSet<Port>| {
-            set.iter().fold(0u64, |acc, &p| {
-                let mut e = simcore::fingerprint::Fnv::new();
-                e.write_u64(u64::from(p));
-                acc ^ e.finish()
-            })
+        let xor_of = |set: &PagedBits| {
+            let mut acc = 0u64;
+            set.for_each_nonzero_word(|w, mut word| {
+                while word != 0 {
+                    let p = w * 64 + word.trailing_zeros() as usize;
+                    word &= word - 1;
+                    let mut e = simcore::fingerprint::Fnv::new();
+                    e.write_u64(p as u64);
+                    acc ^= e.finish();
+                }
+            });
+            acc
         };
-        h.write_len(self.in_use.len());
+        h.write_len(self.in_use.count());
         h.write_u64(xor_of(&self.in_use));
-        h.write_len(self.waiting.len());
+        h.write_len(self.waiting.count());
         h.write_u64(xor_of(&self.waiting));
-        h.write_len(self.time_wait.len());
-        for (at, ports) in &self.time_wait {
+        let tw = &self.time_wait;
+        let groups = (0..tw.len())
+            .filter(|&i| i == 0 || tw[i - 1].0 != tw[i].0)
+            .count();
+        h.write_len(groups);
+        let mut i = 0;
+        while i < tw.len() {
+            let at = tw[i].0;
+            let n = tw.range(i..).take_while(|&&(t, _)| t == at).count();
             h.write_u64(at.as_nanos());
-            h.write_len(ports.len());
-            for &p in ports {
+            h.write_len(n);
+            for &(_, p) in tw.range(i..i + n) {
                 h.write_u64(u64::from(p));
             }
+            i += n;
         }
     }
 }

@@ -3,7 +3,8 @@
 
 use simcore::time::{SimDuration, SimTime};
 use simnet::{
-    ConnectError, EndpointId, HostId, LinkConfig, NetNotify, Network, Side, SockAddr, TcpConfig,
+    ConnectError, EndpointId, HostId, LinkConfig, NetError, NetNotify, Network, Side, SockAddr,
+    TcpConfig,
 };
 
 const CLIENT: HostId = HostId(0);
@@ -453,7 +454,9 @@ fn double_close_is_bad_state() {
 fn listen_twice_on_same_port_fails() {
     let mut net = network();
     net.listen(SERVER, 80, 8).unwrap();
-    assert!(net.listen(SERVER, 80, 8).is_err());
+    assert_eq!(net.listen(SERVER, 80, 8), Err(NetError::AddrInUse));
+    // The same port on another host is a different address.
+    net.listen(CLIENT, 80, 8).unwrap();
 }
 
 #[test]
@@ -534,4 +537,106 @@ fn conn_id_exhaustion_fails_loudly_not_silently() {
         SockAddr::new(SERVER, 80),
         SimDuration::ZERO,
     );
+}
+
+/// One request/response exchange on a fresh connection, HTTP/1.0
+/// style, starting at `at`: the client reads only `read` bytes of the
+/// `reply` before both sides close. Returns the connection's client
+/// endpoint, the bytes it read and the time the network is quiet
+/// again.
+fn exchange(
+    net: &mut Network,
+    listener: simnet::ListenerId,
+    at: SimTime,
+    request: &[u8],
+    reply: &[u8],
+    read: usize,
+) -> (EndpointId, Vec<u8>, SimTime) {
+    let step = SimDuration::from_millis(50);
+    let conn = net
+        .connect(at, CLIENT, SockAddr::new(SERVER, 80), SimDuration::ZERO)
+        .unwrap();
+    let client_ep = EndpointId::new(conn, Side::Client);
+    let mut now = at + step;
+    run(net, now);
+    let server_ep = net.accept(listener).unwrap();
+    assert_eq!(net.send(now, client_ep, request).unwrap(), request.len());
+    now += step;
+    run(net, now);
+    assert_eq!(net.readable_bytes(server_ep), request.len());
+    assert_eq!(net.recv(server_ep, usize::MAX).unwrap(), request);
+    assert_eq!(net.send(now, server_ep, reply).unwrap(), reply.len());
+    net.close(now, server_ep).unwrap();
+    now += step;
+    run(net, now);
+    assert_eq!(net.readable_bytes(client_ep), reply.len());
+    let got = net.recv(client_ep, read).unwrap();
+    net.close(now, client_ep).unwrap();
+    now += step;
+    run(net, now);
+    (client_ep, got, now)
+}
+
+#[test]
+fn recycled_buffers_carry_no_stale_bytes() {
+    let mut net = network();
+    let listener = net.listen(SERVER, 80, 128).unwrap();
+    // The first connection dies with 3 KB of its 6 KB reply unread, so
+    // the buffers it leaves behind held live bytes.
+    let big = vec![0xAAu8; 6 * 1024];
+    let (first, got, now) = exchange(&mut net, listener, SimTime::ZERO, b"GET /big", &big, 3072);
+    assert_eq!(got, &big[..3072]);
+    assert!(!net.exists(first.conn), "first connection fully closed");
+
+    let reply: Vec<u8> = (0..100u8).collect();
+    let (second, got, _) = exchange(&mut net, listener, now, b"GET /small", &reply, usize::MAX);
+    assert_ne!(second.conn, first.conn);
+    assert_eq!(got, reply, "exactly the new connection's bytes");
+}
+
+#[test]
+fn warm_buffer_pool_leaves_the_state_fingerprint_alone() {
+    let mut warm = network();
+    let listener = warm.listen(SERVER, 80, 128).unwrap();
+    let big = vec![0xAAu8; 6 * 1024];
+    let (_, _, mut now) = exchange(&mut warm, listener, SimTime::ZERO, b"GET /big", &big, 1);
+    // A copy of a network starts with an empty buffer pool; the
+    // original keeps the dead connection's buffers.
+    let cold = warm.clone();
+    let mut worlds = [warm, cold];
+    let same = |w: &[Network; 2], what: &str| {
+        assert_eq!(
+            w[0].state_fingerprint(),
+            w[1].state_fingerprint(),
+            "warm and cold pools diverge {what}"
+        );
+    };
+    same(&worlds, "after the first connection");
+
+    // The next connection takes pooled buffers in the warm world and
+    // fresh ones in the cold world; the fingerprint cannot tell.
+    let step = SimDuration::from_millis(50);
+    let reply = vec![0x55u8; 4 * 1024];
+    let mut eps = Vec::new();
+    for net in &mut worlds {
+        let conn = net
+            .connect(now, CLIENT, SockAddr::new(SERVER, 80), SimDuration::ZERO)
+            .unwrap();
+        eps.push(EndpointId::new(conn, Side::Client));
+    }
+    now += step;
+    for (net, &client) in worlds.iter_mut().zip(&eps) {
+        run(net, now);
+        let server = net.accept(listener).unwrap();
+        net.send(now, client, b"GET /next").unwrap();
+        net.send(now, server, &reply).unwrap();
+    }
+    same(&worlds, "with bytes queued to send");
+    now += step;
+    for (net, &client) in worlds.iter_mut().zip(&eps) {
+        run(net, now);
+        assert_eq!(net.readable_bytes(client), reply.len());
+        assert_eq!(net.recv(client, 2048).unwrap(), &reply[..2048]);
+    }
+    same(&worlds, "with bytes delivered and partly read");
 }
