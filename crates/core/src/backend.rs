@@ -76,9 +76,9 @@ impl Clone for Box<dyn EventBackend> {
     }
 }
 
-/// The user-space interest set of the poll and select backends: stored
+/// The user-space interest set of the select backend: stored
 /// densely, indexed by fd, so walking it yields ascending fds — a
-/// deterministic pollfd array and result order without a per-call sort.
+/// deterministic bitmap rebuild without a per-call sort.
 #[derive(Debug, Default, Clone)]
 struct UserInterest {
     slots: Vec<Option<PollBits>>,
@@ -128,13 +128,19 @@ impl UserInterest {
     }
 }
 
-/// Stock `poll()`: the interest set lives in user space and the whole
-/// array crosses into the kernel on every call. The rebuild reuses one
-/// scratch buffer instead of allocating per wait.
+/// Stock `poll()`: the interest set lives in user space as one pollfd
+/// array, and the whole array crosses into the kernel on every call.
+///
+/// The array is kept across calls, sorted by fd: interest changes
+/// binary-search it and insert or remove in place, and each wait hands
+/// it to [`sys_poll`] as it stands. `sys_poll` overwrites every
+/// `revents`, so a kept array polls exactly like one rebuilt per call
+/// (§6: such applications "often entirely rebuild their pollfd array
+/// each time they invoke poll()"), and the kernel still charges the
+/// copy-in of every entry on every call.
 #[derive(Debug, Default, Clone)]
 pub struct StockPollBackend {
-    interest: UserInterest,
-    scratch: Vec<PollFd>,
+    fds: Vec<PollFd>,
 }
 
 impl StockPollBackend {
@@ -166,7 +172,15 @@ impl EventBackend for StockPollBackend {
         fd: Fd,
         events: PollBits,
     ) -> Result<(), Errno> {
-        self.interest.set(fd, events)
+        // Pure user-space bookkeeping: free.
+        if fd < 0 {
+            return Err(Errno::EINVAL);
+        }
+        match self.fds.binary_search_by_key(&fd, |f| f.fd) {
+            Ok(ix) => self.fds[ix].events = events,
+            Err(ix) => self.fds.insert(ix, PollFd::new(fd, events)),
+        }
+        Ok(())
     }
 
     fn remove_interest(
@@ -176,7 +190,9 @@ impl EventBackend for StockPollBackend {
         _pid: Pid,
         fd: Fd,
     ) -> Result<(), Errno> {
-        self.interest.remove(fd);
+        if let Ok(ix) = self.fds.binary_search_by_key(&fd, |f| f.fd) {
+            self.fds.remove(ix);
+        }
         Ok(())
     }
 
@@ -189,17 +205,9 @@ impl EventBackend for StockPollBackend {
         timeout_ms: i32,
         out: &mut Vec<PollFd>,
     ) -> Result<(), Errno> {
-        // The application rebuilds its pollfd array each call (§6: "
-        // Applications of this type often entirely rebuild their pollfd
-        // array each time they invoke poll()") — into a reused scratch
-        // buffer, in ascending fd order, so the array is deterministic.
-        let mut fds = std::mem::take(&mut self.scratch);
-        fds.clear();
-        fds.extend(self.interest.iter().map(|(fd, ev)| PollFd::new(fd, ev)));
-        if let PollOutcome::Ready(_) = sys_poll(kernel, pid, &mut fds, timeout_ms) {
-            out.extend(fds.iter().filter(|f| !f.revents.is_empty()).take(max));
+        if let PollOutcome::Ready(_) = sys_poll(kernel, pid, &mut self.fds, timeout_ms) {
+            out.extend(self.fds.iter().filter(|f| !f.revents.is_empty()).take(max));
         }
-        self.scratch = fds;
         Ok(())
     }
 
@@ -208,7 +216,13 @@ impl EventBackend for StockPollBackend {
     }
 
     fn fingerprint_into(&self, h: &mut Fnv) {
-        self.interest.fingerprint_into(h);
+        // The bytes `UserInterest::fingerprint_into` writes for the same
+        // interest: the count, then each fd and its events, ascending.
+        h.write_len(self.fds.len());
+        for f in &self.fds {
+            h.write_usize(f.fd as usize);
+            h.write_u32(u32::from(f.events.0));
+        }
     }
 }
 
@@ -477,5 +491,203 @@ impl EventBackend for DevPollBackend {
                 h.write_i64(i64::from(fd));
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use simcore::time::{SimDuration, SimTime};
+    use simkernel::CostModel;
+    use simnet::{ConnId, EndpointId, HostId, LinkConfig, Network, Side, SockAddr, TcpConfig};
+
+    const CLIENT: HostId = HostId(0);
+    const SERVER: HostId = HostId(1);
+
+    struct World {
+        net: Network,
+        kernel: Kernel,
+        registry: DevPollRegistry,
+        pid: Pid,
+        /// `(server fd, connection)` per accepted connection.
+        conns: Vec<(Fd, ConnId)>,
+        now: SimTime,
+    }
+
+    impl World {
+        /// A server with `n` accepted, idle (writable, not readable)
+        /// connections.
+        fn new(n: usize) -> World {
+            let mut net = Network::new(TcpConfig::default(), LinkConfig::default(), 2);
+            let mut kernel = Kernel::new(SERVER, CostModel::k6_2_400mhz());
+            let pid = kernel.spawn_default();
+            kernel.begin_batch(SimTime::ZERO, pid);
+            let lfd = kernel.sys_listen(&mut net, pid, 80, 128).unwrap();
+            kernel.end_batch(SimTime::ZERO, pid);
+            let ids: Vec<ConnId> = (0..n)
+                .map(|_| {
+                    net.connect(
+                        SimTime::ZERO,
+                        CLIENT,
+                        SockAddr::new(SERVER, 80),
+                        SimDuration::ZERO,
+                    )
+                    .unwrap()
+                })
+                .collect();
+            let mut w = World {
+                net,
+                kernel,
+                registry: DevPollRegistry::new(),
+                pid,
+                conns: Vec::new(),
+                now: SimTime::ZERO,
+            };
+            w.pump(SimTime::from_millis(10));
+            w.kernel.begin_batch(w.now, pid);
+            for conn in ids {
+                let fd = w.kernel.sys_accept(&mut w.net, w.now, pid, lfd).unwrap();
+                w.conns.push((fd, conn));
+            }
+            w.kernel.end_batch(w.now, pid);
+            w
+        }
+
+        fn pump(&mut self, until: SimTime) {
+            while let Some(t) = self.net.next_deadline().filter(|&t| t <= until) {
+                for n in self.net.advance(t) {
+                    self.kernel.on_net(t, &n);
+                }
+            }
+            self.now = until;
+            let _ = self.kernel.advance(until);
+        }
+
+        /// The client of connection `i` sends `data`.
+        fn client_send(&mut self, i: usize, data: &[u8]) {
+            let ep = EndpointId::new(self.conns[i].1, Side::Client);
+            self.net.send(self.now, ep, data).unwrap();
+            self.pump(self.now + SimDuration::from_millis(10));
+        }
+
+        fn set(&mut self, b: &mut StockPollBackend, fd: Fd, events: PollBits) {
+            b.set_interest(&mut self.kernel, &mut self.registry, self.pid, fd, events)
+                .unwrap();
+        }
+
+        fn remove(&mut self, b: &mut StockPollBackend, fd: Fd) {
+            b.remove_interest(&mut self.kernel, &mut self.registry, self.pid, fd)
+                .unwrap();
+        }
+
+        /// One non-blocking wait: `(fd, revents)` in result order.
+        fn wait(&mut self, b: &mut StockPollBackend) -> Vec<(Fd, PollBits)> {
+            let mut out = Vec::new();
+            self.kernel.begin_batch(self.now, self.pid);
+            b.wait(
+                &mut self.kernel,
+                &mut self.registry,
+                self.pid,
+                usize::MAX,
+                0,
+                &mut out,
+            )
+            .unwrap();
+            self.kernel.end_batch(self.now, self.pid);
+            self.pump(self.now + SimDuration::from_millis(1));
+            out.iter().map(|f| (f.fd, f.revents)).collect()
+        }
+    }
+
+    #[test]
+    fn stock_poll_does_not_report_an_fd_that_went_idle() {
+        let mut w = World::new(2);
+        let mut b = StockPollBackend::new();
+        let (fd0, fd1) = (w.conns[0].0, w.conns[1].0);
+        w.set(&mut b, fd0, PollBits::POLLIN);
+        w.set(&mut b, fd1, PollBits::POLLIN);
+        assert_eq!(w.wait(&mut b), vec![]);
+
+        w.client_send(1, b"GET /");
+        assert_eq!(w.wait(&mut b), vec![(fd1, PollBits::POLLIN)]);
+
+        w.kernel.begin_batch(w.now, w.pid);
+        w.kernel.sys_read(&mut w.net, w.pid, fd1, 4096).unwrap();
+        w.kernel.end_batch(w.now, w.pid);
+        assert_eq!(w.wait(&mut b), vec![], "drained fd reported again");
+    }
+
+    #[test]
+    fn stock_poll_result_follows_changed_interest() {
+        let mut w = World::new(1);
+        let mut b = StockPollBackend::new();
+        let fd = w.conns[0].0;
+        w.set(&mut b, fd, PollBits::POLLIN);
+        assert_eq!(w.wait(&mut b), vec![]);
+        w.set(&mut b, fd, PollBits::POLLOUT);
+        assert_eq!(w.wait(&mut b), vec![(fd, PollBits::POLLOUT)]);
+        w.set(&mut b, fd, PollBits::POLLIN);
+        assert_eq!(w.wait(&mut b), vec![]);
+    }
+
+    #[test]
+    fn stock_poll_reports_in_ascending_fd_order() {
+        let mut w = World::new(5);
+        let mut b = StockPollBackend::new();
+        let mut fds: Vec<Fd> = w.conns.iter().map(|&(fd, _)| fd).collect();
+        fds.sort_unstable();
+        for &fd in fds.iter().rev() {
+            w.set(&mut b, fd, PollBits::POLLOUT);
+        }
+        let ready = |out: Vec<(Fd, PollBits)>| out.into_iter().map(|(fd, _)| fd).collect();
+        let got: Vec<Fd> = ready(w.wait(&mut b));
+        assert_eq!(got, fds);
+
+        w.remove(&mut b, fds[2]);
+        w.remove(&mut b, fds[0]);
+        w.remove(&mut b, fds[0]); // Removing an absent fd is a no-op.
+        let got: Vec<Fd> = ready(w.wait(&mut b));
+        assert_eq!(got, vec![fds[1], fds[3], fds[4]]);
+
+        w.set(&mut b, fds[2], PollBits::POLLOUT);
+        w.set(&mut b, fds[0], PollBits::POLLOUT);
+        let got: Vec<Fd> = ready(w.wait(&mut b));
+        assert_eq!(got, fds);
+    }
+
+    #[test]
+    fn stock_poll_fingerprint_matches_the_user_interest_bytes() {
+        let mut w = World::new(0);
+        let mut b = StockPollBackend::new();
+        let mut reference = UserInterest::default();
+        let ops: [(Fd, Option<PollBits>); 7] = [
+            (9, Some(PollBits::POLLIN)),
+            (3, Some(PollBits::POLLOUT)),
+            (5, Some(PollBits::POLLIN | PollBits::POLLOUT)),
+            (3, Some(PollBits::POLLIN)),
+            (9, None),
+            (0, Some(PollBits::EMPTY)),
+            (7, None),
+        ];
+        for (fd, events) in ops {
+            match events {
+                Some(ev) => {
+                    w.set(&mut b, fd, ev);
+                    reference.set(fd, ev).unwrap();
+                }
+                None => {
+                    w.remove(&mut b, fd);
+                    reference.remove(fd);
+                }
+            }
+            let (mut ours, mut theirs) = (Fnv::new(), Fnv::new());
+            b.fingerprint_into(&mut ours);
+            reference.fingerprint_into(&mut theirs);
+            assert_eq!(ours.finish(), theirs.finish(), "after {fd} {events:?}");
+        }
+        assert_eq!(
+            b.set_interest(&mut w.kernel, &mut w.registry, w.pid, -1, PollBits::POLLIN),
+            Err(Errno::EINVAL)
+        );
     }
 }

@@ -3,6 +3,8 @@
 use simcore::paged::PagedSlots;
 use simnet::{EndpointId, ListenerId};
 
+use crate::poll_bits::PollBits;
+
 /// A file descriptor number.
 pub type Fd = i32;
 
@@ -39,7 +41,43 @@ pub enum FileKind {
     DevPoll(u64),
 }
 
+/// Mirrored readiness of one stream socket, kept up to date by the
+/// kernel's network intake and by the syscalls that drain or fill the
+/// socket.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct SockMirror {
+    pub(crate) readable: bool,
+    pub(crate) writable: bool,
+    pub(crate) hup: bool,
+    pub(crate) err: bool,
+}
+
+impl SockMirror {
+    /// The poll condition the mirror stands for.
+    pub(crate) fn bits(self) -> PollBits {
+        let mut b = PollBits::EMPTY;
+        if self.readable || self.hup || self.err {
+            b |= PollBits::POLLIN;
+        }
+        if self.writable && !self.hup && !self.err {
+            b |= PollBits::POLLOUT;
+        }
+        if self.hup {
+            b |= PollBits::POLLHUP;
+        }
+        if self.err {
+            b |= PollBits::POLLERR;
+        }
+        b
+    }
+}
+
 /// One open file description.
+///
+/// A stream descriptor carries its socket's readiness mirror inline, so
+/// a `poll()` scan answers each descriptor from the one fd-table lookup
+/// it already makes.
+// #[hot_struct]: one per descriptor
 #[derive(Debug, Clone, Copy)]
 pub struct File {
     /// What this descriptor is.
@@ -48,6 +86,9 @@ pub struct File {
     pub nonblock: bool,
     /// RT signal assigned via `fcntl(fd, F_SETSIG, n)`, if any.
     pub sig: Option<u8>,
+    /// Readiness of the socket behind a `Stream` descriptor (all clear
+    /// for other kinds).
+    pub(crate) mirror: SockMirror,
 }
 
 impl File {
@@ -56,6 +97,7 @@ impl File {
             kind,
             nonblock: false,
             sig: None,
+            mirror: SockMirror::default(),
         }
     }
 }

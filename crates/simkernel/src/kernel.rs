@@ -30,7 +30,7 @@ use simnet::{EndpointId, ListenerId, NetNotify, Network, Port};
 
 use crate::cost::CostModel;
 use crate::cpu::Cpu;
-use crate::fd::{Errno, Fd, FileKind};
+use crate::fd::{Errno, Fd, File, FileKind, SockMirror};
 use crate::poll_bits::PollBits;
 use crate::process::{AfterBatch, Pid, ProcState, Process};
 use crate::signal::{Siginfo, DEFAULT_RT_QUEUE_MAX, SIGRTMAX, SIGRTMIN};
@@ -112,42 +112,17 @@ pub enum KernelEvent {
     },
 }
 
-/// Mirrored readiness of one stream socket.
-#[derive(Debug, Clone, Copy, Default)]
-struct SockMirror {
-    readable: bool,
-    writable: bool,
-    hup: bool,
-    err: bool,
-}
-
-impl SockMirror {
-    fn bits(self) -> PollBits {
-        let mut b = PollBits::EMPTY;
-        if self.readable || self.hup || self.err {
-            b |= PollBits::POLLIN;
-        }
-        if self.writable && !self.hup && !self.err {
-            b |= PollBits::POLLOUT;
-        }
-        if self.hup {
-            b |= PollBits::POLLHUP;
-        }
-        if self.err {
-            b |= PollBits::POLLERR;
-        }
-        b
-    }
-}
-
-/// Kernel-side state of one accepted stream descriptor: its owner and
-/// the readiness mirror, in one dense slot indexed by endpoint.
+/// The endpoint-to-descriptor reverse map entry of one accepted stream:
+/// the process and descriptor a network notification for the endpoint
+/// lands on. The readiness itself lives in that descriptor's
+/// [`File`](crate::fd::File). A slot exists exactly while its stream
+/// descriptor is open: `sys_accept` inserts it, and it leaves with the
+/// descriptor.
 // #[hot_struct]: one per accepted descriptor
 #[derive(Debug, Clone, Copy)]
 struct EpSlot {
     pid: Pid,
     fd: Fd,
-    mirror: SockMirror,
 }
 
 /// Kernel-side state of one listener: the sharing processes and the
@@ -192,9 +167,9 @@ pub struct Kernel {
     /// reaped), so [`Kernel::advance`] surfaces `ProcRunnable` events in
     /// deterministic pid order by construction.
     procs: Vec<Process>,
-    /// Endpoint-indexed owner + readiness mirror slots (see
-    /// [`ep_index`]); paged so sparse/high endpoint indices don't pay
-    /// dense-table memory.
+    /// Endpoint-indexed `(pid, fd)` reverse map (see [`ep_index`]);
+    /// paged so sparse/high endpoint indices don't pay dense-table
+    /// memory.
     eps: PagedSlots<EpSlot>,
     /// High-water mark of simultaneously open endpoint slots — the
     /// denominator for bytes-per-connection accounting (by report time
@@ -275,9 +250,10 @@ impl Kernel {
     }
 
     /// Modeled resident heap bytes of the kernel's per-connection
-    /// tables: per-process fd tables, endpoint readiness slots, and
-    /// watcher (backmap) bitsets. Pages are never freed, so this is the
-    /// high-water footprint.
+    /// tables: per-process fd tables (readiness mirrors included), the
+    /// endpoint-to-descriptor reverse map, and watcher (backmap)
+    /// bitsets. Pages are never freed, so this is the high-water
+    /// footprint.
     pub fn mem_bytes(&self) -> usize {
         let fds: usize = self.procs.iter().map(|p| p.fds.mem_bytes()).sum();
         let watch: usize = self.watchers.iter().map(PagedBits::heap_bytes).sum();
@@ -329,13 +305,14 @@ impl Kernel {
         }
         h.write_len(self.eps.len());
         for (ix, s) in self.eps.iter() {
+            let mirror = self.stream_file(s.pid, s.fd).mirror;
             h.write_usize(ix);
             h.write_u64(u64::from(s.pid));
             h.write_i64(i64::from(s.fd));
-            h.write_bool(s.mirror.readable);
-            h.write_bool(s.mirror.writable);
-            h.write_bool(s.mirror.hup);
-            h.write_bool(s.mirror.err);
+            h.write_bool(mirror.readable);
+            h.write_bool(mirror.writable);
+            h.write_bool(mirror.hup);
+            h.write_bool(mirror.err);
         }
         h.write_len(self.listeners.iter().filter(|s| s.is_some()).count());
         for (ix, slot) in self.listeners.iter().enumerate() {
@@ -763,7 +740,10 @@ impl Kernel {
     ///
     /// This is the "truth" that a device driver's poll callback would
     /// return; querying it is free — *charging* for the query is the
-    /// poll implementation's job.
+    /// poll implementation's job. A stream answers from the mirror in
+    /// its own descriptor, so the scan pays one fd-table lookup per
+    /// descriptor.
+    // #[hot_path] — simcheck bans per-call allocation in this function
     pub fn readiness(&self, pid: Pid, fd: Fd) -> PollBits {
         let Some(p) = self.proc_get(pid) else {
             return PollBits::POLLNVAL;
@@ -772,11 +752,7 @@ impl Kernel {
             return PollBits::POLLNVAL;
         };
         match file.kind {
-            FileKind::Stream(ep) => self
-                .ep_slot(ep)
-                .map(|s| s.mirror.bits())
-                // A fully closed/vanished connection reads as HUP.
-                .unwrap_or(PollBits::POLLIN | PollBits::POLLHUP),
+            FileKind::Stream(_) => file.mirror.bits(),
             FileKind::Listener(l) => {
                 if self.listener_slot(l).is_some_and(|s| s.ready) {
                     PollBits::POLLIN
@@ -792,17 +768,38 @@ impl Kernel {
     // Dense slot plumbing.
     // ------------------------------------------------------------------
 
-    fn ep_slot(&self, ep: EndpointId) -> Option<&EpSlot> {
-        self.eps.get(ep_index(ep))
-    }
-
-    fn ep_slot_mut(&mut self, ep: EndpointId) -> Option<&mut EpSlot> {
-        self.eps.get_mut(ep_index(ep))
-    }
-
     fn ep_slot_insert(&mut self, ep: EndpointId, slot: EpSlot) {
+        debug_assert!(
+            self.eps.get(ep_index(ep)).is_none(),
+            "endpoint {ep:?} already has a descriptor"
+        );
         self.eps.insert(ep_index(ep), slot);
         self.eps_peak = self.eps_peak.max(self.eps.len());
+    }
+
+    /// A stream descriptor known to be open: one an endpoint slot
+    /// names, or one the calling syscall already resolved.
+    fn stream_file(&self, pid: Pid, fd: Fd) -> &File {
+        self.proc_get(pid)
+            .and_then(|p| p.fds.get(fd).ok())
+            .expect("invariant: the stream descriptor is open")
+    }
+
+    /// [`Kernel::stream_file`], mutably.
+    fn stream_file_mut(&mut self, pid: Pid, fd: Fd) -> &mut File {
+        self.proc_get_mut(pid)
+            .and_then(|p| p.fds.get_mut(fd).ok())
+            .expect("invariant: the stream descriptor is open")
+    }
+
+    /// The endpoint and readiness mirror behind a stream descriptor, in
+    /// one fd-table lookup (`EBADF` if closed, `EINVAL` if not a stream).
+    fn stream_of(&self, pid: Pid, fd: Fd) -> Result<(EndpointId, SockMirror), Errno> {
+        let file = self.process(pid).fds.get(fd)?;
+        match file.kind {
+            FileKind::Stream(ep) => Ok((ep, file.mirror)),
+            _ => Err(Errno::EINVAL),
+        }
     }
 
     fn ep_slot_remove(&mut self, ep: EndpointId) {
@@ -836,10 +833,7 @@ impl Kernel {
 
     /// The endpoint behind a stream descriptor.
     pub fn endpoint_of(&self, pid: Pid, fd: Fd) -> Result<EndpointId, Errno> {
-        match self.process(pid).fds.get(fd)?.kind {
-            FileKind::Stream(ep) => Ok(ep),
-            _ => Err(Errno::EINVAL),
-        }
+        self.stream_of(pid, fd).map(|(ep, _)| ep)
     }
 
     // ------------------------------------------------------------------
@@ -857,29 +851,19 @@ impl Kernel {
                 }
             }
             NetNotify::Readable { ep } => {
-                if let Some(s) = self.ep_slot_mut(ep) {
-                    s.mirror.readable = true;
-                }
-                self.fd_event(now, ep, PollBits::POLLIN);
+                self.fd_event(now, ep, PollBits::POLLIN, |m| m.readable = true);
             }
             NetNotify::Writable { ep } => {
-                if let Some(s) = self.ep_slot_mut(ep) {
-                    s.mirror.writable = true;
-                }
-                self.fd_event(now, ep, PollBits::POLLOUT);
+                self.fd_event(now, ep, PollBits::POLLOUT, |m| m.writable = true);
             }
             NetNotify::PeerClosed { ep } => {
-                if let Some(s) = self.ep_slot_mut(ep) {
-                    s.mirror.hup = true;
-                    s.mirror.readable = true;
-                }
-                self.fd_event(now, ep, PollBits::POLLHUP | PollBits::POLLIN);
+                self.fd_event(now, ep, PollBits::POLLHUP | PollBits::POLLIN, |m| {
+                    m.hup = true;
+                    m.readable = true;
+                });
             }
             NetNotify::ConnReset { ep } => {
-                if let Some(s) = self.ep_slot_mut(ep) {
-                    s.mirror.err = true;
-                }
-                self.fd_event(now, ep, PollBits::POLLERR);
+                self.fd_event(now, ep, PollBits::POLLERR, |m| m.err = true);
             }
             NetNotify::AcceptReady { listener } => {
                 let mut owners = std::mem::take(&mut self.accept_scratch);
@@ -893,7 +877,7 @@ impl Kernel {
                     AcceptWake::Herd => {
                         // Stock 2.2: every sharer is notified and woken.
                         for &(pid, fd) in &owners {
-                            self.raise_fd_event(now, pid, fd, PollBits::POLLIN);
+                            self.raise_listener_event(now, pid, fd);
                         }
                     }
                     AcceptWake::Exclusive => {
@@ -909,7 +893,7 @@ impl Kernel {
                                     self.proc_get(pid).is_some_and(|p| p.is_sleeping())
                                 })
                                 .unwrap_or(owners[start % n]);
-                            self.raise_fd_event(now, pick.0, pick.1, PollBits::POLLIN);
+                            self.raise_listener_event(now, pick.0, pick.1);
                         }
                     }
                 }
@@ -921,8 +905,8 @@ impl Kernel {
             NetNotify::ConnClosed { ep } => {
                 // Preserve a HUP indication for a still-open fd whose
                 // mirror is about to lose its connection state.
-                if let Some(s) = self.ep_slot_mut(ep) {
-                    s.mirror.hup = true;
+                if let Some(&EpSlot { pid, fd }) = self.eps.get(ep_index(ep)) {
+                    self.stream_file_mut(pid, fd).mirror.hup = true;
                 }
             }
             NetNotify::ConnectDone { .. }
@@ -931,23 +915,42 @@ impl Kernel {
         }
     }
 
-    fn fd_event(&mut self, now: SimTime, ep: EndpointId, band: PollBits) {
-        if let Some(&EpSlot { pid, fd, .. }) = self.ep_slot(ep) {
-            self.raise_fd_event(now, pid, fd, band);
-        }
+    /// A stream event: resolves the endpoint's descriptor once, applies
+    /// `update` to its readiness mirror, and raises `band` on it with
+    /// the RT signal read from that same descriptor. An endpoint with no
+    /// open descriptor (not yet accepted, or already closed) is ignored.
+    fn fd_event(
+        &mut self,
+        now: SimTime,
+        ep: EndpointId,
+        band: PollBits,
+        update: impl FnOnce(&mut SockMirror),
+    ) {
+        let Some(&EpSlot { pid, fd }) = self.eps.get(ep_index(ep)) else {
+            return;
+        };
+        let file = self.stream_file_mut(pid, fd);
+        update(&mut file.mirror);
+        let sig = file.sig;
+        self.raise_fd_event(now, pid, fd, band, sig);
     }
 
-    /// Raises a descriptor event: queues an RT signal if one is
-    /// assigned, wakes sleeping watchers, and surfaces the event for
-    /// `/dev/poll` hint marking.
-    fn raise_fd_event(&mut self, now: SimTime, pid: Pid, fd: Fd, band: PollBits) {
-        self.events_out.push(KernelEvent::FdEvent { pid, fd, band });
-
-        // F_SETSIG: queue an RT signal (kernel side, softirq context).
+    /// An accept-ready event on one sharer's listening descriptor.
+    fn raise_listener_event(&mut self, now: SimTime, pid: Pid, fd: Fd) {
         let sig = self
             .proc_get(pid)
             .and_then(|p| p.fds.get(fd).ok())
             .and_then(|f| f.sig);
+        self.raise_fd_event(now, pid, fd, PollBits::POLLIN, sig);
+    }
+
+    /// Raises a descriptor event: queues RT signal `sig` if the
+    /// descriptor has one assigned, wakes sleeping watchers, and
+    /// surfaces the event for `/dev/poll` hint marking.
+    fn raise_fd_event(&mut self, now: SimTime, pid: Pid, fd: Fd, band: PollBits, sig: Option<u8>) {
+        self.events_out.push(KernelEvent::FdEvent { pid, fd, band });
+
+        // F_SETSIG: queue an RT signal (kernel side, softirq context).
         if let Some(signo) = sig {
             let rt_cost = SimDuration::from_nanos(self.cost.rt_enqueue);
             let sigio_cost = SimDuration::from_nanos(self.cost.sigio_raise);
@@ -1089,19 +1092,13 @@ impl Kernel {
                 return Err(e);
             }
         };
-        self.ep_slot_insert(
-            ep,
-            EpSlot {
-                pid,
-                fd,
-                mirror: SockMirror {
-                    readable: net.readable_bytes(ep) > 0 || net.peer_closed(ep),
-                    writable: net.send_space(ep) > 0,
-                    hup: net.peer_closed(ep),
-                    err: false,
-                },
-            },
-        );
+        self.stream_file_mut(pid, fd).mirror = SockMirror {
+            readable: net.readable_bytes(ep) > 0 || net.peer_closed(ep),
+            writable: net.send_space(ep) > 0,
+            hup: net.peer_closed(ep),
+            err: false,
+        };
+        self.ep_slot_insert(ep, EpSlot { pid, fd });
         if self.spans.enabled() {
             // Accept-queue wait: from the softirq-side enqueue (three-way
             // handshake completion) to this accept() pop — a cross-batch
@@ -1146,8 +1143,8 @@ impl Kernel {
         buf: &mut Vec<u8>,
     ) -> Result<usize, Errno> {
         let t0 = self.syscall_enter(pid, Syscall::Read, self.cost.read_base);
-        let ep = self.endpoint_of(pid, fd)?;
-        if self.ep_slot(ep).is_some_and(|s| s.mirror.err) {
+        let (ep, mirror) = self.stream_of(pid, fd)?;
+        if mirror.err {
             return Err(Errno::ECONNRESET);
         }
         let n = net.recv_into(ep, max, buf).unwrap_or(0);
@@ -1158,11 +1155,10 @@ impl Kernel {
         // POLLIN so the application observes it).
         let still = net.readable_bytes(ep) > 0;
         let eof = net.peer_closed(ep) || !net.exists(ep.conn);
-        if let Some(s) = self.ep_slot_mut(ep) {
-            s.mirror.readable = still || eof;
-            if eof {
-                s.mirror.hup = true;
-            }
+        let m = &mut self.stream_file_mut(pid, fd).mirror;
+        m.readable = still || eof;
+        if eof {
+            m.hup = true;
         }
         self.span_leaf(pid, Phase::Read, t0);
         if n == 0 {
@@ -1188,8 +1184,8 @@ impl Kernel {
         data: &[u8],
     ) -> Result<usize, Errno> {
         let t0 = self.syscall_enter(pid, Syscall::Write, self.cost.write_base);
-        let ep = self.endpoint_of(pid, fd)?;
-        if self.ep_slot(ep).is_some_and(|s| s.mirror.err) {
+        let (ep, mirror) = self.stream_of(pid, fd)?;
+        if mirror.err {
             return Err(Errno::ECONNRESET);
         }
         let vnow = self.vnow(now, pid);
@@ -1206,9 +1202,7 @@ impl Kernel {
                 SimDuration::from_nanos(self.cost.tx_per_segment * segs),
             );
         }
-        if let Some(s) = self.ep_slot_mut(ep) {
-            s.mirror.writable = net.send_space(ep) > 0;
-        }
+        self.stream_file_mut(pid, fd).mirror.writable = net.send_space(ep) > 0;
         self.span_leaf(pid, Phase::Write, t0);
         if n == 0 {
             return Err(Errno::EAGAIN);
@@ -1233,8 +1227,8 @@ impl Kernel {
         data: &[u8],
     ) -> Result<usize, Errno> {
         let t0 = self.syscall_enter(pid, Syscall::Sendfile, self.cost.write_base);
-        let ep = self.endpoint_of(pid, fd)?;
-        if self.ep_slot(ep).is_some_and(|s| s.mirror.err) {
+        let (ep, mirror) = self.stream_of(pid, fd)?;
+        if mirror.err {
             return Err(Errno::ECONNRESET);
         }
         let vnow = self.vnow(now, pid);
@@ -1254,9 +1248,7 @@ impl Kernel {
                 SimDuration::from_nanos(self.cost.tx_per_segment * segs),
             );
         }
-        if let Some(s) = self.ep_slot_mut(ep) {
-            s.mirror.writable = net.send_space(ep) > 0;
-        }
+        self.stream_file_mut(pid, fd).mirror.writable = net.send_space(ep) > 0;
         self.span_leaf(pid, Phase::Write, t0);
         if n == 0 {
             return Err(Errno::EAGAIN);
@@ -1413,9 +1405,13 @@ impl Kernel {
     }
 
     /// Closes a descriptor with no socket side effects (used for
-    /// `/dev/poll` descriptors). No cost is charged.
+    /// `/dev/poll` descriptors). No cost is charged. A stream's endpoint
+    /// slot leaves with its descriptor, as on every close.
     pub fn close_fd_raw(&mut self, pid: Pid, fd: Fd) -> Result<(), Errno> {
-        self.proc_mut(pid).fds.close(fd)?;
+        let file = self.proc_mut(pid).fds.close(fd)?;
+        if let FileKind::Stream(ep) = file.kind {
+            self.ep_slot_remove(ep);
+        }
         self.unwatch(pid, fd);
         Ok(())
     }
@@ -1806,6 +1802,118 @@ mod tests {
             batch.len()
         );
         assert_eq!(kernel.process(pid).syscall_count, before + 1);
+    }
+
+    /// Endpoint slots and open stream descriptors are in bijection:
+    /// every slot names an open `Stream` file for its own endpoint, and
+    /// every open stream descriptor has its slot.
+    fn assert_slot_bijection(kernel: &Kernel, when: &str) {
+        for (ix, s) in kernel.eps.iter() {
+            let file = kernel
+                .process(s.pid)
+                .fds
+                .get(s.fd)
+                .unwrap_or_else(|_| panic!("{when}: slot {ix} names closed fd {}", s.fd));
+            match file.kind {
+                FileKind::Stream(ep) => assert_eq!(
+                    ep_index(ep),
+                    ix,
+                    "{when}: slot {ix} names fd {} of another endpoint",
+                    s.fd
+                ),
+                other => panic!("{when}: slot {ix} names fd {} of kind {other:?}", s.fd),
+            }
+        }
+        let mut streams = 0;
+        for (i, p) in kernel.procs.iter().enumerate() {
+            let pid = (i + 1) as Pid;
+            for (fd, file) in p.fds.iter() {
+                let FileKind::Stream(ep) = file.kind else {
+                    continue;
+                };
+                streams += 1;
+                let slot = kernel
+                    .eps
+                    .get(ep_index(ep))
+                    .unwrap_or_else(|| panic!("{when}: open stream fd {fd} has no slot"));
+                assert_eq!((slot.pid, slot.fd), (pid, fd), "{when}: slot of fd {fd}");
+            }
+        }
+        assert_eq!(streams, kernel.eps.len(), "{when}: slot count");
+    }
+
+    #[test]
+    fn endpoint_slots_track_open_stream_fds() {
+        let (mut net, mut kernel, pid) = setup();
+        kernel.begin_batch(SimTime::ZERO, pid);
+        let lfd = kernel.sys_listen(&mut net, pid, 80, 128).unwrap();
+        kernel.end_batch(SimTime::ZERO, pid);
+        assert_slot_bijection(&kernel, "listen");
+
+        let (fd_a, conn_a) = connect_one(&mut net, &mut kernel, pid, lfd);
+        let (fd_b, conn_b) = connect_one(&mut net, &mut kernel, pid, lfd);
+        let (fd_c, conn_c) = connect_one(&mut net, &mut kernel, pid, lfd);
+        assert_slot_bijection(&kernel, "accept");
+        let client = |conn| EndpointId::new(conn, simnet::Side::Client);
+
+        // A: request then FIN; the server reads it to EOF.
+        net.send(SimTime::from_millis(20), client(conn_a), b"GET /")
+            .unwrap();
+        net.close(SimTime::from_millis(20), client(conn_a)).unwrap();
+        // B: peer FIN only. C: peer RST.
+        net.close(SimTime::from_millis(20), client(conn_b)).unwrap();
+        net.abort(SimTime::from_millis(20), client(conn_c)).unwrap();
+        pump(&mut net, &mut kernel, SimTime::from_millis(40));
+        assert_slot_bijection(&kernel, "peer FIN and RST");
+        assert!(kernel.readiness(pid, fd_b).contains(PollBits::POLLHUP));
+        assert!(kernel.readiness(pid, fd_c).contains(PollBits::POLLERR));
+
+        let t = SimTime::from_millis(40);
+        kernel.begin_batch(t, pid);
+        assert_eq!(
+            kernel.sys_read(&mut net, pid, fd_a, 4096).unwrap(),
+            b"GET /"
+        );
+        assert!(kernel
+            .sys_read(&mut net, pid, fd_a, 4096)
+            .unwrap()
+            .is_empty());
+        assert_slot_bijection(&kernel, "read to EOF");
+        kernel.sys_close(&mut net, t, pid, fd_a).unwrap();
+        assert_slot_bijection(&kernel, "close");
+        kernel.sys_abort(&mut net, t, pid, fd_b).unwrap();
+        assert_slot_bijection(&kernel, "abort");
+        kernel.end_batch(t, pid);
+        // Late notifications for the closed endpoints find no slot.
+        pump(&mut net, &mut kernel, SimTime::from_millis(60));
+        assert_slot_bijection(&kernel, "after close");
+
+        // The lowest free descriptor is reused, with a fresh mirror.
+        net.connect(
+            SimTime::from_millis(60),
+            CLIENT,
+            SockAddr::new(SERVER, 80),
+            SimDuration::ZERO,
+        )
+        .unwrap();
+        pump(&mut net, &mut kernel, SimTime::from_millis(70));
+        let t = SimTime::from_millis(70);
+        kernel.begin_batch(t, pid);
+        let fd_d = kernel.sys_accept(&mut net, t, pid, lfd).unwrap();
+        kernel.end_batch(t, pid);
+        assert_eq!(fd_d, fd_a.min(fd_b), "the lowest free fd is reused");
+        assert_slot_bijection(&kernel, "fd reuse");
+        assert_eq!(kernel.readiness(pid, fd_d), PollBits::POLLOUT);
+        assert_eq!(kernel.eps.len(), 2);
+        kernel.close_fd_raw(pid, fd_d).unwrap();
+        assert_slot_bijection(&kernel, "raw close");
+    }
+
+    #[test]
+    fn descriptor_and_endpoint_slot_sizes_are_pinned() {
+        const MSG: &str = "a size change here moves server_mem_kib and the mem-probe digests";
+        assert_eq!(std::mem::size_of::<Option<File>>(), 24, "{MSG}");
+        assert_eq!(std::mem::size_of::<Option<EpSlot>>(), 12, "{MSG}");
     }
 
     #[test]
