@@ -103,7 +103,7 @@ pub struct DevPollRegistry {
     next: u64,
     /// Hidden fault-injection hook: when set, `DP_POLL` serves
     /// cached-"ready" results *without* revalidating them — the §3.2 bug
-    /// the simcheck differential oracle exists to catch. Test-only.
+    /// `simcheck explore`'s reference model exists to catch. Test-only.
     #[doc(hidden)]
     testhook_skip_revalidation: bool,
     /// Hidden fault-injection hook: force Solaris OR-semantics on every
@@ -192,9 +192,9 @@ impl DevPollRegistry {
         Ok(fd)
     }
 
-    /// Fault injection for the simcheck differential oracle: serve
-    /// cached-"ready" results stale, skipping the mandatory
-    /// revalidation. Never enable outside a test.
+    /// Fault injection for `simcheck explore`: serve cached-"ready"
+    /// results stale, skipping the mandatory revalidation. Never enable
+    /// outside a test.
     #[doc(hidden)]
     pub fn testhook_skip_revalidation(&mut self, on: bool) {
         self.testhook_skip_revalidation = on;
@@ -626,9 +626,8 @@ impl DevPollRegistry {
             kernel.span_leaf(pid, Phase::ReadyScan, t_scan);
         }
         // Results are reported in ascending fd order regardless of the
-        // (modelled) hash table's internal layout — determinism the
-        // simcheck differential oracle (and any consumer diffing runs)
-        // relies on.
+        // (modelled) hash table's internal layout — determinism simcheck's
+        // replays (and any consumer diffing runs) rely on.
         out[base..].sort_by_key(|r| r.fd);
         if checked && !skip_reval {
             let dev = self

@@ -30,7 +30,7 @@ pub struct Rng(u64);
 
 impl Rng {
     /// Seeds directly from a caller-chosen 64-bit seed (for harnesses
-    /// that number their cases themselves, like the simcheck oracle).
+    /// that number their cases themselves, like simcheck's walks).
     pub fn from_seed(seed: u64) -> Rng {
         Rng(seed ^ 0x6a09e667f3bcc909) // Avoid the all-zeros weak state.
     }
@@ -266,8 +266,8 @@ pub mod prop {
 /// chunks of decreasing size are removed greedily until no single
 /// element can be dropped; the result is 1-minimal with respect to
 /// element removal. This is the shrinking half the [`proptest!`] shim
-/// itself omits, exposed directly for harnesses (like the simcheck
-/// differential oracle) that shrink whole event scripts.
+/// itself omits, exposed directly for harnesses (like `simcheck
+/// explore`) that shrink whole event schedules.
 pub fn shrink_sequence<T: Clone, F: FnMut(&[T]) -> bool>(
     items: &[T],
     mut still_fails: F,

@@ -1,18 +1,22 @@
-//! `simcheck explore`: bounded exhaustive model checking of readiness
-//! semantics.
+//! `simcheck explore`: model checking of readiness semantics, by
+//! exhaustive enumeration or by seeded random walks.
 //!
-//! Where the differential oracle *samples* schedules with random seeds,
-//! `explore` enumerates **all** canonical schedules of a small event
-//! alphabet — accept, data arrival, FIN, interest add/modify/remove,
-//! server read, wait boundary — up to a depth bound, over 2–4
-//! connections. Every schedule drives all five backend lanes in
-//! isolated worlds, and each wait boundary is checked against the
-//! executable reference model ([`crate::model::Model`]): raw per-slot
-//! ready bits per lane, plus the kernel-watcher (backmap) registration
-//! invariant on the /dev/poll lanes.
+//! Both modes drive all five backend lanes ([`crate::lane`]) in
+//! isolated worlds over one event alphabet — accept, data arrival, FIN,
+//! interest add/modify/remove, server read and write, wait boundary —
+//! and check each wait boundary against the executable reference model
+//! ([`crate::model::Model`]): raw per-slot ready bits per lane, the
+//! kernel-watcher (backmap) registration invariant on the /dev/poll
+//! lanes, and every lane's lock-order graph.
 //!
-//! Two prunings keep the state space tractable (soundness argument in
-//! DESIGN.md "Exhaustive exploration and the reference model"):
+//! * [`explore`] enumerates **all** canonical schedules up to a depth
+//!   bound over 2–4 connections.
+//! * [`walks`] replays long seeded schedules ([`crate::script::generate`]):
+//!   fewer interleavings, but deeper histories and more varied sizes.
+//!
+//! Two prunings keep the exhaustive state space tractable (soundness
+//! argument in DESIGN.md "Exhaustive exploration and the reference
+//! model"):
 //!
 //! * **Canonical slot order** (sleep-set/DPOR-style): between two wait
 //!   boundaries, events on different connections commute — no
@@ -25,18 +29,19 @@
 //!   explored with at least the remaining depth (and an equally or less
 //!   constrained canonical floor) is not re-expanded.
 //!
-//! On divergence the minimal counterexample is found by iterative
-//! deepening (shortest failing schedule length) and tightened with the
-//! same ddmin machinery the oracle uses, then printed as a replayable
-//! `--replay` token string ([`crate::script::encode`]).
+//! A failing schedule from either mode is tightened with ddmin
+//! (exhaustive search first deepens iteratively to the shortest failing
+//! length) and printed as a replayable `--replay` token string
+//! ([`crate::script::encode`]).
 
 use std::collections::HashMap;
+use std::ops::Range;
 
 use proptest::shrink_sequence;
 use simkernel::PollBits;
 
+use crate::lane::{Lane, LaneKind, Mutant, Snapshot};
 use crate::model::Model;
-use crate::oracle::{Lane, LaneKind, Mutant, Snapshot};
 use crate::script::{self, Op};
 
 /// Exploration shape.
@@ -50,6 +55,9 @@ pub struct ExploreConfig {
     pub max_sends_per_conn: usize,
     /// Seeded fault to inject into the /dev/poll lanes.
     pub mutant: Mutant,
+    /// First descriptor number of every lane's process. The select
+    /// lane sits out once its descriptors would pass `FD_SETSIZE`.
+    pub fd_base: usize,
 }
 
 impl ExploreConfig {
@@ -60,6 +68,7 @@ impl ExploreConfig {
             depth: 6,
             max_sends_per_conn: 2,
             mutant: Mutant::None,
+            fd_base: 0,
         }
     }
 
@@ -67,10 +76,8 @@ impl ExploreConfig {
     /// ~2 minutes in release).
     pub fn full() -> ExploreConfig {
         ExploreConfig {
-            conns: 3,
             depth: 9,
-            max_sends_per_conn: 2,
-            mutant: Mutant::None,
+            ..ExploreConfig::quick()
         }
     }
 }
@@ -88,6 +95,12 @@ pub struct ExploreStats {
     pub dedup_hits: u64,
     /// Distinct world fingerprints seen.
     pub distinct_states: u64,
+    /// Invariant-audit checks the lanes' `/dev/poll` registries ran
+    /// (replays and walks only: exhaustive search forks its worlds).
+    pub audit_checks: u64,
+    /// Lock acquisitions the lanes' lockdep graphs recorded (replays
+    /// and walks only).
+    pub lock_acquisitions: u64,
 }
 
 impl ExploreStats {
@@ -97,6 +110,8 @@ impl ExploreStats {
         self.boundaries += other.boundaries;
         self.dedup_hits += other.dedup_hits;
         self.distinct_states += other.distinct_states;
+        self.audit_checks += other.audit_checks;
+        self.lock_acquisitions += other.lock_acquisitions;
     }
 }
 
@@ -120,6 +135,11 @@ pub enum DivergenceKind {
         /// Whether the kernel actually holds one.
         got: bool,
     },
+    /// The lane's lockdep graph recorded an inverted lock acquisition.
+    LockOrder {
+        /// The recorded violations, rendered.
+        detail: String,
+    },
 }
 
 /// A schedule on which a lane diverged from the reference model.
@@ -131,9 +151,11 @@ pub struct ExploreFailure {
     pub lane: &'static str,
     /// What went wrong.
     pub kind: DivergenceKind,
+    /// The disagreeing lane's probe snapshot at the failing boundary.
+    pub probe: String,
 }
 
-/// One exploration node: five backend worlds, the reference model, and
+/// One exploration node: the backend worlds, the reference model, and
 /// the canonical-order bookkeeping.
 #[derive(Clone)]
 struct World {
@@ -151,10 +173,14 @@ struct World {
 
 impl World {
     fn new(cfg: &ExploreConfig) -> World {
+        // `select()` cannot number descriptors past FD_SETSIZE — the
+        // paper's §2 wall, not a divergence.
+        let fits_select = cfg.fd_base + cfg.conns + 8 < devpoll::FD_SETSIZE;
         World {
             lanes: LaneKind::all()
                 .into_iter()
-                .map(|k| Lane::new_pending(k, cfg.conns, cfg.mutant))
+                .filter(|&k| fits_select || k != LaneKind::Select)
+                .map(|k| Lane::new(k, cfg.conns, cfg.mutant, cfg.fd_base))
                 .collect(),
             model: Model::new(cfg.conns),
             sends: vec![0; cfg.conns],
@@ -201,42 +227,44 @@ impl World {
     }
 
     /// Executes a wait boundary on every lane and checks each against
-    /// the reference model. `schedule` is borrowed only to build the
-    /// failure report.
+    /// the reference model and its own lock-order graph. `schedule` is
+    /// borrowed only to build the failure report.
     fn boundary(&mut self, schedule: &[Op]) -> Result<(), Box<ExploreFailure>> {
         for lane in &mut self.lanes {
-            let kind = lane.kind;
-            let got = lane.snapshot_raw();
-            let expected = self.model.expected(kind);
-            if got != expected {
+            if let Some(kind) = check_lane(lane, &self.model) {
                 return Err(Box::new(ExploreFailure {
                     schedule: schedule.to_vec(),
-                    lane: kind.name(),
-                    kind: DivergenceKind::Snapshot { expected, got },
+                    lane: lane.kind.name(),
+                    kind,
+                    probe: lane.kernel.probe().snapshot().to_text(),
                 }));
-            }
-            if matches!(kind, LaneKind::DevPoll | LaneKind::DevPollNoHints) {
-                for slot in 0..lane.accepted() {
-                    let expect = self.model.expect_kernel_watcher(slot);
-                    let have = lane.slot_watched_in_kernel(slot);
-                    if expect != have {
-                        return Err(Box::new(ExploreFailure {
-                            schedule: schedule.to_vec(),
-                            lane: kind.name(),
-                            kind: DivergenceKind::WatcherLeak {
-                                slot,
-                                expected: expect,
-                                got: have,
-                            },
-                        }));
-                    }
-                }
             }
         }
         self.model.apply(Op::Poll);
         self.min_slot = 0;
         self.last_was_poll = true;
         Ok(())
+    }
+
+    /// Runs `ops` from this world, checking every `Poll` boundary.
+    fn run(mut self, ops: &[Op]) -> Result<ExploreStats, Box<ExploreFailure>> {
+        let mut stats = ExploreStats {
+            schedules: 1,
+            ..ExploreStats::default()
+        };
+        for (i, &op) in ops.iter().enumerate() {
+            if op == Op::Poll {
+                stats.boundaries += 1;
+                self.boundary(&ops[..=i])?;
+            } else {
+                self.apply(op);
+            }
+        }
+        for lane in &self.lanes {
+            stats.audit_checks += lane.registry.audit_checks();
+            stats.lock_acquisitions += lane.lock_graph().acquisitions();
+        }
+        Ok(stats)
     }
 
     /// The canonically-enabled events, in deterministic expansion order.
@@ -276,6 +304,40 @@ impl World {
         }
         ops
     }
+}
+
+/// Runs one wait boundary on `lane` and checks it: the raw ready set
+/// against the model, the kernel-watcher invariant on the /dev/poll
+/// lanes, and the lane's lock order. `None` when the lane conforms.
+fn check_lane(lane: &mut Lane, model: &Model) -> Option<DivergenceKind> {
+    let got = lane.ready_set();
+    let expected = model.expected(lane.kind);
+    if got != expected {
+        return Some(DivergenceKind::Snapshot { expected, got });
+    }
+    if matches!(lane.kind, LaneKind::DevPoll | LaneKind::DevPollNoHints) {
+        for slot in 0..lane.accepted() {
+            let expected = model.expect_kernel_watcher(slot);
+            let got = lane.slot_watched_in_kernel(slot);
+            if expected != got {
+                return Some(DivergenceKind::WatcherLeak {
+                    slot,
+                    expected,
+                    got,
+                });
+            }
+        }
+    }
+    let violations = lane.lock_graph().violations();
+    if !violations.is_empty() {
+        let detail = violations
+            .iter()
+            .map(|v| v.to_string())
+            .collect::<Vec<_>>()
+            .join("; ");
+        return Some(DivergenceKind::LockOrder { detail });
+    }
+    None
 }
 
 /// Memo key: world fingerprint plus the two bits of search bookkeeping
@@ -358,30 +420,66 @@ fn dfs(world: &World, depth_left: usize, ctx: &mut Ctx<'_>) -> Result<(), Box<Ex
     Ok(())
 }
 
-/// Replays one explicit schedule (the `--replay` path and the ddmin
-/// predicate): fresh worlds, every `Poll` checked against the model.
+/// Replays one explicit schedule (the `--replay` path): fresh worlds,
+/// every `Poll` checked against the model.
 pub fn replay(ops: &[Op], cfg: &ExploreConfig) -> Result<ExploreStats, Box<ExploreFailure>> {
-    let mut world = World::new(cfg);
-    let mut stats = ExploreStats::default();
-    for (i, &op) in ops.iter().enumerate() {
-        if op == Op::Poll {
-            stats.boundaries += 1;
-            world.boundary(&ops[..=i])?;
-        } else {
-            world.apply(op);
+    World::new(cfg).run(ops)
+}
+
+/// Tightens a failing schedule with ddmin and replays the minimum for
+/// its report. Every candidate replays from a fork of `root`, which is
+/// cheaper than building fresh worlds.
+fn shrink(root: &World, schedule: &[Op]) -> ExploreFailure {
+    let minimal = shrink_sequence(schedule, |candidate| root.clone().run(candidate).is_err());
+    match root.clone().run(&minimal) {
+        Err(f) => *f,
+        Ok(_) => unreachable!("invariant: shrink_sequence keeps failing schedules"),
+    }
+}
+
+/// The outcome of a range of walks.
+#[derive(Debug, Clone, Default)]
+pub struct Walks {
+    /// Statistics summed over the conforming walks.
+    pub stats: ExploreStats,
+    /// Walks that diverged from the model.
+    pub failing: u64,
+    /// The shortest failing walk after shrinking.
+    pub shortest: Option<ExploreFailure>,
+}
+
+/// Runs walk *s* for every seed *s* in `seeds` and shrinks each
+/// failure. Walk *s* is `cfg.conns` accepts, then the seed's generated
+/// script ([`script::generate`]), replayed from a fork of one root world
+/// against the model; `cfg.depth` and `max_sends_per_conn` do not
+/// apply.
+pub fn walks(seeds: Range<u64>, cfg: &ExploreConfig) -> Walks {
+    let root = World::new(cfg);
+    let mut out = Walks::default();
+    for seed in seeds {
+        match root.clone().run(&script::generate(seed, cfg.conns)) {
+            Ok(stats) => out.stats.absorb(stats),
+            Err(failure) => {
+                out.failing += 1;
+                let minimal = shrink(&root, &failure.schedule);
+                if out
+                    .shortest
+                    .as_ref()
+                    .is_none_or(|best| minimal.schedule.len() < best.schedule.len())
+                {
+                    out.shortest = Some(minimal);
+                }
+            }
         }
     }
-    stats.schedules = 1;
-    Ok(stats)
+    out
 }
 
 /// A minimal counterexample: found by iterative deepening (no shorter
 /// schedule fails), then ddmin-tightened and re-verified.
 #[derive(Debug, Clone)]
 pub struct Counterexample {
-    /// The minimal failing schedule.
-    pub schedule: Vec<Op>,
-    /// Its divergence.
+    /// The minimal failing schedule and its divergence.
     pub failure: ExploreFailure,
     /// Exploration statistics accumulated across all deepening rounds.
     pub stats: ExploreStats,
@@ -401,16 +499,8 @@ pub fn find_minimal_counterexample(cfg: &ExploreConfig) -> Option<Counterexample
         match explore(&round) {
             Ok(s) => stats.absorb(s),
             Err(failure) => {
-                let minimal = shrink_sequence(&failure.schedule, |candidate| {
-                    replay(candidate, cfg).is_err()
-                });
-                let failure = match replay(&minimal, cfg) {
-                    Err(f) => *f,
-                    Ok(_) => unreachable!("invariant: shrink_sequence keeps failing schedules"),
-                };
                 return Some(Counterexample {
-                    schedule: minimal,
-                    failure,
+                    failure: shrink(&World::new(cfg), &failure.schedule),
                     stats,
                     depth,
                 });
@@ -431,6 +521,14 @@ pub fn render_failure(f: &ExploreFailure, cfg: &ExploreConfig) -> String {
         f.schedule.len()
     );
     let _ = write!(out, "{}", script::render(&f.schedule));
+    let _ = writeln!(
+        out,
+        "probe snapshot of `{}` at the failing boundary:",
+        f.lane
+    );
+    for line in f.probe.lines() {
+        let _ = writeln!(out, "  {line}");
+    }
     match &f.kind {
         DivergenceKind::Snapshot { expected, got } => {
             let _ = writeln!(out, "at the final boundary:");
@@ -448,6 +546,9 @@ pub fn render_failure(f: &ExploreFailure, cfg: &ExploreConfig) -> String {
                  interest-table says {expected}, watcher registry says {got} \
                  (POLLREMOVE dual-purge)",
             );
+        }
+        DivergenceKind::LockOrder { detail } => {
+            let _ = writeln!(out, "lock-order violation: {detail}");
         }
     }
     let _ = writeln!(
@@ -470,6 +571,7 @@ mod tests {
             depth: 5,
             max_sends_per_conn: 1,
             mutant,
+            fd_base: 0,
         }
     }
 
@@ -495,6 +597,55 @@ mod tests {
         let ops = script::parse("a w0:i d0:512 P r0:1048576 P").expect("valid tokens");
         // 6 ops > depth 5 is fine: replay ignores cfg.depth.
         replay(&ops, &cfg).expect("clean schedule must conform");
+    }
+
+    #[test]
+    fn an_inverted_lock_acquisition_fails_replay_naming_the_lane() {
+        use devpoll::{LockClass, LockGraph};
+        let cfg = tiny(Mutant::None);
+        let ops = script::parse("a w0:i P").expect("valid tokens");
+        let mut world = World::new(&cfg);
+        let mut graph = LockGraph::new();
+        for order in [
+            [LockClass::Backmap, LockClass::Socket],
+            [LockClass::Socket, LockClass::Backmap],
+        ] {
+            graph.acquire(order[0]);
+            graph.acquire(order[1]);
+            graph.release(order[1]);
+            graph.release(order[0]);
+        }
+        let rtsig = world
+            .lanes
+            .iter_mut()
+            .find(|l| l.kind == LaneKind::RtSig)
+            .expect("the rtsig lane runs at fd base 0");
+        rtsig.planted_locks = Some(graph);
+        let failure = world.run(&ops).expect_err("an inverted order must fail");
+        assert_eq!(failure.lane, "rtsig");
+        let DivergenceKind::LockOrder { detail } = &failure.kind else {
+            panic!("expected a lock-order failure, got {:?}", failure.kind);
+        };
+        assert!(
+            detail.contains("acquired backmap while holding socket"),
+            "{detail}"
+        );
+        let report = render_failure(&failure, &cfg);
+        assert!(report.contains("lock-order violation"), "{report}");
+        assert!(report.contains("probe snapshot of `rtsig`"), "{report}");
+    }
+
+    #[test]
+    fn fd_base_numbers_every_lane_and_benches_select() {
+        let cfg = ExploreConfig {
+            fd_base: 1_000_000,
+            ..tiny(Mutant::None)
+        };
+        let mut w = World::new(&cfg);
+        w.apply(Op::Accept);
+        assert_eq!(w.lanes.len(), 4, "select cannot number fds past FD_SETSIZE");
+        assert!(w.lanes.iter().all(|l| l.kind != LaneKind::Select));
+        assert!(w.lanes.iter().all(|l| l.fds[0] >= 1_000_000));
     }
 
     #[test]

@@ -1,30 +1,28 @@
 //! The `simcheck` CLI: offline analysis passes over the simulation.
 //!
 //! ```text
-//! simcheck all                  # lint + oracle sweep + audit + quick explore (CI entry)
+//! simcheck all [--seeds N]      # lint + N clean walks + quick explore (CI entry)
 //! simcheck lint                 # source lint pass; any finding fails
-//! simcheck oracle [--seeds N] [--conns N] [--ops N]
-//! simcheck audit  [--seed N]    # one audited run; prints live check counts
-//! simcheck explore [--depth quick|full|N] [--conns N] [--max-sends N]
-//!                  [--mutant NAME] [--min-schedules N]
+//! simcheck explore [--depth quick|full|N] [--conns 1..=4] [--max-sends N]
+//!                  [--mutant NAME] [--min-schedules N] [--walks N]
 //!                  [--replay "<tokens>"]
-//!                               # bounded exhaustive model checking; with a
-//!                               # mutant, hunts the minimal counterexample
-//! simcheck mutants [--seeds N]  # explore vs. random oracle on all seeded
-//!                               # faults; explore must win strictly
-//! simcheck --replay <seed>      # rerun one oracle seed; on divergence print
-//!                               # the minimal script + probe snapshot
+//!                               # model checking against the reference model:
+//!                               # exhaustive to a depth bound, or N seeded
+//!                               # walks; with a mutant, hunts the minimal
+//!                               # counterexample
+//! simcheck mutants [--seeds N]  # every seeded fault caught by walks, and
+//!                               # explore's counterexample no longer
 //! ```
 //!
-//! Exit status is non-zero on any finding, so CI can gate on it.
+//! Exit status is non-zero on any finding, so CI can gate on it; a
+//! usage error exits 2 naming the flag.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
 
 use simcheck::explore::{self, ExploreConfig};
-use simcheck::oracle::{self, Failure, Mutant};
-use simcheck::script::ScriptConfig;
+use simcheck::lane::Mutant;
 use simcheck::{lint, script};
 
 /// Repository root (the workspace the binary was built from).
@@ -35,14 +33,19 @@ fn repo_root() -> PathBuf {
         .unwrap_or_else(|_| PathBuf::from("."))
 }
 
+/// Stops the CLI with a usage error: exit 2, never a default run in
+/// place of what was asked.
+fn usage(msg: &str) -> ! {
+    eprintln!("simcheck: {msg}");
+    std::process::exit(2);
+}
+
 /// The value following `flag`, or `None` when the flag is absent. A
-/// present flag with no value is a usage error: exit 2 naming the flag,
-/// rather than run the default in its place.
+/// present flag with no value is a usage error naming the flag.
 fn parse_str_flag<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
     let i = args.iter().position(|a| a == flag)?;
     let Some(value) = args.get(i + 1) else {
-        eprintln!("simcheck: {flag} needs a value");
-        std::process::exit(2);
+        usage(&format!("{flag} needs a value"));
     };
     Some(value)
 }
@@ -54,22 +57,10 @@ fn parse_flag(args: &[String], flag: &str) -> Option<u64> {
     let value = parse_str_flag(args, flag)?;
     match value.parse() {
         Ok(n) => Some(n),
-        Err(_) => {
-            eprintln!("simcheck: {flag} expects a non-negative integer, got {value:?}");
-            std::process::exit(2);
-        }
+        Err(_) => usage(&format!(
+            "{flag} expects a non-negative integer, got {value:?}"
+        )),
     }
-}
-
-fn script_config(args: &[String]) -> ScriptConfig {
-    let mut cfg = ScriptConfig::default();
-    if let Some(c) = parse_flag(args, "--conns") {
-        cfg.conns = (c as usize).max(1);
-    }
-    if let Some(o) = parse_flag(args, "--ops") {
-        cfg.ops = o as usize;
-    }
-    cfg
 }
 
 fn run_lint(root: &Path) -> bool {
@@ -92,116 +83,54 @@ fn run_lint(root: &Path) -> bool {
     }
 }
 
-fn run_oracle(args: &[String]) -> bool {
-    let seeds = parse_flag(args, "--seeds").unwrap_or(25);
-    let cfg = script_config(args);
-    match oracle::sweep(0..seeds, cfg, Mutant::None) {
-        Ok(stats) => {
-            println!(
-                "oracle: OK — {seeds} seed(s), {} op(s), {} boundarie(s) compared, \
-                 {} audit check(s), {} lock acquisition(s)",
-                stats.ops, stats.boundaries, stats.audit_checks, stats.lock_acquisitions
-            );
-            true
-        }
-        Err(failure) => {
-            println!("oracle: FAIL");
-            print!("{}", oracle::render_failure(&failure));
-            println!(
-                "replay with: cargo run -p simcheck -- --replay {}",
-                failure.seed
-            );
-            false
-        }
-    }
-}
-
-fn run_audit(args: &[String]) -> bool {
-    let seed = parse_flag(args, "--seed").unwrap_or(0);
-    let cfg = script_config(args);
-    match oracle::run_seed(seed, cfg, Mutant::None) {
-        Ok(stats) => {
-            println!(
-                "audit: OK — seed {seed}: {} invariant check(s) live, {} lock acquisition(s), \
-                 0 order violations",
-                stats.audit_checks, stats.lock_acquisitions
-            );
-            stats.audit_checks > 0
-        }
-        Err(Failure::Divergence(d)) => {
-            println!(
-                "audit: FAIL — lanes diverged at op {} ({})",
-                d.op_index, d.lane
-            );
-            false
-        }
-        Err(Failure::LockOrder { lane, detail }) => {
-            println!("audit: FAIL — lock order violation in `{lane}`: {detail}");
-            false
-        }
-    }
-}
-
-fn run_replay(seed: u64, args: &[String]) -> bool {
-    let cfg = script_config(args);
-    match oracle::run_seed(seed, cfg, Mutant::None) {
-        Ok(stats) => {
-            println!(
-                "replay: seed {seed} passes ({} boundarie(s) compared); script:",
-                stats.boundaries
-            );
-            print!("{}", script::render(&script::generate(seed, cfg)));
-            true
-        }
-        Err(_) => {
-            let failure = oracle::shrink_failure(seed, cfg, Mutant::None);
-            print!("{}", oracle::render_failure(&failure));
-            false
-        }
-    }
-}
-
 /// Builds an [`ExploreConfig`] from `--depth quick|full|N`, `--conns`,
-/// `--max-sends` and `--mutant`.
-fn explore_config(args: &[String]) -> Result<ExploreConfig, String> {
+/// `--max-sends` and `--mutant`; a bad value is a usage error.
+fn explore_config(args: &[String]) -> ExploreConfig {
     let mut cfg = match parse_str_flag(args, "--depth") {
         None | Some("quick") => ExploreConfig::quick(),
         Some("full") => ExploreConfig::full(),
-        Some(n) => {
-            let depth: usize = n
-                .parse()
-                .map_err(|_| format!("--depth expects quick, full or a number, got `{n}`"))?;
-            ExploreConfig {
-                depth,
-                ..ExploreConfig::quick()
-            }
-        }
+        Some(n) => ExploreConfig {
+            depth: n.parse().unwrap_or_else(|_| {
+                usage(&format!(
+                    "--depth expects quick, full or a number, got {n:?}"
+                ))
+            }),
+            ..ExploreConfig::quick()
+        },
     };
     if let Some(c) = parse_flag(args, "--conns") {
-        cfg.conns = (c as usize).clamp(1, 4);
+        if !(1..=4).contains(&c) {
+            usage(&format!("--conns expects 1 to 4 connections, got {c}"));
+        }
+        cfg.conns = c as usize;
     }
     if let Some(s) = parse_flag(args, "--max-sends") {
         cfg.max_sends_per_conn = s as usize;
     }
     if let Some(name) = parse_str_flag(args, "--mutant") {
-        cfg.mutant = Mutant::parse(name)
-            .ok_or_else(|| format!("unknown mutant `{name}` (see `simcheck mutants`)"))?;
+        cfg.mutant = Mutant::parse(name).unwrap_or_else(|| {
+            usage(&format!(
+                "--mutant expects none, skip-revalidation, or-semantics or \
+                 skip-backmap-purge, got {name:?}"
+            ))
+        });
     }
-    Ok(cfg)
+    cfg
 }
 
 #[allow(clippy::disallowed_methods)] // reports the exploration's own wall time
 fn run_explore(args: &[String]) -> bool {
     let min_schedules = parse_flag(args, "--min-schedules");
-    let cfg = match explore_config(args) {
-        Ok(cfg) => cfg,
-        Err(msg) => {
-            eprintln!("explore: {msg}");
-            return false;
-        }
-    };
+    let walks = parse_flag(args, "--walks");
+    let cfg = explore_config(args);
     if let Some(tokens) = parse_str_flag(args, "--replay") {
         return run_explore_replay(tokens, &cfg);
+    }
+    if let Some(n) = walks {
+        if n == 0 {
+            usage("--walks expects at least 1 walk, got 0");
+        }
+        return run_walks(n, &cfg);
     }
     let started = Instant::now();
     if cfg.mutant != Mutant::None {
@@ -213,7 +142,7 @@ fn run_explore(args: &[String]) -> bool {
                     "explore: mutant `{}` caught — minimal counterexample ({} op(s), \
                      found at depth {}, {} schedule(s) explored, {:.1}s):",
                     cfg.mutant.name(),
-                    cx.schedule.len(),
+                    cx.failure.schedule.len(),
                     cx.depth,
                     cx.stats.schedules,
                     started.elapsed().as_secs_f64()
@@ -266,13 +195,7 @@ fn run_explore(args: &[String]) -> bool {
 }
 
 fn run_explore_replay(tokens: &str, cfg: &ExploreConfig) -> bool {
-    let ops = match script::parse(tokens) {
-        Ok(ops) => ops,
-        Err(msg) => {
-            eprintln!("explore --replay: {msg}");
-            return false;
-        }
-    };
+    let ops = script::parse(tokens).unwrap_or_else(|msg| usage(&format!("--replay: {msg}")));
     match explore::replay(&ops, cfg) {
         Ok(stats) => {
             println!(
@@ -294,18 +217,41 @@ fn run_explore_replay(tokens: &str, cfg: &ExploreConfig) -> bool {
     }
 }
 
-/// One row of the explore-vs-oracle comparison.
-struct MutantRow {
-    mutant: Mutant,
-    explore_len: Option<usize>,
-    /// Minimal shrunk oracle script length over all failing seeds, plus
-    /// the `conns` accepts the oracle harness performs implicitly
-    /// before every script (the explore schedule pays for its accepts
-    /// as explicit ops, so the comparison counts both sides' setup).
-    oracle_len: Option<usize>,
-    oracle_failing_seeds: usize,
+/// Runs walks `0..seeds`. Clean worlds must conform on every walk,
+/// with the auditor and lockdep live (nonzero counts); a mutant must be
+/// caught by at least one walk.
+#[allow(clippy::disallowed_methods)] // reports the walks' own wall time
+fn run_walks(seeds: u64, cfg: &ExploreConfig) -> bool {
+    let started = Instant::now();
+    let walks = explore::walks(0..seeds, cfg);
+    let s = walks.stats;
+    let ok = if cfg.mutant == Mutant::None {
+        walks.failing == 0 && s.audit_checks > 0 && s.lock_acquisitions > 0
+    } else {
+        walks.failing > 0
+    };
+    println!(
+        "walks: {} — conns {}, mutant {}: {} of {seeds} walk(s) failed; the rest checked {} \
+         boundarie(s) against the model, {} audit check(s), {} lock acquisition(s), {:.1}s",
+        if ok { "OK" } else { "FAIL" },
+        cfg.conns,
+        cfg.mutant.name(),
+        walks.failing,
+        s.boundaries,
+        s.audit_checks,
+        s.lock_acquisitions,
+        started.elapsed().as_secs_f64()
+    );
+    if let Some(f) = &walks.shortest {
+        println!("shortest failing walk, shrunk:");
+        print!("{}", explore::render_failure(f, cfg));
+    }
+    ok
 }
 
+/// For every seeded fault: walks `0..seeds` must catch it, and
+/// exhaustive explore's counterexample must be no longer than the
+/// shortest shrunk walk.
 fn run_mutants(args: &[String]) -> bool {
     let seeds = parse_flag(args, "--seeds").unwrap_or(200);
     // Two connections suffice for every seeded fault and keep the
@@ -314,60 +260,38 @@ fn run_mutants(args: &[String]) -> bool {
     let ex_cfg = ExploreConfig {
         conns: 2,
         depth: 8,
-        max_sends_per_conn: 2,
-        mutant: Mutant::None,
+        ..ExploreConfig::quick()
     };
-    let or_cfg = ScriptConfig::default();
-    let mut rows = Vec::new();
+    let mut ok = true;
+    println!("mutants: exhaustive explore vs. {seeds} walk(s) (lengths include accepts)");
     for mutant in Mutant::all() {
         let cx = explore::find_minimal_counterexample(&ExploreConfig { mutant, ..ex_cfg });
-        let mut best: Option<usize> = None;
-        let mut failing = 0usize;
-        for seed in 0..seeds {
-            if oracle::run_seed(seed, or_cfg, mutant).is_err() {
-                failing += 1;
-                let shrunk = oracle::shrink_failure(seed, or_cfg, mutant);
-                let len = shrunk.minimal.len() + or_cfg.conns;
-                if best.is_none_or(|b| len < b) {
-                    best = Some(len);
-                }
-            }
-        }
-        rows.push(MutantRow {
-            mutant,
-            explore_len: cx.map(|c| c.schedule.len()),
-            oracle_len: best,
-            oracle_failing_seeds: failing,
-        });
-    }
-    let mut ok = true;
-    println!("mutants: explore vs. random oracle ({seeds} seed(s); lengths include accepts)");
-    for row in &rows {
-        let explore_s = row
-            .explore_len
-            .map_or("MISSED".to_string(), |l| format!("{l} op(s)"));
-        let oracle_s = row.oracle_len.map_or_else(
-            || "not caught".to_string(),
-            |l| format!("{l} op(s), {} failing seed(s)", row.oracle_failing_seeds),
+        let explore_len = cx.map(|c| c.failure.schedule.len());
+        let walks = explore::walks(
+            0..seeds,
+            &ExploreConfig {
+                mutant,
+                ..ExploreConfig::quick()
+            },
         );
-        let win = match (row.explore_len, row.oracle_len) {
-            (Some(e), Some(o)) => e < o,
-            (Some(_), None) => true,
-            _ => false,
-        };
-        ok &= win;
+        let walk_len = walks.shortest.map(|f| f.schedule.len());
+        let pass = matches!((explore_len, walk_len), (Some(e), Some(w)) if e <= w);
+        ok &= pass;
         println!(
-            "  {:<20} explore {:<10} oracle {:<30} {}",
-            row.mutant.name(),
-            explore_s,
-            oracle_s,
-            if win { "explore wins" } else { "FAIL" }
+            "  {:<20} explore {:<10} walks {:<30} {}",
+            mutant.name(),
+            explore_len.map_or("MISSED".to_string(), |l| format!("{l} op(s)")),
+            walk_len.map_or("MISSED".to_string(), |l| format!(
+                "{l} op(s), {} failing seed(s)",
+                walks.failing
+            )),
+            if pass { "ok" } else { "FAIL" }
         );
     }
     if ok {
-        println!("mutants: OK — every seeded fault caught, strictly shorter than the oracle");
+        println!("mutants: OK — every seeded fault caught; explore is never longer than a walk");
     } else {
-        println!("mutants: FAIL — a seeded fault was missed or not strictly shorter");
+        println!("mutants: FAIL — a seeded fault was missed, or a walk beat explore");
     }
     ok
 }
@@ -377,23 +301,14 @@ fn main() -> ExitCode {
     let cmd = args.first().map(String::as_str).unwrap_or("all");
     let ok = match cmd {
         "lint" => run_lint(&repo_root()),
-        "oracle" => run_oracle(&args),
-        "audit" => run_audit(&args),
         "explore" => run_explore(&args),
         "mutants" => run_mutants(&args),
-        "--replay" => match args.get(1).and_then(|s| s.parse().ok()) {
-            Some(seed) => run_replay(seed, &args),
-            None => {
-                eprintln!("usage: simcheck --replay <seed>");
-                false
-            }
-        },
         "all" => {
+            let seeds = parse_flag(&args, "--seeds").unwrap_or(25);
             let lint_ok = run_lint(&repo_root());
-            let oracle_ok = run_oracle(&args);
-            let audit_ok = run_audit(&args);
+            let walks_ok = run_walks(seeds, &ExploreConfig::quick());
             let explore_ok = run_explore(&["--depth".into(), "quick".into()]);
-            lint_ok && oracle_ok && audit_ok && explore_ok
+            lint_ok && walks_ok && explore_ok
         }
         other => {
             eprintln!("unknown command `{other}`; see src/main.rs docs for usage");

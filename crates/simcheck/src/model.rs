@@ -38,7 +38,7 @@
 
 use simkernel::PollBits;
 
-use crate::oracle::{LaneKind, Snapshot};
+use crate::lane::{LaneKind, Snapshot};
 use crate::script::Op;
 
 /// Reference state of one connection slot.
@@ -211,13 +211,16 @@ impl Model {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::script;
 
     const IN: PollBits = PollBits::POLLIN;
     const OUT: PollBits = PollBits::POLLOUT;
 
-    fn model_after(conns: usize, ops: &[Op]) -> Model {
+    /// The model over `conns` slots after the replay-token schedule
+    /// `tokens` ([`script::parse`]).
+    fn model_after(conns: usize, tokens: &str) -> Model {
         let mut m = Model::new(conns);
-        for &op in ops {
+        for op in script::parse(tokens).expect("valid tokens") {
             m.apply(op);
         }
         m
@@ -225,16 +228,7 @@ mod tests {
 
     #[test]
     fn fresh_accepted_watched_slot_is_writable_only() {
-        let m = model_after(
-            2,
-            &[
-                Op::Accept,
-                Op::Watch {
-                    conn: 0,
-                    events: IN | OUT,
-                },
-            ],
-        );
+        let m = model_after(2, "a w0:io");
         assert_eq!(m.expected(LaneKind::Poll), vec![(0, OUT)]);
         assert_eq!(m.expected(LaneKind::Select), vec![(0, OUT)]);
     }
@@ -243,33 +237,13 @@ mod tests {
     fn data_arrival_reports_in_even_before_accept_happened_first() {
         // Data sent before the accept is buffered by the transport and
         // visible at the first boundary after the accept.
-        let m = model_after(
-            1,
-            &[
-                Op::ClientSend { conn: 0, bytes: 64 },
-                Op::Accept,
-                Op::Watch {
-                    conn: 0,
-                    events: IN,
-                },
-            ],
-        );
+        let m = model_after(1, "d0:64 a w0:i");
         assert_eq!(m.expected(LaneKind::Poll), vec![(0, IN)]);
     }
 
     #[test]
     fn hup_is_always_reported_by_poll_but_not_select() {
-        let m = model_after(
-            1,
-            &[
-                Op::Accept,
-                Op::Watch {
-                    conn: 0,
-                    events: OUT,
-                },
-                Op::ClientClose { conn: 0 },
-            ],
-        );
+        let m = model_after(1, "a w0:o f0");
         // poll reports HUP even for an OUT-only interest; OUT itself is
         // suppressed by the hangup.
         assert_eq!(m.expected(LaneKind::Poll), vec![(0, PollBits::POLLHUP)]);
@@ -279,17 +253,7 @@ mod tests {
 
     #[test]
     fn fin_makes_the_stream_readable_for_select() {
-        let m = model_after(
-            1,
-            &[
-                Op::Accept,
-                Op::Watch {
-                    conn: 0,
-                    events: IN,
-                },
-                Op::ClientClose { conn: 0 },
-            ],
-        );
+        let m = model_after(1, "a w0:i f0");
         assert_eq!(m.expected(LaneKind::Select), vec![(0, IN)]);
         assert_eq!(
             m.expected(LaneKind::Poll),
@@ -299,82 +263,27 @@ mod tests {
 
     #[test]
     fn watch_replaces_interest_instead_of_oring() {
-        let m = model_after(
-            1,
-            &[
-                Op::Accept,
-                Op::ClientSend { conn: 0, bytes: 8 },
-                Op::Watch {
-                    conn: 0,
-                    events: IN,
-                },
-                Op::Watch {
-                    conn: 0,
-                    events: OUT,
-                },
-            ],
-        );
+        let m = model_after(1, "a d0:8 w0:i w0:o");
         // Readable data exists, but interest was *replaced* by OUT.
         assert_eq!(m.expected(LaneKind::Poll), vec![(0, OUT)]);
     }
 
     #[test]
     fn read_drains_and_clears_in() {
-        let m = model_after(
-            1,
-            &[
-                Op::Accept,
-                Op::Watch {
-                    conn: 0,
-                    events: IN,
-                },
-                Op::ClientSend {
-                    conn: 0,
-                    bytes: 100,
-                },
-                Op::ServerRead {
-                    conn: 0,
-                    max: 1 << 20,
-                },
-            ],
-        );
+        let m = model_after(1, "a w0:i d0:100 r0:1048576");
         assert_eq!(m.expected(LaneKind::Poll), vec![]);
     }
 
     #[test]
     fn ops_on_unaccepted_slots_are_no_ops_and_total() {
-        let mut m = Model::new(1);
-        for op in [
-            Op::Watch {
-                conn: 0,
-                events: IN,
-            },
-            Op::ServerRead { conn: 0, max: 10 },
-            Op::Unwatch { conn: 0 },
-            Op::Watch {
-                conn: 5,
-                events: IN,
-            },
-            Op::ServerRead { conn: 9, max: 1 },
-        ] {
-            m.apply(op);
-        }
+        let m = model_after(1, "w0:i r0:10 u0 w5:i r9:1");
         assert_eq!(m.expected(LaneKind::Poll), vec![]);
         assert!(!m.is_accepted(0));
     }
 
     #[test]
     fn unwatch_clears_the_kernel_watcher_expectation() {
-        let mut m = model_after(
-            1,
-            &[
-                Op::Accept,
-                Op::Watch {
-                    conn: 0,
-                    events: IN,
-                },
-            ],
-        );
+        let mut m = model_after(1, "a w0:i");
         assert!(m.expect_kernel_watcher(0));
         m.apply(Op::Unwatch { conn: 0 });
         assert!(!m.expect_kernel_watcher(0));

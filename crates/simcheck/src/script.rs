@@ -1,11 +1,12 @@
-//! Seeded event scripts: the deterministic workloads the differential
-//! oracle drives through every backend.
+//! Event schedules: the op alphabet `explore` drives through every
+//! backend, its replay-token encoding, and the seeded scripts walks
+//! run.
 //!
-//! A script is a flat list of [`Op`]s over a fixed set of pre-established
+//! A schedule is a flat list of [`Op`]s over a fixed set of established
 //! connections. Generation is a pure function of the seed (via the
-//! proptest shim's splitmix64 generator), so any failure is replayable
-//! from its seed alone, and a script slice remains a valid script — the
-//! property [`proptest::shrink_sequence`] needs to minimise one.
+//! proptest shim's splitmix64 generator), and any subsequence of a
+//! schedule is itself a valid schedule — the property
+//! [`proptest::shrink_sequence`] needs to minimise one.
 
 use proptest::Rng;
 use simkernel::PollBits;
@@ -18,9 +19,8 @@ use std::fmt;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Op {
     /// Accept the next pending connection (slots are accepted in
-    /// arrival order, so the k-th `Accept` establishes slot k). Only
-    /// emitted by `explore` schedules; oracle scripts pre-accept every
-    /// slot at setup, and an `Accept` with nothing pending is a no-op.
+    /// arrival order, so the k-th `Accept` establishes slot k). An
+    /// `Accept` with nothing pending is a no-op.
     Accept,
     /// Declare interest in `events` on the slot's server fd.
     Watch {
@@ -60,8 +60,8 @@ pub enum Op {
         /// Payload size.
         bytes: usize,
     },
-    /// A wait boundary: every lane collects its ready set and the oracle
-    /// compares the normalised snapshots.
+    /// A wait boundary: every lane collects its ready set, checked
+    /// against the reference model.
     Poll,
 }
 
@@ -80,30 +80,21 @@ impl fmt::Display for Op {
     }
 }
 
-/// Script shape knobs.
-#[derive(Debug, Clone, Copy)]
-pub struct ScriptConfig {
-    /// Pre-established connections (slots).
-    pub conns: usize,
-    /// Generated ops before the closing `Poll`.
-    pub ops: usize,
-}
+/// Weighted random ops in a generated script, between its accepts and
+/// its closing `Poll`.
+pub const SCRIPT_OPS: usize = 40;
 
-impl Default for ScriptConfig {
-    fn default() -> ScriptConfig {
-        ScriptConfig { conns: 5, ops: 40 }
-    }
-}
-
-/// Generates the script for `seed`.
+/// Generates the script for `seed` over `conns` connections: `conns`
+/// accepts, [`SCRIPT_OPS`] weighted random ops, then a `Poll`.
 ///
-/// Deterministic: same seed, same script. Every script ends with a
-/// `Poll` so at least one comparison boundary exists.
-pub fn generate(seed: u64, cfg: ScriptConfig) -> Vec<Op> {
+/// Deterministic: same seed, same script. The closing `Poll` makes
+/// sure at least one boundary is checked. `conns` must be at least 1.
+pub fn generate(seed: u64, conns: usize) -> Vec<Op> {
     let mut rng = Rng::from_seed(seed);
-    let mut ops = Vec::with_capacity(cfg.ops + 1);
-    for _ in 0..cfg.ops {
-        let conn = (rng.next_u64() as usize) % cfg.conns;
+    let mut ops = vec![Op::Accept; conns];
+    ops.reserve(SCRIPT_OPS + 1);
+    for _ in 0..SCRIPT_OPS {
+        let conn = (rng.next_u64() as usize) % conns;
         let op = match rng.next_u64() % 100 {
             0..=17 => Op::Watch {
                 conn,
@@ -250,47 +241,29 @@ mod tests {
 
     #[test]
     fn generation_is_deterministic() {
-        let cfg = ScriptConfig::default();
-        assert_eq!(generate(42, cfg), generate(42, cfg));
-        assert_ne!(generate(42, cfg), generate(43, cfg));
+        assert_eq!(generate(42, 3), generate(42, 3));
+        assert_ne!(generate(42, 3), generate(43, 3));
     }
 
     #[test]
-    fn scripts_end_with_a_poll_boundary() {
+    fn scripts_accept_every_slot_then_end_with_a_poll_boundary() {
         for seed in 0..32 {
-            let ops = generate(seed, ScriptConfig::default());
+            let ops = generate(seed, 3);
+            assert_eq!(ops.len(), 3 + SCRIPT_OPS + 1);
+            assert_eq!(ops[..3], [Op::Accept; 3]);
             assert_eq!(*ops.last().unwrap(), Op::Poll);
         }
     }
 
     #[test]
     fn encode_parse_roundtrips() {
-        let ops = vec![
-            Op::Accept,
-            Op::Watch {
-                conn: 0,
-                events: PollBits::POLLIN,
-            },
-            Op::Watch {
-                conn: 1,
-                events: PollBits::POLLIN | PollBits::POLLOUT,
-            },
-            Op::ClientSend {
-                conn: 2,
-                bytes: 512,
-            },
-            Op::Poll,
-            Op::ServerRead { conn: 0, max: 4096 },
-            Op::ClientClose { conn: 1 },
-            Op::Unwatch { conn: 0 },
-            Op::ServerSend { conn: 1, bytes: 64 },
-            Op::Poll,
-        ];
-        let text = encode(&ops);
-        assert_eq!(parse(&text).unwrap(), ops);
-        // Generated scripts roundtrip too.
-        let gen = generate(3, ScriptConfig::default());
-        assert_eq!(parse(&encode(&gen)).unwrap(), gen);
+        let text = "a w0:i w1:io w2:o d2:512 P r0:4096 f1 u0 s1:64 P";
+        assert_eq!(encode(&parse(text).unwrap()), text);
+        // Generated scripts roundtrip too, every op kind included.
+        for seed in 0..8 {
+            let gen = generate(seed, 5);
+            assert_eq!(parse(&encode(&gen)).unwrap(), gen);
+        }
     }
 
     #[test]
@@ -302,8 +275,7 @@ mod tests {
 
     #[test]
     fn conn_slots_stay_in_range() {
-        let cfg = ScriptConfig { conns: 3, ops: 200 };
-        for op in generate(7, cfg) {
+        for op in (0..8).flat_map(|seed| generate(seed, 3)) {
             let conn = match op {
                 Op::Watch { conn, .. }
                 | Op::Unwatch { conn }
@@ -313,7 +285,7 @@ mod tests {
                 | Op::ServerSend { conn, .. } => conn,
                 Op::Accept | Op::Poll => 0,
             };
-            assert!(conn < cfg.conns);
+            assert!(conn < 3);
         }
     }
 }

@@ -1,21 +1,32 @@
 //! A flag value that does not parse must stop the CLI with a usage
 //! error, not be replaced by the default: `--min-schedules 10k` silently
-//! running without a floor would turn the coverage gate into a no-op.
+//! running without a floor would turn the coverage gate into a no-op,
+//! and a clamped `--conns` would print a `--replay` line for a
+//! different world.
 
 use std::process::Command;
 
-#[test]
-fn unparsable_min_schedules_exits_2_naming_the_flag() {
+/// Runs `simcheck explore <args>` and asserts exit 2 with a message
+/// naming every string in `names`.
+fn assert_usage_error(args: &[&str], names: &[&str]) {
     let out = Command::new(env!("CARGO_BIN_EXE_simcheck"))
-        .args(["explore", "--min-schedules", "10k"])
+        .arg("explore")
+        .args(args)
         .output()
         .expect("run simcheck");
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
-    assert!(
-        stderr.contains("--min-schedules") && stderr.contains("10k"),
-        "message must name the flag and the value: {stderr}"
-    );
+    assert_eq!(out.status.code(), Some(2), "{args:?}: stderr: {stderr}");
+    for name in names {
+        assert!(
+            stderr.contains(name),
+            "{args:?}: message must name {name}: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn unparsable_min_schedules_exits_2_naming_the_flag() {
+    assert_usage_error(&["--min-schedules", "10k"], &["--min-schedules", "10k"]);
 }
 
 #[test]
@@ -23,12 +34,21 @@ fn missing_string_values_exit_2_naming_the_flag() {
     // `explore --mutant` with no name must not run a clean exploration
     // and pass in place of the mutant hunt.
     for flag in ["--mutant", "--depth", "--replay"] {
-        let out = Command::new(env!("CARGO_BIN_EXE_simcheck"))
-            .args(["explore", flag])
-            .output()
-            .expect("run simcheck");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{flag}: stderr: {stderr}");
-        assert!(stderr.contains(flag), "message must name {flag}: {stderr}");
+        assert_usage_error(&[flag], &[flag]);
+    }
+}
+
+#[test]
+fn bad_values_exit_2_naming_the_flag_and_the_value() {
+    for (flag, value) in [
+        ("--conns", "0"),
+        ("--conns", "9"),
+        ("--depth", "abc"),
+        ("--mutant", "bogus"),
+        ("--walks", "abc"),
+        ("--walks", "0"),
+        ("--replay", "x1"),
+    ] {
+        assert_usage_error(&[flag, value], &[flag, value]);
     }
 }

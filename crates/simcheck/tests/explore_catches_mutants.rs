@@ -2,140 +2,130 @@
 //! must be caught by exhaustive exploration with a **minimal**
 //! counterexample (iterative deepening guarantees no shorter schedule
 //! fails), the counterexample must replay through the token encoding,
-//! and explore must beat the random differential oracle — two of the
-//! three faults are structurally invisible to the oracle (its
-//! normalized ready sets mask OR'd interest, and watcher-registry leaks
-//! never surface in ready sets at all), and the third needs a longer
-//! event chain than the shortest schedule explore finds.
+//! and seeded walks must catch every fault too — yet never shrink to a
+//! shorter schedule than exhaustive search finds.
 //!
-//! The release-mode CI job re-runs the oracle comparison at 200 seeds
-//! (`simcheck mutants --seeds 200`); this test uses a smaller sweep so
-//! debug-mode `cargo test` stays quick, with the same accounting: an
-//! oracle script's length is its shrunk op count plus the `conns`
-//! accepts the oracle harness performs implicitly before every script,
-//! since explore schedules pay for their accepts as explicit ops.
+//! The release-mode CI job re-runs the comparison at 200 walks
+//! (`simcheck mutants --seeds 200`); this test uses fewer so debug-mode
+//! `cargo test` stays quick. Both sides count their accepts as ops.
 
 use simcheck::explore::{self, DivergenceKind, ExploreConfig};
-use simcheck::oracle::{self, Mutant};
-use simcheck::script::{self, ScriptConfig};
+use simcheck::lane::Mutant;
+use simcheck::script;
 
-const ORACLE_SEEDS: u64 = 40;
+const WALKS: u64 = 40;
 
 fn cfg(mutant: Mutant) -> ExploreConfig {
     ExploreConfig {
         conns: 2,
         depth: 6,
-        max_sends_per_conn: 2,
         mutant,
+        ..ExploreConfig::quick()
     }
 }
 
-/// The shortest oracle counterexample over a bounded sweep, in
-/// accept-inclusive ops; `None` if no seed fails.
-fn oracle_minimal(mutant: Mutant) -> Option<usize> {
-    let or_cfg = ScriptConfig::default();
-    let mut best: Option<usize> = None;
-    for seed in 0..ORACLE_SEEDS {
-        if oracle::run_seed(seed, or_cfg, mutant).is_err() {
-            let len = oracle::shrink_failure(seed, or_cfg, mutant).minimal.len() + or_cfg.conns;
-            if best.is_none_or(|b| len < b) {
-                best = Some(len);
-            }
-        }
-    }
-    best
+/// The shortest shrunk walk over a bounded range of seeds; `None` if no
+/// walk fails.
+fn walk_minimal(mutant: Mutant) -> Option<usize> {
+    let walks = explore::walks(
+        0..WALKS,
+        &ExploreConfig {
+            mutant,
+            ..ExploreConfig::quick()
+        },
+    );
+    walks.shortest.map(|f| f.schedule.len())
 }
 
-#[test]
-fn every_seeded_fault_is_caught_with_a_minimal_replayable_schedule() {
-    // (mutant, expected minimal length, divergence shape).
-    let expectations = [
-        (Mutant::SkipRevalidation, 6, false),
-        (Mutant::OrInsteadOfReplace, 4, false),
-        (Mutant::SkipBackmapPurge, 4, true),
-    ];
-    for (mutant, expected_len, is_watcher_leak) in expectations {
-        let cfg = cfg(mutant);
-        let cx = explore::find_minimal_counterexample(&cfg)
-            .unwrap_or_else(|| panic!("explore must catch `{}`", mutant.name()));
-        assert_eq!(
-            cx.schedule.len(),
-            expected_len,
-            "`{}` has a known minimal counterexample length",
-            mutant.name()
-        );
-        assert_eq!(
-            cx.depth, expected_len,
-            "iterative deepening finds the failure exactly at the minimal depth"
-        );
-        assert_eq!(
-            cx.failure.lane, "devpoll",
-            "all seeded faults live in /dev/poll"
-        );
-        assert_eq!(
-            matches!(cx.failure.kind, DivergenceKind::WatcherLeak { .. }),
-            is_watcher_leak,
-            "`{}` has a known divergence shape",
-            mutant.name()
-        );
+/// Every seeded fault with its known minimal counterexample length and
+/// whether it shows as a watcher leak (rather than a ready-set split).
+const FAULTS: [(Mutant, usize, bool); 3] = [
+    (Mutant::SkipRevalidation, 6, false),
+    (Mutant::OrInsteadOfReplace, 4, false),
+    (Mutant::SkipBackmapPurge, 4, true),
+];
 
-        // The counterexample survives the token encoding and replays to
-        // the same verdict: failing under the mutant...
-        let tokens = script::encode(&cx.schedule);
-        let decoded = script::parse(&tokens)
-            .unwrap_or_else(|e| panic!("encoded schedule must re-parse: {e}"));
-        assert_eq!(decoded, cx.schedule);
-        assert!(
-            explore::replay(&decoded, &cfg).is_err(),
-            "`{}` counterexample must reproduce from its token form",
-            mutant.name()
-        );
-        // ...and clean on unmutated worlds, so the schedule indicts the
-        // fault rather than the alphabet.
-        let clean = ExploreConfig {
-            mutant: Mutant::None,
-            ..cfg
-        };
-        assert!(
-            explore::replay(&decoded, &clean).is_ok(),
-            "`{}` counterexample must pass once the fault is removed",
-            mutant.name()
-        );
-    }
-}
+/// Explore must catch `FAULTS[i]` with a counterexample of exactly the
+/// known minimal length that replays through the token encoding.
+fn assert_caught_minimal_and_replayable(i: usize) {
+    let (mutant, expected_len, is_watcher_leak) = FAULTS[i];
+    let cfg = cfg(mutant);
+    let cx = explore::find_minimal_counterexample(&cfg)
+        .unwrap_or_else(|| panic!("explore must catch `{}`", mutant.name()));
+    let schedule = &cx.failure.schedule;
+    assert_eq!(
+        schedule.len(),
+        expected_len,
+        "`{}` has a known minimal counterexample length",
+        mutant.name()
+    );
+    assert_eq!(
+        cx.depth, expected_len,
+        "iterative deepening finds the failure exactly at the minimal depth"
+    );
+    assert_eq!(
+        cx.failure.lane, "devpoll",
+        "all seeded faults live in /dev/poll"
+    );
+    assert_eq!(
+        matches!(cx.failure.kind, DivergenceKind::WatcherLeak { .. }),
+        is_watcher_leak,
+        "`{}` has a known divergence shape",
+        mutant.name()
+    );
 
-#[test]
-fn explore_counterexamples_are_strictly_shorter_than_the_oracles() {
-    for mutant in Mutant::all() {
-        let cx = explore::find_minimal_counterexample(&cfg(mutant))
-            .unwrap_or_else(|| panic!("explore must catch `{}`", mutant.name()));
-        // When the oracle is blind to the fault, explore finding anything
-        // at all is the win; when the oracle caught it too, explore must
-        // still win outright.
-        if let Some(oracle_len) = oracle_minimal(mutant) {
-            assert!(
-                cx.schedule.len() < oracle_len,
-                "`{}`: explore found {} op(s), oracle {} — not strictly shorter",
-                mutant.name(),
-                cx.schedule.len(),
-                oracle_len
-            );
-        }
-    }
+    // The counterexample survives the token encoding and replays to the
+    // same verdict: failing under the mutant...
+    let tokens = script::encode(schedule);
+    let decoded =
+        script::parse(&tokens).unwrap_or_else(|e| panic!("encoded schedule must re-parse: {e}"));
+    assert_eq!(&decoded, schedule);
+    assert!(
+        explore::replay(&decoded, &cfg).is_err(),
+        "`{}` counterexample must reproduce from its token form",
+        mutant.name()
+    );
+    // ...and clean on unmutated worlds, so the schedule indicts the
+    // fault rather than the alphabet.
+    let clean = ExploreConfig {
+        mutant: Mutant::None,
+        ..cfg
+    };
+    assert!(
+        explore::replay(&decoded, &clean).is_ok(),
+        "`{}` counterexample must pass once the fault is removed",
+        mutant.name()
+    );
 }
 
 #[test]
-fn or_semantics_and_backmap_leaks_are_invisible_to_the_random_oracle() {
-    // Locks in *why* the exhaustive pass earns its keep: the oracle's
-    // normalized snapshots mask OR'd interest bits, and a leaked kernel
-    // watcher never changes any ready set. If either assertion starts
-    // failing, the oracle grew stronger — update the comparison story
-    // in DESIGN.md rather than weakening this test.
-    for mutant in [Mutant::OrInsteadOfReplace, Mutant::SkipBackmapPurge] {
+fn skip_revalidation_is_caught_with_a_minimal_replayable_schedule() {
+    assert_caught_minimal_and_replayable(0);
+}
+
+#[test]
+fn or_semantics_is_caught_with_a_minimal_replayable_schedule() {
+    assert_caught_minimal_and_replayable(1);
+}
+
+#[test]
+fn skip_backmap_purge_is_caught_with_a_minimal_replayable_schedule() {
+    assert_caught_minimal_and_replayable(2);
+}
+
+#[test]
+fn walks_catch_every_fault_and_explore_is_never_longer() {
+    // Walks check raw ready bits and the watcher invariant, so they
+    // must catch or-semantics (a widened mask) and skip-backmap-purge
+    // (a leaked watcher changes no ready set) as well as stale caches.
+    // Explore's lengths are the ones the tests above pin.
+    for (mutant, explore_len, _) in FAULTS {
+        let walk_len = walk_minimal(mutant)
+            .unwrap_or_else(|| panic!("{WALKS} walks must catch `{}`", mutant.name()));
         assert!(
-            oracle_minimal(mutant).is_none(),
-            "`{}` should be invisible to normalized ready-set comparison",
-            mutant.name()
+            explore_len <= walk_len,
+            "`{}`: explore found {explore_len} op(s), a walk shrank to {walk_len}",
+            mutant.name(),
         );
     }
 }

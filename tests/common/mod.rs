@@ -20,8 +20,8 @@ pub fn claim(ok: bool, what: &str, report: &RunReport) {
     if !ok {
         panic!(
             "claim failed: {what}\nprobe snapshot of {} at {}/{}:\n{}\
-             if backend readiness looks wrong, bisect with the differential \
-             oracle: `cargo run -p simcheck -- oracle`",
+             if backend readiness looks wrong, check every backend against \
+             the reference model: `cargo run --release -p simcheck -- explore --walks 200`",
             report.server,
             report.target_rate,
             report.inactive,
