@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! figures [--quick] [--conns N] [--jobs N] [--out DIR] [--bench-out FILE]
-//!         [--profile] [--trace-export DIR] <target>...
+//!         [--trace-export DIR] <target>...
 //! targets: fig4 .. fig14 | all | hybrid | ablate-hints | ablate-mmap |
 //!          ablate-combined | ablate-batch | extensions | latency-anatomy |
 //!          million | million-smoke
@@ -22,12 +22,6 @@
 //! writes `trace-<server>.json` (Chrome trace, load in
 //! `chrome://tracing` / Perfetto) and `trace-<server>.folded`
 //! (flamegraph input) under DIR.
-//!
-//! `--profile` additionally writes `PROFILE.txt` under the output
-//! directory: a per-sweep hot-spot table (wall time, simulation events,
-//! events per wall-second, sim-time ratio) sorted by wall time — the
-//! flat profile to read before reaching for a flamegraph (build with
-//! `--profile profiling` for symbols; see EXPERIMENTS.md).
 //!
 //! Each figure is printed as an ASCII chart and written as CSV under the
 //! output directory (default `target/figures/`). Sweeps fan out over
@@ -78,7 +72,6 @@ fn main() {
     let mut out_dir = PathBuf::from("target/figures");
     let mut bench_out = PathBuf::from("BENCH.json");
     let mut jobs_flag: Option<usize> = None;
-    let mut profile = false;
     let mut trace_export: Option<PathBuf> = None;
     let mut targets: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1).peekable();
@@ -90,7 +83,6 @@ fn main() {
             "--jobs" => jobs_flag = Some(flag_value("--jobs", args.next().as_deref())),
             "--out" => out_dir = flag_value("--out", args.next().as_deref()),
             "--bench-out" => bench_out = flag_value("--bench-out", args.next().as_deref()),
-            "--profile" => profile = true,
             "--trace-export" => {
                 trace_export = Some(flag_value("--trace-export", args.next().as_deref()))
             }
@@ -233,8 +225,8 @@ fn main() {
     fs::write(&bench_out, report.to_json()).expect("write BENCH.json");
     println!("[written {}]", bench_out.display());
 
-    // Throughput lane summary (and, with --profile, the flat profile
-    // artifact): where the wall time went, per sweep.
+    // Simulator throughput of this run. `wall_budget` prints the
+    // per-sweep wall table from the same BENCH.json.
     let total_events: u64 = report.sweeps.iter().map(|s| s.events).sum();
     if report.total_wall_ms > 0.0 && total_events > 0 {
         eprintln!(
@@ -243,37 +235,6 @@ fn main() {
             report.total_wall_ms / 1e3,
             total_events as f64 / (report.total_wall_ms / 1e3)
         );
-    }
-    if profile {
-        let mut rows: Vec<_> = report.sweeps.iter().collect();
-        rows.sort_by(|a, b| b.wall_ms.total_cmp(&a.wall_ms));
-        let mut text = String::from(
-            "# figures flat profile: one row per sweep, hottest first\n\
-             # (events/s is the simulator throughput lane; sim/wall is\n\
-             # simulated seconds advanced per wall second)\n",
-        );
-        text.push_str(&format!(
-            "{:<28} {:>6} {:>10} {:>12} {:>12} {:>9}\n",
-            "sweep", "load", "wall_ms", "events", "events/s", "sim/wall"
-        ));
-        for s in rows {
-            text.push_str(&format!(
-                "{:<28} {:>6} {:>10.1} {:>12} {:>12.0} {:>9.1}\n",
-                s.server,
-                s.inactive,
-                s.wall_ms,
-                s.events,
-                s.events_per_wall_sec().unwrap_or(0.0),
-                s.sim_per_wall().unwrap_or(0.0),
-            ));
-        }
-        text.push_str(&format!(
-            "total {:>10.1} ms wall, {} events\n",
-            report.total_wall_ms, total_events
-        ));
-        let path = out_dir.join("PROFILE.txt");
-        fs::write(&path, text).expect("write profile");
-        println!("[written {}]", path.display());
     }
 }
 

@@ -1,5 +1,6 @@
-//! Nightly wall-time budget check: parses a `BENCH.json` and fails
-//! when the summed per-sweep wall time exceeds the budget.
+//! Nightly wall-time budget check: parses a `BENCH.json`, prints the
+//! per-sweep wall table (every sweep, costliest first), and fails when
+//! the summed per-sweep wall time exceeds the budget.
 //!
 //! ```text
 //! wall_budget --budget-ms N [--report FILE]
@@ -9,8 +10,8 @@
 //! immune to `--jobs` overlap: it measures the work done, not how the
 //! scheduler packed it. The step-level `timeout-minutes` in the
 //! workflow is the hang backstop; this check is the graceful one that
-//! still leaves `BENCH.json` and `PROFILE.txt` behind, and its output
-//! names the sweeps that ate the budget (costliest first).
+//! still leaves `BENCH.json` behind, and its table names the sweeps
+//! that ate the budget.
 //!
 //! Exit codes: 0 within budget, 1 over budget, 2 usage/parse error.
 
@@ -62,7 +63,7 @@ fn main() -> ExitCode {
         report.total_wall_ms / 1e3,
         budget_ms / 1e3,
     );
-    for s in rows.iter().take(10) {
+    for s in rows {
         println!(
             "  {:<28} load {:>5}  {:>9.1} ms  {:>12.0} events/s",
             s.server,
@@ -75,7 +76,7 @@ fn main() -> ExitCode {
     if total > budget_ms {
         println!(
             "wall_budget: OVER BUDGET by {:.1}s — the sweeps above say where \
-             it went; see PROFILE.txt for the full flat profile",
+             it went",
             (total - budget_ms) / 1e3
         );
         ExitCode::FAILURE

@@ -10,15 +10,16 @@
 //!   (`--jobs N` / `BENCH_JOBS`, default machine parallelism) and
 //!   merged in canonical order so output is byte-identical to `--jobs
 //!   1`.
-//! * [`baseline`] — the versioned `BENCH.json` perf record every
-//!   `figures` invocation emits, and the comparator the `bench_gate`
-//!   binary runs against the checked-in `BENCH_BASELINE.json`.
-//! * `src/bin/micro.rs` — simulated per-call cost tables, plus
-//!   wall-clock lanes for the stock `poll()` and `DP_POLL` scans.
+//! * [`baseline`] — the versioned `BENCH.json` record every `figures`
+//!   invocation emits, and the exact comparator the `bench_gate`
+//!   binary runs against the checked-in `BENCH_BASELINE.json`: every
+//!   deterministic field must be equal.
 //! * `src/bin/figures.rs` — the CLI: `cargo run --release -p bench --bin
 //!   figures -- all`.
 //! * `src/bin/bench_gate.rs` — the CI gate: `cargo run --release -p
 //!   bench --bin bench_gate`.
+//! * `src/bin/wall_budget.rs` — the nightly wall-time budget, and the
+//!   per-sweep wall table, costliest first.
 
 #![deny(clippy::unwrap_used)]
 
@@ -27,8 +28,7 @@ pub mod executor;
 pub mod figures;
 
 pub use baseline::{
-    compare, config_fingerprint, lane_diff_markdown, BenchReport, GateOutcome, PointRecord,
-    SweepRecord, BENCH_VERSION,
+    compare, config_fingerprint, BenchReport, PointRecord, SweepRecord, BENCH_VERSION,
 };
 pub use executor::{effective_jobs, run_jobs, JOBS_ENV};
 pub use figures::{FigureConfig, FigureRunner, SweepKey, PAPER_FIGURES};

@@ -1,6 +1,6 @@
 //! The bench binaries treat a missing or unparsable flag value as a
 //! usage error — exit 2, naming the flag — rather than panicking (exit
-//! 101) where CI reads a crash.
+//! 101) where CI reads a crash. So is a flag a binary does not take.
 
 use std::process::Command;
 
@@ -16,6 +16,8 @@ fn bench_gate_rejects_bad_flag_values() {
     let bin = env!("CARGO_BIN_EXE_bench_gate");
     usage_error(bin, &["--baseline"], "--baseline");
     usage_error(bin, &["--current"], "--current");
+    // The gate is exact: there is no digest strictness to choose.
+    usage_error(bin, &["--strict-digest"], "--strict-digest");
 }
 
 #[test]

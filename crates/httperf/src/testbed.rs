@@ -37,8 +37,8 @@ pub struct Testbed {
     timers: TimerQueue<LoadTimer>,
     now: SimTime,
     /// Simulation events dispatched so far: network notifies, kernel
-    /// events and load-generator timer firings. The numerator of the
-    /// throughput lane in `BENCH.json` (events per wall-second).
+    /// events and load-generator timer firings. Each sweep's `events`
+    /// in `BENCH.json`, which the benchmark gate compares exactly.
     events: u64,
     /// Reused across `drain_at` iterations so the hot loop never
     /// allocates per tick.

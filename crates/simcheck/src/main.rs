@@ -4,8 +4,8 @@
 //! simcheck all [--seeds N]      # lint + N clean walks + quick explore (CI entry)
 //! simcheck lint                 # source lint pass; any finding fails
 //! simcheck explore [--depth quick|full|N] [--conns 1..=4] [--max-sends N]
-//!                  [--mutant NAME] [--min-schedules N] [--walks N]
-//!                  [--replay "<tokens>"]
+//!                  [--mutant NAME] [--min-schedules N]
+//! simcheck explore [--conns 1..=4] [--mutant NAME] --walks N | --replay "<tokens>"
 //!                               # model checking against the reference model:
 //!                               # exhaustive to a depth bound, or N seeded
 //!                               # walks; with a mutant, hunts the minimal
@@ -15,7 +15,8 @@
 //! ```
 //!
 //! Exit status is non-zero on any finding, so CI can gate on it; a
-//! usage error exits 2 naming the flag.
+//! usage error exits 2 naming the flag, as does a flag the chosen mode
+//! would ignore.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -118,11 +119,36 @@ fn explore_config(args: &[String]) -> ExploreConfig {
     cfg
 }
 
+/// Stops with a usage error when a flag is given to a mode that would
+/// ignore it: walks and replays run fixed schedules (no depth, send
+/// bound or schedule floor), and a mutant hunt stops at its
+/// counterexample (no schedule floor).
+fn reject_ignored_flags(args: &[String], cfg: &ExploreConfig) {
+    let has = |flag: &str| args.iter().any(|a| a == flag);
+    for (flag, mode) in [
+        ("--min-schedules", "--walks"),
+        ("--min-schedules", "--replay"),
+        ("--depth", "--walks"),
+        ("--depth", "--replay"),
+        ("--max-sends", "--walks"),
+        ("--max-sends", "--replay"),
+        ("--walks", "--replay"),
+    ] {
+        if has(flag) && has(mode) {
+            usage(&format!("{flag} has no effect with {mode}"));
+        }
+    }
+    if has("--min-schedules") && cfg.mutant != Mutant::None {
+        usage("--min-schedules has no effect with --mutant: the hunt stops at its counterexample");
+    }
+}
+
 #[allow(clippy::disallowed_methods)] // reports the exploration's own wall time
 fn run_explore(args: &[String]) -> bool {
     let min_schedules = parse_flag(args, "--min-schedules");
     let walks = parse_flag(args, "--walks");
     let cfg = explore_config(args);
+    reject_ignored_flags(args, &cfg);
     if let Some(tokens) = parse_str_flag(args, "--replay") {
         return run_explore_replay(tokens, &cfg);
     }

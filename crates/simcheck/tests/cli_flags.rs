@@ -51,4 +51,23 @@ fn bad_values_exit_2_naming_the_flag_and_the_value() {
     ] {
         assert_usage_error(&[flag, value], &[flag, value]);
     }
+    // A flag the chosen mode would ignore: named with the mode.
+    let value = |flag: &str| match flag {
+        "--mutant" => "skip-revalidation",
+        "--replay" => "a",
+        "--depth" => "quick",
+        _ => "3",
+    };
+    for (flag, mode) in [
+        ("--min-schedules", "--walks"),
+        ("--min-schedules", "--replay"),
+        ("--min-schedules", "--mutant"),
+        ("--depth", "--walks"),
+        ("--depth", "--replay"),
+        ("--max-sends", "--walks"),
+        ("--max-sends", "--replay"),
+        ("--walks", "--replay"),
+    ] {
+        assert_usage_error(&[flag, value(flag), mode, value(mode)], &[flag, mode]);
+    }
 }
