@@ -36,8 +36,9 @@ pub enum LoadShape {
 
 /// Client-side timeout for a full response.
 pub const CLIENT_TIMEOUT: SimDuration = SimDuration::from_secs(2);
-/// Extra one-way latency on inactive (modem-class) connections.
-pub const INACTIVE_EXTRA_DELAY: SimDuration = SimDuration::from_millis(150);
+/// Extra one-way latency on inactive (modem-class) connections: the
+/// network's modem delay, whose deliveries have FIFO timer lanes.
+pub const INACTIVE_EXTRA_DELAY: SimDuration = simnet::MODEM_DELAY;
 /// Extra one-way latency on active (LAN) connections.
 pub const ACTIVE_EXTRA_DELAY: SimDuration = SimDuration::ZERO;
 

@@ -30,10 +30,11 @@ pub struct Testbed {
     pub registry: DevPollRegistry,
     /// The load generator.
     pub load: LoadGen,
-    /// Load-generator timers, all in one lane. Their mix shifts over a
-    /// run (start-up parks one `ReopenInactive` per idle slot across the
-    /// stagger; later, client timeouts are the long-parked ones), and no
-    /// split of this queue has been measured to pay.
+    /// Load-generator timers, one FIFO lane per [`LoadTimer`] kind.
+    /// Each kind is armed at a fixed delay from the clock (client
+    /// timeouts at `now + 2 s`, requests a think time after connecting)
+    /// or in a rising stagger, so its lane stays sorted; a reopen
+    /// scheduled inside the start-up stagger waits in the fallback heap.
     timers: TimerQueue<LoadTimer>,
     now: SimTime,
     /// Simulation events dispatched so far: network notifies, kernel
@@ -81,7 +82,13 @@ impl Testbed {
     }
 
     fn schedule(&mut self, at: SimTime, t: LoadTimer) {
-        self.timers.push(Lane::Near, at, t);
+        let lane = match t {
+            LoadTimer::NextArrival => 0,
+            LoadTimer::Timeout(_) => 1,
+            LoadTimer::ReopenInactive => 2,
+            LoadTimer::SendRequest(_) => 3,
+        };
+        self.timers.push(Lane::Fifo(lane), at, t);
     }
 
     /// Starts the server and arms the load generator.

@@ -21,8 +21,9 @@
 //!   behind state fingerprints and snapshot/baseline digests;
 //! * [`paged`] — paged sparse tables, the million-connection storage
 //!   layout;
-//! * [`timer`] — the two-lane timer queue ([`timer::TimerQueue`]) that
-//!   keeps short-lived timers off the heap of long-parked ones.
+//! * [`timer`] — the lane timer queue ([`timer::TimerQueue`]): FIFO
+//!   lanes for timers armed in firing order, merged by a small index
+//!   heap, and one fallback heap for the rest.
 //!
 //! There is no scheduler here: the one event loop is
 //! `httperf::Testbed::drain_at`, which merges the network's timer queue,

@@ -1,5 +1,5 @@
 //! The network: hosts, links, listeners and connections, driven by an
-//! internal two-lane timer queue.
+//! internal lane timer queue.
 //!
 //! # Driving the network
 //!
@@ -101,6 +101,19 @@ pub enum NetError {
     AddrInUse,
 }
 
+/// The extra one-way delay of a modem-class connection, the one
+/// non-zero extra delay whose deliveries get FIFO lanes of their own.
+pub const MODEM_DELAY: SimDuration = SimDuration::from_millis(150);
+
+/// FIFO lane of SYN RTOs, all armed at `now + SYN_RTO`.
+const SYN_RTO_LANE: usize = 0;
+/// FIFO lane of first data RTOs, all armed at `now + rto_initial`.
+const DATA_RTO_LANE: usize = 1;
+/// Lanes below this are RTO lanes; host `h`'s deliveries use
+/// `DELIVERY_LANES + 2h` (no extra delay) and the lane after it
+/// ([`MODEM_DELAY`]).
+const DELIVERY_LANES: usize = 2;
+
 #[derive(Debug, Clone)]
 enum Timer {
     Deliver(Segment),
@@ -194,10 +207,11 @@ pub struct Network {
     /// endpoint that needs one. Not semantic state: capacity never
     /// changes what a queue holds.
     buf_pool: QueuePool,
-    /// Timer-arena slots in firing order. Deliveries wait in the near
-    /// lane; retransmission timers, parked 200 ms to seconds ahead,
-    /// wait in the far lane, so a delivery's heap work does not grow
-    /// with the number of connections holding one.
+    /// Timer-arena slots in firing order. Every timer class armed in
+    /// firing order has a FIFO lane: the deliveries of each (source
+    /// host, extra delay 0 or [`MODEM_DELAY`]) pair, the SYN RTO and the
+    /// first data RTO. Backoffs, rearms, RSTs and other extra delays
+    /// wait in the fallback heap (see [`Network::arm`]).
     timers: TimerQueue<u32>,
     /// Timer payload arena with free-list reuse: segments in flight are
     /// pooled here instead of being allocated per packet.
@@ -448,11 +462,24 @@ impl Network {
     // Timers.
     // ------------------------------------------------------------------
 
-    fn arm(&mut self, at: SimTime, t: Timer) {
-        let lane = match t {
-            Timer::Deliver(_) => Lane::Near,
-            Timer::Rto { .. } => Lane::Far,
-        };
+    /// The lane of a delivery that left `host`'s transmitter: the
+    /// transmitter finishes segments in strictly increasing order, so
+    /// with one extra delay their arrivals are armed in firing order.
+    fn delivery_lane(host: HostId, extra: SimDuration) -> Lane {
+        let first = DELIVERY_LANES + 2 * host.0;
+        if extra == SimDuration::ZERO {
+            Lane::Fifo(first)
+        } else if extra == MODEM_DELAY {
+            Lane::Fifo(first + 1)
+        } else {
+            Lane::Fallback
+        }
+    }
+
+    /// Arms `t` at `at` in `lane`, which only decides what the push and
+    /// pop cost: the firing order is `(at, arming order)` whatever the
+    /// lane.
+    fn arm(&mut self, lane: Lane, at: SimTime, t: Timer) {
         let slot = match self.timer_free.pop() {
             Some(s) => {
                 self.timer_arena[s as usize] = Some(t);
@@ -464,6 +491,14 @@ impl Network {
             }
         };
         self.timers.push(lane, at, slot);
+    }
+
+    /// How many timers named a FIFO lane but were armed earlier than
+    /// its tail and waited in the fallback heap (0 while every lane
+    /// class is armed in firing order).
+    #[doc(hidden)]
+    pub fn timer_lane_misses(&self) -> u64 {
+        self.timers.lane_misses()
     }
 
     /// Earliest pending work, if any.
@@ -641,6 +676,7 @@ impl Network {
             c.ep_mut(Side::Client).set_rto_armed(true);
         }
         self.arm(
+            Lane::Fifo(SYN_RTO_LANE),
             now + SYN_RTO,
             Timer::Rto {
                 conn: id,
@@ -806,7 +842,11 @@ impl Network {
         // RSTs bypass the drop-tail queue: modelling their loss would only
         // leak tombstones without adding any behaviour the paper measures.
         let delay = self.hosts[from_host.0].tx.tx_time(seg.wire_bytes());
-        self.arm(now + delay + self.base_delay + extra, Timer::Deliver(seg));
+        self.arm(
+            Lane::Fallback,
+            now + delay + self.base_delay + extra,
+            Timer::Deliver(seg),
+        );
         self.free_conn_ports(ep.conn, None);
         self.detach_listener(ep.conn);
         // The tombstone is reaped when the RST delivers (`on_rst`).
@@ -829,7 +869,13 @@ impl Network {
             return;
         }
         match self.hosts[from_host.0].tx.offer(now, &seg, extra) {
-            TxOutcome::Deliver(at) => self.arm(at, Timer::Deliver(seg)),
+            TxOutcome::Deliver(at) => {
+                self.arm(
+                    Self::delivery_lane(from_host, extra),
+                    at,
+                    Timer::Deliver(seg),
+                );
+            }
             TxOutcome::Dropped => {
                 // Loss: the retransmission machinery recovers.
             }
@@ -1183,6 +1229,7 @@ impl Network {
         self.pump_scratch = to_send;
         if arm_rto {
             self.arm(
+                Lane::Fifo(DATA_RTO_LANE),
                 now + self.cfg.rto_initial,
                 Timer::Rto {
                     conn: conn_id,
@@ -1288,6 +1335,7 @@ impl Network {
                     },
                 );
                 self.arm(
+                    Lane::Fallback,
                     now + rearm,
                     Timer::Rto {
                         conn: conn_id,
@@ -1316,6 +1364,7 @@ impl Network {
                 // Go-back-N: `pump` resends from the rewound `snd_nxt`.
                 self.pump(now, conn_id, side);
                 self.arm(
+                    Lane::Fallback,
                     now + rearm,
                     Timer::Rto {
                         conn: conn_id,
@@ -1325,6 +1374,7 @@ impl Network {
             }
             Action::Rearm { at } => {
                 self.arm(
+                    Lane::Fallback,
                     at,
                     Timer::Rto {
                         conn: conn_id,
