@@ -34,7 +34,9 @@ use std::fs;
 use std::path::PathBuf;
 
 use bench::figures::{anatomy_grid, anatomy_kinds, extensions_grid, paper_grid, sweep_label};
-use bench::{effective_jobs, flag_value, FigureConfig, FigureRunner, PAPER_FIGURES};
+use bench::{
+    effective_jobs, flag_value, flag_value_where, FigureConfig, FigureRunner, PAPER_FIGURES,
+};
 use simcore::series::Figure;
 
 /// Milliseconds since the first call — the monotonic clock injected
@@ -66,6 +68,22 @@ const EXTENSIONS: [(&str, ExtensionFigure); 10] = [
     ("select", |r| r.select_figure(251)),
 ];
 
+/// Targets that are neither a paper figure nor an extension figure.
+const SWEEPS: [&str; 6] = [
+    "all",
+    "extensions",
+    "cpu-scaling",
+    "latency-anatomy",
+    "million",
+    "million-smoke",
+];
+
+/// Prints `msg` and exits 2: a usage error, found before anything runs.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2)
+}
+
 fn main() {
     let started = now_ms();
     let mut config = FigureConfig::default();
@@ -78,7 +96,10 @@ fn main() {
     while let Some(a) = args.next() {
         match a.as_str() {
             "--quick" => config = FigureConfig::quick(),
-            "--conns" => config.conns = flag_value("--conns", args.next().as_deref()),
+            "--conns" => {
+                config.conns =
+                    flag_value_where("--conns", args.next().as_deref(), "at least 1", |&n| n > 0)
+            }
             "--seed" => config.seed = flag_value("--seed", args.next().as_deref()),
             "--jobs" => jobs_flag = Some(flag_value("--jobs", args.next().as_deref())),
             "--out" => out_dir = flag_value("--out", args.next().as_deref()),
@@ -86,11 +107,21 @@ fn main() {
             "--trace-export" => {
                 trace_export = Some(flag_value("--trace-export", args.next().as_deref()))
             }
+            flag if flag.starts_with("--") => usage_error(&format!("unknown flag {flag:?}")),
             other => targets.push(other.to_string()),
         }
     }
     if targets.is_empty() {
         targets.push("all".to_string());
+    }
+    // Every target is checked before the first one runs.
+    for t in &targets {
+        let known = SWEEPS.contains(&t.as_str())
+            || PAPER_FIGURES.contains(&t.as_str())
+            || EXTENSIONS.iter().any(|(name, _)| name == t);
+        if !known {
+            usage_error(&format!("unknown target {t:?}"));
+        }
     }
     let jobs = effective_jobs(jobs_flag);
 
@@ -157,10 +188,10 @@ fn main() {
                 emit(id, figs);
             }
             other => {
-                let Some((name, figure)) = EXTENSIONS.iter().find(|(n, _)| *n == other) else {
-                    eprintln!("unknown target {other:?}");
-                    std::process::exit(2);
-                };
+                let (name, figure) = EXTENSIONS
+                    .iter()
+                    .find(|(n, _)| *n == other)
+                    .expect("targets are checked before any runs");
                 emit(&name.replace('-', "_"), figure(&mut runner));
             }
         }

@@ -37,12 +37,26 @@ pub use figures::{FigureConfig, FigureRunner, SweepKey, PAPER_FIGURES};
 /// unparsable value is a usage error: print the flag and the value, and
 /// exit 2, rather than run the default in its place.
 pub fn flag_value<T: std::str::FromStr>(flag: &str, value: Option<&str>) -> T {
+    flag_value_where(flag, value, "a number", |_| true)
+}
+
+/// [`flag_value`] for a value that must also pass `ok`, which `expects`
+/// describes: `--conns 0` is as much a usage error as `--conns 3k`.
+pub fn flag_value_where<T: std::str::FromStr>(
+    flag: &str,
+    value: Option<&str>,
+    expects: &str,
+    ok: impl Fn(&T) -> bool,
+) -> T {
     let Some(value) = value else {
         eprintln!("{flag} needs a value");
         std::process::exit(2)
     };
-    value.parse().unwrap_or_else(|_| {
-        eprintln!("{flag} expects a number, got {value:?}");
-        std::process::exit(2)
-    })
+    match value.parse() {
+        Ok(v) if ok(&v) => v,
+        _ => {
+            eprintln!("{flag} expects {expects}, got {value:?}");
+            std::process::exit(2)
+        }
+    }
 }

@@ -34,3 +34,31 @@ fn figures_rejects_missing_path_values() {
     usage_error(bin, &["--bench-out"], "--bench-out");
     usage_error(bin, &["--trace-export"], "--trace-export");
 }
+
+/// `figures` checks every flag and target before it runs anything: a
+/// bad one exits 2 naming it, and no output directory or BENCH.json is
+/// written (so no sweep ran ahead of the rejection).
+#[test]
+fn figures_rejects_bad_input_before_running() {
+    let bin = env!("CARGO_BIN_EXE_figures");
+    let tmp = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("figures_bad_input");
+    let (out, bench) = (tmp.join("out"), tmp.join("BENCH.json"));
+    let (out, bench) = (out.to_str().unwrap(), bench.to_str().unwrap());
+    let cases: [(&[&str], &str); 6] = [
+        (&["--conns", "0", "select"], "--conns"),
+        (&["--conns", "3k", "select"], "--conns"),
+        (&["--seed", "x", "select"], "--seed"),
+        (&["all", "bogus"], "bogus"),
+        (&["select", "--bogus"], "--bogus"),
+        (&["--quick", "fig99"], "fig99"),
+    ];
+    for (args, offender) in cases {
+        let mut full = vec!["--out", out, "--bench-out", bench];
+        full.extend_from_slice(args);
+        usage_error(bin, &full, offender);
+        assert!(
+            !std::path::Path::new(out).exists() && !std::path::Path::new(bench).exists(),
+            "figures {args:?} wrote output before rejecting {offender}"
+        );
+    }
+}

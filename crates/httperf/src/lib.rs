@@ -19,5 +19,5 @@ pub mod testbed;
 
 pub use load::{FollowUps, LoadConfig, LoadGen, LoadShape, LoadTimer};
 pub use report::{ErrorCounts, RunReport};
-pub use run::{run_one, RunParams, ServerKind};
+pub use run::{build_world, run_one, RunParams, ServerKind};
 pub use testbed::{default_testbed, Testbed, CLIENT_HOST, SERVER_HOST};

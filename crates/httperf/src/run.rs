@@ -214,6 +214,16 @@ impl RunParams {
 
 /// Executes one benchmark run and returns its report.
 pub fn run_one(params: RunParams) -> RunReport {
+    let horizon = params.horizon;
+    let (mut bed, mut server) = build_world(params);
+    bed.start(server.as_mut());
+    bed.run(server.as_mut(), horizon);
+    bed.report(server.as_ref())
+}
+
+/// Builds the testbed and the server that [`run_one`] starts and runs
+/// (`params.horizon` is the caller's to apply).
+pub fn build_world(params: RunParams) -> (Testbed, Box<dyn Server>) {
     let mut bed = Testbed::new(params.cost, params.tcp, params.link, params.load);
     if params.spans {
         bed.kernel.spans_mut().set_enabled(true);
@@ -232,7 +242,7 @@ pub fn run_one(params: RunParams) -> RunReport {
         .doc_bytes
         .map(|n| ContentStore::size_sweep(&[n]))
         .unwrap_or_default();
-    let mut server: Box<dyn Server> = {
+    let server: Box<dyn Server> = {
         let mut ctx = ServerCtx {
             kernel: &mut bed.kernel,
             net: &mut bed.net,
@@ -287,7 +297,5 @@ pub fn run_one(params: RunParams) -> RunReport {
             )),
         }
     };
-    bed.start(server.as_mut());
-    bed.run(server.as_mut(), params.horizon);
-    bed.report(server.as_ref())
+    (bed, server)
 }

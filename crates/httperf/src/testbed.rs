@@ -36,16 +36,20 @@ pub struct Testbed {
     /// or in a rising stagger, so its lane stays sorted; a reopen
     /// scheduled inside the start-up stagger waits in the fallback heap.
     timers: TimerQueue<LoadTimer>,
+    /// `kernel.next_deadline()` as of the last kernel phase. Only the
+    /// kernel phase moves it: `Kernel::on_net` changes a process's
+    /// deadline only by waking it, which queues an event and so runs
+    /// the kernel phase in the same pass.
+    kernel_next: Option<SimTime>,
     now: SimTime,
     /// Simulation events dispatched so far: network notifies, kernel
     /// events and load-generator timer firings. Each sweep's `events`
     /// in `BENCH.json`, which the benchmark gate compares exactly.
     events: u64,
-    /// Reused across `drain_at` iterations so the hot loop never
+    /// Reused across `drain_at` calls so the hot loop never
     /// allocates per tick.
     notify_scratch: Vec<NetNotify>,
     kevent_scratch: Vec<KernelEvent>,
-    new_timer_scratch: Vec<(SimTime, LoadTimer)>,
 }
 
 impl Testbed {
@@ -63,11 +67,11 @@ impl Testbed {
             registry: DevPollRegistry::new(),
             load,
             timers: TimerQueue::new(),
+            kernel_next: None,
             now: SimTime::ZERO,
             events: 0,
             notify_scratch: Vec::new(),
             kevent_scratch: Vec::new(),
-            new_timer_scratch: Vec::new(),
         }
     }
 
@@ -106,29 +110,49 @@ impl Testbed {
         for (at, t) in timers {
             self.schedule(at, t);
         }
+        self.kernel_next = self.kernel.next_deadline();
         self.drain_at(self.now, server);
     }
 
-    /// Processes everything due at exactly `now` until quiescent.
+    /// The cached kernel deadline, checked against the kernel in debug
+    /// builds.
+    fn kernel_next(&self) -> Option<SimTime> {
+        debug_assert_eq!(
+            self.kernel_next,
+            self.kernel.next_deadline(),
+            "stale cached kernel deadline"
+        );
+        self.kernel_next
+    }
+
+    /// Processes everything due at exactly `now` in one pass: the
+    /// network, then the kernel, then the load timers, each only if it
+    /// has work due. Every action that arms more work at `now` leaves it
+    /// where `next_deadline` sees it, so `run` re-enters this instant
+    /// instead of this pass looping.
+    // #[hot_path] — simcheck bans per-call allocation in this function
     fn drain_at(&mut self, now: SimTime, server: &mut dyn Server) {
-        loop {
-            // Network deliveries and their fan-out.
+        // Network deliveries and their fan-out.
+        if self.net.has_work_at(now) {
             let mut notifies = std::mem::take(&mut self.notify_scratch);
             notifies.clear();
             self.net.advance_into(now, &mut notifies);
             self.events += notifies.len() as u64;
-            let mut new_timers = std::mem::take(&mut self.new_timer_scratch);
             for n in &notifies {
                 self.kernel.on_net(now, n);
-                new_timers.extend(self.load.on_net(&mut self.net, now, n));
+                // Nothing else arms load timers during the fan-out, so
+                // arming each follow-up as it returns keeps the order.
+                for (at, t) in self.load.on_net(&mut self.net, now, n) {
+                    self.schedule(at, t);
+                }
             }
             self.notify_scratch = notifies;
-            for (at, t) in new_timers.drain(..) {
-                self.schedule(at, t);
-            }
-            self.new_timer_scratch = new_timers;
+        }
 
-            // Kernel events: hints and runnable processes.
+        // Kernel events: hints and runnable processes. Runs if `on_net`
+        // above queued events (a wakeup may also move a deadline) or a
+        // process deadline is due.
+        if self.kernel.has_queued_events() || self.kernel_next().is_some_and(|t| t <= now) {
             let mut kevents = std::mem::take(&mut self.kevent_scratch);
             kevents.clear();
             self.kernel.advance_into(now, &mut kevents);
@@ -152,33 +176,22 @@ impl Testbed {
                 }
             }
             self.kevent_scratch = kevents;
+            self.kernel_next = self.kernel.next_deadline();
+        }
 
-            // Load-generator timers due now.
-            while let Some((_, t)) = self.timers.pop(now) {
-                self.events += 1;
-                let follow = self.load.on_timer(&mut self.net, now, t);
-                for (at, t) in follow {
-                    self.schedule(at, t);
-                }
-            }
-
-            // Quiescence test: actions above may have scheduled more
-            // work due at this same instant (a syscall queued segments,
-            // a wakeup became runnable, a timer follow-up landed on
-            // `now`). The O(1) `has_work_at` probes replace a full —
-            // and usually empty — extra pass through every phase.
-            let more = self.net.has_work_at(now)
-                || self.kernel.has_work_at(now)
-                || self.timers.next_at().is_some_and(|at| at <= now);
-            if !more {
-                break;
+        // Load-generator timers due now.
+        while let Some((_, t)) = self.timers.pop(now) {
+            self.events += 1;
+            let follow = self.load.on_timer(&mut self.net, now, t);
+            for (at, t) in follow {
+                self.schedule(at, t);
             }
         }
     }
 
     fn next_deadline(&self) -> Option<SimTime> {
         let mut next = self.net.next_deadline();
-        if let Some(k) = self.kernel.next_deadline() {
+        if let Some(k) = self.kernel_next() {
             next = Some(next.map_or(k, |n| n.min(k)));
         }
         if let Some(t) = self.timers.next_at() {

@@ -937,7 +937,7 @@ let stored = deadline_us;
 
     /// Functions on the per-event path that must carry a `#[hot_path]`
     /// marker (every function of that name in the file's library code).
-    const HOT_FNS: [(&str, &str); 13] = [
+    const HOT_FNS: [(&str, &str); 14] = [
         ("crates/core/src/stock.rs", "sys_poll"),
         ("crates/core/src/device.rs", "dp_poll_into"),
         ("crates/core/src/device.rs", "on_fd_event"),
@@ -945,6 +945,7 @@ let stored = deadline_us;
         ("crates/simkernel/src/kernel.rs", "advance_into"),
         ("crates/simkernel/src/kernel.rs", "readiness"),
         ("crates/simnet/src/net.rs", "advance_into"),
+        ("crates/httperf/src/testbed.rs", "drain_at"),
         ("crates/simcore/src/timer.rs", "push"),
         ("crates/simcore/src/timer.rs", "pop"),
         ("crates/simcore/src/probe.rs", "inc"),

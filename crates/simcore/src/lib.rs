@@ -26,10 +26,11 @@
 //!   heap, and one fallback heap for the rest.
 //!
 //! There is no scheduler here: the one event loop is
-//! `httperf::Testbed::drain_at`, which merges the network's timer queue,
-//! the kernel's deadlines and the load generator's timer queue. Everything is
-//! single-threaded and deterministic: a run is exactly reproducible from
-//! its RNG seed.
+//! `httperf::Testbed::drain_at`, which merges the network's timer queue
+//! (TIME_WAIT ends included), the kernel's deadlines and the load
+//! generator's timer queue, and at each instant calls only the
+//! subsystems that have work due. Everything is single-threaded and
+//! deterministic: a run is exactly reproducible from its RNG seed.
 
 pub mod fingerprint;
 pub mod paged;

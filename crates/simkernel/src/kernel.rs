@@ -609,15 +609,19 @@ impl Kernel {
     }
 
     /// Whether `advance_into(now, …)` would emit events or transition
-    /// any process — the quiescence test for driving loops, cheaper
-    /// than an empty advance pass (short-circuits on the first due
-    /// process).
+    /// any process (short-circuits on the first due process).
     pub fn has_work_at(&self, now: SimTime) -> bool {
-        !self.events_out.is_empty()
+        self.has_queued_events()
             || self
                 .procs
                 .iter()
                 .any(|p| p.next_deadline().is_some_and(|t| t <= now))
+    }
+
+    /// O(1): whether events are queued for the next `advance_into`
+    /// (wakeups and readiness hints raised since the last one).
+    pub fn has_queued_events(&self) -> bool {
+        !self.events_out.is_empty()
     }
 
     /// Fires due process transitions and drains pending events.

@@ -8,8 +8,10 @@
 //! [`Network::next_deadline`], advances its global clock, and calls
 //! [`Network::advance`], which fires due timers and returns the batch of
 //! [`NetNotify`] notifications produced since the last call. Mutating
-//! calls (connect/send/close/…) may also produce notifications; they are
-//! buffered and returned by the next `advance`.
+//! calls (connect/send/close/…) only arm timers, and TIME_WAIT ends are
+//! timers too, so every notification comes out of `advance` and, once it
+//! returns, all pending work is in the timer queue that `next_deadline`
+//! reads.
 
 use std::collections::BTreeSet;
 use std::collections::VecDeque;
@@ -109,16 +111,24 @@ pub const MODEM_DELAY: SimDuration = SimDuration::from_millis(150);
 const SYN_RTO_LANE: usize = 0;
 /// FIFO lane of first data RTOs, all armed at `now + rto_initial`.
 const DATA_RTO_LANE: usize = 1;
-/// Lanes below this are RTO lanes; host `h`'s deliveries use
-/// `DELIVERY_LANES + 2h` (no extra delay) and the lane after it
+/// FIFO lane of TIME_WAIT ends, all armed at `now + time_wait`.
+const TIME_WAIT_LANE: usize = 2;
+/// Lanes below this are RTO and TIME_WAIT lanes; host `h`'s deliveries
+/// use `DELIVERY_LANES + 2h` (no extra delay) and the lane after it
 /// ([`MODEM_DELAY`]).
-const DELIVERY_LANES: usize = 2;
+const DELIVERY_LANES: usize = 3;
 
+/// What a network timer does when it fires; `TimeWaitEnd` frees a
+/// client port whose TIME_WAIT is over.
 #[derive(Debug, Clone)]
 enum Timer {
     Deliver(Segment),
     Rto { conn: ConnId, side: Side },
+    TimeWaitEnd { host: HostId, port: Port },
 }
+
+// The timer arena holds one `Option<Timer>` per armed timer.
+const _: () = assert!(std::mem::size_of::<Option<Timer>>() == 24);
 
 #[derive(Debug, Clone)]
 struct Host {
@@ -375,6 +385,11 @@ impl Network {
                     h.write_u64(u64::from(conn.0));
                     h.write_bool(*side == Side::Server);
                 }
+                Some(Timer::TimeWaitEnd { host, port }) => {
+                    h.write_u8(3);
+                    h.write_usize(host.0);
+                    h.write_u64(u64::from(*port));
+                }
             }
         }
         h.write_len(self.out.len());
@@ -501,31 +516,17 @@ impl Network {
         self.timers.lane_misses()
     }
 
-    /// Earliest pending work, if any.
+    /// Earliest pending work, if any: the head of the timer queue,
+    /// TIME_WAIT ends included.
     pub fn next_deadline(&self) -> Option<SimTime> {
-        let timer = self.timers.next_at();
-        let ports = self
-            .hosts
-            .iter()
-            .filter_map(|h| h.ports.next_expiry())
-            .min();
-        match (timer, ports) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
+        self.timers.next_at()
     }
 
-    /// O(1): whether `advance_into(now, …)` would do anything — pending
-    /// notifications, a due timer, or a due TIME_WAIT expiry. Lets the
-    /// driving loop test for quiescence without paying for an empty
-    /// advance pass.
+    /// O(1): whether `advance_into(now, …)` would do anything, that is,
+    /// whether a timer is due (notifications are made only while timers
+    /// fire). Lets the driving loop skip an empty advance pass.
     pub fn has_work_at(&self, now: SimTime) -> bool {
-        !self.out.is_empty()
-            || self.timers.next_at().is_some_and(|t| t <= now)
-            || self
-                .hosts
-                .iter()
-                .any(|h| h.ports.next_expiry().is_some_and(|t| t <= now))
+        self.timers.next_at().is_some_and(|t| t <= now)
     }
 
     /// Fires all timers due at or before `now` and returns the
@@ -553,10 +554,8 @@ impl Network {
             match body {
                 Timer::Deliver(seg) => self.deliver(t, seg),
                 Timer::Rto { conn, side } => self.rto_fire(t, conn, side),
+                Timer::TimeWaitEnd { host, port } => self.hosts[host.0].ports.end_time_wait(port),
             }
-        }
-        for h in &mut self.hosts {
-            h.ports.expire(now);
         }
         out.append(&mut self.out);
     }
@@ -646,7 +645,7 @@ impl Network {
         remote: SockAddr,
         extra_delay: SimDuration,
     ) -> Result<ConnId, ConnectError> {
-        let Some(port) = self.hosts[host.0].ports.alloc(now) else {
+        let Some(port) = self.hosts[host.0].ports.alloc() else {
             self.stats.ports_exhausted += 1;
             return Err(ConnectError::PortsExhausted);
         };
@@ -693,6 +692,14 @@ impl Network {
     #[doc(hidden)]
     pub fn set_next_conn_id(&mut self, next: u32) {
         self.next_conn = next;
+    }
+
+    /// Test hook: narrows `host`'s ephemeral range to `[lo, hi)` before
+    /// it binds anything, so a short run wraps the range and reuses
+    /// ports that have left TIME_WAIT.
+    #[doc(hidden)]
+    pub fn set_ephemeral_range(&mut self, host: HostId, lo: Port, hi: Port) {
+        self.hosts[host.0].ports = PortAllocator::new(lo, hi);
     }
 
     /// Writes application bytes into the endpoint's send buffer.
@@ -1430,7 +1437,15 @@ impl Network {
             }
             match time_wait {
                 Some((tw_side, until)) if tw_side == side => {
-                    self.hosts[host.0].ports.release_time_wait(port, until);
+                    // Armed at a constant delay from a clock that only
+                    // moves forward, so the lane stays in firing order.
+                    if self.hosts[host.0].ports.release_time_wait(port) {
+                        self.arm(
+                            Lane::Fifo(TIME_WAIT_LANE),
+                            until,
+                            Timer::TimeWaitEnd { host, port },
+                        );
+                    }
                 }
                 _ => self.hosts[host.0].ports.release(port),
             }

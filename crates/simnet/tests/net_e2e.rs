@@ -89,38 +89,6 @@ fn data_flows_both_directions() {
 }
 
 #[test]
-fn clean_close_enters_time_wait_on_client_port() {
-    let mut net = network();
-    let listener = net.listen(SERVER, 80, 128).unwrap();
-    let conn = net
-        .connect(
-            SimTime::ZERO,
-            CLIENT,
-            SockAddr::new(SERVER, 80),
-            SimDuration::ZERO,
-        )
-        .unwrap();
-    let (_, now) = run(&mut net, SimTime::from_millis(50));
-    let server_ep = net.accept(listener).unwrap();
-    let client_ep = EndpointId::new(conn, Side::Client);
-
-    // HTTP/1.0 style: server closes first, client closes after EOF.
-    net.close(now, server_ep).unwrap();
-    let (events, now) = run(&mut net, now + SimDuration::from_millis(50));
-    assert!(events.contains(&NetNotify::PeerClosed { ep: client_ep }));
-    net.close(now, client_ep).unwrap();
-    let (events, _) = run(&mut net, now + SimDuration::from_millis(50));
-    assert!(events.contains(&NetNotify::ConnClosed { ep: client_ep }));
-    assert!(!net.exists(conn));
-    assert_eq!(net.time_wait_count(CLIENT), 1);
-    assert_eq!(net.stats().conns_closed, 1);
-
-    // The port frees after TIME_WAIT.
-    let _ = net.advance(SimTime::from_secs(61));
-    assert_eq!(net.time_wait_count(CLIENT), 0);
-}
-
-#[test]
 fn backlog_overflow_drops_syns() {
     let mut net = network();
     let listener = net.listen(SERVER, 80, 2).unwrap();

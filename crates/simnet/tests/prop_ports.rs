@@ -1,28 +1,27 @@
-//! Property test: the bitmap/deque `PortAllocator` is observably the
-//! hash-set/tree allocator it replaced.
+//! Property test: the bitmap `PortAllocator` is observably a hash-set
+//! allocator.
 //!
-//! `Reference` below is that earlier allocator, kept verbatim as the
-//! model. Both are driven through the same random interleavings of
-//! `alloc`, `bind` (in-range and well-known ports), `release`,
-//! `release_time_wait` (with out-of-order and equal expiries) and
-//! `expire` over a range small enough to exhaust, and must agree after
-//! every operation on the allocated port, the counts, the next expiry
-//! and the state fingerprint.
+//! `Reference` below is that model: the allocator's earlier hash-set
+//! form, minus the TIME_WAIT expiry queue (expiries are network timers
+//! now, pinned in `timer_lanes.rs`). Both are driven through the same
+//! random interleavings of `alloc`, `bind` (in-range and well-known
+//! ports), `release`, `release_time_wait` and `end_time_wait` over a
+//! range small enough to exhaust, and must agree after every operation
+//! on the allocated port, every return value, the counts and the state
+//! fingerprint.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::HashSet;
 
 use proptest::prelude::*;
 use simcore::fingerprint::Fnv;
-use simcore::time::SimTime;
 use simnet::{Port, PortAllocator};
 
-/// The allocator as it was before the bitmap/deque rewrite.
+/// The allocator as a pair of hash sets.
 struct Reference {
     lo: Port,
     hi: Port,
     next: Port,
     in_use: HashSet<Port>,
-    time_wait: BTreeMap<SimTime, Vec<Port>>,
     waiting: HashSet<Port>,
 }
 
@@ -33,28 +32,11 @@ impl Reference {
             hi,
             next: lo,
             in_use: HashSet::new(),
-            time_wait: BTreeMap::new(),
             waiting: HashSet::new(),
         }
     }
 
-    fn expire(&mut self, now: SimTime) {
-        match self.time_wait.first_key_value() {
-            Some((&t, _)) if t <= now => {}
-            _ => return,
-        }
-        let still_waiting = self
-            .time_wait
-            .split_off(&SimTime::from_nanos(now.as_nanos() + 1));
-        for (_t, ports) in std::mem::replace(&mut self.time_wait, still_waiting) {
-            for p in ports {
-                self.waiting.remove(&p);
-            }
-        }
-    }
-
-    fn alloc(&mut self, now: SimTime) -> Option<Port> {
-        self.expire(now);
+    fn alloc(&mut self) -> Option<Port> {
         let span = (self.hi - self.lo) as usize;
         for _ in 0..span {
             let p = self.next;
@@ -72,26 +54,23 @@ impl Reference {
     }
 
     fn bind(&mut self, port: Port) -> bool {
-        if self.in_use.contains(&port) {
-            return false;
-        }
-        self.in_use.insert(port);
-        true
+        self.in_use.insert(port)
     }
 
-    fn release_time_wait(&mut self, port: Port, until: SimTime) {
-        if self.in_use.remove(&port) {
-            self.time_wait.entry(until).or_default().push(port);
+    fn release_time_wait(&mut self, port: Port) -> bool {
+        let bound = self.in_use.remove(&port);
+        if bound {
             self.waiting.insert(port);
         }
+        bound
+    }
+
+    fn end_time_wait(&mut self, port: Port) {
+        self.waiting.remove(&port);
     }
 
     fn release(&mut self, port: Port) {
         self.in_use.remove(&port);
-    }
-
-    fn next_expiry(&self) -> Option<SimTime> {
-        self.time_wait.keys().next().copied()
     }
 
     fn fingerprint_into(&self, h: &mut Fnv) {
@@ -109,14 +88,6 @@ impl Reference {
         h.write_u64(xor_of(&self.in_use));
         h.write_len(self.waiting.len());
         h.write_u64(xor_of(&self.waiting));
-        h.write_len(self.time_wait.len());
-        for (at, ports) in &self.time_wait {
-            h.write_u64(at.as_nanos());
-            h.write_len(ports.len());
-            for &p in ports {
-                h.write_u64(u64::from(p));
-            }
-        }
     }
 }
 
@@ -126,12 +97,11 @@ const HI: Port = 16;
 /// three well-known ports outside it.
 const PORTS: [Port; 11] = [9, 10, 11, 12, 13, 14, 15, 16, 80, 443, 8080];
 
-/// One operation: `((kind, port index), (clock step, TIME_WAIT length))`,
-/// times in seconds.
-type Op = ((u8, usize), (u64, u64));
+/// One operation: `(kind, port index)`.
+type Op = (u8, usize);
 
 fn ops() -> impl Strategy<Value = Vec<Op>> {
-    prop::collection::vec(((0u8..6, 0usize..PORTS.len()), (0u64..3, 0u64..5)), 1..250)
+    prop::collection::vec((0u8..6, 0usize..PORTS.len()), 1..250)
 }
 
 fn digest_new(a: &PortAllocator) -> u64 {
@@ -150,9 +120,10 @@ fn digest_ref(r: &Reference) -> u64 {
 #[derive(Default)]
 struct Coverage {
     exhausted: usize,
-    out_of_order: usize,
-    equal_expiry: usize,
-    expired: usize,
+    /// Allocations refused while some port sat in TIME_WAIT.
+    blocked_by_time_wait: usize,
+    parked: usize,
+    ended: usize,
 }
 
 /// Drives both allocators through `ops`, asserting agreement after
@@ -161,16 +132,14 @@ fn run_both(ops: &[Op]) -> Coverage {
     let mut new = PortAllocator::new(LO, HI);
     let mut old = Reference::new(LO, HI);
     let mut cov = Coverage::default();
-    let mut secs = 0;
-    for (step, &((kind, pi), (dt, tw))) in ops.iter().enumerate() {
-        secs += dt;
-        let now = SimTime::from_secs(secs);
+    for (step, &(kind, pi)) in ops.iter().enumerate() {
         let port = PORTS[pi];
         match kind {
             0 | 1 => {
-                let got = new.alloc(now);
-                assert_eq!(got, old.alloc(now), "step {step}: alloc at {now:?}");
+                let got = new.alloc();
+                assert_eq!(got, old.alloc(), "step {step}: alloc");
                 cov.exhausted += usize::from(got.is_none());
+                cov.blocked_by_time_wait += usize::from(got.is_none() && !old.waiting.is_empty());
             }
             2 => assert_eq!(new.bind(port), old.bind(port), "step {step}: bind {port}"),
             3 => {
@@ -178,22 +147,18 @@ fn run_both(ops: &[Op]) -> Coverage {
                 old.release(port);
             }
             4 => {
-                let until = SimTime::from_secs(secs + tw);
-                if old.in_use.contains(&port) {
-                    match old.time_wait.last_key_value() {
-                        Some((&last, _)) if last > until => cov.out_of_order += 1,
-                        _ => {}
-                    }
-                    cov.equal_expiry += usize::from(old.time_wait.contains_key(&until));
-                }
-                new.release_time_wait(port, until);
-                old.release_time_wait(port, until);
+                let parked = new.release_time_wait(port);
+                assert_eq!(
+                    parked,
+                    old.release_time_wait(port),
+                    "step {step}: release_time_wait {port}"
+                );
+                cov.parked += usize::from(parked);
             }
             _ => {
-                let before = old.waiting.len();
-                new.expire(now);
-                old.expire(now);
-                cov.expired += before - old.waiting.len();
+                cov.ended += usize::from(old.waiting.contains(&port));
+                new.end_time_wait(port);
+                old.end_time_wait(port);
             }
         }
         assert_eq!(new.in_use(), old.in_use.len(), "step {step}: in_use");
@@ -201,11 +166,6 @@ fn run_both(ops: &[Op]) -> Coverage {
             new.in_time_wait(),
             old.waiting.len(),
             "step {step}: in_time_wait"
-        );
-        assert_eq!(
-            new.next_expiry(),
-            old.next_expiry(),
-            "step {step}: next_expiry"
         );
         assert_eq!(
             digest_new(&new),
@@ -226,20 +186,24 @@ proptest! {
 }
 
 /// The generated interleavings reach every branch worth checking:
-/// exhaustion, out-of-order and equal TIME_WAIT expiries, and expiry.
+/// exhaustion, an allocation refused while ports wait, and TIME_WAIT
+/// entered and ended.
 #[test]
-fn generated_ops_cover_exhaustion_and_reordering() {
+fn generated_ops_cover_exhaustion_and_time_wait() {
     let mut total = Coverage::default();
     for case in 0..64 {
         let mut rng = proptest::Rng::for_case("prop_ports::coverage", case);
         let cov = run_both(&ops().generate(&mut rng));
         total.exhausted += cov.exhausted;
-        total.out_of_order += cov.out_of_order;
-        total.equal_expiry += cov.equal_expiry;
-        total.expired += cov.expired;
+        total.blocked_by_time_wait += cov.blocked_by_time_wait;
+        total.parked += cov.parked;
+        total.ended += cov.ended;
     }
     assert!(total.exhausted > 0, "no alloc ever hit exhaustion");
-    assert!(total.out_of_order > 0, "no out-of-order TIME_WAIT expiry");
-    assert!(total.equal_expiry > 0, "no shared TIME_WAIT expiry");
-    assert!(total.expired > 0, "no TIME_WAIT entry ever expired");
+    assert!(
+        total.blocked_by_time_wait > 0,
+        "no alloc was refused while a port waited"
+    );
+    assert!(total.parked > 0, "no port ever entered TIME_WAIT");
+    assert!(total.ended > 0, "no TIME_WAIT ever ended");
 }

@@ -9,7 +9,7 @@
 //! Figures and ablations live in the bench crate:
 //! `cargo run --release -p bench --bin figures -- all`.
 
-use scalable_net_io::bench::{effective_jobs, run_jobs};
+use scalable_net_io::bench::{effective_jobs, flag_value_where, run_jobs};
 use scalable_net_io::httperf::{run_one, LoadShape, RunParams, ServerKind};
 use scalable_net_io::simcore::span::Phase;
 use scalable_net_io::simcore::time::SimDuration;
@@ -94,23 +94,6 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-/// Parses the value of `flag`. A value that does not parse, or that
-/// `ok` rejects, exits 2 with a message naming the flag.
-fn parse_flag<T: std::str::FromStr>(
-    flag: &str,
-    value: String,
-    expects: &str,
-    ok: impl Fn(&T) -> bool,
-) -> T {
-    match value.parse() {
-        Ok(v) if ok(&v) => v,
-        _ => {
-            eprintln!("{flag} expects {expects}, got {value:?}");
-            std::process::exit(2)
-        }
-    }
-}
-
 fn parse_kind(name: &str) -> Option<ServerKind> {
     Some(match name {
         "select" => ServerKind::ThttpdSelect,
@@ -187,17 +170,23 @@ fn main() {
         match a.as_str() {
             "--server" => opts.server = val(),
             "--rate" => {
-                opts.rate = parse_flag("--rate", val(), "a finite rate above 0", |r: &f64| {
-                    r.is_finite() && *r > 0.0
-                })
+                opts.rate = flag_value_where(
+                    "--rate",
+                    Some(&val()),
+                    "a finite rate above 0",
+                    |r: &f64| r.is_finite() && *r > 0.0,
+                )
             }
             "--inactive" => opts.inactive = val().parse().unwrap_or_else(|_| usage()),
-            "--conns" => opts.conns = parse_flag("--conns", val(), "at least 1", |&n| n > 0),
+            "--conns" => {
+                opts.conns = flag_value_where("--conns", Some(&val()), "at least 1", |&n| n > 0)
+            }
             "--seed" => opts.seed = val().parse().unwrap_or_else(|_| usage()),
             "--loss" => {
-                opts.loss = parse_flag("--loss", val(), "a probability in [0, 1]", |p| {
-                    (0.0..=1.0).contains(p)
-                })
+                opts.loss =
+                    flag_value_where("--loss", Some(&val()), "a probability in [0, 1]", |p| {
+                        (0.0..=1.0).contains(p)
+                    })
             }
             "--doc-bytes" => opts.doc_bytes = Some(val().parse().unwrap_or_else(|_| usage())),
             "--bursty" => opts.bursty = true,
