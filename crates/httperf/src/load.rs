@@ -6,6 +6,8 @@
 //! the number of high-latency clients constant, these clients reopen
 //! their connection if the server times them out." (§5)
 
+use std::rc::Rc;
+
 use simcore::paged::PagedSlots;
 use simcore::rng::SimRng;
 use simcore::stats::{Quantiles, RateSampler};
@@ -204,8 +206,9 @@ pub struct LoadGen {
     host: HostId,
     server: SockAddr,
     rng: SimRng,
-    /// The `GET` for `cfg.doc_path`, rendered once.
-    request: String,
+    /// The `GET` for `cfg.doc_path`, rendered once; every request
+    /// socket queues a share of it.
+    request: Rc<Vec<u8>>,
     /// Paged per-connection table indexed by `ConnId`: sequential ids
     /// keep pages dense, and a million-connection population costs only
     /// the pages its live id range touches. Ids are never reused, so a
@@ -237,9 +240,12 @@ impl LoadGen {
     pub fn new(cfg: LoadConfig, host: HostId, server: SockAddr) -> LoadGen {
         let rng = SimRng::new(cfg.seed);
         let sampler = RateSampler::new(SimTime::ZERO + cfg.warmup, cfg.window);
-        let request = format!(
-            "GET {} HTTP/1.0\r\nUser-Agent: simhttperf\r\n\r\n",
-            cfg.doc_path
+        let request = Rc::new(
+            format!(
+                "GET {} HTTP/1.0\r\nUser-Agent: simhttperf\r\n\r\n",
+                cfg.doc_path
+            )
+            .into_bytes(),
         );
         LoadGen {
             cfg,
@@ -404,7 +410,7 @@ impl LoadGen {
                         ok_prefix: None,
                     };
                     let ep = EndpointId::new(conn, Side::Client);
-                    let _ = net.send(now, ep, self.request.as_bytes());
+                    let _ = net.send_shared(now, ep, &self.request, 0);
                 }
             }
         }

@@ -51,10 +51,12 @@ pub struct HttpConn {
     pub phase: ConnPhase,
     /// Buffered request bytes.
     pub in_buf: Vec<u8>,
-    /// Response bytes (headers + body). Shared with the content store's
-    /// pre-rendered response cache on the 200 path, so starting a reply
-    /// is a pointer bump rather than a header format plus body copy.
-    pub out_buf: Rc<Vec<u8>>,
+    /// Response bytes (headers + body), `None` until a response is
+    /// chosen. Shared with the content store's pre-rendered response
+    /// cache on the 200 path, so starting a reply is a pointer bump
+    /// rather than a header format plus body copy, and the socket queues
+    /// a share of the same buffer.
+    pub out_buf: Option<Rc<Vec<u8>>>,
     /// How much of `out_buf` has been written.
     pub out_pos: usize,
     /// Time of the last I/O progress (for idle timeouts).
@@ -73,7 +75,7 @@ impl HttpConn {
             fd,
             phase: ConnPhase::Reading,
             in_buf: Vec::new(),
-            out_buf: Rc::new(Vec::new()),
+            out_buf: None,
             out_pos: 0,
             last_activity: now,
             accepted_at: now,
@@ -125,20 +127,20 @@ impl HttpConn {
                             let cost = *kernel.cost_model();
                             kernel.charge_app(pid, cost.app_parse_request);
                             kernel.charge_app(pid, cost.app_open_file);
-                            self.out_buf = match content.response_for(req.path) {
+                            self.out_buf = Some(match content.response_for(req.path) {
                                 Some(resp) => resp,
                                 None => {
                                     *not_found += 1;
                                     Rc::new(response_error(404, "Not Found"))
                                 }
-                            };
+                            });
                             self.phase = ConnPhase::Writing;
                             return self.on_writable(kernel, net, now, pid);
                         }
                         ParseOutcome::Malformed => {
                             let cost = *kernel.cost_model();
                             kernel.charge_app(pid, cost.app_parse_request);
-                            self.out_buf = Rc::new(response_error(400, "Bad Request"));
+                            self.out_buf = Some(Rc::new(response_error(400, "Bad Request")));
                             self.phase = ConnPhase::Writing;
                             return self.on_writable(kernel, net, now, pid);
                         }
@@ -159,12 +161,15 @@ impl HttpConn {
         pid: Pid,
     ) -> ConnStatus {
         debug_assert_eq!(self.phase, ConnPhase::Writing);
-        while self.out_pos < self.out_buf.len() {
-            let chunk = &self.out_buf[self.out_pos..];
+        let Some(out) = &self.out_buf else {
+            debug_assert!(false, "writing without a response");
+            return ConnStatus::Finished(FinishKind::Error);
+        };
+        while self.out_pos < out.len() {
             let wrote = if self.use_sendfile {
-                kernel.sys_sendfile(net, now, pid, self.fd, chunk)
+                kernel.sys_sendfile(net, now, pid, self.fd, out, self.out_pos)
             } else {
-                kernel.sys_write(net, now, pid, self.fd, chunk)
+                kernel.sys_write(net, now, pid, self.fd, out, self.out_pos)
             };
             match wrote {
                 Ok(n) => {
@@ -252,6 +257,66 @@ mod tests {
         assert!(text.starts_with("HTTP/1.0 200 OK"));
         assert!(text.contains("Content-Length: 6144"));
         assert!(net.peer_closed(client_ep), "HTTP/1.0: server closes");
+    }
+
+    #[test]
+    fn shared_reply_arrives_intact_and_is_released_on_close() {
+        let mut net = Network::new(TcpConfig::default(), LinkConfig::default(), 2);
+        let mut kernel = Kernel::new(SERVER, CostModel::k6_2_400mhz());
+        let pid = kernel.spawn_default();
+        kernel.begin_batch(SimTime::ZERO, pid);
+        let lfd = kernel.sys_listen(&mut net, pid, 80, 128).unwrap();
+        kernel.end_batch(SimTime::ZERO, pid);
+        let conn_id = net
+            .connect(
+                SimTime::ZERO,
+                CLIENT,
+                SockAddr::new(SERVER, 80),
+                SimDuration::ZERO,
+            )
+            .unwrap();
+        pump(&mut net, &mut kernel, SimTime::from_millis(10));
+        let t = SimTime::from_millis(10);
+        kernel.begin_batch(t, pid);
+        let fd = kernel.sys_accept(&mut net, t, pid, lfd).unwrap();
+        kernel.end_batch(t, pid);
+        let client_ep = EndpointId::new(conn_id, simnet::Side::Client);
+        net.send(t, client_ep, b"GET /index.html HTTP/1.0\r\n\r\n")
+            .unwrap();
+        pump(&mut net, &mut kernel, SimTime::from_millis(20));
+
+        let content = ContentStore::citi_6k();
+        let reply = content.response_for("/index.html").unwrap();
+        // The store's own references, plus this test's.
+        let at_rest = Rc::strong_count(&reply);
+        let t = SimTime::from_millis(20);
+        let mut conn = HttpConn::new(fd, t);
+        let mut nf = 0u64;
+        kernel.begin_batch(t, pid);
+        let status = conn.on_readable(&mut kernel, &mut net, t, pid, &content, &mut nf);
+        assert_eq!(status, ConnStatus::Finished(FinishKind::Replied));
+        assert!(
+            Rc::strong_count(&reply) > at_rest + 1,
+            "the socket queues a share of the reply, not a copy"
+        );
+        kernel.sys_close(&mut net, t, pid, fd).unwrap();
+        kernel.end_batch(t, pid);
+        drop(conn);
+
+        pump(&mut net, &mut kernel, SimTime::from_millis(120));
+        let mut got = Vec::new();
+        net.recv_into(client_ep, usize::MAX, &mut got).unwrap();
+        assert!(reply.len() > 6144);
+        assert_eq!(got, *reply, "the client reads exactly the reply's bytes");
+        assert!(net.peer_closed(client_ep));
+        net.close(SimTime::from_millis(120), client_ep).unwrap();
+        pump(&mut net, &mut kernel, SimTime::from_millis(240));
+        assert!(!net.exists(conn_id), "both directions fully closed");
+        assert_eq!(
+            Rc::strong_count(&reply),
+            at_rest,
+            "no reference outlives the connection"
+        );
     }
 
     #[test]

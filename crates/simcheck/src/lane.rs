@@ -363,11 +363,11 @@ impl Lane {
                 let Some(&fd) = self.fds.get(conn) else {
                     return;
                 };
-                let payload = vec![b'y'; bytes];
+                let payload = std::rc::Rc::new(vec![b'y'; bytes]);
                 self.kernel.begin_batch(self.now, self.pid);
                 let _ = self
                     .kernel
-                    .sys_write(&mut self.net, self.now, self.pid, fd, &payload);
+                    .sys_write(&mut self.net, self.now, self.pid, fd, &payload, 0);
                 self.now = self.now.max(self.kernel.end_batch(self.now, self.pid));
             }
             Op::Poll => unreachable!("Poll boundaries are handled by ready_set()"),

@@ -17,14 +17,15 @@
 //!   produced from it is non-deterministic; use `BTreeMap`/`BTreeSet`
 //!   or sort explicitly. (`clippy::iter_over_hash_type` checks only
 //!   `for` loops and misses `.iter()` chains.)
-//! * `alloc-in-hot-path` — `Box::new` or `.collect` inside a function
-//!   on the simulator's per-event hot path. Hot functions are the ones
-//!   annotated with a `#[hot_path]` comment marker directly above the
-//!   `fn`. These run millions of times per figures sweep; a per-call
-//!   heap allocation there is the exact overhead the arena/dense-table
-//!   overhaul removed — allocate once and reuse (`std::mem::take`
-//!   scratch buffers), or keep the cold path out of the marked
-//!   function.
+//! * `alloc-in-hot-path` — `Box::new`, `Rc::new`, `.to_vec()` or
+//!   `.collect` inside a function on the simulator's per-event hot
+//!   path. Hot functions are the ones annotated with a `#[hot_path]`
+//!   comment marker directly above the `fn`. These run millions of
+//!   times per figures sweep; a per-call heap allocation there is the
+//!   exact overhead the arena/dense-table overhaul removed — allocate
+//!   once and reuse (`std::mem::take` scratch buffers), share bytes by
+//!   reference (`Rc::clone` of a buffer rendered once), or keep the
+//!   cold path out of the marked function.
 //! * `time-unit` — identifiers with different time-unit suffixes
 //!   (`_ns`, `_us`, `_ms`) combined by arithmetic on one line. Adding
 //!   nanoseconds to milliseconds compiles fine and is wrong by 10^6;
@@ -252,8 +253,12 @@ fn time_unit_mix(code: &str) -> bool {
 /// inside them.
 fn scan_hot_spans(rel: &str, lines: &[&str], code: &[String], out: &mut Vec<Finding>) {
     // Needles split so this scanner does not flag its own definitions.
-    let box_needle = concat!("Box", "::new");
-    let collect_needle = concat!(".col", "lect");
+    let needles = [
+        concat!("Box", "::new"),
+        concat!("Rc", "::new("),
+        concat!(".to_", "vec()"),
+        concat!(".col", "lect"),
+    ];
     // The comment must *start* with the marker so prose that merely
     // mentions it (like this module's docs) does not mark anything.
     let marker = concat!("// #[hot", "_path]");
@@ -279,7 +284,7 @@ fn scan_hot_spans(rel: &str, lines: &[&str], code: &[String], out: &mut Vec<Find
                     if lt.starts_with("//") {
                         continue;
                     }
-                    if l.contains(box_needle) || l.contains(collect_needle) {
+                    if needles.iter().any(|n| l.contains(n)) {
                         out.push(Finding {
                             rule: "alloc-in-hot-path",
                             path: rel.to_string(),
@@ -734,6 +739,9 @@ mod tests {
 pub fn dispatch(&mut self) {
     let b = Box::new(1);
     let v: Vec<u32> = xs.iter().collect();
+    let r = Rc::new(bytes);
+    let c = payload.to_vec();
+    let shared = Rc::clone(&r); // fine: a reference, not a copy
 }
 
 fn cold() {
@@ -746,7 +754,7 @@ fn cold() {
             .filter(|f| f.rule == "alloc-in-hot-path")
             .map(|f| f.line)
             .collect();
-        assert_eq!(hits, vec![4, 5]);
+        assert_eq!(hits, vec![4, 5, 6, 7]);
     }
 
     #[test]
@@ -937,7 +945,7 @@ let stored = deadline_us;
 
     /// Functions on the per-event path that must carry a `#[hot_path]`
     /// marker (every function of that name in the file's library code).
-    const HOT_FNS: [(&str, &str); 14] = [
+    const HOT_FNS: [(&str, &str); 16] = [
         ("crates/core/src/stock.rs", "sys_poll"),
         ("crates/core/src/device.rs", "dp_poll_into"),
         ("crates/core/src/device.rs", "on_fd_event"),
@@ -945,6 +953,8 @@ let stored = deadline_us;
         ("crates/simkernel/src/kernel.rs", "advance_into"),
         ("crates/simkernel/src/kernel.rs", "readiness"),
         ("crates/simnet/src/net.rs", "advance_into"),
+        ("crates/simnet/src/net.rs", "on_data"),
+        ("crates/simnet/src/bytes.rs", "extend_from_queue"),
         ("crates/httperf/src/testbed.rs", "drain_at"),
         ("crates/simcore/src/timer.rs", "push"),
         ("crates/simcore/src/timer.rs", "pop"),

@@ -22,6 +22,8 @@
 //! written after a cheap scan — the causal chain behind every saturation
 //! curve in the paper.
 
+use std::rc::Rc;
+
 use simcore::paged::{PagedBits, PagedSlots};
 use simcore::probe::{Metric, MetricRegistry};
 use simcore::span::{Phase, SpanGuard, SpanTracer};
@@ -672,7 +674,13 @@ impl Kernel {
                 _ => {}
             }
         }
-        out.append(&mut self.events_out);
+        // An empty caller buffer takes the staged batch whole (the
+        // vectors trade storage), so no element is copied.
+        if out.is_empty() {
+            std::mem::swap(out, &mut self.events_out);
+        } else {
+            out.append(&mut self.events_out);
+        }
     }
 
     /// Charges softirq-context CPU work (used by `/dev/poll` backmap
@@ -1176,7 +1184,9 @@ impl Kernel {
         Ok(n)
     }
 
-    /// `write()`: buffers up to the socket send-buffer size.
+    /// `write()` of `data[from..]`: buffers up to the socket send-buffer
+    /// size. The socket holds a share of `data`, not a copy; the copy
+    /// a real `write()` makes is charged all the same.
     ///
     /// Returns the number of bytes accepted; `EAGAIN` if none fit.
     pub fn sys_write(
@@ -1185,7 +1195,8 @@ impl Kernel {
         now: SimTime,
         pid: Pid,
         fd: Fd,
-        data: &[u8],
+        data: &Rc<Vec<u8>>,
+        from: usize,
     ) -> Result<usize, Errno> {
         let t0 = self.syscall_enter(pid, Syscall::Write, self.cost.write_base);
         let (ep, mirror) = self.stream_of(pid, fd)?;
@@ -1193,7 +1204,7 @@ impl Kernel {
             return Err(Errno::ECONNRESET);
         }
         let vnow = self.vnow(now, pid);
-        let n = match net.send(vnow, ep, data) {
+        let n = match net.send_shared(vnow, ep, data, from) {
             Ok(n) => n,
             Err(_) => return Err(Errno::EPIPE),
         };
@@ -1215,9 +1226,9 @@ impl Kernel {
         Ok(n)
     }
 
-    /// `sendfile()`: transmits file bytes through the kernel without the
-    /// user-space copy (§6 of the paper lists this as future work worth
-    /// studying; Linux 2.2 had just grown the syscall).
+    /// `sendfile()` of `data[from..]`: transmits file bytes through the
+    /// kernel without the user-space copy (§6 of the paper lists this as
+    /// future work worth studying; Linux 2.2 had just grown the syscall).
     ///
     /// Semantically identical to `write()` here — the content store is
     /// in memory — but the per-byte cost uses the cheaper in-kernel
@@ -1228,7 +1239,8 @@ impl Kernel {
         now: SimTime,
         pid: Pid,
         fd: Fd,
-        data: &[u8],
+        data: &Rc<Vec<u8>>,
+        from: usize,
     ) -> Result<usize, Errno> {
         let t0 = self.syscall_enter(pid, Syscall::Sendfile, self.cost.write_base);
         let (ep, mirror) = self.stream_of(pid, fd)?;
@@ -1236,7 +1248,7 @@ impl Kernel {
             return Err(Errno::ECONNRESET);
         }
         let vnow = self.vnow(now, pid);
-        let n = match net.send(vnow, ep, data) {
+        let n = match net.send_shared(vnow, ep, data, from) {
             Ok(n) => n,
             Err(_) => return Err(Errno::EPIPE),
         };
@@ -1505,7 +1517,7 @@ mod tests {
         // Drained: no longer readable.
         assert!(!kernel.readiness(pid, fd).contains(PollBits::POLLIN));
         let n = kernel
-            .sys_write(&mut net, t, pid, fd, &[0u8; 6144])
+            .sys_write(&mut net, t, pid, fd, &Rc::new(vec![0u8; 6144]), 0)
             .unwrap();
         assert_eq!(n, 6144);
         kernel.sys_close(&mut net, t, pid, fd).unwrap();

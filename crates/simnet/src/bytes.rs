@@ -1,22 +1,58 @@
-//! A contiguous byte FIFO for endpoint stream buffers.
+//! Endpoint stream buffers as FIFOs of shared slices.
 //!
-//! `VecDeque<u8>` served here originally, but its ring layout makes the
-//! three hot operations — bulk append on `send`, bulk copy on data
-//! delivery, bulk trim on ack — byte-wise or two-slice affairs. The
-//! profile showed those loops dominating the run (the stream plumbing of
-//! a 6 KB response costs more than every modelled syscall around it).
-//! `ByteQueue` keeps the live bytes contiguous in a `Vec` behind a head
-//! offset: append is one `memcpy`, trim is a pointer bump, and readers
-//! get a single slice. Reclaiming the dead prefix is amortised O(1):
-//! the buffer compacts only when the head crosses half the backing
-//! storage, so every live byte moves at most once per compaction cycle.
+//! A server's reply already lives in one reference-counted buffer: the
+//! content store renders each response once and every connection that
+//! serves it holds the same `Rc<Vec<u8>>`. The stream buffers pass that
+//! buffer along instead of copying it. A [`ByteQueue`] is a FIFO of
+//! chunks, each a `(buffer, start, end)` reference into someone's
+//! bytes:
+//!
+//! - `send` queues a reference to the caller's buffer in the sender's
+//!   `out` ([`ByteQueue::extend_shared`]);
+//! - a data delivery moves the segment's range from the sender's `out`
+//!   to the receiver's inbox, again by reference
+//!   ([`ByteQueue::extend_from_queue`]);
+//! - the ack path and reads drop or trim chunks at the front
+//!   ([`ByteQueue::consume`]), so nothing is ever compacted;
+//! - only a reader that asks for the bytes gets a copy
+//!   ([`ByteQueue::copy_into`], [`ByteQueue::copy_prefix`]).
+//!
+//! A chunk that continues the tail chunk's range in the same buffer is
+//! merged into it, so a 6 KB reply delivered as five segments stays one
+//! chunk end to end. Buffers are never written after they are shared,
+//! which is what makes the sharing invisible: the bytes a queue yields
+//! are exactly the bytes a copying queue would hold.
+//!
+//! The queue is a bare `VecDeque` (32 bytes, no length field): it sits
+//! twice in every connection's endpoint, a million connections deep, and
+//! queues hold a handful of chunks, so lengths are summed on demand.
 
-/// A FIFO of bytes with O(1) amortised append, bulk pop, and single-slice
-/// access to the queued bytes.
+use std::collections::VecDeque;
+use std::ops::Range;
+use std::rc::Rc;
+
+/// A range of a shared buffer. Never empty inside a queue.
+#[derive(Debug, Clone)]
+struct Chunk {
+    buf: Rc<Vec<u8>>,
+    start: usize,
+    end: usize,
+}
+
+impl Chunk {
+    fn len(&self) -> usize {
+        self.end - self.start
+    }
+
+    fn bytes(&self) -> &[u8] {
+        &self.buf[self.start..self.end]
+    }
+}
+
+/// A FIFO of bytes held as references into shared buffers.
 #[derive(Debug, Clone, Default)]
 pub struct ByteQueue {
-    buf: Vec<u8>,
-    head: usize,
+    chunks: VecDeque<Chunk>,
 }
 
 impl ByteQueue {
@@ -27,158 +63,191 @@ impl ByteQueue {
 
     /// Number of queued (unconsumed) bytes.
     pub fn len(&self) -> usize {
-        self.buf.len() - self.head
+        self.chunks.iter().map(Chunk::len).sum()
     }
 
     /// Whether no bytes are queued.
     pub fn is_empty(&self) -> bool {
-        self.head == self.buf.len()
+        self.chunks.is_empty()
     }
 
-    /// The queued bytes, oldest first, as one contiguous slice.
-    pub fn as_slice(&self) -> &[u8] {
-        &self.buf[self.head..]
+    /// The queued bytes, oldest first, one slice per chunk. Chunk
+    /// boundaries carry no meaning: only the concatenation does.
+    pub fn chunks(&self) -> impl Iterator<Item = &[u8]> {
+        self.chunks.iter().map(Chunk::bytes)
     }
 
-    /// Appends `data` to the back of the queue.
-    pub fn extend_from_slice(&mut self, data: &[u8]) {
-        self.buf.extend_from_slice(data);
+    /// Appends `buf[range]` by reference.
+    pub fn extend_shared(&mut self, buf: &Rc<Vec<u8>>, range: Range<usize>) {
+        assert!(
+            range.start <= range.end && range.end <= buf.len(),
+            "range out of bounds"
+        );
+        self.push(buf, range.start, range.end);
+    }
+
+    /// Appends `len` bytes of `src`, starting `offset` bytes past its
+    /// front, by reference (`offset + len` must not exceed `src.len()`).
+    // #[hot_path] — one call per in-order data segment
+    pub fn extend_from_queue(&mut self, src: &ByteQueue, offset: usize, len: usize) {
+        let (mut skip, mut left) = (offset, len);
+        for c in &src.chunks {
+            if left == 0 {
+                break;
+            }
+            if skip >= c.len() {
+                skip -= c.len();
+                continue;
+            }
+            let start = c.start + skip;
+            let take = (c.end - start).min(left);
+            self.push(&c.buf, start, start + take);
+            left -= take;
+            skip = 0;
+        }
+        debug_assert_eq!(left, 0, "range past the end of the source queue");
+    }
+
+    /// Queues `buf[start..end]`, growing the tail chunk when the range
+    /// continues it.
+    fn push(&mut self, buf: &Rc<Vec<u8>>, start: usize, end: usize) {
+        if start == end {
+            return;
+        }
+        if let Some(tail) = self.chunks.back_mut() {
+            if tail.end == start && Rc::ptr_eq(&tail.buf, buf) {
+                tail.end = end;
+                return;
+            }
+        }
+        self.chunks.push_back(Chunk {
+            buf: Rc::clone(buf),
+            start,
+            end,
+        });
+    }
+
+    /// Copies the first `dst.len()` queued bytes (or all of them, if
+    /// fewer) into `dst`; returns how many were copied.
+    pub fn copy_prefix(&self, dst: &mut [u8]) -> usize {
+        let mut n = 0;
+        for c in self.chunks() {
+            if n == dst.len() {
+                break;
+            }
+            let take = c.len().min(dst.len() - n);
+            dst[n..n + take].copy_from_slice(&c[..take]);
+            n += take;
+        }
+        n
+    }
+
+    /// Appends the first `n` queued bytes (`n` must not exceed `len`)
+    /// to `out`.
+    pub fn copy_into(&self, n: usize, out: &mut Vec<u8>) {
+        let mut left = n;
+        for c in self.chunks() {
+            if left == 0 {
+                break;
+            }
+            let take = c.len().min(left);
+            out.extend_from_slice(&c[..take]);
+            left -= take;
+        }
+        debug_assert_eq!(left, 0, "copy past the end of the queue");
     }
 
     /// Drops the first `n` queued bytes (`n` must not exceed `len`).
     pub fn consume(&mut self, n: usize) {
-        debug_assert!(n <= self.len(), "consume past end of queue");
-        self.head += n;
-        if self.head == self.buf.len() {
-            // Fully drained: reset without moving any bytes.
-            self.buf.clear();
-            self.head = 0;
-        } else if self.head > self.buf.len() / 2 {
-            // The dead prefix outweighs the live bytes: compact so the
-            // backing store stops growing. Each live byte is copied at
-            // most once per doubling of consumed volume, keeping the
-            // whole scheme amortised O(1) per byte.
-            self.buf.copy_within(self.head.., 0);
-            let live = self.buf.len() - self.head;
-            self.buf.truncate(live);
-            self.head = 0;
-        }
-    }
-
-    /// Removes all queued bytes.
-    pub fn clear(&mut self) {
-        self.buf.clear();
-        self.head = 0;
-    }
-}
-
-/// Cleared queues whose storage outlived their connection.
-///
-/// Every active connection grows up to four queues from empty; without
-/// reuse each one is a fresh allocation, regrown and freed again when
-/// the connection dies. The network hands dead connections' storage to
-/// the next endpoint that needs a buffer instead. Held-open idle
-/// connections never ask, so they stay allocation-free.
-#[derive(Debug, Default)]
-pub(crate) struct QueuePool(Vec<ByteQueue>);
-
-impl QueuePool {
-    /// Gives `q` pooled storage if it has none yet.
-    pub(crate) fn fill(&mut self, q: &mut ByteQueue) {
-        if q.buf.capacity() == 0 {
-            if let Some(pooled) = self.0.pop() {
-                *q = pooled;
+        let mut left = n;
+        while left > 0 {
+            let Some(front) = self.chunks.front_mut() else {
+                debug_assert!(false, "consume past the end of the queue");
+                return;
+            };
+            if left < front.len() {
+                front.start += left;
+                return;
             }
-        }
-    }
-
-    /// Takes `q`'s storage back, cleared; queues that never allocated
-    /// are dropped.
-    pub(crate) fn put(&mut self, mut q: ByteQueue) {
-        if q.buf.capacity() > 0 {
-            q.clear();
-            self.0.push(q);
+            left -= front.len();
+            self.chunks.pop_front();
         }
     }
 }
 
-impl Clone for QueuePool {
-    /// A copy starts cold: cloning a cleared `Vec` would not copy its
-    /// capacity anyway, so cloned entries would be storage-less.
-    fn clone(&self) -> QueuePool {
-        QueuePool::default()
-    }
-}
+// `conn_mem_bytes` prices two queues into every connection record.
+const _: () = assert!(std::mem::size_of::<ByteQueue>() == 32);
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn shared(bytes: &[u8]) -> Rc<Vec<u8>> {
+        Rc::new(bytes.to_vec())
+    }
+
+    fn contents(q: &ByteQueue) -> Vec<u8> {
+        let mut v = Vec::new();
+        q.copy_into(q.len(), &mut v);
+        v
+    }
+
     #[test]
-    fn fifo_order_across_compactions() {
+    fn fifo_order_across_chunks() {
         let mut q = ByteQueue::new();
         let mut expect: Vec<u8> = Vec::new();
         let mut next = 0u8;
         for round in 0..50 {
             let push = (round * 7) % 23 + 1;
-            for _ in 0..push {
-                q.extend_from_slice(&[next]);
-                expect.push(next);
-                next = next.wrapping_add(1);
-            }
+            let bytes: Vec<u8> = (0..push)
+                .map(|_| {
+                    next = next.wrapping_add(1);
+                    next
+                })
+                .collect();
+            q.extend_shared(&shared(&bytes), 0..bytes.len());
+            expect.extend_from_slice(&bytes);
             let pop = ((round * 5) % 19 + 1).min(expect.len());
-            assert_eq!(&q.as_slice()[..pop], &expect[..pop]);
+            let mut head = [0u8; 19];
+            assert_eq!(q.copy_prefix(&mut head[..pop]), pop);
+            assert_eq!(&head[..pop], &expect[..pop]);
             q.consume(pop);
             expect.drain(..pop);
-            assert_eq!(q.as_slice(), &expect[..]);
+            assert_eq!(contents(&q), expect);
             assert_eq!(q.len(), expect.len());
         }
     }
 
     #[test]
-    fn full_drain_resets_storage() {
+    fn full_drain_drops_every_reference() {
+        let buf = shared(&[1, 2, 3]);
         let mut q = ByteQueue::new();
-        q.extend_from_slice(&[1, 2, 3]);
+        q.extend_shared(&buf, 0..3);
+        assert_eq!(Rc::strong_count(&buf), 2);
         q.consume(3);
         assert!(q.is_empty());
-        assert_eq!(q.as_slice(), &[] as &[u8]);
-        q.extend_from_slice(&[4]);
-        assert_eq!(q.as_slice(), &[4]);
+        assert_eq!(Rc::strong_count(&buf), 1);
+        q.extend_shared(&shared(&[4]), 0..1);
+        assert_eq!(contents(&q), [4]);
     }
 
     #[test]
-    fn backing_storage_stays_bounded() {
-        // Steady-state: append 8, consume 8, forever. The backing Vec
-        // must not grow linearly with total throughput.
-        let mut q = ByteQueue::new();
-        for _ in 0..10_000 {
-            q.extend_from_slice(&[0u8; 8]);
-            q.consume(8);
+    fn contiguous_ranges_of_one_buffer_merge() {
+        // Steady state of a reply: the sender's range is delivered in
+        // segments, each continuing the last. The inbox stays one chunk.
+        let reply = shared(&[7u8; 6144]);
+        let mut out = ByteQueue::new();
+        out.extend_shared(&reply, 0..6144);
+        let mut inbox = ByteQueue::new();
+        for seg in (0..6144).step_by(1460) {
+            inbox.extend_from_queue(&out, seg, (6144 - seg).min(1460));
         }
-        assert!(q.buf.capacity() < 1024, "capacity {}", q.buf.capacity());
-    }
-
-    #[test]
-    fn pool_recycles_storage_cleared() {
-        let mut pool = QueuePool::default();
-        let mut used = ByteQueue::new();
-        used.extend_from_slice(&[7u8; 100]);
-        used.consume(10);
-        pool.put(used);
-        pool.put(ByteQueue::new()); // Never allocated: not pooled.
-        assert_eq!(pool.0.len(), 1);
-        let mut q = ByteQueue::new();
-        pool.fill(&mut q);
-        assert!(q.is_empty());
-        assert!(q.buf.capacity() >= 100);
-        assert_eq!(q.head, 0);
-        // A queue that already has storage keeps it.
-        let mut other = ByteQueue::new();
-        other.extend_from_slice(&[1]);
-        pool.put(other);
-        let cap = q.buf.capacity();
-        pool.fill(&mut q);
-        assert_eq!(q.buf.capacity(), cap);
-        assert_eq!(pool.0.len(), 1);
+        assert_eq!(inbox.chunks.len(), 1);
+        assert_eq!(inbox.len(), 6144);
+        // A different buffer, or a gap, starts a new chunk.
+        inbox.extend_shared(&shared(&[1]), 0..1);
+        inbox.extend_shared(&reply, 10..20);
+        assert_eq!(inbox.chunks.len(), 3);
+        assert_eq!(Rc::strong_count(&reply), 4);
     }
 }

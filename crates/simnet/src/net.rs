@@ -15,6 +15,7 @@
 
 use std::collections::BTreeSet;
 use std::collections::VecDeque;
+use std::rc::Rc;
 
 use simcore::paged::PagedSlots;
 use simcore::probe::Metric;
@@ -23,7 +24,6 @@ use simcore::time::{SimDuration, SimTime};
 use simcore::timer::{Lane, TimerQueue};
 
 use crate::addr::{ConnId, EndpointId, HostId, ListenerId, Port, Side, SockAddr};
-use crate::bytes::QueuePool;
 use crate::link::{LinkConfig, Tx, TxOutcome};
 use crate::ports::PortAllocator;
 use crate::seg::{SegKind, Segment, DEFAULT_MSS};
@@ -213,10 +213,6 @@ pub struct Network {
     next_conn: u32,
     /// Dense, id-indexed (listeners are never removed).
     listeners: Vec<Listener>,
-    /// Stream buffers of dead connections, cleared, for the next
-    /// endpoint that needs one. Not semantic state: capacity never
-    /// changes what a queue holds.
-    buf_pool: QueuePool,
     /// Timer-arena slots in firing order. Every timer class armed in
     /// firing order has a FIFO lane: the deliveries of each (source
     /// host, extra delay 0 or [`MODEM_DELAY`]) pair, the SYN RTO and the
@@ -255,7 +251,6 @@ impl Network {
             conn_free: Vec::new(),
             next_conn: 0,
             listeners: Vec::new(),
-            buf_pool: QueuePool::default(),
             timers: TimerQueue::new(),
             timer_arena: Vec::new(),
             timer_free: Vec::new(),
@@ -282,10 +277,11 @@ impl Network {
     /// connection (lifecycle state, both endpoint halves including
     /// buffered bytes and FIN/ack positions), listeners, armed timers,
     /// and undelivered notifications. Excluded: aggregate counters
-    /// ([`NetStats`], per-host rx tallies), the loss RNG (never
-    /// advanced at `loss_prob == 0`, the only configuration explored)
-    /// and the recycled-buffer pool, so semantically equal worlds that
-    /// differ only in diagnostics or warm storage hash alike.
+    /// ([`NetStats`], per-host rx tallies) and the loss RNG (never
+    /// advanced at `loss_prob == 0`, the only configuration explored),
+    /// so semantically equal worlds that differ only in diagnostics
+    /// hash alike. Inbox bytes are hashed as one stream: where the
+    /// chunk boundaries fall does not change the digest.
     pub fn state_fingerprint(&self) -> u64 {
         use simcore::fingerprint::Fnv;
         let mut h = Fnv::new();
@@ -340,7 +336,9 @@ impl Network {
                 h.write_bool(ep.fin_sent());
                 h.write_bool(ep.fin_acked());
                 h.write_len(ep.inbox.len());
-                h.write_bytes(ep.inbox.as_slice());
+                for bytes in ep.inbox.chunks() {
+                    h.write_bytes(bytes);
+                }
                 h.write_u64(ep.rcv_nxt);
                 h.write_u64(ep.peer_fin().map_or(u64::MAX, |s| s));
                 h.write_u32(u32::from(ep.retries));
@@ -440,33 +438,20 @@ impl Network {
         self.conn_slot.insert(id.0 as usize, slot);
     }
 
-    /// A live connection together with the buffer pool, for paths that
-    /// may give an endpoint its first stream buffer.
-    fn conn_and_pool(&mut self, id: ConnId) -> Option<(&mut Conn, &mut QueuePool)> {
-        let &slot = self.conn_slot.get(id.0 as usize)?;
-        let conn = self.conn_arena[slot as usize].as_mut()?;
-        Some((conn, &mut self.buf_pool))
-    }
-
-    /// Frees the connection's slot and returns its stream buffers to the
-    /// pool.
+    /// Frees the connection's slot, dropping its stream buffers'
+    /// references.
     fn conn_remove(&mut self, id: ConnId) {
         if let Some(slot) = self.conn_slot.take(id.0 as usize) {
-            if let Some(conn) = self.conn_arena[slot as usize].take() {
-                for ep in conn.eps {
-                    self.buf_pool.put(ep.out);
-                    self.buf_pool.put(ep.inbox);
-                }
-            }
+            self.conn_arena[slot as usize] = None;
             self.conn_free.push(slot);
         }
     }
 
     /// Heap bytes held by the connection machinery (id map pages, the
     /// slab arena, free lists) — the network side of the
-    /// bytes-per-connection lane. Stream buffers are excluded, live and
-    /// pooled alike: inactive connections hold none, and the pool holds
-    /// only storage that dead active connections left behind.
+    /// bytes-per-connection lane. Stream buffers are excluded: inactive
+    /// connections hold none, and active ones hold references to bytes
+    /// their writers own.
     pub fn conn_mem_bytes(&self) -> usize {
         self.conn_slot.heap_bytes()
             + self.conn_arena.capacity() * std::mem::size_of::<Option<Conn>>()
@@ -557,7 +542,13 @@ impl Network {
                 Timer::TimeWaitEnd { host, port } => self.hosts[host.0].ports.end_time_wait(port),
             }
         }
-        out.append(&mut self.out);
+        // An empty caller buffer takes the staged batch whole (the
+        // vectors trade storage), so no element is copied.
+        if out.is_empty() {
+            std::mem::swap(out, &mut self.out);
+        } else {
+            out.append(&mut self.out);
+        }
     }
 
     // ------------------------------------------------------------------
@@ -702,15 +693,33 @@ impl Network {
         self.hosts[host.0].ports = PortAllocator::new(lo, hi);
     }
 
-    /// Writes application bytes into the endpoint's send buffer.
+    /// Writes a copy of `data` into the endpoint's send buffer: the
+    /// convenience form of [`Network::send_shared`] for callers whose
+    /// bytes are not shared already.
+    pub fn send(&mut self, now: SimTime, ep: EndpointId, data: &[u8]) -> Result<usize, NetError> {
+        self.send_shared(now, ep, &Rc::new(data.to_vec()), 0)
+    }
+
+    /// Writes `data[from..]` into the endpoint's send buffer by
+    /// reference: the buffer holds a share of `data`, not a copy, until
+    /// the peer acknowledges the bytes. `data` must not change while
+    /// shared (an `Rc` owner never mutates it in place), and `from`
+    /// must not exceed its length.
     ///
     /// Returns how many bytes were accepted (may be less than offered when
     /// the buffer fills; a [`NetNotify::Writable`] will follow once space
     /// frees).
-    pub fn send(&mut self, now: SimTime, ep: EndpointId, data: &[u8]) -> Result<usize, NetError> {
+    pub fn send_shared(
+        &mut self,
+        now: SimTime,
+        ep: EndpointId,
+        data: &Rc<Vec<u8>>,
+        from: usize,
+    ) -> Result<usize, NetError> {
+        let offered = data.len().saturating_sub(from);
         let accepted = {
             let cfg = self.cfg;
-            let (conn, pool) = self.conn_and_pool(ep.conn).ok_or(NetError::Gone)?;
+            let conn = self.conn_mut(ep.conn).ok_or(NetError::Gone)?;
             if conn.state == ConnState::Reset || conn.state == ConnState::Closed {
                 return Err(NetError::BadState);
             }
@@ -718,14 +727,10 @@ impl Network {
             if e.fin_at().is_some() {
                 return Err(NetError::BadState);
             }
-            let space = e.send_space(&cfg);
-            let n = space.min(data.len());
-            if n > 0 {
-                pool.fill(&mut e.out);
-            }
-            e.out.extend_from_slice(&data[..n]);
+            let n = e.send_space(&cfg).min(offered);
+            e.out.extend_shared(data, from..from + n);
             e.wrote += n as u64;
-            if n < data.len() {
+            if n < offered {
                 e.set_blocked_writer(true);
             }
             n
@@ -757,7 +762,7 @@ impl Network {
         let conn = self.conn_mut(ep.conn).ok_or(NetError::Gone)?;
         let e = conn.ep_mut(ep.side);
         let n = e.inbox.len().min(max);
-        buf.extend_from_slice(&e.inbox.as_slice()[..n]);
+        e.inbox.copy_into(n, buf);
         e.inbox.consume(n);
         Ok(n)
     }
@@ -771,8 +776,7 @@ impl Network {
         let e = conn.ep_mut(ep.side);
         let n = e.inbox.len().min(max);
         let mut prefix = [0u8; RECV_PREFIX];
-        let prefix_len = n.min(RECV_PREFIX);
-        prefix[..prefix_len].copy_from_slice(&e.inbox.as_slice()[..prefix_len]);
+        let prefix_len = e.inbox.copy_prefix(&mut prefix[..n.min(RECV_PREFIX)]);
         e.inbox.consume(n);
         Ok(RecvSummary {
             len: n,
@@ -1080,6 +1084,7 @@ impl Network {
         }
     }
 
+    // #[hot_path] — one call per data segment delivered
     fn on_data(&mut self, now: SimTime, conn_id: ConnId, to_side: Side, seq: u64, len: u32) {
         if to_side == Side::Server {
             self.promote_server(now, conn_id);
@@ -1087,15 +1092,15 @@ impl Network {
         let mut readable = false;
         let ack;
         {
-            let Some((conn, pool)) = self.conn_and_pool(conn_id) else {
+            let Some(conn) = self.conn_mut(conn_id) else {
                 return;
             };
             if conn.state != ConnState::Established {
                 return;
             }
-            // Copy the in-order payload straight from the peer's stream
-            // buffer into the inbox (split borrow of the endpoint pair —
-            // no intermediate allocation).
+            // Move the in-order payload's range from the peer's stream
+            // buffer into the inbox by reference (split borrow of the
+            // endpoint pair).
             if seq == conn.ep(to_side).rcv_nxt {
                 let (a, b) = conn.eps.split_at_mut(1);
                 let (rx, tx) = match to_side.index() {
@@ -1103,9 +1108,7 @@ impl Network {
                     _ => (&mut b[0], &a[0]),
                 };
                 let start = (seq - tx.out_base) as usize;
-                let payload = &tx.out.as_slice()[start..start + len as usize];
-                pool.fill(&mut rx.inbox);
-                rx.inbox.extend_from_slice(payload);
+                rx.inbox.extend_from_queue(&tx.out, start, len as usize);
                 rx.rcv_nxt = seq + len as u64;
                 readable = true;
             }

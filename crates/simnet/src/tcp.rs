@@ -225,7 +225,15 @@ impl Endpoint {
 
     /// Bytes the application may still write before the buffer is full.
     pub(crate) fn send_space(&self, cfg: &TcpConfig) -> usize {
-        cfg.send_buf.saturating_sub(self.out.len())
+        cfg.send_buf.saturating_sub(self.out_len())
+    }
+
+    /// Bytes in `out`: those written and not yet trimmed, known without
+    /// walking its chunks.
+    pub(crate) fn out_len(&self) -> usize {
+        let n = (self.wrote - self.out_base) as usize;
+        debug_assert_eq!(n, self.out.len(), "out holds [out_base, wrote)");
+        n
     }
 
     /// Whether this half has finished sending (FIN acknowledged).
@@ -387,11 +395,23 @@ mod tests {
             ..TcpConfig::default()
         };
         let mut ep = Endpoint::new(SimTime::ZERO);
+        let bytes = std::rc::Rc::new(vec![0u8; 10]);
         assert_eq!(ep.send_space(&cfg), 10);
-        ep.out.extend_from_slice(&[0u8; 4]);
+        ep.out.extend_shared(&bytes, 0..4);
+        ep.wrote += 4;
         assert_eq!(ep.send_space(&cfg), 6);
-        ep.out.extend_from_slice(&[0u8; 10]);
+        ep.out.extend_shared(&bytes, 0..10);
+        ep.wrote += 10;
         assert_eq!(ep.send_space(&cfg), 0);
+    }
+
+    #[test]
+    fn connection_record_size_is_pinned() {
+        // `Network::conn_mem_bytes` prices one `Option<Conn>` per arena
+        // slot into the million lane's `mem.client_bytes` gauge, and that
+        // gauge feeds the probe digests: a wider stream buffer or a new
+        // field moves every million-lane figure.
+        assert_eq!(std::mem::size_of::<Option<Conn>>(), 320);
     }
 
     #[test]

@@ -6,6 +6,8 @@
 //! cargo run --example quickstart
 //! ```
 
+use std::rc::Rc;
+
 use scalable_net_io::devpoll::{DevPollConfig, DevPollRegistry, DvPoll, PollFd, PollOutcome};
 use scalable_net_io::simcore::time::{SimDuration, SimTime};
 use scalable_net_io::simkernel::{CostModel, Kernel, KernelEvent, PollBits};
@@ -115,11 +117,12 @@ fn main() {
     println!("server: got {:?}", String::from_utf8_lossy(&request));
     let body = b"<html>hello from the simulated K6-2</html>";
     let response = format!("HTTP/1.0 200 OK\r\nContent-Length: {}\r\n\r\n", body.len());
+    // The socket queues a share of the bytes it is given, not a copy.
     kernel
-        .sys_write(&mut net, t, pid, fd, response.as_bytes())
+        .sys_write(&mut net, t, pid, fd, &Rc::new(response.into_bytes()), 0)
         .expect("write headers");
     kernel
-        .sys_write(&mut net, t, pid, fd, body)
+        .sys_write(&mut net, t, pid, fd, &Rc::new(body.to_vec()), 0)
         .expect("write body");
     registry
         .write(&mut kernel, pid, dpfd, &[PollFd::remove(fd)])
