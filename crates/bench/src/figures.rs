@@ -640,7 +640,7 @@ impl FigureRunner {
                 .iter_mut()
                 .map(|r| {
                     let per_reply = if r.replies > 0 {
-                        r.kernel_wakeups as f64 / r.replies as f64
+                        r.probe.counter("kernel.wakeups") as f64 / r.replies as f64
                     } else {
                         0.0
                     };

@@ -41,23 +41,6 @@ impl Default for DevPollConfig {
     }
 }
 
-/// Diagnostic counters of one device instance.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DevPollStats {
-    /// `DP_POLL` scans executed.
-    pub scans: u64,
-    /// Driver poll callbacks actually invoked.
-    pub driver_polls: u64,
-    /// Driver poll callbacks skipped thanks to hints.
-    pub driver_polls_avoided: u64,
-    /// Hints marked by the (simulated) driver event path.
-    pub hints_marked: u64,
-    /// Results returned to the application.
-    pub results: u64,
-    /// Results delivered through the mmap area (no copy).
-    pub mmap_results: u64,
-}
-
 /// One open `/dev/poll` instance.
 #[derive(Debug, Clone)]
 pub struct DevPollDevice {
@@ -66,18 +49,12 @@ pub struct DevPollDevice {
     interest: InterestTable,
     /// Result slots allocated via `ioctl(DP_ALLOC)` and mapped.
     mmap_slots: Option<usize>,
-    stats: DevPollStats,
 }
 
 impl DevPollDevice {
     /// The interest set (for inspection and tests).
     pub fn interest(&self) -> &InterestTable {
         &self.interest
-    }
-
-    /// Counters.
-    pub fn stats(&self) -> DevPollStats {
-        self.stats
     }
 
     /// Whether a result mapping is active.
@@ -106,11 +83,6 @@ pub struct DevPollRegistry {
     /// `simcheck explore`'s reference model exists to catch. Test-only.
     #[doc(hidden)]
     testhook_skip_revalidation: bool,
-    /// Hidden fault-injection hook: force Solaris OR-semantics on every
-    /// interest update regardless of the device's configuration — the
-    /// §3.1 replace-not-OR divergence. Test-only.
-    #[doc(hidden)]
-    testhook_or_semantics: bool,
     /// Hidden fault-injection hook: on `POLLREMOVE`, drop the interest
     /// from the table but *skip* the backmap/watcher purge — the §3.1
     /// dual-purge bug. Test-only.
@@ -155,7 +127,6 @@ impl DevPollRegistry {
             devices: BTreeMap::new(),
             next: 0,
             testhook_skip_revalidation: false,
-            testhook_or_semantics: false,
             testhook_skip_backmap_purge: false,
             audit,
             audit_checks: 0,
@@ -186,7 +157,6 @@ impl DevPollRegistry {
                 config,
                 interest: InterestTable::new(),
                 mmap_slots: None,
-                stats: DevPollStats::default(),
             },
         );
         Ok(fd)
@@ -198,14 +168,6 @@ impl DevPollRegistry {
     #[doc(hidden)]
     pub fn testhook_skip_revalidation(&mut self, on: bool) {
         self.testhook_skip_revalidation = on;
-    }
-
-    /// Fault injection for `simcheck explore`: apply every interest
-    /// update with Solaris OR-semantics instead of replace. Never
-    /// enable outside a test.
-    #[doc(hidden)]
-    pub fn testhook_or_semantics(&mut self, on: bool) {
-        self.testhook_or_semantics = on;
     }
 
     /// Fault injection for `simcheck explore`: `POLLREMOVE` removes the
@@ -225,7 +187,6 @@ impl DevPollRegistry {
         let mut h = Fnv::new();
         h.write_u64(self.next);
         h.write_bool(self.testhook_skip_revalidation);
-        h.write_bool(self.testhook_or_semantics);
         h.write_bool(self.testhook_skip_backmap_purge);
         h.write_len(self.devices.len());
         for (handle, dev) in &self.devices {
@@ -360,9 +321,8 @@ impl DevPollRegistry {
         let mut to_unwatch = std::mem::take(&mut self.unwatch_scratch);
         to_unwatch.clear();
         let skip_purge = self.testhook_skip_backmap_purge;
-        let force_or = self.testhook_or_semantics;
         let dev = self.resolve(kernel, pid, dpfd)?;
-        let or_semantics = dev.config.or_semantics || force_or;
+        let or_semantics = dev.config.or_semantics;
         let prev_buckets = dev.interest.bucket_count();
         let grows_before = dev.interest.grow_count();
         for e in entries {
@@ -573,9 +533,6 @@ impl DevPollRegistry {
         let polled = candidates.len();
         let avoided = dev.interest.len() - polled;
         let total = dev.interest.len();
-        dev.stats.scans += 1;
-        dev.stats.driver_polls += polled as u64;
-        dev.stats.driver_polls_avoided += avoided as u64;
         let probe = kernel.probe_mut();
         probe.inc(Metric::DevpollScans);
         probe.add(Metric::DevpollDriverPolls, polled as u64);
@@ -648,11 +605,9 @@ impl DevPollRegistry {
         };
         out.truncate(base + cap);
         let n = out.len() - base;
-        dev.stats.results += n as u64;
         let result_bytes = (n * PollFd::BYTES) as u64;
         let t_out = kernel.batch_acc(pid);
         if args.null_dp_fds {
-            dev.stats.mmap_results += n as u64;
             kernel.charge_app(pid, cost.mmap_result_write * n as u64);
             kernel
                 .probe_mut()
@@ -701,7 +656,6 @@ impl DevPollRegistry {
                 continue;
             }
             if dev.interest.mark_hint(fd) {
-                dev.stats.hints_marked += 1;
                 kernel.probe_mut().inc(Metric::DevpollHintsMarked);
                 let lock = if dev.config.per_socket_locks {
                     cost.backmap_rlock / 2

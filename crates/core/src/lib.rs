@@ -34,7 +34,7 @@ pub mod select;
 pub mod stock;
 
 pub use backend::{DevPollBackend, EventBackend, SelectBackend, StockPollBackend};
-pub use device::{DevPollConfig, DevPollDevice, DevPollRegistry, DevPollStats};
+pub use device::{DevPollConfig, DevPollDevice, DevPollRegistry};
 pub use interest::{Interest, InterestTable, SetOutcome};
 pub use lockdep::{LockClass, LockGraph, OrderViolation};
 pub use pollfd::{DvPoll, PollFd};

@@ -6,7 +6,7 @@
 //! detection — and implements the paper's proposed `sigtimedwait4()`
 //! batch pickup (§6).
 
-use simkernel::{Errno, Fd, Kernel, Pid, PollBits, SIGIO, SIGRTMAX, SIGRTMIN};
+use simkernel::{Errno, Fd, Kernel, Pid, PollBits, Siginfo, SIGIO, SIGRTMAX, SIGRTMIN};
 
 /// An event delivered through the RT signal queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -23,6 +23,21 @@ pub enum RtEvent {
     /// SIGIO: the RT queue overflowed; events were lost. The application
     /// must flush the queue and recover via `poll()`.
     Overflow,
+}
+
+impl RtEvent {
+    /// The event a dequeued signal reports: SIGIO is the overflow
+    /// notice, anything else is readiness on its descriptor.
+    fn of(info: Siginfo) -> RtEvent {
+        if info.signo == SIGIO {
+            RtEvent::Overflow
+        } else {
+            RtEvent::Io {
+                fd: info.fd,
+                band: info.band,
+            }
+        }
+    }
 }
 
 /// How signal numbers are assigned to descriptors.
@@ -83,38 +98,23 @@ impl RtSignalApi {
     ///
     /// Returns `EAGAIN` when the queue is empty (the caller blocks).
     pub fn next_event(&self, kernel: &mut Kernel, pid: Pid) -> Result<RtEvent, Errno> {
-        let info = kernel.sys_sigwaitinfo(pid)?;
-        if info.signo == SIGIO {
-            return Ok(RtEvent::Overflow);
-        }
-        Ok(RtEvent::Io {
-            fd: info.fd,
-            band: info.band,
-        })
+        kernel.sys_sigwaitinfo(pid).map(RtEvent::of)
     }
 
     /// Picks up up to `max` events in one syscall — the proposed
-    /// `sigtimedwait4()` (§6).
+    /// `sigtimedwait4()` (§6) — into `out`, which is cleared first so a
+    /// caller can reuse one buffer for every pickup.
     pub fn next_events(
         &self,
         kernel: &mut Kernel,
         pid: Pid,
         max: usize,
-    ) -> Result<Vec<RtEvent>, Errno> {
-        let infos = kernel.sys_sigtimedwait4(pid, max)?;
-        Ok(infos
-            .into_iter()
-            .map(|info| {
-                if info.signo == SIGIO {
-                    RtEvent::Overflow
-                } else {
-                    RtEvent::Io {
-                        fd: info.fd,
-                        band: info.band,
-                    }
-                }
-            })
-            .collect())
+        out: &mut Vec<RtEvent>,
+    ) -> Result<(), Errno> {
+        out.clear();
+        kernel
+            .sys_sigtimedwait4(pid, max, |info| out.push(RtEvent::of(info)))
+            .map(|_| ())
     }
 
     /// Overflow recovery step 1: discard the (stale) queue contents, as

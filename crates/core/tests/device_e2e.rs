@@ -2,6 +2,7 @@
 //! kernel and network.
 
 use devpoll::{DevPollConfig, DevPollRegistry, DvPoll, PollFd, PollOutcome};
+use simcore::probe::Metric;
 use simcore::time::{SimDuration, SimTime};
 use simkernel::{CostModel, Errno, Fd, Kernel, Pid, PollBits};
 use simnet::{EndpointId, HostId, LinkConfig, Network, SockAddr, TcpConfig};
@@ -41,6 +42,13 @@ fn pump(w: &mut World, horizon: SimTime) {
             w.registry.on_fd_event(&mut w.kernel, horizon, pid, fd);
         }
     }
+}
+
+/// A `/dev/poll` counter of the world's kernel probe. The tests that
+/// read one open a single device, so the kernel-wide count is that
+/// device's count.
+fn count(w: &World, m: Metric) -> u64 {
+    w.kernel.probe().counter(m)
 }
 
 fn world() -> World {
@@ -161,17 +169,19 @@ fn hints_avoid_driver_polls_for_idle_descriptors() {
         .registry
         .dp_poll(&mut w.kernel, w.pid, dpfd, DvPoll::into_user_buffer(64, 0))
         .unwrap();
-    let s1 = w.registry.device(&w.kernel, w.pid, dpfd).unwrap().stats();
-    assert_eq!(s1.driver_polls, 50);
+    assert_eq!(count(&w, Metric::DevpollDriverPolls), 50);
 
     // Second scan: nothing changed, nothing hinted, all avoided.
     let _ = w
         .registry
         .dp_poll(&mut w.kernel, w.pid, dpfd, DvPoll::into_user_buffer(64, 0))
         .unwrap();
-    let s2 = w.registry.device(&w.kernel, w.pid, dpfd).unwrap().stats();
-    assert_eq!(s2.driver_polls, 50, "no further callbacks");
-    assert_eq!(s2.driver_polls_avoided, 50);
+    assert_eq!(
+        count(&w, Metric::DevpollDriverPolls),
+        50,
+        "no further callbacks"
+    );
+    assert_eq!(count(&w, Metric::DevpollDriverPollsAvoided), 50);
     w.kernel.end_batch(t, w.pid);
 }
 
@@ -200,19 +210,15 @@ fn hint_marks_trigger_revalidation_of_exactly_the_active_fd() {
         .dp_poll(&mut w.kernel, w.pid, dpfd, DvPoll::into_user_buffer(64, 0))
         .unwrap();
     w.kernel.end_batch(t, w.pid);
-    let base = w.registry.device(&w.kernel, w.pid, dpfd).unwrap().stats();
-    assert_eq!(base.driver_polls, 2);
+    assert_eq!(count(&w, Metric::DevpollDriverPolls), 2);
 
     // Activity on A only.
     w.net.send(t, ep_a, b"x").unwrap();
     pump(&mut w, t + SimDuration::from_millis(10));
-    let hints = w
-        .registry
-        .device(&w.kernel, w.pid, dpfd)
-        .unwrap()
-        .stats()
-        .hints_marked;
-    assert!(hints >= 1, "driver marked a hint");
+    assert!(
+        count(&w, Metric::DevpollHintsMarked) >= 1,
+        "driver marked a hint"
+    );
 
     let t = t + SimDuration::from_millis(10);
     w.kernel.begin_batch(t, w.pid);
@@ -223,8 +229,11 @@ fn hint_marks_trigger_revalidation_of_exactly_the_active_fd() {
     w.kernel.end_batch(t, w.pid);
     assert_eq!(out, PollOutcome::Ready(1));
     assert_eq!(res[0].fd, fd_a);
-    let s = w.registry.device(&w.kernel, w.pid, dpfd).unwrap().stats();
-    assert_eq!(s.driver_polls, 3, "only the hinted fd was revalidated");
+    assert_eq!(
+        count(&w, Metric::DevpollDriverPolls),
+        3,
+        "only the hinted fd was revalidated"
+    );
 }
 
 #[test]
@@ -252,12 +261,7 @@ fn cached_ready_results_are_revalidated_each_scan() {
         .dp_poll(&mut w.kernel, w.pid, dpfd, DvPoll::into_user_buffer(64, 0))
         .unwrap();
     assert_eq!(res.len(), 1);
-    let polls_after_first = w
-        .registry
-        .device(&w.kernel, w.pid, dpfd)
-        .unwrap()
-        .stats()
-        .driver_polls;
+    let polls_after_first = count(&w, Metric::DevpollDriverPolls);
 
     // Scan again without new events: the ready result must be
     // revalidated (one more driver poll) and still reported.
@@ -266,12 +270,7 @@ fn cached_ready_results_are_revalidated_each_scan() {
         .dp_poll(&mut w.kernel, w.pid, dpfd, DvPoll::into_user_buffer(64, 0))
         .unwrap();
     assert_eq!(res.len(), 1, "still readable, still reported");
-    let polls_after_second = w
-        .registry
-        .device(&w.kernel, w.pid, dpfd)
-        .unwrap()
-        .stats()
-        .driver_polls;
+    let polls_after_second = count(&w, Metric::DevpollDriverPolls);
     assert_eq!(polls_after_second, polls_after_first + 1);
 
     // Drain the data: the next scan revalidates once more, finds the fd
@@ -287,12 +286,7 @@ fn cached_ready_results_are_revalidated_each_scan() {
         .dp_poll(&mut w.kernel, w.pid, dpfd, DvPoll::into_user_buffer(64, 0))
         .unwrap();
     assert!(res.is_empty());
-    let polls_final = w
-        .registry
-        .device(&w.kernel, w.pid, dpfd)
-        .unwrap()
-        .stats()
-        .driver_polls;
+    let polls_final = count(&w, Metric::DevpollDriverPolls);
     assert_eq!(
         polls_final,
         polls_after_second + 1,
@@ -345,8 +339,11 @@ fn mmap_results_require_alloc_and_are_cheaper() {
         .unwrap();
     assert_eq!(out, PollOutcome::Ready(1));
     assert_eq!(res.len(), 1);
-    let s = w.registry.device(&w.kernel, w.pid, dpfd).unwrap().stats();
-    assert_eq!(s.mmap_results, 1);
+    assert_eq!(
+        count(&w, Metric::DevpollMmapResultBytes),
+        PollFd::BYTES as u64,
+        "one result through the mapping"
+    );
     // munmap: back to user-buffer mode only.
     w.registry.munmap(&mut w.kernel, w.pid, dpfd).unwrap();
     assert_eq!(
@@ -511,7 +508,10 @@ fn no_hints_config_scans_everything() {
             .unwrap();
     }
     w.kernel.end_batch(t, w.pid);
-    let s = w.registry.device(&w.kernel, w.pid, dpfd).unwrap().stats();
-    assert_eq!(s.driver_polls, 60, "every scan pays for every interest");
-    assert_eq!(s.driver_polls_avoided, 0);
+    assert_eq!(
+        count(&w, Metric::DevpollDriverPolls),
+        60,
+        "every scan pays for every interest"
+    );
+    assert_eq!(count(&w, Metric::DevpollDriverPollsAvoided), 0);
 }

@@ -77,9 +77,11 @@ pub struct LoadConfig {
     /// machines — the paper's multi-client testbed. Inactive connections
     /// round-robin across the hosts; active requests stay on the first.
     pub client_hosts: usize,
-    /// Fold end-of-run memory gauges (`mem.*`) and exhaustion counters
-    /// into the probe snapshot. Off by default: the gauges would change
-    /// the snapshot of existing figure configs.
+    /// Fold end-of-run memory gauges (`mem.*`) and the `kernel.emfile`
+    /// count of descriptor allocations refused at the fd limit into the
+    /// probe snapshot. Off by default: both would change the snapshot of
+    /// existing figure configs (points that hit the fd limit record
+    /// EMFILE refusals).
     pub mem_probes: bool,
 }
 

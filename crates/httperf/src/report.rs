@@ -61,11 +61,10 @@ pub struct RunReport {
     pub events: u64,
     /// Server-side metrics snapshot.
     pub server_metrics: servers::ServerMetrics,
-    /// Kernel wakeups delivered to server processes (thundering-herd
-    /// diagnostics: spurious wakeups inflate this).
-    pub kernel_wakeups: u64,
     /// Probe snapshot of the server kernel's metric registry at the end
-    /// of the run (syscall, devpoll, rtsig, server and tcp counters).
+    /// of the run (syscall, devpoll, rtsig, server and tcp counters) —
+    /// the one place every event count of the run is read from, e.g.
+    /// `probe.counter("kernel.wakeups")`.
     pub probe: Snapshot,
     /// Chrome-trace JSON of retained latency spans (empty unless span
     /// tracing was enabled with record retention).
@@ -152,7 +151,6 @@ mod tests {
             sim_secs: 1.0,
             events: 0,
             server_metrics: servers::ServerMetrics::default(),
-            kernel_wakeups: 0,
             probe: Snapshot::default(),
             span_chrome: String::new(),
             span_folded: String::new(),

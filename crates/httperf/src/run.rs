@@ -169,8 +169,9 @@ impl RunParams {
         self
     }
 
-    /// Enables end-of-run memory probes (`mem.*` gauges plus exhaustion
-    /// counters) — the million-lane measurement surface.
+    /// Enables end-of-run memory probes (`mem.*` gauges plus the
+    /// `kernel.emfile` count, see [`crate::LoadConfig::mem_probes`]) —
+    /// the million-lane measurement surface.
     pub fn with_mem_probes(mut self) -> RunParams {
         self.load.mem_probes = true;
         self
@@ -242,7 +243,7 @@ pub fn build_world(params: RunParams) -> (Testbed, Box<dyn Server>) {
         .doc_bytes
         .map(|n| ContentStore::size_sweep(&[n]))
         .unwrap_or_default();
-    let server: Box<dyn Server> = {
+    let mut server: Box<dyn Server> = {
         let mut ctx = ServerCtx {
             kernel: &mut bed.kernel,
             net: &mut bed.net,
@@ -251,33 +252,23 @@ pub fn build_world(params: RunParams) -> (Testbed, Box<dyn Server>) {
         };
         match params.kind {
             ServerKind::ThttpdPoll => {
-                let mut s = Thttpd::new(&mut ctx, StockPollBackend::new(), server_cfg);
-                s.set_content(content);
-                Box::new(s)
+                Box::new(Thttpd::new(&mut ctx, StockPollBackend::new(), server_cfg))
             }
             ServerKind::ThttpdSelect => {
-                let mut s = Thttpd::new(&mut ctx, SelectBackend::new(), server_cfg);
-                s.set_content(content);
-                Box::new(s)
+                Box::new(Thttpd::new(&mut ctx, SelectBackend::new(), server_cfg))
             }
             ServerKind::ThttpdDevPoll | ServerKind::ThttpdDevPollSendfile => {
-                let mut s = Thttpd::new(&mut ctx, DevPollBackend::new(), server_cfg);
-                s.set_content(content);
-                Box::new(s)
+                Box::new(Thttpd::new(&mut ctx, DevPollBackend::new(), server_cfg))
             }
             ServerKind::ThttpdDevPollWith {
                 config,
                 mmap,
                 combined,
-            } => {
-                let mut s = Thttpd::new(
-                    &mut ctx,
-                    DevPollBackend::with_config(config, mmap, combined),
-                    server_cfg,
-                );
-                s.set_content(content);
-                Box::new(s)
-            }
+            } => Box::new(Thttpd::new(
+                &mut ctx,
+                DevPollBackend::with_config(config, mmap, combined),
+                server_cfg,
+            )),
             ServerKind::Phhttpd => {
                 Box::new(Phhttpd::new(&mut ctx, server_cfg, PhConfig::default()))
             }
@@ -297,5 +288,6 @@ pub fn build_world(params: RunParams) -> (Testbed, Box<dyn Server>) {
             )),
         }
     };
+    server.set_content(content);
     (bed, server)
 }

@@ -228,7 +228,6 @@ impl Testbed {
             events,
             ..
         } = self;
-        let kernel_wakeups = kernel.stats().wakeups;
         // Fold the subsystem counters that live outside the kernel into
         // its registry so one snapshot carries the whole run.
         server.metrics().fold_into(kernel.probe_mut());
@@ -241,7 +240,9 @@ impl Testbed {
         let mem_server_bytes = (kernel.mem_bytes() + registry.mem_bytes()) as u64;
         let mem_eps_peak = kernel.eps_peak() as u64;
         if load.config().mem_probes {
-            let emfile = kernel.stats().emfile;
+            // EMFILE is kept outside the registry and joins it only
+            // here; `Kernel::emfile` says why.
+            let emfile = kernel.emfile();
             let probe = kernel.probe_mut();
             probe.gauge_set(Metric::MemServerBytes, mem_server_bytes);
             probe.gauge_set(Metric::MemServerEpsPeak, mem_eps_peak);
@@ -290,7 +291,6 @@ impl Testbed {
             sim_secs: sim_end.as_secs_f64(),
             events,
             server_metrics: server.metrics(),
-            kernel_wakeups,
             probe,
             span_chrome,
             span_folded,

@@ -43,11 +43,10 @@ fn herd_wakes_more_processes_than_exclusive() {
         )
         .with_conns(400),
     );
+    let [herd_wakeups, excl_wakeups] = [&herd, &excl].map(|r| r.probe.counter("kernel.wakeups"));
     assert!(
-        herd.kernel_wakeups as f64 > 1.5 * excl.kernel_wakeups as f64,
-        "herd {} vs exclusive {} wakeups",
-        herd.kernel_wakeups,
-        excl.kernel_wakeups
+        herd_wakeups as f64 > 1.5 * excl_wakeups as f64,
+        "herd {herd_wakeups} vs exclusive {excl_wakeups} wakeups"
     );
     // Both still serve everything at this light load.
     assert_eq!(herd.replies, excl.replies);
@@ -101,4 +100,53 @@ fn doc_bytes_parameter_serves_the_sized_document() {
         big.median_latency_ms(),
         small.median_latency_ms()
     );
+}
+
+#[test]
+fn every_server_kind_serves_a_sized_document() {
+    // `with_doc_bytes` swaps the default page for `/doc-16384.html`;
+    // every architecture must serve it, not only thttpd.
+    let kinds = [
+        ServerKind::ThttpdPoll,
+        ServerKind::ThttpdSelect,
+        ServerKind::ThttpdDevPoll,
+        ServerKind::ThttpdDevPollWith {
+            config: devpoll::DevPollConfig::default(),
+            mmap: false,
+            combined: true,
+        },
+        ServerKind::ThttpdDevPollSendfile,
+        ServerKind::Phhttpd,
+        ServerKind::PhhttpdBatch(8),
+        ServerKind::Hybrid,
+        ServerKind::PreforkDevPoll {
+            workers: 2,
+            wake: AcceptWake::Herd,
+        },
+        ServerKind::PreforkDevPoll {
+            workers: 2,
+            wake: AcceptWake::Exclusive,
+        },
+    ];
+    let failed: Vec<String> = kinds
+        .into_iter()
+        .filter_map(|kind| {
+            let r = run_one(
+                RunParams::paper(kind, 200.0, 0)
+                    .with_conns(200)
+                    .with_doc_bytes(16 * 1024),
+            );
+            let ok = r.server_metrics.not_found == 0 && r.replies == r.attempted;
+            (!ok).then(|| {
+                format!(
+                    "{}: {} of {} replied, {} not found",
+                    kind.label(),
+                    r.replies,
+                    r.attempted,
+                    r.server_metrics.not_found
+                )
+            })
+        })
+        .collect();
+    assert!(failed.is_empty(), "{failed:#?}");
 }

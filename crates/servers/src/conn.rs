@@ -63,9 +63,6 @@ pub struct HttpConn {
     pub last_activity: SimTime,
     /// When the connection was accepted.
     pub accepted_at: SimTime,
-    /// Drain the response via `sendfile()` instead of `write()` (§6
-    /// future work; saves the user-space copy).
-    pub use_sendfile: bool,
 }
 
 impl HttpConn {
@@ -79,15 +76,6 @@ impl HttpConn {
             out_pos: 0,
             last_activity: now,
             accepted_at: now,
-            use_sendfile: false,
-        }
-    }
-
-    /// A fresh connection that will respond via `sendfile()`.
-    pub fn new_sendfile(fd: Fd, now: SimTime) -> HttpConn {
-        HttpConn {
-            use_sendfile: true,
-            ..HttpConn::new(fd, now)
         }
     }
 
@@ -97,7 +85,9 @@ impl HttpConn {
     }
 
     /// Handles readability: reads, parses, and on a complete request
-    /// builds the response and starts writing it.
+    /// builds the response and starts writing it (through `sendfile()`
+    /// when `sendfile` is set, see [`HttpConn::on_writable`]).
+    #[allow(clippy::too_many_arguments)]
     pub fn on_readable(
         &mut self,
         kernel: &mut Kernel,
@@ -105,12 +95,13 @@ impl HttpConn {
         now: SimTime,
         pid: Pid,
         content: &ContentStore,
+        sendfile: bool,
         not_found: &mut u64,
     ) -> ConnStatus {
         if self.phase == ConnPhase::Writing {
             // Readable while writing: either the client is pipelining
             // (ignored in HTTP/1.0) or it closed. Keep draining.
-            return self.on_writable(kernel, net, now, pid);
+            return self.on_writable(kernel, net, now, pid, sendfile);
         }
         loop {
             // Bytes land straight in `in_buf` and the parsed request
@@ -135,14 +126,14 @@ impl HttpConn {
                                 }
                             });
                             self.phase = ConnPhase::Writing;
-                            return self.on_writable(kernel, net, now, pid);
+                            return self.on_writable(kernel, net, now, pid, sendfile);
                         }
                         ParseOutcome::Malformed => {
                             let cost = *kernel.cost_model();
                             kernel.charge_app(pid, cost.app_parse_request);
                             self.out_buf = Some(Rc::new(response_error(400, "Bad Request")));
                             self.phase = ConnPhase::Writing;
-                            return self.on_writable(kernel, net, now, pid);
+                            return self.on_writable(kernel, net, now, pid, sendfile);
                         }
                     }
                 }
@@ -152,13 +143,16 @@ impl HttpConn {
         }
     }
 
-    /// Handles writability: drains the response.
+    /// Handles writability: drains the response through `write()`, or
+    /// through `sendfile()` when `sendfile` is set (§6 future work; saves
+    /// the user-space copy).
     pub fn on_writable(
         &mut self,
         kernel: &mut Kernel,
         net: &mut Network,
         now: SimTime,
         pid: Pid,
+        sendfile: bool,
     ) -> ConnStatus {
         debug_assert_eq!(self.phase, ConnPhase::Writing);
         let Some(out) = &self.out_buf else {
@@ -166,7 +160,7 @@ impl HttpConn {
             return ConnStatus::Finished(FinishKind::Error);
         };
         while self.out_pos < out.len() {
-            let wrote = if self.use_sendfile {
+            let wrote = if sendfile {
                 kernel.sys_sendfile(net, now, pid, self.fd, out, self.out_pos)
             } else {
                 kernel.sys_write(net, now, pid, self.fd, out, self.out_pos)
@@ -244,7 +238,7 @@ mod tests {
         let mut conn = HttpConn::new(fd, t);
         let mut nf = 0u64;
         kernel.begin_batch(t, pid);
-        let status = conn.on_readable(&mut kernel, &mut net, t, pid, &content, &mut nf);
+        let status = conn.on_readable(&mut kernel, &mut net, t, pid, &content, false, &mut nf);
         // 6 KB + headers fit the 16 KB send buffer in one go.
         assert_eq!(status, ConnStatus::Finished(FinishKind::Replied));
         kernel.sys_close(&mut net, t, pid, fd).unwrap();
@@ -293,7 +287,7 @@ mod tests {
         let mut conn = HttpConn::new(fd, t);
         let mut nf = 0u64;
         kernel.begin_batch(t, pid);
-        let status = conn.on_readable(&mut kernel, &mut net, t, pid, &content, &mut nf);
+        let status = conn.on_readable(&mut kernel, &mut net, t, pid, &content, false, &mut nf);
         assert_eq!(status, ConnStatus::Finished(FinishKind::Replied));
         assert!(
             Rc::strong_count(&reply) > at_rest + 1,
@@ -350,7 +344,7 @@ mod tests {
         let mut conn = HttpConn::new(fd, t);
         let mut nf = 0u64;
         kernel.begin_batch(t, pid);
-        let status = conn.on_readable(&mut kernel, &mut net, t, pid, &content, &mut nf);
+        let status = conn.on_readable(&mut kernel, &mut net, t, pid, &content, false, &mut nf);
         kernel.end_batch(t, pid);
         assert_eq!(status, ConnStatus::Finished(FinishKind::Replied));
         assert_eq!(nf, 1);
@@ -386,7 +380,7 @@ mod tests {
         let mut conn = HttpConn::new(fd, t);
         let mut nf = 0u64;
         kernel.begin_batch(t, pid);
-        let status = conn.on_readable(&mut kernel, &mut net, t, pid, &content, &mut nf);
+        let status = conn.on_readable(&mut kernel, &mut net, t, pid, &content, false, &mut nf);
         kernel.end_batch(t, pid);
         assert_eq!(status, ConnStatus::WantRead);
         assert_eq!(conn.phase, ConnPhase::Reading);

@@ -12,6 +12,7 @@ use devpoll::{DevPollBackend, EventBackend, RtEvent, RtSignalApi};
 use simcore::span::Phase;
 use simkernel::{Errno, Fd, PollBits};
 
+use crate::content::ContentStore;
 use crate::metrics::ServerMetrics;
 use crate::server::{Server, ServerConfig, ServerCtx, MAX_EVENTS};
 use crate::table::ConnTable;
@@ -171,6 +172,10 @@ impl Server for HybridServer {
             HybridMode::Signals => self.run_signals(ctx),
             HybridMode::Polling => self.run_polling(ctx),
         }
+    }
+
+    fn set_content(&mut self, content: ContentStore) {
+        self.table.content = content;
     }
 
     fn metrics(&self) -> ServerMetrics {

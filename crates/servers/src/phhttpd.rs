@@ -17,6 +17,7 @@ use simcore::span::Phase;
 use simkernel::{Errno, Fd, PollBits};
 
 use crate::conn::ConnPhase;
+use crate::content::ContentStore;
 use crate::metrics::ServerMetrics;
 use crate::server::{Server, ServerConfig, ServerCtx, MAX_EVENTS};
 use crate::table::ConnTable;
@@ -47,6 +48,8 @@ pub struct Phhttpd {
     mode: PhMode,
     poll_backend: StockPollBackend,
     ph: PhConfig,
+    /// `sigtimedwait4()` pickup buffer, reused across batches.
+    rt_batch: Vec<RtEvent>,
 }
 
 impl Phhttpd {
@@ -58,6 +61,7 @@ impl Phhttpd {
             mode: PhMode::Signals,
             poll_backend: StockPollBackend::new(),
             ph,
+            rt_batch: Vec::new(),
         }
     }
 
@@ -166,35 +170,52 @@ impl Phhttpd {
         }
     }
 
+    /// Serves one picked-up RT event. Returns `false` on the overflow
+    /// notice, after which the batch is closed and the server polls.
+    fn on_signal(&mut self, ctx: &mut ServerCtx<'_>, ev: RtEvent) -> bool {
+        let pid = self.table.pid;
+        match ev {
+            RtEvent::Io { fd, band } => {
+                let span = ctx.kernel.span_open(pid, Phase::Dispatch);
+                self.dispatch(ctx, fd, band);
+                ctx.kernel.span_close(pid, span);
+                true
+            }
+            RtEvent::Overflow => {
+                self.handle_overflow(ctx);
+                // Close the batch out without counting it.
+                ctx.kernel.end_batch(ctx.now, pid);
+                false
+            }
+        }
+    }
+
     fn run_signals_batch(&mut self, ctx: &mut ServerCtx<'_>) {
         let pid = self.table.pid;
         let mut processed = 0usize;
         while processed < MAX_EVENTS {
-            let events: Vec<RtEvent> = match self.ph.batch_dequeue {
+            match self.ph.batch_dequeue {
                 Some(batch) => {
                     let want = batch.min(MAX_EVENTS - processed);
-                    match self.rtapi.next_events(ctx.kernel, pid, want) {
-                        Ok(evs) => evs,
-                        Err(_) => break,
+                    let mut events = std::mem::take(&mut self.rt_batch);
+                    // An empty queue (`EAGAIN`) leaves `events` empty.
+                    let picked = self.rtapi.next_events(ctx.kernel, pid, want, &mut events);
+                    processed += events.len();
+                    let open = events.iter().all(|&ev| self.on_signal(ctx, ev));
+                    self.rt_batch = events;
+                    if picked.is_err() {
+                        break;
+                    }
+                    if !open {
+                        return;
                     }
                 }
-                None => match self.rtapi.next_event(ctx.kernel, pid) {
-                    Ok(ev) => vec![ev],
-                    Err(_) => break,
-                },
-            };
-            for ev in events {
-                processed += 1;
-                match ev {
-                    RtEvent::Io { fd, band } => {
-                        let span = ctx.kernel.span_open(pid, Phase::Dispatch);
-                        self.dispatch(ctx, fd, band);
-                        ctx.kernel.span_close(pid, span);
-                    }
-                    RtEvent::Overflow => {
-                        self.handle_overflow(ctx);
-                        // Close the batch out without counting it.
-                        ctx.kernel.end_batch(ctx.now, pid);
+                None => {
+                    let Ok(ev) = self.rtapi.next_event(ctx.kernel, pid) else {
+                        break;
+                    };
+                    processed += 1;
+                    if !self.on_signal(ctx, ev) {
                         return;
                     }
                 }
@@ -243,6 +264,10 @@ impl Server for Phhttpd {
             PhMode::Signals => self.run_signals_batch(ctx),
             PhMode::Polling => self.run_polling_batch(ctx),
         }
+    }
+
+    fn set_content(&mut self, content: ContentStore) {
+        self.table.content = content;
     }
 
     fn metrics(&self) -> ServerMetrics {

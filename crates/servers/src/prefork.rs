@@ -13,6 +13,7 @@
 use devpoll::EventBackend;
 use simkernel::{Errno, Pid};
 
+use crate::content::ContentStore;
 use crate::metrics::ServerMetrics;
 use crate::server::{Server, ServerConfig, ServerCtx};
 use crate::thttpd::Thttpd;
@@ -76,6 +77,12 @@ impl<B: EventBackend> Server for Prefork<B> {
         // Only meaningful via run_batch_for; default to worker 0.
         let pid = self.workers[0].pid();
         self.run_batch_for(ctx, pid);
+    }
+
+    fn set_content(&mut self, content: ContentStore) {
+        for w in &mut self.workers {
+            w.set_content(content.clone());
+        }
     }
 
     fn metrics(&self) -> ServerMetrics {

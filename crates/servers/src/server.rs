@@ -5,6 +5,7 @@ use simcore::time::{SimDuration, SimTime};
 use simkernel::{Errno, Kernel, Pid};
 use simnet::{Network, Port};
 
+use crate::content::ContentStore;
 use crate::metrics::ServerMetrics;
 
 /// Everything a server batch may touch, borrowed for one step.
@@ -70,6 +71,10 @@ pub trait Server {
     /// runnable). The implementation brackets itself with
     /// `begin_batch`/`end_batch*`.
     fn run_batch(&mut self, ctx: &mut ServerCtx<'_>);
+
+    /// Replaces the documents the server serves (every process of a
+    /// multi-process server gets its own handle on the same store).
+    fn set_content(&mut self, content: ContentStore);
 
     /// Counters so far.
     fn metrics(&self) -> ServerMetrics;

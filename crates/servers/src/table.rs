@@ -75,12 +75,7 @@ impl ConnTable {
         let cost = *ctx.kernel.cost_model();
         ctx.kernel.charge_app(self.pid, cost.app_conn_setup);
         self.metrics.accepted += 1;
-        let conn = if self.config.use_sendfile {
-            HttpConn::new_sendfile(fd, ctx.now)
-        } else {
-            HttpConn::new(fd, ctx.now)
-        };
-        self.conns.insert(fd, conn);
+        self.conns.insert(fd, HttpConn::new(fd, ctx.now));
     }
 
     /// Serves one readiness event on a connection: reads or writes, then
@@ -100,7 +95,13 @@ impl ConnTable {
         let status = if revents.intersects(PollBits::POLLERR | PollBits::POLLNVAL) {
             ConnStatus::Finished(FinishKind::Error)
         } else if conn.phase == ConnPhase::Writing && revents.contains(PollBits::POLLOUT) {
-            conn.on_writable(ctx.kernel, ctx.net, ctx.now, self.pid)
+            conn.on_writable(
+                ctx.kernel,
+                ctx.net,
+                ctx.now,
+                self.pid,
+                self.config.use_sendfile,
+            )
         } else if revents.intersects(PollBits::POLLIN | PollBits::POLLHUP) {
             conn.on_readable(
                 ctx.kernel,
@@ -108,6 +109,7 @@ impl ConnTable {
                 ctx.now,
                 self.pid,
                 &self.content,
+                self.config.use_sendfile,
                 &mut self.metrics.not_found,
             )
         } else {

@@ -29,11 +29,6 @@ impl<B: EventBackend> Thttpd<B> {
         }
     }
 
-    /// Replaces the content store (for non-default documents).
-    pub fn set_content(&mut self, content: ContentStore) {
-        self.table.content = content;
-    }
-
     /// Backend access (diagnostics).
     pub fn backend(&self) -> &B {
         &self.backend
@@ -112,6 +107,10 @@ impl<B: EventBackend> Server for Thttpd<B> {
             ctx.kernel.span_close(pid, span);
         }
         self.table.end_wait_batch(ctx, events);
+    }
+
+    fn set_content(&mut self, content: ContentStore) {
+        self.table.content = content;
     }
 
     fn metrics(&self) -> ServerMetrics {

@@ -25,9 +25,10 @@ const SERVER: HostId = HostId(1);
 const SETTLE: SimDuration = SimDuration::from_millis(200);
 
 /// A seeded semantic bug, injected through the doc-hidden fault hooks
-/// on [`DevPollRegistry`]. Each one disables the runtime auditor's view
-/// of the corresponding invariant, so only the reference model can
-/// catch it.
+/// on [`DevPollRegistry`] or, for OR-semantics, through the `/dev/poll`
+/// lanes' own [`DevPollConfig`]. Each one disables the runtime
+/// auditor's view of the corresponding invariant, so only the reference
+/// model can catch it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Mutant {
     /// No fault injected.
@@ -73,9 +74,8 @@ impl Mutant {
 
     fn arm(self, registry: &mut DevPollRegistry) {
         match self {
-            Mutant::None => {}
+            Mutant::None | Mutant::OrInsteadOfReplace => {}
             Mutant::SkipRevalidation => registry.testhook_skip_revalidation(true),
-            Mutant::OrInsteadOfReplace => registry.testhook_or_semantics(true),
             Mutant::SkipBackmapPurge => registry.testhook_skip_backmap_purge(true),
         }
     }
@@ -180,20 +180,21 @@ impl Lane {
             eps.push(EndpointId::new(conn, Side::Client));
         }
 
+        let devpoll = |hints: bool| {
+            let config = DevPollConfig {
+                hints,
+                or_semantics: mutant == Mutant::OrInsteadOfReplace,
+                ..DevPollConfig::default()
+            };
+            Box::new(DevPollBackend::with_config(config, true, false))
+        };
         let backend: Box<dyn EventBackend> = match kind {
             // The rtsig lane's recovery poll reuses the stock backend's
             // interest bookkeeping.
             LaneKind::Poll | LaneKind::RtSig => Box::new(StockPollBackend::new()),
             LaneKind::Select => Box::new(SelectBackend::new()),
-            LaneKind::DevPoll => Box::new(DevPollBackend::new()),
-            LaneKind::DevPollNoHints => Box::new(DevPollBackend::with_config(
-                DevPollConfig {
-                    hints: false,
-                    ..DevPollConfig::default()
-                },
-                true,
-                false,
-            )),
+            LaneKind::DevPoll => devpoll(true),
+            LaneKind::DevPollNoHints => devpoll(false),
         };
 
         let mut lane = Lane {

@@ -27,7 +27,7 @@ pub use cost::CostModel;
 pub use cpu::Cpu;
 pub use fd::{Errno, Fd, FdTable, File, FileKind};
 pub use fdmap::FdMap;
-pub use kernel::{AcceptWake, Kernel, KernelEvent, KernelStats};
+pub use kernel::{AcceptWake, Kernel, KernelEvent};
 pub use poll_bits::PollBits;
 pub use process::{AfterBatch, Pid, ProcState, Process};
 pub use signal::{

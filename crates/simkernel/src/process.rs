@@ -65,10 +65,6 @@ pub struct Process {
     /// A wake arrived while the batch that decided to sleep was still on
     /// the CPU; do not sleep after all.
     pub pending_wake: bool,
-    /// Total syscalls issued (diagnostic).
-    pub syscall_count: u64,
-    /// Total batches executed (diagnostic).
-    pub batch_count: u64,
 }
 
 impl Process {
@@ -87,8 +83,6 @@ impl Process {
             batch_acc: None,
             batch_start: SimTime::ZERO,
             pending_wake: false,
-            syscall_count: 0,
-            batch_count: 0,
         }
     }
 

@@ -58,19 +58,13 @@ pub struct SignalState {
     max_queued: usize,
     /// SIGIO pending (queue overflowed).
     sigio_pending: bool,
-    /// Events lost to overflow (diagnostic).
-    overflowed: u64,
-    /// Total signals ever enqueued (diagnostic).
-    enqueued: u64,
-    /// High-water mark of the queue depth.
-    high_water: usize,
 }
 
 impl SignalState {
     /// Folds the queue's semantic state into `h`: the pending-SIGIO
-    /// flag plus every queued siginfo in dequeue order. Diagnostic
-    /// tallies (overflow/enqueue counters, high-water mark) are
-    /// excluded so equal queues dedup.
+    /// flag plus every queued siginfo in dequeue order. Enqueues,
+    /// overflows and the depth's high-water mark are the kernel probe's
+    /// `rtsig.*` counters and gauge, not queue state.
     pub fn fingerprint_into(&self, h: &mut simcore::fingerprint::Fnv) {
         h.write_bool(self.sigio_pending);
         h.write_usize(self.max_queued);
@@ -93,9 +87,6 @@ impl SignalState {
             queued: 0,
             max_queued,
             sigio_pending: false,
-            overflowed: 0,
-            enqueued: 0,
-            high_water: 0,
         }
     }
 
@@ -110,13 +101,10 @@ impl SignalState {
         );
         if self.queued >= self.max_queued {
             self.sigio_pending = true;
-            self.overflowed += 1;
             return false;
         }
         self.queues.entry(info.signo).or_default().push_back(info);
         self.queued += 1;
-        self.enqueued += 1;
-        self.high_water = self.high_water.max(self.queued);
         true
     }
 
@@ -142,17 +130,17 @@ impl SignalState {
         Some(info)
     }
 
-    /// Dequeues up to `max` signals at once — the paper's proposed
-    /// `sigtimedwait4()` batch interface (§6).
-    pub fn dequeue_batch(&mut self, max: usize) -> Vec<Siginfo> {
-        let mut out = Vec::new();
-        while out.len() < max {
-            match self.dequeue() {
-                Some(s) => out.push(s),
-                None => break,
-            }
+    /// Dequeues up to `max` signals at once, handing each to `deliver`
+    /// in dequeue order — the paper's proposed `sigtimedwait4()` batch
+    /// interface (§6). Returns how many were dequeued.
+    pub fn dequeue_batch(&mut self, max: usize, mut deliver: impl FnMut(Siginfo)) -> usize {
+        let mut n = 0;
+        while n < max {
+            let Some(s) = self.dequeue() else { break };
+            deliver(s);
+            n += 1;
         }
-        out
+        n
     }
 
     /// Discards every queued RT signal (the application reset its
@@ -184,21 +172,6 @@ impl SignalState {
     /// picked up).
     pub fn sigio_pending(&self) -> bool {
         self.sigio_pending
-    }
-
-    /// Events lost to overflow so far.
-    pub fn overflow_count(&self) -> u64 {
-        self.overflowed
-    }
-
-    /// Total RT signals successfully enqueued.
-    pub fn enqueued_count(&self) -> u64 {
-        self.enqueued
-    }
-
-    /// Deepest the queue has ever been.
-    pub fn high_water(&self) -> usize {
-        self.high_water
     }
 }
 
@@ -246,7 +219,6 @@ mod tests {
         assert!(s.enqueue_rt(info(SIGRTMIN, 2)));
         assert!(!s.enqueue_rt(info(SIGRTMIN, 3)));
         assert!(s.sigio_pending());
-        assert_eq!(s.overflow_count(), 1);
         // SIGIO delivers before the queued RT signals.
         assert_eq!(s.dequeue().unwrap().signo, SIGIO);
         assert_eq!(s.dequeue().unwrap().fd, 1);
@@ -269,25 +241,23 @@ mod tests {
         for i in 0..5 {
             s.enqueue_rt(info(SIGRTMIN, i));
         }
-        let batch = s.dequeue_batch(3);
+        let mut batch = Vec::new();
+        assert_eq!(s.dequeue_batch(3, |i| batch.push(i)), 3);
         assert_eq!(batch.len(), 3);
         assert_eq!(batch[0].fd, 0);
         assert_eq!(s.queue_len(), 2);
-        let rest = s.dequeue_batch(100);
-        assert_eq!(rest.len(), 2);
+        assert_eq!(s.dequeue_batch(100, |_| {}), 2);
     }
 
     #[test]
-    fn high_water_tracks_depth() {
+    fn queue_len_counts_queued_signals() {
         let mut s = SignalState::new(16);
         for i in 0..7 {
             s.enqueue_rt(info(SIGRTMIN, i));
         }
         s.dequeue();
         s.dequeue();
-        assert_eq!(s.high_water(), 7);
         assert_eq!(s.queue_len(), 5);
-        assert_eq!(s.enqueued_count(), 7);
     }
 
     #[test]

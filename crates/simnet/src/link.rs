@@ -65,14 +65,12 @@ pub struct Tx {
     in_flight: std::collections::VecDeque<SimTime>,
     /// Segments dropped due to a full queue.
     drops: u64,
-    /// Segments accepted.
-    sent: u64,
 }
 
 impl Tx {
-    /// Folds the transmitter's semantic state into `h` (drop/sent
-    /// counters are diagnostics and deliberately excluded so equal
-    /// queue states dedup).
+    /// Folds the transmitter's semantic state into `h` (the drop
+    /// counter is a diagnostic and deliberately excluded so equal queue
+    /// states dedup).
     pub fn fingerprint_into(&self, h: &mut simcore::fingerprint::Fnv) {
         h.write_u64(self.free_at.as_nanos());
         h.write_len(self.in_flight.len());
@@ -88,7 +86,6 @@ impl Tx {
             free_at: SimTime::ZERO,
             in_flight: std::collections::VecDeque::new(),
             drops: 0,
-            sent: 0,
         }
     }
 
@@ -123,18 +120,12 @@ impl Tx {
         let done = start + self.tx_time(seg.wire_bytes());
         self.free_at = done;
         self.in_flight.push_back(done);
-        self.sent += 1;
         TxOutcome::Deliver(done + self.config.base_delay + extra_delay)
     }
 
     /// Number of segments dropped so far.
     pub fn drops(&self) -> u64 {
         self.drops
-    }
-
-    /// Number of segments accepted so far.
-    pub fn sent(&self) -> u64 {
-        self.sent
     }
 
     /// Current queue depth (segments accepted and not yet fully
@@ -216,7 +207,6 @@ mod tests {
             TxOutcome::Dropped
         );
         assert_eq!(tx.drops(), 1);
-        assert_eq!(tx.sent(), 2);
     }
 
     #[test]

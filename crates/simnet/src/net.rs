@@ -134,8 +134,6 @@ const _: () = assert!(std::mem::size_of::<Option<Timer>>() == 24);
 struct Host {
     tx: Tx,
     ports: PortAllocator,
-    segments_in: u64,
-    bytes_in: u64,
 }
 
 #[derive(Debug, Clone)]
@@ -242,8 +240,6 @@ impl Network {
                 .map(|_| Host {
                     tx: Tx::new(link),
                     ports: PortAllocator::ephemeral(),
-                    segments_in: 0,
-                    bytes_in: 0,
                 })
                 .collect(),
             conn_slot: PagedSlots::new(),
@@ -392,12 +388,6 @@ impl Network {
         }
         h.write_len(self.out.len());
         h.finish()
-    }
-
-    /// Segments and bytes received by `host` so far.
-    pub fn host_rx(&self, host: HostId) -> (u64, u64) {
-        let h = &self.hosts[host.0];
-        (h.segments_in, h.bytes_in)
     }
 
     /// Segments dropped on `host`'s egress queue.
@@ -899,11 +889,6 @@ impl Network {
         };
         let to_side = seg.from.other();
         let host = conn.host(to_side);
-        {
-            let h = &mut self.hosts[host.0];
-            h.segments_in += 1;
-            h.bytes_in += seg.wire_bytes() as u64;
-        }
         self.out.push(NetNotify::SegmentArrived {
             host,
             wire_bytes: seg.wire_bytes(),

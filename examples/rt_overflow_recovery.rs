@@ -7,6 +7,7 @@
 //! ```
 
 use scalable_net_io::devpoll::{sys_poll, PollFd, PollOutcome, RtEvent, RtSignalApi};
+use scalable_net_io::simcore::probe::Metric;
 use scalable_net_io::simcore::time::{SimDuration, SimTime};
 use scalable_net_io::simkernel::{CostModel, Kernel, PollBits};
 use scalable_net_io::simnet::{EndpointId, HostId, LinkConfig, Network, Side, SockAddr, TcpConfig};
@@ -63,7 +64,7 @@ fn main() {
     println!(
         "after the burst: queue depth {}, lost to overflow {}, SIGIO pending: {}",
         sig.queue_len(),
-        sig.overflow_count(),
+        kernel.probe().counter(Metric::RtsigOverflows),
         sig.sigio_pending()
     );
     assert!(sig.sigio_pending(), "overflow must raise SIGIO");

@@ -170,12 +170,10 @@ fn exclusive_accept_wake_cuts_herd_wakeups() {
     // wake on each connection unless the wake is exclusive.
     let [herd, excl] = [AcceptWake::Herd, AcceptWake::Exclusive]
         .map(|wake| point(ServerKind::PreforkDevPoll { workers: 4, wake }, 500.0, 251));
+    let [herd_wakeups, excl_wakeups] = [&herd, &excl].map(|r| r.probe.counter("kernel.wakeups"));
     claim(
-        herd.kernel_wakeups as f64 > 1.5 * excl.kernel_wakeups as f64,
-        &format!(
-            "herd {} vs exclusive {} wakeups at 500/251",
-            herd.kernel_wakeups, excl.kernel_wakeups
-        ),
+        herd_wakeups as f64 > 1.5 * excl_wakeups as f64,
+        &format!("herd {herd_wakeups} vs exclusive {excl_wakeups} wakeups at 500/251"),
         &herd,
     );
 }
