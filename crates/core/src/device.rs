@@ -122,7 +122,10 @@ impl DevPollRegistry {
         DevPollRegistry::with_audit(true)
     }
 
-    fn with_audit(audit: bool) -> DevPollRegistry {
+    /// Creates an empty registry, checked or not in every build profile
+    /// (an unchecked one lets a debug-build test measure the model's
+    /// own path without the auditor's).
+    pub fn with_audit(audit: bool) -> DevPollRegistry {
         DevPollRegistry {
             devices: BTreeMap::new(),
             next: 0,

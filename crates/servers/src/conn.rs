@@ -105,7 +105,10 @@ impl HttpConn {
         }
         loop {
             // Bytes land straight in `in_buf` and the parsed request
-            // borrows from it — no per-read or per-parse allocation.
+            // borrows from it. The buffer grows on a connection's first
+            // read unless it came warm from the table's spares (see
+            // `ConnTable::admit`), so once the table holds spares no
+            // read or parse allocates.
             match kernel.sys_read_into(net, pid, self.fd, 4096, &mut self.in_buf) {
                 Ok(0) => {
                     return ConnStatus::Finished(FinishKind::ClientClosedEarly);

@@ -34,6 +34,9 @@ pub(crate) struct ConnTable {
     /// allocation); lent out by [`Self::wait`], returned by
     /// [`Self::end_wait_batch`].
     ready: Vec<PollFd>,
+    /// Request buffers of closed connections, emptied, for the next
+    /// admitted ones (no per-connection allocation once warm).
+    spare_bufs: Vec<Vec<u8>>,
 }
 
 impl ConnTable {
@@ -49,6 +52,7 @@ impl ConnTable {
             last_scan: SimTime::ZERO,
             idle_scratch: Vec::new(),
             ready: Vec::new(),
+            spare_bufs: Vec::new(),
         }
     }
 
@@ -75,7 +79,9 @@ impl ConnTable {
         let cost = *ctx.kernel.cost_model();
         ctx.kernel.charge_app(self.pid, cost.app_conn_setup);
         self.metrics.accepted += 1;
-        self.conns.insert(fd, HttpConn::new(fd, ctx.now));
+        let mut conn = HttpConn::new(fd, ctx.now);
+        conn.in_buf = self.spare_bufs.pop().unwrap_or_default();
+        self.conns.insert(fd, conn);
     }
 
     /// Serves one readiness event on a connection: reads or writes, then
@@ -142,8 +148,9 @@ impl ConnTable {
     }
 
     /// Drops a connection's interest, closes its descriptor (a reset
-    /// after an error) and forgets it. Events already queued for it on
-    /// an RT queue surface later as stale events (§2).
+    /// after an error) and forgets it, keeping its request buffer for a
+    /// later admit. Events already queued for it on an RT queue surface
+    /// later as stale events (§2).
     fn close<B: EventBackend>(
         &mut self,
         ctx: &mut ServerCtx<'_>,
@@ -159,7 +166,12 @@ impl ConnTable {
         } else {
             ctx.kernel.sys_close(ctx.net, ctx.now, self.pid, fd)
         };
-        self.conns.remove(fd);
+        if let Some(mut conn) = self.conns.remove(fd) {
+            if conn.in_buf.capacity() > 0 {
+                conn.in_buf.clear();
+                self.spare_bufs.push(conn.in_buf);
+            }
+        }
     }
 
     /// Opens a server batch and, once per scan interval, runs the idle

@@ -52,7 +52,8 @@ pub struct Siginfo {
 #[derive(Debug, Clone)]
 pub struct SignalState {
     /// Queued RT signals by signal number (dequeue order: lowest number
-    /// first, FIFO within a number).
+    /// first, FIFO within a number). A number's queue is kept once
+    /// created, empty or not, so steady queueing does not allocate.
     queues: BTreeMap<u8, VecDeque<Siginfo>>,
     queued: usize,
     max_queued: usize,
@@ -62,14 +63,15 @@ pub struct SignalState {
 
 impl SignalState {
     /// Folds the queue's semantic state into `h`: the pending-SIGIO
-    /// flag plus every queued siginfo in dequeue order. Enqueues,
+    /// flag plus every queued siginfo in dequeue order (an emptied
+    /// queue kept for reuse hashes as an absent one). Enqueues,
     /// overflows and the depth's high-water mark are the kernel probe's
     /// `rtsig.*` counters and gauge, not queue state.
     pub fn fingerprint_into(&self, h: &mut simcore::fingerprint::Fnv) {
         h.write_bool(self.sigio_pending);
         h.write_usize(self.max_queued);
         h.write_len(self.queued);
-        for (signo, q) in &self.queues {
+        for (signo, q) in self.queues.iter().filter(|(_, q)| !q.is_empty()) {
             h.write_u8(*signo);
             h.write_len(q.len());
             for info in q {
@@ -121,11 +123,14 @@ impl SignalState {
                 band: PollBits::EMPTY,
             });
         }
-        let (&signo, q) = self.queues.iter_mut().next()?;
-        let info = q.pop_front().expect("invariant: non-empty queues only");
-        if q.is_empty() {
-            self.queues.remove(&signo);
+        if self.queued == 0 {
+            return None;
         }
+        let info = self
+            .queues
+            .values_mut()
+            .find_map(VecDeque::pop_front)
+            .expect("invariant: `queued` counts the queued signals");
         self.queued -= 1;
         Some(info)
     }
@@ -148,7 +153,7 @@ impl SignalState {
     /// were flushed.
     pub fn flush_rt(&mut self) -> usize {
         let n = self.queued;
-        self.queues.clear();
+        self.queues.values_mut().for_each(VecDeque::clear);
         self.queued = 0;
         n
     }
@@ -247,6 +252,36 @@ mod tests {
         assert_eq!(batch[0].fd, 0);
         assert_eq!(s.queue_len(), 2);
         assert_eq!(s.dequeue_batch(100, |_| {}), 2);
+    }
+
+    #[test]
+    fn emptied_queues_are_kept_and_hash_as_absent() {
+        let digest = |s: &SignalState| {
+            let mut h = simcore::fingerprint::Fnv::new();
+            s.fingerprint_into(&mut h);
+            h.finish()
+        };
+        let mut s = SignalState::new(16);
+        s.enqueue_rt(info(SIGRTMIN, 1));
+        s.enqueue_rt(info(SIGRTMIN + 5, 2));
+        assert_eq!(s.dequeue().unwrap().fd, 1);
+        assert_eq!(s.dequeue().unwrap().fd, 2);
+        assert!(s.dequeue().is_none());
+        assert_eq!(s.queues.len(), 2, "both queues kept after emptying");
+        assert_eq!(digest(&s), digest(&SignalState::new(16)));
+        // The kept lower queue is skipped while empty, then ranks first
+        // again once refilled.
+        s.enqueue_rt(info(SIGRTMIN + 5, 3));
+        s.enqueue_rt(info(SIGRTMIN, 4));
+        let mut fresh = SignalState::new(16);
+        fresh.enqueue_rt(info(SIGRTMIN + 5, 3));
+        fresh.enqueue_rt(info(SIGRTMIN, 4));
+        assert_eq!(digest(&s), digest(&fresh));
+        assert_eq!(s.dequeue().unwrap().fd, 4);
+        assert_eq!(s.flush_rt(), 1);
+        assert_eq!(s.queues.len(), 2, "flush keeps the queues");
+        assert_eq!(digest(&s), digest(&SignalState::new(16)));
+        assert!(s.dequeue().is_none());
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! - the ack path and reads drop or trim chunks at the front
 //!   ([`ByteQueue::consume`]), so nothing is ever compacted;
 //! - only a reader that asks for the bytes gets a copy
-//!   ([`ByteQueue::copy_into`], [`ByteQueue::copy_prefix`]).
+//!   ([`ByteQueue::copy_into`], [`ByteQueue::drain_front`]).
 //!
 //! A chunk that continues the tail chunk's range in the same buffer is
 //! merged into it, so a 6 KB reply delivered as five segments stays one
@@ -23,9 +23,14 @@
 //! which is what makes the sharing invisible: the bytes a queue yields
 //! are exactly the bytes a copying queue would hold.
 //!
-//! The queue is a bare `VecDeque` (32 bytes, no length field): it sits
-//! twice in every connection's endpoint, a million connections deep, and
-//! queues hold a handful of chunks, so lengths are summed on demand.
+//! The queue is 32 bytes with no length field: it sits twice in every
+//! connection's endpoint, a million connections deep, and queues hold a
+//! handful of chunks, so lengths are summed on demand. One chunk is the
+//! common case (a request, a reply, the segment a reader is about to
+//! drain), so the first chunk is held inline and only a queue holding
+//! two unmerged chunks allocates a deque for the rest. The deque is
+//! kept once allocated, so a queue allocates again only to hold more
+//! chunks than it ever has.
 
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -52,29 +57,43 @@ impl Chunk {
 /// A FIFO of bytes held as references into shared buffers.
 #[derive(Debug, Clone, Default)]
 pub struct ByteQueue {
-    chunks: VecDeque<Chunk>,
+    /// The oldest chunk; `None` exactly when the queue is empty.
+    head: Option<Chunk>,
+    /// The chunks after `head`, oldest first: allocated when a second
+    /// unmerged chunk arrives, and kept (empty) when the queue drains.
+    /// Boxed so the queue stays 32 bytes: a bare `VecDeque` is 32 on
+    /// its own.
+    #[allow(clippy::box_collection)]
+    rest: Option<Box<VecDeque<Chunk>>>,
 }
 
 impl ByteQueue {
-    /// An empty queue (no allocation until the first append).
+    /// An empty queue (no allocation until a second chunk is queued).
     pub fn new() -> ByteQueue {
         ByteQueue::default()
     }
 
+    /// The queued chunks, oldest first.
+    fn iter(&self) -> impl Iterator<Item = &Chunk> {
+        self.head
+            .iter()
+            .chain(self.rest.iter().flat_map(|r| r.iter()))
+    }
+
     /// Number of queued (unconsumed) bytes.
     pub fn len(&self) -> usize {
-        self.chunks.iter().map(Chunk::len).sum()
+        self.iter().map(Chunk::len).sum()
     }
 
     /// Whether no bytes are queued.
     pub fn is_empty(&self) -> bool {
-        self.chunks.is_empty()
+        self.head.is_none()
     }
 
     /// The queued bytes, oldest first, one slice per chunk. Chunk
     /// boundaries carry no meaning: only the concatenation does.
     pub fn chunks(&self) -> impl Iterator<Item = &[u8]> {
-        self.chunks.iter().map(Chunk::bytes)
+        self.iter().map(Chunk::bytes)
     }
 
     /// Appends `buf[range]` by reference.
@@ -91,7 +110,7 @@ impl ByteQueue {
     // #[hot_path] — one call per in-order data segment
     pub fn extend_from_queue(&mut self, src: &ByteQueue, offset: usize, len: usize) {
         let (mut skip, mut left) = (offset, len);
-        for c in &src.chunks {
+        for c in src.iter() {
             if left == 0 {
                 break;
             }
@@ -114,32 +133,26 @@ impl ByteQueue {
         if start == end {
             return;
         }
-        if let Some(tail) = self.chunks.back_mut() {
-            if tail.end == start && Rc::ptr_eq(&tail.buf, buf) {
-                tail.end = end;
-                return;
-            }
-        }
-        self.chunks.push_back(Chunk {
+        let chunk = || Chunk {
             buf: Rc::clone(buf),
             start,
             end,
-        });
-    }
-
-    /// Copies the first `dst.len()` queued bytes (or all of them, if
-    /// fewer) into `dst`; returns how many were copied.
-    pub fn copy_prefix(&self, dst: &mut [u8]) -> usize {
-        let mut n = 0;
-        for c in self.chunks() {
-            if n == dst.len() {
-                break;
-            }
-            let take = c.len().min(dst.len() - n);
-            dst[n..n + take].copy_from_slice(&c[..take]);
-            n += take;
+        };
+        let Some(head) = &mut self.head else {
+            self.head = Some(chunk());
+            return;
+        };
+        let tail = match self.rest.as_deref_mut().and_then(VecDeque::back_mut) {
+            Some(last) => last,
+            None => head,
+        };
+        if tail.end == start && Rc::ptr_eq(&tail.buf, buf) {
+            tail.end = end;
+            return;
         }
-        n
+        self.rest
+            .get_or_insert_with(Box::default)
+            .push_back(chunk());
     }
 
     /// Appends the first `n` queued bytes (`n` must not exceed `len`)
@@ -157,21 +170,31 @@ impl ByteQueue {
         debug_assert_eq!(left, 0, "copy past the end of the queue");
     }
 
+    /// Drops up to `max` bytes from the front and copies the first of
+    /// them into `prefix` (as many as fit), in one walk over the chunks
+    /// it drops. Returns `(dropped, copied)`.
+    pub fn drain_front(&mut self, max: usize, prefix: &mut [u8]) -> (usize, usize) {
+        let (mut dropped, mut copied) = (0, 0);
+        while dropped < max {
+            let Some(front) = &mut self.head else { break };
+            let take = front.len().min(max - dropped);
+            let fill = take.min(prefix.len() - copied);
+            prefix[copied..copied + fill].copy_from_slice(&front.bytes()[..fill]);
+            copied += fill;
+            dropped += take;
+            if take < front.len() {
+                front.start += take;
+                break;
+            }
+            self.head = self.rest.as_mut().and_then(|r| r.pop_front());
+        }
+        (dropped, copied)
+    }
+
     /// Drops the first `n` queued bytes (`n` must not exceed `len`).
     pub fn consume(&mut self, n: usize) {
-        let mut left = n;
-        while left > 0 {
-            let Some(front) = self.chunks.front_mut() else {
-                debug_assert!(false, "consume past the end of the queue");
-                return;
-            };
-            if left < front.len() {
-                front.start += left;
-                return;
-            }
-            left -= front.len();
-            self.chunks.pop_front();
-        }
+        let (dropped, _) = self.drain_front(n, &mut []);
+        debug_assert_eq!(dropped, n, "consume past the end of the queue");
     }
 }
 
@@ -209,9 +232,8 @@ mod tests {
             expect.extend_from_slice(&bytes);
             let pop = ((round * 5) % 19 + 1).min(expect.len());
             let mut head = [0u8; 19];
-            assert_eq!(q.copy_prefix(&mut head[..pop]), pop);
+            assert_eq!(q.drain_front(pop, &mut head), (pop, pop));
             assert_eq!(&head[..pop], &expect[..pop]);
-            q.consume(pop);
             expect.drain(..pop);
             assert_eq!(contents(&q), expect);
             assert_eq!(q.len(), expect.len());
@@ -242,12 +264,68 @@ mod tests {
         for seg in (0..6144).step_by(1460) {
             inbox.extend_from_queue(&out, seg, (6144 - seg).min(1460));
         }
-        assert_eq!(inbox.chunks.len(), 1);
+        assert_eq!(inbox.chunks().count(), 1);
+        assert!(inbox.rest.is_none(), "one chunk stays inline");
         assert_eq!(inbox.len(), 6144);
         // A different buffer, or a gap, starts a new chunk.
         inbox.extend_shared(&shared(&[1]), 0..1);
         inbox.extend_shared(&reply, 10..20);
-        assert_eq!(inbox.chunks.len(), 3);
+        assert_eq!(inbox.chunks().count(), 3);
         assert_eq!(Rc::strong_count(&reply), 4);
+    }
+
+    #[test]
+    fn inline_head_spills_and_refills() {
+        // One queue through every storage shape: inline only, spilled
+        // (three unmerged buffers), drained to empty, inline again.
+        let bufs: Vec<Rc<Vec<u8>>> = (0..3u8).map(|i| shared(&[i * 10; 4])).collect();
+        let refs = |want: [usize; 3]| {
+            for (i, b) in bufs.iter().enumerate() {
+                assert_eq!(Rc::strong_count(b), want[i], "buffer {i}");
+            }
+        };
+        let mut q = ByteQueue::new();
+        let mut model: Vec<u8> = Vec::new();
+
+        q.extend_shared(&bufs[0], 0..2);
+        q.extend_shared(&bufs[0], 2..4); // merges into the inline head
+        model.extend_from_slice(&bufs[0]);
+        assert_eq!(contents(&q), model);
+        assert!(q.rest.is_none(), "one chunk stays inline");
+        refs([2, 1, 1]);
+
+        q.extend_shared(&bufs[1], 0..4);
+        q.extend_shared(&bufs[2], 1..3);
+        model.extend_from_slice(&bufs[1]);
+        model.extend_from_slice(&bufs[2][1..3]);
+        assert_eq!(contents(&q), model);
+        assert_eq!(q.chunks().count(), 3);
+        assert_eq!(q.rest.as_ref().map(|r| r.len()), Some(2), "spilled");
+        refs([2, 2, 2]);
+
+        // Trim the head, then drain across both remaining chunks.
+        let mut prefix = [0u8; 3];
+        assert_eq!(q.drain_front(3, &mut prefix), (3, 3));
+        assert_eq!(prefix[..], model[..3]);
+        model.drain(..3);
+        assert_eq!(contents(&q), model);
+        refs([2, 2, 2]);
+        assert_eq!(q.drain_front(usize::MAX, &mut prefix), (model.len(), 3));
+        assert_eq!(prefix[..], model[..3]);
+        model.clear();
+        assert!(q.is_empty());
+        assert_eq!(q.len(), 0);
+        assert_eq!(q.chunks().count(), 0);
+        refs([1, 1, 1]);
+        assert_eq!(q.rest.as_ref().map(|r| r.len()), Some(0), "deque kept");
+
+        q.extend_shared(&bufs[2], 0..4);
+        model.extend_from_slice(&bufs[2]);
+        assert_eq!(contents(&q), model);
+        assert!(q.head.is_some());
+        assert_eq!(q.rest.as_ref().map(|r| r.len()), Some(0), "refilled inline");
+        refs([1, 1, 2]);
+        q.consume(4);
+        refs([1, 1, 1]);
     }
 }

@@ -13,7 +13,6 @@
 //! returns, all pending work is in the timer queue that `next_deadline`
 //! reads.
 
-use std::collections::BTreeSet;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
@@ -141,8 +140,9 @@ struct Listener {
     /// The bound address (listeners are few, so lookup is a scan).
     addr: SockAddr,
     backlog: usize,
-    /// Handshakes in progress.
-    syn_rcvd: BTreeSet<ConnId>,
+    /// Handshakes in progress: connections whose `syn_rcvd` flag is
+    /// set (the fingerprint checks the count against them).
+    syn_rcvd: usize,
     /// Established, waiting for `accept`.
     accept_q: VecDeque<ConnId>,
     /// SYNs dropped or refused for backlog overflow.
@@ -273,7 +273,7 @@ impl Network {
     /// connection (lifecycle state, both endpoint halves including
     /// buffered bytes and FIN/ack positions), listeners, armed timers,
     /// and undelivered notifications. Excluded: aggregate counters
-    /// ([`NetStats`], per-host rx tallies) and the loss RNG (never
+    /// ([`NetStats`]) and the loss RNG (never
     /// advanced at `loss_prob == 0`, the only configuration explored),
     /// so semantically equal worlds that differ only in diagnostics
     /// hash alike. Inbox bytes are hashed as one stream: where the
@@ -349,16 +349,23 @@ impl Network {
                 Some(Side::Server) => 2,
             });
             h.write_bool(c.accept_queued());
+            h.write_bool(c.syn_rcvd());
             h.write_bool(c.accepted());
             h.write_bool(c.ports_freed());
         }
         h.write_len(self.listeners.len());
-        for l in &self.listeners {
+        for (ix, l) in self.listeners.iter().enumerate() {
+            debug_assert_eq!(
+                l.syn_rcvd,
+                self.conn_arena
+                    .iter()
+                    .flatten()
+                    .filter(|c| c.syn_rcvd() && c.listener == Some(ListenerId(ix as u32)))
+                    .count(),
+                "listener {ix}: half-open count disagrees with its connections"
+            );
             h.write_usize(l.backlog);
-            h.write_len(l.syn_rcvd.len());
-            for c in &l.syn_rcvd {
-                h.write_u64(u64::from(c.0));
-            }
+            h.write_len(l.syn_rcvd);
             h.write_len(l.accept_q.len());
             for c in &l.accept_q {
                 h.write_u64(u64::from(c.0));
@@ -561,7 +568,7 @@ impl Network {
         self.listeners.push(Listener {
             addr: SockAddr::new(host, port),
             backlog,
-            syn_rcvd: BTreeSet::new(),
+            syn_rcvd: 0,
             accept_q: VecDeque::new(),
             refused: 0,
         });
@@ -760,14 +767,12 @@ impl Network {
     /// Reads and discards up to `max` bytes of in-order data, returning
     /// only a summary — the byte count and the first bytes of the chunk.
     /// This is the hot-path sibling of [`Network::recv`] for callers
-    /// (e.g. load generators) that never look past a response prefix.
+    /// (e.g. load generators) that never look past a response prefix;
+    /// counting, copying the prefix and dropping are one walk.
     pub fn recv_discard(&mut self, ep: EndpointId, max: usize) -> Result<RecvSummary, NetError> {
         let conn = self.conn_mut(ep.conn).ok_or(NetError::Gone)?;
-        let e = conn.ep_mut(ep.side);
-        let n = e.inbox.len().min(max);
         let mut prefix = [0u8; RECV_PREFIX];
-        let prefix_len = e.inbox.copy_prefix(&mut prefix[..n.min(RECV_PREFIX)]);
-        e.inbox.consume(n);
+        let (n, prefix_len) = conn.ep_mut(ep.side).inbox.drain_front(max, &mut prefix);
         Ok(RecvSummary {
             len: n,
             prefix,
@@ -934,7 +939,7 @@ impl Network {
             .listeners
             .get_mut(lid.0 as usize)
             .expect("invariant: accepting connections keep their listener");
-        if l.syn_rcvd.len() + l.accept_q.len() >= l.backlog {
+        if l.syn_rcvd + l.accept_q.len() >= l.backlog {
             l.refused += 1;
             self.stats.syn_drops += 1;
             self.out.push(NetNotify::SynDropped { listener: lid });
@@ -948,11 +953,12 @@ impl Network {
             }
             return;
         }
-        l.syn_rcvd.insert(conn_id);
+        l.syn_rcvd += 1;
         let conn = self
             .conn_mut(conn_id)
             .expect("invariant: delivered segments reference live connections");
         conn.listener = Some(lid);
+        conn.set_syn_rcvd(true);
         let seg = Segment {
             conn: conn_id,
             from: Side::Server,
@@ -1011,11 +1017,13 @@ impl Network {
         conn.ep_mut(Side::Server).last_progress = now;
         conn.set_accept_queued(true);
         conn.accept_queued_at = now;
+        let counted = conn.syn_rcvd();
+        conn.set_syn_rcvd(false);
         let l = self
             .listeners
             .get_mut(lid.0 as usize)
             .expect("invariant: accepting connections keep their listener");
-        l.syn_rcvd.remove(&conn_id);
+        l.syn_rcvd -= usize::from(counted);
         l.accept_q.push_back(conn_id);
         self.out.push(NetNotify::AcceptReady { listener: lid });
     }
@@ -1318,6 +1326,7 @@ impl Network {
                     reason: ConnectError::Timeout,
                 });
                 self.free_conn_ports(conn_id, None);
+                self.detach_listener(conn_id);
                 self.conn_remove(conn_id);
             }
             Action::ResendSyn { rearm } => {
@@ -1441,13 +1450,14 @@ impl Network {
     }
 
     fn detach_listener(&mut self, conn_id: ConnId) {
-        let Some(conn) = self.conn(conn_id) else {
+        let Some(conn) = self.conn_mut(conn_id) else {
             return;
         };
-        let (listener, accepted) = (conn.listener, conn.accepted());
+        let (listener, accepted, counted) = (conn.listener, conn.accepted(), conn.syn_rcvd());
+        conn.set_syn_rcvd(false);
         if let Some(lid) = listener {
             if let Some(l) = self.listeners.get_mut(lid.0 as usize) {
-                l.syn_rcvd.remove(&conn_id);
+                l.syn_rcvd -= usize::from(counted);
                 if !accepted {
                     l.accept_q.retain(|c| *c != conn_id);
                 }
@@ -1476,5 +1486,60 @@ impl RecvSummary {
     /// The valid prefix bytes.
     pub fn prefix(&self) -> &[u8] {
         &self.prefix[..self.prefix_len]
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Runs `net` to its next event; returns the time and what it
+    /// notified.
+    fn step(net: &mut Network) -> (SimTime, Vec<NetNotify>) {
+        let at = net.next_deadline().expect("work pending");
+        (at, net.advance(at))
+    }
+
+    #[test]
+    fn connect_timeout_releases_its_half_open_slot() {
+        let mut net = Network::new(TcpConfig::default(), LinkConfig::default(), 2);
+        let (client, server) = (HostId(0), HostId(1));
+        let lid = net.listen(server, 80, 1).unwrap();
+        let addr = SockAddr::new(server, 80);
+        net.connect(SimTime::ZERO, client, addr, SimDuration::ZERO)
+            .unwrap();
+        // The SYN is already on the wire; everything sent after it is
+        // lost, so the server counts a handshake whose SYN-ACKs never
+        // arrive and the client gives up on it.
+        net.loss_prob = 1.0;
+        let mut counted = false;
+        let now = loop {
+            let (at, notes) = step(&mut net);
+            counted |= net.listeners[0].syn_rcvd == 1;
+            let timed_out = notes.iter().any(|n| {
+                matches!(
+                    n,
+                    NetNotify::ConnectFailed {
+                        reason: ConnectError::Timeout,
+                        ..
+                    }
+                )
+            });
+            if timed_out {
+                break at;
+            }
+        };
+        assert!(counted, "the server saw the SYN");
+        assert_eq!(net.listeners[0].syn_rcvd, 0, "half-open slot released");
+        // In debug builds the fingerprint checks the count against the
+        // connections' flags.
+        net.state_fingerprint();
+        // The backlog of one is free again for the next handshake.
+        net.loss_prob = 0.0;
+        net.connect(now, client, addr, SimDuration::ZERO).unwrap();
+        while net.accept_queue_len(lid) == 0 {
+            step(&mut net);
+        }
+        assert_eq!(net.refused_count(lid), 0);
     }
 }

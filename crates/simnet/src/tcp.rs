@@ -291,6 +291,9 @@ const CONN_CLOSED_FIRST: u8 = 1 << 3;
 /// [`Conn::flags`]: the first closer was the server side (meaningful
 /// only with [`CONN_CLOSED_FIRST`]).
 const CONN_CLOSED_FIRST_SERVER: u8 = 1 << 4;
+/// [`Conn::flags`]: counted in its listener's half-open handshakes
+/// (SYN answered, not yet on the accept queue or detached).
+const CONN_SYN_RCVD: u8 = 1 << 5;
 
 impl Conn {
     /// Creates a fresh `SynSent` connection (`[client, server]` order
@@ -328,6 +331,14 @@ impl Conn {
 
     pub(crate) fn set_accepted(&mut self, v: bool) {
         self.set_flag(CONN_ACCEPTED, v);
+    }
+
+    pub(crate) fn syn_rcvd(&self) -> bool {
+        self.flags & CONN_SYN_RCVD != 0
+    }
+
+    pub(crate) fn set_syn_rcvd(&mut self, v: bool) {
+        self.set_flag(CONN_SYN_RCVD, v);
     }
 
     pub(crate) fn ports_freed(&self) -> bool {

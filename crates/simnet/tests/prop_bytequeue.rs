@@ -6,10 +6,10 @@
 //! (fresh ranges and ranges continuing the last one, which merge),
 //! deliveries of a sub-range of `out` into the inbox by reference
 //! (offsets that straddle chunk boundaries), and consumes of either
-//! queue. After every step both queues must agree with their models on
-//! length, emptiness, their chunk concatenation, a prefix read and a
-//! `copy_into` read. Once both are drained, no buffer may still be
-//! referenced.
+//! queue (inbox drains also read a prefix in the same walk). After
+//! every step both queues must agree with their models on length,
+//! emptiness, their chunk concatenation and a `copy_into` read. Once
+//! both are drained, no buffer may still be referenced.
 
 use std::collections::VecDeque;
 use std::rc::Rc;
@@ -47,13 +47,6 @@ fn check(q: &ByteQueue, model: &VecDeque<u8>, cut: usize, step: usize, name: &st
         "step {step}: {name} empty chunk"
     );
     let n = cut.min(want.len());
-    let mut prefix = vec![0u8; cut];
-    assert_eq!(
-        q.copy_prefix(&mut prefix),
-        n,
-        "step {step}: {name} prefix len"
-    );
-    assert_eq!(prefix[..n], want[..n], "step {step}: {name} prefix");
     let mut copied = vec![0xEE];
     q.copy_into(n, &mut copied);
     assert_eq!(copied[0], 0xEE, "step {step}: {name} copy_into appends");
@@ -118,18 +111,26 @@ fn run(ops: &[Op]) -> Coverage {
                 out.consume(n);
                 out_m.drain(..n);
             }
+            // Drain the inbox's front, reading a prefix in the same walk.
             _ => {
                 let n = a % (inbox_m.len() + 1);
                 cov.partial_consumes += usize::from(n > 0 && n < inbox_m.len());
-                inbox.consume(n);
-                inbox_m.drain(..n);
+                let mut prefix = vec![0u8; b % 20];
+                let fill = prefix.len().min(n);
+                assert_eq!(
+                    inbox.drain_front(n, &mut prefix),
+                    (n, fill),
+                    "step {step}: drain_front counts"
+                );
+                let want: Vec<u8> = inbox_m.drain(..n).collect();
+                assert_eq!(prefix[..fill], want[..fill], "step {step}: drain prefix");
             }
         }
         check(&out, &out_m, b, step, "out");
         check(&inbox, &inbox_m, a, step, "inbox");
     }
     out.consume(out.len());
-    inbox.consume(inbox.len());
+    assert_eq!(inbox.drain_front(usize::MAX, &mut []), (inbox_m.len(), 0));
     for (i, buf) in bufs.iter().enumerate() {
         assert_eq!(Rc::strong_count(buf), 1, "buffer {i} still referenced");
     }
