@@ -554,13 +554,15 @@ mod tests {
         }
 
         fn pump(&mut self, until: SimTime) {
-            while let Some(t) = self.net.next_deadline().filter(|&t| t <= until) {
-                for n in self.net.advance(t) {
-                    self.kernel.on_net(t, &n);
-                }
-            }
+            crate::settle(
+                &mut self.net,
+                &mut self.kernel,
+                &mut self.registry,
+                self.now,
+                until,
+                |_, _, _, _, _| {},
+            );
             self.now = until;
-            let _ = self.kernel.advance(until);
         }
 
         /// The client of connection `i` sends `data`.

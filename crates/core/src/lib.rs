@@ -21,11 +21,14 @@
 //!
 //! [`backend`] wraps the two poll-shaped mechanisms behind one trait so
 //! the same server can run on either, as the paper's stock and modified
-//! `thttpd` do.
+//! `thttpd` do. [`dispatch`] holds the per-instant order in which the
+//! network, the kernel and the `/dev/poll` hint path run; [`settle`]
+//! drives a hand-built world through it.
 
 pub mod audit;
 pub mod backend;
 pub mod device;
+pub mod dispatch;
 pub mod interest;
 pub mod lockdep;
 pub mod pollfd;
@@ -35,6 +38,7 @@ pub mod stock;
 
 pub use backend::{DevPollBackend, EventBackend, SelectBackend, StockPollBackend};
 pub use device::{DevPollConfig, DevPollDevice, DevPollRegistry};
+pub use dispatch::settle;
 pub use interest::{Interest, InterestTable, SetOutcome};
 pub use lockdep::{LockClass, LockGraph, OrderViolation};
 pub use pollfd::{DvPoll, PollFd};

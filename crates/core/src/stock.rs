@@ -112,6 +112,12 @@ mod tests {
     const CLIENT: HostId = HostId(0);
     const SERVER: HostId = HostId(1);
 
+    /// Runs the world to `until`; no `/dev/poll` device is open.
+    fn settle(net: &mut Network, kernel: &mut Kernel, now: SimTime, until: SimTime) -> SimTime {
+        let registry = &mut crate::DevPollRegistry::new();
+        crate::settle(net, kernel, registry, now, until, |_, _, _, _, _| {})
+    }
+
     fn setup_with_conn() -> (Network, Kernel, Pid, simkernel::Fd, simnet::EndpointId) {
         let mut net = Network::new(TcpConfig::default(), LinkConfig::default(), 2);
         let mut kernel = Kernel::new(SERVER, CostModel::k6_2_400mhz());
@@ -127,18 +133,12 @@ mod tests {
                 SimDuration::ZERO,
             )
             .unwrap();
-        // Pump the handshake.
-        let mut t = SimTime::ZERO;
-        while let Some(next) = net.next_deadline() {
-            if next > SimTime::from_millis(10) {
-                break;
-            }
-            t = next;
-            for n in net.advance(t) {
-                kernel.on_net(t, &n);
-            }
-        }
-        let _ = kernel.advance(t);
+        let t = settle(
+            &mut net,
+            &mut kernel,
+            SimTime::ZERO,
+            SimTime::from_millis(10),
+        );
         kernel.begin_batch(t, pid);
         let fd = kernel.sys_accept(&mut net, t, pid, lfd).unwrap();
         kernel.end_batch(t, pid);
@@ -157,14 +157,7 @@ mod tests {
         let (mut net, mut kernel, pid, fd, client_ep) = setup_with_conn();
         let t = SimTime::from_millis(20);
         net.send(t, client_ep, b"data").unwrap();
-        while let Some(next) = net.next_deadline() {
-            if next > SimTime::from_millis(30) {
-                break;
-            }
-            for n in net.advance(next) {
-                kernel.on_net(next, &n);
-            }
-        }
+        settle(&mut net, &mut kernel, t, SimTime::from_millis(30));
         let t = SimTime::from_millis(30);
         kernel.begin_batch(t, pid);
         let mut fds = [PollFd::new(fd, PollBits::POLLIN)];
@@ -234,14 +227,7 @@ mod tests {
         let (mut net, mut kernel, pid, fd, client_ep) = setup_with_conn();
         let t = SimTime::from_millis(20);
         net.close(t, client_ep).unwrap();
-        while let Some(next) = net.next_deadline() {
-            if next > SimTime::from_millis(30) {
-                break;
-            }
-            for n in net.advance(next) {
-                kernel.on_net(next, &n);
-            }
-        }
+        settle(&mut net, &mut kernel, t, SimTime::from_millis(30));
         let t = SimTime::from_millis(30);
         kernel.begin_batch(t, pid);
         // Ask only for POLLOUT; HUP must still be reported.

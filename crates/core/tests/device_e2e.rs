@@ -19,29 +19,14 @@ struct World {
 }
 
 fn pump(w: &mut World, horizon: SimTime) {
-    loop {
-        match w.net.next_deadline() {
-            Some(t) if t <= horizon => {
-                for n in w.net.advance(t) {
-                    w.kernel.on_net(t, &n);
-                }
-                for e in w.kernel.advance(t) {
-                    if let simkernel::KernelEvent::FdEvent { pid, fd, .. } = e {
-                        w.registry.on_fd_event(&mut w.kernel, t, pid, fd);
-                    }
-                }
-            }
-            _ => break,
-        }
-    }
-    for n in w.net.advance(horizon) {
-        w.kernel.on_net(horizon, &n);
-    }
-    for e in w.kernel.advance(horizon) {
-        if let simkernel::KernelEvent::FdEvent { pid, fd, .. } = e {
-            w.registry.on_fd_event(&mut w.kernel, horizon, pid, fd);
-        }
-    }
+    devpoll::settle(
+        &mut w.net,
+        &mut w.kernel,
+        &mut w.registry,
+        SimTime::ZERO,
+        horizon,
+        |_, _, _, _, _| {},
+    );
 }
 
 /// A `/dev/poll` counter of the world's kernel probe. The tests that
@@ -514,4 +499,58 @@ fn no_hints_config_scans_everything() {
         "every scan pays for every interest"
     );
     assert_eq!(count(&w, Metric::DevpollDriverPollsAvoided), 0);
+}
+
+/// `devpoll::settle` itself. The process sleeps in `DP_POLL` on one
+/// watched descriptor while a client's data is in flight. Settling to
+/// just before the arrival runs the kernel's earlier deadline and
+/// nothing past `until`; settling from an instant after the arrival
+/// runs the overdue delivery at that instant, where its hint marks the
+/// watched entry before the woken process runs.
+#[test]
+fn settle_runs_overdue_work_at_now_and_nothing_past_until() {
+    let mut w = world();
+    let dpfd = open_dp(&mut w, DevPollConfig::default());
+    let (fd, client_ep) = connect_one(&mut w, SimTime::ZERO);
+
+    let t = SimTime::from_millis(20);
+    w.kernel.begin_batch(t, w.pid);
+    let watch = [PollFd::new(fd, PollBits::POLLIN)];
+    w.registry
+        .write(&mut w.kernel, w.pid, dpfd, &watch)
+        .unwrap();
+    let (out, _) = w
+        .registry
+        .dp_poll(&mut w.kernel, w.pid, dpfd, DvPoll::into_user_buffer(64, -1))
+        .unwrap();
+    assert_eq!(out, PollOutcome::WouldBlock);
+    let batch_done = w.kernel.end_batch_sleep(t, w.pid, None);
+    w.net.send(t, client_ep, b"ping").unwrap();
+    let arrival = w.net.next_deadline().unwrap();
+    assert!(batch_done < arrival);
+
+    // (instant, pid, hints marked so far) per runnable process.
+    let mut woken = Vec::new();
+    let mut settle = |w: &mut World, now, until| {
+        devpoll::settle(
+            &mut w.net,
+            &mut w.kernel,
+            &mut w.registry,
+            now,
+            until,
+            |_, kernel, _, at, pid| {
+                woken.push((at, pid, kernel.probe().counter(Metric::DevpollHintsMarked)))
+            },
+        )
+    };
+
+    let just_before = arrival - SimDuration::from_nanos(1);
+    assert_eq!(settle(&mut w, t, just_before), batch_done);
+    assert_eq!(w.net.next_deadline(), Some(arrival), "delivery ran early");
+    assert_eq!(count(&w, Metric::DevpollHintsMarked), 0);
+
+    let late = arrival + SimDuration::from_millis(1);
+    assert_eq!(settle(&mut w, late, late), late);
+    assert_eq!(count(&w, Metric::DevpollHintsMarked), 1);
+    assert_eq!(woken, vec![(late, w.pid, 1)]);
 }

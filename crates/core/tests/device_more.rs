@@ -18,19 +18,14 @@ struct World {
 }
 
 fn pump(w: &mut World, horizon: SimTime) {
-    while let Some(t) = w.net.next_deadline() {
-        if t > horizon {
-            break;
-        }
-        for n in w.net.advance(t) {
-            w.kernel.on_net(t, &n);
-        }
-        for e in w.kernel.advance(t) {
-            if let simkernel::KernelEvent::FdEvent { pid, fd, .. } = e {
-                w.registry.on_fd_event(&mut w.kernel, t, pid, fd);
-            }
-        }
-    }
+    devpoll::settle(
+        &mut w.net,
+        &mut w.kernel,
+        &mut w.registry,
+        SimTime::ZERO,
+        horizon,
+        |_, _, _, _, _| {},
+    );
 }
 
 fn world() -> World {

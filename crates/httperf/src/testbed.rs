@@ -2,6 +2,7 @@
 //! one, the load generator on the other — the paper's experimental
 //! set-up (§5) as one deterministic co-simulation loop.
 
+use devpoll::dispatch::{kernel_phase, net_phase};
 use devpoll::DevPollRegistry;
 use simcore::probe::Metric;
 use simcore::stats::RateSummary;
@@ -85,14 +86,14 @@ impl Testbed {
         self.events
     }
 
-    fn schedule(&mut self, at: SimTime, t: LoadTimer) {
+    fn schedule(timers: &mut TimerQueue<LoadTimer>, at: SimTime, t: LoadTimer) {
         let lane = match t {
             LoadTimer::NextArrival => 0,
             LoadTimer::Timeout(_) => 1,
             LoadTimer::ReopenInactive => 2,
             LoadTimer::SendRequest(_) => 3,
         };
-        self.timers.push(Lane::Fifo(lane), at, t);
+        timers.push(Lane::Fifo(lane), at, t);
     }
 
     /// Starts the server and arms the load generator.
@@ -108,7 +109,7 @@ impl Testbed {
             .expect("invariant: server start on a fresh testbed cannot fail");
         let timers = self.load.bootstrap(self.now);
         for (at, t) in timers {
-            self.schedule(at, t);
+            Self::schedule(&mut self.timers, at, t);
         }
         self.kernel_next = self.kernel.next_deadline();
         self.drain_at(self.now, server);
@@ -126,65 +127,69 @@ impl Testbed {
     }
 
     /// Processes everything due at exactly `now` in one pass: the
-    /// network, then the kernel, then the load timers, each only if it
-    /// has work due. Every action that arms more work at `now` leaves it
-    /// where `next_deadline` sees it, so `run` re-enters this instant
-    /// instead of this pass looping.
+    /// network phase, then the kernel phase (see [`devpoll::dispatch`]),
+    /// then the load timers, each only if it has work due. Every action
+    /// that arms more work at `now` leaves it where `next_deadline` sees
+    /// it, so `run` re-enters this instant instead of this pass looping.
     // #[hot_path] — simcheck bans per-call allocation in this function
     fn drain_at(&mut self, now: SimTime, server: &mut dyn Server) {
-        // Network deliveries and their fan-out.
-        if self.net.has_work_at(now) {
-            let mut notifies = std::mem::take(&mut self.notify_scratch);
-            notifies.clear();
-            self.net.advance_into(now, &mut notifies);
-            self.events += notifies.len() as u64;
-            for n in &notifies {
-                self.kernel.on_net(now, n);
+        // Only the kernel phase writes the cache, so it reads the same
+        // before the network phase as after it.
+        let kernel_due = self.kernel_next().is_some_and(|t| t <= now);
+        let Testbed {
+            net,
+            kernel,
+            registry,
+            load,
+            timers,
+            kernel_next,
+            events,
+            notify_scratch,
+            kevent_scratch,
+            ..
+        } = self;
+
+        if net.has_work_at(now) {
+            let n = net_phase(net, kernel, now, notify_scratch, |net, n| {
                 // Nothing else arms load timers during the fan-out, so
                 // arming each follow-up as it returns keeps the order.
-                for (at, t) in self.load.on_net(&mut self.net, now, n) {
-                    self.schedule(at, t);
+                for (at, t) in load.on_net(net, now, n) {
+                    Self::schedule(timers, at, t);
                 }
-            }
-            self.notify_scratch = notifies;
+            });
+            *events += n as u64;
         }
 
-        // Kernel events: hints and runnable processes. Runs if `on_net`
-        // above queued events (a wakeup may also move a deadline) or a
-        // process deadline is due.
-        if self.kernel.has_queued_events() || self.kernel_next().is_some_and(|t| t <= now) {
-            let mut kevents = std::mem::take(&mut self.kevent_scratch);
-            kevents.clear();
-            self.kernel.advance_into(now, &mut kevents);
-            self.events += kevents.len() as u64;
-            for &e in &kevents {
-                match e {
-                    KernelEvent::FdEvent { pid, fd, .. } => {
-                        self.registry.on_fd_event(&mut self.kernel, now, pid, fd);
+        // Runs if the network phase queued events (a wakeup may also
+        // move a deadline) or a process deadline is due.
+        if kernel.has_queued_events() || kernel_due {
+            let n = kernel_phase(
+                net,
+                kernel,
+                registry,
+                now,
+                kevent_scratch,
+                |net, kernel, registry, now, pid| {
+                    if server.handles(pid) {
+                        let mut ctx = ServerCtx {
+                            kernel,
+                            net,
+                            registry,
+                            now,
+                        };
+                        server.run_batch_for(&mut ctx, pid);
                     }
-                    KernelEvent::ProcRunnable { pid } => {
-                        if server.handles(pid) {
-                            let mut ctx = ServerCtx {
-                                kernel: &mut self.kernel,
-                                net: &mut self.net,
-                                registry: &mut self.registry,
-                                now,
-                            };
-                            server.run_batch_for(&mut ctx, pid);
-                        }
-                    }
-                }
-            }
-            self.kevent_scratch = kevents;
-            self.kernel_next = self.kernel.next_deadline();
+                },
+            );
+            *events += n as u64;
+            *kernel_next = kernel.next_deadline();
         }
 
         // Load-generator timers due now.
-        while let Some((_, t)) = self.timers.pop(now) {
-            self.events += 1;
-            let follow = self.load.on_timer(&mut self.net, now, t);
-            for (at, t) in follow {
-                self.schedule(at, t);
+        while let Some((_, t)) = timers.pop(now) {
+            *events += 1;
+            for (at, t) in load.on_timer(net, now, t) {
+                Self::schedule(timers, at, t);
             }
         }
     }

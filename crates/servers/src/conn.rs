@@ -192,21 +192,15 @@ mod tests {
     const SERVER: HostId = HostId(1);
 
     fn pump(net: &mut Network, kernel: &mut Kernel, horizon: SimTime) {
-        loop {
-            match net.next_deadline() {
-                Some(t) if t <= horizon => {
-                    for n in net.advance(t) {
-                        kernel.on_net(t, &n);
-                    }
-                    let _ = kernel.advance(t);
-                }
-                _ => break,
-            }
-        }
-        for n in net.advance(horizon) {
-            kernel.on_net(horizon, &n);
-        }
-        let _ = kernel.advance(horizon);
+        let registry = &mut devpoll::DevPollRegistry::new();
+        devpoll::settle(
+            net,
+            kernel,
+            registry,
+            SimTime::ZERO,
+            horizon,
+            |_, _, _, _, _| {},
+        );
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! The hybrid server's mode machine: signal mode under light load,
 //! polling past the queue-pressure threshold, and back once the burst
-//! drains.
+//! drains. The world settles through `devpoll::settle`, the dispatch
+//! phases every figure's testbed runs.
 
 use devpoll::DevPollRegistry;
 use servers::{HybridMode, HybridServer, Server, ServerConfig, ServerCtx};
 use simcore::time::{SimDuration, SimTime};
-use simkernel::{CostModel, Kernel, KernelEvent};
+use simkernel::{CostModel, Kernel};
 use simnet::{ConnId, EndpointId, HostId, LinkConfig, Network, Side, SockAddr, TcpConfig};
 
 const CLIENT: HostId = HostId(0);
@@ -29,47 +30,25 @@ impl Rig {
     }
 
     fn run(&mut self, server: &mut dyn Server, until: SimTime) {
-        loop {
-            let next = match (self.net.next_deadline(), self.kernel.next_deadline()) {
-                (Some(a), Some(b)) => a.min(b),
-                (Some(a), None) => a,
-                (None, Some(b)) => b,
-                (None, None) => break,
-            };
-            if next > until {
-                break;
-            }
-            self.now = next.max(self.now);
-            loop {
-                let notifies = self.net.advance(self.now);
-                for n in &notifies {
-                    self.kernel.on_net(self.now, n);
+        let last = devpoll::settle(
+            &mut self.net,
+            &mut self.kernel,
+            &mut self.registry,
+            self.now,
+            until,
+            |net, kernel, registry, now, pid| {
+                if server.handles(pid) {
+                    let mut ctx = ServerCtx {
+                        kernel,
+                        net,
+                        registry,
+                        now,
+                    };
+                    server.run_batch_for(&mut ctx, pid);
                 }
-                let events = self.kernel.advance(self.now);
-                if notifies.is_empty() && events.is_empty() {
-                    break;
-                }
-                for e in events {
-                    match e {
-                        KernelEvent::FdEvent { pid, fd, .. } => {
-                            self.registry
-                                .on_fd_event(&mut self.kernel, self.now, pid, fd);
-                        }
-                        KernelEvent::ProcRunnable { pid } if server.handles(pid) => {
-                            let mut ctx = ServerCtx {
-                                kernel: &mut self.kernel,
-                                net: &mut self.net,
-                                registry: &mut self.registry,
-                                now: self.now,
-                            };
-                            server.run_batch_for(&mut ctx, pid);
-                        }
-                        KernelEvent::ProcRunnable { .. } => {}
-                    }
-                }
-            }
-        }
-        self.now = until.max(self.now);
+            },
+        );
+        self.now = until.max(last);
     }
 
     fn connect_and_request(&mut self, server: &mut dyn Server) -> ConnId {

@@ -14,7 +14,7 @@ use devpoll::{
     SelectBackend, StockPollBackend,
 };
 use simcore::time::{SimDuration, SimTime};
-use simkernel::{CostModel, Fd, Kernel, KernelEvent, Pid, PollBits};
+use simkernel::{CostModel, Fd, Kernel, Pid, PollBits};
 use simnet::{EndpointId, HostId, LinkConfig, Network, Side, SockAddr, TcpConfig};
 
 use crate::script::Op;
@@ -266,31 +266,18 @@ impl Lane {
         h.finish()
     }
 
-    /// Drains network and kernel deadlines for one settle window,
-    /// routing driver hints into the `/dev/poll` registry exactly like
-    /// the testbed loop (`crates/httperf/src/testbed.rs`).
+    /// Settles network and kernel deadlines for one window through the
+    /// testbed's dispatch phases, routing driver hints into the
+    /// `/dev/poll` registry.
     fn pump(&mut self) {
-        let horizon = self.now + SETTLE;
-        loop {
-            let mut next = self.net.next_deadline();
-            if let Some(k) = self.kernel.next_deadline() {
-                next = Some(next.map_or(k, |n| n.min(k)));
-            }
-            let Some(next) = next else { break };
-            if next > horizon {
-                break;
-            }
-            self.now = self.now.max(next);
-            let t = self.now;
-            for n in self.net.advance(t) {
-                self.kernel.on_net(t, &n);
-            }
-            for e in self.kernel.advance(t) {
-                if let KernelEvent::FdEvent { pid, fd, .. } = e {
-                    self.registry.on_fd_event(&mut self.kernel, t, pid, fd);
-                }
-            }
-        }
+        self.now = devpoll::settle(
+            &mut self.net,
+            &mut self.kernel,
+            &mut self.registry,
+            self.now,
+            self.now + SETTLE,
+            |_, _, _, _, _| {},
+        );
     }
 
     /// Applies one non-`Poll` op and lets the world settle.

@@ -8,9 +8,9 @@
 //!
 //! * [`time`] — the simulated clock ([`time::SimTime`],
 //!   [`time::SimDuration`]);
-//! * [`rng`] — seeded, fork-able randomness ([`rng::SimRng`]);
-//! * [`stats`] — measurement primitives (online moments, exact quantiles,
-//!   the per-window [`stats::RateSampler`] behind the paper's reply-rate
+//! * [`rng`] — seeded randomness ([`rng::SimRng`]);
+//! * [`stats`] — measurement primitives (exact quantiles, the
+//!   per-window [`stats::RateSampler`] behind the paper's reply-rate
 //!   plots);
 //! * [`series`] — figure/series containers with CSV and ASCII rendering;
 //! * [`probe`] — the cross-crate metric registry (counters, gauges,
@@ -29,7 +29,8 @@
 //! `httperf::Testbed::drain_at`, which merges the network's timer queue
 //! (TIME_WAIT ends included), the kernel's deadlines and the load
 //! generator's timer queue, and at each instant calls only the
-//! subsystems that have work due. Everything is single-threaded and
+//! subsystems that have work due, through the dispatch phases in
+//! `devpoll::dispatch`. Everything is single-threaded and
 //! deterministic: a run is exactly reproducible from its RNG seed.
 
 pub mod fingerprint;
@@ -46,5 +47,5 @@ pub use paged::{PagedBits, PagedSlots, PAGE_SLOTS};
 pub use probe::{Gauge, Histogram, MetricRegistry, Snapshot};
 pub use rng::SimRng;
 pub use span::{Phase, SpanGuard, SpanRecord, SpanTracer};
-pub use stats::{OnlineStats, Quantiles, RateSampler, RateSummary};
+pub use stats::{Quantiles, RateSampler, RateSummary};
 pub use time::{SimDuration, SimTime};

@@ -1,12 +1,11 @@
 //! Deterministic randomness for simulations.
 //!
-//! All stochastic choices in a run flow through a single seeded [`SimRng`]
-//! (or children forked from it), so a run is exactly reproducible from its
-//! seed. The implementation is a small, self-contained SplitMix64 /
+//! All stochastic choices in a run flow through a single seeded [`SimRng`],
+//! so a run is exactly reproducible from its seed. The implementation is a small, self-contained SplitMix64 /
 //! xoshiro256++ pair rather than a trait-object tangle: benchmark inner
 //! loops draw from it heavily.
 
-/// A seedable, fork-able pseudo-random number generator.
+/// A seedable pseudo-random number generator.
 ///
 /// The generator is xoshiro256++ seeded via SplitMix64, which has good
 /// statistical quality for simulation purposes and is trivially portable.
@@ -42,14 +41,6 @@ impl SimRng {
         SimRng {
             s: [next(), next(), next(), next()],
         }
-    }
-
-    /// Derives an independent child generator.
-    ///
-    /// Forking lets subsystems (e.g. each client process) own a stream that
-    /// is unaffected by how often other subsystems draw.
-    pub fn fork(&mut self) -> SimRng {
-        SimRng::new(self.next_u64())
     }
 
     /// Returns the next raw 64-bit value.
@@ -107,25 +98,6 @@ impl SimRng {
         let u = 1.0 - self.next_f64();
         -mean * u.ln()
     }
-
-    /// Shuffles a slice in place (Fisher–Yates).
-    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
-        let n = xs.len();
-        for i in (1..n).rev() {
-            let j = self.gen_range(0, (i + 1) as u64) as usize;
-            xs.swap(i, j);
-        }
-    }
-
-    /// Picks a uniformly random element of a non-empty slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice is empty.
-    pub fn choose<'a, T>(&mut self, xs: &'a [T]) -> &'a T {
-        assert!(!xs.is_empty(), "choose: empty slice");
-        &xs[self.gen_range(0, xs.len() as u64) as usize]
-    }
 }
 
 #[cfg(test)]
@@ -147,18 +119,6 @@ mod tests {
         let mut b = SimRng::new(2);
         let same = (0..100).filter(|_| a.next_u64() == b.next_u64()).count();
         assert_eq!(same, 0);
-    }
-
-    #[test]
-    fn fork_is_independent_of_parent_draw_count() {
-        let mut a = SimRng::new(9);
-        let mut child = a.fork();
-        let expected: Vec<u64> = (0..5).map(|_| child.next_u64()).collect();
-        // Re-derive: fork consumes exactly one parent draw.
-        let mut a2 = SimRng::new(9);
-        let mut child2 = a2.fork();
-        let got: Vec<u64> = (0..5).map(|_| child2.next_u64()).collect();
-        assert_eq!(expected, got);
     }
 
     #[test]
@@ -211,16 +171,6 @@ mod tests {
         let mut r = SimRng::new(6);
         assert!((0..100).all(|_| !r.gen_bool(0.0)));
         assert!((0..100).all(|_| r.gen_bool(1.0)));
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut r = SimRng::new(8);
-        let mut xs: Vec<u32> = (0..50).collect();
-        r.shuffle(&mut xs);
-        let mut sorted = xs.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
     }
 
     #[test]

@@ -47,11 +47,6 @@ impl Series {
     pub fn push_err(&mut self, x: f64, y: f64, err: f64) {
         self.points.push(Point { x, y, err });
     }
-
-    /// Returns the y value at the given x, if present (exact match).
-    pub fn y_at(&self, x: f64) -> Option<f64> {
-        self.points.iter().find(|p| p.x == x).map(|p| p.y)
-    }
 }
 
 /// A figure: a title, axis labels, and a set of series sharing axes.
@@ -191,11 +186,15 @@ mod tests {
     }
 
     #[test]
-    fn series_push_and_lookup() {
+    fn series_push_appends_a_point_without_error_bar() {
         let mut s = Series::new("x");
         s.push(1.0, 2.0);
-        assert_eq!(s.y_at(1.0), Some(2.0));
-        assert_eq!(s.y_at(9.0), None);
+        let p = Point {
+            x: 1.0,
+            y: 2.0,
+            err: 0.0,
+        };
+        assert_eq!(s.points, vec![p]);
     }
 
     #[test]

@@ -1,97 +1,8 @@
-//! Measurement primitives: online moments, exact quantiles, and the
-//! per-interval rate sampler used for the paper's reply-rate
-//! figures (average, minimum and maximum rate over one-second windows).
+//! Measurement primitives: exact quantiles, and the per-interval rate
+//! sampler used for the paper's reply-rate figures (average, minimum
+//! and maximum rate over one-second windows).
 
 use crate::time::{SimDuration, SimTime};
-
-/// Running mean / variance / extrema without storing samples
-/// (Welford's algorithm).
-///
-/// # Examples
-///
-/// ```
-/// use simcore::stats::OnlineStats;
-///
-/// let mut s = OnlineStats::new();
-/// for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-///     s.add(x);
-/// }
-/// assert_eq!(s.mean(), 5.0);
-/// assert!((s.stddev() - 2.0).abs() < 1e-12);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct OnlineStats {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl OnlineStats {
-    /// Creates an empty accumulator.
-    pub fn new() -> OnlineStats {
-        OnlineStats {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Adds a sample.
-    pub fn add(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Returns the number of samples.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Returns the sample mean, or `0.0` if empty.
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Returns the population standard deviation, or `0.0` for fewer than
-    /// two samples.
-    pub fn stddev(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            (self.m2 / self.n as f64).sqrt()
-        }
-    }
-
-    /// Returns the smallest sample, or `0.0` if empty.
-    pub fn min(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.min
-        }
-    }
-
-    /// Returns the largest sample, or `0.0` if empty.
-    pub fn max(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.max
-        }
-    }
-}
 
 /// Exact quantiles over a stored sample set.
 ///
@@ -266,15 +177,29 @@ impl RateSummary {
     ///
     /// Returns an all-zero summary for an empty slice.
     pub fn of(rates: &[f64]) -> RateSummary {
-        let mut s = OnlineStats::new();
-        for &r in rates {
-            s.add(r);
+        if rates.is_empty() {
+            return RateSummary {
+                avg: 0.0,
+                stddev: 0.0,
+                min: 0.0,
+                max: 0.0,
+            };
+        }
+        // Welford's running mean and squared-deviation sum, in one pass.
+        let (mut mean, mut m2) = (0.0, 0.0);
+        let (mut min, mut max) = (f64::INFINITY, f64::NEG_INFINITY);
+        for (i, &x) in rates.iter().enumerate() {
+            let delta = x - mean;
+            mean += delta / (i + 1) as f64;
+            m2 += delta * (x - mean);
+            min = min.min(x);
+            max = max.max(x);
         }
         RateSummary {
-            avg: s.mean(),
-            stddev: s.stddev(),
-            min: s.min(),
-            max: s.max(),
+            avg: mean,
+            stddev: (m2 / rates.len() as f64).sqrt(),
+            min,
+            max,
         }
     }
 }
@@ -284,17 +209,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn online_stats_basic() {
-        let mut s = OnlineStats::new();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.stddev(), 0.0);
-        s.add(1.0);
-        s.add(3.0);
-        assert_eq!(s.count(), 2);
-        assert_eq!(s.mean(), 2.0);
-        assert_eq!(s.min(), 1.0);
-        assert_eq!(s.max(), 3.0);
-        assert_eq!(s.stddev(), 1.0);
+    fn rate_summary_moments() {
+        let s = RateSummary::of(&[1.0, 3.0]);
+        assert_eq!(s.avg, 2.0);
+        assert_eq!(s.min, 1.0);
+        assert_eq!(s.max, 3.0);
+        assert_eq!(s.stddev, 1.0);
+        assert_eq!(RateSummary::of(&[5.0]).stddev, 0.0);
     }
 
     #[test]

@@ -12,8 +12,9 @@ use core::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 /// An instant on the simulation clock, in nanoseconds since time zero.
 ///
 /// `SimTime` is ordered, hashable and cheap to copy. Arithmetic with
-/// [`SimDuration`] is checked in debug builds (overflow panics) and
-/// saturating semantics are available via [`SimTime::saturating_add`].
+/// [`SimDuration`] is checked in debug builds (overflow panics); use
+/// [`SimTime::saturating_duration_since`] for a difference that may be
+/// negative.
 ///
 /// # Examples
 ///
@@ -104,12 +105,6 @@ impl SimTime {
     pub fn saturating_duration_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
-
-    /// Adds a duration, clamping at [`SimTime::MAX`] instead of
-    /// overflowing.
-    pub fn saturating_add(self, d: SimDuration) -> SimTime {
-        SimTime(self.0.saturating_add(d.0))
-    }
 }
 
 impl SimDuration {
@@ -178,11 +173,6 @@ impl SimDuration {
     /// Returns `true` if the span is zero.
     pub const fn is_zero(self) -> bool {
         self.0 == 0
-    }
-
-    /// Adds two spans, clamping at [`SimDuration::MAX`].
-    pub fn saturating_add(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.saturating_add(other.0))
     }
 
     /// Subtracts `other`, clamping at zero.
@@ -323,14 +313,6 @@ mod tests {
 
     #[test]
     fn saturating_ops_clamp() {
-        assert_eq!(
-            SimTime::MAX.saturating_add(SimDuration::from_secs(1)),
-            SimTime::MAX
-        );
-        assert_eq!(
-            SimDuration::MAX.saturating_add(SimDuration::from_nanos(1)),
-            SimDuration::MAX
-        );
         assert_eq!(
             SimDuration::ZERO.saturating_sub(SimDuration::from_nanos(1)),
             SimDuration::ZERO

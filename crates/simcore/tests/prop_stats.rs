@@ -1,24 +1,10 @@
 //! Property-based tests for the statistics primitives.
 
 use proptest::prelude::*;
-use simcore::stats::{OnlineStats, Quantiles, RateSampler, RateSummary};
+use simcore::stats::{Quantiles, RateSampler, RateSummary};
 use simcore::time::{SimDuration, SimTime};
 
 proptest! {
-    /// Welford mean matches the naive mean; extrema are exact.
-    #[test]
-    fn online_stats_matches_naive(xs in prop::collection::vec(-1e6f64..1e6, 1..500)) {
-        let mut s = OnlineStats::new();
-        for &x in &xs {
-            s.add(x);
-        }
-        let naive = xs.iter().sum::<f64>() / xs.len() as f64;
-        prop_assert!((s.mean() - naive).abs() < 1e-6 * (1.0 + naive.abs()));
-        prop_assert_eq!(s.min(), xs.iter().cloned().fold(f64::INFINITY, f64::min));
-        prop_assert_eq!(s.max(), xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max));
-        prop_assert_eq!(s.count(), xs.len() as u64);
-    }
-
     /// Quantiles are monotone in q and bounded by the extrema.
     #[test]
     fn quantiles_monotone(xs in prop::collection::vec(-1e6f64..1e6, 1..300)) {

@@ -8,30 +8,15 @@
 
 use std::rc::Rc;
 
-use scalable_net_io::devpoll::{DevPollConfig, DevPollRegistry, DvPoll, PollFd, PollOutcome};
+use scalable_net_io::devpoll::{
+    settle, DevPollConfig, DevPollRegistry, DvPoll, PollFd, PollOutcome,
+};
 use scalable_net_io::simcore::time::{SimDuration, SimTime};
-use scalable_net_io::simkernel::{CostModel, Kernel, KernelEvent, PollBits};
+use scalable_net_io::simkernel::{CostModel, Kernel, PollBits};
 use scalable_net_io::simnet::{EndpointId, HostId, LinkConfig, Network, Side, SockAddr, TcpConfig};
 
 const CLIENT: HostId = HostId(0);
 const SERVER: HostId = HostId(1);
-
-/// Pumps network + kernel until quiet, routing hint events.
-fn pump(net: &mut Network, kernel: &mut Kernel, registry: &mut DevPollRegistry, until: SimTime) {
-    while let Some(t) = net.next_deadline() {
-        if t > until {
-            break;
-        }
-        for n in net.advance(t) {
-            kernel.on_net(t, &n);
-        }
-        for e in kernel.advance(t) {
-            if let KernelEvent::FdEvent { pid, fd, .. } = e {
-                registry.on_fd_event(kernel, t, pid, fd);
-            }
-        }
-    }
-}
 
 fn main() {
     // A two-host world: a client and the paper's K6-2 server.
@@ -64,11 +49,13 @@ fn main() {
         .connect(t0, CLIENT, SockAddr::new(SERVER, 80), SimDuration::ZERO)
         .expect("connect");
     let client_ep = EndpointId::new(conn, Side::Client);
-    pump(
+    settle(
         &mut net,
         &mut kernel,
         &mut registry,
+        t0,
         SimTime::from_millis(5),
+        |_, _, _, _, _| {},
     );
     net.send(
         SimTime::from_millis(5),
@@ -76,11 +63,13 @@ fn main() {
         b"GET / HTTP/1.0\r\n\r\n",
     )
     .expect("send request");
-    pump(
+    settle(
         &mut net,
         &mut kernel,
         &mut registry,
+        SimTime::from_millis(5),
         SimTime::from_millis(10),
+        |_, _, _, _, _| {},
     );
 
     // DP_POLL reports the listener ready; accept and add the new socket
@@ -101,11 +90,13 @@ fn main() {
     println!("server: accepted connection as fd {fd}");
 
     // Wait for the request, read it, answer it, remove the interest.
-    pump(
+    settle(
         &mut net,
         &mut kernel,
         &mut registry,
+        SimTime::from_millis(10),
         SimTime::from_millis(15),
+        |_, _, _, _, _| {},
     );
     let t = SimTime::from_millis(15);
     kernel.begin_batch(t, pid);
@@ -131,11 +122,13 @@ fn main() {
     kernel.end_batch(t, pid);
 
     // The client reads the reply.
-    pump(
+    settle(
         &mut net,
         &mut kernel,
         &mut registry,
+        SimTime::from_millis(15),
         SimTime::from_millis(120),
+        |_, _, _, _, _| {},
     );
     let reply = net.recv(client_ep, usize::MAX).expect("recv");
     println!("client: received {} bytes:", reply.len());

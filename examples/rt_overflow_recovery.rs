@@ -6,7 +6,9 @@
 //! cargo run --example rt_overflow_recovery
 //! ```
 
-use scalable_net_io::devpoll::{sys_poll, PollFd, PollOutcome, RtEvent, RtSignalApi};
+use scalable_net_io::devpoll::{
+    settle, sys_poll, DevPollRegistry, PollFd, PollOutcome, RtEvent, RtSignalApi,
+};
 use scalable_net_io::simcore::probe::Metric;
 use scalable_net_io::simcore::time::{SimDuration, SimTime};
 use scalable_net_io::simkernel::{CostModel, Kernel, PollBits};
@@ -15,24 +17,14 @@ use scalable_net_io::simnet::{EndpointId, HostId, LinkConfig, Network, Side, Soc
 const CLIENT: HostId = HostId(0);
 const SERVER: HostId = HostId(1);
 
-fn pump(net: &mut Network, kernel: &mut Kernel, until: SimTime) {
-    while let Some(t) = net.next_deadline() {
-        if t > until {
-            break;
-        }
-        for n in net.advance(t) {
-            kernel.on_net(t, &n);
-        }
-        let _ = kernel.advance(t);
-    }
-}
-
 fn main() {
     let mut net = Network::new(TcpConfig::default(), LinkConfig::default(), 2);
     let mut kernel = Kernel::new(SERVER, CostModel::k6_2_400mhz());
     // A deliberately tiny RT queue so the overflow is easy to trigger.
     let pid = kernel.spawn(1024, 8);
     let rtapi = RtSignalApi::default();
+    // No `/dev/poll` device is opened, so settling charges no hint cost.
+    let mut registry = DevPollRegistry::new();
 
     let t0 = SimTime::ZERO;
     kernel.begin_batch(t0, pid);
@@ -45,8 +37,15 @@ fn main() {
         .connect(t0, CLIENT, SockAddr::new(SERVER, 80), SimDuration::ZERO)
         .expect("connect");
     let client_ep = EndpointId::new(conn, Side::Client);
-    pump(&mut net, &mut kernel, SimTime::from_millis(5));
     let t = SimTime::from_millis(5);
+    settle(
+        &mut net,
+        &mut kernel,
+        &mut registry,
+        t0,
+        t,
+        |_, _, _, _, _| {},
+    );
     kernel.begin_batch(t, pid);
     let fd = kernel.sys_accept(&mut net, t, pid, lfd).expect("accept");
     rtapi.register(&mut kernel, pid, fd).expect("F_SETSIG");
@@ -58,7 +57,15 @@ fn main() {
     for i in 0..12u64 {
         let at = SimTime::from_millis(10 + i * 5);
         net.send(at, client_ep, b"x").expect("client send");
-        pump(&mut net, &mut kernel, at + SimDuration::from_millis(4));
+        let until = at + SimDuration::from_millis(4);
+        settle(
+            &mut net,
+            &mut kernel,
+            &mut registry,
+            at,
+            until,
+            |_, _, _, _, _| {},
+        );
     }
     let sig = &kernel.process(pid).signals;
     println!(

@@ -17,9 +17,9 @@
 
 use std::sync::OnceLock;
 
-use scalable_net_io::devpoll::{sys_poll, DevPollConfig, DevPollRegistry, DvPoll, PollFd};
+use scalable_net_io::devpoll::{self, sys_poll, DevPollConfig, DevPollRegistry, DvPoll, PollFd};
 use scalable_net_io::simcore::time::{SimDuration, SimTime};
-use scalable_net_io::simkernel::{CostModel, Fd, Kernel, KernelEvent, Pid, PollBits};
+use scalable_net_io::simkernel::{CostModel, Fd, Kernel, Pid, PollBits};
 use scalable_net_io::simnet::{HostId, LinkConfig, Network, SockAddr, TcpConfig};
 
 /// The scan table's columns, in order.
@@ -97,21 +97,12 @@ fn world_with_conns(n: usize) -> World {
 }
 
 impl World {
-    /// Delivers every pending segment, routing readiness to the
-    /// `/dev/poll` hint path; returns the last delivery time, or `now`.
-    fn settle(&mut self, mut now: SimTime) -> SimTime {
-        while let Some(next) = self.net.next_deadline() {
-            now = next;
-            for ntf in self.net.advance(next) {
-                self.kernel.on_net(next, &ntf);
-            }
-            for e in self.kernel.advance(next) {
-                if let KernelEvent::FdEvent { pid, fd, .. } = e {
-                    self.registry.on_fd_event(&mut self.kernel, next, pid, fd);
-                }
-            }
-        }
-        now
+    /// Runs every pending network and kernel deadline, routing readiness
+    /// to the `/dev/poll` hint path; returns the last instant processed,
+    /// or `now`.
+    fn settle(&mut self, now: SimTime) -> SimTime {
+        let (net, kernel, registry) = (&mut self.net, &mut self.kernel, &mut self.registry);
+        devpoll::settle(net, kernel, registry, now, SimTime::MAX, |_, _, _, _, _| {})
     }
 
     /// Runs `f` inside one batch and returns the nanoseconds it charged.

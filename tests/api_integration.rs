@@ -1,7 +1,9 @@
 //! Cross-crate API integration: the facade exposes a working end-to-end
 //! path from raw kernel calls up to full benchmark runs.
 
-use scalable_net_io::devpoll::{DevPollConfig, DevPollRegistry, DvPoll, PollFd, PollOutcome};
+use scalable_net_io::devpoll::{
+    settle, DevPollConfig, DevPollRegistry, DvPoll, PollFd, PollOutcome,
+};
 use scalable_net_io::httperf::{run_one, RunParams, ServerKind};
 use scalable_net_io::simcore::time::{SimDuration, SimTime};
 use scalable_net_io::simkernel::{CostModel, Kernel, PollBits};
@@ -37,21 +39,16 @@ fn raw_devpoll_roundtrip_through_the_facade() {
             SimDuration::ZERO,
         )
         .unwrap();
-    while let Some(t) = net.next_deadline() {
-        if t > SimTime::from_millis(10) {
-            break;
-        }
-        for n in net.advance(t) {
-            kernel.on_net(t, &n);
-        }
-        for e in kernel.advance(t) {
-            if let scalable_net_io::simkernel::KernelEvent::FdEvent { pid, fd, .. } = e {
-                registry.on_fd_event(&mut kernel, t, pid, fd);
-            }
-        }
-    }
-
     let t = SimTime::from_millis(10);
+    settle(
+        &mut net,
+        &mut kernel,
+        &mut registry,
+        SimTime::ZERO,
+        t,
+        |_, _, _, _, _| {},
+    );
+
     kernel.begin_batch(t, pid);
     let (out, res) = registry
         .dp_poll(&mut kernel, pid, dpfd, DvPoll::into_user_buffer(8, 0))
