@@ -15,8 +15,6 @@
 //! (see [`crate::audit`]); tools and tests can also use the graph
 //! directly.
 
-use std::collections::{BTreeMap, BTreeSet};
-
 /// A lock class (lockdep granularity: all per-socket locks are one
 /// class, whatever socket they guard).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -30,6 +28,18 @@ pub enum LockClass {
 }
 
 impl LockClass {
+    /// Every class, in `Ord` order (the bit order of [`LockGraph`]'s
+    /// edge masks).
+    const ALL: [LockClass; 3] = [
+        LockClass::Backmap,
+        LockClass::Socket,
+        LockClass::InterestTable,
+    ];
+
+    fn bit(self) -> u8 {
+        1 << self as u8
+    }
+
     fn name(self) -> &'static str {
         match self {
             LockClass::Backmap => "backmap",
@@ -69,9 +79,9 @@ impl std::fmt::Display for OrderViolation {
 /// caught even though no two threads ever actually interleave.
 #[derive(Debug, Default, Clone)]
 pub struct LockGraph {
-    /// held-before edges: `a -> b` means `b` was acquired while `a` was
-    /// held.
-    edges: BTreeMap<LockClass, BTreeSet<LockClass>>,
+    /// held-before edges, one bitmask of successors per class: bit `b`
+    /// of `edges[a]` means `b` was acquired while `a` was held.
+    edges: [u8; LockClass::ALL.len()],
     held: Vec<LockClass>,
     violations: Vec<OrderViolation>,
     acquisitions: u64,
@@ -102,7 +112,7 @@ impl LockGraph {
                     held,
                 });
             }
-            self.edges.entry(held).or_default().insert(class);
+            self.edges[held as usize] |= class.bit();
         }
         self.held.push(class);
     }
@@ -116,20 +126,19 @@ impl LockGraph {
 
     /// Whether `from` reaches `to` through recorded held-before edges.
     fn reaches(&self, from: LockClass, to: LockClass) -> bool {
-        let mut stack = vec![from];
-        let mut seen = BTreeSet::new();
-        while let Some(c) = stack.pop() {
-            if c == to {
-                return true;
+        // Grow the reached set by every reached class's successors until
+        // it stops growing.
+        let mut reached = from.bit();
+        loop {
+            let grown = LockClass::ALL
+                .iter()
+                .filter(|c| reached & c.bit() != 0)
+                .fold(reached, |m, &c| m | self.edges[c as usize]);
+            if grown == reached {
+                return reached & to.bit() != 0;
             }
-            if !seen.insert(c) {
-                continue;
-            }
-            if let Some(next) = self.edges.get(&c) {
-                stack.extend(next.iter().copied());
-            }
+            reached = grown;
         }
-        false
     }
 
     /// Ordering violations recorded so far.
@@ -144,9 +153,14 @@ impl LockGraph {
 
     /// Recorded held-before edges as `(held, then_acquired)` pairs.
     pub fn edges(&self) -> Vec<(LockClass, LockClass)> {
-        self.edges
+        LockClass::ALL
             .iter()
-            .flat_map(|(&a, bs)| bs.iter().map(move |&b| (a, b)))
+            .flat_map(|&a| {
+                LockClass::ALL
+                    .iter()
+                    .filter(move |b| self.edges[a as usize] & b.bit() != 0)
+                    .map(move |&b| (a, b))
+            })
             .collect()
     }
 }

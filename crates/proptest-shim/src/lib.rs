@@ -242,7 +242,7 @@ pub mod prop {
             VecStrategy { elem, len }
         }
 
-        /// The strategy behind [`vec`].
+        /// The strategy behind [`vec()`].
         pub struct VecStrategy<S> {
             elem: S,
             len: Range<usize>,

@@ -1,7 +1,7 @@
 //! The five backend lanes `explore` drives, and the seeded faults it
 //! injects into them.
 //!
-//! Each [`Lane`] is an independent simulated world — its own network,
+//! Each `Lane` is an independent simulated world — its own network,
 //! kernel, process and backend state — for one readiness mechanism:
 //! stock `poll()`, `select()`, `/dev/poll` with the paper's full feature
 //! set, `/dev/poll` with driver hints disabled, and the RT-signal API

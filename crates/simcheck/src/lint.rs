@@ -40,7 +40,7 @@
 //!   in marked structs stay u32 (or narrower).
 //!
 //! Function spans and the `time-unit` rule are computed on a
-//! tokenizer-stripped view of the source ([`strip_noncode`]): string
+//! tokenizer-stripped view of the source (`strip_noncode`): string
 //! and char literals, raw strings and comments (line and nested block,
 //! carried across lines) are blanked first, so a `"}"` in a literal
 //! cannot end a hot span early and a `_ms` inside a doc string cannot

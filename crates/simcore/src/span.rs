@@ -203,8 +203,8 @@ struct OpenSpan {
 /// The span tracker: a strict LIFO stack of open spans plus a bounded
 /// log of completed ones.
 ///
-/// Owned by the simulated kernel next to the [`MetricRegistry`] and the
-/// event [`Trace`](crate::trace::Trace); disabled by default.
+/// Owned by the simulated kernel next to the [`MetricRegistry`];
+/// disabled by default.
 #[derive(Debug, Clone)]
 pub struct SpanTracer {
     enabled: bool,

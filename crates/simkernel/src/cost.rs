@@ -41,7 +41,7 @@ pub struct CostModel {
     /// slot up to `maxfd`, member or not: the kernel's bitmap walk plus
     /// the application's mandatory `FD_ZERO`/`FD_SET` rebuild and
     /// `FD_ISSET` result scan — `select`'s signature O(maxfd) tax
-    /// (Banga & Mogul's baseline, cited as [1]).
+    /// (Banga & Mogul's baseline, cited as \[1\]).
     pub select_bit_walk: u64,
 
     // ---------------- /dev/poll (§3.1–3.3) ----------------

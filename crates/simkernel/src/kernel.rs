@@ -265,8 +265,8 @@ impl Kernel {
     /// state), every endpoint readiness mirror, listener ownership and
     /// readiness, the accept-wake policy and rotor, the watcher sets,
     /// and undrained kernel events. Excluded: CPU/time accounting, the
-    /// metric registry, the trace, and the span tracer — none of them
-    /// feed back into syscall results, so worlds that differ only in
+    /// metric registry and the span tracer — none of them feeds back
+    /// into syscall results, so worlds that differ only in
     /// observability state hash alike.
     pub fn state_fingerprint(&self) -> u64 {
         use simcore::fingerprint::Fnv;

@@ -118,7 +118,8 @@ const TIME_WAIT_LANE: usize = 2;
 const DELIVERY_LANES: usize = 3;
 
 /// What a network timer does when it fires; `TimeWaitEnd` frees a
-/// client port whose TIME_WAIT is over.
+/// client port whose TIME_WAIT is over. The timer queue's lane entries
+/// hold it inline.
 #[derive(Debug, Clone)]
 enum Timer {
     Deliver(Segment),
@@ -126,8 +127,18 @@ enum Timer {
     TimeWaitEnd { host: HostId, port: Port },
 }
 
-// The timer arena holds one `Option<Timer>` per armed timer.
-const _: () = assert!(std::mem::size_of::<Option<Timer>>() == 24);
+// Every armed timer carries one inline.
+const _: () = assert!(std::mem::size_of::<Timer>() == 24);
+
+/// A live connection resolved to its arena slot: the one `id → slot`
+/// lookup a delivered segment, a fired timer or an API call makes.
+/// Not `Copy`: the handlers that may free the slot (`conn_remove`) take
+/// it by value, so no code can reach the slot after freeing it.
+#[derive(Debug)]
+struct Resolved {
+    id: ConnId,
+    slot: u32,
+}
 
 #[derive(Debug, Clone)]
 struct Host {
@@ -211,19 +222,18 @@ pub struct Network {
     next_conn: u32,
     /// Dense, id-indexed (listeners are never removed).
     listeners: Vec<Listener>,
-    /// Timer-arena slots in firing order. Every timer class armed in
-    /// firing order has a FIFO lane: the deliveries of each (source
-    /// host, extra delay 0 or [`MODEM_DELAY`]) pair, the SYN RTO and the
-    /// first data RTO. Backoffs, rearms, RSTs and other extra delays
-    /// wait in the fallback heap (see [`Network::arm`]).
-    timers: TimerQueue<u32>,
-    /// Timer payload arena with free-list reuse: segments in flight are
-    /// pooled here instead of being allocated per packet.
-    timer_arena: Vec<Option<Timer>>,
-    timer_free: Vec<u32>,
+    /// Armed timers in firing order, each carrying what it does (a
+    /// segment in flight is a lane entry, not a separate allocation).
+    /// Every timer class armed in firing order has a FIFO lane: the
+    /// deliveries of each (source host, extra delay 0 or
+    /// [`MODEM_DELAY`]) pair, the SYN RTO and the first data RTO.
+    /// Backoffs, rearms, RSTs and other extra delays wait in the
+    /// fallback heap. The lane decides only what a push and a pop
+    /// cost: the firing order is `(at, arming order)` whatever the lane.
+    timers: TimerQueue<Timer>,
     out: Vec<NetNotify>,
     /// Scratch for `pump` (reused, no per-call allocation).
-    pump_scratch: Vec<Segment>,
+    pump_scratch: Vec<SegKind>,
     stats: NetStats,
 }
 
@@ -248,8 +258,6 @@ impl Network {
             next_conn: 0,
             listeners: Vec::new(),
             timers: TimerQueue::new(),
-            timer_arena: Vec::new(),
-            timer_free: Vec::new(),
             out: Vec::new(),
             pump_scratch: Vec::new(),
             stats: NetStats::default(),
@@ -372,21 +380,20 @@ impl Network {
             }
         }
         h.write_len(self.timers.len());
-        for (at, seq, &slot) in self.timers.in_order() {
+        for (at, seq, timer) in self.timers.in_order() {
             h.write_u64(at.as_nanos());
             h.write_u64(seq);
-            match &self.timer_arena[slot as usize] {
-                None => h.write_u8(0),
-                Some(Timer::Deliver(s)) => {
+            match timer {
+                Timer::Deliver(s) => {
                     h.write_u8(1);
                     seg_into(&mut h, s);
                 }
-                Some(Timer::Rto { conn, side }) => {
+                Timer::Rto { conn, side } => {
                     h.write_u8(2);
                     h.write_u64(u64::from(conn.0));
                     h.write_bool(*side == Side::Server);
                 }
-                Some(Timer::TimeWaitEnd { host, port }) => {
+                Timer::TimeWaitEnd { host, port } => {
                     h.write_u8(3);
                     h.write_usize(host.0);
                     h.write_u64(u64::from(*port));
@@ -411,17 +418,51 @@ impl Network {
     // Connection storage.
     // ------------------------------------------------------------------
 
-    fn conn(&self, id: ConnId) -> Option<&Conn> {
+    /// Looks `id` up in the id → slot map: `None` once the connection
+    /// is gone.
+    fn resolve(&self, id: ConnId) -> Option<Resolved> {
         let &slot = self.conn_slot.get(id.0 as usize)?;
-        self.conn_arena[slot as usize].as_ref()
+        Some(Resolved { id, slot })
+    }
+
+    fn conn(&self, id: ConnId) -> Option<&Conn> {
+        let c = self.resolve(id)?;
+        Some(self.conn_at(&c))
     }
 
     fn conn_mut(&mut self, id: ConnId) -> Option<&mut Conn> {
-        let &slot = self.conn_slot.get(id.0 as usize)?;
-        self.conn_arena[slot as usize].as_mut()
+        let c = self.resolve(id)?;
+        Some(self.conn_at_mut(&c))
     }
 
-    fn conn_insert(&mut self, id: ConnId, conn: Conn) {
+    /// The connection in a resolved slot.
+    fn conn_at(&self, c: &Resolved) -> &Conn {
+        self.debug_check_slot(c);
+        self.conn_arena[c.slot as usize]
+            .as_ref()
+            .expect("invariant: a resolved slot holds its connection")
+    }
+
+    fn conn_at_mut(&mut self, c: &Resolved) -> &mut Conn {
+        self.debug_check_slot(c);
+        self.conn_arena[c.slot as usize]
+            .as_mut()
+            .expect("invariant: a resolved slot holds its connection")
+    }
+
+    /// Debug builds: the slot still holds the connection its caller
+    /// resolved (it was not freed and handed to another).
+    fn debug_check_slot(&self, c: &Resolved) {
+        debug_assert_eq!(
+            self.conn_slot.get(c.id.0 as usize),
+            Some(&c.slot),
+            "connection {:?} no longer in slot {}",
+            c.id,
+            c.slot
+        );
+    }
+
+    fn conn_insert(&mut self, id: ConnId, conn: Conn) -> Resolved {
         let slot = match self.conn_free.pop() {
             Some(s) => {
                 self.conn_arena[s as usize] = Some(conn);
@@ -433,15 +474,16 @@ impl Network {
             }
         };
         self.conn_slot.insert(id.0 as usize, slot);
+        Resolved { id, slot }
     }
 
     /// Frees the connection's slot, dropping its stream buffers'
     /// references.
-    fn conn_remove(&mut self, id: ConnId) {
-        if let Some(slot) = self.conn_slot.take(id.0 as usize) {
-            self.conn_arena[slot as usize] = None;
-            self.conn_free.push(slot);
-        }
+    fn conn_remove(&mut self, c: Resolved) {
+        let freed = self.conn_slot.take(c.id.0 as usize);
+        debug_assert_eq!(freed, Some(c.slot), "connection {:?} freed twice", c.id);
+        self.conn_arena[c.slot as usize] = None;
+        self.conn_free.push(c.slot);
     }
 
     /// Heap bytes held by the connection machinery (id map pages, the
@@ -471,23 +513,6 @@ impl Network {
         } else {
             Lane::Fallback
         }
-    }
-
-    /// Arms `t` at `at` in `lane`, which only decides what the push and
-    /// pop cost: the firing order is `(at, arming order)` whatever the
-    /// lane.
-    fn arm(&mut self, lane: Lane, at: SimTime, t: Timer) {
-        let slot = match self.timer_free.pop() {
-            Some(s) => {
-                self.timer_arena[s as usize] = Some(t);
-                s
-            }
-            None => {
-                self.timer_arena.push(Some(t));
-                (self.timer_arena.len() - 1) as u32
-            }
-        };
-        self.timers.push(lane, at, slot);
     }
 
     /// How many timers named a FIFO lane but were armed earlier than
@@ -528,14 +553,15 @@ impl Network {
     /// is *not* cleared — the caller owns the buffer).
     // #[hot_path] — simcheck bans per-call allocation in this function
     pub fn advance_into(&mut self, now: SimTime, out: &mut Vec<NetNotify>) {
-        while let Some((t, slot)) = self.timers.pop(now) {
-            let body = self.timer_arena[slot as usize]
-                .take()
-                .expect("invariant: armed timers keep their bodies");
-            self.timer_free.push(slot);
-            match body {
+        while let Some((t, timer)) = self.timers.pop(now) {
+            match timer {
                 Timer::Deliver(seg) => self.deliver(t, seg),
-                Timer::Rto { conn, side } => self.rto_fire(t, conn, side),
+                Timer::Rto { conn, side } => {
+                    // A connection already gone has nothing to time out.
+                    if let Some(c) = self.resolve(conn) {
+                        self.rto_fire(t, c, side);
+                    }
+                }
                 Timer::TimeWaitEnd { host, port } => self.hosts[host.0].ports.end_time_wait(port),
             }
         }
@@ -645,24 +671,16 @@ impl Network {
             .checked_add(1)
             .expect("invariant: connection id space (2^32) never exhausted in one run");
         let conn = Conn::new([host, remote.host], [port, remote.port], extra_delay, now);
-        self.conn_insert(id, conn);
+        let c = self.conn_insert(id, conn);
         self.stats.conns_started += 1;
-        self.transmit(
-            now,
-            Segment {
-                conn: id,
-                from: Side::Client,
-                kind: SegKind::Syn,
-            },
-        );
-        if let Some(c) = self.conn_mut(id) {
-            c.syn_sent = 1;
-            // The SYN timer doubles as the client's data-RTO timer once
-            // the handshake completes, so mark it armed to avoid a
-            // duplicate from `pump`.
-            c.ep_mut(Side::Client).set_rto_armed(true);
-        }
-        self.arm(
+        self.transmit(now, &c, Side::Client, SegKind::Syn);
+        let conn = self.conn_at_mut(&c);
+        conn.syn_sent = 1;
+        // The SYN timer doubles as the client's data-RTO timer once the
+        // handshake completes, so mark it armed to avoid a duplicate
+        // from `pump`.
+        conn.ep_mut(Side::Client).set_rto_armed(true);
+        self.timers.push(
             Lane::Fifo(SYN_RTO_LANE),
             now + SYN_RTO,
             Timer::Rto {
@@ -714,9 +732,10 @@ impl Network {
         from: usize,
     ) -> Result<usize, NetError> {
         let offered = data.len().saturating_sub(from);
+        let c = self.resolve(ep.conn).ok_or(NetError::Gone)?;
         let accepted = {
             let cfg = self.cfg;
-            let conn = self.conn_mut(ep.conn).ok_or(NetError::Gone)?;
+            let conn = self.conn_at_mut(&c);
             if conn.state == ConnState::Reset || conn.state == ConnState::Closed {
                 return Err(NetError::BadState);
             }
@@ -733,7 +752,7 @@ impl Network {
             n
         };
         if accepted > 0 {
-            self.pump(now, ep.conn, ep.side);
+            self.pump(now, &c, ep.side);
         }
         Ok(accepted)
     }
@@ -812,8 +831,9 @@ impl Network {
 
     /// Half-closes the endpoint: all buffered data is sent, then a FIN.
     pub fn close(&mut self, now: SimTime, ep: EndpointId) -> Result<(), NetError> {
+        let c = self.resolve(ep.conn).ok_or(NetError::Gone)?;
         {
-            let conn = self.conn_mut(ep.conn).ok_or(NetError::Gone)?;
+            let conn = self.conn_at_mut(&c);
             if conn.state == ConnState::Reset || conn.state == ConnState::Closed {
                 return Err(NetError::BadState);
             }
@@ -826,14 +846,15 @@ impl Network {
                 conn.set_closed_first(ep.side);
             }
         }
-        self.pump(now, ep.conn, ep.side);
+        self.pump(now, &c, ep.side);
         Ok(())
     }
 
     /// Aborts the connection: RST to the peer, local resources freed
     /// immediately, no TIME_WAIT.
     pub fn abort(&mut self, now: SimTime, ep: EndpointId) -> Result<(), NetError> {
-        let conn = self.conn_mut(ep.conn).ok_or(NetError::Gone)?;
+        let c = self.resolve(ep.conn).ok_or(NetError::Gone)?;
+        let conn = self.conn_at_mut(&c);
         if conn.state == ConnState::Closed || conn.state == ConnState::Reset {
             return Err(NetError::BadState);
         }
@@ -848,13 +869,13 @@ impl Network {
         // RSTs bypass the drop-tail queue: modelling their loss would only
         // leak tombstones without adding any behaviour the paper measures.
         let delay = self.hosts[from_host.0].tx.tx_time(seg.wire_bytes());
-        self.arm(
+        self.timers.push(
             Lane::Fallback,
             now + delay + self.base_delay + extra,
             Timer::Deliver(seg),
         );
-        self.free_conn_ports(ep.conn, None);
-        self.detach_listener(ep.conn);
+        self.free_conn_ports(&c, None);
+        self.detach_listener(&c);
         // The tombstone is reaped when the RST delivers (`on_rst`).
         Ok(())
     }
@@ -863,20 +884,24 @@ impl Network {
     // Internals: transmission and delivery.
     // ------------------------------------------------------------------
 
-    fn transmit(&mut self, now: SimTime, seg: Segment) {
-        let (from_host, extra) = match self.conn(seg.conn) {
-            Some(conn) => (conn.host(seg.from), conn.extra_delay),
-            None => return,
-        };
+    /// Sends a segment of connection `c` from its `from` side.
+    fn transmit(&mut self, now: SimTime, c: &Resolved, from: Side, kind: SegKind) {
+        let conn = self.conn_at(c);
+        let (from_host, extra) = (conn.host(from), conn.extra_delay);
         // Injected random loss (never applied to RSTs, which bypass the
         // queue in `abort` for tombstone-reaping reasons).
         if self.loss_prob > 0.0 && self.rng.gen_bool(self.loss_prob) {
             self.stats.injected_losses += 1;
             return;
         }
+        let seg = Segment {
+            conn: c.id,
+            from,
+            kind,
+        };
         match self.hosts[from_host.0].tx.offer(now, &seg, extra) {
             TxOutcome::Deliver(at) => {
-                self.arm(
+                self.timers.push(
                     Self::delivery_lane(from_host, extra),
                     at,
                     Timer::Deliver(seg),
@@ -888,51 +913,41 @@ impl Network {
         }
     }
 
+    /// Delivers `seg`: its connection's one `id → slot` lookup, shared
+    /// by every handler it runs.
     fn deliver(&mut self, now: SimTime, seg: Segment) {
-        let Some(conn) = self.conn(seg.conn) else {
+        let Some(c) = self.resolve(seg.conn) else {
             return; // Connection vanished (aborted); stale segment.
         };
         let to_side = seg.from.other();
-        let host = conn.host(to_side);
+        let host = self.conn_at(&c).host(to_side);
         self.out.push(NetNotify::SegmentArrived {
             host,
             wire_bytes: seg.wire_bytes(),
         });
         match seg.kind {
-            SegKind::Syn => self.on_syn(now, seg.conn),
-            SegKind::SynAck => self.on_synack(now, seg.conn),
-            SegKind::Ack { ack } => self.on_ack(now, seg.conn, to_side, ack),
-            SegKind::Data { seq, len } => self.on_data(now, seg.conn, to_side, seq, len),
-            SegKind::Fin { seq } => self.on_fin(now, seg.conn, to_side, seq),
-            SegKind::Rst => self.on_rst(seg.conn, to_side),
+            SegKind::Syn => self.on_syn(now, &c),
+            SegKind::SynAck => self.on_synack(now, &c),
+            SegKind::Ack { ack } => self.on_ack(now, c, to_side, ack),
+            SegKind::Data { seq, len } => self.on_data(now, &c, to_side, seq, len),
+            SegKind::Fin { seq } => self.on_fin(now, c, to_side, seq),
+            SegKind::Rst => self.on_rst(c, to_side),
         }
     }
 
-    fn on_syn(&mut self, now: SimTime, conn_id: ConnId) {
-        let Some(conn) = self.conn_mut(conn_id) else {
-            return;
-        };
+    fn on_syn(&mut self, now: SimTime, c: &Resolved) {
+        let conn = self.conn_at(c);
         if conn.listener.is_some() {
             if !conn.accept_queued() {
                 // Duplicate SYN (client retransmission): re-answer.
-                let seg = Segment {
-                    conn: conn_id,
-                    from: Side::Server,
-                    kind: SegKind::SynAck,
-                };
-                self.transmit(now, seg);
+                self.transmit(now, c, Side::Server, SegKind::SynAck);
             }
             return;
         }
         let addr = SockAddr::new(conn.host(Side::Server), conn.port(Side::Server));
         let Some(lid) = self.listener_at(addr) else {
             // No listener: refuse.
-            let seg = Segment {
-                conn: conn_id,
-                from: Side::Server,
-                kind: SegKind::Rst,
-            };
-            self.transmit(now, seg);
+            self.transmit(now, c, Side::Server, SegKind::Rst);
             return;
         };
         let l = self
@@ -944,58 +959,34 @@ impl Network {
             self.stats.syn_drops += 1;
             self.out.push(NetNotify::SynDropped { listener: lid });
             if self.cfg.rst_on_backlog_full {
-                let seg = Segment {
-                    conn: conn_id,
-                    from: Side::Server,
-                    kind: SegKind::Rst,
-                };
-                self.transmit(now, seg);
+                self.transmit(now, c, Side::Server, SegKind::Rst);
             }
             return;
         }
         l.syn_rcvd += 1;
-        let conn = self
-            .conn_mut(conn_id)
-            .expect("invariant: delivered segments reference live connections");
+        let conn = self.conn_at_mut(c);
         conn.listener = Some(lid);
         conn.set_syn_rcvd(true);
-        let seg = Segment {
-            conn: conn_id,
-            from: Side::Server,
-            kind: SegKind::SynAck,
-        };
-        self.transmit(now, seg);
+        self.transmit(now, c, Side::Server, SegKind::SynAck);
     }
 
-    fn on_synack(&mut self, now: SimTime, conn_id: ConnId) {
-        let Some(conn) = self.conn_mut(conn_id) else {
-            return;
-        };
+    fn on_synack(&mut self, now: SimTime, c: &Resolved) {
+        let conn = self.conn_at_mut(c);
         match conn.state {
             ConnState::SynSent => {
                 conn.state = ConnState::Established;
                 conn.ep_mut(Side::Client).last_progress = now;
                 self.stats.conns_established += 1;
                 self.out.push(NetNotify::ConnectDone {
-                    ep: EndpointId::new(conn_id, Side::Client),
+                    ep: EndpointId::new(c.id, Side::Client),
                 });
-                let seg = Segment {
-                    conn: conn_id,
-                    from: Side::Client,
-                    kind: SegKind::Ack { ack: 0 },
-                };
-                self.transmit(now, seg);
+                self.transmit(now, c, Side::Client, SegKind::Ack { ack: 0 });
                 // Data may already be buffered (connect-then-write).
-                self.pump(now, conn_id, Side::Client);
+                self.pump(now, c, Side::Client);
             }
             ConnState::Established => {
                 // Duplicate SYN-ACK: re-ack the handshake.
-                let seg = Segment {
-                    conn: conn_id,
-                    from: Side::Client,
-                    kind: SegKind::Ack { ack: 0 },
-                };
-                self.transmit(now, seg);
+                self.transmit(now, c, Side::Client, SegKind::Ack { ack: 0 });
             }
             _ => {}
         }
@@ -1004,10 +995,8 @@ impl Network {
     /// Promotes a server-side connection onto the accept queue (on the
     /// handshake ack, or on first data/FIN doing double duty when the ack
     /// was lost).
-    fn promote_server(&mut self, now: SimTime, conn_id: ConnId) {
-        let Some(conn) = self.conn_mut(conn_id) else {
-            return;
-        };
+    fn promote_server(&mut self, now: SimTime, c: &Resolved) {
+        let conn = self.conn_at_mut(c);
         let Some(lid) = conn.listener else {
             return; // No SYN seen yet (cannot happen in a FIFO network).
         };
@@ -1024,22 +1013,19 @@ impl Network {
             .get_mut(lid.0 as usize)
             .expect("invariant: accepting connections keep their listener");
         l.syn_rcvd -= usize::from(counted);
-        l.accept_q.push_back(conn_id);
+        l.accept_q.push_back(c.id);
         self.out.push(NetNotify::AcceptReady { listener: lid });
     }
 
-    fn on_ack(&mut self, now: SimTime, conn_id: ConnId, to_side: Side, ack: u64) {
+    fn on_ack(&mut self, now: SimTime, c: Resolved, to_side: Side, ack: u64) {
         if to_side == Side::Server {
-            self.promote_server(now, conn_id);
+            self.promote_server(now, &c);
         }
         let cfg = self.cfg;
         let mut became_writable = false;
         let mut fin_now_acked = false;
         {
-            let Some(conn) = self.conn_mut(conn_id) else {
-                return;
-            };
-            let e = conn.ep_mut(to_side);
+            let e = self.conn_at_mut(&c).ep_mut(to_side);
             if ack > e.snd_una {
                 e.snd_una = ack.min(e.snd_nxt);
                 e.last_progress = now;
@@ -1067,27 +1053,25 @@ impl Network {
         }
         if became_writable {
             self.out.push(NetNotify::Writable {
-                ep: EndpointId::new(conn_id, to_side),
+                ep: EndpointId::new(c.id, to_side),
             });
         }
         // More window may be open now.
-        self.pump(now, conn_id, to_side);
+        self.pump(now, &c, to_side);
         if fin_now_acked {
-            self.check_full_close(now, conn_id);
+            self.check_full_close(now, c);
         }
     }
 
     // #[hot_path] — one call per data segment delivered
-    fn on_data(&mut self, now: SimTime, conn_id: ConnId, to_side: Side, seq: u64, len: u32) {
+    fn on_data(&mut self, now: SimTime, c: &Resolved, to_side: Side, seq: u64, len: u32) {
         if to_side == Side::Server {
-            self.promote_server(now, conn_id);
+            self.promote_server(now, c);
         }
         let mut readable = false;
         let ack;
         {
-            let Some(conn) = self.conn_mut(conn_id) else {
-                return;
-            };
+            let conn = self.conn_at_mut(c);
             if conn.state != ConnState::Established {
                 return;
             }
@@ -1109,55 +1093,40 @@ impl Network {
         }
         if readable {
             self.out.push(NetNotify::Readable {
-                ep: EndpointId::new(conn_id, to_side),
+                ep: EndpointId::new(c.id, to_side),
             });
         }
-        let seg = Segment {
-            conn: conn_id,
-            from: to_side,
-            kind: SegKind::Ack { ack },
-        };
-        self.transmit(now, seg);
+        self.transmit(now, c, to_side, SegKind::Ack { ack });
     }
 
-    fn on_fin(&mut self, now: SimTime, conn_id: ConnId, to_side: Side, seq: u64) {
+    fn on_fin(&mut self, now: SimTime, c: Resolved, to_side: Side, seq: u64) {
         if to_side == Side::Server {
-            self.promote_server(now, conn_id);
+            self.promote_server(now, &c);
         }
         let mut saw_fin = false;
         let ack;
         {
-            let Some(conn) = self.conn_mut(conn_id) else {
-                return;
-            };
-            let e = conn.ep_mut(to_side);
+            let e = self.conn_at_mut(&c).ep_mut(to_side);
             if seq == e.rcv_nxt && e.peer_fin().is_none() {
                 e.set_peer_fin(seq);
                 e.rcv_nxt = seq + 1;
                 saw_fin = true;
             }
-            ack = conn.ep(to_side).rcv_nxt;
+            ack = e.rcv_nxt;
         }
         if saw_fin {
             self.out.push(NetNotify::PeerClosed {
-                ep: EndpointId::new(conn_id, to_side),
+                ep: EndpointId::new(c.id, to_side),
             });
         }
-        let seg = Segment {
-            conn: conn_id,
-            from: to_side,
-            kind: SegKind::Ack { ack },
-        };
-        self.transmit(now, seg);
+        self.transmit(now, &c, to_side, SegKind::Ack { ack });
         if saw_fin {
-            self.check_full_close(now, conn_id);
+            self.check_full_close(now, c);
         }
     }
 
-    fn on_rst(&mut self, conn_id: ConnId, to_side: Side) {
-        let Some(conn) = self.conn_mut(conn_id) else {
-            return;
-        };
+    fn on_rst(&mut self, c: Resolved, to_side: Side) {
+        let conn = self.conn_at_mut(&c);
         let was_syn_sent = conn.state == ConnState::SynSent;
         let newly_reset = conn.state != ConnState::Reset;
         conn.state = ConnState::Reset;
@@ -1167,31 +1136,28 @@ impl Network {
         }
         if was_syn_sent {
             self.out.push(NetNotify::ConnectFailed {
-                conn: conn_id,
+                conn: c.id,
                 host,
                 reason: ConnectError::Refused,
             });
         } else {
             self.out.push(NetNotify::ConnReset {
-                ep: EndpointId::new(conn_id, to_side),
+                ep: EndpointId::new(c.id, to_side),
             });
         }
-        self.free_conn_ports(conn_id, None);
-        self.detach_listener(conn_id);
-        self.conn_remove(conn_id);
+        self.free_conn_ports(&c, None);
+        self.detach_listener(&c);
+        self.conn_remove(c);
     }
 
     /// Sends whatever the window allows: data first, then the FIN.
-    fn pump(&mut self, now: SimTime, conn_id: ConnId, side: Side) {
+    fn pump(&mut self, now: SimTime, c: &Resolved, side: Side) {
         let mut to_send = std::mem::take(&mut self.pump_scratch);
         to_send.clear();
         let mut arm_rto = false;
         {
             let cfg = self.cfg;
-            let Some(conn) = self.conn_mut(conn_id) else {
-                self.pump_scratch = to_send;
-                return;
-            };
+            let conn = self.conn_at_mut(c);
             if conn.state != ConnState::Established {
                 self.pump_scratch = to_send;
                 return; // Data flows only once established.
@@ -1200,23 +1166,15 @@ impl Network {
             let e = conn.ep_mut(side);
             while e.snd_nxt < e.wrote && e.in_flight() < window {
                 let len = (e.wrote - e.snd_nxt).min(DEFAULT_MSS as u64) as u32;
-                to_send.push(Segment {
-                    conn: conn_id,
-                    from: side,
-                    kind: SegKind::Data {
-                        seq: e.snd_nxt,
-                        len,
-                    },
+                to_send.push(SegKind::Data {
+                    seq: e.snd_nxt,
+                    len,
                 });
                 e.snd_nxt += len as u64;
             }
             if let Some(fin) = e.fin_at() {
                 if e.snd_nxt == fin && !e.fin_sent() && e.in_flight() < window + 1 {
-                    to_send.push(Segment {
-                        conn: conn_id,
-                        from: side,
-                        kind: SegKind::Fin { seq: fin },
-                    });
+                    to_send.push(SegKind::Fin { seq: fin });
                     e.set_fin_sent(true);
                     e.snd_nxt = fin + 1;
                 }
@@ -1226,23 +1184,20 @@ impl Network {
                 arm_rto = true;
             }
         }
-        for &seg in &to_send {
-            self.transmit(now, seg);
+        for &kind in &to_send {
+            self.transmit(now, c, side, kind);
         }
         self.pump_scratch = to_send;
         if arm_rto {
-            self.arm(
+            self.timers.push(
                 Lane::Fifo(DATA_RTO_LANE),
                 now + self.cfg.rto_initial,
-                Timer::Rto {
-                    conn: conn_id,
-                    side,
-                },
+                Timer::Rto { conn: c.id, side },
             );
         }
     }
 
-    fn rto_fire(&mut self, now: SimTime, conn_id: ConnId, side: Side) {
+    fn rto_fire(&mut self, now: SimTime, c: Resolved, side: Side) {
         enum Action {
             None,
             ConnectTimeout,
@@ -1254,9 +1209,7 @@ impl Network {
         let action;
         {
             let cfg = self.cfg;
-            let Some(conn) = self.conn_mut(conn_id) else {
-                return;
-            };
+            let conn = self.conn_at_mut(&c);
             match conn.state {
                 ConnState::SynSent if side == Side::Client => {
                     if u32::from(conn.syn_sent) > SYN_RETRIES {
@@ -1313,111 +1266,73 @@ impl Network {
                 }
             }
         }
+        let rto = Timer::Rto { conn: c.id, side };
         match action {
             Action::None => {}
             Action::ConnectTimeout => {
-                let conn = self
-                    .conn(conn_id)
-                    .expect("invariant: existence checked above");
-                let host = conn.host(Side::Client);
+                let host = self.conn_at(&c).host(Side::Client);
                 self.out.push(NetNotify::ConnectFailed {
-                    conn: conn_id,
+                    conn: c.id,
                     host,
                     reason: ConnectError::Timeout,
                 });
-                self.free_conn_ports(conn_id, None);
-                self.detach_listener(conn_id);
-                self.conn_remove(conn_id);
+                self.free_conn_ports(&c, None);
+                self.detach_listener(&c);
+                self.conn_remove(c);
             }
             Action::ResendSyn { rearm } => {
-                self.transmit(
-                    now,
-                    Segment {
-                        conn: conn_id,
-                        from: Side::Client,
-                        kind: SegKind::Syn,
-                    },
-                );
-                self.arm(
-                    Lane::Fallback,
-                    now + rearm,
-                    Timer::Rto {
-                        conn: conn_id,
-                        side,
-                    },
-                );
+                self.transmit(now, &c, Side::Client, SegKind::Syn);
+                self.timers.push(Lane::Fallback, now + rearm, rto);
             }
             Action::ResetBoth => {
-                let conn = self
-                    .conn_mut(conn_id)
-                    .expect("invariant: existence checked above");
-                conn.state = ConnState::Reset;
+                self.conn_at_mut(&c).state = ConnState::Reset;
                 self.stats.conns_reset += 1;
                 self.out.push(NetNotify::ConnReset {
-                    ep: EndpointId::new(conn_id, side),
+                    ep: EndpointId::new(c.id, side),
                 });
                 self.out.push(NetNotify::ConnReset {
-                    ep: EndpointId::new(conn_id, side.other()),
+                    ep: EndpointId::new(c.id, side.other()),
                 });
-                self.free_conn_ports(conn_id, None);
-                self.detach_listener(conn_id);
-                self.conn_remove(conn_id);
+                self.free_conn_ports(&c, None);
+                self.detach_listener(&c);
+                self.conn_remove(c);
             }
             Action::Retransmit { rearm } => {
                 self.stats.retransmits += 1;
                 // Go-back-N: `pump` resends from the rewound `snd_nxt`.
-                self.pump(now, conn_id, side);
-                self.arm(
-                    Lane::Fallback,
-                    now + rearm,
-                    Timer::Rto {
-                        conn: conn_id,
-                        side,
-                    },
-                );
+                self.pump(now, &c, side);
+                self.timers.push(Lane::Fallback, now + rearm, rto);
             }
             Action::Rearm { at } => {
-                self.arm(
-                    Lane::Fallback,
-                    at,
-                    Timer::Rto {
-                        conn: conn_id,
-                        side,
-                    },
-                );
+                self.timers.push(Lane::Fallback, at, rto);
             }
         }
     }
 
-    fn check_full_close(&mut self, now: SimTime, conn_id: ConnId) {
-        let done = self.conn(conn_id).is_some_and(|c| c.fully_closed());
-        if !done {
+    fn check_full_close(&mut self, now: SimTime, c: Resolved) {
+        if !self.conn_at(&c).fully_closed() {
             return;
         }
         self.stats.conns_closed += 1;
         self.out.push(NetNotify::ConnClosed {
-            ep: EndpointId::new(conn_id, Side::Client),
+            ep: EndpointId::new(c.id, Side::Client),
         });
         self.out.push(NetNotify::ConnClosed {
-            ep: EndpointId::new(conn_id, Side::Server),
+            ep: EndpointId::new(c.id, Side::Server),
         });
         // TIME_WAIT is per connection tuple; whichever side closed first,
         // the tuple — and hence the client's ephemeral port — cannot be
         // reused for `time_wait`. Parking the client port models that.
-        self.free_conn_ports(conn_id, Some((Side::Client, now + self.cfg.time_wait)));
-        self.detach_listener(conn_id);
-        if let Some(c) = self.conn_mut(conn_id) {
-            c.state = ConnState::Closed;
-        }
-        self.conn_remove(conn_id);
+        self.free_conn_ports(&c, Some((Side::Client, now + self.cfg.time_wait)));
+        self.detach_listener(&c);
+        self.conn_at_mut(&c).state = ConnState::Closed;
+        self.conn_remove(c);
     }
 
     /// Releases both ports; the side in `time_wait` (if any) holds its
     /// port until the given expiry.
-    fn free_conn_ports(&mut self, conn_id: ConnId, time_wait: Option<(Side, SimTime)>) {
-        let Some(conn) = self.conn_mut(conn_id) else {
-            return;
-        };
+    fn free_conn_ports(&mut self, c: &Resolved, time_wait: Option<(Side, SimTime)>) {
+        let conn = self.conn_at_mut(c);
         if conn.ports_freed() {
             return;
         }
@@ -1437,7 +1352,7 @@ impl Network {
                     // Armed at a constant delay from a clock that only
                     // moves forward, so the lane stays in firing order.
                     if self.hosts[host.0].ports.release_time_wait(port) {
-                        self.arm(
+                        self.timers.push(
                             Lane::Fifo(TIME_WAIT_LANE),
                             until,
                             Timer::TimeWaitEnd { host, port },
@@ -1449,17 +1364,15 @@ impl Network {
         }
     }
 
-    fn detach_listener(&mut self, conn_id: ConnId) {
-        let Some(conn) = self.conn_mut(conn_id) else {
-            return;
-        };
+    fn detach_listener(&mut self, c: &Resolved) {
+        let conn = self.conn_at_mut(c);
         let (listener, accepted, counted) = (conn.listener, conn.accepted(), conn.syn_rcvd());
         conn.set_syn_rcvd(false);
         if let Some(lid) = listener {
             if let Some(l) = self.listeners.get_mut(lid.0 as usize) {
                 l.syn_rcvd -= usize::from(counted);
                 if !accepted {
-                    l.accept_q.retain(|c| *c != conn_id);
+                    l.accept_q.retain(|id| *id != c.id);
                 }
             }
         }
@@ -1541,5 +1454,125 @@ mod tests {
             step(&mut net);
         }
         assert_eq!(net.refused_count(lid), 0);
+    }
+
+    /// One request/response exchange on a new connection from host 0
+    /// to the listener on host 1, port 80, starting at `now`: returns
+    /// the connection, every notification the network raised until the
+    /// connection closed, and the reply bytes the client read.
+    /// `at_connected` runs once the client is connected.
+    fn exchange(
+        net: &mut Network,
+        start: SimTime,
+        reply: &[u8],
+        at_connected: impl FnOnce(&Network),
+    ) -> (ConnId, Vec<NetNotify>, Vec<u8>) {
+        let (lid, mut notes, mut now) = (ListenerId(0), Vec::new(), start);
+        let id = net
+            .connect(
+                start,
+                HostId(0),
+                SockAddr::new(HostId(1), 80),
+                SimDuration::ZERO,
+            )
+            .unwrap();
+        let mut run_until = |net: &mut Network, done: &dyn Fn(&Network, &[NetNotify]) -> bool| {
+            while !done(net, &notes) {
+                let (at, n) = step(net);
+                now = at;
+                notes.extend(n);
+            }
+            now
+        };
+        let client = EndpointId::new(id, Side::Client);
+        run_until(net, &|_, n| {
+            n.contains(&NetNotify::ConnectDone { ep: client })
+        });
+        at_connected(net);
+        let now = run_until(net, &|net, _| net.accept_queue_len(lid) > 0);
+        let server = net.accept(lid).unwrap();
+        net.send(now, client, b"GET /").unwrap();
+        let now = run_until(net, &|net, _| net.readable_bytes(server) == 5);
+        assert_eq!(net.recv(server, usize::MAX).unwrap(), b"GET /");
+        net.send(now, server, reply).unwrap();
+        net.close(now, server).unwrap();
+        let now = run_until(net, &|net, _| net.peer_closed(client));
+        let got = net.recv(client, usize::MAX).unwrap();
+        net.close(now, client).unwrap();
+        run_until(net, &|_, n| {
+            n.contains(&NetNotify::ConnClosed { ep: client })
+        });
+        (id, notes, got)
+    }
+
+    #[test]
+    fn a_stale_segment_never_reaches_the_connection_in_its_reused_slot() {
+        let new_network = || {
+            let mut net = Network::new(TcpConfig::default(), LinkConfig::default(), 2);
+            net.listen(HostId(1), 80, 8).unwrap();
+            net
+        };
+        let in_flight = |net: &Network, id: ConnId| {
+            net.timers
+                .in_order()
+                .iter()
+                .filter(|(_, _, t)| matches!(t, Timer::Deliver(s) if s.conn == id))
+                .count()
+        };
+        let mut net = new_network();
+        let lid = ListenerId(0);
+
+        // A, a modem-class connection, is accepted, and the server
+        // writes a reply of a full window.
+        let a = net
+            .connect(
+                SimTime::ZERO,
+                HostId(0),
+                SockAddr::new(HostId(1), 80),
+                MODEM_DELAY,
+            )
+            .unwrap();
+        let mut now = SimTime::ZERO;
+        while net.accept_queue_len(lid) == 0 {
+            now = step(&mut net).0;
+        }
+        let a_server = net.accept(lid).unwrap();
+        let a_slot = net.conn_slot.get(a.0 as usize).copied();
+        let window = TcpConfig::default().window_segments as usize * DEFAULT_MSS as usize;
+        net.send(now, a_server, &vec![0xAA; window]).unwrap();
+        // The client aborts at once: its RST reaps A at the server while
+        // the whole reply is still on the wire.
+        net.abort(now, EndpointId::new(a, Side::Client)).unwrap();
+        loop {
+            let (at, n) = step(&mut net);
+            now = at;
+            if n.contains(&NetNotify::ConnReset { ep: a_server }) {
+                break;
+            }
+        }
+        let stale = in_flight(&net, a);
+        assert_eq!(stale, TcpConfig::default().window_segments as usize);
+
+        // B takes A's freed slot and is connected before most of A's
+        // segments land.
+        let reply: Vec<u8> = (0..3 * DEFAULT_MSS).map(|i| (i % 251) as u8).collect();
+        let (b, notes, got) = exchange(&mut net, now, &reply, |net| {
+            let b = ConnId(a.0 + 1);
+            assert_eq!(net.conn_slot.get(b.0 as usize).copied(), a_slot);
+            assert!(
+                in_flight(net, a) > stale / 2,
+                "stale segments meet a live B"
+            );
+        });
+        assert_eq!(in_flight(&net, a), 0, "every stale segment has landed");
+
+        // B's exchange is byte-exact, and A's late segments raised no
+        // notify: B's notifications are those of the same exchange in a
+        // network that never saw A.
+        assert_eq!(got, reply);
+        let mut fresh = new_network();
+        fresh.set_next_conn_id(b.0);
+        let (_, alone, _) = exchange(&mut fresh, now, &reply, |_| {});
+        assert_eq!(notes, alone);
     }
 }
