@@ -15,15 +15,16 @@
 //! * the interest hash table doubles at average bucket size two, stays
 //!   a power of two, and never shrinks (§3.1).
 //!
+//! The same checked mode audits stock `poll()`'s incremental wait
+//! against a full scan of its array ([`check_stock_poll`]). No check
+//! allocates, so a checked world's allocation count is the model's.
+//!
 //! Violations panic with a `simcheck audit:` message; check counts
 //! accumulate in [`crate::DevPollRegistry::audit_checks`] so a run can
 //! prove the auditor was live, while the probes — and every digest over
 //! them — stay the same whether it ran or not. [`crate::device`] calls
 //! these functions on checked registries: every registry of a debug
 //! build, and those built with [`crate::DevPollRegistry::audited`].
-
-use std::collections::BTreeMap;
-use std::collections::BTreeSet;
 
 use simkernel::{Fd, Kernel, Pid, PollBits};
 
@@ -48,14 +49,15 @@ pub fn check_write(
     prev_buckets: usize,
 ) -> u64 {
     let mut checks = 0u64;
-    // Later entries for the same fd win; audit final per-fd state only.
-    let mut last: BTreeMap<Fd, &PollFd> = BTreeMap::new();
-    for e in entries {
-        last.insert(e.fd, e);
-    }
-    let removed: BTreeSet<Fd> = removed.iter().copied().collect();
     let table = dev.interest();
-    for (fd, e) in last {
+    for (i, e) in entries.iter().enumerate() {
+        // Later entries for the same fd win; audit final per-fd state
+        // only. (Quadratic in the batch, but allocation-free: batches
+        // are a few entries.)
+        if entries[i + 1..].iter().any(|later| later.fd == e.fd) {
+            continue;
+        }
+        let fd = e.fd;
         if e.events.contains(PollBits::POLLREMOVE) {
             checks += 1;
             assert!(
@@ -130,14 +132,16 @@ pub fn check_table_shape(dev: &DevPollDevice, prev_buckets: usize) -> u64 {
 
 /// Audits a `DP_POLL` candidate set before the scan: with hints enabled,
 /// every cached-ready interest must be revalidated this scan.
+/// `candidates` is in ascending fd order (the dirty list's).
 pub fn check_scan_candidates(dev: &DevPollDevice, candidates: &[(Fd, PollBits)]) -> u64 {
-    let set: BTreeSet<Fd> = candidates.iter().map(|&(fd, _)| fd).collect();
     let mut checks = 0u64;
     for e in dev.interest().iter() {
         if !e.cached.is_empty() {
             checks += 1;
             assert!(
-                set.contains(&e.fd),
+                candidates
+                    .binary_search_by_key(&e.fd, |&(fd, _)| fd)
+                    .is_ok(),
                 "simcheck audit: cached-ready fd {} skipped revalidation \
                  (cached {:?} served stale)",
                 e.fd,
@@ -178,5 +182,66 @@ pub fn check_scan_results(
             );
         }
     }
+    checks
+}
+
+/// Audits a stock-`poll()` wait that evaluated only its candidates
+/// ([`crate::StockPollBackend`]) against a full scan of its array, the
+/// evaluation [`crate::sys_poll`] makes: every ready entry must be a
+/// candidate of the next wait, and `results` must be exactly the full
+/// scan's first `max` ready entries. `fds` is in ascending fd order;
+/// `is_candidate` answers membership in the next wait's candidate set.
+pub fn check_stock_poll(
+    kernel: &Kernel,
+    pid: Pid,
+    fds: &[PollFd],
+    is_candidate: impl Fn(Fd) -> bool,
+    results: &[PollFd],
+    max: usize,
+) -> u64 {
+    let mut checks = 0u64;
+    let mut ready = 0usize;
+    let mut returned = 0usize;
+    for f in fds {
+        let truth = kernel.readiness(pid, f.fd) & (f.events | PollBits::always_reported());
+        let got = match results.get(returned) {
+            Some(r) if r.fd == f.fd => {
+                returned += 1;
+                r.revents
+            }
+            _ => PollBits::EMPTY,
+        };
+        let want = if !truth.is_empty() && ready < max {
+            truth
+        } else {
+            PollBits::EMPTY
+        };
+        checks += 1;
+        assert_eq!(
+            got, want,
+            "simcheck audit: stock poll() of pid {pid} returned {got} for fd {} but the full \
+             scan gives {truth} (its ready entry #{ready}, max {max})",
+            f.fd
+        );
+        if !truth.is_empty() {
+            ready += 1;
+            checks += 1;
+            assert!(
+                is_candidate(f.fd),
+                "simcheck audit: fd {} of pid {pid} is ready ({truth}; the wait returned {got}) \
+                 but is no candidate of the next wait (a rise went unhinted, or a ready \
+                 candidate was dropped)",
+                f.fd
+            );
+        }
+    }
+    checks += 1;
+    assert_eq!(
+        returned,
+        results.len(),
+        "simcheck audit: stock poll() of pid {pid} returned an fd outside its array, or out of \
+         fd order: {:?}",
+        results.get(returned).map(|r| r.fd)
+    );
     checks
 }

@@ -5,10 +5,11 @@
 use simcore::fingerprint::Fnv;
 use simkernel::{Errno, Fd, Kernel, Pid, PollBits};
 
+use crate::audit;
 use crate::device::{DevPollConfig, DevPollRegistry};
 use crate::pollfd::{DvPoll, PollFd};
 use crate::select::{sys_select, FdSet, FD_SETSIZE};
-use crate::stock::{sys_poll, PollOutcome};
+use crate::stock::{poll_call, PollOutcome};
 
 /// An event-notification backend.
 pub trait EventBackend {
@@ -132,15 +133,32 @@ impl UserInterest {
 /// array, and the whole array crosses into the kernel on every call.
 ///
 /// The array is kept across calls, sorted by fd: interest changes
-/// binary-search it and insert or remove in place, and each wait hands
-/// it to [`sys_poll`] as it stands. `sys_poll` overwrites every
-/// `revents`, so a kept array polls exactly like one rebuilt per call
-/// (§6: such applications "often entirely rebuild their pollfd array
-/// each time they invoke poll()"), and the kernel still charges the
-/// copy-in of every entry on every call.
+/// binary-search it and insert or remove in place. Every wait is
+/// charged for the whole array, exactly as [`crate::sys_poll`] charges
+/// it (§6: such applications "often entirely rebuild their pollfd array
+/// each time they invoke poll()").
+///
+/// The host evaluates less. The backend keeps a candidate set: entries
+/// whose interest was set or changed, entries the kernel hinted
+/// ([`Kernel::take_poll_hints`]: their poll bits may have risen),
+/// entries an early stop left unevaluated, and entries that were ready
+/// at the last wait, which are re-checked every call because readiness
+/// falls without an event. Any other entry was not ready when last
+/// evaluated and has gained no bit since, so it is still not ready. A
+/// wait evaluates only the candidates, in ascending fd order, and stops
+/// at `max` ready. It returns what `sys_poll` over the same array
+/// would: its first `max` ready entries. A checked registry (every
+/// debug build) verifies that after every wait with a full scan
+/// ([`crate::audit::check_stock_poll`]).
 #[derive(Debug, Default, Clone)]
 pub struct StockPollBackend {
     fds: Vec<PollFd>,
+    /// Fds the next wait evaluates (see the type's doc). An fd no
+    /// longer in `fds` leaves at the next wait.
+    candidates: FdBitmap,
+    /// The kernel's hint list is swapped in here and folded into
+    /// `candidates` (reused; no per-wait allocation).
+    hints: Vec<Fd>,
 }
 
 impl StockPollBackend {
@@ -148,6 +166,109 @@ impl StockPollBackend {
     pub fn new() -> StockPollBackend {
         StockPollBackend::default()
     }
+
+    /// Folds the kernel's hints into the candidate set, or makes every
+    /// entry a candidate when the hints do not cover every change (the
+    /// first wait, or an overflowed hint list).
+    fn take_hints(&mut self, kernel: &mut Kernel, pid: Pid) {
+        if kernel.take_poll_hints(pid, &mut self.hints) {
+            for &fd in &self.hints {
+                // A hint past every fd of the array has no entry to mark.
+                self.candidates.mark_existing(fd);
+            }
+        } else {
+            for f in &self.fds {
+                self.candidates.insert(f.fd);
+            }
+        }
+        self.hints.clear();
+    }
+}
+
+/// A set of descriptors as a dense bitmap indexed by fd: marking one is
+/// a bit, and the wait walks the set in ascending fd order a word at a
+/// time, so the cost follows the set bits, not the fds between them.
+#[derive(Debug, Default, Clone)]
+struct FdBitmap {
+    words: Vec<u64>,
+}
+
+impl FdBitmap {
+    /// Adds `fd` (non-negative), growing the bitmap to reach it.
+    fn insert(&mut self, fd: Fd) {
+        let ix = fd as usize;
+        if ix / 64 >= self.words.len() {
+            self.words.resize(ix / 64 + 1, 0);
+        }
+        self.words[ix / 64] |= 1 << (ix % 64);
+    }
+
+    /// Adds `fd` if the bitmap already reaches it: every fd of the
+    /// array does, since [`FdBitmap::insert`] marked it once.
+    fn mark_existing(&mut self, fd: Fd) {
+        let Ok(ix) = usize::try_from(fd) else { return };
+        if let Some(w) = self.words.get_mut(ix / 64) {
+            *w |= 1 << (ix % 64);
+        }
+    }
+
+    fn contains(&self, fd: Fd) -> bool {
+        usize::try_from(fd)
+            .ok()
+            .and_then(|ix| self.words.get(ix / 64).map(|w| w >> (ix % 64) & 1 == 1))
+            .unwrap_or(false)
+    }
+}
+
+/// Evaluates `candidates` in ascending fd order against `fds`, appending
+/// up to `max` ready entries to `out`, and stops once it has found
+/// `max` ready (at least one, so the caller learns whether anything is
+/// ready even when `max` is 0). Returns how many it found ready.
+///
+/// A candidate found not ready, or no longer in `fds`, leaves the set;
+/// one found ready stays (it must be re-checked next time), and so does
+/// every candidate the early stop left unevaluated.
+// #[hot_path] — simcheck bans per-call allocation in this function
+fn poll_candidates(
+    kernel: &Kernel,
+    pid: Pid,
+    fds: &[PollFd],
+    candidates: &mut FdBitmap,
+    max: usize,
+    out: &mut Vec<PollFd>,
+) -> usize {
+    let stop = max.max(1);
+    let mut found = 0usize;
+    for (w, word) in candidates.words.iter_mut().enumerate() {
+        let mut bits = *word;
+        while bits != 0 {
+            let bit = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            let fd = (w * 64 + bit) as Fd;
+            let ready = fds
+                .binary_search_by_key(&fd, |f| f.fd)
+                .ok()
+                .map(|ix| fds[ix])
+                .map(|f| {
+                    let revents =
+                        kernel.readiness(pid, fd) & (f.events | PollBits::always_reported());
+                    PollFd { revents, ..f }
+                })
+                .filter(|f| !f.revents.is_empty());
+            let Some(f) = ready else {
+                *word &= !(1 << bit);
+                continue;
+            };
+            found += 1;
+            if found <= max {
+                out.push(f);
+            }
+            if found == stop {
+                return found;
+            }
+        }
+    }
+    found
 }
 
 impl EventBackend for StockPollBackend {
@@ -180,6 +301,7 @@ impl EventBackend for StockPollBackend {
             Ok(ix) => self.fds[ix].events = events,
             Err(ix) => self.fds.insert(ix, PollFd::new(fd, events)),
         }
+        self.candidates.insert(fd);
         Ok(())
     }
 
@@ -199,15 +321,29 @@ impl EventBackend for StockPollBackend {
     fn wait(
         &mut self,
         kernel: &mut Kernel,
-        _registry: &mut DevPollRegistry,
+        registry: &mut DevPollRegistry,
         pid: Pid,
         max: usize,
         timeout_ms: i32,
         out: &mut Vec<PollFd>,
     ) -> Result<(), Errno> {
-        if let PollOutcome::Ready(_) = sys_poll(kernel, pid, &mut self.fds, timeout_ms) {
-            out.extend(self.fds.iter().filter(|f| !f.revents.is_empty()).take(max));
-        }
+        self.take_hints(kernel, pid);
+        let base = out.len();
+        let candidates = &mut self.candidates;
+        poll_call(kernel, pid, &mut self.fds, timeout_ms, |kernel, fds| {
+            poll_candidates(kernel, pid, fds, candidates, max, out)
+        });
+        registry.run_audit(|| {
+            let candidates = &self.candidates;
+            audit::check_stock_poll(
+                kernel,
+                pid,
+                &self.fds,
+                |fd| candidates.contains(fd),
+                &out[base..],
+                max,
+            )
+        });
         Ok(())
     }
 
@@ -218,6 +354,8 @@ impl EventBackend for StockPollBackend {
     fn fingerprint_into(&self, h: &mut Fnv) {
         // The bytes `UserInterest::fingerprint_into` writes for the same
         // interest: the count, then each fd and its events, ascending.
+        // The candidate set is bookkeeping, not state: a wait returns
+        // the same entries whatever it holds.
         h.write_len(self.fds.len());
         for f in &self.fds {
             h.write_usize(f.fd as usize);

@@ -235,6 +235,14 @@ impl DevPollRegistry {
         self.audit_checks
     }
 
+    /// Runs `check` (an [`audit`] function returning its check count)
+    /// when this registry is checked, and counts its checks.
+    pub(crate) fn run_audit(&mut self, check: impl FnOnce() -> u64) {
+        if self.audit {
+            self.audit_checks += check();
+        }
+    }
+
     /// Records the nested acquisition of `order`, then its release
     /// innermost first, in the lock-order graph (checked mode only).
     fn record_locks(&mut self, order: &[LockClass]) {

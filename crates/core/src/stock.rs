@@ -1,10 +1,17 @@
 //! Stock `poll()` — the baseline the paper improves on.
 //!
-//! Every invocation copies the whole interest set into the kernel,
-//! invokes each file's driver poll callback, and copies results back. If
-//! nothing is ready, the process is registered on every file's wait
-//! queue before sleeping, and deregistered on wakeup — the per-descriptor
-//! costs that §3 attributes the baseline's poor scalability to.
+//! Every invocation is charged for copying the whole interest set into
+//! the kernel, invoking each file's driver poll callback, and copying
+//! results back. If nothing is ready, the process is registered on
+//! every file's wait queue before sleeping, and deregistered on wakeup —
+//! the per-descriptor costs that §3 attributes the baseline's poor
+//! scalability to.
+//!
+//! Those charges are the model; the host work need not follow them.
+//! [`sys_poll`] evaluates every entry and is the reference.
+//! [`crate::StockPollBackend`] runs the same charging body,
+//! `poll_call`, around a scan of only the entries whose readiness may
+//! have changed since its last wait, and returns the same entries.
 
 use simcore::probe::Metric;
 use simcore::span::Phase;
@@ -23,7 +30,9 @@ pub enum PollOutcome {
     WouldBlock,
 }
 
-/// Executes `poll(fds, nfds, timeout)` against the simulated kernel.
+/// Executes `poll(fds, nfds, timeout)` against the simulated kernel,
+/// evaluating every entry: the reference scan that
+/// [`crate::StockPollBackend`]'s incremental wait must agree with.
 ///
 /// Must be called inside a batch ([`Kernel::begin_batch`]). On
 /// [`PollOutcome::WouldBlock`] the caller is expected to
@@ -37,6 +46,35 @@ pub enum PollOutcome {
 /// event loop built on this call.
 // #[hot_path] — simcheck bans per-call allocation in this function
 pub fn sys_poll(kernel: &mut Kernel, pid: Pid, fds: &mut [PollFd], timeout_ms: i32) -> PollOutcome {
+    poll_call(kernel, pid, fds, timeout_ms, |kernel, fds| {
+        let mut ready = 0usize;
+        for f in fds.iter_mut() {
+            let state = kernel.readiness(pid, f.fd);
+            f.revents = state & (f.events | PollBits::always_reported());
+            if !f.revents.is_empty() {
+                ready += 1;
+            }
+        }
+        ready
+    })
+}
+
+/// The modelled work of one `poll()` call over `fds`, around `scan`,
+/// which evaluates readiness on the host and returns how many entries
+/// it found ready ([`PollOutcome::Ready`] carries that count).
+///
+/// Every charge, probe and span depends only on `fds.len()` and on
+/// whether `scan` found anything ready, so a scan that evaluates only
+/// the entries that may have changed, and stops early, is charged
+/// exactly like one that evaluates them all.
+// #[hot_path] — simcheck bans per-call allocation in this function
+pub(crate) fn poll_call(
+    kernel: &mut Kernel,
+    pid: Pid,
+    fds: &mut [PollFd],
+    timeout_ms: i32,
+    scan: impl FnOnce(&Kernel, &mut [PollFd]) -> usize,
+) -> PollOutcome {
     let cost = *kernel.cost_model();
     kernel.charge_app(pid, cost.syscall);
     let probe = kernel.probe_mut();
@@ -64,14 +102,7 @@ pub fn sys_poll(kernel: &mut Kernel, pid: Pid, fds: &mut [PollFd], timeout_ms: i
     // charge, without a million accounting calls on the host).
     let t_scan = kernel.batch_acc(pid);
     kernel.charge_app(pid, cost.driver_poll * fds.len() as u64);
-    let mut ready = 0usize;
-    for f in fds.iter_mut() {
-        let state = kernel.readiness(pid, f.fd);
-        f.revents = state & (f.events | PollBits::always_reported());
-        if !f.revents.is_empty() {
-            ready += 1;
-        }
-    }
+    let ready = scan(kernel, fds);
     if spans_on {
         kernel.span_leaf(pid, Phase::ReadyScan, t_scan);
     }

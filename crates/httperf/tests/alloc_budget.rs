@@ -11,13 +11,16 @@
 //! half of one, which leaves room for amortised growth of long-lived
 //! vectors.
 //!
+//! The worlds run checked, as every debug-build world does: the
+//! `/dev/poll` invariant auditor and stock `poll()`'s full-scan check
+//! allocate nothing either, so the count is the model's.
+//!
 //! The counter is per thread, so other tests running in parallel do not
 //! add to it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use devpoll::DevPollRegistry;
 use httperf::{build_world, RunParams, ServerKind};
 use simcore::time::{SimDuration, SimTime};
 
@@ -83,9 +86,6 @@ fn allocs_per_request(kind: ServerKind, rate: f64) -> (u64, u64) {
     let warm = SimTime::ZERO + params.load.warmup + WARM_REQUESTS;
     let horizon = params.horizon;
     let (mut bed, mut server) = build_world(params);
-    // The `/dev/poll` auditor (on in debug builds) allocates for its own
-    // checks; the budget is the model's.
-    bed.registry = DevPollRegistry::with_audit(false);
     bed.start(server.as_mut());
     bed.run(server.as_mut(), warm);
     let before = allocs();

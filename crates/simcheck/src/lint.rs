@@ -945,8 +945,9 @@ let stored = deadline_us;
 
     /// Functions on the per-event path that must carry a `#[hot_path]`
     /// marker (every function of that name in the file's library code).
-    const HOT_FNS: [(&str, &str); 18] = [
+    const HOT_FNS: [(&str, &str); 20] = [
         ("crates/core/src/stock.rs", "sys_poll"),
+        ("crates/core/src/backend.rs", "poll_candidates"),
         ("crates/core/src/dispatch.rs", "net_phase"),
         ("crates/core/src/dispatch.rs", "kernel_phase"),
         ("crates/core/src/device.rs", "dp_poll_into"),
@@ -954,6 +955,7 @@ let stored = deadline_us;
         ("crates/simkernel/src/kernel.rs", "on_net"),
         ("crates/simkernel/src/kernel.rs", "advance_into"),
         ("crates/simkernel/src/kernel.rs", "readiness"),
+        ("crates/simkernel/src/kernel.rs", "record_poll_hint"),
         ("crates/simnet/src/net.rs", "advance_into"),
         ("crates/simnet/src/net.rs", "on_data"),
         ("crates/simnet/src/bytes.rs", "extend_from_queue"),

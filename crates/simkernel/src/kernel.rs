@@ -763,6 +763,57 @@ impl Kernel {
         }
     }
 
+    /// Moves the descriptors whose poll bits may have risen since the
+    /// last call into `out`: the readiness hints a stock-`poll()` wait
+    /// uses to re-evaluate only what may have changed.
+    ///
+    /// Every rise of a descriptor's [`Kernel::readiness`] records one: a
+    /// stream's readiness mirror gaining a bit, a listener's accept
+    /// queue turning ready (for every sharer), and a close (`POLLNVAL`).
+    /// Falling bits record nothing. Recording starts at a process's
+    /// first call, so processes that never poll pay nothing. Returns
+    /// `false` when the hints do not cover every change since the last
+    /// call (on the first call, and after the list overflowed); the
+    /// caller must then treat every descriptor as changed.
+    ///
+    /// The hints are simulator bookkeeping, not modelled state: they are
+    /// out of [`Kernel::mem_bytes`] and [`Kernel::state_fingerprint`].
+    pub fn take_poll_hints(&mut self, pid: Pid, out: &mut Vec<Fd>) -> bool {
+        self.proc_mut(pid).poll_hints.take(out)
+    }
+
+    /// Records that `fd`'s poll bits may have risen (see
+    /// [`Kernel::take_poll_hints`]).
+    // #[hot_path] — simcheck bans per-call allocation in this function
+    fn record_poll_hint(&mut self, pid: Pid, fd: Fd) {
+        if let Some(p) = self.proc_get_mut(pid) {
+            p.poll_hints.record(fd);
+        }
+    }
+
+    /// Applies `update` to an open stream descriptor's readiness mirror
+    /// in one fd-table lookup, recording a poll hint if a poll bit rose.
+    /// Returns the descriptor's RT signal. Every mirror write goes
+    /// through here, which is what makes the hints complete.
+    fn update_mirror(
+        &mut self,
+        pid: Pid,
+        fd: Fd,
+        update: impl FnOnce(&mut SockMirror),
+    ) -> Option<u8> {
+        let p = self.proc_mut(pid);
+        let file = p
+            .fds
+            .get_mut(fd)
+            .expect("invariant: the stream descriptor is open");
+        let before = file.mirror;
+        update(&mut file.mirror);
+        if p.poll_hints.recording() && !file.mirror.bits().without(before.bits()).is_empty() {
+            p.poll_hints.record(fd);
+        }
+        file.sig
+    }
+
     // ------------------------------------------------------------------
     // Dense slot plumbing.
     // ------------------------------------------------------------------
@@ -781,13 +832,6 @@ impl Kernel {
     fn stream_file(&self, pid: Pid, fd: Fd) -> &File {
         self.proc_get(pid)
             .and_then(|p| p.fds.get(fd).ok())
-            .expect("invariant: the stream descriptor is open")
-    }
-
-    /// [`Kernel::stream_file`], mutably.
-    fn stream_file_mut(&mut self, pid: Pid, fd: Fd) -> &mut File {
-        self.proc_get_mut(pid)
-            .and_then(|p| p.fds.get_mut(fd).ok())
             .expect("invariant: the stream descriptor is open")
     }
 
@@ -872,6 +916,11 @@ impl Kernel {
                     slot.ready = true;
                     owners.extend_from_slice(&slot.owners);
                 }
+                // Every sharer's descriptor turned readable, woken or
+                // not.
+                for &(pid, fd) in &owners {
+                    self.record_poll_hint(pid, fd);
+                }
                 match self.accept_wake {
                     AcceptWake::Herd => {
                         // Stock 2.2: every sharer is notified and woken.
@@ -905,7 +954,7 @@ impl Kernel {
                 // Preserve a HUP indication for a still-open fd whose
                 // mirror is about to lose its connection state.
                 if let Some(&EpSlot { pid, fd }) = self.eps.get(ep_index(ep)) {
-                    self.stream_file_mut(pid, fd).mirror.hup = true;
+                    self.update_mirror(pid, fd, |m| m.hup = true);
                 }
             }
             NetNotify::ConnectDone { .. }
@@ -928,9 +977,7 @@ impl Kernel {
         let Some(&EpSlot { pid, fd }) = self.eps.get(ep_index(ep)) else {
             return;
         };
-        let file = self.stream_file_mut(pid, fd);
-        update(&mut file.mirror);
-        let sig = file.sig;
+        let sig = self.update_mirror(pid, fd, update);
         self.raise_fd_event(now, pid, fd, band, sig);
     }
 
@@ -1086,12 +1133,15 @@ impl Kernel {
                 return Err(e);
             }
         };
-        self.stream_file_mut(pid, fd).mirror = SockMirror {
-            readable: net.readable_bytes(ep) > 0 || net.peer_closed(ep),
-            writable: net.send_space(ep) > 0,
-            hup: net.peer_closed(ep),
-            err: false,
-        };
+        let st = net.endpoint_state(ep);
+        self.update_mirror(pid, fd, |m| {
+            *m = SockMirror {
+                readable: st.readable_bytes > 0 || st.peer_closed,
+                writable: st.send_space > 0,
+                hup: st.peer_closed,
+                err: false,
+            }
+        });
         self.ep_slot_insert(ep, EpSlot { pid, fd });
         if self.spans.enabled() {
             // Accept-queue wait: from the softirq-side enqueue (three-way
@@ -1147,13 +1197,12 @@ impl Kernel {
         }
         // Level update: still readable only if bytes remain (EOF keeps
         // POLLIN so the application observes it).
-        let still = net.readable_bytes(ep) > 0;
-        let eof = net.peer_closed(ep) || !net.exists(ep.conn);
-        let m = &mut self.stream_file_mut(pid, fd).mirror;
-        m.readable = still || eof;
-        if eof {
-            m.hup = true;
-        }
+        let st = net.endpoint_state(ep);
+        let eof = st.peer_closed || !st.exists;
+        self.update_mirror(pid, fd, |m| {
+            m.readable = st.readable_bytes > 0 || eof;
+            m.hup |= eof;
+        });
         self.span_leaf(pid, Phase::Read, t0);
         if n == 0 {
             if eof {
@@ -1240,7 +1289,8 @@ impl Kernel {
                 SimDuration::from_nanos(self.cost.tx_per_segment * segs),
             );
         }
-        self.stream_file_mut(pid, fd).mirror.writable = net.send_space(ep) > 0;
+        let writable = net.send_space(ep) > 0;
+        self.update_mirror(pid, fd, |m| m.writable = writable);
         self.span_leaf(pid, Phase::Write, t0);
         if n == 0 {
             return Err(Errno::EAGAIN);
@@ -1282,6 +1332,7 @@ impl Kernel {
             FileKind::DevPoll(_) => {}
         }
         self.unwatch(pid, fd);
+        self.record_poll_hint(pid, fd);
         self.syscall_exit(pid, t0, Syscall::Close);
         Ok(())
     }
@@ -1302,6 +1353,7 @@ impl Kernel {
             let _ = net.abort(vnow, ep);
         }
         self.unwatch(pid, fd);
+        self.record_poll_hint(pid, fd);
         self.syscall_exit(pid, t0, Syscall::Abort);
         Ok(())
     }
@@ -1411,6 +1463,7 @@ impl Kernel {
             self.ep_slot_remove(ep);
         }
         self.unwatch(pid, fd);
+        self.record_poll_hint(pid, fd);
         Ok(())
     }
 }

@@ -10,7 +10,7 @@
 
 use simcore::time::{SimDuration, SimTime};
 
-use crate::fd::FdTable;
+use crate::fd::{Fd, FdTable};
 use crate::signal::SignalState;
 
 /// Process identifier.
@@ -47,6 +47,62 @@ pub enum ProcState {
     },
 }
 
+/// Hints the list holds before it gives up listing and reports that
+/// anything may have changed. A stock-`poll()` process takes its hints
+/// on every wait, a handful each time; only a process that stops
+/// polling lets them pile up.
+const POLL_HINT_CAP: usize = 4096;
+
+/// Descriptors whose poll bits may have risen since the process's last
+/// stock-`poll()` wait took them: simulator bookkeeping that lets the
+/// wait re-evaluate only what may have changed. It is not modelled
+/// state: stock 2.2 `poll()` keeps nothing between calls, so the list is
+/// out of the kernel's memory and fingerprint, and a wait's result is
+/// the same whatever it holds.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct PollHints {
+    /// Whether `fds` lists every rise since the last take: false before
+    /// the first take (recording starts there, so a process that never
+    /// polls pays nothing) and after the list overflowed
+    /// [`POLL_HINT_CAP`].
+    complete: bool,
+    fds: Vec<Fd>,
+}
+
+impl PollHints {
+    /// Whether [`PollHints::record`] keeps what it is given: a caller
+    /// can skip working out whether a bit rose when it is not.
+    pub(crate) fn recording(&self) -> bool {
+        self.complete
+    }
+
+    /// Records that `fd`'s poll bits may have risen.
+    pub(crate) fn record(&mut self, fd: Fd) {
+        if !self.complete {
+            return;
+        }
+        if self.fds.len() == POLL_HINT_CAP {
+            self.complete = false;
+            self.fds.clear();
+            return;
+        }
+        self.fds.push(fd);
+    }
+
+    /// Moves the hints into `out` (swapped into an empty buffer,
+    /// appended otherwise) and starts recording afresh. `false` means
+    /// the hints do not cover every change since the last call: on the
+    /// first call, which starts the recording, and after an overflow.
+    pub(crate) fn take(&mut self, out: &mut Vec<Fd>) -> bool {
+        if out.is_empty() {
+            std::mem::swap(out, &mut self.fds);
+        } else {
+            out.append(&mut self.fds);
+        }
+        std::mem::replace(&mut self.complete, true)
+    }
+}
+
 /// A simulated process.
 #[derive(Debug, Clone)]
 pub struct Process {
@@ -65,6 +121,9 @@ pub struct Process {
     /// A wake arrived while the batch that decided to sleep was still on
     /// the CPU; do not sleep after all.
     pub pending_wake: bool,
+    /// Descriptors whose poll bits may have risen since the last
+    /// stock-`poll()` wait ([`PollHints`]).
+    pub(crate) poll_hints: PollHints,
 }
 
 impl Process {
@@ -83,6 +142,7 @@ impl Process {
             batch_acc: None,
             batch_start: SimTime::ZERO,
             pending_wake: false,
+            poll_hints: PollHints::default(),
         }
     }
 
@@ -112,6 +172,28 @@ mod tests {
         assert_eq!(p.state, ProcState::Idle);
         assert_eq!(p.next_deadline(), None);
         assert!(!p.is_sleeping());
+    }
+
+    #[test]
+    fn poll_hints_start_at_the_first_take_and_overflow_to_everything() {
+        let mut h = PollHints::default();
+        let mut out = Vec::new();
+        h.record(3);
+        assert!(!h.take(&mut out), "the first take covers nothing");
+        assert!(out.is_empty(), "nothing is recorded before it");
+        h.record(3);
+        h.record(5);
+        assert!(h.take(&mut out));
+        assert_eq!(out, [3, 5]);
+        out.clear();
+        for fd in 0..=POLL_HINT_CAP as Fd {
+            h.record(fd);
+        }
+        assert!(!h.take(&mut out), "an overflowed list covers nothing");
+        assert!(out.is_empty());
+        h.record(7);
+        assert!(h.take(&mut out), "recording resumes after the take");
+        assert_eq!(out, [7]);
     }
 
     #[test]

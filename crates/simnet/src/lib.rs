@@ -25,7 +25,9 @@ pub mod tcp;
 pub use addr::{ConnId, EndpointId, HostId, ListenerId, Port, Side, SockAddr};
 pub use bytes::ByteQueue;
 pub use link::{LinkConfig, Tx, TxOutcome};
-pub use net::{NetError, NetNotify, NetStats, Network, RecvSummary, MODEM_DELAY, RECV_PREFIX};
+pub use net::{
+    EndpointState, NetError, NetNotify, NetStats, Network, RecvSummary, MODEM_DELAY, RECV_PREFIX,
+};
 pub use ports::PortAllocator;
 pub use seg::{SegKind, Segment, DEFAULT_MSS, HEADER_BYTES};
 pub use tcp::{ConnState, ConnectError, TcpConfig};

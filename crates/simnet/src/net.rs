@@ -817,6 +817,23 @@ impl Network {
             .map_or(0, |c| c.ep(ep.side).send_space(&self.cfg))
     }
 
+    /// Everything a socket's readiness is computed from, read with one
+    /// lookup of the connection: what [`Network::readable_bytes`],
+    /// [`Network::peer_closed`], [`Network::send_space`] and
+    /// [`Network::exists`] return one at a time.
+    pub fn endpoint_state(&self, ep: EndpointId) -> EndpointState {
+        let Some(c) = self.conn(ep.conn) else {
+            return EndpointState::default();
+        };
+        let e = c.ep(ep.side);
+        EndpointState {
+            readable_bytes: e.inbox.len(),
+            peer_closed: e.recv_done(),
+            send_space: e.send_space(&self.cfg),
+            exists: c.state != ConnState::Reset,
+        }
+    }
+
     /// Whether the connection is established and not reset.
     pub fn is_established(&self, conn: ConnId) -> bool {
         self.conn(conn)
@@ -1382,6 +1399,20 @@ impl Network {
 /// How many response-prefix bytes [`Network::recv_discard`] captures.
 pub const RECV_PREFIX: usize = 12;
 
+/// One endpoint's readiness inputs (see [`Network::endpoint_state`]);
+/// all zero and `false` once the connection is gone.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EndpointState {
+    /// Bytes available for `recv` right now.
+    pub readable_bytes: usize,
+    /// The peer has closed its sending direction.
+    pub peer_closed: bool,
+    /// Free space in the send buffer.
+    pub send_space: usize,
+    /// The connection exists and is not reset.
+    pub exists: bool,
+}
+
 /// Summary of a drained-and-discarded read: the byte count plus the
 /// first bytes of the chunk (enough for an HTTP status-line check)
 /// without materialising the payload.
@@ -1454,6 +1485,51 @@ mod tests {
             step(&mut net);
         }
         assert_eq!(net.refused_count(lid), 0);
+    }
+
+    #[test]
+    fn endpoint_state_reads_what_the_single_getters_read() {
+        let mut net = Network::new(TcpConfig::default(), LinkConfig::default(), 2);
+        let lid = net.listen(HostId(1), 80, 8).unwrap();
+        let addr = SockAddr::new(HostId(1), 80);
+        let ids = [0, 1].map(|_| {
+            net.connect(SimTime::ZERO, HostId(0), addr, SimDuration::ZERO)
+                .unwrap()
+        });
+        let [a, b] = ids.map(|id| [Side::Client, Side::Server].map(|s| EndpointId::new(id, s)));
+        let check = |net: &Network| {
+            for ep in a.iter().chain(&b) {
+                let single = EndpointState {
+                    readable_bytes: net.readable_bytes(*ep),
+                    peer_closed: net.peer_closed(*ep),
+                    send_space: net.send_space(*ep),
+                    exists: net.exists(ep.conn),
+                };
+                assert_eq!(net.endpoint_state(*ep), single, "{ep:?}");
+            }
+        };
+        // Both connect and send a request; then `a` closes from both
+        // ends while `b`'s client resets, leaving a tombstone.
+        let mut phase = 0;
+        while let Some(at) = net.next_deadline() {
+            net.advance(at);
+            check(&net);
+            if phase == 0 && net.accept_queue_len(lid) == 2 {
+                net.accept(lid).unwrap();
+                net.accept(lid).unwrap();
+                net.send(at, a[0], b"GET /").unwrap();
+                net.send(at, b[0], b"GET /").unwrap();
+                phase = 1;
+            } else if phase == 1 && net.readable_bytes(a[1]) == 5 && net.readable_bytes(b[1]) == 5 {
+                net.close(at, a[1]).unwrap();
+                net.close(at, a[0]).unwrap();
+                net.abort(at, b[0]).unwrap();
+                phase = 2;
+            }
+            check(&net);
+        }
+        assert_eq!(phase, 2, "the exchange ran");
+        assert_eq!(net.endpoint_state(a[1]), EndpointState::default());
     }
 
     /// One request/response exchange on a new connection from host 0
