@@ -719,13 +719,23 @@ mod tests {
 
     #[test]
     fn config_fingerprint_tracks_the_grid() {
-        let quick = FigureConfig::quick();
         let full = FigureConfig::default();
-        assert_ne!(config_fingerprint(&quick), config_fingerprint(&full));
-        assert_eq!(config_fingerprint(&quick), config_fingerprint(&quick));
-        let mut reseeded = FigureConfig::quick();
-        reseeded.seed = 43;
-        assert_ne!(config_fingerprint(&quick), config_fingerprint(&reseeded));
+        assert_eq!(config_fingerprint(&full), config_fingerprint(&full));
+        let fewer_conns = FigureConfig {
+            conns: 8_000,
+            ..FigureConfig::default()
+        };
+        let fewer_rates = FigureConfig {
+            rates: vec![500.0, 700.0],
+            ..FigureConfig::default()
+        };
+        let reseeded = FigureConfig {
+            seed: 43,
+            ..FigureConfig::default()
+        };
+        for other in [fewer_conns, fewer_rates, reseeded] {
+            assert_ne!(config_fingerprint(&full), config_fingerprint(&other));
+        }
     }
 
     #[test]

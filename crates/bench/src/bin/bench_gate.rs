@@ -11,8 +11,8 @@
 //! `bench::baseline`): each differing field is printed by sweep, rate
 //! and field with both values. Wall time is not compared. An
 //! intentional model change ships with a refreshed baseline in the same
-//! commit: `cp BENCH.json BENCH_BASELINE.json` after the quick run (see
-//! EXPERIMENTS.md "Benchmark gate").
+//! commit: `cp BENCH.json BENCH_BASELINE.json` after `figures --jobs 2 all
+//! million` (see EXPERIMENTS.md "Benchmark gate").
 //!
 //! When the gate goes red under GitHub Actions (`GITHUB_STEP_SUMMARY`
 //! set), the violation list is appended to the job summary.

@@ -1,18 +1,21 @@
 //! CLI for regenerating the paper's figures.
 //!
 //! ```text
-//! figures [--quick] [--conns N] [--jobs N] [--out DIR] [--bench-out FILE]
+//! figures [--conns N] [--seed S] [--jobs N] [--out DIR] [--bench-out FILE]
 //!         [--trace-export DIR] <target>...
-//! targets: fig4 .. fig14 | all | hybrid | ablate-hints | ablate-mmap |
-//!          ablate-combined | ablate-batch | extensions | latency-anatomy |
-//!          million | million-smoke
+//! targets: fig4 .. fig14 | all | extensions | hybrid | ablate-hints |
+//!          ablate-mmap | ablate-combined | ablate-batch | herd | docsize |
+//!          sendfile | loss | select | cpu-scaling | latency-anatomy |
+//!          million
 //! ```
+//!
+//! Every target runs the paper's configuration: 13 request rates
+//! (500–1100) at 35,000 connections a point (`--conns` overrides the
+//! count). `figures --jobs 2 all million` is the benchmark gate's run.
 //!
 //! `million` sweeps the held-open population 10^4 → 10^5 → 10^6 for
 //! `poll()` and `/dev/poll` at a fixed request rate, charting the
-//! reply-rate/latency knees and the server bytes-per-connection lane
-//! (the nightly scaling check); `million-smoke` is the same lane capped
-//! at 10^5 for the per-PR benchmark gate.
+//! reply-rate/latency knees and the server bytes-per-connection lane.
 //!
 //! `latency-anatomy` runs span-enabled sweeps of the five mechanisms
 //! (select, poll, devpoll, phhttpd, hybrid) and emits one stacked
@@ -33,7 +36,9 @@
 use std::fs;
 use std::path::PathBuf;
 
-use bench::figures::{anatomy_grid, anatomy_kinds, extensions_grid, paper_grid, sweep_label};
+use bench::figures::{
+    anatomy_grid, anatomy_kinds, extensions_grid, paper_grid, sweep_label, EXTENSIONS,
+};
 use bench::{
     effective_jobs, flag_value, flag_value_where, FigureConfig, FigureRunner, PAPER_FIGURES,
 };
@@ -49,33 +54,13 @@ fn now_ms() -> f64 {
     START.get_or_init(Instant::now).elapsed().as_secs_f64() * 1e3
 }
 
-/// An extension figure, built from the runner's cached or direct runs.
-type ExtensionFigure = fn(&mut FigureRunner) -> Vec<Figure>;
-
-/// The extension figures in `extensions` order, by target name. Each
-/// is also a target on its own; its CSV stem is the name with `-`
-/// spelt `_`.
-const EXTENSIONS: [(&str, ExtensionFigure); 10] = [
-    ("hybrid", |r| r.hybrid_figure(251)),
-    ("ablate-hints", |r| r.ablate_hints(501)),
-    ("ablate-mmap", |r| r.ablate_mmap(501)),
-    ("ablate-combined", |r| r.ablate_combined(501)),
-    ("ablate-batch", |r| r.ablate_batch(251)),
-    ("herd", |r| r.herd_figure(251)),
-    ("docsize", |r| r.docsize_figure(500.0, 251)),
-    ("sendfile", |r| r.sendfile_figure(1)),
-    ("loss", |r| r.loss_figure(500.0, 251)),
-    ("select", |r| r.select_figure(251)),
-];
-
 /// Targets that are neither a paper figure nor an extension figure.
-const SWEEPS: [&str; 6] = [
+const SWEEPS: [&str; 5] = [
     "all",
     "extensions",
     "cpu-scaling",
     "latency-anatomy",
     "million",
-    "million-smoke",
 ];
 
 /// Prints `msg` and exits 2: a usage error, found before anything runs.
@@ -95,7 +80,6 @@ fn main() {
     let mut args = std::env::args().skip(1).peekable();
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--quick" => config = FigureConfig::quick(),
             "--conns" => {
                 config.conns =
                     flag_value_where("--conns", args.next().as_deref(), "at least 1", |&n| n > 0)
@@ -126,7 +110,6 @@ fn main() {
     let jobs = effective_jobs(jobs_flag);
 
     fs::create_dir_all(&out_dir).expect("create output dir");
-    let (conns, seed) = (config.conns, config.seed);
     let mut runner = FigureRunner::new(config).with_jobs(jobs).with_clock(now_ms);
     if jobs > 1 {
         eprintln!("[executor: {jobs} worker threads]");
@@ -176,11 +159,7 @@ fn main() {
             }
             "million" => {
                 eprintln!("== million ==");
-                emit("million", runner.million_figures(1_000_000));
-            }
-            "million-smoke" => {
-                eprintln!("== million-smoke ==");
-                emit("million", runner.million_figures(100_000));
+                emit("million", runner.million_figures());
             }
             id if PAPER_FIGURES.contains(&id) => {
                 eprintln!("== {id} ==");
@@ -235,12 +214,7 @@ fn main() {
     // timeline viewer, folded stacks for a flamegraph.
     if let Some(dir) = &trace_export {
         fs::create_dir_all(dir).expect("create trace export dir");
-        for kind in anatomy_kinds() {
-            let params = httperf::RunParams::paper(kind, 700.0, 251)
-                .with_conns(conns)
-                .with_seed(seed)
-                .with_spans();
-            let r = httperf::run_one(params);
+        for (kind, r) in runner.span_traces(700.0, 251) {
             let label = sanitize(&kind.label());
             let json_path = dir.join(format!("trace-{label}.json"));
             let folded_path = dir.join(format!("trace-{label}.folded"));

@@ -23,16 +23,15 @@ use std::sync::Mutex;
 pub const JOBS_ENV: &str = "BENCH_JOBS";
 
 /// Resolves the worker count: CLI flag, then [`JOBS_ENV`], then the
-/// machine's available parallelism. Always at least 1.
+/// machine's available parallelism. Always at least 1. A [`JOBS_ENV`]
+/// that is set, not empty and not a number is a usage error: it is
+/// named, and the process exits 2 (see [`crate::flag_value`]).
 pub fn effective_jobs(cli: Option<usize>) -> usize {
     if let Some(n) = cli {
         return n.max(1);
     }
-    if let Some(n) = std::env::var(JOBS_ENV)
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-    {
-        return n.max(1);
+    if let Some(v) = std::env::var_os(JOBS_ENV).filter(|v| !v.is_empty()) {
+        return crate::flag_value::<usize>(JOBS_ENV, Some(v.to_string_lossy().trim())).max(1);
     }
     std::thread::available_parallelism()
         .map(|n| n.get())

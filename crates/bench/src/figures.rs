@@ -12,6 +12,7 @@ use httperf::{run_one, RunParams, RunReport, ServerKind};
 use simcore::series::{Figure, Series};
 use simcore::span::Phase;
 use simcore::time::SimDuration;
+use simkernel::AcceptWake;
 
 use crate::baseline::{config_fingerprint, BenchReport, SweepRecord, BENCH_VERSION};
 use crate::executor::run_jobs;
@@ -37,17 +38,6 @@ impl Default for FigureConfig {
     }
 }
 
-impl FigureConfig {
-    /// A fast configuration for smoke runs.
-    pub fn quick() -> FigureConfig {
-        FigureConfig {
-            rates: vec![500.0, 600.0, 700.0, 800.0, 900.0, 1000.0, 1100.0],
-            conns: 8_000,
-            seed: 42,
-        }
-    }
-}
-
 /// A sweep's cache identity: the server architecture and the inactive
 /// load. Typed (not the old `(String, usize)` label key) so the cache
 /// cannot alias two kinds with colliding labels and the executor can
@@ -67,6 +57,9 @@ struct CachedSweep {
     reports: Vec<RunReport>,
     wall_ms: f64,
 }
+
+/// A series label and its runs, each at its x.
+type Points = (&'static str, Vec<(f64, RunReport)>);
 
 /// A sweep's `BENCH.json` and probe-dump label: the kind's label, plus
 /// `+spans` for a span-enabled sweep.
@@ -145,69 +138,146 @@ impl FigureRunner {
     /// worker busy across sweep boundaries instead of paying a join
     /// barrier per sweep.
     pub fn prefetch(&mut self, keys: &[SweepKey]) {
-        self.fetch(false, keys);
+        self.fetch(false, keys, |r, kind, inactive| {
+            r.rate_sweep(kind, inactive)
+        });
     }
 
     /// Like [`FigureRunner::prefetch`], for span-enabled sweeps. Their
     /// reports carry `span_ns.*` histograms in their probe snapshots
     /// (records are not retained — histograms only).
     pub fn span_prefetch(&mut self, keys: &[SweepKey]) {
-        self.fetch(true, keys);
+        self.fetch(true, keys, |r, kind, inactive| {
+            r.rate_sweep(kind, inactive)
+                .into_iter()
+                .map(|p| p.with_span_retain(0))
+                .collect()
+        });
     }
 
-    fn fetch(&mut self, spans: bool, keys: &[SweepKey]) {
-        let missing: Vec<SweepKey> = keys
+    /// The paper's run of `kind` at one point, at this runner's
+    /// connection count and seed.
+    fn params(&self, kind: ServerKind, rate: f64, inactive: usize) -> RunParams {
+        RunParams::paper(kind, rate, inactive)
+            .with_conns(self.config.conns)
+            .with_seed(self.config.seed)
+    }
+
+    /// A sweep's runs, one per configured rate.
+    fn rate_sweep(&self, kind: ServerKind, inactive: usize) -> Vec<RunParams> {
+        let rates = &self.config.rates;
+        rates
+            .iter()
+            .map(|&r| self.params(kind, r, inactive))
+            .collect()
+    }
+
+    /// Runs the worlds (`worlds(self, kind, inactive)`, in x order) of
+    /// every sweep in `keys` not yet cached under `spans` as one batch,
+    /// and caches each sweep in key order.
+    fn fetch(
+        &mut self,
+        spans: bool,
+        keys: &[SweepKey],
+        worlds: fn(&FigureRunner, ServerKind, usize) -> Vec<RunParams>,
+    ) {
+        let mut runs = Vec::new();
+        let missing: Vec<(CacheKey, usize)> = keys
             .iter()
             .copied()
             .collect::<BTreeSet<_>>()
             .into_iter()
             .filter(|&(kind, inactive)| !self.cache.contains_key(&(spans, kind, inactive)))
+            .map(|(kind, inactive)| {
+                let sweep = worlds(self, kind, inactive);
+                let points = sweep.len();
+                runs.extend(sweep);
+                ((spans, kind, inactive), points)
+            })
             .collect();
-        if missing.is_empty() {
-            return;
-        }
-        let mut points: Vec<(ServerKind, usize, f64)> = Vec::new();
-        for &(kind, inactive) in &missing {
-            for &rate in &self.config.rates {
-                points.push((kind, inactive, rate));
-            }
-        }
-        let mut results = self.run_points(&points, spans).into_iter();
-        let per_key = self.config.rates.len();
-        for key in missing {
-            let batch = results.by_ref().take(per_key).collect();
-            self.absorb(spans, key, batch);
+        let suffix = if spans { " [spans]" } else { "" };
+        let mut results = self
+            .execute(runs, |_, line| Some(format!("  {line}{suffix}")))
+            .into_iter();
+        for (key, points) in missing {
+            let (reports, walls): (Vec<_>, Vec<f64>) = results.by_ref().take(points).unzip();
+            let wall_ms = walls.iter().sum();
+            self.cache.insert(key, CachedSweep { reports, wall_ms });
         }
     }
 
-    /// Runs every missing million-lane point (see [`million_params`])
-    /// as one parallel batch. Each (mechanism, population) pair is a
-    /// single run cached as a one-point sweep — the lane's x-axis is
-    /// the population, not the rate — so the results fold into
-    /// `BENCH.json` and the probe dumps like any other sweep. The
-    /// population keys (10^4..10^6) cannot collide with the paper grid
-    /// (1/251/501).
-    pub fn million_prefetch(&mut self, cap: usize) {
-        let missing: Vec<SweepKey> = million_grid(cap)
-            .into_iter()
-            .filter(|&(kind, inactive)| !self.cache.contains_key(&(false, kind, inactive)))
-            .collect();
-        if missing.is_empty() {
-            return;
-        }
-        let seed = self.config.seed;
+    /// The one place the runner runs simulations: every world on the
+    /// worker pool, each report back with its wall time in ms, in input
+    /// order. With `verbose`, `log(i, summary)` gives run `i`'s stderr
+    /// line (`None`: none); the lines go out after the batch, in input
+    /// order, so stderr is identical at every worker count.
+    fn execute(
+        &self,
+        runs: Vec<RunParams>,
+        log: impl Fn(usize, &str) -> Option<String>,
+    ) -> Vec<(RunReport, f64)> {
         let clock = self.clock;
         let tick = move || clock.map_or(0.0, |c| c());
-        let results = run_jobs(self.jobs, &missing, move |&(kind, inactive)| {
+        let results = run_jobs(self.jobs, &runs, move |params| {
             let started = tick();
-            let mut report = run_one(million_params(seed, kind, inactive));
+            let mut report = run_one(params.clone());
             let wall = tick() - started;
-            let line = format!("  {}", report.summary_line());
-            (report, wall, line)
+            let summary = report.summary_line();
+            (report, wall, summary)
         });
-        for (&key, result) in missing.iter().zip(results) {
-            self.absorb(false, key, vec![result]);
+        let mut out = Vec::with_capacity(results.len());
+        for (i, (report, wall, summary)) in results.into_iter().enumerate() {
+            if let Some(line) = log(i, &summary).filter(|_| self.verbose) {
+                eprintln!("{line}");
+            }
+            out.push((report, wall));
         }
+        out
+    }
+
+    /// Runs the grid `series × xs` as one batch, outside the sweep
+    /// cache: `world(kind, x)` builds each run and `tag(x)` prefixes its
+    /// log line. Returns each series' runs at their x.
+    fn direct(
+        &self,
+        series: [(&'static str, ServerKind); 2],
+        xs: &[f64],
+        world: impl Fn(ServerKind, f64) -> RunParams,
+        tag: impl Fn(f64) -> String,
+    ) -> Vec<Points> {
+        let runs = series
+            .iter()
+            .flat_map(|&(_, kind)| xs.iter().map(move |&x| (kind, x)))
+            .map(|(kind, x)| world(kind, x))
+            .collect();
+        let at = |i: usize| xs[i % xs.len()];
+        let mut reports = self
+            .execute(runs, |i, line| Some(format!("  {}{line}", tag(at(i)))))
+            .into_iter()
+            .map(|(report, _)| report);
+        series
+            .iter()
+            .map(|&(label, _)| (label, xs.iter().copied().zip(reports.by_ref()).collect()))
+            .collect()
+    }
+
+    /// The cached sweep of each kind at `inactive`, fetched in series
+    /// order, each run at its target rate.
+    fn rate_series(
+        &mut self,
+        kinds: &[(&'static str, ServerKind)],
+        inactive: usize,
+    ) -> Vec<Points> {
+        kinds
+            .iter()
+            .map(|&(label, kind)| {
+                let reports = self.sweep(kind, inactive);
+                (
+                    label,
+                    reports.iter().map(|r| (r.target_rate, r.clone())).collect(),
+                )
+            })
+            .collect()
     }
 
     /// The million-connection knee charts: reply rate, median latency
@@ -216,8 +286,16 @@ impl FigureRunner {
     /// the paper's Figs. 4–14 sweep the request rate at fixed load,
     /// these sweep the load at fixed rate — the axis along which
     /// `poll()`'s O(n) scans and the interest tables' footprint bend.
-    pub fn million_figures(&mut self, cap: usize) -> Vec<Figure> {
-        self.million_prefetch(cap);
+    ///
+    /// Each (mechanism, population) point (see [`million_params`]) is
+    /// a single run cached as a one-point sweep, so the lane folds into
+    /// `BENCH.json` and the probe dumps like any other sweep. The
+    /// population keys (10^4..10^6) cannot collide with the paper grid
+    /// (1/251/501).
+    pub fn million_figures(&mut self) -> Vec<Figure> {
+        self.fetch(false, &million_grid(), |r, kind, inactive| {
+            vec![million_params(r.config.seed, kind, inactive)]
+        });
         let mut rate_fig = Figure::new(
             "Reply rate vs held-open connections",
             "held-open (inactive) connections",
@@ -238,7 +316,7 @@ impl FigureRunner {
             let mut rate = Series::new(&label);
             let mut lat = Series::new(&label);
             let mut mem = Series::new(&label);
-            for inactive in million_loads(cap) {
+            for inactive in MILLION_LOADS {
                 let mut report = self.cache[&(false, kind, inactive)].reports[0].clone();
                 let x = inactive as f64;
                 rate.push_err(x, report.rate.avg, report.rate.stddev);
@@ -263,53 +341,29 @@ impl FigureRunner {
     }
 
     fn cached(&mut self, spans: bool, kind: ServerKind, inactive: usize) -> &[RunReport] {
-        self.fetch(spans, &[(kind, inactive)]);
+        if spans {
+            self.span_prefetch(&[(kind, inactive)]);
+        } else {
+            self.prefetch(&[(kind, inactive)]);
+        }
         &self.cache[&(spans, kind, inactive)].reports
     }
 
-    /// Executes run points on the worker pool, returning
-    /// `(report, wall_ms, summary_line)` per point in input order. With
-    /// `spans` set, runs carry histogram-only span tracing (retention 0).
-    fn run_points(
-        &self,
-        points: &[(ServerKind, usize, f64)],
-        spans: bool,
-    ) -> Vec<(RunReport, f64, String)> {
-        let config = &self.config;
-        let clock = self.clock;
-        let tick = move || clock.map_or(0.0, |c| c());
-        run_jobs(self.jobs, points, move |&(kind, inactive, rate)| {
-            let mut params = RunParams::paper(kind, rate, inactive)
-                .with_conns(config.conns)
-                .with_seed(config.seed);
-            if spans {
-                params = params.with_span_retain(0);
-            }
-            let started = tick();
-            let mut report = run_one(params);
-            let wall = tick() - started;
-            let line = format!("  {}", report.summary_line());
-            (report, wall, line)
-        })
-    }
-
-    /// Inserts one completed sweep, logging its (already rate-ordered)
-    /// summary lines. Buffered-then-printed so stderr is identical at
-    /// every worker count.
-    fn absorb(&mut self, spans: bool, key: SweepKey, results: Vec<(RunReport, f64, String)>) {
-        let suffix = if spans { " [spans]" } else { "" };
-        let mut reports = Vec::with_capacity(results.len());
-        let mut wall_ms = 0.0;
-        for (report, run_wall, line) in results {
-            if self.verbose {
-                eprintln!("{line}{suffix}");
-            }
-            wall_ms += run_wall;
-            reports.push(report);
-        }
-        let (kind, inactive) = key;
-        self.cache
-            .insert((spans, kind, inactive), CachedSweep { reports, wall_ms });
+    /// Span-traced runs that retain their records, one per anatomy
+    /// mechanism at `rate` and `inactive`: the Chrome traces and folded
+    /// stacks of `figures --trace-export`. They are not cached, so they
+    /// stay out of `BENCH.json` and the probe dumps, and log nothing.
+    pub fn span_traces(&self, rate: f64, inactive: usize) -> Vec<(ServerKind, RunReport)> {
+        let kinds = anatomy_kinds();
+        let runs = kinds
+            .iter()
+            .map(|&kind| self.params(kind, rate, inactive).with_spans())
+            .collect();
+        let reports = self.execute(runs, |_, _| None);
+        kinds
+            .into_iter()
+            .zip(reports.into_iter().map(|r| r.0))
+            .collect()
     }
 
     /// Folds every cached sweep into a [`BenchReport`] (see
@@ -347,11 +401,7 @@ impl FigureRunner {
     /// format of Figs. 4–9 and 11–13.
     pub fn reply_rate_figure(&mut self, title: &str, kind: ServerKind, inactive: usize) -> Figure {
         let reports = self.sweep(kind, inactive).to_vec();
-        let mut fig = Figure::new(
-            title,
-            format!("targeted request rate with load {inactive}"),
-            "reply rate",
-        );
+        let mut fig = Figure::new(title, rate_axis(inactive), "reply rate");
         let mut avg = Series::new("Average");
         let mut min = Series::new("Min");
         let mut max = Series::new("Max");
@@ -368,59 +418,29 @@ impl FigureRunner {
 
     /// Error-percentage figure (one panel of Fig. 10).
     pub fn error_figure(&mut self, title: &str, inactive: usize) -> Figure {
-        let devpoll: Vec<(f64, f64)> = self
-            .sweep(ServerKind::ThttpdDevPoll, inactive)
-            .iter()
-            .map(|r| (r.target_rate, r.error_percent()))
-            .collect();
-        let poll: Vec<(f64, f64)> = self
-            .sweep(ServerKind::ThttpdPoll, inactive)
-            .iter()
-            .map(|r| (r.target_rate, r.error_percent()))
-            .collect();
-        let mut fig = Figure::new(
+        let kinds = [
+            ("using devpoll", ServerKind::ThttpdDevPoll),
+            ("normal poll", ServerKind::ThttpdPoll),
+        ];
+        let mut series = self.rate_series(&kinds, inactive);
+        panel(
             title,
-            format!("targeted request rate with load {inactive}"),
+            rate_axis(inactive),
             "errors in percent",
-        );
-        let mut s1 = Series::new("using devpoll");
-        for (x, y) in devpoll {
-            s1.push(x, y);
-        }
-        let mut s2 = Series::new("normal poll");
-        for (x, y) in poll {
-            s2.push(x, y);
-        }
-        fig.add(s1);
-        fig.add(s2);
-        fig
+            &mut series,
+            |r| r.error_percent(),
+        )
     }
 
     /// Median-latency figure (Fig. 14).
     pub fn latency_figure(&mut self, title: &str, inactive: usize) -> Figure {
-        let mut fig = Figure::new(
-            title,
-            format!("targeted request rate with load {inactive}"),
-            "median connection time in ms",
-        );
-        for (label, kind) in [
+        let kinds = [
             ("devpoll", ServerKind::ThttpdDevPoll),
             ("normal poll", ServerKind::ThttpdPoll),
             ("phhttpd", ServerKind::Phhttpd),
-        ] {
-            let pts: Vec<(f64, f64)> = self
-                .sweep(kind, inactive)
-                .to_vec()
-                .iter_mut()
-                .map(|r| (r.target_rate, r.median_latency_ms()))
-                .collect();
-            let mut s = Series::new(label);
-            for (x, y) in pts {
-                s.push(x, y);
-            }
-            fig.add(s);
-        }
-        fig
+        ];
+        let mut series = self.rate_series(&kinds, inactive);
+        panel(title, rate_axis(inactive), MEDIAN_MS, &mut series, median)
     }
 
     /// Latency anatomy (observability extension): for each mechanism, a
@@ -436,7 +456,7 @@ impl FigureRunner {
                 "ANATOMY. Per-phase latency breakdown, {}, load {inactive} (stacked ns/reply)",
                 kind.label()
             ),
-            format!("targeted request rate with load {inactive}"),
+            rate_axis(inactive),
             "cumulative mean ns per reply, by phase",
         );
         let mut stacked: Vec<f64> = vec![0.0; reports.len()];
@@ -520,143 +540,75 @@ impl FigureRunner {
         }
     }
 
-    /// Extension: the hybrid server (the paper's §4 thought experiment)
-    /// against its two constituents at the given load.
-    pub fn hybrid_figure(&mut self, inactive: usize) -> Vec<Figure> {
-        let mut rate_fig = Figure::new(
-            format!("EXTENSION. Hybrid server vs constituents, load {inactive}"),
-            format!("targeted request rate with load {inactive}"),
-            "average reply rate",
-        );
-        let mut lat_fig = Figure::new(
-            format!("EXTENSION. Hybrid server latency, load {inactive}"),
-            format!("targeted request rate with load {inactive}"),
-            "median connection time in ms",
-        );
-        for (label, kind) in [
-            ("hybrid", ServerKind::Hybrid),
-            ("devpoll", ServerKind::ThttpdDevPoll),
-            ("phhttpd", ServerKind::Phhttpd),
-        ] {
-            let pts: Vec<(f64, f64, f64)> = self
-                .sweep(kind, inactive)
-                .to_vec()
-                .iter_mut()
-                .map(|r| (r.target_rate, r.rate.avg, r.median_latency_ms()))
-                .collect();
-            let mut s = Series::new(label);
-            let mut l = Series::new(label);
-            for (x, avg, med) in pts {
-                s.push(x, avg);
-                l.push(x, med);
-            }
-            rate_fig.add(s);
-            lat_fig.add(l);
-        }
-        vec![rate_fig, lat_fig]
+    /// Two panels against the request rate at `inactive`, one series
+    /// per kind: average reply rate under `titles[0]`, median latency
+    /// under `titles[1]`.
+    fn rate_and_latency(
+        &mut self,
+        titles: [String; 2],
+        kinds: &[(&'static str, ServerKind)],
+        inactive: usize,
+    ) -> Vec<Figure> {
+        let mut series = self.rate_series(kinds, inactive);
+        let [rate_title, lat_title] = titles;
+        vec![
+            panel(rate_title, rate_axis(inactive), AVG_RATE, &mut series, avg),
+            panel(
+                lat_title,
+                rate_axis(inactive),
+                MEDIAN_MS,
+                &mut series,
+                median,
+            ),
+        ]
     }
 
-    /// Ablation: `/dev/poll` without driver hints (§3.2).
-    pub fn ablate_hints(&mut self, inactive: usize) -> Vec<Figure> {
-        let no_hints = ServerKind::ThttpdDevPollWith {
-            config: DevPollConfig {
-                hints: false,
-                ..DevPollConfig::default()
-            },
-            mmap: true,
-            combined: false,
-        };
-        self.compare_two(
-            format!("ABLATION. /dev/poll hints on vs off, load {inactive}"),
-            ("hints on", ServerKind::ThttpdDevPoll),
-            ("hints off", no_hints),
-            inactive,
-        )
-    }
-
-    /// Ablation: the mmap result area vs copy-out (§3.3).
-    pub fn ablate_mmap(&mut self, inactive: usize) -> Vec<Figure> {
-        let no_mmap = ServerKind::ThttpdDevPollWith {
-            config: DevPollConfig::default(),
-            mmap: false,
-            combined: false,
-        };
-        self.compare_two(
-            format!("ABLATION. /dev/poll mmap results vs copy-out, load {inactive}"),
-            ("mmap", ServerKind::ThttpdDevPoll),
-            ("copy-out", no_mmap),
-            inactive,
-        )
-    }
-
-    /// Ablation: the combined write+ioctl operation (§6 future work).
-    pub fn ablate_combined(&mut self, inactive: usize) -> Vec<Figure> {
-        let combined = ServerKind::ThttpdDevPollWith {
-            config: DevPollConfig::default(),
-            mmap: true,
-            combined: true,
-        };
-        self.compare_two(
-            format!("ABLATION. Separate write+ioctl vs combined op, load {inactive}"),
-            ("separate", ServerKind::ThttpdDevPoll),
-            ("combined", combined),
-            inactive,
-        )
-    }
-
-    /// Ablation: `sigtimedwait4()` batch dequeue for phhttpd (§6).
-    pub fn ablate_batch(&mut self, inactive: usize) -> Vec<Figure> {
-        self.compare_two(
-            format!("ABLATION. sigwaitinfo vs sigtimedwait4 batching, load {inactive}"),
-            ("one-at-a-time", ServerKind::Phhttpd),
-            ("sigtimedwait4(16)", ServerKind::PhhttpdBatch(16)),
-            inactive,
-        )
+    /// An ablation: the stock kind against the one with a feature
+    /// switched, at `inactive`; rate and latency panels titled `title`
+    /// plus the load.
+    fn ablation(
+        &mut self,
+        title: &str,
+        kinds: [(&'static str, ServerKind); 2],
+        inactive: usize,
+    ) -> Vec<Figure> {
+        let title = format!("{title}, load {inactive}");
+        let titles = [title.clone(), format!("{title} (latency)")];
+        self.rate_and_latency(titles, &kinds, inactive)
     }
 
     /// Extension: the thundering herd (§6's "waking only one thread").
     /// Four prefork workers share the listener; herd wakeups vs
     /// exclusive wakeups.
-    pub fn herd_figure(&mut self, inactive: usize) -> Vec<Figure> {
-        use simkernel::AcceptWake;
-        let mut lat_fig = Figure::new(
-            format!("EXTENSION. Thundering herd: 4 prefork workers, load {inactive}"),
-            format!("targeted request rate with load {inactive}"),
-            "median connection time in ms",
-        );
-        let mut wake_fig = Figure::new(
-            format!("EXTENSION. Kernel wakeups per reply, load {inactive}"),
-            format!("targeted request rate with load {inactive}"),
-            "wakeups / reply",
-        );
-        for (label, wake) in [
-            ("herd (wake all)", AcceptWake::Herd),
-            ("exclusive (wake one)", AcceptWake::Exclusive),
-        ] {
-            let kind = ServerKind::PreforkDevPoll { workers: 4, wake };
-            let pts: Vec<(f64, f64, f64)> = self
-                .sweep(kind, inactive)
-                .to_vec()
-                .iter_mut()
-                .map(|r| {
-                    let per_reply = if r.replies > 0 {
+    fn herd_figure(&mut self, inactive: usize) -> Vec<Figure> {
+        let prefork = |wake| ServerKind::PreforkDevPoll { workers: 4, wake };
+        let kinds = [
+            ("herd (wake all)", prefork(AcceptWake::Herd)),
+            ("exclusive (wake one)", prefork(AcceptWake::Exclusive)),
+        ];
+        let mut series = self.rate_series(&kinds, inactive);
+        vec![
+            panel(
+                format!("EXTENSION. Thundering herd: 4 prefork workers, load {inactive}"),
+                rate_axis(inactive),
+                MEDIAN_MS,
+                &mut series,
+                median,
+            ),
+            panel(
+                format!("EXTENSION. Kernel wakeups per reply, load {inactive}"),
+                rate_axis(inactive),
+                "wakeups / reply",
+                &mut series,
+                |r| {
+                    if r.replies > 0 {
                         r.probe.counter("kernel.wakeups") as f64 / r.replies as f64
                     } else {
                         0.0
-                    };
-                    (r.target_rate, r.median_latency_ms(), per_reply)
-                })
-                .collect();
-            let mut l = Series::new(label);
-            let mut w = Series::new(label);
-            for (x, med, per) in pts {
-                l.push(x, med);
-                w.push(x, per);
-            }
-            lat_fig.add(l);
-            wake_fig.add(w);
-        }
-        vec![lat_fig, wake_fig]
+                    }
+                },
+            ),
+        ]
     }
 
     /// Extension: document-size sensitivity (§5: "A web server's static
@@ -664,158 +616,92 @@ impl FigureRunner {
     /// documents. Larger documents cause sockets … to remain active over
     /// a longer time period … making the amortized cost of polling on a
     /// single file descriptor larger.").
-    pub fn docsize_figure(&mut self, rate: f64, inactive: usize) -> Vec<Figure> {
-        let sizes = [1024usize, 6 * 1024, 16 * 1024, 32 * 1024];
-        let mut rate_fig = Figure::new(
-            format!("EXTENSION. Document size sensitivity at {rate} req/s, load {inactive}"),
-            "document size in KB",
-            "average reply rate",
+    fn docsize_figure(&mut self, rate: f64, inactive: usize) -> Vec<Figure> {
+        let mut series = self.direct(
+            POLL_VS_DEVPOLL,
+            &[1.0, 6.0, 16.0, 32.0],
+            |kind, kb| {
+                self.params(kind, rate, inactive)
+                    .with_doc_bytes(kb as usize * 1024)
+            },
+            |kb| format!("doc={kb}KB "),
         );
-        let mut lat_fig = Figure::new(
-            format!("EXTENSION. Document size vs latency at {rate} req/s, load {inactive}"),
-            "document size in KB",
-            "median connection time in ms",
-        );
-        for (label, kind) in [
-            ("normal poll", ServerKind::ThttpdPoll),
-            ("devpoll", ServerKind::ThttpdDevPoll),
-        ] {
-            let mut s = Series::new(label);
-            let mut l = Series::new(label);
-            for &bytes in &sizes {
-                let params = RunParams::paper(kind, rate, inactive)
-                    .with_conns(self.config.conns)
-                    .with_seed(self.config.seed)
-                    .with_doc_bytes(bytes);
-                let mut r = run_one(params);
-                if self.verbose {
-                    eprintln!("  doc={}KB {}", bytes / 1024, r.summary_line());
-                }
-                let med = r.median_latency_ms();
-                s.push(bytes as f64 / 1024.0, r.rate.avg);
-                l.push(bytes as f64 / 1024.0, med);
-            }
-            rate_fig.add(s);
-            lat_fig.add(l);
-        }
-        vec![rate_fig, lat_fig]
+        vec![
+            panel(
+                format!("EXTENSION. Document size sensitivity at {rate} req/s, load {inactive}"),
+                "document size in KB",
+                AVG_RATE,
+                &mut series,
+                avg,
+            ),
+            panel(
+                format!("EXTENSION. Document size vs latency at {rate} req/s, load {inactive}"),
+                "document size in KB",
+                MEDIAN_MS,
+                &mut series,
+                median,
+            ),
+        ]
     }
 
     /// Extension: `sendfile()` vs `write()` for the response body (§6
     /// future work). Uses a 16 KB document so the copy saving is
     /// visible.
-    pub fn sendfile_figure(&mut self, inactive: usize) -> Vec<Figure> {
-        let mut lat_fig = Figure::new(
-            format!("EXTENSION. write() vs sendfile(), 16 KB document, load {inactive}"),
-            format!("targeted request rate with load {inactive}"),
-            "median connection time in ms",
+    fn sendfile_figure(&mut self, inactive: usize) -> Vec<Figure> {
+        let mut series = self.direct(
+            [
+                ("write()", ServerKind::ThttpdDevPoll),
+                ("sendfile()", ServerKind::ThttpdDevPollSendfile),
+            ],
+            &[400.0, 500.0, 600.0, 650.0, 700.0],
+            |kind, rate| self.params(kind, rate, inactive).with_doc_bytes(16 * 1024),
+            |_| String::new(),
         );
-        let mut rate_fig = Figure::new(
-            format!("EXTENSION. write() vs sendfile() throughput, load {inactive}"),
-            format!("targeted request rate with load {inactive}"),
-            "average reply rate",
-        );
-        for (label, kind) in [
-            ("write()", ServerKind::ThttpdDevPoll),
-            ("sendfile()", ServerKind::ThttpdDevPollSendfile),
-        ] {
-            let mut l = Series::new(label);
-            let mut s = Series::new(label);
-            for &rate in &[400.0, 500.0, 600.0, 650.0, 700.0] {
-                let params = RunParams::paper(kind, rate, inactive)
-                    .with_conns(self.config.conns)
-                    .with_seed(self.config.seed)
-                    .with_doc_bytes(16 * 1024);
-                let mut r = run_one(params);
-                if self.verbose {
-                    eprintln!("  {}", r.summary_line());
-                }
-                let med = r.median_latency_ms();
-                l.push(rate, med);
-                s.push(rate, r.rate.avg);
-            }
-            lat_fig.add(l);
-            rate_fig.add(s);
-        }
-        vec![rate_fig, lat_fig]
-    }
-
-    /// Extension: the pre-poll baseline. `select()` vs `poll()` vs
-    /// `/dev/poll` under inactive load — one interface generation earlier
-    /// than the paper's baseline.
-    pub fn select_figure(&mut self, inactive: usize) -> Vec<Figure> {
-        let mut rate_fig = Figure::new(
-            format!("EXTENSION. select() vs poll() vs /dev/poll, load {inactive}"),
-            format!("targeted request rate with load {inactive}"),
-            "average reply rate",
-        );
-        let mut lat_fig = Figure::new(
-            format!("EXTENSION. select() latency, load {inactive}"),
-            format!("targeted request rate with load {inactive}"),
-            "median connection time in ms",
-        );
-        for (label, kind) in [
-            ("select", ServerKind::ThttpdSelect),
-            ("normal poll", ServerKind::ThttpdPoll),
-            ("devpoll", ServerKind::ThttpdDevPoll),
-        ] {
-            let pts: Vec<(f64, f64, f64)> = self
-                .sweep(kind, inactive)
-                .to_vec()
-                .iter_mut()
-                .map(|r| (r.target_rate, r.rate.avg, r.median_latency_ms()))
-                .collect();
-            let mut s = Series::new(label);
-            let mut l = Series::new(label);
-            for (x, avg, med) in pts {
-                s.push(x, avg);
-                l.push(x, med);
-            }
-            rate_fig.add(s);
-            lat_fig.add(l);
-        }
-        vec![rate_fig, lat_fig]
+        vec![
+            panel(
+                format!("EXTENSION. write() vs sendfile() throughput, load {inactive}"),
+                rate_axis(inactive),
+                AVG_RATE,
+                &mut series,
+                avg,
+            ),
+            panel(
+                format!("EXTENSION. write() vs sendfile(), 16 KB document, load {inactive}"),
+                rate_axis(inactive),
+                MEDIAN_MS,
+                &mut series,
+                median,
+            ),
+        ]
     }
 
     /// Extension: random segment loss (fault injection). Lossy paths
     /// lengthen connection lifetimes (RTO stalls), which inflates the
     /// live descriptor set — compounding stock `poll()`'s scan costs
     /// while `/dev/poll` only pays per event.
-    pub fn loss_figure(&mut self, rate: f64, inactive: usize) -> Vec<Figure> {
-        let losses = [0.0f64, 0.01, 0.03, 0.05];
-        let mut rate_fig = Figure::new(
-            format!("EXTENSION. Random loss at {rate} req/s, load {inactive}"),
-            "segment loss in percent",
-            "average reply rate",
+    fn loss_figure(&mut self, rate: f64, inactive: usize) -> Vec<Figure> {
+        let mut series = self.direct(
+            POLL_VS_DEVPOLL,
+            &[0.0, 1.0, 3.0, 5.0],
+            |kind, pct| self.params(kind, rate, inactive).with_loss(pct / 100.0),
+            |pct| format!("loss={pct:.0}% "),
         );
-        let mut lat_fig = Figure::new(
-            format!("EXTENSION. Random loss vs latency at {rate} req/s, load {inactive}"),
-            "segment loss in percent",
-            "p90 connection time in ms",
-        );
-        for (label, kind) in [
-            ("normal poll", ServerKind::ThttpdPoll),
-            ("devpoll", ServerKind::ThttpdDevPoll),
-        ] {
-            let mut s = Series::new(label);
-            let mut l = Series::new(label);
-            for &loss in &losses {
-                let params = RunParams::paper(kind, rate, inactive)
-                    .with_conns(self.config.conns)
-                    .with_seed(self.config.seed)
-                    .with_loss(loss);
-                let mut r = run_one(params);
-                if self.verbose {
-                    eprintln!("  loss={:.0}% {}", loss * 100.0, r.summary_line());
-                }
-                let p90 = r.latency_quantile_ms(0.9);
-                s.push(loss * 100.0, r.rate.avg);
-                l.push(loss * 100.0, p90);
-            }
-            rate_fig.add(s);
-            lat_fig.add(l);
-        }
-        vec![rate_fig, lat_fig]
+        vec![
+            panel(
+                format!("EXTENSION. Random loss at {rate} req/s, load {inactive}"),
+                "segment loss in percent",
+                AVG_RATE,
+                &mut series,
+                avg,
+            ),
+            panel(
+                format!("EXTENSION. Random loss vs latency at {rate} req/s, load {inactive}"),
+                "segment loss in percent",
+                "p90 connection time in ms",
+                &mut series,
+                |r| r.latency_quantile_ms(0.9),
+            ),
+        ]
     }
 
     /// Extension: CPU-scaling sensitivity. Uniformly speed up the cost
@@ -824,67 +710,162 @@ impl FigureRunner {
     /// every speed until the 100 Mbit wire, not the event model, becomes
     /// the bottleneck.
     pub fn cpu_scaling_figure(&mut self, inactive: usize) -> Vec<Figure> {
-        let mut fig = Figure::new(
+        let mut series = self.direct(
+            POLL_VS_DEVPOLL,
+            &[1.0, 2.0, 4.0, 8.0],
+            |kind, factor| {
+                let mut params = self.params(kind, 900.0, inactive);
+                params.cost = params.cost.scaled(factor);
+                params
+            },
+            |factor| format!("cpu x{factor} "),
+        );
+        vec![panel(
             format!("EXTENSION. CPU scaling: avg reply rate at 900 req/s, load {inactive}"),
             "CPU speed multiplier over the K6-2",
             "average reply rate at 900 req/s offered",
-        );
-        for (label, kind) in [
+            &mut series,
+            avg,
+        )]
+    }
+}
+
+/// The x-axis label of a request-rate sweep at `inactive`.
+fn rate_axis(inactive: usize) -> String {
+    format!("targeted request rate with load {inactive}")
+}
+
+const AVG_RATE: &str = "average reply rate";
+const MEDIAN_MS: &str = "median connection time in ms";
+
+/// The stock-`poll()` against `/dev/poll` pair of the direct-run
+/// extensions.
+const POLL_VS_DEVPOLL: [(&str, ServerKind); 2] = [
+    ("normal poll", ServerKind::ThttpdPoll),
+    ("devpoll", ServerKind::ThttpdDevPoll),
+];
+
+fn avg(r: &mut RunReport) -> f64 {
+    r.rate.avg
+}
+
+fn median(r: &mut RunReport) -> f64 {
+    r.median_latency_ms()
+}
+
+/// One figure panel: a series per label, each run plotted at its x
+/// with the y that `y` reads from it.
+fn panel(
+    title: impl Into<String>,
+    x_label: impl Into<String>,
+    y_label: &str,
+    series: &mut [Points],
+    y: impl Fn(&mut RunReport) -> f64,
+) -> Figure {
+    let mut fig = Figure::new(title, x_label, y_label);
+    for (label, runs) in series.iter_mut() {
+        let mut s = Series::new(*label);
+        for (x, r) in runs.iter_mut() {
+            s.push(*x, y(r));
+        }
+        fig.add(s);
+    }
+    fig
+}
+
+/// An extension figure, built from the runner's cached sweeps or its
+/// direct runs.
+pub type ExtensionFigure = fn(&mut FigureRunner) -> Vec<Figure>;
+
+/// The extension figures in `figures -- extensions` order, by target
+/// name. Each is also a target on its own; its CSV stem is the name
+/// with `-` spelt `_`. [`extensions_grid`] lists the sweeps they read.
+pub const EXTENSIONS: [(&str, ExtensionFigure); 10] = [
+    // The hybrid server (the paper's §4 thought experiment) against
+    // its two constituents.
+    ("hybrid", |r| {
+        let kinds = [
+            ("hybrid", ServerKind::Hybrid),
+            ("devpoll", ServerKind::ThttpdDevPoll),
+            ("phhttpd", ServerKind::Phhttpd),
+        ];
+        let titles = [
+            "EXTENSION. Hybrid server vs constituents, load 251".to_string(),
+            "EXTENSION. Hybrid server latency, load 251".to_string(),
+        ];
+        r.rate_and_latency(titles, &kinds, 251)
+    }),
+    // `/dev/poll` without driver hints (§3.2).
+    ("ablate-hints", |r| {
+        let [no_hints, _, _] = devpoll_ablations();
+        let kinds = [
+            ("hints on", ServerKind::ThttpdDevPoll),
+            ("hints off", no_hints),
+        ];
+        r.ablation("ABLATION. /dev/poll hints on vs off", kinds, 501)
+    }),
+    // The mmap result area vs copy-out (§3.3).
+    ("ablate-mmap", |r| {
+        let [_, copy_out, _] = devpoll_ablations();
+        let kinds = [("mmap", ServerKind::ThttpdDevPoll), ("copy-out", copy_out)];
+        r.ablation("ABLATION. /dev/poll mmap results vs copy-out", kinds, 501)
+    }),
+    // The combined write+ioctl operation (§6 future work).
+    ("ablate-combined", |r| {
+        let [_, _, combined] = devpoll_ablations();
+        let kinds = [
+            ("separate", ServerKind::ThttpdDevPoll),
+            ("combined", combined),
+        ];
+        r.ablation("ABLATION. Separate write+ioctl vs combined op", kinds, 501)
+    }),
+    // `sigtimedwait4()` batch dequeue for phhttpd (§6).
+    ("ablate-batch", |r| {
+        let batch = ("sigtimedwait4(16)", ServerKind::PhhttpdBatch(16));
+        let kinds = [("one-at-a-time", ServerKind::Phhttpd), batch];
+        r.ablation(
+            "ABLATION. sigwaitinfo vs sigtimedwait4 batching",
+            kinds,
+            251,
+        )
+    }),
+    ("herd", |r| r.herd_figure(251)),
+    ("docsize", |r| r.docsize_figure(500.0, 251)),
+    ("sendfile", |r| r.sendfile_figure(1)),
+    ("loss", |r| r.loss_figure(500.0, 251)),
+    // The pre-poll baseline: one interface generation earlier than the
+    // paper's.
+    ("select", |r| {
+        let kinds = [
+            ("select", ServerKind::ThttpdSelect),
             ("normal poll", ServerKind::ThttpdPoll),
             ("devpoll", ServerKind::ThttpdDevPoll),
-        ] {
-            let mut s = Series::new(label);
-            for factor in [1.0f64, 2.0, 4.0, 8.0] {
-                let mut params = RunParams::paper(kind, 900.0, inactive)
-                    .with_conns(self.config.conns)
-                    .with_seed(self.config.seed);
-                params.cost = params.cost.scaled(factor);
-                let mut r = run_one(params);
-                if self.verbose {
-                    eprintln!("  cpu x{factor} {}", r.summary_line());
-                }
-                s.push(factor, r.rate.avg);
-            }
-            fig.add(s);
-        }
-        vec![fig]
-    }
+        ];
+        let titles = [
+            "EXTENSION. select() vs poll() vs /dev/poll, load 251".to_string(),
+            "EXTENSION. select() latency, load 251".to_string(),
+        ];
+        r.rate_and_latency(titles, &kinds, 251)
+    }),
+];
 
-    fn compare_two(
-        &mut self,
-        title: String,
-        a: (&str, ServerKind),
-        b: (&str, ServerKind),
-        inactive: usize,
-    ) -> Vec<Figure> {
-        let mut rate_fig = Figure::new(
-            title.clone(),
-            format!("targeted request rate with load {inactive}"),
-            "average reply rate",
-        );
-        let mut lat_fig = Figure::new(
-            format!("{title} (latency)"),
-            format!("targeted request rate with load {inactive}"),
-            "median connection time in ms",
-        );
-        for (label, kind) in [a, b] {
-            let pts: Vec<(f64, f64, f64)> = self
-                .sweep(kind, inactive)
-                .to_vec()
-                .iter_mut()
-                .map(|r| (r.target_rate, r.rate.avg, r.median_latency_ms()))
-                .collect();
-            let mut s = Series::new(label);
-            let mut l = Series::new(label);
-            for (x, avg, med) in pts {
-                s.push(x, avg);
-                l.push(x, med);
-            }
-            rate_fig.add(s);
-            lat_fig.add(l);
-        }
-        vec![rate_fig, lat_fig]
-    }
+/// The three `/dev/poll` ablation kinds, each the stock device with one
+/// feature switched: no driver hints (§3.2), copy-out results instead
+/// of the mmap area (§3.3), and the combined write+ioctl (§6).
+fn devpoll_ablations() -> [ServerKind; 3] {
+    let with = |hints, mmap, combined| ServerKind::ThttpdDevPollWith {
+        config: DevPollConfig {
+            hints,
+            ..DevPollConfig::default()
+        },
+        mmap,
+        combined,
+    };
+    [
+        with(false, true, false),
+        with(true, false, false),
+        with(true, true, true),
+    ]
 }
 
 /// Every paper figure id, in order.
@@ -917,25 +898,14 @@ pub fn million_kinds() -> [ServerKind; 2] {
     [ServerKind::ThttpdPoll, ServerKind::ThttpdDevPoll]
 }
 
-/// The full million-lane population. `MILLION_LOADS[..2]` (capping at
-/// 100 000) is the CI smoke subset; nightly runs all three.
+/// The held-open populations the million lane sweeps.
 pub const MILLION_LOADS: [usize; 3] = [10_000, 100_000, 1_000_000];
 
-/// The held-open populations the million lane sweeps, capped (the CI
-/// smoke stops at 100 000; nightly runs the full 10^6).
-pub fn million_loads(cap: usize) -> Vec<usize> {
-    MILLION_LOADS
-        .iter()
-        .copied()
-        .filter(|&n| n <= cap)
-        .collect()
-}
-
-/// The sweep grid behind `figures -- million` / `million-smoke`.
-pub fn million_grid(cap: usize) -> Vec<SweepKey> {
+/// The sweep grid behind `figures -- million`.
+pub fn million_grid() -> Vec<SweepKey> {
     let mut keys = Vec::new();
     for kind in million_kinds() {
-        for inactive in million_loads(cap) {
+        for inactive in MILLION_LOADS {
             keys.push((kind, inactive));
         }
     }
@@ -989,37 +959,18 @@ pub fn anatomy_grid(inactive: usize) -> Vec<SweepKey> {
     anatomy_kinds().iter().map(|&k| (k, inactive)).collect()
 }
 
-/// The cached sweeps behind `figures -- extensions` (the direct-run
-/// figures — docsize, sendfile, loss — manage their own points and are
-/// not prefetchable).
+/// The cached sweeps the [`EXTENSIONS`] read, prefetched as one batch
+/// by `figures -- extensions`. The direct-run figures (docsize,
+/// sendfile, loss) run their own points outside the cache.
 pub fn extensions_grid() -> Vec<SweepKey> {
-    use simkernel::AcceptWake;
-    let no_hints = ServerKind::ThttpdDevPollWith {
-        config: DevPollConfig {
-            hints: false,
-            ..DevPollConfig::default()
-        },
-        mmap: true,
-        combined: false,
-    };
-    let no_mmap = ServerKind::ThttpdDevPollWith {
-        config: DevPollConfig::default(),
-        mmap: false,
-        combined: false,
-    };
-    let combined = ServerKind::ThttpdDevPollWith {
-        config: DevPollConfig::default(),
-        mmap: true,
-        combined: true,
-    };
-    vec![
+    let mut keys = vec![
         (ServerKind::Hybrid, 251),
         (ServerKind::ThttpdDevPoll, 251),
         (ServerKind::Phhttpd, 251),
         (ServerKind::ThttpdDevPoll, 501),
-        (no_hints, 501),
-        (no_mmap, 501),
-        (combined, 501),
+    ];
+    keys.extend(devpoll_ablations().map(|kind| (kind, 501)));
+    keys.extend([
         (ServerKind::PhhttpdBatch(16), 251),
         (
             ServerKind::PreforkDevPoll {
@@ -1037,5 +988,6 @@ pub fn extensions_grid() -> Vec<SweepKey> {
         ),
         (ServerKind::ThttpdSelect, 251),
         (ServerKind::ThttpdPoll, 251),
-    ]
+    ]);
+    keys
 }

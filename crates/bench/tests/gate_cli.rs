@@ -44,13 +44,17 @@ fn figures_rejects_bad_input_before_running() {
     let tmp = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("figures_bad_input");
     let (out, bench) = (tmp.join("out"), tmp.join("BENCH.json"));
     let (out, bench) = (out.to_str().unwrap(), bench.to_str().unwrap());
-    let cases: [(&[&str], &str); 6] = [
+    // There is one configuration, so `--quick` and a `million-smoke`
+    // target are usage errors like any unknown flag or target.
+    let cases: [(&[&str], &str); 8] = [
         (&["--conns", "0", "select"], "--conns"),
         (&["--conns", "3k", "select"], "--conns"),
         (&["--seed", "x", "select"], "--seed"),
         (&["all", "bogus"], "bogus"),
         (&["select", "--bogus"], "--bogus"),
-        (&["--quick", "fig99"], "fig99"),
+        (&["fig99"], "fig99"),
+        (&["--quick", "fig4"], "--quick"),
+        (&["million-smoke"], "million-smoke"),
     ];
     for (args, offender) in cases {
         let mut full = vec!["--out", out, "--bench-out", bench];
@@ -59,6 +63,37 @@ fn figures_rejects_bad_input_before_running() {
         assert!(
             !std::path::Path::new(out).exists() && !std::path::Path::new(bench).exists(),
             "figures {args:?} wrote output before rejecting {offender}"
+        );
+    }
+}
+
+/// An unparsable `BENCH_JOBS` is a usage error naming it, not a silent
+/// fall-back to the machine's parallelism; nothing runs ahead of it.
+/// `--jobs` wins over the variable, so it is not read then.
+#[test]
+fn figures_rejects_an_unparsable_bench_jobs() {
+    let bin = env!("CARGO_BIN_EXE_figures");
+    let tmp = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("figures_bad_jobs_env");
+    let (out, bench) = (tmp.join("out"), tmp.join("BENCH.json"));
+    for value in ["two", "-1", "1.5"] {
+        let run = Command::new(bin)
+            .env(bench::JOBS_ENV, value)
+            .arg("--out")
+            .arg(&out)
+            .arg("--bench-out")
+            .arg(&bench)
+            .arg("fig4")
+            .output()
+            .expect("run figures");
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert_eq!(run.status.code(), Some(2), "BENCH_JOBS={value}: {stderr}");
+        assert!(
+            stderr.starts_with("BENCH_JOBS"),
+            "BENCH_JOBS={value}: stderr does not lead with the variable: {stderr}"
+        );
+        assert!(
+            !out.exists() && !bench.exists(),
+            "BENCH_JOBS={value}: figures wrote output before rejecting it"
         );
     }
 }

@@ -711,14 +711,14 @@ mod tests {
         let state = |w: &World| w.lg.conn_get(FIRST).map(|c| c.state);
         w.run_until(SimTime::from_millis(400));
         assert_eq!(state(&w), Some(State::Turnaround));
-        assert_eq!(w.net.readable_bytes(World::server(FIRST)), 0);
+        assert_eq!(w.net.endpoint_state(World::server(FIRST)).readable_bytes, 0);
         w.run_until(SimTime::from_millis(600));
         assert!(matches!(
             state(&w),
             Some(State::AwaitingReply { got: 0, .. })
         ));
         assert!(
-            w.net.readable_bytes(World::server(FIRST)) > 0,
+            w.net.endpoint_state(World::server(FIRST)).readable_bytes > 0,
             "request arrived"
         );
     }

@@ -247,7 +247,10 @@ mod tests {
         let text = String::from_utf8_lossy(&body);
         assert!(text.starts_with("HTTP/1.0 200 OK"));
         assert!(text.contains("Content-Length: 6144"));
-        assert!(net.peer_closed(client_ep), "HTTP/1.0: server closes");
+        assert!(
+            net.endpoint_state(client_ep).peer_closed,
+            "HTTP/1.0: server closes"
+        );
     }
 
     #[test]
@@ -299,7 +302,7 @@ mod tests {
         net.recv_into(client_ep, usize::MAX, &mut got).unwrap();
         assert!(reply.len() > 6144);
         assert_eq!(got, *reply, "the client reads exactly the reply's bytes");
-        assert!(net.peer_closed(client_ep));
+        assert!(net.endpoint_state(client_ep).peer_closed);
         net.close(SimTime::from_millis(120), client_ep).unwrap();
         pump(&mut net, &mut kernel, SimTime::from_millis(240));
         assert!(!net.exists(conn_id), "both directions fully closed");

@@ -29,11 +29,6 @@ impl<B: EventBackend> Thttpd<B> {
         }
     }
 
-    /// Backend access (diagnostics).
-    pub fn backend(&self) -> &B {
-        &self.backend
-    }
-
     /// The listener id once started (for prefork sharing).
     pub fn listener(&self, ctx: &ServerCtx<'_>) -> Option<ListenerId> {
         ctx.kernel.listener_of(self.table.pid, self.table.lfd).ok()

@@ -117,7 +117,11 @@ fn thttpd_devpoll_serves_and_closes() {
     let (conn, body) = request_response(&mut rig, &mut server, "/index.html");
     let text = String::from_utf8_lossy(&body);
     assert!(text.starts_with("HTTP/1.0 200 OK"), "{text}");
-    assert!(rig.net.peer_closed(EndpointId::new(conn, Side::Client)));
+    assert!(
+        rig.net
+            .endpoint_state(EndpointId::new(conn, Side::Client))
+            .peer_closed
+    );
     assert_eq!(server.metrics().replies, 1);
     assert_eq!(server.open_conns(), 0, "connection table cleaned");
 }
@@ -197,7 +201,12 @@ fn idle_connections_are_closed_after_timeout() {
     assert_eq!(server.open_conns(), 0);
     assert_eq!(server.metrics().idle_closed, 1);
     // The client saw the server's FIN.
-    assert!(rig.net.peer_closed(EndpointId::new(conn, Side::Client)) || !rig.net.exists(conn));
+    assert!(
+        rig.net
+            .endpoint_state(EndpointId::new(conn, Side::Client))
+            .peer_closed
+            || !rig.net.exists(conn)
+    );
 }
 
 #[test]
@@ -424,7 +433,10 @@ fn every_server_accounts_for_every_accepted_connection() {
         assert!(missing.starts_with(b"HTTP/1.0 404"), "{name}");
         assert!(bad.starts_with(b"HTTP/1.0 400"), "{name}");
         assert!(
-            rig.net.peer_closed(EndpointId::new(idle, Side::Client)) || !rig.net.exists(idle),
+            rig.net
+                .endpoint_state(EndpointId::new(idle, Side::Client))
+                .peer_closed
+                || !rig.net.exists(idle),
             "{name}: the idle connection was not closed"
         );
         let m = server.metrics();

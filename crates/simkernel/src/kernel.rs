@@ -1289,7 +1289,7 @@ impl Kernel {
                 SimDuration::from_nanos(self.cost.tx_per_segment * segs),
             );
         }
-        let writable = net.send_space(ep) > 0;
+        let writable = net.endpoint_state(ep).send_space > 0;
         self.update_mirror(pid, fd, |m| m.writable = writable);
         self.span_leaf(pid, Phase::Write, t0);
         if n == 0 {
@@ -1561,7 +1561,7 @@ mod tests {
         pump(&mut net, &mut kernel, SimTime::from_millis(100));
         let got = net.recv(client_ep, 10_000).unwrap();
         assert_eq!(got.len(), 6144);
-        assert!(net.peer_closed(client_ep));
+        assert!(net.endpoint_state(client_ep).peer_closed);
     }
 
     #[test]

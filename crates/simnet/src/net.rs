@@ -799,28 +799,10 @@ impl Network {
         })
     }
 
-    /// Bytes available for `recv` right now.
-    pub fn readable_bytes(&self, ep: EndpointId) -> usize {
-        self.conn(ep.conn).map_or(0, |c| c.ep(ep.side).inbox.len())
-    }
-
-    /// Whether the peer has closed its sending direction (EOF after the
-    /// inbox drains).
-    pub fn peer_closed(&self, ep: EndpointId) -> bool {
-        self.conn(ep.conn)
-            .is_some_and(|c| c.ep(ep.side).recv_done())
-    }
-
-    /// Free space in the send buffer.
-    pub fn send_space(&self, ep: EndpointId) -> usize {
-        self.conn(ep.conn)
-            .map_or(0, |c| c.ep(ep.side).send_space(&self.cfg))
-    }
-
     /// Everything a socket's readiness is computed from, read with one
-    /// lookup of the connection: what [`Network::readable_bytes`],
-    /// [`Network::peer_closed`], [`Network::send_space`] and
-    /// [`Network::exists`] return one at a time.
+    /// lookup of the connection: readable bytes, the peer's close, send
+    /// space, and whether the connection exists (as
+    /// [`Network::exists`]).
     pub fn endpoint_state(&self, ep: EndpointId) -> EndpointState {
         let Some(c) = self.conn(ep.conn) else {
             return EndpointState::default();
@@ -1487,6 +1469,10 @@ mod tests {
         assert_eq!(net.refused_count(lid), 0);
     }
 
+    /// Every field of `endpoint_state` follows each endpoint through a
+    /// connection's life, one expected state after another: two
+    /// connections each carry a request, then `a` closes from both ends
+    /// while `b`'s client resets it, and both are reaped.
     #[test]
     fn endpoint_state_reads_what_the_single_getters_read() {
         let mut net = Network::new(TcpConfig::default(), LinkConfig::default(), 2);
@@ -1497,19 +1483,78 @@ mod tests {
                 .unwrap()
         });
         let [a, b] = ids.map(|id| [Side::Client, Side::Server].map(|s| EndpointId::new(id, s)));
-        let check = |net: &Network| {
-            for ep in a.iter().chain(&b) {
-                let single = EndpointState {
-                    readable_bytes: net.readable_bytes(*ep),
-                    peer_closed: net.peer_closed(*ep),
-                    send_space: net.send_space(*ep),
-                    exists: net.exists(ep.conn),
-                };
-                assert_eq!(net.endpoint_state(*ep), single, "{ep:?}");
+        let open = EndpointState {
+            readable_bytes: 0,
+            peer_closed: false,
+            send_space: TcpConfig::default().send_buf,
+            exists: true,
+        };
+        let sent = EndpointState {
+            send_space: open.send_space - 5,
+            ..open
+        };
+        let request = EndpointState {
+            readable_bytes: 5,
+            ..open
+        };
+        let gone = EndpointState::default();
+        let expected = [
+            // a's client: its request is in flight, then acked; then
+            // the server's FIN arrives.
+            vec![
+                open,
+                sent,
+                open,
+                EndpointState {
+                    peer_closed: true,
+                    ..open
+                },
+                gone,
+            ],
+            // a's server: the request arrives, unread; then the
+            // client's FIN.
+            vec![
+                open,
+                request,
+                EndpointState {
+                    peer_closed: true,
+                    ..request
+                },
+                gone,
+            ],
+            // b's client resets with its request still unacked; the
+            // reset connection keeps its buffers until it is reaped.
+            vec![
+                open,
+                sent,
+                EndpointState {
+                    exists: false,
+                    ..sent
+                },
+                gone,
+            ],
+            // b's server: the request arrives, then the reset.
+            vec![
+                open,
+                request,
+                EndpointState {
+                    exists: false,
+                    ..request
+                },
+                gone,
+            ],
+        ];
+        let mut step = [0; 4];
+        let mut check = |net: &Network| {
+            for (i, ep) in a.iter().chain(&b).enumerate() {
+                let state = net.endpoint_state(*ep);
+                if state != expected[i][step[i]] {
+                    step[i] += 1;
+                    let want = expected[i].get(step[i]);
+                    assert_eq!(Some(&state), want, "{ep:?}, state {}", step[i]);
+                }
             }
         };
-        // Both connect and send a request; then `a` closes from both
-        // ends while `b`'s client resets, leaving a tombstone.
         let mut phase = 0;
         while let Some(at) = net.next_deadline() {
             net.advance(at);
@@ -1520,7 +1565,10 @@ mod tests {
                 net.send(at, a[0], b"GET /").unwrap();
                 net.send(at, b[0], b"GET /").unwrap();
                 phase = 1;
-            } else if phase == 1 && net.readable_bytes(a[1]) == 5 && net.readable_bytes(b[1]) == 5 {
+            } else if phase == 1
+                && net.endpoint_state(a[1]).readable_bytes == 5
+                && net.endpoint_state(b[1]).readable_bytes == 5
+            {
                 net.close(at, a[1]).unwrap();
                 net.close(at, a[0]).unwrap();
                 net.abort(at, b[0]).unwrap();
@@ -1529,7 +1577,11 @@ mod tests {
             check(&net);
         }
         assert_eq!(phase, 2, "the exchange ran");
-        assert_eq!(net.endpoint_state(a[1]), EndpointState::default());
+        assert_eq!(
+            step,
+            expected.map(|states| states.len() - 1),
+            "every state seen"
+        );
     }
 
     /// One request/response exchange on a new connection from host 0
@@ -1568,11 +1620,13 @@ mod tests {
         let now = run_until(net, &|net, _| net.accept_queue_len(lid) > 0);
         let server = net.accept(lid).unwrap();
         net.send(now, client, b"GET /").unwrap();
-        let now = run_until(net, &|net, _| net.readable_bytes(server) == 5);
+        let now = run_until(net, &|net, _| {
+            net.endpoint_state(server).readable_bytes == 5
+        });
         assert_eq!(net.recv(server, usize::MAX).unwrap(), b"GET /");
         net.send(now, server, reply).unwrap();
         net.close(now, server).unwrap();
-        let now = run_until(net, &|net, _| net.peer_closed(client));
+        let now = run_until(net, &|net, _| net.endpoint_state(client).peer_closed);
         let got = net.recv(client, usize::MAX).unwrap();
         net.close(now, client).unwrap();
         run_until(net, &|_, n| {

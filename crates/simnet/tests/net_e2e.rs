@@ -528,13 +528,13 @@ fn exchange(
     assert_eq!(net.send(now, client_ep, request).unwrap(), request.len());
     now += step;
     run(net, now);
-    assert_eq!(net.readable_bytes(server_ep), request.len());
+    assert_eq!(net.endpoint_state(server_ep).readable_bytes, request.len());
     assert_eq!(net.recv(server_ep, usize::MAX).unwrap(), request);
     assert_eq!(net.send(now, server_ep, reply).unwrap(), reply.len());
     net.close(now, server_ep).unwrap();
     now += step;
     run(net, now);
-    assert_eq!(net.readable_bytes(client_ep), reply.len());
+    assert_eq!(net.endpoint_state(client_ep).readable_bytes, reply.len());
     let got = net.recv(client_ep, read).unwrap();
     net.close(now, client_ep).unwrap();
     now += step;
@@ -600,7 +600,7 @@ fn warm_buffer_pool_leaves_the_state_fingerprint_alone() {
     now += step;
     for (net, &client) in worlds.iter_mut().zip(&eps) {
         run(net, now);
-        assert_eq!(net.readable_bytes(client), reply.len());
+        assert_eq!(net.endpoint_state(client).readable_bytes, reply.len());
         assert_eq!(net.recv(client, 2048).unwrap(), &reply[..2048]);
     }
     same(&worlds, "with bytes delivered and partly read");

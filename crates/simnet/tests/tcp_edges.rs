@@ -94,11 +94,11 @@ fn unread_data_is_available_until_consumed() {
     let t = SimTime::from_millis(10);
     net.send(t, server, b"take your time").unwrap();
     run(&mut net, SimTime::from_millis(50));
-    assert_eq!(net.readable_bytes(client), 14);
+    assert_eq!(net.endpoint_state(client).readable_bytes, 14);
     // Partial reads drain incrementally.
     let part = net.recv(client, 4).unwrap();
     assert_eq!(part, b"take");
-    assert_eq!(net.readable_bytes(client), 10);
+    assert_eq!(net.endpoint_state(client).readable_bytes, 10);
     let rest = net.recv(client, usize::MAX).unwrap();
     assert_eq!(rest, b" your time");
 }
@@ -154,7 +154,10 @@ fn half_close_allows_server_to_keep_sending() {
     net.send(t, client, b"request").unwrap();
     net.close(t, client).unwrap();
     run(&mut net, SimTime::from_millis(50));
-    assert!(net.peer_closed(server), "server sees the half-close");
+    assert!(
+        net.endpoint_state(server).peer_closed,
+        "server sees the half-close"
+    );
     let req = net.recv(server, usize::MAX).unwrap();
     assert_eq!(req, b"request");
     // Server responds on its still-open direction.

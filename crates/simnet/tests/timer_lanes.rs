@@ -58,7 +58,8 @@ fn transmitted_deliveries_constant_delay_rtos_and_time_wait_ends_never_fall_back
                     assert_eq!(net.send(now, ep, &REQUEST).unwrap(), REQUEST.len());
                 }
                 NetNotify::Readable { ep }
-                    if ep.side == Side::Server && net.readable_bytes(ep) == REQUEST.len() =>
+                    if ep.side == Side::Server
+                        && net.endpoint_state(ep).readable_bytes == REQUEST.len() =>
                 {
                     net.recv(ep, usize::MAX).unwrap();
                     assert_eq!(net.send(now, ep, &REPLY).unwrap(), REPLY.len());

@@ -9,14 +9,15 @@
 //! Figures and ablations live in the bench crate:
 //! `cargo run --release -p bench --bin figures -- all`.
 
-use scalable_net_io::bench::{effective_jobs, flag_value_where, run_jobs};
+use scalable_net_io::bench::figures::anatomy_kinds;
+use scalable_net_io::bench::{effective_jobs, flag_value, flag_value_where, run_jobs};
 use scalable_net_io::httperf::{run_one, LoadShape, RunParams, ServerKind};
 use scalable_net_io::simcore::span::Phase;
 use scalable_net_io::simcore::time::SimDuration;
 use scalable_net_io::simkernel::AcceptWake;
 
 struct Opts {
-    server: String,
+    server: ServerKind,
     rate: f64,
     inactive: usize,
     conns: u64,
@@ -33,7 +34,7 @@ struct Opts {
 impl Default for Opts {
     fn default() -> Opts {
         Opts {
-            server: "devpoll".to_string(),
+            server: ServerKind::ThttpdDevPoll,
             rate: 700.0,
             inactive: 251,
             conns: 8_000,
@@ -94,25 +95,35 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-fn parse_kind(name: &str) -> Option<ServerKind> {
-    Some(match name {
-        "select" => ServerKind::ThttpdSelect,
-        "poll" => ServerKind::ThttpdPoll,
-        "devpoll" => ServerKind::ThttpdDevPoll,
-        "devpoll-sendfile" => ServerKind::ThttpdDevPollSendfile,
-        "phhttpd" => ServerKind::Phhttpd,
-        "phhttpd-batch" => ServerKind::PhhttpdBatch(16),
-        "hybrid" => ServerKind::Hybrid,
-        "prefork-herd" => ServerKind::PreforkDevPoll {
-            workers: 4,
-            wake: AcceptWake::Herd,
-        },
-        "prefork-excl" => ServerKind::PreforkDevPoll {
-            workers: 4,
-            wake: AcceptWake::Exclusive,
-        },
-        _ => return None,
-    })
+/// A `--server` name: one of [`SERVER_NAMES`].
+struct Server(ServerKind);
+
+const SERVER_NAMES: &str = "one of select|poll|devpoll|devpoll-sendfile|phhttpd|\
+                            phhttpd-batch|hybrid|prefork-herd|prefork-excl";
+
+impl std::str::FromStr for Server {
+    type Err = ();
+
+    fn from_str(name: &str) -> Result<Server, ()> {
+        Ok(Server(match name {
+            "select" => ServerKind::ThttpdSelect,
+            "poll" => ServerKind::ThttpdPoll,
+            "devpoll" => ServerKind::ThttpdDevPoll,
+            "devpoll-sendfile" => ServerKind::ThttpdDevPollSendfile,
+            "phhttpd" => ServerKind::Phhttpd,
+            "phhttpd-batch" => ServerKind::PhhttpdBatch(16),
+            "hybrid" => ServerKind::Hybrid,
+            "prefork-herd" => ServerKind::PreforkDevPoll {
+                workers: 4,
+                wake: AcceptWake::Herd,
+            },
+            "prefork-excl" => ServerKind::PreforkDevPoll {
+                workers: 4,
+                wake: AcceptWake::Exclusive,
+            },
+            _ => return Err(()),
+        }))
+    }
 }
 
 fn params(kind: ServerKind, opts: &Opts, rate: f64) -> RunParams {
@@ -166,52 +177,53 @@ fn main() {
     let Some(cmd) = args.next() else { usage() };
     let mut opts = Opts::default();
     while let Some(a) = args.next() {
-        let mut val = || args.next().unwrap_or_else(|| usage());
-        match a.as_str() {
-            "--server" => opts.server = val(),
-            "--rate" => {
-                opts.rate = flag_value_where(
-                    "--rate",
-                    Some(&val()),
-                    "a finite rate above 0",
-                    |r: &f64| r.is_finite() && *r > 0.0,
-                )
-            }
-            "--inactive" => opts.inactive = val().parse().unwrap_or_else(|_| usage()),
-            "--conns" => {
-                opts.conns = flag_value_where("--conns", Some(&val()), "at least 1", |&n| n > 0)
-            }
-            "--seed" => opts.seed = val().parse().unwrap_or_else(|_| usage()),
-            "--loss" => {
-                opts.loss =
-                    flag_value_where("--loss", Some(&val()), "a probability in [0, 1]", |p| {
-                        (0.0..=1.0).contains(p)
-                    })
-            }
-            "--doc-bytes" => opts.doc_bytes = Some(val().parse().unwrap_or_else(|_| usage())),
+        let flag = a.as_str();
+        match flag {
             "--bursty" => opts.bursty = true,
             "--mem" => opts.mem = true,
             "--json" => opts.json = true,
-            "--jobs" => opts.jobs = Some(val().parse().unwrap_or_else(|_| usage())),
-            "--trace-export" => opts.trace_export = Some(val()),
+            "--server" | "--rate" | "--inactive" | "--conns" | "--seed" | "--loss"
+            | "--doc-bytes" | "--jobs" | "--trace-export" => {
+                let value = args.next();
+                let value = value.as_deref();
+                match flag {
+                    "--server" => {
+                        opts.server =
+                            flag_value_where(flag, value, SERVER_NAMES, |_: &Server| true).0
+                    }
+                    "--rate" => {
+                        opts.rate =
+                            flag_value_where(flag, value, "a finite rate above 0", |r: &f64| {
+                                r.is_finite() && *r > 0.0
+                            })
+                    }
+                    "--inactive" => opts.inactive = flag_value(flag, value),
+                    "--conns" => {
+                        opts.conns = flag_value_where(flag, value, "at least 1", |&n| n > 0)
+                    }
+                    "--seed" => opts.seed = flag_value(flag, value),
+                    "--loss" => {
+                        opts.loss = flag_value_where(flag, value, "a probability in [0, 1]", |p| {
+                            (0.0..=1.0).contains(p)
+                        })
+                    }
+                    "--doc-bytes" => opts.doc_bytes = Some(flag_value(flag, value)),
+                    "--jobs" => opts.jobs = Some(flag_value(flag, value)),
+                    _ => opts.trace_export = Some(flag_value(flag, value)),
+                }
+            }
             _ => usage(),
         }
     }
 
     match cmd.as_str() {
         "run" => {
-            let Some(kind) = parse_kind(&opts.server) else {
-                usage()
-            };
             header();
-            let mut r = run_one(params(kind, &opts, opts.rate));
+            let mut r = run_one(params(opts.server, &opts, opts.rate));
             row(&mut r);
         }
         "stats" => {
-            let Some(kind) = parse_kind(&opts.server) else {
-                usage()
-            };
-            let mut r = run_one(params(kind, &opts, opts.rate));
+            let mut r = run_one(params(opts.server, &opts, opts.rate));
             if opts.json {
                 let rate = format!("{}", r.target_rate);
                 let load = format!("{}", r.inactive);
@@ -234,10 +246,7 @@ fn main() {
             }
         }
         "timeline" => {
-            let Some(kind) = parse_kind(&opts.server) else {
-                usage()
-            };
-            let mut r = run_one(params(kind, &opts, opts.rate).with_spans());
+            let mut r = run_one(params(opts.server, &opts, opts.rate).with_spans());
             header();
             row(&mut r);
             println!();
@@ -276,11 +285,7 @@ fn main() {
             }
         }
         "compare" => {
-            let kinds: Vec<ServerKind> = ["select", "poll", "devpoll", "phhttpd", "hybrid"]
-                .iter()
-                .map(|name| parse_kind(name).expect("built-in kind"))
-                .collect();
-            let mut reports = run_jobs(effective_jobs(opts.jobs), &kinds, |&kind| {
+            let mut reports = run_jobs(effective_jobs(opts.jobs), &anatomy_kinds(), |&kind| {
                 run_one(params(kind, &opts, opts.rate))
             });
             header();
@@ -289,12 +294,9 @@ fn main() {
             }
         }
         "sweep" => {
-            let Some(kind) = parse_kind(&opts.server) else {
-                usage()
-            };
             let rates: Vec<f64> = (0..=6).map(|step| 500.0 + 100.0 * step as f64).collect();
             let mut reports = run_jobs(effective_jobs(opts.jobs), &rates, |&rate| {
-                run_one(params(kind, &opts, rate))
+                run_one(params(opts.server, &opts, rate))
             });
             header();
             for r in &mut reports {
