@@ -37,7 +37,7 @@ use std::fs;
 use std::path::PathBuf;
 
 use bench::figures::{
-    anatomy_grid, anatomy_kinds, extensions_grid, paper_grid, sweep_label, EXTENSIONS,
+    anatomy_grid, anatomy_kinds, extensions_grid, million_grid, paper_grid, sweep_label, EXTENSIONS,
 };
 use bench::{
     effective_jobs, flag_value, flag_value_where, FigureConfig, FigureRunner, PAPER_FIGURES,
@@ -115,6 +115,21 @@ fn main() {
         eprintln!("[executor: {jobs} worker threads]");
     }
 
+    // Every cached sweep the targets read runs in one batch, largest
+    // worlds first, so that no worker idles behind the longest world
+    // while another target's sweeps wait for a batch of their own.
+    let (mut rates, mut span_rates, mut million) = (Vec::new(), Vec::new(), Vec::new());
+    for t in &targets {
+        match t.as_str() {
+            "all" => rates.extend(paper_grid()),
+            "extensions" => rates.extend(extensions_grid()),
+            "latency-anatomy" => span_rates.extend(anatomy_grid(251)),
+            "million" => million.extend(million_grid()),
+            _ => {}
+        }
+    }
+    runner.prefetch_batch(&rates, &span_rates, &million);
+
     let emit = |name: &str, figs: Vec<Figure>| {
         for (i, fig) in figs.iter().enumerate() {
             let suffix = if figs.len() > 1 {
@@ -132,9 +147,6 @@ fn main() {
     for t in targets {
         match t.as_str() {
             "all" => {
-                // Fill the full 3x3 grid as one parallel batch, then
-                // build the figures from cache.
-                runner.prefetch(&paper_grid());
                 for id in PAPER_FIGURES {
                     eprintln!("== {id} ==");
                     let figs = runner.paper_figure(id);
@@ -142,7 +154,6 @@ fn main() {
                 }
             }
             "extensions" => {
-                runner.prefetch(&extensions_grid());
                 for (name, figure) in EXTENSIONS {
                     eprintln!("== {name} ==");
                     emit(&name.replace('-', "_"), figure(&mut runner));
@@ -150,7 +161,6 @@ fn main() {
             }
             "cpu-scaling" => emit("cpu_scaling", runner.cpu_scaling_figure(501)),
             "latency-anatomy" => {
-                runner.span_prefetch(&anatomy_grid(251));
                 for kind in anatomy_kinds() {
                     eprintln!("== anatomy {} ==", kind.label());
                     let fig = runner.latency_anatomy_figure(kind, 251);

@@ -5,7 +5,7 @@
 //! benchmark sweeps; results are cached per (server, inactive-load) so
 //! `all` runs the 3×3 grid once.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use devpoll::DevPollConfig;
 use httperf::{run_one, RunParams, RunReport, ServerKind};
@@ -138,21 +138,33 @@ impl FigureRunner {
     /// worker busy across sweep boundaries instead of paying a join
     /// barrier per sweep.
     pub fn prefetch(&mut self, keys: &[SweepKey]) {
-        self.fetch(false, keys, |r, kind, inactive| {
-            r.rate_sweep(kind, inactive)
-        });
+        self.fetch(self.rate_sweeps(false, keys));
     }
 
     /// Like [`FigureRunner::prefetch`], for span-enabled sweeps. Their
     /// reports carry `span_ns.*` histograms in their probe snapshots
     /// (records are not retained — histograms only).
     pub fn span_prefetch(&mut self, keys: &[SweepKey]) {
-        self.fetch(true, keys, |r, kind, inactive| {
-            r.rate_sweep(kind, inactive)
-                .into_iter()
-                .map(|p| p.with_span_retain(0))
-                .collect()
-        });
+        self.fetch(self.rate_sweeps(true, keys));
+    }
+
+    /// Runs every not-yet-cached sweep of three kinds as one parallel
+    /// batch: the rate sweeps of `rates` ([`FigureRunner::prefetch`]),
+    /// the span-enabled ones of `span_rates`
+    /// ([`FigureRunner::span_prefetch`]) and the million-lane points of
+    /// `million` ([`FigureRunner::million_figures`]). One batch starts
+    /// the costliest worlds first, so no worker idles behind the longest
+    /// world while another target's sweeps wait for the next batch.
+    pub fn prefetch_batch(
+        &mut self,
+        rates: &[SweepKey],
+        span_rates: &[SweepKey],
+        million: &[SweepKey],
+    ) {
+        let mut sweeps = self.rate_sweeps(false, rates);
+        sweeps.extend(self.rate_sweeps(true, span_rates));
+        sweeps.extend(self.million_sweeps(million));
+        self.fetch(sweeps);
     }
 
     /// The paper's run of `kind` at one point, at this runner's
@@ -172,34 +184,46 @@ impl FigureRunner {
             .collect()
     }
 
-    /// Runs the worlds (`worlds(self, kind, inactive)`, in x order) of
-    /// every sweep in `keys` not yet cached under `spans` as one batch,
-    /// and caches each sweep in key order.
-    fn fetch(
-        &mut self,
-        spans: bool,
-        keys: &[SweepKey],
-        worlds: fn(&FigureRunner, ServerKind, usize) -> Vec<RunParams>,
-    ) {
-        let mut runs = Vec::new();
-        let missing: Vec<(CacheKey, usize)> = keys
-            .iter()
-            .copied()
-            .collect::<BTreeSet<_>>()
-            .into_iter()
-            .filter(|&(kind, inactive)| !self.cache.contains_key(&(spans, kind, inactive)))
-            .map(|(kind, inactive)| {
-                let sweep = worlds(self, kind, inactive);
-                let points = sweep.len();
-                runs.extend(sweep);
-                ((spans, kind, inactive), points)
+    /// The rate sweep of each key, span-enabled if `spans`, under its
+    /// cache key.
+    fn rate_sweeps(&self, spans: bool, keys: &[SweepKey]) -> Vec<(CacheKey, Vec<RunParams>)> {
+        keys.iter()
+            .map(|&(kind, inactive)| {
+                let mut runs = self.rate_sweep(kind, inactive);
+                if spans {
+                    runs = runs.into_iter().map(|p| p.with_span_retain(0)).collect();
+                }
+                ((spans, kind, inactive), runs)
             })
+            .collect()
+    }
+
+    /// The million-lane point of each key, as a one-point sweep under
+    /// its cache key.
+    fn million_sweeps(&self, keys: &[SweepKey]) -> Vec<(CacheKey, Vec<RunParams>)> {
+        keys.iter()
+            .map(|&(kind, inactive)| {
+                let run = million_params(self.config.seed, kind, inactive);
+                ((false, kind, inactive), vec![run])
+            })
+            .collect()
+    }
+
+    /// Runs the worlds (in x order) of every sweep in `sweeps` not yet
+    /// cached as one batch, and caches each sweep in key order.
+    fn fetch(&mut self, sweeps: Vec<(CacheKey, Vec<RunParams>)>) {
+        let missing: BTreeMap<CacheKey, Vec<RunParams>> = sweeps
+            .into_iter()
+            .filter(|(key, _)| !self.cache.contains_key(key))
             .collect();
-        let suffix = if spans { " [spans]" } else { "" };
+        let points: Vec<(CacheKey, usize)> = missing.iter().map(|(&k, w)| (k, w.len())).collect();
+        let runs: Vec<RunParams> = missing.into_values().flatten().collect();
+        let spans: Vec<bool> = runs.iter().map(|r| r.spans).collect();
+        let suffix = |i: usize| if spans[i] { " [spans]" } else { "" };
         let mut results = self
-            .execute(runs, |_, line| Some(format!("  {line}{suffix}")))
+            .execute(runs, |i, line| Some(format!("  {line}{}", suffix(i))))
             .into_iter();
-        for (key, points) in missing {
+        for (key, points) in points {
             let (reports, walls): (Vec<_>, Vec<f64>) = results.by_ref().take(points).unzip();
             let wall_ms = walls.iter().sum();
             self.cache.insert(key, CachedSweep { reports, wall_ms });
@@ -208,9 +232,12 @@ impl FigureRunner {
 
     /// The one place the runner runs simulations: every world on the
     /// worker pool, each report back with its wall time in ms, in input
-    /// order. With `verbose`, `log(i, summary)` gives run `i`'s stderr
-    /// line (`None`: none); the lines go out after the batch, in input
-    /// order, so stderr is identical at every worker count.
+    /// order. The pool takes the worlds largest first (see
+    /// [`world_size`]): a long world claimed last would leave every
+    /// other worker idle until it ends. With `verbose`, `log(i,
+    /// summary)` gives run `i`'s stderr line (`None`: none); the lines
+    /// go out after the batch, in input order, so stderr is identical at
+    /// every worker count.
     fn execute(
         &self,
         runs: Vec<RunParams>,
@@ -218,15 +245,19 @@ impl FigureRunner {
     ) -> Vec<(RunReport, f64)> {
         let clock = self.clock;
         let tick = move || clock.map_or(0.0, |c| c());
-        let results = run_jobs(self.jobs, &runs, move |params| {
+        let mut order: Vec<usize> = (0..runs.len()).collect();
+        order.sort_by_key(|&i| std::cmp::Reverse(world_size(&runs[i])));
+        let results = run_jobs(self.jobs, &order, move |&i| {
             let started = tick();
-            let mut report = run_one(params.clone());
+            let mut report = run_one(runs[i].clone());
             let wall = tick() - started;
             let summary = report.summary_line();
             (report, wall, summary)
         });
+        let mut results: Vec<_> = order.into_iter().zip(results).collect();
+        results.sort_by_key(|&(i, _)| i);
         let mut out = Vec::with_capacity(results.len());
-        for (i, (report, wall, summary)) in results.into_iter().enumerate() {
+        for (i, (report, wall, summary)) in results {
             if let Some(line) = log(i, &summary).filter(|_| self.verbose) {
                 eprintln!("{line}");
             }
@@ -293,9 +324,7 @@ impl FigureRunner {
     /// population keys (10^4..10^6) cannot collide with the paper grid
     /// (1/251/501).
     pub fn million_figures(&mut self) -> Vec<Figure> {
-        self.fetch(false, &million_grid(), |r, kind, inactive| {
-            vec![million_params(r.config.seed, kind, inactive)]
-        });
+        self.fetch(self.million_sweeps(&million_grid()));
         let mut rate_fig = Figure::new(
             "Reply rate vs held-open connections",
             "held-open (inactive) connections",
@@ -889,6 +918,14 @@ pub fn paper_grid() -> Vec<SweepKey> {
         }
     }
     keys
+}
+
+/// The connections a world opens, its requests and its held-open
+/// population: the estimate of its wall time that orders a batch. The
+/// million lane's largest points lead by a wide margin; a paper-grid
+/// point costs about what its 35,000 requests do.
+fn world_size(p: &RunParams) -> u64 {
+    p.load.total_conns + p.load.inactive as u64
 }
 
 /// The mechanisms of the million-connection lane: the O(n) `poll()`

@@ -185,11 +185,13 @@ pub fn check_scan_results(
     checks
 }
 
-/// Audits a stock-`poll()` wait that evaluated only its candidates
-/// ([`crate::StockPollBackend`]) against a full scan of its array, the
-/// evaluation [`crate::sys_poll`] makes: every ready entry must be a
-/// candidate of the next wait, and `results` must be exactly the full
-/// scan's first `max` ready entries. `fds` is in ascending fd order;
+/// Audits a stock-`poll()` wait that evaluated only its candidates and
+/// unparked its kept registrations ([`crate::StockPollBackend`])
+/// against what [`crate::sys_poll`] does: every ready entry must be a
+/// candidate of the next wait, `results` must be exactly a full scan's
+/// first `max` ready entries, and the live wait-queue registrations of
+/// `pid` must be exactly the fds of `fds` after a wait that `blocked`,
+/// and none after one that did not. `fds` is in ascending fd order;
 /// `is_candidate` answers membership in the next wait's candidate set.
 pub fn check_stock_poll(
     kernel: &Kernel,
@@ -198,6 +200,7 @@ pub fn check_stock_poll(
     is_candidate: impl Fn(Fd) -> bool,
     results: &[PollFd],
     max: usize,
+    blocked: bool,
 ) -> u64 {
     let mut checks = 0u64;
     let mut ready = 0usize;
@@ -243,5 +246,36 @@ pub fn check_stock_poll(
          fd order: {:?}",
         results.get(returned).map(|r| r.fd)
     );
+    checks + check_stock_registrations(kernel, pid, fds, blocked)
+}
+
+/// The registration half of [`check_stock_poll`]: names the first fd
+/// whose registration differs from a full one.
+fn check_stock_registrations(kernel: &Kernel, pid: Pid, fds: &[PollFd], blocked: bool) -> u64 {
+    let mut checks = 0u64;
+    kernel.for_each_watched(pid, |fd| {
+        checks += 1;
+        assert!(
+            blocked && fds.binary_search_by_key(&fd, |f| f.fd).is_ok(),
+            "simcheck audit: stock poll() of pid {pid} left fd {fd} on its wait queue after a \
+             wait that {}",
+            if blocked {
+                "blocked, but fd is not in its array"
+            } else {
+                "did not block"
+            }
+        );
+    });
+    if blocked {
+        for f in fds {
+            checks += 1;
+            assert!(
+                kernel.is_watched(pid, f.fd),
+                "simcheck audit: stock poll() of pid {pid} blocked without fd {} of its array on \
+                 its wait queue",
+                f.fd
+            );
+        }
+    }
     checks
 }

@@ -147,9 +147,24 @@ impl UserInterest {
 /// evaluated and has gained no bit since, so it is still not ready. A
 /// wait evaluates only the candidates, in ascending fd order, and stops
 /// at `max` ready. It returns what `sys_poll` over the same array
-/// would: its first `max` ready entries. A checked registry (every
-/// debug build) verifies that after every wait with a full scan
-/// ([`crate::audit::check_stock_poll`]).
+/// would: its first `max` ready entries.
+///
+/// It registers less, too. Each call deregisters every wait-queue entry
+/// ([`Kernel::unwatch_all`] parks them in O(1)), and a call that would
+/// block registers the whole array again. The backend claims the
+/// entries it registers ([`Kernel::claim_watches`]); while they are
+/// parked, each fd its array gains or loses is mirrored in them
+/// ([`Kernel::keep_watch`]). A close leaves a parked entry alone, as a
+/// full registration would register the closed fd again while it is in
+/// the array. So a would-block only unparks them
+/// ([`Kernel::unpark_watches`]). It registers in full when they are not
+/// kept: on the first wait, after the array changed while they were
+/// live, and after any other write to the process's watcher set
+/// (`sys_poll`, `select()`, `/dev/poll`, a close during a sleep). The
+/// kernel keeps one array's entries per process, so a process polls
+/// through one `StockPollBackend`. A checked registry (every debug
+/// build) verifies results and registrations after every wait against
+/// a full scan ([`crate::audit::check_stock_poll`]).
 #[derive(Debug, Default, Clone)]
 pub struct StockPollBackend {
     fds: Vec<PollFd>,
@@ -220,6 +235,19 @@ impl FdBitmap {
     }
 }
 
+/// Leaves exactly the fds of `fds` registered on their wait queues, at
+/// a wait that would block: unparks the kept registrations, or, if the
+/// kernel no longer keeps them, registers and claims every fd.
+// #[hot_path] — simcheck bans per-call allocation in this function
+fn reregister(kernel: &mut Kernel, pid: Pid, fds: &[PollFd]) {
+    if !kernel.unpark_watches(pid) {
+        for f in fds {
+            kernel.watch(pid, f.fd);
+        }
+        kernel.claim_watches(pid);
+    }
+}
+
 /// Evaluates `candidates` in ascending fd order against `fds`, appending
 /// up to `max` ready entries to `out`, and stops once it has found
 /// `max` ready (at least one, so the caller learns whether anything is
@@ -287,9 +315,9 @@ impl EventBackend for StockPollBackend {
 
     fn set_interest(
         &mut self,
-        _kernel: &mut Kernel,
+        kernel: &mut Kernel,
         _registry: &mut DevPollRegistry,
-        _pid: Pid,
+        pid: Pid,
         fd: Fd,
         events: PollBits,
     ) -> Result<(), Errno> {
@@ -299,7 +327,10 @@ impl EventBackend for StockPollBackend {
         }
         match self.fds.binary_search_by_key(&fd, |f| f.fd) {
             Ok(ix) => self.fds[ix].events = events,
-            Err(ix) => self.fds.insert(ix, PollFd::new(fd, events)),
+            Err(ix) => {
+                self.fds.insert(ix, PollFd::new(fd, events));
+                kernel.keep_watch(pid, fd, true);
+            }
         }
         self.candidates.insert(fd);
         Ok(())
@@ -307,13 +338,14 @@ impl EventBackend for StockPollBackend {
 
     fn remove_interest(
         &mut self,
-        _kernel: &mut Kernel,
+        kernel: &mut Kernel,
         _registry: &mut DevPollRegistry,
-        _pid: Pid,
+        pid: Pid,
         fd: Fd,
     ) -> Result<(), Errno> {
         if let Ok(ix) = self.fds.binary_search_by_key(&fd, |f| f.fd) {
             self.fds.remove(ix);
+            kernel.keep_watch(pid, fd, false);
         }
         Ok(())
     }
@@ -330,9 +362,14 @@ impl EventBackend for StockPollBackend {
         self.take_hints(kernel, pid);
         let base = out.len();
         let candidates = &mut self.candidates;
-        poll_call(kernel, pid, &mut self.fds, timeout_ms, |kernel, fds| {
-            poll_candidates(kernel, pid, fds, candidates, max, out)
-        });
+        let outcome = poll_call(
+            kernel,
+            pid,
+            &mut self.fds,
+            timeout_ms,
+            |kernel, fds| poll_candidates(kernel, pid, fds, candidates, max, out),
+            |kernel, fds| reregister(kernel, pid, fds),
+        );
         registry.run_audit(|| {
             let candidates = &self.candidates;
             audit::check_stock_poll(
@@ -342,6 +379,7 @@ impl EventBackend for StockPollBackend {
                 |fd| candidates.contains(fd),
                 &out[base..],
                 max,
+                outcome == PollOutcome::WouldBlock,
             )
         });
         Ok(())
@@ -722,6 +760,12 @@ mod tests {
 
         /// One non-blocking wait: `(fd, revents)` in result order.
         fn wait(&mut self, b: &mut StockPollBackend) -> Vec<(Fd, PollBits)> {
+            self.wait_with(b, 0)
+        }
+
+        /// One wait with `timeout_ms`: `(fd, revents)` in result order.
+        /// A wait that would block leaves its registrations in place.
+        fn wait_with(&mut self, b: &mut StockPollBackend, timeout_ms: i32) -> Vec<(Fd, PollBits)> {
             let mut out = Vec::new();
             self.kernel.begin_batch(self.now, self.pid);
             b.wait(
@@ -729,7 +773,7 @@ mod tests {
                 &mut self.registry,
                 self.pid,
                 usize::MAX,
-                0,
+                timeout_ms,
                 &mut out,
             )
             .unwrap();
@@ -793,6 +837,47 @@ mod tests {
         w.set(&mut b, fds[0], PollBits::POLLOUT);
         let got: Vec<Fd> = ready(w.wait(&mut b));
         assert_eq!(got, fds);
+    }
+
+    #[test]
+    fn stock_poll_blocks_registered_on_exactly_its_array() {
+        let mut w = World::new(3);
+        let mut b = StockPollBackend::new();
+        let fds: Vec<Fd> = w.conns.iter().map(|&(fd, _)| fd).collect();
+        let watched = |w: &World| {
+            let mut got = Vec::new();
+            w.kernel.for_each_watched(w.pid, |fd| got.push(fd));
+            got
+        };
+        w.set(&mut b, fds[0], PollBits::POLLIN);
+        w.set(&mut b, fds[1], PollBits::POLLIN);
+        assert_eq!(w.wait_with(&mut b, -1), vec![]);
+        assert_eq!(watched(&w), vec![fds[0], fds[1]]);
+
+        // Interest moves while the registrations are live, and without
+        // a close, which no kernel hint covers.
+        w.remove(&mut b, fds[0]);
+        w.set(&mut b, fds[2], PollBits::POLLIN);
+        assert_eq!(
+            watched(&w),
+            vec![fds[0], fds[1]],
+            "live until the next wait"
+        );
+        assert_eq!(w.wait_with(&mut b, -1), vec![]);
+        assert_eq!(watched(&w), vec![fds[1], fds[2]]);
+
+        // A ready wait leaves nothing registered. Interest then moves
+        // while the registrations are parked; the next sleep registers
+        // the array as it is then.
+        w.client_send(1, b"GET /");
+        assert_eq!(w.wait_with(&mut b, -1), vec![(fds[1], PollBits::POLLIN)]);
+        assert_eq!(watched(&w), vec![]);
+        w.remove(&mut b, fds[2]);
+        w.set(&mut b, fds[0], PollBits::POLLIN);
+        w.set(&mut b, fds[1], PollBits::POLLOUT);
+        w.set(&mut b, fds[1], PollBits::EMPTY);
+        assert_eq!(w.wait_with(&mut b, -1), vec![]);
+        assert_eq!(watched(&w), vec![fds[0], fds[1]]);
     }
 
     #[test]

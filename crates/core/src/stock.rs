@@ -8,10 +8,15 @@
 //! scalability to.
 //!
 //! Those charges are the model; the host work need not follow them.
-//! [`sys_poll`] evaluates every entry and is the reference.
-//! [`crate::StockPollBackend`] runs the same charging body,
-//! `poll_call`, around a scan of only the entries whose readiness may
-//! have changed since its last wait, and returns the same entries.
+//! [`sys_poll`] evaluates every entry, registers every entry when it
+//! would block, and is the reference. [`crate::StockPollBackend`] runs
+//! the same charging body, `poll_call`, around a scan of only the
+//! entries whose readiness may have changed since its last wait, and a
+//! registration that unparks the wait-queue entries the kernel kept
+//! from its last sleep, edited as its array changed
+//! ([`Kernel::unwatch_all`], [`Kernel::keep_watch`],
+//! [`Kernel::unpark_watches`]). It returns the same entries and leaves
+//! the same registrations.
 
 use simcore::probe::Metric;
 use simcore::span::Phase;
@@ -46,27 +51,43 @@ pub enum PollOutcome {
 /// event loop built on this call.
 // #[hot_path] — simcheck bans per-call allocation in this function
 pub fn sys_poll(kernel: &mut Kernel, pid: Pid, fds: &mut [PollFd], timeout_ms: i32) -> PollOutcome {
-    poll_call(kernel, pid, fds, timeout_ms, |kernel, fds| {
-        let mut ready = 0usize;
-        for f in fds.iter_mut() {
-            let state = kernel.readiness(pid, f.fd);
-            f.revents = state & (f.events | PollBits::always_reported());
-            if !f.revents.is_empty() {
-                ready += 1;
+    poll_call(
+        kernel,
+        pid,
+        fds,
+        timeout_ms,
+        |kernel, fds| {
+            let mut ready = 0usize;
+            for f in fds.iter_mut() {
+                let state = kernel.readiness(pid, f.fd);
+                f.revents = state & (f.events | PollBits::always_reported());
+                if !f.revents.is_empty() {
+                    ready += 1;
+                }
             }
-        }
-        ready
-    })
+            ready
+        },
+        |kernel, fds| {
+            for f in fds {
+                kernel.watch(pid, f.fd);
+            }
+        },
+    )
 }
 
 /// The modelled work of one `poll()` call over `fds`, around `scan`,
 /// which evaluates readiness on the host and returns how many entries
-/// it found ready ([`PollOutcome::Ready`] carries that count).
+/// it found ready ([`PollOutcome::Ready`] carries that count), and
+/// `register`, which on the would-block path leaves every fd of `fds`
+/// registered on its wait queue (the deregistration at entry left the
+/// set empty: [`Kernel::unwatch_all`]).
 ///
-/// Every charge, probe and span depends only on `fds.len()` and on
-/// whether `scan` found anything ready, so a scan that evaluates only
-/// the entries that may have changed, and stops early, is charged
-/// exactly like one that evaluates them all.
+/// Every charge, probe and span depends only on `fds.len()`, on the
+/// registrations the previous call left, and on whether `scan` found
+/// anything ready, so a scan that evaluates only the entries that may
+/// have changed, and stops early, is charged exactly like one that
+/// evaluates them all; and a registration that unparks the entries
+/// the kernel kept is charged like one that registers them all.
 // #[hot_path] — simcheck bans per-call allocation in this function
 pub(crate) fn poll_call(
     kernel: &mut Kernel,
@@ -74,6 +95,7 @@ pub(crate) fn poll_call(
     fds: &mut [PollFd],
     timeout_ms: i32,
     scan: impl FnOnce(&Kernel, &mut [PollFd]) -> usize,
+    register: impl FnOnce(&mut Kernel, &[PollFd]),
 ) -> PollOutcome {
     let cost = *kernel.cost_model();
     kernel.charge_app(pid, cost.syscall);
@@ -124,9 +146,7 @@ pub(crate) fn poll_call(
     // Nothing ready: register on every file's wait queue, then sleep.
     let t_wq = kernel.batch_acc(pid);
     kernel.charge_app(pid, cost.wq_add * fds.len() as u64);
-    for f in fds.iter() {
-        kernel.watch(pid, f.fd);
-    }
+    register(kernel, fds);
     if spans_on {
         kernel.span_leaf(pid, Phase::InterestReg, t_wq);
     }
@@ -149,7 +169,16 @@ mod tests {
         crate::settle(net, kernel, registry, now, until, |_, _, _, _, _| {})
     }
 
-    fn setup_with_conn() -> (Network, Kernel, Pid, simkernel::Fd, simnet::EndpointId) {
+    /// A server with a listener and one accepted, idle connection:
+    /// `(net, kernel, pid, connection fd, client endpoint, listener fd)`.
+    fn setup_with_conn() -> (
+        Network,
+        Kernel,
+        Pid,
+        simkernel::Fd,
+        simnet::EndpointId,
+        simkernel::Fd,
+    ) {
         let mut net = Network::new(TcpConfig::default(), LinkConfig::default(), 2);
         let mut kernel = Kernel::new(SERVER, CostModel::k6_2_400mhz());
         let pid = kernel.spawn_default();
@@ -180,12 +209,13 @@ mod tests {
             pid,
             fd,
             simnet::EndpointId::new(conn, simnet::Side::Client),
+            lfd,
         )
     }
 
     #[test]
     fn reports_ready_fd() {
-        let (mut net, mut kernel, pid, fd, client_ep) = setup_with_conn();
+        let (mut net, mut kernel, pid, fd, client_ep, _) = setup_with_conn();
         let t = SimTime::from_millis(20);
         net.send(t, client_ep, b"data").unwrap();
         settle(&mut net, &mut kernel, t, SimTime::from_millis(30));
@@ -200,7 +230,7 @@ mod tests {
 
     #[test]
     fn would_block_registers_watchers() {
-        let (_net, mut kernel, pid, fd, _client) = setup_with_conn();
+        let (_net, mut kernel, pid, fd, _client, _) = setup_with_conn();
         let t = SimTime::from_millis(20);
         kernel.begin_batch(t, pid);
         let mut fds = [PollFd::new(fd, PollBits::POLLIN)];
@@ -212,7 +242,7 @@ mod tests {
 
     #[test]
     fn zero_timeout_returns_immediately() {
-        let (_net, mut kernel, pid, fd, _client) = setup_with_conn();
+        let (_net, mut kernel, pid, fd, _client, _) = setup_with_conn();
         let t = SimTime::from_millis(20);
         kernel.begin_batch(t, pid);
         let mut fds = [PollFd::new(fd, PollBits::POLLIN)];
@@ -226,7 +256,7 @@ mod tests {
     fn cost_scales_linearly_with_interest_set_size() {
         // The core scalability defect of stock poll(): cost is O(n) in
         // the interest-set size even when nothing is ready.
-        let (_net, mut kernel, pid, fd, _client) = setup_with_conn();
+        let (_net, mut kernel, pid, fd, _client, _) = setup_with_conn();
         let t = SimTime::from_millis(20);
 
         let batch_cost = |kernel: &mut Kernel, n: usize| -> SimDuration {
@@ -255,7 +285,7 @@ mod tests {
 
     #[test]
     fn reports_hup_even_when_not_requested() {
-        let (mut net, mut kernel, pid, fd, client_ep) = setup_with_conn();
+        let (mut net, mut kernel, pid, fd, client_ep, _) = setup_with_conn();
         let t = SimTime::from_millis(20);
         net.close(t, client_ep).unwrap();
         settle(&mut net, &mut kernel, t, SimTime::from_millis(30));
@@ -267,5 +297,131 @@ mod tests {
         kernel.end_batch(t, pid);
         assert_eq!(out, PollOutcome::Ready(1));
         assert!(fds[0].revents.contains(PollBits::POLLHUP));
+    }
+
+    /// One wait over `fds` at `t`, through `sys_poll` or through
+    /// `backend`: its outcome and its charged cost.
+    fn wait_at(
+        kernel: &mut Kernel,
+        t: SimTime,
+        pid: Pid,
+        backend: Option<&mut crate::StockPollBackend>,
+        fds: &mut [PollFd],
+        timeout_ms: i32,
+    ) -> (PollOutcome, u64) {
+        use crate::EventBackend;
+        kernel.begin_batch(t, pid);
+        let t0 = kernel.batch_acc(pid);
+        let out = match backend {
+            None => sys_poll(kernel, pid, fds, timeout_ms),
+            Some(b) => {
+                let mut out = Vec::new();
+                let registry = &mut crate::DevPollRegistry::new();
+                b.wait(kernel, registry, pid, usize::MAX, timeout_ms, &mut out)
+                    .unwrap();
+                match out.len() {
+                    0 if timeout_ms != 0 => PollOutcome::WouldBlock,
+                    n => PollOutcome::Ready(n),
+                }
+            }
+        };
+        let cost = (kernel.batch_acc(pid) - t0).as_nanos();
+        kernel.end_batch(t, pid);
+        (out, cost)
+    }
+
+    /// A backend whose array is `fds`.
+    fn backend_over(kernel: &mut Kernel, pid: Pid, fds: &[PollFd]) -> crate::StockPollBackend {
+        use crate::EventBackend;
+        let mut b = crate::StockPollBackend::new();
+        let registry = &mut crate::DevPollRegistry::new();
+        for f in fds {
+            b.set_interest(kernel, registry, pid, f.fd, f.events)
+                .unwrap();
+        }
+        b
+    }
+
+    #[test]
+    fn a_ready_call_after_a_sleep_deregisters_everything() {
+        let cm = CostModel::k6_2_400mhz();
+        for through_backend in [false, true] {
+            let (mut net, mut kernel, pid, fd, client_ep, lfd) = setup_with_conn();
+            let mut fds = [
+                PollFd::new(lfd, PollBits::POLLIN),
+                PollFd::new(fd, PollBits::POLLIN),
+            ];
+            let mut backend = through_backend.then(|| backend_over(&mut kernel, pid, &fds));
+            let t = SimTime::from_millis(20);
+            let (out, _) = wait_at(&mut kernel, t, pid, backend.as_mut(), &mut fds, -1);
+            assert_eq!(out, PollOutcome::WouldBlock);
+            assert_eq!(kernel.watch_count(pid), 2);
+
+            net.send(t, client_ep, b"data").unwrap();
+            settle(&mut net, &mut kernel, t, SimTime::from_millis(30));
+            let t = SimTime::from_millis(30);
+            let (out, cost) = wait_at(&mut kernel, t, pid, backend.as_mut(), &mut fds, -1);
+            assert_eq!(out, PollOutcome::Ready(1));
+            assert_eq!(kernel.watch_count(pid), 0, "backend: {through_backend}");
+            assert!(!kernel.is_watched(pid, lfd) && !kernel.is_watched(pid, fd));
+            let per_fd = cm.pollfd_copyin + cm.driver_poll + cm.pollfd_copyout;
+            assert_eq!(
+                cost,
+                cm.syscall + 2 * cm.wq_remove + 2 * per_fd,
+                "backend: {through_backend}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_parked_set_written_by_the_device_or_select_is_rebuilt_in_full() {
+        let cm = CostModel::k6_2_400mhz();
+        for writer in ["device", "select"] {
+            let (mut net, mut kernel, pid, fd, client_ep, lfd) = setup_with_conn();
+            let mut fds = [
+                PollFd::new(lfd, PollBits::POLLIN),
+                PollFd::new(fd, PollBits::POLLIN),
+            ];
+            let mut b = backend_over(&mut kernel, pid, &fds);
+            // Sleep, then a ready call: the registrations are parked.
+            let t = SimTime::from_millis(20);
+            let (out, _) = wait_at(&mut kernel, t, pid, Some(&mut b), &mut fds, -1);
+            assert_eq!(out, PollOutcome::WouldBlock);
+            net.send(t, client_ep, b"data").unwrap();
+            settle(&mut net, &mut kernel, t, SimTime::from_millis(30));
+            let t = SimTime::from_millis(30);
+            let (out, _) = wait_at(&mut kernel, t, pid, Some(&mut b), &mut fds, -1);
+            assert_eq!(out, PollOutcome::Ready(1));
+            kernel.begin_batch(t, pid);
+            kernel.sys_read(&mut net, pid, fd, 4096).unwrap();
+
+            // Another registration path writes one watcher for `fd`.
+            if writer == "device" {
+                let registry = &mut crate::DevPollRegistry::new();
+                let dpfd = registry
+                    .open(&mut kernel, pid, crate::DevPollConfig::default())
+                    .unwrap();
+                registry
+                    .write(&mut kernel, pid, dpfd, &[PollFd::new(fd, PollBits::POLLIN)])
+                    .unwrap();
+            } else {
+                let (mut read, mut write) = (crate::FdSet::new(), crate::FdSet::new());
+                read.set(fd);
+                let out = crate::sys_select(&mut kernel, pid, &mut read, &mut write, -1);
+                assert_eq!(out, PollOutcome::WouldBlock);
+            }
+            kernel.end_batch(t, pid);
+            assert_eq!(kernel.watch_count(pid), 1, "{writer}");
+
+            // The next would-block deregisters that one and registers the
+            // whole array, and nothing else.
+            let (out, cost) = wait_at(&mut kernel, t, pid, Some(&mut b), &mut fds, -1);
+            assert_eq!(out, PollOutcome::WouldBlock, "{writer}");
+            let per_fd = cm.pollfd_copyin + cm.driver_poll + cm.wq_add;
+            assert_eq!(cost, cm.syscall + cm.wq_remove + 2 * per_fd, "{writer}");
+            let mut watched = Vec::new();
+            kernel.for_each_watched(pid, |fd| watched.push(fd));
+            assert_eq!(watched, vec![lfd, fd], "{writer}");
+        }
     }
 }

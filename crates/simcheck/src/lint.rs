@@ -945,9 +945,10 @@ let stored = deadline_us;
 
     /// Functions on the per-event path that must carry a `#[hot_path]`
     /// marker (every function of that name in the file's library code).
-    const HOT_FNS: [(&str, &str); 20] = [
+    const HOT_FNS: [(&str, &str); 21] = [
         ("crates/core/src/stock.rs", "sys_poll"),
         ("crates/core/src/backend.rs", "poll_candidates"),
+        ("crates/core/src/backend.rs", "reregister"),
         ("crates/core/src/dispatch.rs", "net_phase"),
         ("crates/core/src/dispatch.rs", "kernel_phase"),
         ("crates/core/src/device.rs", "dp_poll_into"),

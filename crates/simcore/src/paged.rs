@@ -249,6 +249,13 @@ impl PagedBits {
         }
     }
 
+    /// Whether bit `ix` lies on an allocated page, so that setting it
+    /// allocates nothing.
+    #[inline]
+    pub fn covers(&self, ix: usize) -> bool {
+        matches!(self.pages.get(ix / PAGE_BITS), Some(Some(_)))
+    }
+
     /// Sets bit `ix`; returns whether it was newly set.
     pub fn insert(&mut self, ix: usize) -> bool {
         let page = ix / PAGE_BITS;
@@ -396,6 +403,7 @@ mod tests {
         b.for_each_nonzero_word(|ix, w| words.push((ix, w)));
         assert_eq!(words, vec![(0, 1), (1, 1)]);
 
+        assert!(b.covers(PAGE_BITS - 1) && !b.covers(PAGE_BITS));
         b.clear();
         assert_eq!(b.count(), 0);
         assert!(!b.contains(0));

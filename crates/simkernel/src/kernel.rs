@@ -323,7 +323,12 @@ impl Kernel {
         });
         h.write_usize(self.accept_rr);
         h.write_len(self.watchers.len());
-        for set in &self.watchers {
+        for (set, p) in self.watchers.iter().zip(&self.procs) {
+            // A parked set writes the bytes of an empty one.
+            if p.watch_parked {
+                h.write_len(0);
+                continue;
+            }
             h.write_len(set.count());
             set.for_each_nonzero_word(|ix, word| {
                 h.write_usize(ix);
@@ -680,7 +685,9 @@ impl Kernel {
     // Watcher (wait-queue) registry.
     // ------------------------------------------------------------------
 
-    /// Registers `fd` so that its readiness events wake `pid`.
+    /// Registers `fd` so that its readiness events wake `pid`. On a
+    /// parked set (see [`Kernel::unwatch_all`]) the parked bits are
+    /// dropped first: this is not their owner's re-registration.
     ///
     /// Cost is *not* charged here; the caller (stock `poll()` or the
     /// `/dev/poll` device) charges per its own cost structure.
@@ -688,36 +695,115 @@ impl Kernel {
         if fd < 0 {
             return;
         }
-        if let Some(set) = self.watchers.get_mut(Self::proc_ix(pid)) {
+        let ix = Self::proc_ix(pid);
+        if let (Some(set), Some(p)) = (self.watchers.get_mut(ix), self.procs.get_mut(ix)) {
+            if std::mem::take(&mut p.watch_parked) {
+                set.clear();
+            }
+            p.watch_kept = false;
             set.insert(fd as usize);
         }
     }
 
-    /// Removes one watcher registration.
+    /// Removes one watcher registration. A parked set reads as empty,
+    /// so there is nothing to remove from one.
     pub fn unwatch(&mut self, pid: Pid, fd: Fd) {
         if fd < 0 {
             return;
         }
-        if let Some(set) = self.watchers.get_mut(Self::proc_ix(pid)) {
-            set.remove(fd as usize);
+        let ix = Self::proc_ix(pid);
+        if let (Some(set), Some(p)) = (self.watchers.get_mut(ix), self.procs.get_mut(ix)) {
+            if !p.watch_parked && set.remove(fd as usize) {
+                p.watch_kept = false;
+            }
         }
     }
 
     /// Removes every watcher registration of `pid`. Returns how many
     /// were removed (so the caller can charge per-fd costs).
+    ///
+    /// The set is parked, not cleared, so this is O(1): it reads as
+    /// empty, and its bits stay for the process's stock `poll()` to
+    /// re-register ([`Kernel::unpark_watches`]).
     pub fn unwatch_all(&mut self, pid: Pid) -> usize {
-        self.watchers.get_mut(Self::proc_ix(pid)).map_or(0, |set| {
-            let n = set.count();
+        let ix = Self::proc_ix(pid);
+        match (self.watchers.get(ix), self.procs.get_mut(ix)) {
+            (Some(set), Some(p)) if !p.watch_parked => {
+                p.watch_parked = true;
+                set.count()
+            }
+            _ => 0,
+        }
+    }
+
+    /// Declares `pid`'s live registrations the pollfd array of its
+    /// stock-`poll()` wait (its *kept* registrations): made by
+    /// [`Kernel::watch`] for every entry, and followed since by
+    /// [`Kernel::keep_watch`] for every entry added or removed. Any
+    /// other write to the set ([`Kernel::watch`], [`Kernel::unwatch`])
+    /// undoes the declaration. A process keeps one array's.
+    pub fn claim_watches(&mut self, pid: Pid) {
+        if let Some(p) = self.proc_get_mut(pid) {
+            p.watch_kept = true;
+        }
+    }
+
+    /// The kept pollfd array gained (`watched`) or lost `fd`: while the
+    /// kept registrations are parked, their bit for `fd` follows, so
+    /// that they still match the array when unparked. While they are
+    /// live the registrations must stay as the last wait made them, so
+    /// they are no longer kept; nor are they when the bit's page is not
+    /// allocated, since the page must appear, as it would without
+    /// parking, only when a wait registers the fd. Free of modelled
+    /// cost: the bits are registered, and charged, only when unparked.
+    pub fn keep_watch(&mut self, pid: Pid, fd: Fd, watched: bool) {
+        let ix = Self::proc_ix(pid);
+        let (Some(set), Some(p)) = (self.watchers.get_mut(ix), self.procs.get_mut(ix)) else {
+            return;
+        };
+        if !p.watch_kept || fd < 0 {
+            return;
+        }
+        if !p.watch_parked || (watched && !set.covers(fd as usize)) {
+            p.watch_kept = false;
+        } else if watched {
+            set.insert(fd as usize);
+        } else {
+            set.remove(fd as usize);
+        }
+    }
+
+    /// Re-registers the watchers [`Kernel::unwatch_all`] parked if they
+    /// are the kept ones ([`Kernel::claim_watches`]): returns `true`,
+    /// and the set is live again as its owner left it. Otherwise the
+    /// parked bits are dropped and it returns `false`: the set is live
+    /// and empty, to be registered in full. A live set is left as it is.
+    pub fn unpark_watches(&mut self, pid: Pid) -> bool {
+        let ix = Self::proc_ix(pid);
+        let (Some(set), Some(p)) = (self.watchers.get_mut(ix), self.procs.get_mut(ix)) else {
+            return false;
+        };
+        if !std::mem::take(&mut p.watch_parked) {
+            return false;
+        }
+        if !p.watch_kept {
             set.clear();
-            n
-        })
+        }
+        p.watch_kept
+    }
+
+    /// `pid`'s live watcher bits: `None` while they are parked.
+    fn live_watchers(&self, pid: Pid) -> Option<&PagedBits> {
+        let ix = Self::proc_ix(pid);
+        match (self.watchers.get(ix), self.procs.get(ix)) {
+            (Some(set), Some(p)) if !p.watch_parked => Some(set),
+            _ => None,
+        }
     }
 
     /// Number of active watcher registrations for `pid`.
     pub fn watch_count(&self, pid: Pid) -> usize {
-        self.watchers
-            .get(Self::proc_ix(pid))
-            .map_or(0, PagedBits::count)
+        self.live_watchers(pid).map_or(0, PagedBits::count)
     }
 
     /// Whether `fd` is registered to wake `pid` (the backmapping-list
@@ -726,9 +812,22 @@ impl Kernel {
     pub fn is_watched(&self, pid: Pid, fd: Fd) -> bool {
         fd >= 0
             && self
-                .watchers
-                .get(Self::proc_ix(pid))
+                .live_watchers(pid)
                 .is_some_and(|s| s.contains(fd as usize))
+    }
+
+    /// Calls `f` for every descriptor registered to wake `pid`, in
+    /// ascending order (none while the set is parked).
+    pub fn for_each_watched(&self, pid: Pid, mut f: impl FnMut(Fd)) {
+        let Some(bits) = self.live_watchers(pid) else {
+            return;
+        };
+        bits.for_each_nonzero_word(|ix, mut word| {
+            while word != 0 {
+                f((ix * 64 + word.trailing_zeros() as usize) as Fd);
+                word &= word - 1;
+            }
+        });
     }
 
     // ------------------------------------------------------------------
@@ -1978,5 +2077,93 @@ mod tests {
             Err(Errno::EMFILE)
         );
         kernel.end_batch(SimTime::ZERO, pid);
+    }
+
+    #[test]
+    fn a_parked_watcher_set_reads_as_empty_and_unparks_only_if_kept() {
+        let (_net, mut kernel, pid) = setup();
+        let fresh = kernel.state_fingerprint();
+        for fd in [3, 70, 5000] {
+            kernel.watch(pid, fd);
+        }
+        kernel.claim_watches(pid);
+        let watched = kernel.state_fingerprint();
+        assert_ne!(watched, fresh);
+
+        // Parking deregisters everything, in the model's eyes.
+        assert_eq!(kernel.unwatch_all(pid), 3);
+        assert_eq!(kernel.watch_count(pid), 0);
+        assert!(!kernel.is_watched(pid, 70));
+        assert_eq!(
+            kernel.state_fingerprint(),
+            fresh,
+            "parked must hash as empty"
+        );
+        let mut seen = Vec::new();
+        kernel.for_each_watched(pid, |fd| seen.push(fd));
+        assert!(seen.is_empty());
+        assert_eq!(kernel.unwatch_all(pid), 0, "nothing is left to deregister");
+        // Removing from an empty set changes nothing, parked or not.
+        kernel.unwatch(pid, 70);
+
+        // The kept array changes while parked: the bits follow it.
+        kernel.keep_watch(pid, 3, false);
+        kernel.keep_watch(pid, 9, true);
+        assert_eq!(kernel.watch_count(pid), 0);
+        assert!(kernel.unpark_watches(pid));
+        kernel.for_each_watched(pid, |fd| seen.push(fd));
+        assert_eq!(seen, vec![9, 70, 5000]);
+
+        // An unclaimed set is dropped at the unpark.
+        let (_net, mut kernel, pid) = setup();
+        kernel.watch(pid, 3);
+        kernel.unwatch_all(pid);
+        assert!(!kernel.unpark_watches(pid));
+        assert_eq!(kernel.watch_count(pid), 0);
+        assert_eq!(kernel.state_fingerprint(), fresh);
+    }
+
+    #[test]
+    fn a_write_to_kept_watchers_unkeeps_them() {
+        let (_net, mut kernel, pid) = setup();
+        let claimed = |kernel: &mut Kernel| {
+            kernel.unwatch_all(pid);
+            kernel.watch(pid, 3);
+            kernel.watch(pid, 4);
+            kernel.claim_watches(pid);
+        };
+
+        // Another registration path watches one fd on the parked set:
+        // the parked bits go, and the set holds only the new watcher.
+        claimed(&mut kernel);
+        assert_eq!(kernel.unwatch_all(pid), 2);
+        kernel.watch(pid, 9);
+        assert_eq!(kernel.watch_count(pid), 1);
+        assert!(!kernel.is_watched(pid, 3));
+        assert_eq!(kernel.unwatch_all(pid), 1);
+        assert!(!kernel.unpark_watches(pid), "the kept bits are gone");
+        assert_eq!(kernel.watch_count(pid), 0);
+
+        // An unwatch of a live, kept set (a close during a sleep).
+        claimed(&mut kernel);
+        kernel.unwatch(pid, 3);
+        kernel.unwatch_all(pid);
+        assert!(!kernel.unpark_watches(pid));
+
+        // The kept array changing while the set is live.
+        claimed(&mut kernel);
+        kernel.keep_watch(pid, 5, true);
+        assert!(!kernel.is_watched(pid, 5), "a live set stays as registered");
+        kernel.unwatch_all(pid);
+        assert!(!kernel.unpark_watches(pid));
+
+        // An fd on a page no registration has touched: the page is not
+        // allocated ahead of the wait that registers the fd.
+        claimed(&mut kernel);
+        kernel.unwatch_all(pid);
+        let bytes = kernel.mem_bytes();
+        kernel.keep_watch(pid, 100_000, true);
+        assert_eq!(kernel.mem_bytes(), bytes);
+        assert!(!kernel.unpark_watches(pid));
     }
 }

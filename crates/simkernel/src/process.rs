@@ -124,6 +124,13 @@ pub struct Process {
     /// Descriptors whose poll bits may have risen since the last
     /// stock-`poll()` wait ([`PollHints`]).
     pub(crate) poll_hints: PollHints,
+    /// Whether the process's wait-queue registrations are parked: left
+    /// in place by [`crate::Kernel::unwatch_all`] and read as none.
+    pub(crate) watch_parked: bool,
+    /// Whether they are its stock-`poll()` array's
+    /// ([`crate::Kernel::claim_watches`]). Both flags are host
+    /// bookkeeping, not modelled state.
+    pub(crate) watch_kept: bool,
 }
 
 impl Process {
@@ -143,6 +150,8 @@ impl Process {
             batch_start: SimTime::ZERO,
             pending_wake: false,
             poll_hints: PollHints::default(),
+            watch_parked: false,
+            watch_kept: false,
         }
     }
 
